@@ -11,6 +11,12 @@ N = ceil(1.4 * digits) terms and heuristic error ~ (3+sqrt(8))^-N; direct
 partial sums of those series decay like k^(-1/2) and are hopeless at high
 precision.
 
+The cubed family has one walk per rate: :func:`binom3_sums` returns every
+requested (LinearFactor, WeightSpec) sum from a single pass over the terms,
+each sum stopping on its own certificate, and :func:`binom3_series` is its
+one-request case.  The theorem evaluators keep the nine sums of a point in a
+per-(point, precision) memo, so one point costs one walk.
+
 Harmonic weights are kept as running working-precision accumulators updated
 once per index; binomial cubes are folded into the running term so nothing
 larger than an mpf exponent ever materializes.
@@ -34,6 +40,7 @@ __all__ = [
     "WeightSpec",
     "binom2_series",
     "binom3_series",
+    "binom3_sums",
     "cvz_alt_sum",
     "ell_k",
     "ell_k_comp",
@@ -149,7 +156,7 @@ class _Harmonics:
         return total
 
 
-def _weight_growth_guard(spec: WeightSpec, k: int) -> mpf:
+def _weight_growth_guard(k: int) -> mpf:
     # Relative growth of any supported weight from k to k+1 is at most
     # 1 + 2/k for k >= 2 (harmonic increments), squared for the products.
     return (1 + mpf(2) / max(k, 2)) ** 2
@@ -159,7 +166,7 @@ def _weight_growth_guard(spec: WeightSpec, k: int) -> mpf:
 # CVZ acceleration
 # ---------------------------------------------------------------------------
 
-def _cvz_core(a: list, prec_dummy=None) -> mpf:
+def _cvz_core(a: list) -> mpf:
     """Cohen-Rodriguez Villegas-Zagier sum of sum_k (-1)^k a_k, a_k >= 0."""
     n = len(a)
     d = (3 + 2 * mp.sqrt(2)) ** n
@@ -210,10 +217,15 @@ def cvz_alt_sum(terms, ctx: PrecisionCtx) -> mpf:
 # Binomial series
 # ---------------------------------------------------------------------------
 
+def _boundary_slack(tiny: mpf) -> mpf:
+    """How far |64x| or |16x| may sit from 1 and still count as the boundary."""
+    return max(tiny * 1000, mpf(10) ** (-(mp.mp.dps - 6)))
+
+
 def _boundary_kind(scaled: mpc, tiny: mpf):
     """Classify |scaled| (=|64x| or |16x|) vs 1 with ulp slack: in/boundary/out."""
     r = abs(scaled)
-    slack = max(tiny * 1000, mpf(10) ** (-(mp.mp.dps - 6)))
+    slack = _boundary_slack(tiny)
     if r < 1 - slack:
         return "in"
     if r <= 1 + slack:
@@ -221,75 +233,114 @@ def _boundary_kind(scaled: mpc, tiny: mpf):
     return "out"
 
 
-def binom3_series(x, factor: LinearFactor, w: WeightSpec, ctx: PrecisionCtx,
-                  accelerate: bool = False) -> mpc:
-    """sum_{k>=0} C(2k,k)^3 (a k + b) w(k) x^k.
+def binom3_sums(x, requests, ctx: PrecisionCtx, accelerate: bool = False) -> list:
+    """[sum_{k>=0} C(2k,k)^3 (a k + b) w(k) x^k for each (LinearFactor, WeightSpec)].
 
-    Interior |64x| < 1: direct summation with geometric tail certificate.
-    |64x| = 1 with Re(64x) < 0: requires ``accelerate`` (CVZ); the imaginary
-    dust of x (below tolerance by construction on the admissible set) rides
-    along unaccelerated.  |64x| = 1 with x > 0 and |64x| > 1 are rejected.
+    One walk serves every request: the term C(2k,k)^3 x^k and the harmonic
+    accumulators advance once per k, each distinct weight and each distinct
+    linear factor is evaluated once per k, and the result list follows the
+    order of ``requests``.
+
+    Interior |64x| < 1: direct summation.  Each request keeps its own
+    geometric tail certificate and stops accumulating once it holds, so every
+    entry equals the same request summed alone; the walk ends when every
+    request is certified.
+    |64x| = 1 with Re(64x) < 0: requires ``accelerate``.  The term list is
+    built once on the real rate and each request goes through CVZ.  The
+    imaginary parts of 64x, a and b are dropped, so each must lie within the
+    boundary slack max(1000 tiny, 10^-(dps-6)), else DomainError.
+    |64x| = 1 with x > 0 and |64x| > 1 are rejected.
     """
     with ctx.working():
         x = mpc(x)
-        a = mpc(factor.a)
-        b = mpc(factor.b)
+        requests = list(requests)
+        facs = list(dict.fromkeys(f for f, _ in requests))
+        specs = list(dict.fromkeys(w for _, w in requests))
+        slots = [(facs.index(f), specs.index(w)) for f, w in requests]
+        facs = [(mpc(f.a), mpc(f.b)) for f in facs]
         tiny = ctx.tiny()
         kind = _boundary_kind(64 * x, tiny)
         if kind == "out":
-            raise DomainError("binom3_series diverges: |64x| > 1")
+            raise DomainError("binom3 series diverges: |64x| > 1")
         if kind == "boundary":
             if mp.re(64 * x) > 0:
-                raise DomainError("binom3_series: non-alternating boundary rate unsupported")
+                raise DomainError("binom3 series: non-alternating boundary rate unsupported")
             if not accelerate:
-                raise DomainError("binom3_series: |64x| = 1 requires accelerated mode")
-            return _binom3_accelerated(x, a, b, w, ctx)
+                raise DomainError("binom3 series: |64x| = 1 requires accelerated mode")
+            slack = _boundary_slack(tiny)
+            dust = [mp.im(64 * x)] + [mp.im(v) for f in facs for v in f]
+            if max(abs(d) for d in dust) > slack:
+                raise DomainError("binom3 series: imaginary part of the boundary "
+                                  "rate or of a linear factor exceeds the slack")
+            return _binom3_accelerated(mp.re(x), facs, specs, slots, ctx)
 
-        acc = mpc(0)
+        acc = [mpc(0)] * len(slots)
+        live = list(range(len(slots)))  # requests whose tail is not yet certified
         term_base = mpc(1)  # C(2k,k)^3 x^k
         har = _Harmonics()
         k = 0
         r = abs(64 * x)
+        ax = abs(x)
+        abs_facs = [(abs(a), abs(b)) for a, b in facs]
         while True:
-            piece = term_base * (a * k + b) * har.weight(w)
-            acc += piece
+            wts = [har.weight(w) for w in specs]
+            lin = [term_base * (a * k + b) for a, b in facs]
+            for i in live:
+                fi, wi = slots[i]
+                acc[i] += lin[fi] * wts[wi]
             # ratio of successive |C^3 x^k| is at most |64x|; weight and the
             # linear factor add at most (1+6/k)-type growth
             if k >= 8:
                 grow = r * (1 + mpf(6) / k)
                 if grow < 1:
-                    bound = (abs(term_base) * 64 * abs(x)
-                             * (abs(a) * (k + 1) + abs(b) + abs(a))
-                             * (abs(har.weight(w)) + 1) * _weight_growth_guard(w, k))
-                    if bound * grow / (1 - grow) + bound < tiny:
+                    head = abs(term_base) * 64 * ax
+                    heads = [head * (aa * (k + 1) + ab + aa) for aa, ab in abs_facs]
+                    guard = _weight_growth_guard(k)
+                    still = []
+                    for i in live:
+                        fi, wi = slots[i]
+                        # the weight and guard factors are >= 1, so a head at
+                        # or above tiny already fails the test
+                        if heads[fi] >= tiny:
+                            still.append(i)
+                            continue
+                        bound = heads[fi] * (abs(wts[wi]) + 1) * guard
+                        if not bound * grow / (1 - grow) + bound < tiny:
+                            still.append(i)
+                    live = still
+                    if not live:
                         break
             term_base *= mpf(2 * (2 * k + 1)) ** 3 / mpf(k + 1) ** 3 * x
             har.advance()
             k += 1
             if k > 200 * ctx.workdps:
-                raise DomainError("binom3_series failed to converge")
-        return ensure_finite(acc)
+                raise DomainError("binom3 series failed to converge")
+        return [ensure_finite(v) for v in acc]
 
 
-def _binom3_accelerated(x: mpc, a: mpc, b: mpc, w: WeightSpec,
-                        ctx: PrecisionCtx) -> mpc:
-    # Boundary rate: split x = xr + i*dust with xr = Re x = -1/64-like.
-    # The dust contributes O(dust * N) relative to the head and is kept as an
-    # additive complex correction on the first terms only.
-    xr = mp.re(x)
+def _binom3_accelerated(xr: mpf, facs: list, specs: list, slots: list,
+                        ctx: PrecisionCtx) -> list:
+    # Boundary rate xr = -1/64: one term list per request, each summed by CVZ.
     n_cvz = int(mp.ceil(mpf("1.4") * ctx.digits)) + 8
     burn = 12
-    total = n_cvz + burn
-    terms_r = []
+    facs = [(mp.re(a), mp.re(b)) for a, b in facs]
+    terms = [[] for _ in slots]
     term_base = mpf(1)
     har = _Harmonics()
-    for k in range(total):
-        wt = har.weight(w)
-        terms_r.append(term_base * (mp.re(a) * k + mp.re(b)) * wt)
+    for k in range(n_cvz + burn):
+        wts = [har.weight(w) for w in specs]
+        lin = [term_base * (a * k + b) for a, b in facs]
+        for (fi, wi), col in zip(slots, terms):
+            col.append(lin[fi] * wts[wi])
         term_base *= mpf(2 * (2 * k + 1)) ** 3 / mpf(k + 1) ** 3 * xr
         har.advance()
-    real_part = cvz_alt_sum(terms_r, ctx)
-    return ensure_finite(mpc(real_part))
+    return [ensure_finite(mpc(cvz_alt_sum(col, ctx))) for col in terms]
+
+
+def binom3_series(x, factor: LinearFactor, w: WeightSpec, ctx: PrecisionCtx,
+                  accelerate: bool = False) -> mpc:
+    """sum_{k>=0} C(2k,k)^3 (a k + b) w(k) x^k: one request of :func:`binom3_sums`."""
+    return binom3_sums(x, ((factor, w),), ctx, accelerate)[0]
 
 
 def binom2_series(x, w: WeightSpec, ctx: PrecisionCtx) -> mpc:
@@ -305,12 +356,13 @@ def binom2_series(x, w: WeightSpec, ctx: PrecisionCtx) -> mpc:
         har = _Harmonics()
         k = 0
         while True:
-            acc += term_base * har.weight(w)
+            wt = har.weight(w)
+            acc += term_base * wt
             if k >= 8:
                 grow = r * (1 + mpf(6) / k)
                 if grow < 1:
                     bound = (abs(term_base) * 16 * abs(x)
-                             * (abs(har.weight(w)) + 1) * _weight_growth_guard(w, k))
+                             * (abs(wt) + 1) * _weight_growth_guard(k))
                     if bound * grow / (1 - grow) + bound < tiny:
                         break
             term_base *= mpf(2 * (2 * k + 1)) ** 2 / mpf(k + 1) ** 2 * x

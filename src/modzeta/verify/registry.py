@@ -28,8 +28,9 @@ from ..mpcore import PrecisionCtx, const_catalan, const_zeta
 from ..quadrature import (h3mix2_tail_integral, lemma_integral,
                           lminus4_4_integral, zeta5_integral, zeta7_integral)
 from ..series import (HypKernel, LinearFactor, W_ONE, WeightSpec,
-                      binom2_series, binom3_series, ell_k, ell_k_comp, eli,
-                      hyp_lambert, inv_binom2_series, legendre_dnu2)
+                      binom2_series, binom3_series, binom3_sums, ell_k,
+                      ell_k_comp, eli, hyp_lambert, inv_binom2_series,
+                      legendre_dnu2)
 from .theorems import (W_H2_DIFF, W_H2_PLAIN, W_H3_DIFF, W_H3_PLAIN,
                        h3_linear, h3_ratios, q_ratios, r_linear, s_r, t_r,
                        u_check)
@@ -177,8 +178,9 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
         def lhs(ctx):
             with ctx.working():
                 x = mpf(rate_num) / rate_den
-                s_w = binom3_series(x, LinearFactor(0, 1), w, ctx, accelerate=boundary)
-                s_1 = binom3_series(x, LinearFactor(0, 1), W_ONE, ctx, accelerate=boundary)
+                s_w, s_1 = binom3_sums(x, [(LinearFactor(0, 1), w),
+                                           (LinearFactor(0, 1), W_ONE)],
+                                       ctx, accelerate=boundary)
                 return (s_w + const_fn(dirichlet_l(dval, 2, ctx), ctx) * s_1).real
         return lhs
 
@@ -232,9 +234,10 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
     def h3e_lhs(ctx):
         with ctx.working():
             x = mpf(1) / 4096
-            return (binom3_series(x, LinearFactor(42, 5), _single("H3_K"), ctx)
-                    - 352 * binom3_series(x, LinearFactor(0, 1),
-                                          _single("INVSQ_2K1"), ctx)).real
+            s_h3, s_inv = binom3_sums(x, [(LinearFactor(42, 5), _single("H3_K")),
+                                          (LinearFactor(0, 1), _single("INVSQ_2K1"))],
+                                      ctx)
+            return (s_h3 - 352 * s_inv).real
     add("h3.e", "h3",
         "sum C^3 [(42k+5)H3_k - 352/(2k+1)^2]/4096^k = (32/7)[335zeta(3)/pi - 224L_{-4}(2)]",
         h3e_lhs,
@@ -246,9 +249,10 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
         with ctx.working():
             x = mpf(1) / 4096
             w = WeightSpec.combo({"H3_2K": 17, "H3_K": -2})
-            return (binom3_series(x, LinearFactor(42, 5), w, ctx)
-                    - 27 * binom3_series(x, LinearFactor(0, 1),
-                                         _single("INVSQ_2K1"), ctx)).real
+            s_w, s_inv = binom3_sums(x, [(LinearFactor(42, 5), w),
+                                         (LinearFactor(0, 1), _single("INVSQ_2K1"))],
+                                     ctx)
+            return (s_w - 27 * s_inv).real
     add("h3.weixu", "h3",
         "sum C^3 {(42k+5)[17H3_{2k}-2H3_k] - 27/(2k+1)^2}/4096^k = 240zeta(3)/pi - 128L_{-4}(2)",
         weixu_lhs,
@@ -326,9 +330,9 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
                 z = zb()
                 a4 = alpha4(z, ctx)
                 x = a4 * (1 - a4) / 16
-                den = binom3_series(x, LinearFactor(0, 1), W_ONE, ctx, accelerate=bdy)
-                q1 = binom3_series(x, LinearFactor(0, 1), W_H2_DIFF, ctx, accelerate=bdy)
-                q2 = binom3_series(x, LinearFactor(0, 1), W_H2_PLAIN, ctx, accelerate=bdy)
+                den, q1, q2 = binom3_sums(
+                    x, [(LinearFactor(0, 1), w) for w in (W_ONE, W_H2_DIFF, W_H2_PLAIN)],
+                    ctx, accelerate=bdy)
                 return ((q1 - mpf(rr.numerator) / rr.denominator * q2) / den).real
         add("th2.%s.q1q2" % tag, "table-h2", "Q1 - r Q2 cell (series route)",
             qq_lhs, qq, "penultimate column",
@@ -341,8 +345,8 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
                 a4 = alpha4(z, ctx)
                 x = a4 * (1 - a4) / 16
                 fac = LinearFactor(2 * (1 - 2 * a4) / y, r_half(z, ctx) / y)
-                r1 = binom3_series(x, fac, W_H2_DIFF, ctx, accelerate=bdy)
-                r2 = binom3_series(x, fac, W_H2_PLAIN, ctx, accelerate=bdy)
+                r1, r2 = binom3_sums(x, [(fac, W_H2_DIFF), (fac, W_H2_PLAIN)],
+                                     ctx, accelerate=bdy)
                 return (r1 - mpf(rr.numerator) / rr.denominator * r2).real
         add("th2.%s.tr" % tag, "table-h2", "T_r cell (series route)",
             tt_lhs, tt, "last column",
@@ -406,8 +410,8 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
                 a4 = alpha4(z, ctx)
                 x = a4 * (1 - a4) / 16
                 fac = LinearFactor(2 * (1 - 2 * a4) / y, r_half(z, ctx) / y)
-                g1 = binom3_series(x, fac, W_H3_DIFF, ctx, accelerate=bdy)
-                g2 = binom3_series(x, fac, W_H3_PLAIN, ctx, accelerate=bdy)
+                g1, g2 = binom3_sums(x, [(fac, W_H3_DIFF), (fac, W_H3_PLAIN)],
+                                     ctx, accelerate=bdy)
                 ep = 8 * mp.pi ** 2 * (epstein2(4 * z, ctx) - epstein2(z, ctx)) / (45 * y)
                 return (g1 + mpf(rc.numerator) / rc.denominator * (g2 + ep)).real
         add("th3.%s.ut" % tag, "table-h3", "T-check cell (series route)",
@@ -571,8 +575,8 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
     def closing_lhs(ctx):
         with ctx.working():
             x = mpf(1) / 256
-            num = binom3_series(x, LinearFactor(0, 1), w_h3_764, ctx)
-            den = binom3_series(x, LinearFactor(0, 1), W_ONE, ctx)
+            num, den = binom3_sums(x, [(LinearFactor(0, 1), w_h3_764),
+                                       (LinearFactor(0, 1), W_ONE)], ctx)
             return num / den
 
     def closing_rhs(ctx):

@@ -18,7 +18,7 @@ from ..arith import epstein2
 from ..eichler import eichler4, eichler6
 from ..modular import alpha4, r_half, uhp
 from ..mpcore import DomainError, PrecisionCtx, const_zeta
-from ..series import LinearFactor, W_ONE, WeightSpec, binom3_series
+from ..series import LinearFactor, W_ONE, WeightSpec, binom3_sums
 
 __all__ = [
     "W_H2_DIFF", "W_H2_PLAIN", "W_H3_DIFF", "W_H3_PLAIN",
@@ -45,8 +45,9 @@ _result_cache: dict = {}
 
 
 def _cached(name):
-    # the four dict-valued theorem evaluators are pure; registry records ask
-    # for one side at a time, so memoize per (point, precision)
+    # the four dict-valued theorem evaluators and their shared series data are
+    # pure; registry records ask for one side at a time, so memoize per
+    # (point, precision)
     def deco(fn):
         def wrapped(z, ctx):
             key = (name, mpc(z), ctx.workdps)
@@ -63,32 +64,31 @@ def _cached(name):
     return deco
 
 
-class _SeriesEnv:
-    """Shared modular data for the series side at one point."""
+_THEOREM_WEIGHTS = (W_H2_DIFF, W_H2_PLAIN, W_H3_DIFF, W_H3_PLAIN)
 
-    def __init__(self, z, ctx: PrecisionCtx):
-        self.z = z
-        self.ctx = ctx
-        with ctx.working():
-            self.a4 = alpha4(z, ctx)
-            self.x = self.a4 * (1 - self.a4) / 16
-            self.accel = abs(abs(64 * self.x) - 1) < mpf(10) ** (-(ctx.workdps - 10))
-            self.den = binom3_series(self.x, LinearFactor(0, 1), W_ONE, ctx,
-                                     accelerate=self.accel)
 
-    def ratio(self, w: WeightSpec) -> mpc:
-        with self.ctx.working():
-            num = binom3_series(self.x, LinearFactor(0, 1), w, self.ctx,
-                                accelerate=self.accel)
-            return num / self.den
+@_cached("_series_data")
+def _series_data(z, ctx: PrecisionCtx) -> dict:
+    """The series side at an admissible z: every ratio and linear sum, one walk.
 
-    def linear(self, w: WeightSpec) -> mpc:
-        ctx = self.ctx
-        with ctx.working():
-            y = mp.im(self.z)
-            rh = r_half(self.z, ctx)
-            fac = LinearFactor(2 * (1 - 2 * self.a4) / y, rh / y)
-            return binom3_series(self.x, fac, w, ctx, accelerate=self.accel)
+    Nine sums at the rate x = alpha4(1-alpha4)/16: the denominator (weight 1)
+    and each theorem weight, once with factor 1 and once with the linear
+    factor 2(1-2 alpha4)/Im z * k + R_{-1/2}/Im z.
+    """
+    with ctx.working():
+        a4 = alpha4(z, ctx)
+        x = a4 * (1 - a4) / 16
+        accel = abs(abs(64 * x) - 1) < mpf(10) ** (-(ctx.workdps - 10))
+        y = mp.im(z)
+        one = LinearFactor(0, 1)
+        fac = LinearFactor(2 * (1 - 2 * a4) / y, r_half(z, ctx) / y)
+        sums = binom3_sums(x, [(one, W_ONE)]
+                           + [(one, w) for w in _THEOREM_WEIGHTS]
+                           + [(fac, w) for w in _THEOREM_WEIGHTS], ctx, accelerate=accel)
+        den = sums[0]
+        n = len(_THEOREM_WEIGHTS)
+        return {"ratio": {w: s / den for w, s in zip(_THEOREM_WEIGHTS, sums[1:1 + n])},
+                "linear": dict(zip(_THEOREM_WEIGHTS, sums[1 + n:]))}
 
 
 def _q_rhs(z, ctx: PrecisionCtx):
@@ -112,17 +112,17 @@ def _q_rhs(z, ctx: PrecisionCtx):
 def q_ratios(z, ctx: PrecisionCtx) -> dict:
     """Both sides of the weight-2 ratio identities at an admissible z."""
     z = _require_admissible(z, ctx)
-    env = _SeriesEnv(z, ctx)
+    ratio = _series_data(z, ctx)["ratio"]
     q1r, q2r = _q_rhs(z, ctx)
-    return {"q1_lhs": env.ratio(W_H2_DIFF), "q1_rhs": q1r,
-            "q2_lhs": env.ratio(W_H2_PLAIN), "q2_rhs": q2r}
+    return {"q1_lhs": ratio[W_H2_DIFF], "q1_rhs": q1r,
+            "q2_lhs": ratio[W_H2_PLAIN], "q2_rhs": q2r}
 
 
 @_cached("r_linear")
 def r_linear(z, ctx: PrecisionCtx) -> dict:
     """Both sides of the weight-2 linear-factor identities at an admissible z."""
     z = _require_admissible(z, ctx)
-    env = _SeriesEnv(z, ctx)
+    linear = _series_data(z, ctx)["linear"]
     with ctx.working():
         y = mp.im(z)
         q1r, q2r = _q_rhs(z, ctx)
@@ -130,8 +130,8 @@ def r_linear(z, ctx: PrecisionCtx) -> dict:
         g_2z = eichler4(2 * z, 2, ctx)
         r1r = q1r / (mp.pi * y ** 2) - mp.pi * 1j * (2 * g_zh - g_2z) / (30 * y)
         r2r = q2r / (mp.pi * y ** 2) - mp.pi * 1j * (g_zh - 8 * g_2z) / (15 * y)
-    return {"r1_lhs": env.linear(W_H2_DIFF), "r1_rhs": r1r,
-            "r2_lhs": env.linear(W_H2_PLAIN), "r2_rhs": r2r}
+    return {"r1_lhs": linear[W_H2_DIFF], "r1_rhs": r1r,
+            "r2_lhs": linear[W_H2_PLAIN], "r2_rhs": r2r}
 
 
 def s_r(z, r, ctx: PrecisionCtx) -> mpc:
@@ -178,10 +178,10 @@ def _h3_rhs(z, ctx: PrecisionCtx):
 def h3_ratios(z, ctx: PrecisionCtx) -> dict:
     """Both sides of the weight-3 ratio identities at an admissible z."""
     z = _require_admissible(z, ctx)
-    env = _SeriesEnv(z, ctx)
+    ratio = _series_data(z, ctx)["ratio"]
     h1r, h2r = _h3_rhs(z, ctx)
-    return {"lhs1": env.ratio(W_H3_DIFF), "rhs1": h1r,
-            "lhs2": env.ratio(W_H3_PLAIN), "rhs2": h2r}
+    return {"lhs1": ratio[W_H3_DIFF], "rhs1": h1r,
+            "lhs2": ratio[W_H3_PLAIN], "rhs2": h2r}
 
 
 def _h3_linear_rhs(z, ctx: PrecisionCtx):
@@ -208,10 +208,10 @@ def _h3_linear_rhs(z, ctx: PrecisionCtx):
 def h3_linear(z, ctx: PrecisionCtx) -> dict:
     """Both sides of the weight-3 linear-factor identities at an admissible z."""
     z = _require_admissible(z, ctx)
-    env = _SeriesEnv(z, ctx)
+    linear = _series_data(z, ctx)["linear"]
     g1r, g2r = _h3_linear_rhs(z, ctx)
-    return {"lhs1": env.linear(W_H3_DIFF), "rhs1": g1r,
-            "lhs2": env.linear(W_H3_PLAIN), "rhs2": g2r}
+    return {"lhs1": linear[W_H3_DIFF], "rhs1": g1r,
+            "lhs2": linear[W_H3_PLAIN], "rhs2": g2r}
 
 
 def u_check(z, rc, ctx: PrecisionCtx) -> mpc:

@@ -5,6 +5,8 @@ from math import comb
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
 from modzeta import (DomainError, HypKernel, LinearFactor, PrecisionCtx,
@@ -12,7 +14,7 @@ from modzeta import (DomainError, HypKernel, LinearFactor, PrecisionCtx,
                      eli, ell_k, ell_k_comp, gamma_one_plus, hyp_lambert,
                      inv_binom2_series, legendre_dnu2, legendre_p_def)
 from modzeta.mpcore import const_euler_gamma
-from modzeta.series import W_ONE
+from modzeta.series import _BASES, W_ONE, binom3_sums
 
 I = mpc(0, 1)
 
@@ -99,6 +101,108 @@ def test_incremental_terms_match_scratch(k, ctx30):
         full = binom3_series(x, LinearFactor(a, b), w, ctx30)
         partial = mp.fsum(scratch(j) for j in range(60))
         assert abs(full - partial) < abs(scratch(59)) / (1 - 64 * x) + ctx30.tiny()
+
+
+# ---------------------------------------------------------------------------
+# binom3_sums: one walk for many (LinearFactor, WeightSpec) requests
+# ---------------------------------------------------------------------------
+
+def _scratch_basis(basis, k, h):
+    # h[p][n] = H^(p)_n, summed directly; the definitions of WeightSpec
+    d = h[1][2 * k] - h[1][k]
+    return {
+        "ONE": 1, "H1_K": h[1][k], "H1_2K": h[1][2 * k],
+        "H2_K": h[2][k], "H2_2K": h[2][2 * k],
+        "H3_K": h[3][k], "H3_2K": h[3][2 * k],
+        "INVSQ_2K1": mpf(1) / (2 * k + 1) ** 2,
+        "H2_2K_TIMES_DH1": h[2][2 * k] * d, "H2_K_TIMES_DH1": h[2][k] * d,
+        "H3MIX": h[3][k] - 3 * h[2][k] * d,
+    }[basis]
+
+
+def _scratch_binom3(x, factor, w, n):
+    """Partial sum over k < n from exact binomials and direct harmonic sums.
+
+    Also returns the scale of the rounding a working-precision walk may
+    make: term k carries O(k) roundings from the term recurrence and each
+    addition rounds the partial sum, every rounding below tiny/10.
+    """
+    h = {p: [mpf(0)] for p in (1, 2, 3)}
+    for m in range(1, 2 * n):
+        for p in (1, 2, 3):
+            h[p].append(h[p][-1] + mpf(1) / mpf(m) ** p)
+    total, scale = mpc(0), mpf(1)
+    for k in range(n):
+        wt = mp.fsum(mpf(c.numerator) / c.denominator * _scratch_basis(b, k, h)
+                     for c, b in w.terms)
+        term = mpf(comb(2 * k, k)) ** 3 * (factor.a * k + factor.b) * wt * x ** k
+        total += term
+        scale += (k + 10) * abs(term) + abs(total)
+    return total, scale
+
+
+_weights = st.dictionaries(
+    st.sampled_from(_BASES),
+    st.fractions(min_value=-4, max_value=4, max_denominator=8),
+    min_size=1, max_size=3).map(WeightSpec.combo)
+_factors = st.builds(
+    lambda ar, ai, b: LinearFactor(mpc(ar, ai), b),
+    st.floats(-3, 3), st.floats(-1, 1), st.integers(-3, 3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0, 0.9), st.floats(-1, 1),
+       st.lists(st.tuples(_factors, _weights), min_size=1, max_size=4))
+def test_binom3_sums_match_alone_and_scratch(rho, theta, requests):
+    ctx = PrecisionCtx(15)
+    with ctx.working():
+        x = mpf(rho) * mp.expjpi(mpf(theta)) / 64
+        sums = binom3_sums(x, requests, ctx)
+        assert len(sums) == len(requests)
+        # terms fall like rho^k k^(-3/2) times a polynomial in k and log k
+        n = 12 if rho == 0 else int(ctx.workdps * 2.31 / -mp.log(rho)) + 60
+    for value, (factor, w) in zip(sums, requests):
+        with ctx.working():
+            # each request keeps its own certificate, so it stops where it
+            # would stop alone
+            assert value == binom3_series(x, factor, w, ctx)
+        with mp.workdps(ctx.workdps + 20):
+            scratch, scale = _scratch_binom3(x, factor, w, n)
+            assert abs(value - scratch) < ctx.tiny() * scale
+
+
+def test_binom3_sums_boundary_matches_single(ctx30):
+    h3 = WeightSpec.combo({"H3_2K": 1})
+    requests = [(LinearFactor(4, 1), W_ONE), (LinearFactor(0, 1), h3),
+                (LinearFactor(4, 1), h3), (LinearFactor(0, 1), W_H2DIFF)]
+    with ctx30.working():
+        x = mpf(-1) / 64
+        sums = binom3_sums(x, requests, ctx30, accelerate=True)
+        for value, (factor, w) in zip(sums, requests):
+            assert value == binom3_series(x, factor, w, ctx30, accelerate=True)
+        assert abs(sums[0] - 2 / mp.pi) < ctx30.tolerance()
+
+
+def test_binom3_sums_domain(ctx30):
+    req = [(LinearFactor(4, 1), W_ONE), (LinearFactor(0, 1), W_H2DIFF)]
+    with ctx30.working():
+        with pytest.raises(DomainError):  # |64x| > 1
+            binom3_sums(mpf("0.02"), req, ctx30)
+        with pytest.raises(DomainError):  # boundary without accelerated mode
+            binom3_sums(mpf(-1) / 64, req, ctx30)
+        # the boundary walk uses real parts only; dust above the slack
+        # (10^-(workdps-6) = 1e-39 here) is refused, dust below it is dropped
+        x = mpf(-1) / 64
+        clean = binom3_sums(x, req, ctx30, accelerate=True)
+
+        def fuzzy(dust):
+            return (mpc(x, dust), [(LinearFactor(mpc(4, dust), 1), W_ONE),
+                                   (LinearFactor(0, mpc(1, dust)), W_H2DIFF)])
+        x_big, req_big = fuzzy("1e-30")
+        for args in ((x_big, req), (x, req_big)):
+            with pytest.raises(DomainError):
+                binom3_sums(*args, ctx30, accelerate=True)
+        assert binom3_sums(*fuzzy("1e-45"), ctx30, accelerate=True) == clean
 
 
 # ---------------------------------------------------------------------------

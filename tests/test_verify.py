@@ -1,14 +1,19 @@
 """Registry integrity, runner behavior, report serialization."""
 
 import json
+import os
 
 import mpmath as mp
 import pytest
 from mpmath import mpf
 
 from modzeta import (DomainError, PrecisionCtx, all_suites, get_records,
-                     q_ratios, run_suite, s_r, t_r, u_check)
+                     h3_linear, h3_ratios, q_ratios, r_linear, run_suite, s_r,
+                     t_r, u_check)
 from modzeta.verify import DEFAULT_SEED, SUITES
+from modzeta.verify import theorems
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_strings_50.json")
 
 
 def test_registry_ids_unique():
@@ -117,3 +122,42 @@ def test_boundary_records_flagged():
     assert not recs["rama4"].boundary
     assert recs["rama1"].tol_exponent(50) == 30
     assert recs["rama4"].tol_exponent(50) == 45
+
+
+def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
+    # the four evaluators read one memoized nine-sum walk per (point, precision)
+    walks = []
+    real = theorems.binom3_sums
+
+    def counting(*args, **kwargs):
+        walks.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(theorems, "binom3_sums", counting)
+    monkeypatch.setattr(theorems, "_result_cache", {})
+    z = mp.mpc("0.5", "0.9137")
+    for _ in range(2):
+        sides = [f(z, ctx30) for f in (q_ratios, r_linear, h3_ratios, h3_linear)]
+        assert len(walks) == 1
+    with ctx30.working():
+        for out in sides:
+            lhs = [v for k, v in out.items() if "lhs" in k]
+            rhs = [v for k, v in out.items() if "rhs" in k]
+            for a, b in zip(lhs, rhs):
+                assert abs(a - b) < ctx30.tolerance()
+    q_ratios(z, PrecisionCtx(35))
+    assert len(walks) == 2
+
+
+def test_golden_strings_50_digits():
+    # lhs/rhs strings recorded before the series walks were merged: each
+    # must stay byte-identical, or its residual must not grow
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    ctx = PrecisionCtx(golden["digits"])
+    for suite, recorded in golden["suites"].items():
+        rows = {r["id"]: r for r in run_suite(suite, ctx).rows}
+        assert set(rows) == set(recorded), suite
+        for rid, old in recorded.items():
+            new = rows[rid]
+            if (new["lhs"], new["rhs"]) != (old["lhs"], old["rhs"]):
+                assert mpf(new["abs_residual"]) <= mpf(old["abs_residual"]), rid
