@@ -21,11 +21,12 @@ import mpmath as mp
 import numpy as np
 from mpmath import mpc, mpf
 
-from .eichler import eichler4, eichler6
+from .eichler import _nome_chains, eichler6
 from .modular import _as_z
 from .mpcore import (
     DomainError,
     PrecisionCtx,
+    _memoized,
     bernoulli,
     const_zeta,
     ensure_finite,
@@ -104,6 +105,7 @@ def hurwitz_zeta(s, a, ctx: PrecisionCtx) -> mpf:
         return hurwitz_zeta_raw(s, a)
 
 
+@_memoized
 def dirichlet_l(d: int, s: int, ctx: PrecisionCtx) -> mpf:
     """L_d(s) = sum_n (d/n) n^-s for integer s >= 2, via Hurwitz decomposition."""
     d = int(d)
@@ -132,24 +134,15 @@ def epstein2(z, ctx: PrecisionCtx) -> mpf:
     E(z,2) = y^2 + 45 zeta(3)/(pi^3 y)
              + (90/(pi^3 y)) Re sum q^n/(n^3 (1-q^n))
              + (180/pi^2)    Re sum q^n/(n^2 (1-q^n)^2),    y = Im z.
+
+    The two sums are the weight-4 Eichler chains of orders 0 and 1, read from
+    the memoized walk at the nome of z that ``eichler4`` shares.
     """
-    z = _as_z(z)
+    z = _as_z(z, ctx)
+    chains = _nome_chains(z, ctx)
+    s3, s2 = chains[4, 0], chains[4, 1]
     with ctx.working():
         y = mp.im(z)
-        q = mp.exp(2j * mp.pi * z)
-        qa = abs(q)
-        tiny = ctx.tiny()
-        s3 = mpc(0)
-        s2 = mpc(0)
-        qn = mpc(1)
-        n = 0
-        while True:
-            n += 1
-            qn *= q
-            s3 += qn / (mpf(n) ** 3 * (1 - qn))
-            s2 += qn / (mpf(n) ** 2 * (1 - qn) ** 2)
-            if qa ** (n + 1) / (1 - qa) ** 3 < tiny:
-                break
         val = (y ** 2 + 45 * const_zeta(3, ctx) / (mp.pi ** 3 * y)
                + 90 * mp.re(s3) / (mp.pi ** 3 * y) + 180 * mp.re(s2) / mp.pi ** 2)
         return ensure_finite(val)
@@ -171,7 +164,7 @@ def epstein3(z, ctx: PrecisionCtx) -> mpf:
     part is exact for 2*Re z integral; elsewhere it is still E(z,3) (the
     imaginary residue of the braced term is available separately).
     """
-    z = _as_z(z)
+    z = _as_z(z, ctx)
     with ctx.working():
         y = mp.im(z)
         val = (y ** 3 + 2835 * const_zeta(5, ctx) / (8 * mp.pi ** 5 * y ** 2)
@@ -181,7 +174,7 @@ def epstein3(z, ctx: PrecisionCtx) -> mpf:
 
 def epstein3_imag_residue(z, ctx: PrecisionCtx) -> mpf:
     """Imaginary part of the braced term in epstein3 (diagnostic; 0 iff 2*Re z in Z)."""
-    z = _as_z(z)
+    z = _as_z(z, ctx)
     with ctx.working():
         return mp.im(_epstein3_braced(z, ctx))
 
@@ -205,7 +198,7 @@ def epstein_lattice(z, s: int, radius: int, ctx: PrecisionCtx) -> LatticeSum:
         raise DomainError("epstein_lattice supports s in {2, 3}")
     if radius < 10:
         raise DomainError("epstein_lattice requires radius >= 10")
-    z = _as_z(z)
+    z = _as_z(z, ctx)
     x = float(mp.re(z))
     y = float(mp.im(z))
 

@@ -8,6 +8,9 @@ Production path is termwise differentiation of the Lambert-Ramanujan series
 with q = exp(2*pi*i*z); each derivative in z multiplies a term by 2*pi*i*n and
 turns the rational kernel in q^n into the next one in the chain
 u/(1-u) -> u/(1-u)^2 -> u(1+u)/(1-u)^3 -> u(1+4u+u^2)/(1-u)^4.
+One walk over n per nome sums all seven chains (weight 4, orders 0-2; weight
+6, orders 0-3) and is memoized per (z, precision), so every Eichler value and
+``arith.epstein2`` at that nome read the same walk.
 Finite differences are deliberately not used here (they live in the tests).
 """
 
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 import mpmath as mp
 from mpmath import mpc, mpf
 
-from .mpcore import DomainError, PrecisionCtx, ensure_finite
-from .modular import UhpPoint, _as_z
+from .mpcore import DomainError, PrecisionCtx, _memoized, ensure_finite
+from .modular import _as_z
 
 __all__ = ["EichlerValue", "eichler4", "eichler6"]
 
@@ -32,35 +35,39 @@ class EichlerValue:
     value: mpc
 
 
-def _lambert_chain(q: mpc, weight: int, order: int, tiny: mpf) -> mpc:
-    """sum over n of n^(order-weight+1) * K_order(q^n) at full working precision.
+# (weight, order) of every chain the Eichler integrals and epstein2 read
+_CHAINS = ((4, 0), (4, 1), (4, 2), (6, 0), (6, 1), (6, 2), (6, 3))
 
+
+@_memoized
+def _nome_chains(z: mpc, ctx: PrecisionCtx) -> dict:
+    """Every Lambert chain at the nome q of z, from one walk over n.
+
+    Chain (weight, order) is sum_n n^(order-weight+1) * K_order(q^n), with
     K_0(u) = u/(1-u), K_1(u) = u/(1-u)^2, K_2(u) = u(1+u)/(1-u)^3,
-    K_3(u) = u(1+4u+u^2)/(1-u)^4; the n-exponent is -(weight-1)+order.
+    K_3(u) = u(1+4u+u^2)/(1-u)^4.  The n-exponent is <= -1 for every chain,
+    so one tail bound, sum_{m>n} |q|^m * 6/(1-|q|)^4 with the crude kernel
+    bound |K(u)| <= 6|u|/(1-|q|)^4 for |u| <= |q|, stops all of them.
     """
-    qa = abs(q)
-    p = order - (weight - 1)  # exponent of n in each term
-    acc = mpc(0)
-    qn = mpc(1)
-    n = 0
-    # crude kernel bound for |u| <= |q|: |K(u)| <= 6|u|/(1-|q|)^4
-    kb = 6 / (1 - qa) ** 4
-    while True:
-        n += 1
-        qn *= q
-        u = qn
-        if order == 0:
-            ker = u / (1 - u)
-        elif order == 1:
-            ker = u / (1 - u) ** 2
-        elif order == 2:
-            ker = u * (1 + u) / (1 - u) ** 3
-        else:
-            ker = u * (1 + 4 * u + u * u) / (1 - u) ** 4
-        acc += mpf(n) ** p * ker
-        # tail: sum_{m>n} m^p |q|^m * kb; p <= 0 here beyond order-weight cases
-        if mpf(max(n + 1, 1)) ** max(p, 0) * qa ** (n + 1) / (1 - qa) * kb < tiny:
-            break
+    with ctx.working():
+        q = mp.exp(2j * mp.pi * z)
+        qa = abs(q)
+        tiny = ctx.tiny()
+        kb = 6 / (1 - qa) ** 4
+        acc = dict.fromkeys(_CHAINS, mpc(0))
+        u = mpc(1)
+        n = 0
+        while True:
+            n += 1
+            u *= q  # u = q^n
+            d = 1 - u
+            ker = (u / d, u / d ** 2, u * (1 + u) / d ** 3,
+                   u * (1 + 4 * u + u * u) / d ** 4)
+            npow = {p: mpf(n) ** p for p in range(-5, 0)}
+            for weight, order in _CHAINS:
+                acc[weight, order] += npow[order - weight + 1] * ker[order]
+            if qa ** (n + 1) / (1 - qa) * kb < tiny:
+                break
     return acc
 
 
@@ -72,24 +79,12 @@ _E6_PREF = {0: lambda: mpc(0, 378) / mp.pi ** 5,
             2: lambda: mpc(0, -1512) / mp.pi ** 3,
             3: lambda: mpf(3024) / mp.pi ** 2}
 
-_cache: dict = {}
-
 
 def _eichler(z, weight: int, order: int, ctx: PrecisionCtx) -> mpc:
-    z = _as_z(z)
-    key = (weight, order, z, ctx.workdps)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
+    s = _nome_chains(_as_z(z, ctx), ctx)[weight, order]
     with ctx.working():
-        q = mp.exp(2j * mp.pi * z)
-        s = _lambert_chain(q, weight, order, ctx.tiny())
         pref = (_E4_PREF if weight == 4 else _E6_PREF)[order]()
-        val = ensure_finite(pref * s)
-    if len(_cache) > 4096:
-        _cache.clear()
-    _cache[key] = val
-    return val
+        return ensure_finite(pref * s)
 
 
 def eichler4(z, order: int, ctx: PrecisionCtx) -> mpc:

@@ -81,10 +81,13 @@ def uhp(z) -> UhpPoint:
     return UhpPoint(mpc(z))
 
 
-def _as_z(z) -> mpc:
+def _as_z(z, ctx: PrecisionCtx) -> mpc:
+    # convert at working precision: a point built at higher precision than the
+    # caller's must not be rounded before it is evaluated or used as a memo key
     if isinstance(z, UhpPoint):
         return z.z
-    z = mpc(z)
+    with ctx.working():
+        z = mpc(z)
     if not mp.im(z) > 0:
         raise DomainError("point must satisfy Im z > 0, got %s" % (z,))
     return z
@@ -101,7 +104,7 @@ def _nome(z: mpc, scale: int = 2) -> mpc:
 
 def eta(z, ctx: PrecisionCtx) -> mpc:
     """Dedekind eta: exp(pi*i*z/12) * prod_{n>=1} (1 - q^n)."""
-    z = _as_z(z)
+    z = _as_z(z, ctx)
     with ctx.working():
         if mp.im(z) < mpf("0.03"):
             raise DomainError("eta is out of contract for Im z < 0.03")
@@ -123,7 +126,7 @@ def eta(z, ctx: PrecisionCtx) -> mpc:
 
 def lambda_fn(z, ctx: PrecisionCtx) -> mpc:
     """Modular lambda via the eta quotient 2^4 eta(z/2)^8 eta(2z)^16 / eta(z)^24."""
-    z = _as_z(z)
+    z = _as_z(z, ctx)
     with ctx.working():
         e_half = eta(z / 2, ctx)
         e_one = eta(z, ctx)
@@ -133,7 +136,8 @@ def lambda_fn(z, ctx: PrecisionCtx) -> mpc:
 
 def alpha4(z, ctx: PrecisionCtx) -> mpc:
     """alpha_4(z) = lambda(2z)."""
-    return lambda_fn(2 * _as_z(z), ctx)
+    with ctx.working():
+        return lambda_fn(2 * _as_z(z, ctx), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +152,7 @@ def eisenstein(z, weight: int, ctx: PrecisionCtx) -> mpc:
     """E2 (with its -3/(pi Im z) completion), E4, or E6 as Lambert q-series."""
     if weight not in (2, 4, 6):
         raise DomainError("eisenstein weight must be 2, 4 or 6")
-    z = _as_z(z)
+    z = _as_z(z, ctx)
     with ctx.working():
         q = _nome(z)
         qa = abs(q)
@@ -171,7 +175,7 @@ def eisenstein(z, weight: int, ctx: PrecisionCtx) -> mpc:
 
 def eisenstein_eta_form(z, weight: int, ctx: PrecisionCtx) -> mpc:
     """E4 or E6 from eta quotients and lambda; an independent route for tests."""
-    z = _as_z(z)
+    z = _as_z(z, ctx)
     with ctx.working():
         lam = lambda_fn(z, ctx)
         e_one = eta(z, ctx)
@@ -196,7 +200,7 @@ def r_half(z, ctx: PrecisionCtx) -> mpc:
         -(16 E2(4z)^2 - 16 E4(4z) - E2(z)^2 + E4(z)) / (2 (4 E2(4z) - E2(z))^2)
     and raises DegeneratePointError when the denominator vanishes.
     """
-    z = _as_z(z)
+    z = _as_z(z, ctx)
     with ctx.working():
         e2_z = eisenstein(z, 2, ctx)
         e2_4z = eisenstein(4 * z, 2, ctx)

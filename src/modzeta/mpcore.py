@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
+from inspect import signature
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -105,6 +107,38 @@ def tail_poly_geom(xabs: mpf, n_last: int, deg: int) -> mpf:
 
 
 # ---------------------------------------------------------------------------
+# The shared memo
+# ---------------------------------------------------------------------------
+
+_memo: dict = {}
+_MEMO_CAP = 4096
+
+
+def _memoized(fn):
+    """Memoize ``fn(*args, ctx)`` on (fn, args, ctx.workdps) in one bounded dict.
+
+    Callers pass arguments already taken at working precision (points through
+    ``modular._as_z(z, ctx)``), so a key never holds a value rounded at the
+    caller's precision.  The memo is cleared wholesale when it fills.
+    """
+    sig = signature(fn)
+
+    @wraps(fn)
+    def wrapped(*args, **kwargs):
+        if kwargs:
+            args = sig.bind(*args, **kwargs).args
+        key = (fn, args[:-1], args[-1].workdps)
+        hit = _memo.get(key)
+        if hit is None:
+            hit = fn(*args)
+            if len(_memo) >= _MEMO_CAP:
+                _memo.clear()
+            _memo[key] = hit
+        return hit
+    return wrapped
+
+
+# ---------------------------------------------------------------------------
 # Fundamental constants
 # ---------------------------------------------------------------------------
 
@@ -126,6 +160,7 @@ def const_euler_gamma(ctx: PrecisionCtx) -> mpf:
         return +mp.euler
 
 
+@_memoized
 def const_zeta(n: int, ctx: PrecisionCtx) -> mpf:
     """Riemann zeta at an integer point n >= 2, by Euler-Maclaurin."""
     if int(n) != n or n < 2:

@@ -575,7 +575,7 @@ def _kernel_value(kind: str, x: mpc) -> mpc:
 
 def hyp_lambert(z, kernel: HypKernel, ctx: PrecisionCtx) -> mpc:
     """The designated hyperbolic sum at z, with a geometric tail certificate."""
-    z = _as_z(z)
+    z = _as_z(z, ctx)
     with ctx.working():
         tiny = ctx.tiny()
         if kernel.parity == "ALL":

@@ -16,8 +16,8 @@ from mpmath import mpc, mpf
 
 from ..arith import epstein2
 from ..eichler import eichler4, eichler6
-from ..modular import alpha4, r_half, uhp
-from ..mpcore import DomainError, PrecisionCtx, const_zeta
+from ..modular import _as_z, alpha4, r_half, uhp
+from ..mpcore import DomainError, PrecisionCtx, _memoized, const_zeta
 from ..series import LinearFactor, W_ONE, WeightSpec, binom3_sums
 
 __all__ = [
@@ -32,8 +32,8 @@ W_H3_PLAIN = WeightSpec.combo({"H3_K": 1})
 
 
 def _require_admissible(z, ctx: PrecisionCtx):
-    pt = uhp(z)
     with ctx.working():
+        pt = uhp(z)
         if not pt.admissible_h2():
             raise DomainError("z=%s is outside the theorem hypothesis "
                               "(need 2z/i >= 1, or Re z = 1/2 with Im z >= 1/sqrt(2))"
@@ -41,33 +41,10 @@ def _require_admissible(z, ctx: PrecisionCtx):
     return pt.z
 
 
-_result_cache: dict = {}
-
-
-def _cached(name):
-    # the four dict-valued theorem evaluators and their shared series data are
-    # pure; registry records ask for one side at a time, so memoize per
-    # (point, precision)
-    def deco(fn):
-        def wrapped(z, ctx):
-            key = (name, mpc(z), ctx.workdps)
-            hit = _result_cache.get(key)
-            if hit is None:
-                hit = fn(z, ctx)
-                if len(_result_cache) > 512:
-                    _result_cache.clear()
-                _result_cache[key] = hit
-            return hit
-        wrapped.__name__ = fn.__name__
-        wrapped.__doc__ = fn.__doc__
-        return wrapped
-    return deco
-
-
 _THEOREM_WEIGHTS = (W_H2_DIFF, W_H2_PLAIN, W_H3_DIFF, W_H3_PLAIN)
 
 
-@_cached("_series_data")
+@_memoized
 def _series_data(z, ctx: PrecisionCtx) -> dict:
     """The series side at an admissible z: every ratio and linear sum, one walk.
 
@@ -91,6 +68,7 @@ def _series_data(z, ctx: PrecisionCtx) -> dict:
                 "linear": dict(zip(_THEOREM_WEIGHTS, sums[1 + n:]))}
 
 
+@_memoized
 def _q_rhs(z, ctx: PrecisionCtx):
     with ctx.working():
         y = mp.im(z)
@@ -108,7 +86,17 @@ def _q_rhs(z, ctx: PrecisionCtx):
         return q1, q2
 
 
-@_cached("q_ratios")
+def _r_rhs(z, ctx: PrecisionCtx):
+    with ctx.working():
+        y = mp.im(z)
+        q1r, q2r = _q_rhs(z, ctx)
+        g_zh = eichler4(z + mpf(1) / 2, 2, ctx)
+        g_2z = eichler4(2 * z, 2, ctx)
+        r1r = q1r / (mp.pi * y ** 2) - mp.pi * 1j * (2 * g_zh - g_2z) / (30 * y)
+        r2r = q2r / (mp.pi * y ** 2) - mp.pi * 1j * (g_zh - 8 * g_2z) / (15 * y)
+        return r1r, r2r
+
+
 def q_ratios(z, ctx: PrecisionCtx) -> dict:
     """Both sides of the weight-2 ratio identities at an admissible z."""
     z = _require_admissible(z, ctx)
@@ -118,25 +106,18 @@ def q_ratios(z, ctx: PrecisionCtx) -> dict:
             "q2_lhs": ratio[W_H2_PLAIN], "q2_rhs": q2r}
 
 
-@_cached("r_linear")
 def r_linear(z, ctx: PrecisionCtx) -> dict:
     """Both sides of the weight-2 linear-factor identities at an admissible z."""
     z = _require_admissible(z, ctx)
     linear = _series_data(z, ctx)["linear"]
-    with ctx.working():
-        y = mp.im(z)
-        q1r, q2r = _q_rhs(z, ctx)
-        g_zh = eichler4(z + mpf(1) / 2, 2, ctx)
-        g_2z = eichler4(2 * z, 2, ctx)
-        r1r = q1r / (mp.pi * y ** 2) - mp.pi * 1j * (2 * g_zh - g_2z) / (30 * y)
-        r2r = q2r / (mp.pi * y ** 2) - mp.pi * 1j * (g_zh - 8 * g_2z) / (15 * y)
+    r1r, r2r = _r_rhs(z, ctx)
     return {"r1_lhs": linear[W_H2_DIFF], "r1_rhs": r1r,
             "r2_lhs": linear[W_H2_PLAIN], "r2_rhs": r2r}
 
 
 def s_r(z, r, ctx: PrecisionCtx) -> mpc:
     """The Eichler-side combination that collapses to a rational multiple of pi^2."""
-    z = mpc(z)
+    z = _as_z(z, ctx)
     with ctx.working():
         r = mpf(Fraction(r).numerator) / Fraction(r).denominator
         y = mp.im(z)
@@ -152,14 +133,9 @@ def s_r(z, r, ctx: PrecisionCtx) -> mpc:
 def t_r(z, r, ctx: PrecisionCtx) -> mpc:
     """R1(z) - r R2(z) through the Epstein/Eichler route (no series)."""
     z = _require_admissible(z, ctx)
+    r1r, r2r = _r_rhs(z, ctx)
     with ctx.working():
         r = mpf(Fraction(r).numerator) / Fraction(r).denominator
-        y = mp.im(z)
-        q1r, q2r = _q_rhs(z, ctx)
-        g_zh = eichler4(z + mpf(1) / 2, 2, ctx)
-        g_2z = eichler4(2 * z, 2, ctx)
-        r1r = q1r / (mp.pi * y ** 2) - mp.pi * 1j * (2 * g_zh - g_2z) / (30 * y)
-        r2r = q2r / (mp.pi * y ** 2) - mp.pi * 1j * (g_zh - 8 * g_2z) / (15 * y)
         return r1r - r * r2r
 
 
@@ -174,7 +150,6 @@ def _h3_rhs(z, ctx: PrecisionCtx):
         return h1, h2
 
 
-@_cached("h3_ratios")
 def h3_ratios(z, ctx: PrecisionCtx) -> dict:
     """Both sides of the weight-3 ratio identities at an admissible z."""
     z = _require_admissible(z, ctx)
@@ -204,7 +179,6 @@ def _h3_linear_rhs(z, ctx: PrecisionCtx):
         return g1, g2
 
 
-@_cached("h3_linear")
 def h3_linear(z, ctx: PrecisionCtx) -> dict:
     """Both sides of the weight-3 linear-factor identities at an admissible z."""
     z = _require_admissible(z, ctx)
@@ -220,7 +194,7 @@ def u_check(z, rc, ctx: PrecisionCtx) -> mpc:
     Built from the Eichler derivatives only (the Epstein difference term of
     the plain-H3 identity is deliberately absent from the bracket).
     """
-    z = mpc(z)
+    z = _as_z(z, ctx)
     with ctx.working():
         rc = mpf(Fraction(rc).numerator) / Fraction(rc).denominator
         y = mp.im(z)

@@ -5,7 +5,8 @@ import pytest
 from mpmath import mpc, mpf
 
 from modzeta import (DomainError, PrecisionCtx, const_zeta, dirichlet_l,
-                     eichler4, eichler6)
+                     eichler4, eichler6, epstein2)
+from modzeta import eichler
 
 I = mpc(0, 1)
 
@@ -120,3 +121,81 @@ def test_eichler_value_dataclass():
     from modzeta import EichlerValue
     v = EichlerValue(family="E4", order=1, at=mpc(0, 1), value=mpc(0))
     assert v.family == "E4" and v.order == 1
+
+
+# ---------------------------------------------------------------------------
+# The fused nome walk against one loop per (weight, order) chain
+# ---------------------------------------------------------------------------
+
+WALK_POINTS = (("0", "1.3"), ("0.5", "0.8"), ("0.2", "0.1"))
+
+
+def _reference_chain(q, weight, order, tiny):
+    # one walk per chain, with the same kernel expressions and tail bound
+    qa = abs(q)
+    p = order - (weight - 1)
+    acc = mpc(0)
+    qn = mpc(1)
+    n = 0
+    kb = 6 / (1 - qa) ** 4
+    while True:
+        n += 1
+        qn *= q
+        u = qn
+        if order == 0:
+            ker = u / (1 - u)
+        elif order == 1:
+            ker = u / (1 - u) ** 2
+        elif order == 2:
+            ker = u * (1 + u) / (1 - u) ** 3
+        else:
+            ker = u * (1 + 4 * u + u * u) / (1 - u) ** 4
+        acc += mpf(n) ** p * ker
+        if mpf(max(n + 1, 1)) ** max(p, 0) * qa ** (n + 1) / (1 - qa) * kb < tiny:
+            break
+    return acc
+
+
+def _reference_epstein2(z, ctx):
+    # E(z,2) with its own q-loop and the looser stop rule it used to have
+    with ctx.working():
+        y = mp.im(z)
+        q = mp.exp(2j * mp.pi * z)
+        qa = abs(q)
+        s3 = s2 = mpc(0)
+        qn = mpc(1)
+        n = 0
+        while True:
+            n += 1
+            qn *= q
+            s3 += qn / (mpf(n) ** 3 * (1 - qn))
+            s2 += qn / (mpf(n) ** 2 * (1 - qn) ** 2)
+            if qa ** (n + 1) / (1 - qa) ** 3 < ctx.tiny():
+                break
+        return (y ** 2 + 45 * const_zeta(3, ctx) / (mp.pi ** 3 * y)
+                + 90 * mp.re(s3) / (mp.pi ** 3 * y) + 180 * mp.re(s2) / mp.pi ** 2)
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100])
+@pytest.mark.parametrize("re_im", WALK_POINTS)
+def test_nome_walk_matches_one_loop_per_chain(re_im, digits):
+    ctx = PrecisionCtx(digits)
+    with ctx.working():
+        z = mpc(*re_im)
+        chains = eichler._nome_chains(z, ctx)
+        q = mp.exp(2j * mp.pi * z)
+        assert sorted(chains) == [(4, 0), (4, 1), (4, 2),
+                                  (6, 0), (6, 1), (6, 2), (6, 3)]
+        for (weight, order), value in chains.items():
+            ref = _reference_chain(q, weight, order, ctx.tiny())
+            assert value == ref, (weight, order)
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100])
+@pytest.mark.parametrize("re_im", WALK_POINTS)
+def test_epstein2_matches_its_own_loop(re_im, digits):
+    ctx = PrecisionCtx(digits)
+    with ctx.working():
+        z = mpc(*re_im)
+        diff = epstein2(z, ctx) - _reference_epstein2(z, ctx)
+        assert abs(diff) < mpf(10) ** -(ctx.workdps - 3)

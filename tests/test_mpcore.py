@@ -7,7 +7,7 @@ import pytest
 from mpmath import mpf
 
 from modzeta import (DomainError, PrecisionCtx, bernoulli, const_catalan,
-                     const_euler_gamma, const_pi, const_zeta)
+                     const_euler_gamma, const_pi, const_zeta, dirichlet_l)
 from modzeta.mpcore import hurwitz_zeta_raw
 
 # 30-digit published value of pi (cross-check for the backend constant)
@@ -57,6 +57,14 @@ def test_zeta3_value():
         assert close(const_zeta(3, ctx), mpf(ZETA3_20), -19)
         # independent oracle: mpmath's own zeta implementation
         assert close(const_zeta(3, ctx), mp.zeta(3), -(ctx.workdps - 2))
+
+
+def test_memoized_constants_key_on_args_and_precision():
+    ctx, finer = PrecisionCtx(30), PrecisionCtx(31)
+    assert const_zeta(3, ctx=ctx) is const_zeta(3, ctx)
+    assert dirichlet_l(d=-4, s=2, ctx=ctx) is dirichlet_l(-4, 2, ctx)
+    assert const_zeta(3, finer) is not const_zeta(3, ctx)
+    assert const_zeta(5, ctx) is not const_zeta(3, ctx)
 
 
 def test_zeta_domain():

@@ -7,9 +7,10 @@ import mpmath as mp
 import pytest
 from mpmath import mpf
 
-from modzeta import (DomainError, PrecisionCtx, all_suites, get_records,
-                     h3_linear, h3_ratios, q_ratios, r_linear, run_suite, s_r,
-                     t_r, u_check)
+from modzeta import (DomainError, PrecisionCtx, all_suites, eichler4,
+                     epstein2, eta, get_records, h3_linear, h3_ratios,
+                     q_ratios, r_linear, run_suite, s_r, t_r, u_check)
+from modzeta import eichler, mpcore
 from modzeta.verify import DEFAULT_SEED, SUITES
 from modzeta.verify import theorems
 
@@ -133,7 +134,7 @@ def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
         walks.append(args)
         return real(*args, **kwargs)
     monkeypatch.setattr(theorems, "binom3_sums", counting)
-    monkeypatch.setattr(theorems, "_result_cache", {})
+    monkeypatch.setattr(mpcore, "_memo", {})
     z = mp.mpc("0.5", "0.9137")
     for _ in range(2):
         sides = [f(z, ctx30) for f in (q_ratios, r_linear, h3_ratios, h3_linear)]
@@ -148,9 +149,55 @@ def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
     assert len(walks) == 2
 
 
+def test_four_evaluators_make_one_walk_per_nome(monkeypatch, ctx30):
+    # nomes of z+1/2, 2z, z and 4z; r_linear reuses q_ratios' Epstein pair;
+    # Euler-Maclaurin runs once per (n, workdps)
+    em_runs, epstein_calls = [], []
+    real_em, real_epstein = mpcore.hurwitz_zeta_raw, theorems.epstein2
+
+    def counting_em(s, a):
+        em_runs.append((s, a, mp.mp.dps))
+        return real_em(s, a)
+
+    def counting_epstein(z, ctx):
+        epstein_calls.append(z)
+        return real_epstein(z, ctx)
+    monkeypatch.setattr(mpcore, "hurwitz_zeta_raw", counting_em)
+    monkeypatch.setattr(theorems, "epstein2", counting_epstein)
+    monkeypatch.setattr(mpcore, "_memo", {})
+    walk = eichler._nome_chains.__wrapped__
+    for im in ("0.9137", "1.0721"):
+        before = sum(key[0] is walk for key in mpcore._memo)
+        for f in (q_ratios, r_linear, h3_ratios, h3_linear):
+            f(mp.mpc("0.5", im), ctx30)
+        assert sum(key[0] is walk for key in mpcore._memo) - before == 4
+    assert len(epstein_calls) == 8
+    assert len(em_runs) == 1
+
+
+def test_points_convert_at_working_precision(monkeypatch, ctx30):
+    # two points 1e-20 apart, built at working precision and passed from
+    # outside it, stay apart and evaluate as they would inside it
+    with ctx30.working():
+        z1 = mp.mpc(0, "1.3")
+        z2 = z1 + mp.mpc(0, "1e-20")
+    ops = {"q_ratios": lambda z: q_ratios(z, ctx30)["q1_rhs"],
+           "eichler4": lambda z: eichler4(z, 0, ctx30),
+           "epstein2": lambda z: epstein2(z, ctx30),
+           "eta": lambda z: eta(z, ctx30)}
+    for name, op in ops.items():
+        outside = [op(z1), op(z2)]
+        monkeypatch.setattr(mpcore, "_memo", {})
+        with ctx30.working():
+            inside = [op(z1), op(z2)]
+            assert outside[0] != outside[1], name
+        assert outside == inside, name
+
+
 def test_golden_strings_50_digits():
-    # lhs/rhs strings recorded before the series walks were merged: each
-    # must stay byte-identical, or its residual must not grow
+    # lhs/rhs strings recorded before the series walks and, for sum-rules and
+    # epstein-gz, the nome walks were merged: each must stay byte-identical,
+    # or its residual must not grow
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
     ctx = PrecisionCtx(golden["digits"])
