@@ -45,7 +45,7 @@ def main() -> None:
         w = WeightSpec.combo({"H3_2K": 1, "H3_K": Fraction(-1, 8)})
         t0 = time.perf_counter()
         quad_side = lemma_integral("H3INT1", t, ctx)
-        series_side = binom3_series(t * (1 - t) / 16, LinearFactor(0, 1), w, ctx)
+        series_side = binom3_series(t * (1 - t) / 16, LinearFactor(0, 1), w, ctx).real
         print("weight-3 integral representation at t = 0.3")
         print("  quadrature %s" % mp.nstr(quad_side, 32))
         print("  series     %s" % mp.nstr(series_side, 32))

@@ -12,8 +12,8 @@ from .arith import (LatticeSum, bernoulli, dirichlet_l, epstein2, epstein3,
 from .eichler import EichlerValue, eichler4, eichler6
 from .modular import (DegeneratePointError, UhpPoint, alpha4, eisenstein,
                       eisenstein_eta_form, eta, lambda_fn, r_half, uhp)
-from .mpcore import (DomainError, MPComplex, MPReal, PrecisionCtx,
-                     const_catalan, const_euler_gamma, const_pi, const_zeta)
+from .mpcore import (DomainError, PrecisionCtx, const_catalan,
+                     const_euler_gamma, const_pi, const_zeta)
 from .quadrature import (QuadResult, h3mix2_tail_integral, lemma_integral,
                          lminus4_4_integral, tanh_sinh, zeta5_integral,
                          zeta7_integral)
@@ -29,8 +29,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_SEED", "DegeneratePointError", "DomainError", "EichlerValue",
-    "HypKernel", "IdentityRecord", "LatticeSum", "LinearFactor", "MPComplex",
-    "MPReal", "PrecisionCtx", "QuadResult", "Report", "UhpPoint", "WeightSpec",
+    "HypKernel", "IdentityRecord", "LatticeSum", "LinearFactor",
+    "PrecisionCtx", "QuadResult", "Report", "UhpPoint", "WeightSpec",
     "all_suites", "alpha4", "bernoulli", "binom2_series", "binom3_series",
     "const_catalan", "const_euler_gamma", "const_pi", "const_zeta",
     "cvz_alt_sum", "dirichlet_l", "eichler4", "eichler6", "eisenstein",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -175,9 +176,7 @@ def _eval_dispatch(name: str, argv: list, ctx: PrecisionCtx):
             x = _parse_number(argv[0])
             a = _parse_number(argv[1])
             b = _parse_number(argv[2])
-            boundary = abs(abs(64 * mpc(x)) - 1) < mpf(10) ** (-(ctx.workdps - 10))
-            return binom3_series(x, LinearFactor(a, b), W_ONE, ctx,
-                                 accelerate=boundary)
+            return binom3_series(x, LinearFactor(a, b), W_ONE, ctx)
         if name == "binom2":
             want(1)
             return binom2_series(_parse_number(argv[0]), W_ONE, ctx)
@@ -254,8 +253,17 @@ def cmd_table(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Takes '-1/64' and '-0.5+2i' for values: argparse alone reads any
+    '-'-prefixed token other than a plain negative decimal as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="modzeta",
         description="verify modular / zeta / L-function series identities "
                     "to arbitrary precision")

@@ -20,8 +20,6 @@ from mpmath import mpc, mpf
 
 __all__ = [
     "DomainError",
-    "MPComplex",
-    "MPReal",
     "PrecisionCtx",
     "bernoulli",
     "const_catalan",
@@ -32,9 +30,6 @@ __all__ = [
     "hurwitz_zeta_raw",
     "tail_poly_geom",
 ]
-
-MPReal = mpf
-MPComplex = mpc
 
 BERNOULLI_CAP = 512
 
@@ -76,11 +71,6 @@ class PrecisionCtx:
     def tolerance(self) -> mpf:
         """Default residual tolerance for identity checks: 10**-(digits-5)."""
         return mpf(10) ** (-(self.digits - 5))
-
-    def to_str(self, x) -> str:
-        """Decimal string of ``x`` at the requested number of digits."""
-        with self.working():
-            return mp.nstr(x, self.digits, strip_zeros=False)
 
 
 def ensure_finite(x):

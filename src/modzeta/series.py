@@ -233,7 +233,7 @@ def _boundary_kind(scaled: mpc, tiny: mpf):
     return "out"
 
 
-def binom3_sums(x, requests, ctx: PrecisionCtx, accelerate: bool = False) -> list:
+def binom3_sums(x, requests, ctx: PrecisionCtx) -> list:
     """[sum_{k>=0} C(2k,k)^3 (a k + b) w(k) x^k for each (LinearFactor, WeightSpec)].
 
     One walk serves every request: the term C(2k,k)^3 x^k and the harmonic
@@ -245,10 +245,11 @@ def binom3_sums(x, requests, ctx: PrecisionCtx, accelerate: bool = False) -> lis
     geometric tail certificate and stops accumulating once it holds, so every
     entry equals the same request summed alone; the walk ends when every
     request is certified.
-    |64x| = 1 with Re(64x) < 0: requires ``accelerate``.  The term list is
-    built once on the real rate and each request goes through CVZ.  The
-    imaginary parts of 64x, a and b are dropped, so each must lie within the
-    boundary slack max(1000 tiny, 10^-(dps-6)), else DomainError.
+    |64x| = 1 with Re(64x) < 0, to within the boundary slack
+    max(1000 tiny, 10^-(dps-6)): the walk classifies the rate itself and sums
+    it by CVZ acceleration.  The term list is built once on the real rate and
+    each request goes through CVZ.  The imaginary parts of 64x, a and b are
+    dropped, so each must lie within the same slack, else DomainError.
     |64x| = 1 with x > 0 and |64x| > 1 are rejected.
     """
     with ctx.working():
@@ -265,8 +266,6 @@ def binom3_sums(x, requests, ctx: PrecisionCtx, accelerate: bool = False) -> lis
         if kind == "boundary":
             if mp.re(64 * x) > 0:
                 raise DomainError("binom3 series: non-alternating boundary rate unsupported")
-            if not accelerate:
-                raise DomainError("binom3 series: |64x| = 1 requires accelerated mode")
             slack = _boundary_slack(tiny)
             dust = [mp.im(64 * x)] + [mp.im(v) for f in facs for v in f]
             if max(abs(d) for d in dust) > slack:
@@ -337,10 +336,9 @@ def _binom3_accelerated(xr: mpf, facs: list, specs: list, slots: list,
     return [ensure_finite(mpc(cvz_alt_sum(col, ctx))) for col in terms]
 
 
-def binom3_series(x, factor: LinearFactor, w: WeightSpec, ctx: PrecisionCtx,
-                  accelerate: bool = False) -> mpc:
+def binom3_series(x, factor: LinearFactor, w: WeightSpec, ctx: PrecisionCtx) -> mpc:
     """sum_{k>=0} C(2k,k)^3 (a k + b) w(k) x^k: one request of :func:`binom3_sums`."""
-    return binom3_sums(x, ((factor, w),), ctx, accelerate)[0]
+    return binom3_sums(x, ((factor, w),), ctx)[0]
 
 
 def binom2_series(x, w: WeightSpec, ctx: PrecisionCtx) -> mpc:

@@ -4,8 +4,15 @@ Each record pairs two independent evaluators.  The sides-independence policy:
 a closed-form constant (an L-value, a zeta value, a rational multiple of a
 power of pi) appears on exactly one side, and series/modular machinery on the
 other; L-values always enter through the Dirichlet-L module, never hard-coded
-decimals.  Conditionally convergent entries (the -1/64 rate family) are
-flagged ``boundary`` and run through CVZ acceleration with a relaxed pass bar.
+decimals.  Every record passes at 10^-(digits-5); the conditionally
+convergent -1/64 rate family needs no flag, because the series engine sees the
+boundary rate and sums it by CVZ acceleration.
+
+The records are rows over the evaluators: the twelve closed-form rate series
+share one row table, the four tabulated points of the special-value tables
+share one point table (z, rate, r, rc and each cell's closed form, written
+once), and the theorem-table cells read the theorem evaluators of
+``theorems.py`` instead of re-deriving their series.
 
 Random-z suites draw their points from a fixed seed (DEFAULT_SEED) so reports
 are reproducible; the coordinates are rounded to short decimals and stored as
@@ -17,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -24,7 +32,7 @@ from mpmath import mpc, mpf
 from ..arith import dirichlet_l, epstein2, epstein3
 from ..eichler import eichler4, eichler6
 from ..modular import alpha4, eisenstein, eisenstein_eta_form, lambda_fn, r_half
-from ..mpcore import PrecisionCtx, const_catalan, const_zeta
+from ..mpcore import const_catalan, const_zeta
 from ..quadrature import (h3mix2_tail_integral, lemma_integral,
                           lminus4_4_integral, zeta5_integral, zeta7_integral)
 from ..series import (HypKernel, LinearFactor, W_ONE, WeightSpec,
@@ -53,13 +61,6 @@ class IdentityRecord:
     rhs: object
     paper_anchor: str = ""
     independence_note: str = ""
-    boundary: bool = False
-
-    def tol_exponent(self, digits: int) -> int:
-        """Pass bar: digits-5, except boundary entries (CVZ error model)."""
-        if self.boundary:
-            return min(digits - 5, max(30, int(0.6 * digits)))
-        return digits - 5
 
 
 def _I():
@@ -93,13 +94,180 @@ def _single(name):
     return WeightSpec.combo({name: 1})
 
 
-def _binom3_value(rate_num, rate_den, a, b, w, boundary=False):
+def _to_mpf(fr: Fraction) -> mpf:
+    return mpf(fr.numerator) / fr.denominator
+
+
+def _binom3_value(rate: Fraction, a, b, w):
     def lhs(ctx):
         with ctx.working():
-            x = mpf(rate_num) / rate_den
-            return binom3_series(x, LinearFactor(a, b), w, ctx,
-                                 accelerate=boundary).real
+            return binom3_series(_to_mpf(rate), LinearFactor(a, b), w, ctx).real
     return lhs
+
+
+def _four_term(f, coeffs, zi):
+    """c1 f(z+1/2) + c2 f(z) + c3 f(2z) + c4 f(4z): the shape of a sum rule."""
+    c1, c2, c3, c4 = coeffs
+
+    def lhs(ctx):
+        z = zi()
+        return (c1 * f(z + mpf(1) / 2, ctx) + c2 * f(z, ctx)
+                + c3 * f(2 * z, ctx) + c4 * f(4 * z, ctx))
+    return lhs
+
+
+class _Point(NamedTuple):
+    """A tabulated point z of the special-value tables.
+
+    ``forms`` maps each closed-form key of ``_CELLS`` to a ctx -> value
+    callable, written once: the T_r value ``t`` and the T-check value ``u``
+    each serve a table cell and an eichler-special record.
+    """
+
+    tag: str        # table row, r1..r4
+    name: str       # eichler-special suffix
+    z: Callable     # () -> z at the caller's precision
+    r: Fraction     # weight-2 coefficient of Q1 - r Q2, S_r and T_r
+    rc: Fraction    # weight-3 coefficient of the T-check
+    forms: dict
+
+
+_POINTS = (
+    _Point("r1", "sqrt3", _pt_sqrt3, Fraction(1, 16), Fraction(1, 64), dict(
+        rate=lambda ctx: mpf(1) / 256,
+        lin=lambda ctx: mpf(1),
+        rhalf=lambda ctx: mpf(1) / 6,
+        ezh=lambda ctx: 135 * dirichlet_l(-3, 2, ctx) / (4 * mp.pi ** 2),
+        e2z=lambda ctx: 405 * dirichlet_l(-3, 2, ctx) / (8 * mp.pi ** 2),
+        q1q2=lambda ctx: 11 * mp.pi ** 2 / 96 - 45 * dirichlet_l(-3, 2, ctx) / 32,
+        s=lambda ctx: 11 * mp.pi ** 2 / 96,
+        t=lambda ctx: mp.pi / 36,
+        e4z2=lambda ctx: (3105 * dirichlet_l(-3, 2, ctx) / (32 * mp.pi ** 2)
+                          + 30 * mp.sqrt(3) * dirichlet_l(-4, 2, ctx) / mp.pi ** 2),
+        ediff=lambda ctx: 60 * mp.sqrt(3) * dirichlet_l(-4, 2, ctx) / mp.pi ** 2,
+        ezh3=lambda ctx: 105 * const_zeta(3, ctx) / (2 * mp.pi ** 3),
+        e2z3=lambda ctx: 1155 * const_zeta(3, ctx) / (8 * mp.pi ** 3),
+        u=lambda ctx: 25 * const_zeta(3, ctx) / (24 * mp.pi))),
+    _Point("r2", "sqrt7", _pt_sqrt7, Fraction(1, 46), Fraction(1, 352), dict(
+        rate=lambda ctx: mpf(1) / 4096,
+        lin=lambda ctx: mpf(3) / 4,
+        rhalf=lambda ctx: mpf(5) / 42,
+        ezh=lambda ctx: 105 * dirichlet_l(-7, 2, ctx) / (4 * mp.pi ** 2),
+        e2z=lambda ctx: 525 * dirichlet_l(-7, 2, ctx) / (8 * mp.pi ** 2),
+        q1q2=lambda ctx: 43 * mp.pi ** 2 / 552 - 245 * dirichlet_l(-7, 2, ctx) / 368,
+        s=lambda ctx: 43 * mp.pi ** 2 / 552,
+        t=lambda ctx: mp.pi / 966,
+        e4z2=lambda ctx: (4305 * dirichlet_l(-7, 2, ctx) / (32 * mp.pi ** 2)
+                          + 360 * dirichlet_l(-4, 2, ctx) / (mp.sqrt(7) * mp.pi ** 2)),
+        ediff=lambda ctx: 720 * dirichlet_l(-4, 2, ctx) / (mp.sqrt(7) * mp.pi ** 2),
+        ezh3=lambda ctx: 540 * const_zeta(3, ctx) / (7 * mp.pi ** 3),
+        e2z3=lambda ctx: 3375 * const_zeta(3, ctx) / (7 * mp.pi ** 3),
+        u=lambda ctx: 555 * const_zeta(3, ctx) / (2156 * mp.pi))),
+    _Point("r3", "sqrt2", _pt_half_sqrt2, Fraction(1, 4), Fraction(1, 8), dict(
+        rate=lambda ctx: mpf(-1) / 64,
+        lin=lambda ctx: mpf(2),
+        rhalf=lambda ctx: mpf(1) / 4,
+        ezh=lambda ctx: 30 * dirichlet_l(-8, 2, ctx) / mp.pi ** 2,
+        e2z=lambda ctx: 30 * dirichlet_l(-8, 2, ctx) / mp.pi ** 2,
+        q1q2=lambda ctx: 5 * mp.pi ** 2 / 24 - 2 * dirichlet_l(-8, 2, ctx),
+        s=lambda ctx: 5 * mp.pi ** 2 / 24,
+        t=lambda ctx: -mp.pi / 12,
+        e4z2=lambda ctx: (105 * dirichlet_l(-8, 2, ctx) / (2 * mp.pi ** 2)
+                          + 45 * dirichlet_l(-4, 2, ctx) / (mp.sqrt(2) * mp.pi ** 2)),
+        ediff=lambda ctx: 45 * mp.sqrt(2) * dirichlet_l(-4, 2, ctx) / mp.pi ** 2,
+        ezh3=lambda ctx: 2835 * const_zeta(3, ctx) / (32 * mp.pi ** 3),
+        e2z3=lambda ctx: 2835 * const_zeta(3, ctx) / (32 * mp.pi ** 3),
+        u=lambda ctx: 15 * const_zeta(3, ctx) / (4 * mp.pi))),
+    _Point("r4", "i", _pt_half_one, Fraction(1, 16), Fraction(1, 64), dict(
+        rate=lambda ctx: mpf(-1) / 512,
+        lin=lambda ctx: mpf(3) / (2 * mp.sqrt(2)),
+        rhalf=lambda ctx: mpf(1) / 6,
+        ezh=lambda ctx: 30 * dirichlet_l(-4, 2, ctx) / mp.pi ** 2,
+        e2z=lambda ctx: 105 * dirichlet_l(-4, 2, ctx) / (2 * mp.pi ** 2),
+        q1q2=lambda ctx: 11 * mp.pi ** 2 / 96 - 5 * dirichlet_l(-4, 2, ctx) / 4,
+        s=lambda ctx: 11 * mp.pi ** 2 / 96,
+        t=lambda ctx: -mp.pi / 96,
+        e4z2=lambda ctx: (825 * dirichlet_l(-4, 2, ctx) / (8 * mp.pi ** 2)
+                          + 45 * mp.sqrt(2) * dirichlet_l(-8, 2, ctx) / mp.pi ** 2),
+        ediff=lambda ctx: 90 * mp.sqrt(2) * dirichlet_l(-8, 2, ctx) / mp.pi ** 2,
+        ezh3=lambda ctx: 945 * const_zeta(3, ctx) / (16 * mp.pi ** 3),
+        e2z3=lambda ctx: 27405 * const_zeta(3, ctx) / (128 * mp.pi ** 3),
+        u=lambda ctx: 57 * const_zeta(3, ctx) / (64 * mp.pi))),
+)
+
+
+def _rate(p, ctx):
+    a4 = alpha4(p.z(), ctx)
+    return a4 * (1 - a4) / 16
+
+
+def _q1q2(p, ctx):
+    q = q_ratios(p.z(), ctx)
+    return (q["q1_lhs"] - _to_mpf(p.r) * q["q2_lhs"]).real
+
+
+def _tr(p, ctx):
+    t = r_linear(p.z(), ctx)
+    return (t["r1_lhs"] - _to_mpf(p.r) * t["r2_lhs"]).real
+
+
+def _ut(p, ctx):
+    z = p.z()
+    g = h3_linear(z, ctx)
+    ep = 8 * mp.pi ** 2 * (epstein2(4 * z, ctx) - epstein2(z, ctx)) / (45 * mp.im(z))
+    return (g["lhs1"] + _to_mpf(p.rc) * (g["lhs2"] + ep)).real
+
+
+# The records at each tabulated point p: (id, suite, description,
+# lhs(p, ctx), key of the rhs in p.forms, anchor, independence note); the id
+# and the description are %-formatted with the fields of p.
+_CELLS = (
+    ("th2.%(tag)s.rate", "table-h2", "alpha4(1-alpha4)/16 cell", _rate, "rate",
+     "modular rate", "lhs: eta quotients; rhs: exact rational"),
+    ("th2.%(tag)s.lin", "table-h2", "(1-2 alpha4)/Im z cell",
+     lambda p, ctx: (1 - 2 * alpha4(p.z(), ctx)) / mp.im(p.z()), "lin",
+     "modular data", "lhs: eta quotients; rhs: closed form"),
+    ("th2.%(tag)s.rhalf", "table-h2", "R_{-1/2}/(2(1-2 alpha4)) cell",
+     lambda p, ctx: r_half(p.z(), ctx) / (2 * (1 - 2 * alpha4(p.z(), ctx))), "rhalf",
+     "Legendre-Ramanujan value", "lhs: E2/E4 q-series; rhs: exact rational"),
+    ("th2.%(tag)s.ezh", "table-h2", "E(z+1/2,2) cell",
+     lambda p, ctx: epstein2(p.z() + mpf(1) / 2, ctx), "ezh",
+     "Epstein special value", "lhs: Lambert route; rhs: dirichlet_l closed form"),
+    ("th2.%(tag)s.e2z", "table-h2", "E(2z,2) cell",
+     lambda p, ctx: epstein2(2 * p.z(), ctx), "e2z",
+     "Epstein special value", "lhs: Lambert route; rhs: dirichlet_l closed form"),
+    ("th2.%(tag)s.q1q2", "table-h2", "Q1 - r Q2 cell (series route)", _q1q2, "q1q2",
+     "penultimate column", "lhs: series ratios; rhs: pi^2 and dirichlet_l"),
+    ("th2.%(tag)s.tr", "table-h2", "T_r cell (series route)", _tr, "t",
+     "last column", "lhs: linear-factor series; rhs: rational multiple of pi"),
+    ("th3.%(tag)s.e4z2", "table-h3", "E(4z,2) cell",
+     lambda p, ctx: epstein2(4 * p.z(), ctx), "e4z2",
+     "Epstein value", "lhs: Lambert route; rhs: dirichlet_l"),
+    ("th3.%(tag)s.ediff", "table-h3", "E(4z,2) - E(z,2) cell",
+     lambda p, ctx: epstein2(4 * p.z(), ctx) - epstein2(p.z(), ctx), "ediff",
+     "Epstein difference", "lhs: Lambert route; rhs: dirichlet_l"),
+    ("th3.%(tag)s.ezh3", "table-h3", "E(z+1/2,3) cell",
+     lambda p, ctx: epstein3(p.z() + mpf(1) / 2, ctx), "ezh3",
+     "weight-3 Epstein value", "lhs: Eichler route; rhs: zeta(3)"),
+    ("th3.%(tag)s.e2z3", "table-h3", "E(2z,3) cell",
+     lambda p, ctx: epstein3(2 * p.z(), ctx), "e2z3",
+     "weight-3 Epstein value", "lhs: Eichler route; rhs: zeta(3)"),
+    ("th3.%(tag)s.ut", "table-h3", "T-check cell (series route)", _ut, "u",
+     "last column",
+     "lhs: linear-factor series + Lambert Epstein; rhs: zeta(3)/pi multiple"),
+    ("es.s.%(name)s", "eichler-special",
+     "S_%(r)s at the tabulated point is a rational multiple of pi^2",
+     lambda p, ctx: s_r(p.z(), p.r, ctx).real, "s",
+     "S-combination value", "lhs: Eichler route; rhs: rational * pi^2"),
+    ("es.t.%(name)s", "eichler-special",
+     "T_%(r)s at the tabulated point is a rational multiple of pi",
+     lambda p, ctx: t_r(p.z(), p.r, ctx).real, "t",
+     "T-combination value", "lhs: Epstein/Eichler route; rhs: rational * pi"),
+    ("es.u.%(name)s", "eichler-special",
+     "T-check_%(rc)s at the tabulated point is a rational multiple of zeta(3)/pi",
+     lambda p, ctx: u_check(p.z(), p.rc, ctx).real, "u",
+     "weight-6 combination value", "lhs: Eichler route; rhs: zeta(3)/pi multiple"),
+)
 
 
 def _seeded_points(seed: int, count: int, im_lo="0.55", im_hi="1.5"):
@@ -126,71 +294,82 @@ def _mk_z(pt):
 def build_registry(seed: int = DEFAULT_SEED) -> list:
     rec = []
 
-    def add(id_, suite, desc, lhs, rhs, anchor="", note="", boundary=False):
-        rec.append(IdentityRecord(id_, suite, desc, lhs, rhs, anchor, note, boundary))
+    def add(id_, suite, desc, lhs, rhs, anchor="", note=""):
+        rec.append(IdentityRecord(id_, suite, desc, lhs, rhs, anchor, note))
 
-    # ---------------- ramanujan-classical ----------------
-    add("rama1", "ramanujan-classical",
-        "sum C(2k,k)^3 (4k+1)/(-64)^k = 2/pi",
-        _binom3_value(-1, 64, 4, 1, W_ONE, boundary=True),
-        lambda ctx: 2 / mp.pi,
-        "classical series, alternating boundary rate",
-        "lhs: accelerated series; rhs: pi only", boundary=True)
-    add("rama2", "ramanujan-classical",
-        "sum C(2k,k)^3 (6k+1)/256^k = 4/pi",
-        _binom3_value(1, 256, 6, 1, W_ONE), lambda ctx: 4 / mp.pi,
-        "classical series", "lhs: series; rhs: pi only")
-    add("rama3", "ramanujan-classical",
-        "sum C(2k,k)^3 (6k+1)/(-512)^k = 2 sqrt(2)/pi",
-        _binom3_value(-1, 512, 6, 1, W_ONE),
-        lambda ctx: 2 * mp.sqrt(2) / mp.pi,
-        "classical series", "lhs: series; rhs: pi only")
-    add("rama4", "ramanujan-classical",
-        "sum C(2k,k)^3 (42k+5)/4096^k = 16/pi",
-        _binom3_value(1, 4096, 42, 5, W_ONE), lambda ctx: 16 / mp.pi,
-        "classical series", "lhs: series; rhs: pi only")
-
-    # ---------------- h2-variants ----------------
+    # ------- ramanujan-classical, h2-variants, h3: closed-form rate series -------
     w_h2_half = WeightSpec.combo({"H2_2K": 1, "H2_K": Fraction(-1, 2)})
     w_h2_516 = WeightSpec.combo({"H2_2K": 1, "H2_K": Fraction(-5, 16)})
     w_h2_2592 = WeightSpec.combo({"H2_2K": 1, "H2_K": Fraction(-25, 92)})
-    add("h2var.-64", "h2-variants",
-        "sum C^3 [H2_{2k}-H2_k/2](4k+1)/(-64)^k = -pi/12",
-        _binom3_value(-1, 64, 4, 1, w_h2_half, boundary=True),
-        lambda ctx: -mp.pi / 12, "second-order harmonic variant",
-        "lhs: accelerated series; rhs: pi only", boundary=True)
-    add("h2var.256", "h2-variants",
-        "sum C^3 [H2_{2k}-5H2_k/16](6k+1)/256^k = pi/12",
-        _binom3_value(1, 256, 6, 1, w_h2_516), lambda ctx: mp.pi / 12,
-        "second-order harmonic variant", "lhs: series; rhs: pi only")
-    add("h2var.-512", "h2-variants",
-        "sum C^3 [H2_{2k}-5H2_k/16](6k+1)/(-512)^k = -sqrt(2)pi/48",
-        _binom3_value(-1, 512, 6, 1, w_h2_516),
-        lambda ctx: -mp.sqrt(2) * mp.pi / 48,
-        "second-order harmonic variant", "lhs: series; rhs: pi only")
-    add("h2var.4096", "h2-variants",
-        "sum C^3 [H2_{2k}-25H2_k/92](42k+5)/4096^k = 2pi/69",
-        _binom3_value(1, 4096, 42, 5, w_h2_2592), lambda ctx: 2 * mp.pi / 69,
-        "second-order harmonic variant", "lhs: series; rhs: pi only")
+    w_h3_plain2k = WeightSpec.combo({"H3_2K": 1})
+    w_h3_764 = WeightSpec.combo({"H3_2K": 1, "H3_K": Fraction(-7, 64)})
+    w_h3_43352 = WeightSpec.combo({"H3_2K": 1, "H3_K": Fraction(-43, 352)})
+    # (id, suite, description, rate, linear factor, weight, rhs, anchor, note)
+    for id_, suite, desc, rate, (a, b), w, rhs, anchor, note in (
+        ("rama1", "ramanujan-classical", "sum C(2k,k)^3 (4k+1)/(-64)^k = 2/pi",
+         Fraction(-1, 64), (4, 1), W_ONE, lambda ctx: 2 / mp.pi,
+         "classical series, alternating boundary rate",
+         "lhs: accelerated series; rhs: pi only"),
+        ("rama2", "ramanujan-classical", "sum C(2k,k)^3 (6k+1)/256^k = 4/pi",
+         Fraction(1, 256), (6, 1), W_ONE, lambda ctx: 4 / mp.pi,
+         "classical series", "lhs: series; rhs: pi only"),
+        ("rama3", "ramanujan-classical", "sum C(2k,k)^3 (6k+1)/(-512)^k = 2 sqrt(2)/pi",
+         Fraction(-1, 512), (6, 1), W_ONE, lambda ctx: 2 * mp.sqrt(2) / mp.pi,
+         "classical series", "lhs: series; rhs: pi only"),
+        ("rama4", "ramanujan-classical", "sum C(2k,k)^3 (42k+5)/4096^k = 16/pi",
+         Fraction(1, 4096), (42, 5), W_ONE, lambda ctx: 16 / mp.pi,
+         "classical series", "lhs: series; rhs: pi only"),
+        ("h2var.-64", "h2-variants", "sum C^3 [H2_{2k}-H2_k/2](4k+1)/(-64)^k = -pi/12",
+         Fraction(-1, 64), (4, 1), w_h2_half, lambda ctx: -mp.pi / 12,
+         "second-order harmonic variant", "lhs: accelerated series; rhs: pi only"),
+        ("h2var.256", "h2-variants", "sum C^3 [H2_{2k}-5H2_k/16](6k+1)/256^k = pi/12",
+         Fraction(1, 256), (6, 1), w_h2_516, lambda ctx: mp.pi / 12,
+         "second-order harmonic variant", "lhs: series; rhs: pi only"),
+        ("h2var.-512", "h2-variants",
+         "sum C^3 [H2_{2k}-5H2_k/16](6k+1)/(-512)^k = -sqrt(2)pi/48",
+         Fraction(-1, 512), (6, 1), w_h2_516, lambda ctx: -mp.sqrt(2) * mp.pi / 48,
+         "second-order harmonic variant", "lhs: series; rhs: pi only"),
+        ("h2var.4096", "h2-variants",
+         "sum C^3 [H2_{2k}-25H2_k/92](42k+5)/4096^k = 2pi/69",
+         Fraction(1, 4096), (42, 5), w_h2_2592, lambda ctx: 2 * mp.pi / 69,
+         "second-order harmonic variant", "lhs: series; rhs: pi only"),
+        ("h3.a", "h3", "sum C^3 H3_{2k}(4k+1)/(-64)^k = 15zeta(3)/(4pi) - 2L_{-4}(2)",
+         Fraction(-1, 64), (4, 1), w_h3_plain2k,
+         lambda ctx: 15 * const_zeta(3, ctx) / (4 * mp.pi) - 2 * dirichlet_l(-4, 2, ctx),
+         "third-order harmonic series",
+         "lhs: accelerated series; rhs: zeta(3), dirichlet_l"),
+        ("h3.b", "h3", "rate 256: = 25zeta(3)/(8pi) - L_{-4}(2)",
+         Fraction(1, 256), (6, 1), w_h3_764,
+         lambda ctx: 25 * const_zeta(3, ctx) / (8 * mp.pi) - dirichlet_l(-4, 2, ctx),
+         "third-order harmonic series", "rhs: zeta(3), dirichlet_l"),
+        ("h3.c", "h3", "rate -512: = 57zeta(3)/(16 sqrt(2) pi) - L_{-8}(2)",
+         Fraction(-1, 512), (6, 1), w_h3_764,
+         lambda ctx: (57 * const_zeta(3, ctx) / (16 * mp.sqrt(2) * mp.pi)
+                      - dirichlet_l(-8, 2, ctx)),
+         "third-order harmonic series", "rhs: zeta(3), dirichlet_l"),
+        ("h3.d", "h3", "rate 4096: = 555zeta(3)/(77pi) - 32L_{-4}(2)/11",
+         Fraction(1, 4096), (42, 5), w_h3_43352,
+         lambda ctx: (555 * const_zeta(3, ctx) / (77 * mp.pi)
+                      - mpf(32) / 11 * dirichlet_l(-4, 2, ctx)),
+         "third-order harmonic series", "rhs: zeta(3), dirichlet_l"),
+    ):
+        add(id_, suite, desc, _binom3_value(rate, a, b, w), rhs, anchor, note)
 
     # ---------------- sun-h2 (bracketed series summing to zero) ----------------
-    def sun_lhs(rate_num, rate_den, w, dval, const_fn, boundary=False):
+    def sun_lhs(rate_num, rate_den, w, dval, const_fn):
         def lhs(ctx):
             with ctx.working():
                 x = mpf(rate_num) / rate_den
                 s_w, s_1 = binom3_sums(x, [(LinearFactor(0, 1), w),
-                                           (LinearFactor(0, 1), W_ONE)],
-                                       ctx, accelerate=boundary)
+                                           (LinearFactor(0, 1), W_ONE)], ctx)
                 return (s_w + const_fn(dirichlet_l(dval, 2, ctx), ctx) * s_1).real
         return lhs
 
     add("sun1", "sun-h2",
         "sum C^3 [H2_{2k}-H2_k/2 + 2L_{-8}(2)-5pi^2/24]/(-64)^k = 0",
-        sun_lhs(-1, 64, w_h2_half, -8, lambda L, ctx: 2 * L - 5 * mp.pi ** 2 / 24,
-                boundary=True),
+        sun_lhs(-1, 64, w_h2_half, -8, lambda L, ctx: 2 * L - 5 * mp.pi ** 2 / 24),
         _zero, "bracketed alternating series",
-        "constant built from dirichlet_l(-8,2) and pi; rhs literal 0",
-        boundary=True)
+        "constant built from dirichlet_l(-8,2) and pi; rhs literal 0")
     add("sun2", "sun-h2",
         "sum C^3 [H2_{2k}-5H2_k/16 + (135L_{-3}(2)-11pi^2)/96]/256^k = 0",
         sun_lhs(1, 256, w_h2_516, -3, lambda L, ctx: (135 * L - 11 * mp.pi ** 2) / 96),
@@ -207,30 +386,7 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
         _zero, "bracketed series",
         "constant from dirichlet_l(-7,2); rhs literal 0")
 
-    # ---------------- h3 family ----------------
-    w_h3_plain2k = WeightSpec.combo({"H3_2K": 1})
-    w_h3_764 = WeightSpec.combo({"H3_2K": 1, "H3_K": Fraction(-7, 64)})
-    w_h3_43352 = WeightSpec.combo({"H3_2K": 1, "H3_K": Fraction(-43, 352)})
-    add("h3.a", "h3", "sum C^3 H3_{2k}(4k+1)/(-64)^k = 15zeta(3)/(4pi) - 2L_{-4}(2)",
-        _binom3_value(-1, 64, 4, 1, w_h3_plain2k, boundary=True),
-        lambda ctx: 15 * const_zeta(3, ctx) / (4 * mp.pi) - 2 * dirichlet_l(-4, 2, ctx),
-        "third-order harmonic series",
-        "lhs: accelerated series; rhs: zeta(3), dirichlet_l", boundary=True)
-    add("h3.b", "h3", "rate 256: = 25zeta(3)/(8pi) - L_{-4}(2)",
-        _binom3_value(1, 256, 6, 1, w_h3_764),
-        lambda ctx: 25 * const_zeta(3, ctx) / (8 * mp.pi) - dirichlet_l(-4, 2, ctx),
-        "third-order harmonic series", "rhs: zeta(3), dirichlet_l")
-    add("h3.c", "h3", "rate -512: = 57zeta(3)/(16 sqrt(2) pi) - L_{-8}(2)",
-        _binom3_value(-1, 512, 6, 1, w_h3_764),
-        lambda ctx: (57 * const_zeta(3, ctx) / (16 * mp.sqrt(2) * mp.pi)
-                     - dirichlet_l(-8, 2, ctx)),
-        "third-order harmonic series", "rhs: zeta(3), dirichlet_l")
-    add("h3.d", "h3", "rate 4096: = 555zeta(3)/(77pi) - 32L_{-4}(2)/11",
-        _binom3_value(1, 4096, 42, 5, w_h3_43352),
-        lambda ctx: (555 * const_zeta(3, ctx) / (77 * mp.pi)
-                     - mpf(32) / 11 * dirichlet_l(-4, 2, ctx)),
-        "third-order harmonic series", "rhs: zeta(3), dirichlet_l")
-
+    # ---------------- h3 family: augmented series ----------------
     def h3e_lhs(ctx):
         with ctx.working():
             x = mpf(1) / 4096
@@ -259,165 +415,21 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
         lambda ctx: 240 * const_zeta(3, ctx) / mp.pi - 128 * dirichlet_l(-4, 2, ctx),
         "companion identity", "rhs: zeta(3), dirichlet_l")
 
-    # ---------------- table-h2 ----------------
-    # (z-builder, X num/den, col3, col4, E(z+1/2,2), E(2z,2), r, Q1-rQ2, T_r)
-    h2_rows = [
-        ("r1", _pt_sqrt3, (1, 256),
-         lambda ctx: mpf(1), lambda ctx: mpf(1) / 6,
-         lambda ctx: 135 * dirichlet_l(-3, 2, ctx) / (4 * mp.pi ** 2),
-         lambda ctx: 405 * dirichlet_l(-3, 2, ctx) / (8 * mp.pi ** 2),
-         Fraction(1, 16),
-         lambda ctx: 11 * mp.pi ** 2 / 96 - 45 * dirichlet_l(-3, 2, ctx) / 32,
-         lambda ctx: mp.pi / 36, False),
-        ("r2", _pt_sqrt7, (1, 4096),
-         lambda ctx: mpf(3) / 4, lambda ctx: mpf(5) / 42,
-         lambda ctx: 105 * dirichlet_l(-7, 2, ctx) / (4 * mp.pi ** 2),
-         lambda ctx: 525 * dirichlet_l(-7, 2, ctx) / (8 * mp.pi ** 2),
-         Fraction(1, 46),
-         lambda ctx: 43 * mp.pi ** 2 / 552 - 245 * dirichlet_l(-7, 2, ctx) / 368,
-         lambda ctx: mp.pi / 966, False),
-        ("r3", _pt_half_sqrt2, (-1, 64),
-         lambda ctx: mpf(2), lambda ctx: mpf(1) / 4,
-         lambda ctx: 30 * dirichlet_l(-8, 2, ctx) / mp.pi ** 2,
-         lambda ctx: 30 * dirichlet_l(-8, 2, ctx) / mp.pi ** 2,
-         Fraction(1, 4),
-         lambda ctx: 5 * mp.pi ** 2 / 24 - 2 * dirichlet_l(-8, 2, ctx),
-         lambda ctx: -mp.pi / 12, True),
-        ("r4", _pt_half_one, (-1, 512),
-         lambda ctx: mpf(3) / (2 * mp.sqrt(2)), lambda ctx: mpf(1) / 6,
-         lambda ctx: 30 * dirichlet_l(-4, 2, ctx) / mp.pi ** 2,
-         lambda ctx: 105 * dirichlet_l(-4, 2, ctx) / (2 * mp.pi ** 2),
-         Fraction(1, 16),
-         lambda ctx: 11 * mp.pi ** 2 / 96 - 5 * dirichlet_l(-4, 2, ctx) / 4,
-         lambda ctx: -mp.pi / 96, True),
-    ]
-
-    for (tag, zb, (xn, xd), c3, c4, ezh, e2z, rr, qq, tt, bdy) in h2_rows:
-        def rate_lhs(ctx, zb=zb):
-            with ctx.working():
-                a4 = alpha4(zb(), ctx)
-                return a4 * (1 - a4) / 16
-        add("th2.%s.rate" % tag, "table-h2", "alpha4(1-alpha4)/16 cell",
-            rate_lhs, lambda ctx, xn=xn, xd=xd: mpf(xn) / xd,
-            "modular rate", "lhs: eta quotients; rhs: exact rational")
-
-        def c3_lhs(ctx, zb=zb):
-            with ctx.working():
-                z = zb()
-                return (1 - 2 * alpha4(z, ctx)) / mp.im(z)
-        add("th2.%s.lin" % tag, "table-h2", "(1-2 alpha4)/Im z cell",
-            c3_lhs, c3, "modular data", "lhs: eta quotients; rhs: closed form")
-
-        def c4_lhs(ctx, zb=zb):
-            with ctx.working():
-                z = zb()
-                return r_half(z, ctx) / (2 * (1 - 2 * alpha4(z, ctx)))
-        add("th2.%s.rhalf" % tag, "table-h2", "R_{-1/2}/(2(1-2 alpha4)) cell",
-            c4_lhs, c4, "Legendre-Ramanujan value",
-            "lhs: E2/E4 q-series; rhs: exact rational")
-
-        add("th2.%s.ezh" % tag, "table-h2", "E(z+1/2,2) cell",
-            (lambda ctx, zb=zb: epstein2(zb() + mpf(1) / 2, ctx)), ezh,
-            "Epstein special value",
-            "lhs: Lambert route; rhs: dirichlet_l closed form")
-        add("th2.%s.e2z" % tag, "table-h2", "E(2z,2) cell",
-            (lambda ctx, zb=zb: epstein2(2 * zb(), ctx)), e2z,
-            "Epstein special value",
-            "lhs: Lambert route; rhs: dirichlet_l closed form")
-
-        def qq_lhs(ctx, zb=zb, rr=rr, bdy=bdy):
-            with ctx.working():
-                z = zb()
-                a4 = alpha4(z, ctx)
-                x = a4 * (1 - a4) / 16
-                den, q1, q2 = binom3_sums(
-                    x, [(LinearFactor(0, 1), w) for w in (W_ONE, W_H2_DIFF, W_H2_PLAIN)],
-                    ctx, accelerate=bdy)
-                return ((q1 - mpf(rr.numerator) / rr.denominator * q2) / den).real
-        add("th2.%s.q1q2" % tag, "table-h2", "Q1 - r Q2 cell (series route)",
-            qq_lhs, qq, "penultimate column",
-            "lhs: series ratios; rhs: pi^2 and dirichlet_l", boundary=bdy)
-
-        def tt_lhs(ctx, zb=zb, rr=rr, bdy=bdy):
-            with ctx.working():
-                z = zb()
-                y = mp.im(z)
-                a4 = alpha4(z, ctx)
-                x = a4 * (1 - a4) / 16
-                fac = LinearFactor(2 * (1 - 2 * a4) / y, r_half(z, ctx) / y)
-                r1, r2 = binom3_sums(x, [(fac, W_H2_DIFF), (fac, W_H2_PLAIN)],
-                                     ctx, accelerate=bdy)
-                return (r1 - mpf(rr.numerator) / rr.denominator * r2).real
-        add("th2.%s.tr" % tag, "table-h2", "T_r cell (series route)",
-            tt_lhs, tt, "last column",
-            "lhs: linear-factor series; rhs: rational multiple of pi",
-            boundary=bdy)
-
-    # ---------------- table-h3 ----------------
-    h3_rows = [
-        ("r1", _pt_sqrt3,
-         lambda ctx: (3105 * dirichlet_l(-3, 2, ctx) / (32 * mp.pi ** 2)
-                      + 30 * mp.sqrt(3) * dirichlet_l(-4, 2, ctx) / mp.pi ** 2),
-         lambda ctx: 60 * mp.sqrt(3) * dirichlet_l(-4, 2, ctx) / mp.pi ** 2,
-         lambda ctx: 105 * const_zeta(3, ctx) / (2 * mp.pi ** 3),
-         lambda ctx: 1155 * const_zeta(3, ctx) / (8 * mp.pi ** 3),
-         Fraction(1, 64),
-         lambda ctx: 25 * const_zeta(3, ctx) / (24 * mp.pi), False),
-        ("r2", _pt_sqrt7,
-         lambda ctx: (4305 * dirichlet_l(-7, 2, ctx) / (32 * mp.pi ** 2)
-                      + 360 * dirichlet_l(-4, 2, ctx) / (mp.sqrt(7) * mp.pi ** 2)),
-         lambda ctx: 720 * dirichlet_l(-4, 2, ctx) / (mp.sqrt(7) * mp.pi ** 2),
-         lambda ctx: 540 * const_zeta(3, ctx) / (7 * mp.pi ** 3),
-         lambda ctx: 3375 * const_zeta(3, ctx) / (7 * mp.pi ** 3),
-         Fraction(1, 352),
-         lambda ctx: 555 * const_zeta(3, ctx) / (2156 * mp.pi), False),
-        ("r3", _pt_half_sqrt2,
-         lambda ctx: (105 * dirichlet_l(-8, 2, ctx) / (2 * mp.pi ** 2)
-                      + 45 * dirichlet_l(-4, 2, ctx) / (mp.sqrt(2) * mp.pi ** 2)),
-         lambda ctx: 45 * mp.sqrt(2) * dirichlet_l(-4, 2, ctx) / mp.pi ** 2,
-         lambda ctx: 2835 * const_zeta(3, ctx) / (32 * mp.pi ** 3),
-         lambda ctx: 2835 * const_zeta(3, ctx) / (32 * mp.pi ** 3),
-         Fraction(1, 8),
-         lambda ctx: 15 * const_zeta(3, ctx) / (4 * mp.pi), True),
-        ("r4", _pt_half_one,
-         lambda ctx: (825 * dirichlet_l(-4, 2, ctx) / (8 * mp.pi ** 2)
-                      + 45 * mp.sqrt(2) * dirichlet_l(-8, 2, ctx) / mp.pi ** 2),
-         lambda ctx: 90 * mp.sqrt(2) * dirichlet_l(-8, 2, ctx) / mp.pi ** 2,
-         lambda ctx: 945 * const_zeta(3, ctx) / (16 * mp.pi ** 3),
-         lambda ctx: 27405 * const_zeta(3, ctx) / (128 * mp.pi ** 3),
-         Fraction(1, 64),
-         lambda ctx: 57 * const_zeta(3, ctx) / (64 * mp.pi), True),
-    ]
-
-    for (tag, zb, e4z2, ediff, ezh3, e2z3, rc, ut, bdy) in h3_rows:
-        add("th3.%s.e4z2" % tag, "table-h3", "E(4z,2) cell",
-            (lambda ctx, zb=zb: epstein2(4 * zb(), ctx)), e4z2,
-            "Epstein value", "lhs: Lambert route; rhs: dirichlet_l")
-        add("th3.%s.ediff" % tag, "table-h3", "E(4z,2) - E(z,2) cell",
-            (lambda ctx, zb=zb: epstein2(4 * zb(), ctx) - epstein2(zb(), ctx)),
-            ediff, "Epstein difference", "lhs: Lambert route; rhs: dirichlet_l")
-        add("th3.%s.ezh3" % tag, "table-h3", "E(z+1/2,3) cell",
-            (lambda ctx, zb=zb: epstein3(zb() + mpf(1) / 2, ctx)), ezh3,
-            "weight-3 Epstein value", "lhs: Eichler route; rhs: zeta(3)")
-        add("th3.%s.e2z3" % tag, "table-h3", "E(2z,3) cell",
-            (lambda ctx, zb=zb: epstein3(2 * zb(), ctx)), e2z3,
-            "weight-3 Epstein value", "lhs: Eichler route; rhs: zeta(3)")
-
-        def ut_lhs(ctx, zb=zb, rc=rc, bdy=bdy):
-            with ctx.working():
-                z = zb()
-                y = mp.im(z)
-                a4 = alpha4(z, ctx)
-                x = a4 * (1 - a4) / 16
-                fac = LinearFactor(2 * (1 - 2 * a4) / y, r_half(z, ctx) / y)
-                g1, g2 = binom3_sums(x, [(fac, W_H3_DIFF), (fac, W_H3_PLAIN)],
-                                     ctx, accelerate=bdy)
-                ep = 8 * mp.pi ** 2 * (epstein2(4 * z, ctx) - epstein2(z, ctx)) / (45 * y)
-                return (g1 + mpf(rc.numerator) / rc.denominator * (g2 + ep)).real
-        add("th3.%s.ut" % tag, "table-h3", "T-check cell (series route)",
-            ut_lhs, ut, "last column",
-            "lhs: linear-factor series + Lambert Epstein; rhs: zeta(3)/pi multiple",
-            boundary=bdy)
+    # ------ table-h2, table-h3 and the point-driven eichler-special/gz cells ------
+    for p in _POINTS:
+        fields = p._asdict()
+        for id_, suite, desc, lhs, form, anchor, note in _CELLS:
+            def cell(ctx, lhs=lhs, p=p):
+                with ctx.working():
+                    return lhs(p, ctx)
+            add(id_ % fields, suite, desc % fields, cell, p.forms[form], anchor, note)
+        add("gz.comb.%s" % p.tag, "epstein-gz",
+            "E(4z,2)-E(z,2) = E(z+1/2,2) - (9/2)E(2z,2) + 2E(4z,2) at the tabulated z",
+            (lambda ctx, zb=p.z: epstein2(4 * zb(), ctx) - epstein2(zb(), ctx)),
+            (lambda ctx, zb=p.z: (epstein2(zb() + mpf(1) / 2, ctx)
+                                  - mpf(9) / 2 * epstein2(2 * zb(), ctx)
+                                  + 2 * epstein2(4 * zb(), ctx))),
+            "sum-rule rearrangement", "both sides: Lambert route")
 
     # ---------------- eichler-special ----------------
     sq2 = lambda: mp.sqrt(2)  # noqa: E731
@@ -448,17 +460,6 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
         lambda ctx: 7 * _I() / 6 + 30 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()),
         "reflection specialization", "lhs: Lambert series; rhs: zeta(3)")
 
-    for tag, zb, rr, tgt in (
-        ("sqrt3", _pt_sqrt3, Fraction(1, 16), lambda ctx: 11 * mp.pi ** 2 / 96),
-        ("sqrt7", _pt_sqrt7, Fraction(1, 46), lambda ctx: 43 * mp.pi ** 2 / 552),
-        ("sqrt2", _pt_half_sqrt2, Fraction(1, 4), lambda ctx: 5 * mp.pi ** 2 / 24),
-        ("i", _pt_half_one, Fraction(1, 16), lambda ctx: 11 * mp.pi ** 2 / 96),
-    ):
-        add("es.s.%s" % tag, "eichler-special",
-            "S_%s at the tabulated point is a rational multiple of pi^2" % (rr,),
-            (lambda ctx, zb=zb, rr=rr: s_r(zb(), rr, ctx).real), tgt,
-            "S-combination value", "lhs: Eichler route; rhs: rational * pi^2")
-
     add("es.e4pp.sqrt3", "eichler-special",
         "E4int''((1+sqrt3 i)/2) = -15 sqrt3 L_{-3}(2)/(pi^2 i) - sqrt3 i",
         lambda ctx: eichler4((1 + sq3() * _I()) / 2, 2, ctx),
@@ -484,18 +485,6 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
         lambda ctx: eichler4(_I(), 2, ctx),
         lambda ctx: -20 * dirichlet_l(-4, 2, ctx) / (mp.pi ** 2 * _I()) - 2 * _I(),
         "second-derivative value", "lhs: Lambert series; rhs: dirichlet_l")
-
-    for tag, zb, rr, tgt in (
-        ("sqrt3", _pt_sqrt3, Fraction(1, 16), lambda ctx: mp.pi / 36),
-        ("sqrt7", _pt_sqrt7, Fraction(1, 46), lambda ctx: mp.pi / 966),
-        ("sqrt2", _pt_half_sqrt2, Fraction(1, 4), lambda ctx: -mp.pi / 12),
-        ("i", _pt_half_one, Fraction(1, 16), lambda ctx: -mp.pi / 96),
-    ):
-        add("es.t.%s" % tag, "eichler-special",
-            "T_%s at the tabulated point is a rational multiple of pi" % (rr,),
-            (lambda ctx, zb=zb, rr=rr: t_r(zb(), rr, ctx).real), tgt,
-            "T-combination value",
-            "lhs: Epstein/Eichler route; rhs: rational * pi")
 
     # weight-6 Eichler data at (1+sqrt3 i)/2 and the Prop-3.3 combinations
     w3 = lambda: (1 + mp.sqrt(3) * _I()) / 2  # noqa: E731
@@ -556,22 +545,6 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
         lambda ctx: 8 - 189 * const_zeta(3, ctx) / mp.pi ** 3,
         "combination (d)", "lhs: Lambert series; rhs: zeta(3)")
 
-    for tag, zb, rc, tgt in (
-        ("sqrt3", _pt_sqrt3, Fraction(1, 64),
-         lambda ctx: 25 * const_zeta(3, ctx) / (24 * mp.pi)),
-        ("sqrt7", _pt_sqrt7, Fraction(1, 352),
-         lambda ctx: 555 * const_zeta(3, ctx) / (2156 * mp.pi)),
-        ("sqrt2", _pt_half_sqrt2, Fraction(1, 8),
-         lambda ctx: 15 * const_zeta(3, ctx) / (4 * mp.pi)),
-        ("i", _pt_half_one, Fraction(1, 64),
-         lambda ctx: 57 * const_zeta(3, ctx) / (64 * mp.pi)),
-    ):
-        add("es.u.%s" % tag, "eichler-special",
-            "T-check_%s at the tabulated point is a rational multiple of zeta(3)/pi" % (rc,),
-            (lambda ctx, zb=zb, rc=rc: u_check(zb(), rc, ctx).real), tgt,
-            "weight-6 combination value",
-            "lhs: Eichler route; rhs: zeta(3)/pi multiple")
-
     def closing_lhs(ctx):
         with ctx.working():
             x = mpf(1) / 256
@@ -596,55 +569,31 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
         zi = lambda pt=pt: _mk_z(pt)
         tagz = "z%d" % i
 
-        add("sr.sumE4.%s" % tagz, "sum-rules",
-            "E4(z+1/2)+E4(z)-18E4(2z)+16E4(4z) = 0 at z=%s+%si" % pt,
-            (lambda ctx, zi=zi: (eisenstein(zi() + mpf(1) / 2, 4, ctx)
-                                 + eisenstein(zi(), 4, ctx)
-                                 - 18 * eisenstein(2 * zi(), 4, ctx)
-                                 + 16 * eisenstein(4 * zi(), 4, ctx))),
-            _zero, "weight-4 sum rule", "lhs: q-series; rhs: 0")
-        add("sr.sumE6.%s" % tagz, "sum-rules",
-            "E6(z+1/2)+E6(z)-66E6(2z)+64E6(4z) = 0 at z=%s+%si" % pt,
-            (lambda ctx, zi=zi: (eisenstein(zi() + mpf(1) / 2, 6, ctx)
-                                 + eisenstein(zi(), 6, ctx)
-                                 - 66 * eisenstein(2 * zi(), 6, ctx)
-                                 + 64 * eisenstein(4 * zi(), 6, ctx))),
-            _zero, "weight-6 sum rule", "lhs: q-series; rhs: 0")
-        add("sr.sumEich4.%s" % tagz, "sum-rules",
-            "4E4int(z+1/2)+4E4int(z)-9E4int(2z)+E4int(4z) = 0",
-            (lambda ctx, zi=zi: (4 * eichler4(zi() + mpf(1) / 2, 0, ctx)
-                                 + 4 * eichler4(zi(), 0, ctx)
-                                 - 9 * eichler4(2 * zi(), 0, ctx)
-                                 + eichler4(4 * zi(), 0, ctx))),
-            _zero, "Eichler sum rule", "lhs: Lambert series; rhs: 0")
-        add("sr.sumEich6.%s" % tagz, "sum-rules",
-            "16E6int(z+1/2)+16E6int(z)-33E6int(2z)+E6int(4z) = 0",
-            (lambda ctx, zi=zi: (16 * eichler6(zi() + mpf(1) / 2, 0, ctx)
-                                 + 16 * eichler6(zi(), 0, ctx)
-                                 - 33 * eichler6(2 * zi(), 0, ctx)
-                                 + eichler6(4 * zi(), 0, ctx))),
-            _zero, "Eichler sum rule", "lhs: Lambert series; rhs: 0")
-        add("sr.sumEich4pp.%s" % tagz, "sum-rules",
-            "E4int''(z+1/2)+E4int''(z)-9E4int''(2z)+4E4int''(4z) = 0",
-            (lambda ctx, zi=zi: (eichler4(zi() + mpf(1) / 2, 2, ctx)
-                                 + eichler4(zi(), 2, ctx)
-                                 - 9 * eichler4(2 * zi(), 2, ctx)
-                                 + 4 * eichler4(4 * zi(), 2, ctx))),
-            _zero, "second-derivative sum rule", "lhs: Lambert series; rhs: 0")
-        add("sr.ez2add.%s" % tagz, "sum-rules",
-            "2E(z+1/2,2)+2E(z,2)-9E(2z,2)+2E(4z,2) = 0",
-            (lambda ctx, zi=zi: (2 * epstein2(zi() + mpf(1) / 2, ctx)
-                                 + 2 * epstein2(zi(), ctx)
-                                 - 9 * epstein2(2 * zi(), ctx)
-                                 + 2 * epstein2(4 * zi(), ctx))),
-            _zero, "weight-2 Epstein sum rule", "lhs: Lambert route; rhs: 0")
-        add("sr.ez3add.%s" % tagz, "sum-rules",
-            "4E(z+1/2,3)+4E(z,3)-33E(2z,3)+4E(4z,3) = 0",
-            (lambda ctx, zi=zi: (4 * epstein3(zi() + mpf(1) / 2, ctx)
-                                 + 4 * epstein3(zi(), ctx)
-                                 - 33 * epstein3(2 * zi(), ctx)
-                                 + 4 * epstein3(4 * zi(), ctx))),
-            _zero, "weight-3 Epstein sum rule", "lhs: Eichler route; rhs: 0")
+        for name, desc, f, coeffs, anchor, note in (
+            ("sumE4", "E4(z+1/2)+E4(z)-18E4(2z)+16E4(4z) = 0 at z=%s+%si" % pt,
+             lambda w, ctx: eisenstein(w, 4, ctx), (1, 1, -18, 16),
+             "weight-4 sum rule", "lhs: q-series; rhs: 0"),
+            ("sumE6", "E6(z+1/2)+E6(z)-66E6(2z)+64E6(4z) = 0 at z=%s+%si" % pt,
+             lambda w, ctx: eisenstein(w, 6, ctx), (1, 1, -66, 64),
+             "weight-6 sum rule", "lhs: q-series; rhs: 0"),
+            ("sumEich4", "4E4int(z+1/2)+4E4int(z)-9E4int(2z)+E4int(4z) = 0",
+             lambda w, ctx: eichler4(w, 0, ctx), (4, 4, -9, 1),
+             "Eichler sum rule", "lhs: Lambert series; rhs: 0"),
+            ("sumEich6", "16E6int(z+1/2)+16E6int(z)-33E6int(2z)+E6int(4z) = 0",
+             lambda w, ctx: eichler6(w, 0, ctx), (16, 16, -33, 1),
+             "Eichler sum rule", "lhs: Lambert series; rhs: 0"),
+            ("sumEich4pp", "E4int''(z+1/2)+E4int''(z)-9E4int''(2z)+4E4int''(4z) = 0",
+             lambda w, ctx: eichler4(w, 2, ctx), (1, 1, -9, 4),
+             "second-derivative sum rule", "lhs: Lambert series; rhs: 0"),
+            ("ez2add", "2E(z+1/2,2)+2E(z,2)-9E(2z,2)+2E(4z,2) = 0",
+             epstein2, (2, 2, -9, 2),
+             "weight-2 Epstein sum rule", "lhs: Lambert route; rhs: 0"),
+            ("ez3add", "4E(z+1/2,3)+4E(z,3)-33E(2z,3)+4E(4z,3) = 0",
+             epstein3, (4, 4, -33, 4),
+             "weight-3 Epstein sum rule", "lhs: Eichler route; rhs: 0"),
+        ):
+            add("sr.%s.%s" % (name, tagz), "sum-rules", desc,
+                _four_term(f, coeffs, zi), _zero, anchor, note)
         add("sr.refl4.%s" % tagz, "sum-rules",
             "E4int(z) - z^2 E4int(-1/z) = -(z^4-5z^2+1)/(3z) - 30 zeta(3)(z^2-1)/(pi^3 i)",
             (lambda ctx, zi=zi: (eichler4(zi(), 0, ctx)
@@ -796,16 +745,6 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
         lambda ctx: epstein2(2 * _I(), ctx),
         lambda ctx: epstein2(_I() / 2, ctx),
         "inversion pair", "both sides: Lambert route at unrelated nomes")
-    for tag, zb in (("r1", _pt_sqrt3), ("r2", _pt_sqrt7),
-                    ("r3", _pt_half_sqrt2), ("r4", _pt_half_one)):
-        add("gz.comb.%s" % tag, "epstein-gz",
-            "E(4z,2)-E(z,2) = E(z+1/2,2) - (9/2)E(2z,2) + 2E(4z,2) at the tabulated z",
-            (lambda ctx, zb=zb: epstein2(4 * zb(), ctx) - epstein2(zb(), ctx)),
-            (lambda ctx, zb=zb: (epstein2(zb() + mpf(1) / 2, ctx)
-                                 - mpf(9) / 2 * epstein2(2 * zb(), ctx)
-                                 + 2 * epstein2(4 * zb(), ctx))),
-            "sum-rule rearrangement", "both sides: Lambert route")
-
     # ---------------- lemma-oracles ----------------
     for name, w in (("NU2", W_H2_DIFF), ("EPS2", W_H2_PLAIN),
                     ("H3INT1", W_H3_DIFF), ("H3INT2", W_H3_PLAIN)):
@@ -993,7 +932,6 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
 
     for pt in thm_pts:
         tagz = ("%s_%s" % pt).replace(".", "").replace("/", "")
-        bdy = pt[1] == "1/sqrt2"
         for name, op, k1, k2 in (("q", q_ratios, ("q1_lhs", "q1_rhs"), ("q2_lhs", "q2_rhs")),
                                  ("r", r_linear, ("r1_lhs", "r1_rhs"), ("r2_lhs", "r2_rhs")),
                                  ("hq", h3_ratios, ("lhs1", "rhs1"), ("lhs2", "rhs2")),
@@ -1008,6 +946,6 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
                     "%s identity %d at z = %s + %s i" % (name, j, pt[0], pt[1]),
                     lhs_t, rhs_t, "main theorems at a non-special point",
                     "lhs: harmonic series at the modular rate; "
-                    "rhs: Epstein/Eichler assembly", boundary=bdy)
+                    "rhs: Epstein/Eichler assembly")
 
     return rec

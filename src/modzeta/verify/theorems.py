@@ -55,13 +55,12 @@ def _series_data(z, ctx: PrecisionCtx) -> dict:
     with ctx.working():
         a4 = alpha4(z, ctx)
         x = a4 * (1 - a4) / 16
-        accel = abs(abs(64 * x) - 1) < mpf(10) ** (-(ctx.workdps - 10))
         y = mp.im(z)
         one = LinearFactor(0, 1)
         fac = LinearFactor(2 * (1 - 2 * a4) / y, r_half(z, ctx) / y)
         sums = binom3_sums(x, [(one, W_ONE)]
                            + [(one, w) for w in _THEOREM_WEIGHTS]
-                           + [(fac, w) for w in _THEOREM_WEIGHTS], ctx, accelerate=accel)
+                           + [(fac, w) for w in _THEOREM_WEIGHTS], ctx)
         den = sums[0]
         n = len(_THEOREM_WEIGHTS)
         return {"ratio": {w: s / den for w, s in zip(_THEOREM_WEIGHTS, sums[1:1 + n])},

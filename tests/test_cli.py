@@ -68,6 +68,13 @@ def test_eval_k_zero():
     assert out.stdout.strip().startswith("1.57079632679489661")
 
 
+def test_eval_binom3_boundary_rate():
+    # a negative rational argument, and a rate the engine sums by CVZ
+    out = run_cli("eval", "binom3", "-1/64", "4", "1", "--digits", "30")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0.636619772367581343075535053490"
+
+
 def test_eval_usage_errors():
     assert run_cli("eval", "K").returncode == 2          # bad arity
     assert run_cli("eval", "frobnicate", "1").returncode == 2

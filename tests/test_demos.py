@@ -1,4 +1,4 @@
-"""Smoke tests: the two table/theorem demos run and report matching sides."""
+"""Smoke tests: the demos run and report matching sides."""
 
 import os
 import re
@@ -34,3 +34,11 @@ def test_theorem_walkthrough_demo():
     diffs = re.findall(r"\|diff\|\s*=\s*(\S+)", out)
     assert len(diffs) == 8, out
     assert all(mpf(d) < mpf(10) ** -25 for d in diffs), diffs
+
+
+def test_integral_identities_demo():
+    out = _run_demo("03_integral_identities.py", "20")
+    diffs = re.findall(r"\|diff\|\s+(\S+)", out)
+    assert len(diffs) == 4, out
+    assert all(mpf(d) < mpf(10) ** -15 for d in diffs), diffs
+    assert "j)" not in out

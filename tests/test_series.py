@@ -24,6 +24,11 @@ K_HALF_30 = "1.85407467730137191843385034720"
 INV_SQR_HALF_30 = "2.67457640729806918701575056705"
 
 W_H2DIFF = WeightSpec.combo({"H2_2K": 1, "H2_K": Fraction(-1, 4)})
+# CVZ sums at the boundary rate -1/64 and 30 digits, recorded when the caller
+# had to ask for acceleration: C^3 (0k+1), C^3 (4k+1) = 2/pi, C^3 W_H2DIFF
+CVZ_30 = {(0, 1, W_ONE): "0.909172794546929700739778854282651225720527299684",
+          (4, 1, W_ONE): "0.636619772367581343075535053490057448137838583207",
+          (0, 1, W_H2DIFF): "-0.0875992280020186921295926813195343506450184063942"}
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +56,9 @@ def test_binom3_at_zero(ctx30):
 
 
 def test_binom3_boundary_accelerated(ctx50):
+    # the rate -1/64 is seen as a boundary rate and summed by CVZ
     with ctx50.working():
-        v = binom3_series(mpf(-1) / 64, LinearFactor(4, 1), W_ONE, ctx50,
-                          accelerate=True)
+        v = binom3_series(mpf(-1) / 64, LinearFactor(4, 1), W_ONE, ctx50)
         assert abs(v - 2 / mp.pi) < mpf(10) ** -45
 
 
@@ -61,9 +66,10 @@ def test_binom3_errors(ctx30):
     with pytest.raises(DomainError):
         binom3_series(mpf("0.02"), LinearFactor(0, 1), W_ONE, ctx30)
     with pytest.raises(DomainError):  # positive boundary is unsupported
-        binom3_series(mpf(1) / 64, LinearFactor(0, 1), W_ONE, ctx30, accelerate=True)
-    with pytest.raises(DomainError):  # boundary without accelerated mode
-        binom3_series(mpf(-1) / 64, LinearFactor(0, 1), W_ONE, ctx30)
+        binom3_series(mpf(1) / 64, LinearFactor(0, 1), W_ONE, ctx30)
+    with ctx30.working():  # the unflagged boundary call is the CVZ sum
+        assert (binom3_series(mpf(-1) / 64, LinearFactor(0, 1), W_ONE, ctx30)
+                == mpf(CVZ_30[0, 1, W_ONE]))
 
 
 def test_binom3_kk_identity(ctx40):
@@ -177,9 +183,9 @@ def test_binom3_sums_boundary_matches_single(ctx30):
                 (LinearFactor(4, 1), h3), (LinearFactor(0, 1), W_H2DIFF)]
     with ctx30.working():
         x = mpf(-1) / 64
-        sums = binom3_sums(x, requests, ctx30, accelerate=True)
+        sums = binom3_sums(x, requests, ctx30)
         for value, (factor, w) in zip(sums, requests):
-            assert value == binom3_series(x, factor, w, ctx30, accelerate=True)
+            assert value == binom3_series(x, factor, w, ctx30)
         assert abs(sums[0] - 2 / mp.pi) < ctx30.tolerance()
 
 
@@ -188,12 +194,11 @@ def test_binom3_sums_domain(ctx30):
     with ctx30.working():
         with pytest.raises(DomainError):  # |64x| > 1
             binom3_sums(mpf("0.02"), req, ctx30)
-        with pytest.raises(DomainError):  # boundary without accelerated mode
-            binom3_sums(mpf(-1) / 64, req, ctx30)
         # the boundary walk uses real parts only; dust above the slack
         # (10^-(workdps-6) = 1e-39 here) is refused, dust below it is dropped
         x = mpf(-1) / 64
-        clean = binom3_sums(x, req, ctx30, accelerate=True)
+        clean = binom3_sums(x, req, ctx30)
+        assert clean == [mpf(CVZ_30[f.a, f.b, w]) for f, w in req]
 
         def fuzzy(dust):
             return (mpc(x, dust), [(LinearFactor(mpc(4, dust), 1), W_ONE),
@@ -201,8 +206,8 @@ def test_binom3_sums_domain(ctx30):
         x_big, req_big = fuzzy("1e-30")
         for args in ((x_big, req), (x, req_big)):
             with pytest.raises(DomainError):
-                binom3_sums(*args, ctx30, accelerate=True)
-        assert binom3_sums(*fuzzy("1e-45"), ctx30, accelerate=True) == clean
+                binom3_sums(*args, ctx30)
+        assert binom3_sums(*fuzzy("1e-45"), ctx30) == clean
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from modzeta import (DomainError, PrecisionCtx, all_suites, eichler4,
                      q_ratios, r_linear, run_suite, s_r, t_r, u_check)
 from modzeta import eichler, mpcore
 from modzeta.verify import DEFAULT_SEED, SUITES
-from modzeta.verify import theorems
+from modzeta.verify import runner, theorems
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_strings_50.json")
 
@@ -116,13 +116,22 @@ def test_s_t_u_values(ctx40):
                    - 25 * z3 / (24 * mp.pi)) < ctx40.tolerance()
 
 
-def test_boundary_records_flagged():
+# the CVZ boundary family (rate -1/64) and the records that once carried a
+# relaxed bar with it: each must pass the plain 10^-(digits-5) bar
+BOUNDARY_FAMILY = (
+    "rama1", "h2var.-64", "sun1", "h3.a",
+    "th2.r3.q1q2", "th2.r3.tr", "th2.r4.q1q2", "th2.r4.tr", "th3.r3.ut", "th3.r4.ut",
+) + tuple("thm.%s.05_1sqrt2" % n for n in ("q1", "q2", "r1", "r2", "hq1", "hq2", "hr1", "hr2"))
+
+
+def test_boundary_family_meets_full_bar():
     recs = {r.id: r for r in get_records("all", seed=DEFAULT_SEED)}
-    assert recs["rama1"].boundary
-    assert recs["sun1"].boundary
-    assert not recs["rama4"].boundary
-    assert recs["rama1"].tol_exponent(50) == 30
-    assert recs["rama4"].tol_exponent(50) == 45
+    for digits in (15, 50, 100, 250):
+        ctx = PrecisionCtx(digits)
+        for rid in BOUNDARY_FAMILY:
+            row = runner._evaluate(recs[rid], ctx)
+            assert row["tol_exponent"] == digits - 5
+            assert row["pass"], (digits, rid, row["abs_residual"])
 
 
 def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
@@ -195,9 +204,9 @@ def test_points_convert_at_working_precision(monkeypatch, ctx30):
 
 
 def test_golden_strings_50_digits():
-    # lhs/rhs strings recorded before the series walks and, for sum-rules and
-    # epstein-gz, the nome walks were merged: each must stay byte-identical,
-    # or its residual must not grow
+    # lhs/rhs strings of every non-quadrature record, recorded before the
+    # series walks, the nome walks and the registry rows were merged: each
+    # must stay byte-identical, or its residual must not grow
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
     ctx = PrecisionCtx(golden["digits"])
