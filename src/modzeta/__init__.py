@@ -9,7 +9,7 @@ follow-up arithmetic does not truncate to mpmath's default precision.
 
 from .arith import (LatticeSum, bernoulli, dirichlet_l, epstein2, epstein3,
                     epstein_lattice, hurwitz_zeta, kronecker)
-from .eichler import EichlerValue, eichler4, eichler6
+from .eichler import eichler4, eichler6
 from .modular import (DegeneratePointError, UhpPoint, alpha4, eisenstein,
                       eisenstein_eta_form, eta, lambda_fn, r_half, uhp)
 from .mpcore import (DomainError, PrecisionCtx, const_catalan,
@@ -28,7 +28,7 @@ from .verify import (DEFAULT_SEED, IdentityRecord, Report, all_suites,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_SEED", "DegeneratePointError", "DomainError", "EichlerValue",
+    "DEFAULT_SEED", "DegeneratePointError", "DomainError",
     "HypKernel", "IdentityRecord", "LatticeSum", "LinearFactor",
     "PrecisionCtx", "QuadResult", "Report", "UhpPoint", "WeightSpec",
     "all_suites", "alpha4", "bernoulli", "binom2_series", "binom3_series",

@@ -21,8 +21,8 @@ import mpmath as mp
 import numpy as np
 from mpmath import mpc, mpf
 
-from .eichler import _nome_chains, eichler6
-from .modular import _as_z
+from .eichler import eichler6
+from .modular import _as_z, _nome_chains
 from .mpcore import (
     DomainError,
     PrecisionCtx,

@@ -82,13 +82,20 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _int_setting(name: str, value) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError("%s must be an integer, got %r" % (name, value)) from None
+
+
 def _resolve_digits(args, cfg) -> int:
     if args.digits is not None:
         digits = args.digits
     elif os.environ.get("MODZETA_DIGITS"):
-        digits = int(os.environ["MODZETA_DIGITS"])
+        digits = _int_setting("MODZETA_DIGITS", os.environ["MODZETA_DIGITS"])
     elif "digits" in cfg:
-        digits = int(cfg["digits"])
+        digits = _int_setting("digits", cfg["digits"])
     else:
         digits = 50
     if not 10 <= digits <= 1000:
@@ -115,8 +122,10 @@ def cmd_verify(args) -> int:
     if suite not in verify.all_suites():
         raise UsageError("unknown suite %r; choose from: %s"
                          % (suite, ", ".join(verify.all_suites())))
-    jobs = args.jobs if args.jobs is not None else int(cfg.get("jobs", os.cpu_count() or 1))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", verify.DEFAULT_SEED))
+    jobs = (args.jobs if args.jobs is not None
+            else _int_setting("jobs", cfg.get("jobs", os.cpu_count() or 1)))
+    seed = (args.seed if args.seed is not None
+            else _int_setting("seed", cfg.get("seed", verify.DEFAULT_SEED)))
     fmt = args.format or cfg.get("format", "text")
     ctx = PrecisionCtx(digits)
     report = run_suite(suite, ctx, jobs=jobs, seed=seed)
@@ -231,7 +240,8 @@ def cmd_table(args) -> int:
     fmt = args.format or cfg.get("format", "text")
     suite = "table-h2" if args.which == "h2" else "table-h3"
     ctx = PrecisionCtx(digits)
-    jobs = args.jobs if args.jobs is not None else int(cfg.get("jobs", os.cpu_count() or 1))
+    jobs = (args.jobs if args.jobs is not None
+            else _int_setting("jobs", cfg.get("jobs", os.cpu_count() or 1)))
     report = run_suite(suite, ctx, jobs=jobs)
     if fmt == "json":
         _emit(report.to_json(), args.out or cfg.get("out"))

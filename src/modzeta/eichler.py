@@ -8,67 +8,22 @@ Production path is termwise differentiation of the Lambert-Ramanujan series
 with q = exp(2*pi*i*z); each derivative in z multiplies a term by 2*pi*i*n and
 turns the rational kernel in q^n into the next one in the chain
 u/(1-u) -> u/(1-u)^2 -> u(1+u)/(1-u)^3 -> u(1+4u+u^2)/(1-u)^4.
-One walk over n per nome sums all seven chains (weight 4, orders 0-2; weight
-6, orders 0-3) and is memoized per (z, precision), so every Eichler value and
-``arith.epstein2`` at that nome read the same walk.
-Finite differences are deliberately not used here (they live in the tests).
+The seven sums (weight 4, orders 0-2; weight 6, orders 0-3) are chains of
+``modular._nome_chains``, the one memoized walk per nome that also serves the
+Eisenstein series and ``arith.epstein2``; this module only applies the
+prefactors.  Finite differences are deliberately not used here (they live in
+the tests).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import mpmath as mp
 from mpmath import mpc, mpf
 
-from .mpcore import DomainError, PrecisionCtx, _memoized, ensure_finite
-from .modular import _as_z
+from .modular import _as_z, _nome_chains
+from .mpcore import DomainError, PrecisionCtx, ensure_finite
 
-__all__ = ["EichlerValue", "eichler4", "eichler6"]
-
-
-@dataclass(frozen=True)
-class EichlerValue:
-    family: str  # "E4" or "E6"
-    order: int
-    at: mpc
-    value: mpc
-
-
-# (weight, order) of every chain the Eichler integrals and epstein2 read
-_CHAINS = ((4, 0), (4, 1), (4, 2), (6, 0), (6, 1), (6, 2), (6, 3))
-
-
-@_memoized
-def _nome_chains(z: mpc, ctx: PrecisionCtx) -> dict:
-    """Every Lambert chain at the nome q of z, from one walk over n.
-
-    Chain (weight, order) is sum_n n^(order-weight+1) * K_order(q^n), with
-    K_0(u) = u/(1-u), K_1(u) = u/(1-u)^2, K_2(u) = u(1+u)/(1-u)^3,
-    K_3(u) = u(1+4u+u^2)/(1-u)^4.  The n-exponent is <= -1 for every chain,
-    so one tail bound, sum_{m>n} |q|^m * 6/(1-|q|)^4 with the crude kernel
-    bound |K(u)| <= 6|u|/(1-|q|)^4 for |u| <= |q|, stops all of them.
-    """
-    with ctx.working():
-        q = mp.exp(2j * mp.pi * z)
-        qa = abs(q)
-        tiny = ctx.tiny()
-        kb = 6 / (1 - qa) ** 4
-        acc = dict.fromkeys(_CHAINS, mpc(0))
-        u = mpc(1)
-        n = 0
-        while True:
-            n += 1
-            u *= q  # u = q^n
-            d = 1 - u
-            ker = (u / d, u / d ** 2, u * (1 + u) / d ** 3,
-                   u * (1 + 4 * u + u * u) / d ** 4)
-            npow = {p: mpf(n) ** p for p in range(-5, 0)}
-            for weight, order in _CHAINS:
-                acc[weight, order] += npow[order - weight + 1] * ker[order]
-            if qa ** (n + 1) / (1 - qa) * kb < tiny:
-                break
-    return acc
+__all__ = ["eichler4", "eichler6"]
 
 
 _E4_PREF = {0: lambda: mpc(0, 60) / mp.pi ** 3,

@@ -1,4 +1,5 @@
-"""q-expansion evaluation of eta, lambda, alpha4, E2/E4/E6 and R_{-1/2}.
+"""q-expansion evaluation of eta, lambda, alpha4, E2/E4/E6, R_{-1/2}, and the
+Lambert nome walk shared with the Eichler integrals.
 
 Conventions: the nome is q = exp(2*pi*i*z) with Im z > 0, so |q| < 1.  All
 q-series are truncated at an index N with a certified polynomial-geometric
@@ -6,6 +7,10 @@ tail bound below the working threshold; N therefore grows as Im z shrinks.
 The eta product keeps its certified tail bound down to Im z = 0.03 (about
 550 factors at 65-digit precision); below that it is out of contract, since
 no modular transformations are applied to rescue convergence.
+
+One memoized walk per (nome, precision), ``_nome_chains``, sums every Lambert
+series at that nome: the E2/E4/E6 chains that ``eisenstein`` reads and the
+Eichler chains that ``eichler`` and ``arith.epstein2`` read.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import mpmath as mp
 from mpmath import mpc, mpf
 
-from .mpcore import DomainError, PrecisionCtx, ensure_finite, tail_poly_geom
+from .mpcore import DomainError, PrecisionCtx, _memoized, ensure_finite, tail_poly_geom
 
 __all__ = [
     "DegeneratePointError",
@@ -141,32 +146,77 @@ def alpha4(z, ctx: PrecisionCtx) -> mpc:
 
 
 # ---------------------------------------------------------------------------
-# Eisenstein series
+# The Lambert nome walk and the Eisenstein series
 # ---------------------------------------------------------------------------
 
 _EIS_COEFF = {2: -24, 4: 240, 6: -504}
-_EIS_POWER = {2: 1, 4: 3, 6: 5}
+# n-power p of each Eisenstein chain sum n^p q^n/(1-q^n)
+_EIS_POWER = {"E2": 1, "E4": 3, "E6": 5}
+# (weight, order) of every Eichler chain the Eichler integrals and epstein2 read
+_CHAINS = ((4, 0), (4, 1), (4, 2), (6, 0), (6, 1), (6, 2), (6, 3))
 
 
-def eisenstein(z, weight: int, ctx: PrecisionCtx) -> mpc:
-    """E2 (with its -3/(pi Im z) completion), E4, or E6 as Lambert q-series."""
-    if weight not in (2, 4, 6):
-        raise DomainError("eisenstein weight must be 2, 4 or 6")
-    z = _as_z(z, ctx)
+@_memoized
+def _nome_chains(z: mpc, ctx: PrecisionCtx) -> dict:
+    """Every Lambert chain at the nome q of z, from one walk over n.
+
+    Eisenstein chain "E<weight>" is sum_n n^p q^n/(1-q^n) with p = 1, 3, 5
+    for weight 2, 4, 6; each stops once its polynomial-geometric tail,
+    tail_poly_geom(|q|, n, p)/(1-|q|), is below the working threshold.
+
+    Eichler chain (weight, order) is sum_n n^(order-weight+1) * K_order(q^n),
+    with K_0(u) = u/(1-u), K_1(u) = u/(1-u)^2, K_2(u) = u(1+u)/(1-u)^3,
+    K_3(u) = u(1+4u+u^2)/(1-u)^4.  The n-exponent is <= -1 for every Eichler
+    chain, so one tail bound, sum_{m>n} |q|^m * 6/(1-|q|)^4 with the crude
+    kernel bound |K(u)| <= 6|u|/(1-|q|)^4 for |u| <= |q|, stops all seven.
+    The walk ends when every chain has stopped.
+    """
     with ctx.working():
         q = _nome(z)
         qa = abs(q)
         tiny = ctx.tiny()
-        p = _EIS_POWER[weight]
-        acc = mpc(0)
-        qn = mpc(1)
+        kb = 6 / (1 - qa) ** 4
+        eis = dict(_EIS_POWER)  # Eisenstein chains still summing
+        acc = dict.fromkeys(_CHAINS + tuple(eis), mpc(0))
+        eichler_live = True
+        u = mpc(1)
+        # |q|^(n+1) bounds every tail bound below: while it is at least
+        # 2 tiny (the 2 covers rounding) no chain can stop, so the costlier
+        # bounds are evaluated only near each chain's end
+        qa_next, near = qa, 2 * tiny
         n = 0
-        while True:
+        while eichler_live or eis:
             n += 1
-            qn *= q
-            acc += mpf(n) ** p * qn / (1 - qn)
-            if tail_poly_geom(qa, n, p) / (1 - qa) < tiny:
-                break
+            m = mpf(n)
+            u *= q  # u = q^n
+            d = 1 - u
+            qa_next *= qa
+            near_end = qa_next < near
+            for key, p in list(eis.items()):
+                acc[key] += m ** p * u / d
+                if near_end and tail_poly_geom(qa, n, p) / (1 - qa) < tiny:
+                    del eis[key]
+            if eichler_live:
+                ker = (u / d, u / d ** 2, u * (1 + u) / d ** 3,
+                       u * (1 + 4 * u + u * u) / d ** 4)
+                npow = {p: m ** p for p in range(-5, 0)}
+                for weight, order in _CHAINS:
+                    acc[weight, order] += npow[order - weight + 1] * ker[order]
+                eichler_live = not (near_end
+                                    and qa ** (n + 1) / (1 - qa) * kb < tiny)
+    return acc
+
+
+def eisenstein(z, weight: int, ctx: PrecisionCtx) -> mpc:
+    """E2 (with its -3/(pi Im z) completion), E4, or E6 as Lambert q-series.
+
+    The Lambert sum is the chain "E<weight>" of the memoized nome walk.
+    """
+    if weight not in _EIS_COEFF:
+        raise DomainError("eisenstein weight must be 2, 4 or 6")
+    z = _as_z(z, ctx)
+    acc = _nome_chains(z, ctx)["E%d" % weight]
+    with ctx.working():
         val = 1 + _EIS_COEFF[weight] * acc
         if weight == 2:
             val -= 3 / (mp.pi * mp.im(z))

@@ -14,12 +14,13 @@ are supported through the same affine map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 from mpmath import mpc, mpf
 
-from .mpcore import DomainError, PrecisionCtx, const_catalan, const_zeta, ensure_finite
+from .mpcore import (DomainError, PrecisionCtx, _memoized, const_catalan,
+                     const_zeta, ensure_finite)
 from .series import ell_k, ell_k_comp
 
 __all__ = [
@@ -42,24 +43,26 @@ class QuadResult:
     levels_used: int
     converged: bool
 
-
-_node_cache: dict = {}
+    def converged_value(self):
+        """The value, or DomainError if the refinement never met its tolerance."""
+        if not self.converged:
+            raise DomainError("tanh-sinh did not converge by level %d (error estimate %s)"
+                              % (self.levels_used, mp.nstr(self.err_estimate, 3)))
+        return self.value
 
 
 def _tmax(dps: int) -> mpf:
     return mp.log(2 * (dps + 20) * mp.log(10) / mp.pi) + mpf("0.5")
 
 
-def _nodes(level: int, dps: int):
-    """(delta, weight) pairs for refinement level ``level`` at ``dps`` digits.
+@_memoized
+def _nodes(level: int, ctx: PrecisionCtx) -> list:
+    """(delta, weight) pairs for refinement level ``level`` at ctx's working precision.
 
     Level 0 holds all integer multiples of h=1 (including t=0); level L > 0
     holds the odd multiples of h = 2^-L.  delta = 1 - tanh((pi/2) sinh t).
     """
-    key = (dps, level)
-    hit = _node_cache.get(key)
-    if hit is not None:
-        return hit
+    dps = ctx.workdps
     with mp.workdps(dps + 10):
         tmax = _tmax(dps)
         h = mpf(1) / (1 << level)
@@ -75,7 +78,6 @@ def _nodes(level: int, dps: int):
             w = mp.pi / 2 * mp.cosh(t) / mp.cosh(u) ** 2
             out.append((delta, w))
             k += step
-    _node_cache[key] = out
     return out
 
 
@@ -104,13 +106,13 @@ def tanh_sinh(f, a, b, ctx: PrecisionCtx, max_level: int = MAX_LEVEL) -> QuadRes
                     tot += w * f(b - scale * delta)
             return tot
 
-        prev = eval_nodes(_nodes(0, ctx.workdps))  # h = 1 at level 0
+        prev = eval_nodes(_nodes(0, ctx))  # h = 1 at level 0
         err = mp.inf
         level = 0
         converged = False
         for level in range(1, max_level + 1):
             h = mpf(1) / (1 << level)
-            s_new = prev / 2 + h * eval_nodes(_nodes(level, ctx.workdps))
+            s_new = prev / 2 + h * eval_nodes(_nodes(level, ctx))
             err = abs(s_new - prev)
             prev = s_new
             if level >= 3 and err < target * max(mpf(1), abs(prev)):
@@ -170,7 +172,7 @@ def lemma_integral(which: str, t, ctx: PrecisionCtx) -> mpc:
                 ks = ell_k(s, ctx)
                 return ks * (ell_k_comp(s, ctx) * kt - ks * k1t)
             res = tanh_sinh(f, mpf(0), t, ctx)
-            return ensure_finite((2 / mp.pi) ** 3 * kt * res.value)
+            return ensure_finite((2 / mp.pi) ** 3 * kt * res.converged_value())
 
         if which == "EPS2":
             def f(s):
@@ -178,7 +180,7 @@ def lemma_integral(which: str, t, ctx: PrecisionCtx) -> mpc:
                 return ks * (ell_k_comp(s, ctx) * kt - ks * k1t) / (s * (1 - s))
             res = tanh_sinh(f, mpf(1) / 2, t, ctx)
             g = const_catalan(ctx)
-            return ensure_finite((2 / mp.pi) ** 3 * kt * res.value
+            return ensure_finite((2 / mp.pi) ** 3 * kt * res.converged_value()
                                  - kt ** 2 / 3 - k1t ** 2
                                  + 16 * kt * k1t * g / mp.pi ** 2)
 
@@ -187,7 +189,7 @@ def lemma_integral(which: str, t, ctx: PrecisionCtx) -> mpc:
                 ks = ell_k(s, ctx)
                 return (1 - 2 * s) * ks ** 2 * (ell_k_comp(s, ctx) * kt - ks * k1t) ** 2
             res = tanh_sinh(f, mpf(0), t, ctx)
-            return ensure_finite((2 / mp.pi) ** 4 * res.value)
+            return ensure_finite((2 / mp.pi) ** 4 * res.converged_value())
 
         def f(s):
             ks = ell_k(s, ctx)
@@ -195,7 +197,7 @@ def lemma_integral(which: str, t, ctx: PrecisionCtx) -> mpc:
             return (2 * (1 - 2 * s) / (s * (1 - s))
                     * _ksq_minus_quarter_pi_sq(s, ctx) * bracket ** 2)
         res = tanh_sinh(f, mpf(0), t, ctx)
-        return ensure_finite((2 / mp.pi) ** 4 * res.value)
+        return ensure_finite((2 / mp.pi) ** 4 * res.converged_value())
 
 
 def h3mix2_tail_integral(t, ctx: PrecisionCtx) -> mpc:
@@ -218,7 +220,7 @@ def h3mix2_tail_integral(t, ctx: PrecisionCtx) -> mpc:
             bracket = ell_k_comp(s, ctx) * kt - ks * k1t
             return 4 * (1 - 2 * s) / (s * (1 - s)) * bracket ** 2 / u ** 2
         res = tanh_sinh(f, mpf(0), mpf(1), ctx)
-        return ensure_finite(-(2 / mp.pi) ** 2 * res.value)
+        return ensure_finite(-(2 / mp.pi) ** 2 * res.converged_value())
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +233,7 @@ def zeta5_integral(ctx: PrecisionCtx) -> QuadResult:
         def f(t):
             return (1 - 2 * t) * ell_k_comp(t, ctx) ** 4
         res = tanh_sinh(f, mpf(0), mpf(1), ctx)
-        return QuadResult(ensure_finite(mpf(8) / 93 * res.value),
-                          res.err_estimate, res.levels_used, res.converged)
+        return replace(res, value=ensure_finite(mpf(8) / 93 * res.value))
 
 
 def zeta7_integral(ctx: PrecisionCtx) -> QuadResult:
@@ -241,8 +242,7 @@ def zeta7_integral(ctx: PrecisionCtx) -> QuadResult:
         def f(t):
             return (2 - 17 * t * (1 - t)) * ell_k_comp(t, ctx) ** 6
         res = tanh_sinh(f, mpf(0), mpf(1), ctx)
-        return QuadResult(ensure_finite(mpf(32) / 5715 * res.value),
-                          res.err_estimate, res.levels_used, res.converged)
+        return replace(res, value=ensure_finite(mpf(32) / 5715 * res.value))
 
 
 def lminus4_4_integral(ctx: PrecisionCtx) -> QuadResult:
@@ -264,5 +264,4 @@ def lminus4_4_integral(ctx: PrecisionCtx) -> QuadResult:
         rhs = (mpf(200025) * z7 / (2176 * mp.pi ** 7)
                - mpf(70) / (136 * mp.pi ** 7) * res.value)
         val = rhs * 136 * mp.pi ** 4 / 105
-        return QuadResult(ensure_finite(val), res.err_estimate,
-                          res.levels_used, res.converged)
+        return replace(res, value=ensure_finite(val))

@@ -3,23 +3,26 @@ sums, elliptic polylogarithms, and alternating-series acceleration.
 
 Summation strategy
 ------------------
-Interior rates (|64 x| < 1 for the cubed family, |16 x| < 1 for the squared
-family) are summed directly with incremental binomial/harmonic updates and a
-geometric tail certificate.  Boundary rates (|64 x| = 1, necessarily
-alternating) go through Cohen-Rodriguez Villegas-Zagier acceleration with
-N = ceil(1.4 * digits) terms and heuristic error ~ (3+sqrt(8))^-N; direct
-partial sums of those series decay like k^(-1/2) and are hopeless at high
-precision.
+One engine sums C(2k,k)^p (a k + b) w(k) x^k for both powers p = 3 (the
+cubed family) and p = 2 (the squared family).  Interior rates
+(|4^p x| < 1) are summed directly with incremental binomial/harmonic updates
+and a geometric tail certificate.  Boundary rates (|4^p x| = 1 with
+Re x < 0, so alternating) go through Cohen-Rodriguez Villegas-Zagier
+acceleration with N = ceil(1.4 * digits) terms and heuristic error
+~ (3+sqrt(8))^-N; direct partial sums of those series converge only
+algebraically in k and are hopeless at high precision.
 
-The cubed family has one walk per rate: :func:`binom3_sums` returns every
+The engine makes one walk per rate: :func:`binom3_sums` returns every
 requested (LinearFactor, WeightSpec) sum from a single pass over the terms,
-each sum stopping on its own certificate, and :func:`binom3_series` is its
-one-request case.  The theorem evaluators keep the nine sums of a point in a
-per-(point, precision) memo, so one point costs one walk.
+each sum stopping on its own certificate; :func:`binom3_series` and
+:func:`binom2_series` are its one-request cases.  The theorem evaluators
+keep the nine sums of a point in a per-(point, precision) memo, so one point
+costs one walk.
 
 Harmonic weights are kept as running working-precision accumulators updated
-once per index; binomial cubes are folded into the running term so nothing
-larger than an mpf exponent ever materializes.
+once per index; each weight basis is read from them through one table.
+Binomial powers are folded into the running term so nothing larger than an
+mpf exponent ever materializes.
 """
 
 from __future__ import annotations
@@ -57,10 +60,20 @@ __all__ = [
 # Weights and linear factors
 # ---------------------------------------------------------------------------
 
-_BASES = (
-    "ONE", "H1_K", "H1_2K", "H2_K", "H2_2K", "H3_K", "H3_2K",
-    "INVSQ_2K1", "H2_2K_TIMES_DH1", "H2_K_TIMES_DH1", "H3MIX",
-)
+# each weight basis as a function of the running accumulators at index k
+_BASIS = {
+    "ONE": lambda h: mpf(1),
+    "H1_K": lambda h: h.h1k,
+    "H1_2K": lambda h: h.h12k,
+    "H2_K": lambda h: h.h2k,
+    "H2_2K": lambda h: h.h22k,
+    "H3_K": lambda h: h.h3k,
+    "H3_2K": lambda h: h.h32k,
+    "INVSQ_2K1": lambda h: 1 / mpf(2 * h.k + 1) ** 2,
+    "H2_2K_TIMES_DH1": lambda h: h.h22k * (h.h12k - h.h1k),
+    "H2_K_TIMES_DH1": lambda h: h.h2k * (h.h12k - h.h1k),
+    "H3MIX": lambda h: h.h3k - 3 * h.h2k * (h.h12k - h.h1k),
+}
 
 
 @dataclass(frozen=True)
@@ -85,7 +98,7 @@ class WeightSpec:
 
     def __post_init__(self) -> None:
         for _, basis in self.terms:
-            if basis not in _BASES:
+            if basis not in _BASIS:
                 raise DomainError("unknown weight basis %r" % (basis,))
 
     @classmethod
@@ -127,32 +140,9 @@ class _Harmonics:
         self.h32k += 1 / a ** 3 + 1 / b ** 3
 
     def weight(self, spec: WeightSpec):
-        k = self.k
         total = mpf(0)
         for coeff, basis in spec.terms:
-            if basis == "ONE":
-                v = mpf(1)
-            elif basis == "H1_K":
-                v = self.h1k
-            elif basis == "H1_2K":
-                v = self.h12k
-            elif basis == "H2_K":
-                v = self.h2k
-            elif basis == "H2_2K":
-                v = self.h22k
-            elif basis == "H3_K":
-                v = self.h3k
-            elif basis == "H3_2K":
-                v = self.h32k
-            elif basis == "INVSQ_2K1":
-                v = 1 / mpf(2 * k + 1) ** 2
-            elif basis == "H2_2K_TIMES_DH1":
-                v = self.h22k * (self.h12k - self.h1k)
-            elif basis == "H2_K_TIMES_DH1":
-                v = self.h2k * (self.h12k - self.h1k)
-            else:  # H3MIX
-                v = self.h3k - 3 * self.h2k * (self.h12k - self.h1k)
-            total += (mpf(coeff.numerator) / coeff.denominator) * v
+            total += (mpf(coeff.numerator) / coeff.denominator) * _BASIS[basis](self)
         return total
 
 
@@ -233,25 +223,28 @@ def _boundary_kind(scaled: mpc, tiny: mpf):
     return "out"
 
 
-def binom3_sums(x, requests, ctx: PrecisionCtx) -> list:
-    """[sum_{k>=0} C(2k,k)^3 (a k + b) w(k) x^k for each (LinearFactor, WeightSpec)].
+def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
+    """[sum_{k>=0} C(2k,k)^power (a k + b) w(k) x^k for each (LinearFactor, WeightSpec)].
 
-    One walk serves every request: the term C(2k,k)^3 x^k and the harmonic
+    The engine behind :func:`binom3_sums` and :func:`binom2_series`.  One
+    walk serves every request: the term C(2k,k)^power x^k and the harmonic
     accumulators advance once per k, each distinct weight and each distinct
     linear factor is evaluated once per k, and the result list follows the
     order of ``requests``.
 
-    Interior |64x| < 1: direct summation.  Each request keeps its own
+    Interior |4^power x| < 1: direct summation.  Each request keeps its own
     geometric tail certificate and stops accumulating once it holds, so every
     entry equals the same request summed alone; the walk ends when every
     request is certified.
-    |64x| = 1 with Re(64x) < 0, to within the boundary slack
+    |4^power x| = 1 with Re x < 0, to within the boundary slack
     max(1000 tiny, 10^-(dps-6)): the walk classifies the rate itself and sums
     it by CVZ acceleration.  The term list is built once on the real rate and
-    each request goes through CVZ.  The imaginary parts of 64x, a and b are
-    dropped, so each must lie within the same slack, else DomainError.
-    |64x| = 1 with x > 0 and |64x| > 1 are rejected.
+    each request goes through CVZ.  The imaginary parts of 4^power x, a and
+    b are dropped, so each must lie within the same slack, else DomainError.
+    |4^power x| = 1 with x > 0 and |4^power x| > 1 are rejected.
     """
+    name = "binom%d series" % power
+    scale = 4 ** power
     with ctx.working():
         x = mpc(x)
         requests = list(requests)
@@ -260,25 +253,25 @@ def binom3_sums(x, requests, ctx: PrecisionCtx) -> list:
         slots = [(facs.index(f), specs.index(w)) for f, w in requests]
         facs = [(mpc(f.a), mpc(f.b)) for f in facs]
         tiny = ctx.tiny()
-        kind = _boundary_kind(64 * x, tiny)
+        kind = _boundary_kind(scale * x, tiny)
         if kind == "out":
-            raise DomainError("binom3 series diverges: |64x| > 1")
+            raise DomainError("%s diverges: |%dx| > 1" % (name, scale))
         if kind == "boundary":
-            if mp.re(64 * x) > 0:
-                raise DomainError("binom3 series: non-alternating boundary rate unsupported")
+            if mp.re(scale * x) > 0:
+                raise DomainError("%s: non-alternating boundary rate unsupported" % name)
             slack = _boundary_slack(tiny)
-            dust = [mp.im(64 * x)] + [mp.im(v) for f in facs for v in f]
+            dust = [mp.im(scale * x)] + [mp.im(v) for f in facs for v in f]
             if max(abs(d) for d in dust) > slack:
-                raise DomainError("binom3 series: imaginary part of the boundary "
-                                  "rate or of a linear factor exceeds the slack")
-            return _binom3_accelerated(mp.re(x), facs, specs, slots, ctx)
+                raise DomainError("%s: imaginary part of the boundary rate or of "
+                                  "a linear factor exceeds the slack" % name)
+            return _binom_accelerated(mp.re(x), power, facs, specs, slots, ctx)
 
         acc = [mpc(0)] * len(slots)
         live = list(range(len(slots)))  # requests whose tail is not yet certified
-        term_base = mpc(1)  # C(2k,k)^3 x^k
+        term_base = mpc(1)  # C(2k,k)^power x^k
         har = _Harmonics()
         k = 0
-        r = abs(64 * x)
+        r = abs(scale * x)
         ax = abs(x)
         abs_facs = [(abs(a), abs(b)) for a, b in facs]
         while True:
@@ -287,12 +280,12 @@ def binom3_sums(x, requests, ctx: PrecisionCtx) -> list:
             for i in live:
                 fi, wi = slots[i]
                 acc[i] += lin[fi] * wts[wi]
-            # ratio of successive |C^3 x^k| is at most |64x|; weight and the
-            # linear factor add at most (1+6/k)-type growth
+            # ratio of successive |C^power x^k| is at most |4^power x|; weight
+            # and the linear factor add at most (1+6/k)-type growth
             if k >= 8:
                 grow = r * (1 + mpf(6) / k)
                 if grow < 1:
-                    head = abs(term_base) * 64 * ax
+                    head = abs(term_base) * scale * ax
                     heads = [head * (aa * (k + 1) + ab + aa) for aa, ab in abs_facs]
                     guard = _weight_growth_guard(k)
                     still = []
@@ -309,17 +302,17 @@ def binom3_sums(x, requests, ctx: PrecisionCtx) -> list:
                     live = still
                     if not live:
                         break
-            term_base *= mpf(2 * (2 * k + 1)) ** 3 / mpf(k + 1) ** 3 * x
+            term_base *= mpf(2 * (2 * k + 1)) ** power / mpf(k + 1) ** power * x
             har.advance()
             k += 1
-            if k > 200 * ctx.workdps:
-                raise DomainError("binom3 series failed to converge")
+            if k > 400 * ctx.workdps:
+                raise DomainError("%s failed to converge" % name)
         return [ensure_finite(v) for v in acc]
 
 
-def _binom3_accelerated(xr: mpf, facs: list, specs: list, slots: list,
-                        ctx: PrecisionCtx) -> list:
-    # Boundary rate xr = -1/64: one term list per request, each summed by CVZ.
+def _binom_accelerated(xr: mpf, power: int, facs: list, specs: list, slots: list,
+                       ctx: PrecisionCtx) -> list:
+    # Boundary rate xr = -1/4^power: one term list per request, each summed by CVZ.
     n_cvz = int(mp.ceil(mpf("1.4") * ctx.digits)) + 8
     burn = 12
     facs = [(mp.re(a), mp.re(b)) for a, b in facs]
@@ -331,44 +324,27 @@ def _binom3_accelerated(xr: mpf, facs: list, specs: list, slots: list,
         lin = [term_base * (a * k + b) for a, b in facs]
         for (fi, wi), col in zip(slots, terms):
             col.append(lin[fi] * wts[wi])
-        term_base *= mpf(2 * (2 * k + 1)) ** 3 / mpf(k + 1) ** 3 * xr
+        term_base *= mpf(2 * (2 * k + 1)) ** power / mpf(k + 1) ** power * xr
         har.advance()
     return [ensure_finite(mpc(cvz_alt_sum(col, ctx))) for col in terms]
 
 
+def binom3_sums(x, requests, ctx: PrecisionCtx) -> list:
+    """[sum_{k>=0} C(2k,k)^3 (a k + b) w(k) x^k for each (LinearFactor, WeightSpec)].
+
+    One walk for every request, for |64x| < 1 or 64x = -1; see ``_binom_sums``.
+    """
+    return _binom_sums(x, 3, requests, ctx)
+
+
 def binom3_series(x, factor: LinearFactor, w: WeightSpec, ctx: PrecisionCtx) -> mpc:
     """sum_{k>=0} C(2k,k)^3 (a k + b) w(k) x^k: one request of :func:`binom3_sums`."""
-    return binom3_sums(x, ((factor, w),), ctx)[0]
+    return _binom_sums(x, 3, ((factor, w),), ctx)[0]
 
 
 def binom2_series(x, w: WeightSpec, ctx: PrecisionCtx) -> mpc:
-    """sum_{k>=0} C(2k,k)^2 w(k) x^k for |16x| < 1."""
-    with ctx.working():
-        x = mpc(x)
-        tiny = ctx.tiny()
-        r = abs(16 * x)
-        if not r < 1:
-            raise DomainError("binom2_series requires |16x| < 1")
-        acc = mpc(0)
-        term_base = mpc(1)
-        har = _Harmonics()
-        k = 0
-        while True:
-            wt = har.weight(w)
-            acc += term_base * wt
-            if k >= 8:
-                grow = r * (1 + mpf(6) / k)
-                if grow < 1:
-                    bound = (abs(term_base) * 16 * abs(x)
-                             * (abs(wt) + 1) * _weight_growth_guard(k))
-                    if bound * grow / (1 - grow) + bound < tiny:
-                        break
-            term_base *= mpf(2 * (2 * k + 1)) ** 2 / mpf(k + 1) ** 2 * x
-            har.advance()
-            k += 1
-            if k > 400 * ctx.workdps:
-                raise DomainError("binom2_series failed to converge")
-        return ensure_finite(acc)
+    """sum_{k>=0} C(2k,k)^2 w(k) x^k for |16x| < 1, or 16x = -1 by CVZ."""
+    return _binom_sums(x, 2, ((LinearFactor(), w),), ctx)[0]
 
 
 def inv_binom2_series(t, ctx: PrecisionCtx) -> mpf:

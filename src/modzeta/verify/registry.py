@@ -908,15 +908,15 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
             "lhs: hyperbolic sum; rhs: ELi evaluator")
 
     add("s4.zeta5int", "sec4", "zeta(5) from the K^4 integral",
-        lambda ctx: zeta5_integral(ctx).value,
+        lambda ctx: zeta5_integral(ctx).converged_value(),
         lambda ctx: const_zeta(5, ctx),
         "weight-5 integral identity", "lhs: tanh-sinh; rhs: Euler-Maclaurin zeta")
     add("s4.zeta7int", "sec4", "zeta(7) from the K^6 integral",
-        lambda ctx: zeta7_integral(ctx).value,
+        lambda ctx: zeta7_integral(ctx).converged_value(),
         lambda ctx: const_zeta(7, ctx),
         "weight-7 integral identity", "lhs: tanh-sinh; rhs: Euler-Maclaurin zeta")
     add("s4.lm44int", "sec4", "L_{-4}(4) from the K^6 ratio integral",
-        lambda ctx: lminus4_4_integral(ctx).value,
+        lambda ctx: lminus4_4_integral(ctx).converged_value(),
         lambda ctx: dirichlet_l(-4, 4, ctx),
         "weight-4 L-value integral", "lhs: tanh-sinh; rhs: Hurwitz decomposition")
 

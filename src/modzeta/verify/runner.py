@@ -55,21 +55,30 @@ def _num_str(x, digits: int) -> str:
 def _evaluate(rec: IdentityRecord, ctx: PrecisionCtx) -> dict:
     t0 = time.perf_counter()
     with ctx.working():
-        lhs = rec.lhs(ctx)
-        rhs = rec.rhs(ctx)
-        resid = abs(mpc(lhs) - mpc(rhs))
-        ok = bool(resid < ctx.tolerance())
+        try:
+            lhs = rec.lhs(ctx)
+            rhs = rec.rhs(ctx)
+        except DomainError as exc:
+            # a side computed outside its contract, such as a quadrature that
+            # did not converge, fails this record and not the whole suite
+            sides, resid, ok, error = ("", ""), "inf", False, str(exc)
+        else:
+            r = abs(mpc(lhs) - mpc(rhs))
+            sides = (_num_str(lhs, ctx.digits), _num_str(rhs, ctx.digits))
+            resid, ok, error = _num_str(r, 8), bool(r < ctx.tolerance()), None
         row = {
             "id": rec.id,
             "suite": rec.suite,
             "description": rec.description,
-            "lhs": _num_str(lhs, ctx.digits),
-            "rhs": _num_str(rhs, ctx.digits),
-            "abs_residual": _num_str(resid, 8),
+            "lhs": sides[0],
+            "rhs": sides[1],
+            "abs_residual": resid,
             "tol_exponent": ctx.digits - 5,
             "pass": ok,
             "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
         }
+        if error is not None:
+            row["error"] = error
     return row
 
 
@@ -118,7 +127,7 @@ class Report:
             lines.append("%-*s  %-6s  %-13s  %9.1f  %s"
                          % (idw, r["id"], "pass" if r["pass"] else "FAIL",
                             r["abs_residual"], r["elapsed_ms"],
-                            r["description"][:68]))
+                            r.get("error", r["description"])[:68]))
         s = self.summary
         lines.append("%d/%d passed at digits=%d (max residual %s at %s)"
                      % (s["passed"], s["total"], self.digits,

@@ -75,6 +75,13 @@ def test_eval_binom3_boundary_rate():
     assert out.stdout.strip() == "0.636619772367581343075535053490"
 
 
+def test_eval_binom2_boundary_rate():
+    # Gauss's constant 1/agm(1, sqrt 2), summed by CVZ at 16x = -1
+    out = run_cli("eval", "binom2", "-1/16", "--digits", "30")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0.834626841674073186281429732799"
+
+
 def test_eval_usage_errors():
     assert run_cli("eval", "K").returncode == 2          # bad arity
     assert run_cli("eval", "frobnicate", "1").returncode == 2
@@ -101,6 +108,24 @@ def test_config_file(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense=1\n")
     assert run_cli("eval", "zeta", "2", "--config", str(bad)).returncode == 2
+
+
+@pytest.mark.parametrize("argv,cfg,env", [
+    (("eval", "G"), None, {"MODZETA_DIGITS": "abc"}),
+    (("eval", "G"), "digits=forty\n", None),
+    (("verify", "--suite", "h2-variants"), "jobs=two\n", None),
+    (("verify", "--suite", "h2-variants", "--jobs", "1"), "seed=1.5\n", None),
+    (("table", "h2"), "jobs=2.0\n", None),
+], ids=["env-digits", "config-digits", "config-jobs", "config-seed", "table-jobs"])
+def test_non_integer_setting_is_usage_error(tmp_path, argv, cfg, env):
+    if cfg is not None:
+        path = tmp_path / "modzeta.cfg"
+        path.write_text(cfg)
+        argv += ("--config", str(path))
+    out = run_cli(*argv, env=env)
+    assert out.returncode == 2, out.stderr
+    assert "must be an integer" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_digits_bounds():

@@ -5,8 +5,9 @@ import pytest
 from mpmath import mpc, mpf
 
 from modzeta import (DomainError, PrecisionCtx, const_zeta, dirichlet_l,
-                     eichler4, eichler6, epstein2)
-from modzeta import eichler
+                     eichler4, eichler6, eisenstein, epstein2)
+from modzeta import modular, mpcore
+from modzeta.mpcore import tail_poly_geom
 
 I = mpc(0, 1)
 
@@ -117,14 +118,8 @@ def test_order_bounds():
         eichler6(I, 4, ctx)
 
 
-def test_eichler_value_dataclass():
-    from modzeta import EichlerValue
-    v = EichlerValue(family="E4", order=1, at=mpc(0, 1), value=mpc(0))
-    assert v.family == "E4" and v.order == 1
-
-
 # ---------------------------------------------------------------------------
-# The fused nome walk against one loop per (weight, order) chain
+# The fused nome walk against one loop per chain
 # ---------------------------------------------------------------------------
 
 WALK_POINTS = (("0", "1.3"), ("0.5", "0.8"), ("0.2", "0.1"))
@@ -156,6 +151,22 @@ def _reference_chain(q, weight, order, tiny):
     return acc
 
 
+def _reference_eisenstein_chain(q, weight, tiny):
+    # the Lambert sum of E2/E4/E6 as eisenstein summed it in its own loop
+    qa = abs(q)
+    p = {2: 1, 4: 3, 6: 5}[weight]
+    acc = mpc(0)
+    qn = mpc(1)
+    n = 0
+    while True:
+        n += 1
+        qn *= q
+        acc += mpf(n) ** p * qn / (1 - qn)
+        if tail_poly_geom(qa, n, p) / (1 - qa) < tiny:
+            break
+    return acc
+
+
 def _reference_epstein2(z, ctx):
     # E(z,2) with its own q-loop and the looser stop rule it used to have
     with ctx.working():
@@ -182,13 +193,37 @@ def test_nome_walk_matches_one_loop_per_chain(re_im, digits):
     ctx = PrecisionCtx(digits)
     with ctx.working():
         z = mpc(*re_im)
-        chains = eichler._nome_chains(z, ctx)
+        chains = modular._nome_chains(z, ctx)
         q = mp.exp(2j * mp.pi * z)
-        assert sorted(chains) == [(4, 0), (4, 1), (4, 2),
-                                  (6, 0), (6, 1), (6, 2), (6, 3)]
-        for (weight, order), value in chains.items():
+        eichler_keys = [(4, 0), (4, 1), (4, 2), (6, 0), (6, 1), (6, 2), (6, 3)]
+        assert set(chains) == set(eichler_keys) | {"E2", "E4", "E6"}
+        for weight, order in eichler_keys:
             ref = _reference_chain(q, weight, order, ctx.tiny())
-            assert value == ref, (weight, order)
+            assert chains[weight, order] == ref, (weight, order)
+        for weight in (2, 4, 6):
+            ref = _reference_eisenstein_chain(q, weight, ctx.tiny())
+            assert chains["E%d" % weight] == ref, weight
+
+
+def test_one_nome_walk_serves_eisenstein_and_eichler(monkeypatch, ctx30):
+    # eisenstein at a fresh nome walks it once; the other Eisenstein weights
+    # and every Eichler chain at that nome read the same walk
+    monkeypatch.setattr(mpcore, "_memo", {})
+    walk = modular._nome_chains.__wrapped__
+
+    def walks():
+        return sum(key[0] is walk for key in mpcore._memo)
+    with ctx30.working():
+        z = mpc("0.31", "0.77")
+        eisenstein(z, 4, ctx30)
+        assert walks() == 1
+        for weight in (2, 4, 6):
+            eisenstein(z, weight, ctx30)
+        for order in (0, 1, 2):
+            eichler4(z, order, ctx30)
+        for order in (0, 1, 2, 3):
+            eichler6(z, order, ctx30)
+        assert walks() == 1
 
 
 @pytest.mark.parametrize("digits", [30, 50, 100])

@@ -14,7 +14,7 @@ from modzeta import (DomainError, HypKernel, LinearFactor, PrecisionCtx,
                      eli, ell_k, ell_k_comp, gamma_one_plus, hyp_lambert,
                      inv_binom2_series, legendre_dnu2, legendre_p_def)
 from modzeta.mpcore import const_euler_gamma
-from modzeta.series import _BASES, W_ONE, binom3_sums
+from modzeta.series import _BASIS, W_ONE, binom3_sums
 
 I = mpc(0, 1)
 
@@ -148,7 +148,7 @@ def _scratch_binom3(x, factor, w, n):
 
 
 _weights = st.dictionaries(
-    st.sampled_from(_BASES),
+    st.sampled_from(sorted(_BASIS)),
     st.fractions(min_value=-4, max_value=4, max_denominator=8),
     min_size=1, max_size=3).map(WeightSpec.combo)
 _factors = st.builds(
@@ -229,6 +229,80 @@ def test_binom2_is_k(ctx40):
 def test_binom2_divergence(ctx30):
     with pytest.raises(DomainError):
         binom2_series(mpf("0.07"), W_ONE, ctx30)
+    with pytest.raises(DomainError):  # the non-alternating boundary rate
+        binom2_series(mpf(1) / 16, W_ONE, ctx30)
+
+
+def _reference_binom2(x, w, ctx):
+    # binom2_series as its own loop summed it, with the harmonic numbers and
+    # the basis values written out
+    with ctx.working():
+        x = mpc(x)
+        tiny = ctx.tiny()
+        r = abs(16 * x)
+        h1k = h12k = h2k = h22k = h3k = h32k = mpf(0)
+        acc = mpc(0)
+        term_base = mpc(1)
+        k = 0
+        while True:
+            dh1 = h12k - h1k
+            basis = {"ONE": mpf(1), "H1_K": h1k, "H1_2K": h12k, "H2_K": h2k,
+                     "H2_2K": h22k, "H3_K": h3k, "H3_2K": h32k,
+                     "INVSQ_2K1": 1 / mpf(2 * k + 1) ** 2,
+                     "H2_2K_TIMES_DH1": h22k * dh1, "H2_K_TIMES_DH1": h2k * dh1,
+                     "H3MIX": h3k - 3 * h2k * dh1}
+            wt = mpf(0)
+            for c, b in w.terms:
+                wt += (mpf(c.numerator) / c.denominator) * basis[b]
+            acc += term_base * wt
+            if k >= 8:
+                grow = r * (1 + mpf(6) / k)
+                if grow < 1:
+                    guard = (1 + mpf(2) / max(k, 2)) ** 2
+                    bound = abs(term_base) * 16 * abs(x) * (abs(wt) + 1) * guard
+                    if bound * grow / (1 - grow) + bound < tiny:
+                        return acc
+            term_base *= mpf(2 * (2 * k + 1)) ** 2 / mpf(k + 1) ** 2 * x
+            k += 1
+            kk = mpf(k)
+            h1k += 1 / kk
+            h2k += 1 / kk ** 2
+            h3k += 1 / kk ** 3
+            a, b = mpf(2 * k - 1), mpf(2 * k)
+            h12k += 1 / a + 1 / b
+            h22k += 1 / a ** 2 + 1 / b ** 2
+            h32k += 1 / a ** 3 + 1 / b ** 3
+
+
+BINOM2_WEIGHTS = (
+    W_ONE, W_H2DIFF,
+    WeightSpec.combo({"H3MIX": 2, "INVSQ_2K1": Fraction(1, 3), "H1_2K": 1}),
+    WeightSpec.combo({"H2_2K_TIMES_DH1": 1, "H2_K_TIMES_DH1": -1,
+                      "H3_2K": Fraction(1, 7), "H1_K": 5, "H3_K": 1, "ONE": -2}),
+)
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100])
+def test_binom2_matches_its_own_loop(digits):
+    # binom2_series runs on the binom3 engine at power 2: every value must be
+    # the one its own loop gave, bit for bit
+    ctx = PrecisionCtx(digits)
+    with ctx.working():
+        rates = (mpf(1) / 32, mpf(-1) / 40, mpc("0.01", "0.03"),
+                 mpc("-0.03", "0.02"))
+        for x in rates:
+            for w in BINOM2_WEIGHTS:
+                assert binom2_series(x, w, ctx) == _reference_binom2(x, w, ctx), (x, w)
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+def test_binom2_boundary_rate_is_gauss_constant(digits):
+    # sum C(2k,k)^2 (-1/16)^k = 2F1(1/2,1/2;1;-1) = 1/agm(1, sqrt 2), summed
+    # by CVZ at the boundary rate
+    ctx = PrecisionCtx(digits)
+    with ctx.working():
+        v = binom2_series(mpf(-1) / 16, W_ONE, ctx)
+        assert abs(v - 1 / mp.agm(1, mp.sqrt(2))) < mpf(10) ** -digits
 
 
 def test_inv_binom2_leading_term(ctx30):

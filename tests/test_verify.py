@@ -1,16 +1,17 @@
 """Registry integrity, runner behavior, report serialization."""
 
+import functools
 import json
 import os
 
 import mpmath as mp
 import pytest
-from mpmath import mpf
+from mpmath import mpc, mpf
 
 from modzeta import (DomainError, PrecisionCtx, all_suites, eichler4,
                      epstein2, eta, get_records, h3_linear, h3_ratios,
                      q_ratios, r_linear, run_suite, s_r, t_r, u_check)
-from modzeta import eichler, mpcore
+from modzeta import modular, mpcore, quadrature
 from modzeta.verify import DEFAULT_SEED, SUITES
 from modzeta.verify import runner, theorems
 
@@ -88,6 +89,27 @@ def test_residual_monotonicity_in_digits():
     for a, b in zip(lo.rows, hi.rows):
         ra, rb = mpf(a["abs_residual"]), mpf(b["abs_residual"])
         assert rb <= ra * mpf(10) ** 2 + mpf(10) ** -46
+
+
+def test_unconverged_quadrature_fails_its_record(monkeypatch, ctx30):
+    # with refinement capped at level 2 no integral converges: each integral
+    # record fails with its error, every other row still passes, and the
+    # suite runs to the end
+    capped = functools.partial(quadrature.tanh_sinh, max_level=2)
+    monkeypatch.setattr(quadrature, "tanh_sinh", capped)
+    for call in (lambda: quadrature.lemma_integral("NU2", mpf("0.3"), ctx30),
+                 lambda: quadrature.h3mix2_tail_integral(mpc("0.3", "0.05"), ctx30)):
+        with pytest.raises(DomainError, match="did not converge"):
+            call()
+    rows = run_suite("sec4", ctx30).rows
+    failed = {r["id"] for r in rows if not r["pass"]}
+    assert failed == {"s4.zeta5int", "s4.zeta7int", "s4.lm44int"}
+    for r in rows:
+        if r["id"] in failed:
+            assert r["abs_residual"] == "inf" and "did not converge" in r["error"]
+        else:
+            assert "error" not in r
+    assert len(rows) == len(get_records("sec4"))
 
 
 def test_q_ratios_requires_admissible(ctx30):
@@ -174,7 +196,7 @@ def test_four_evaluators_make_one_walk_per_nome(monkeypatch, ctx30):
     monkeypatch.setattr(mpcore, "hurwitz_zeta_raw", counting_em)
     monkeypatch.setattr(theorems, "epstein2", counting_epstein)
     monkeypatch.setattr(mpcore, "_memo", {})
-    walk = eichler._nome_chains.__wrapped__
+    walk = modular._nome_chains.__wrapped__
     for im in ("0.9137", "1.0721"):
         before = sum(key[0] is walk for key in mpcore._memo)
         for f in (q_ratios, r_linear, h3_ratios, h3_linear):
