@@ -103,6 +103,18 @@ def _resolve_digits(args, cfg) -> int:
     return digits
 
 
+def _resolve_jobs_format(args, cfg) -> tuple:
+    """Worker count (at least 1) and report format ("text" or "json")."""
+    jobs = (args.jobs if args.jobs is not None
+            else _int_setting("jobs", cfg.get("jobs", os.cpu_count() or 1)))
+    if jobs < 1:
+        raise UsageError("jobs must be at least 1, got %d" % jobs)
+    fmt = args.format or cfg.get("format", "text")
+    if fmt not in ("text", "json"):
+        raise UsageError("format must be text or json, got %r" % (fmt,))
+    return jobs, fmt
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -122,11 +134,9 @@ def cmd_verify(args) -> int:
     if suite not in verify.all_suites():
         raise UsageError("unknown suite %r; choose from: %s"
                          % (suite, ", ".join(verify.all_suites())))
-    jobs = (args.jobs if args.jobs is not None
-            else _int_setting("jobs", cfg.get("jobs", os.cpu_count() or 1)))
+    jobs, fmt = _resolve_jobs_format(args, cfg)
     seed = (args.seed if args.seed is not None
             else _int_setting("seed", cfg.get("seed", verify.DEFAULT_SEED)))
-    fmt = args.format or cfg.get("format", "text")
     ctx = PrecisionCtx(digits)
     report = run_suite(suite, ctx, jobs=jobs, seed=seed)
     _emit(report.to_json() if fmt == "json" else report.to_text(),
@@ -138,71 +148,44 @@ def cmd_verify(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
+def _epstein(z, s: int, ctx: PrecisionCtx):
+    if s == 2:
+        return epstein2(z, ctx)
+    if s == 3:
+        return epstein3(z, ctx)
+    raise UsageError("E supports s in {2, 3}")
+
+
+# name -> (one parser per argument, evaluator of the parsed arguments and ctx)
+_EVAL = {
+    "L": ((int, int), dirichlet_l),
+    "zeta": ((int,), const_zeta),
+    "G": ((), const_catalan),
+    "E": ((_parse_number, int), _epstein),
+    "eichler4": ((_parse_number, int), eichler4),
+    "eichler6": ((_parse_number, int), eichler6),
+    "lambda": ((_parse_number,), lambda_fn),
+    "eta": ((_parse_number,), eta),
+    "E2": ((_parse_number,), lambda z, ctx: eisenstein(z, 2, ctx)),
+    "E4": ((_parse_number,), lambda z, ctx: eisenstein(z, 4, ctx)),
+    "E6": ((_parse_number,), lambda z, ctx: eisenstein(z, 6, ctx)),
+    "K": ((_parse_number,), ell_k),
+    "binom3": ((_parse_number,) * 3,
+               lambda x, a, b, ctx: binom3_series(x, LinearFactor(a, b), W_ONE, ctx)),
+    "binom2": ((_parse_number,), lambda x, ctx: binom2_series(x, W_ONE, ctx)),
+    "Srz": ((_parse_number, Fraction), s_r),
+    "Trz": ((_parse_number, Fraction), t_r),
+    "Urz": ((_parse_number, Fraction), u_check),
+}
+
+
 def _eval_dispatch(name: str, argv: list, ctx: PrecisionCtx):
-    def want(n):
-        if len(argv) != n:
-            raise UsageError("%s expects %d argument(s), got %d" % (name, n, len(argv)))
-
+    parsers, evaluator = _EVAL[name]
+    if len(argv) != len(parsers):
+        raise UsageError("%s expects %d argument(s), got %d"
+                         % (name, len(parsers), len(argv)))
     with ctx.working():
-        if name == "L":
-            want(2)
-            return dirichlet_l(int(argv[0]), int(argv[1]), ctx)
-        if name == "zeta":
-            want(1)
-            return const_zeta(int(argv[0]), ctx)
-        if name == "G":
-            want(0)
-            return const_catalan(ctx)
-        if name == "E":
-            want(2)
-            z = _parse_number(argv[0])
-            s = int(argv[1])
-            if s == 2:
-                return epstein2(z, ctx)
-            if s == 3:
-                return epstein3(z, ctx)
-            raise UsageError("E supports s in {2, 3}")
-        if name == "eichler4":
-            want(2)
-            return eichler4(_parse_number(argv[0]), int(argv[1]), ctx)
-        if name == "eichler6":
-            want(2)
-            return eichler6(_parse_number(argv[0]), int(argv[1]), ctx)
-        if name == "lambda":
-            want(1)
-            return lambda_fn(_parse_number(argv[0]), ctx)
-        if name == "eta":
-            want(1)
-            return eta(_parse_number(argv[0]), ctx)
-        if name in ("E2", "E4", "E6"):
-            want(1)
-            return eisenstein(_parse_number(argv[0]), int(name[1]), ctx)
-        if name == "K":
-            want(1)
-            return ell_k(_parse_number(argv[0]), ctx)
-        if name == "binom3":
-            want(3)
-            x = _parse_number(argv[0])
-            a = _parse_number(argv[1])
-            b = _parse_number(argv[2])
-            return binom3_series(x, LinearFactor(a, b), W_ONE, ctx)
-        if name == "binom2":
-            want(1)
-            return binom2_series(_parse_number(argv[0]), W_ONE, ctx)
-        if name == "Srz":
-            want(2)
-            return s_r(_parse_number(argv[0]), Fraction(argv[1]), ctx)
-        if name == "Trz":
-            want(2)
-            return t_r(_parse_number(argv[0]), Fraction(argv[1]), ctx)
-        if name == "Urz":
-            want(2)
-            return u_check(_parse_number(argv[0]), Fraction(argv[1]), ctx)
-    raise UsageError("unknown function %r" % (name,))
-
-
-_EVAL_NAMES = ("L", "zeta", "G", "E", "eichler4", "eichler6", "lambda", "eta",
-               "E2", "E4", "E6", "K", "binom3", "binom2", "Srz", "Trz", "Urz")
+        return evaluator(*[parse(a) for parse, a in zip(parsers, argv)], ctx)
 
 
 def _format_value(v, digits: int) -> str:
@@ -217,13 +200,13 @@ def _format_value(v, digits: int) -> str:
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
     digits = _resolve_digits(args, cfg)
-    if args.function not in _EVAL_NAMES:
+    if args.function not in _EVAL:
         raise UsageError("unknown function %r; choose from: %s"
-                         % (args.function, ", ".join(_EVAL_NAMES)))
+                         % (args.function, ", ".join(_EVAL)))
     ctx = PrecisionCtx(digits)
     try:
         value = _eval_dispatch(args.function, args.args, ctx)
-    except (DomainError, ValueError) as exc:
+    except (DomainError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from exc
     with ctx.working():
         _emit(_format_value(value, digits), args.out or cfg.get("out"))
@@ -237,11 +220,9 @@ def cmd_eval(args) -> int:
 def cmd_table(args) -> int:
     cfg = _load_config(args.config)
     digits = _resolve_digits(args, cfg)
-    fmt = args.format or cfg.get("format", "text")
+    jobs, fmt = _resolve_jobs_format(args, cfg)
     suite = "table-h2" if args.which == "h2" else "table-h3"
     ctx = PrecisionCtx(digits)
-    jobs = (args.jobs if args.jobs is not None
-            else _int_setting("jobs", cfg.get("jobs", os.cpu_count() or 1)))
     report = run_suite(suite, ctx, jobs=jobs)
     if fmt == "json":
         _emit(report.to_json(), args.out or cfg.get("out"))
@@ -299,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eval", help="evaluate a single quantity")
     common(pe)
-    pe.add_argument("function", help="one of: %s" % ", ".join(_EVAL_NAMES))
+    pe.add_argument("function", help="one of: %s" % ", ".join(_EVAL))
     pe.add_argument("args", nargs="*",
                     help="arguments (exact rationals or decimal complexes like 0.5+0.75i)")
     pe.set_defaults(func=cmd_eval)

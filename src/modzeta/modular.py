@@ -8,6 +8,9 @@ The eta product keeps its certified tail bound down to Im z = 0.03 (about
 550 factors at 65-digit precision); below that it is out of contract, since
 no modular transformations are applied to rescue convergence.
 
+A point is any complex-like value; every function takes it through
+``_as_z``, which converts it at working precision and rejects Im z <= 0.
+
 One memoized walk per (nome, precision), ``_nome_chains``, sums every Lambert
 series at that nome: the E2/E4/E6 chains that ``eisenstein`` reads and the
 Eichler chains that ``eichler`` and ``arith.epstein2`` read.
@@ -15,82 +18,24 @@ Eichler chains that ``eichler`` and ``arith.epstein2`` read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import mpmath as mp
 from mpmath import mpc, mpf
 
 from .mpcore import DomainError, PrecisionCtx, _memoized, ensure_finite, tail_poly_geom
 
 __all__ = [
-    "DegeneratePointError",
-    "UhpPoint",
     "alpha4",
     "eisenstein",
     "eisenstein_eta_form",
     "eta",
     "lambda_fn",
     "r_half",
-    "uhp",
 ]
-
-
-class DegeneratePointError(DomainError):
-    """A modular expression hit a vanishing denominator at this point."""
-
-
-@dataclass(frozen=True)
-class UhpPoint:
-    """A point z in the upper half-plane."""
-
-    z: mpc
-
-    def __post_init__(self) -> None:
-        if not mp.im(self.z) > 0:
-            raise DomainError("UhpPoint requires Im z > 0, got %s" % (self.z,))
-
-    @property
-    def re(self) -> mpf:
-        return mp.re(self.z)
-
-    @property
-    def im(self) -> mpf:
-        return mp.im(self.z)
-
-    def nome(self) -> mpc:
-        """q = exp(2*pi*i*z); |q| = exp(-2*pi*Im z) < 1."""
-        return mp.exp(2j * mp.pi * self.z)
-
-    def admissible_h2(self, tol: mpf | None = None) -> bool:
-        """Hypothesis of the two main theorems.
-
-        True iff z is purely imaginary with Im z >= 1/2, or Re z = 1/2 with
-        Im z >= 1/sqrt(2).  Comparisons allow ``tol`` slack (default: a few
-        ulps at the current precision) so boundary points built from rounded
-        square roots still qualify.
-        """
-        if tol is None:
-            tol = mpf(10) ** (-(mp.mp.dps - 5))
-        x, y = self.re, self.im
-        if abs(x) <= tol:
-            return y >= mpf(1) / 2 - tol
-        if abs(x - mpf(1) / 2) <= tol:
-            return y >= 1 / mp.sqrt(2) - tol
-        return False
-
-
-def uhp(z) -> UhpPoint:
-    """Coerce a complex-like value to a UhpPoint."""
-    if isinstance(z, UhpPoint):
-        return z
-    return UhpPoint(mpc(z))
 
 
 def _as_z(z, ctx: PrecisionCtx) -> mpc:
     # convert at working precision: a point built at higher precision than the
     # caller's must not be rounded before it is evaluated or used as a memo key
-    if isinstance(z, UhpPoint):
-        return z.z
     with ctx.working():
         z = mpc(z)
     if not mp.im(z) > 0:
@@ -98,9 +43,9 @@ def _as_z(z, ctx: PrecisionCtx) -> mpc:
     return z
 
 
-def _nome(z: mpc, scale: int = 2) -> mpc:
-    # exp(scale*pi*i*z); scale=2 gives the standard nome, scale=1 its square root.
-    return mp.exp(mpc(0, scale) * mp.pi * z)
+def _nome(z: mpc) -> mpc:
+    # q = exp(2*pi*i*z); |q| = exp(-2*pi*Im z) < 1
+    return mp.exp(mpc(0, 2) * mp.pi * z)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +193,7 @@ def r_half(z, ctx: PrecisionCtx) -> mpc:
 
     Implements
         -(16 E2(4z)^2 - 16 E4(4z) - E2(z)^2 + E4(z)) / (2 (4 E2(4z) - E2(z))^2)
-    and raises DegeneratePointError when the denominator vanishes.
+    and raises DomainError when the denominator vanishes.
     """
     z = _as_z(z, ctx)
     with ctx.working():
@@ -258,6 +203,6 @@ def r_half(z, ctx: PrecisionCtx) -> mpc:
         e4_4z = eisenstein(4 * z, 4, ctx)
         den = 4 * e2_4z - e2_z
         if abs(den) < mpf(10) ** (-(ctx.workdps // 2)):
-            raise DegeneratePointError("4 E2(4z) - E2(z) vanishes at z=%s" % (z,))
+            raise DomainError("4 E2(4z) - E2(z) vanishes at z=%s" % (z,))
         num = 16 * e2_4z ** 2 - 16 * e4_4z - e2_z ** 2 + e4_z
         return ensure_finite(-num / (2 * den ** 2))

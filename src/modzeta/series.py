@@ -495,8 +495,17 @@ def legendre_dnu2(t, ctx: PrecisionCtx) -> mpc:
 # Hyperbolic Lambert sums
 # ---------------------------------------------------------------------------
 
-_KINDS = ("EXPM1", "EXPM1_ALT", "COSH_SQ", "SINH_SQ", "COSH_1",
-          "TANH_OVER_COSH_SQ", "COTH_OVER_SINH_SQ", "HALF_ODD_COSH")
+# each kernel kind as a function of x = exp(-theta_n) and x2 = x^2
+_KERNELS = {
+    "EXPM1": lambda x, x2: x / (1 - x),
+    "EXPM1_ALT": lambda x, x2: x / (1 - x),
+    "COSH_SQ": lambda x, x2: 4 * x2 / (1 + x2) ** 2,
+    "SINH_SQ": lambda x, x2: 4 * x2 / (1 - x2) ** 2,
+    "COSH_1": lambda x, x2: 2 * x / (1 + x2),
+    "TANH_OVER_COSH_SQ": lambda x, x2: 4 * x2 * (1 - x2) / (1 + x2) ** 3,
+    "COTH_OVER_SINH_SQ": lambda x, x2: 4 * x2 * (1 + x2) / (1 - x2) ** 3,
+    "HALF_ODD_COSH": lambda x, x2: x / (1 + x2),
+}
 
 
 @dataclass(frozen=True)
@@ -522,29 +531,12 @@ class HypKernel:
     a: int = 2
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in _KERNELS:
             raise DomainError("unknown kernel kind %r" % (self.kind,))
         if self.parity not in ("ODD", "ALL"):
             raise DomainError("kernel parity must be ODD or ALL")
         if self.a < 1:
             raise DomainError("kernel exponent a must be >= 1")
-
-
-def _kernel_value(kind: str, x: mpc) -> mpc:
-    x2 = x * x
-    if kind in ("EXPM1", "EXPM1_ALT"):
-        return x / (1 - x)
-    if kind == "COSH_SQ":
-        return 4 * x2 / (1 + x2) ** 2
-    if kind == "SINH_SQ":
-        return 4 * x2 / (1 - x2) ** 2
-    if kind == "COSH_1":
-        return 2 * x / (1 + x2)
-    if kind == "TANH_OVER_COSH_SQ":
-        return 4 * x2 * (1 - x2) / (1 + x2) ** 3
-    if kind == "COTH_OVER_SINH_SQ":
-        return 4 * x2 * (1 + x2) / (1 - x2) ** 3
-    return x / (1 + x2)  # HALF_ODD_COSH
 
 
 def hyp_lambert(z, kernel: HypKernel, ctx: PrecisionCtx) -> mpc:
@@ -566,6 +558,7 @@ def hyp_lambert(z, kernel: HypKernel, ctx: PrecisionCtx) -> mpc:
         sa = abs(step)
         if not sa < 1:
             raise DomainError("hyp_lambert requires Im z > 0")
+        kern = _KERNELS[kernel.kind]
         acc = mpc(0)
         n = 0
         sign = 1
@@ -573,7 +566,7 @@ def hyp_lambert(z, kernel: HypKernel, ctx: PrecisionCtx) -> mpc:
             x *= step
             idx += 1 if kernel.parity == "ALL" else 2
             wt = mpf(idx) ** (-kernel.a)
-            val = _kernel_value(kernel.kind, x) * wt
+            val = kern(x, x * x) * wt
             if kernel.kind == "EXPM1_ALT":
                 val *= sign
                 sign = -sign

@@ -8,11 +8,17 @@ decimals.  Every record passes at 10^-(digits-5); the conditionally
 convergent -1/64 rate family needs no flag, because the series engine sees the
 boundary rate and sums it by CVZ acceleration.
 
-The records are rows over the evaluators: the twelve closed-form rate series
-share one row table, the four tabulated points of the special-value tables
-share one point table (z, rate, r, rc and each cell's closed form, written
-once), and the theorem-table cells read the theorem evaluators of
-``theorems.py`` instead of re-deriving their series.
+The records are rows over the evaluators.  The eighteen rate series (the
+classical, H2-variant, Sun and H3 records) are one table of coefficient x
+``binom3_sums`` terms at a rational rate, one walk per row.  The seventeen
+Eichler special values are one table of coefficient x ``eichler4``/``eichler6``
+terms over six named points.  The four tabulated points of the special-value
+tables share one point table (z, rate, r, rc and each cell's closed form,
+written once), and the theorem-table cells read the theorem evaluators of
+``theorems.py`` instead of re-deriving their series.  A row looks its
+evaluators up as module globals when the record is evaluated, so a rebound
+module attribute (a tracer's wrapper) sees every call.  The runner evaluates
+both sides at the context's working precision; no row sets precision itself.
 
 Random-z suites draw their points from a fixed seed (DEFAULT_SEED) so reports
 are reproducible; the coordinates are rounded to short decimals and stored as
@@ -71,38 +77,135 @@ def _zero(ctx):
     return mpf(0)
 
 
-# point builders (exact inputs reconstructed at the caller's precision)
-
-def _pt_sqrt3():          # sqrt(3) i / 2
-    return mp.sqrt(3) * _I() / 2
-
-
-def _pt_sqrt7():
-    return mp.sqrt(7) * _I() / 2
-
-
-def _pt_half_sqrt2():     # 1/2 + i/sqrt(2)
-    return mpf(1) / 2 + _I() / mp.sqrt(2)
-
-
-def _pt_half_one():       # 1/2 + i
-    return mpf(1) / 2 + _I()
-
-
-def _single(name):
-    # one-basis weights used by the variant series
-    return WeightSpec.combo({name: 1})
+# the named points, exact inputs rebuilt at the caller's precision
+_Z = {
+    "sqrt3 i/2": lambda: mp.sqrt(3) * _I() / 2,
+    "sqrt7 i/2": lambda: mp.sqrt(7) * _I() / 2,
+    "1/2 + i/sqrt2": lambda: mpf(1) / 2 + _I() / mp.sqrt(2),
+    "1/2 + i": lambda: mpf(1) / 2 + _I(),
+    "(1+sqrt3 i)/2": lambda: (1 + mp.sqrt(3) * _I()) / 2,
+    "(1+sqrt7 i)/2": lambda: (1 + mp.sqrt(7) * _I()) / 2,
+    "sqrt7 i": lambda: mp.sqrt(7) * _I(),
+    "i/sqrt2": lambda: _I() / mp.sqrt(2),
+    "sqrt2 i": lambda: mp.sqrt(2) * _I(),
+    "i": _I,
+}
 
 
 def _to_mpf(fr: Fraction) -> mpf:
     return mpf(fr.numerator) / fr.denominator
 
 
-def _binom3_value(rate: Fraction, a, b, w):
+def _series_lhs(rate: Fraction, terms):
+    """ctx -> Re sum of coef * S over a row's terms, every S from one walk.
+
+    S is the binom3 sum of C(2k,k)^3 (a k + b) w(k) rate^k for the term
+    (coef, (a, b), w), with w given as {basis: coefficient}.
+    """
     def lhs(ctx):
-        with ctx.working():
-            return binom3_series(_to_mpf(rate), LinearFactor(a, b), w, ctx).real
+        sums = binom3_sums(_to_mpf(rate), [(LinearFactor(a, b), WeightSpec.combo(w))
+                                           for _, (a, b), w in terms], ctx)
+        return sum((c(ctx) if callable(c) else c) * s
+                   for (c, _, _), s in zip(terms, sums)).real
     return lhs
+
+
+# The rate series: (id, suite, description, rate, terms, rhs, anchor, note).
+# A term's coef is a number, or a ctx -> value callable for Sun's bracket
+# constant; see _series_lhs.
+_SERIES = (
+    ("rama1", "ramanujan-classical", "sum C(2k,k)^3 (4k+1)/(-64)^k = 2/pi",
+     Fraction(-1, 64), [(1, (4, 1), {"ONE": 1})], lambda ctx: 2 / mp.pi,
+     "classical series, alternating boundary rate",
+     "lhs: accelerated series; rhs: pi only"),
+    ("rama2", "ramanujan-classical", "sum C(2k,k)^3 (6k+1)/256^k = 4/pi",
+     Fraction(1, 256), [(1, (6, 1), {"ONE": 1})], lambda ctx: 4 / mp.pi,
+     "classical series", "lhs: series; rhs: pi only"),
+    ("rama3", "ramanujan-classical", "sum C(2k,k)^3 (6k+1)/(-512)^k = 2 sqrt(2)/pi",
+     Fraction(-1, 512), [(1, (6, 1), {"ONE": 1})], lambda ctx: 2 * mp.sqrt(2) / mp.pi,
+     "classical series", "lhs: series; rhs: pi only"),
+    ("rama4", "ramanujan-classical", "sum C(2k,k)^3 (42k+5)/4096^k = 16/pi",
+     Fraction(1, 4096), [(1, (42, 5), {"ONE": 1})], lambda ctx: 16 / mp.pi,
+     "classical series", "lhs: series; rhs: pi only"),
+    ("h2var.-64", "h2-variants", "sum C^3 [H2_{2k}-H2_k/2](4k+1)/(-64)^k = -pi/12",
+     Fraction(-1, 64), [(1, (4, 1), {"H2_2K": 1, "H2_K": "-1/2"})],
+     lambda ctx: -mp.pi / 12,
+     "second-order harmonic variant", "lhs: accelerated series; rhs: pi only"),
+    ("h2var.256", "h2-variants", "sum C^3 [H2_{2k}-5H2_k/16](6k+1)/256^k = pi/12",
+     Fraction(1, 256), [(1, (6, 1), {"H2_2K": 1, "H2_K": "-5/16"})],
+     lambda ctx: mp.pi / 12,
+     "second-order harmonic variant", "lhs: series; rhs: pi only"),
+    ("h2var.-512", "h2-variants",
+     "sum C^3 [H2_{2k}-5H2_k/16](6k+1)/(-512)^k = -sqrt(2)pi/48",
+     Fraction(-1, 512), [(1, (6, 1), {"H2_2K": 1, "H2_K": "-5/16"})],
+     lambda ctx: -mp.sqrt(2) * mp.pi / 48,
+     "second-order harmonic variant", "lhs: series; rhs: pi only"),
+    ("h2var.4096", "h2-variants",
+     "sum C^3 [H2_{2k}-25H2_k/92](42k+5)/4096^k = 2pi/69",
+     Fraction(1, 4096), [(1, (42, 5), {"H2_2K": 1, "H2_K": "-25/92"})],
+     lambda ctx: 2 * mp.pi / 69,
+     "second-order harmonic variant", "lhs: series; rhs: pi only"),
+    ("h3.a", "h3", "sum C^3 H3_{2k}(4k+1)/(-64)^k = 15zeta(3)/(4pi) - 2L_{-4}(2)",
+     Fraction(-1, 64), [(1, (4, 1), {"H3_2K": 1})],
+     lambda ctx: 15 * const_zeta(3, ctx) / (4 * mp.pi) - 2 * dirichlet_l(-4, 2, ctx),
+     "third-order harmonic series",
+     "lhs: accelerated series; rhs: zeta(3), dirichlet_l"),
+    ("h3.b", "h3", "rate 256: = 25zeta(3)/(8pi) - L_{-4}(2)",
+     Fraction(1, 256), [(1, (6, 1), {"H3_2K": 1, "H3_K": "-7/64"})],
+     lambda ctx: 25 * const_zeta(3, ctx) / (8 * mp.pi) - dirichlet_l(-4, 2, ctx),
+     "third-order harmonic series", "rhs: zeta(3), dirichlet_l"),
+    ("h3.c", "h3", "rate -512: = 57zeta(3)/(16 sqrt(2) pi) - L_{-8}(2)",
+     Fraction(-1, 512), [(1, (6, 1), {"H3_2K": 1, "H3_K": "-7/64"})],
+     lambda ctx: (57 * const_zeta(3, ctx) / (16 * mp.sqrt(2) * mp.pi)
+                  - dirichlet_l(-8, 2, ctx)),
+     "third-order harmonic series", "rhs: zeta(3), dirichlet_l"),
+    ("h3.d", "h3", "rate 4096: = 555zeta(3)/(77pi) - 32L_{-4}(2)/11",
+     Fraction(1, 4096), [(1, (42, 5), {"H3_2K": 1, "H3_K": "-43/352"})],
+     lambda ctx: (555 * const_zeta(3, ctx) / (77 * mp.pi)
+                  - mpf(32) / 11 * dirichlet_l(-4, 2, ctx)),
+     "third-order harmonic series", "rhs: zeta(3), dirichlet_l"),
+    ("sun1", "sun-h2",
+     "sum C^3 [H2_{2k}-H2_k/2 + 2L_{-8}(2)-5pi^2/24]/(-64)^k = 0",
+     Fraction(-1, 64),
+     [(1, (0, 1), {"H2_2K": 1, "H2_K": "-1/2"}),
+      (lambda ctx: 2 * dirichlet_l(-8, 2, ctx) - 5 * mp.pi ** 2 / 24, (0, 1),
+       {"ONE": 1})],
+     _zero, "bracketed alternating series",
+     "constant built from dirichlet_l(-8,2) and pi; rhs literal 0"),
+    ("sun2", "sun-h2",
+     "sum C^3 [H2_{2k}-5H2_k/16 + (135L_{-3}(2)-11pi^2)/96]/256^k = 0",
+     Fraction(1, 256),
+     [(1, (0, 1), {"H2_2K": 1, "H2_K": "-5/16"}),
+      (lambda ctx: (135 * dirichlet_l(-3, 2, ctx) - 11 * mp.pi ** 2) / 96, (0, 1),
+       {"ONE": 1})],
+     _zero, "bracketed series", "constant from dirichlet_l(-3,2); rhs literal 0"),
+    ("sun3", "sun-h2",
+     "sum C^3 [H2_{2k}-5H2_k/16 + (120L_{-4}(2)-11pi^2)/96]/(-512)^k = 0",
+     Fraction(-1, 512),
+     [(1, (0, 1), {"H2_2K": 1, "H2_K": "-5/16"}),
+      (lambda ctx: (120 * dirichlet_l(-4, 2, ctx) - 11 * mp.pi ** 2) / 96, (0, 1),
+       {"ONE": 1})],
+     _zero, "bracketed series", "constant from dirichlet_l(-4,2); rhs literal 0"),
+    ("sun4", "sun-h2",
+     "sum C^3 [H2_{2k}-25H2_k/92 + (735L_{-7}(2)-86pi^2)/1104]/4096^k = 0",
+     Fraction(1, 4096),
+     [(1, (0, 1), {"H2_2K": 1, "H2_K": "-25/92"}),
+      (lambda ctx: (735 * dirichlet_l(-7, 2, ctx) - 86 * mp.pi ** 2) / 1104, (0, 1),
+       {"ONE": 1})],
+     _zero, "bracketed series", "constant from dirichlet_l(-7,2); rhs literal 0"),
+    ("h3.e", "h3",
+     "sum C^3 [(42k+5)H3_k - 352/(2k+1)^2]/4096^k = (32/7)[335zeta(3)/pi - 224L_{-4}(2)]",
+     Fraction(1, 4096), [(1, (42, 5), {"H3_K": 1}), (-352, (0, 1), {"INVSQ_2K1": 1})],
+     lambda ctx: mpf(32) / 7 * (335 * const_zeta(3, ctx) / mp.pi
+                                - 224 * dirichlet_l(-4, 2, ctx)),
+     "inverse-square augmented series", "rhs: zeta(3), dirichlet_l"),
+    ("h3.weixu", "h3",
+     "sum C^3 {(42k+5)[17H3_{2k}-2H3_k] - 27/(2k+1)^2}/4096^k = 240zeta(3)/pi - 128L_{-4}(2)",
+     Fraction(1, 4096),
+     [(1, (42, 5), {"H3_2K": 17, "H3_K": -2}), (-27, (0, 1), {"INVSQ_2K1": 1})],
+     lambda ctx: 240 * const_zeta(3, ctx) / mp.pi - 128 * dirichlet_l(-4, 2, ctx),
+     "companion identity", "rhs: zeta(3), dirichlet_l"),
+)
 
 
 def _four_term(f, coeffs, zi):
@@ -133,7 +236,7 @@ class _Point(NamedTuple):
 
 
 _POINTS = (
-    _Point("r1", "sqrt3", _pt_sqrt3, Fraction(1, 16), Fraction(1, 64), dict(
+    _Point("r1", "sqrt3", _Z["sqrt3 i/2"], Fraction(1, 16), Fraction(1, 64), dict(
         rate=lambda ctx: mpf(1) / 256,
         lin=lambda ctx: mpf(1),
         rhalf=lambda ctx: mpf(1) / 6,
@@ -148,7 +251,7 @@ _POINTS = (
         ezh3=lambda ctx: 105 * const_zeta(3, ctx) / (2 * mp.pi ** 3),
         e2z3=lambda ctx: 1155 * const_zeta(3, ctx) / (8 * mp.pi ** 3),
         u=lambda ctx: 25 * const_zeta(3, ctx) / (24 * mp.pi))),
-    _Point("r2", "sqrt7", _pt_sqrt7, Fraction(1, 46), Fraction(1, 352), dict(
+    _Point("r2", "sqrt7", _Z["sqrt7 i/2"], Fraction(1, 46), Fraction(1, 352), dict(
         rate=lambda ctx: mpf(1) / 4096,
         lin=lambda ctx: mpf(3) / 4,
         rhalf=lambda ctx: mpf(5) / 42,
@@ -163,7 +266,7 @@ _POINTS = (
         ezh3=lambda ctx: 540 * const_zeta(3, ctx) / (7 * mp.pi ** 3),
         e2z3=lambda ctx: 3375 * const_zeta(3, ctx) / (7 * mp.pi ** 3),
         u=lambda ctx: 555 * const_zeta(3, ctx) / (2156 * mp.pi))),
-    _Point("r3", "sqrt2", _pt_half_sqrt2, Fraction(1, 4), Fraction(1, 8), dict(
+    _Point("r3", "sqrt2", _Z["1/2 + i/sqrt2"], Fraction(1, 4), Fraction(1, 8), dict(
         rate=lambda ctx: mpf(-1) / 64,
         lin=lambda ctx: mpf(2),
         rhalf=lambda ctx: mpf(1) / 4,
@@ -178,7 +281,7 @@ _POINTS = (
         ezh3=lambda ctx: 2835 * const_zeta(3, ctx) / (32 * mp.pi ** 3),
         e2z3=lambda ctx: 2835 * const_zeta(3, ctx) / (32 * mp.pi ** 3),
         u=lambda ctx: 15 * const_zeta(3, ctx) / (4 * mp.pi))),
-    _Point("r4", "i", _pt_half_one, Fraction(1, 16), Fraction(1, 64), dict(
+    _Point("r4", "i", _Z["1/2 + i"], Fraction(1, 16), Fraction(1, 64), dict(
         rate=lambda ctx: mpf(-1) / 512,
         lin=lambda ctx: mpf(3) / (2 * mp.sqrt(2)),
         rhalf=lambda ctx: mpf(1) / 6,
@@ -270,6 +373,110 @@ _CELLS = (
 )
 
 
+def _eichler_lhs(terms):
+    """ctx -> sum of coef * E over a row's (coef, point, weight, order) terms.
+
+    E is the order-th derivative of the weight-4 or weight-6 Eichler integral
+    at the point of ``_Z`` so named; an irrational coef is a zero-argument
+    callable.
+    """
+    def lhs(ctx):
+        return sum((c() if callable(c) else c)
+                   * (eichler4 if weight == 4 else eichler6)(_Z[pt](), order, ctx)
+                   for c, pt, weight, order in terms)
+    return lhs
+
+
+# The eichler-special values: (id, description, terms, rhs, anchor, note).
+_EICHLER = (
+    ("es.e4.sqrt3", "E4int((1+sqrt3 i)/2) = 2i/sqrt3 + 30 zeta(3)/(pi^3 i)",
+     [(1, "(1+sqrt3 i)/2", 4, 0)],
+     lambda ctx: 2 * _I() / mp.sqrt(3) + 30 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()),
+     "reflection specialization", "lhs: Lambert series; rhs: zeta(3)"),
+    ("es.e4.sqrt7",
+     "12 E4int((1+sqrt7 i)/2) - E4int(sqrt7 i) = 29 sqrt7 i/6 + 330 zeta(3)/(pi^3 i)",
+     [(12, "(1+sqrt7 i)/2", 4, 0), (-1, "sqrt7 i", 4, 0)],
+     lambda ctx: (29 * mp.sqrt(7) * _I() / 6
+                  + 330 * const_zeta(3, ctx) / (mp.pi ** 3 * _I())),
+     "sum-rule specialization", "lhs: Lambert series; rhs: zeta(3)"),
+    ("es.e4.sqrt2", "2 E4int(i/sqrt2) + E4int(sqrt2 i) = 5i/sqrt2 + 90 zeta(3)/(pi^3 i)",
+     [(2, "i/sqrt2", 4, 0), (1, "sqrt2 i", 4, 0)],
+     lambda ctx: 5 * _I() / mp.sqrt(2) + 90 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()),
+     "reflection specialization", "lhs: Lambert series; rhs: zeta(3)"),
+    ("es.e4.i", "E4int(i) = 7i/6 + 30 zeta(3)/(pi^3 i)",
+     [(1, "i", 4, 0)],
+     lambda ctx: 7 * _I() / 6 + 30 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()),
+     "reflection specialization", "lhs: Lambert series; rhs: zeta(3)"),
+    ("es.e4pp.sqrt3", "E4int''((1+sqrt3 i)/2) = -15 sqrt3 L_{-3}(2)/(pi^2 i) - sqrt3 i",
+     [(1, "(1+sqrt3 i)/2", 4, 2)],
+     lambda ctx: (-15 * mp.sqrt(3) * dirichlet_l(-3, 2, ctx) / (mp.pi ** 2 * _I())
+                  - mp.sqrt(3) * _I()),
+     "second-derivative value", "lhs: Lambert series; rhs: dirichlet_l"),
+    ("es.e4pp.sqrt7",
+     "3 E4int''((1+sqrt7 i)/2) - E4int''(sqrt7 i) = -35 sqrt7 L_{-7}(2)/(4pi^2 i) - sqrt7 i",
+     [(3, "(1+sqrt7 i)/2", 4, 2), (-1, "sqrt7 i", 4, 2)],
+     lambda ctx: (-35 * mp.sqrt(7) * dirichlet_l(-7, 2, ctx) / (4 * mp.pi ** 2 * _I())
+                  - mp.sqrt(7) * _I()),
+     "second-derivative combination", "lhs: Lambert series; rhs: dirichlet_l"),
+    ("es.e4pp.sqrt2",
+     "E4int''(i/sqrt2) + 2 E4int''(sqrt2 i) = -40 sqrt2 L_{-8}(2)/(pi^2 i) - 5 sqrt2 i",
+     [(1, "i/sqrt2", 4, 2), (2, "sqrt2 i", 4, 2)],
+     lambda ctx: (-40 * mp.sqrt(2) * dirichlet_l(-8, 2, ctx) / (mp.pi ** 2 * _I())
+                  - 5 * mp.sqrt(2) * _I()),
+     "second-derivative combination", "lhs: Lambert series; rhs: dirichlet_l"),
+    ("es.e4pp.i", "E4int''(i) = -20 L_{-4}(2)/(pi^2 i) - 2i",
+     [(1, "i", 4, 2)],
+     lambda ctx: -20 * dirichlet_l(-4, 2, ctx) / (mp.pi ** 2 * _I()) - 2 * _I(),
+     "second-derivative value", "lhs: Lambert series; rhs: dirichlet_l"),
+    # weight-6 Eichler data at (1+sqrt3 i)/2 and the Prop-3.3 combinations
+    ("es.e6.sqrt3.0", "E6int((1+sqrt3 i)/2) = 189 zeta(5)/(pi^5 i) + 11 sqrt3 i/30",
+     [(1, "(1+sqrt3 i)/2", 6, 0)],
+     lambda ctx: (189 * const_zeta(5, ctx) / (mp.pi ** 5 * _I())
+                  + 11 * mp.sqrt(3) * _I() / 30),
+     "weight-6 value", "lhs: Lambert series; rhs: zeta(5)"),
+    ("es.e6.sqrt3.1", "E6int'((1+sqrt3 i)/2) = 1/30",
+     [(1, "(1+sqrt3 i)/2", 6, 1)],
+     lambda ctx: mpf(1) / 30,
+     "weight-6 first derivative", "lhs: Lambert series; rhs: exact rational"),
+    ("es.e6.sqrt3.2", "E6int''((1+sqrt3 i)/2) = 84 zeta(3)/(pi^3 i) + 2 sqrt3 i",
+     [(1, "(1+sqrt3 i)/2", 6, 2)],
+     lambda ctx: 84 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()) + 2 * mp.sqrt(3) * _I(),
+     "weight-6 second derivative", "lhs: Lambert series; rhs: zeta(3)"),
+    ("es.e6.sqrt3.3", "E6int'''((1+sqrt3 i)/2) = 10 - 168 sqrt3 zeta(3)/pi^3",
+     [(1, "(1+sqrt3 i)/2", 6, 3)],
+     lambda ctx: 10 - 168 * mp.sqrt(3) * const_zeta(3, ctx) / mp.pi ** 3,
+     "weight-6 third derivative", "lhs: Lambert series; rhs: zeta(3)"),
+    ("es.e6.i.b", "2i E6int(i) + E6int'(i) = 378 zeta(5)/pi^5 - 13/10",
+     [(2j, "i", 6, 0), (1, "i", 6, 1)],
+     lambda ctx: 378 * const_zeta(5, ctx) / mp.pi ** 5 - mpf(13) / 10,
+     "reflection Taylor coefficient", "lhs: Lambert series; rhs: zeta(5)"),
+    ("es.p33.sqrt3",
+     "i E6int''((1+sqrt3 i)/2) + (sqrt3/2) E6int'''(same) = 3 sqrt3 - 168 zeta(3)/pi^3",
+     [(1j, "(1+sqrt3 i)/2", 6, 2), (lambda: mp.sqrt(3) / 2, "(1+sqrt3 i)/2", 6, 3)],
+     lambda ctx: 3 * mp.sqrt(3) - 168 * const_zeta(3, ctx) / mp.pi ** 3,
+     "combination (a)", "lhs: Lambert series; rhs: zeta(3)"),
+    ("es.p33.sqrt7",
+     "2i[39 E6''((1+sqrt7 i)/2) - 4 E6''(sqrt7 i)] + sqrt7[39 E6'''(...) - 8 E6'''(...)] "
+     "= 98 sqrt7 - 6912 zeta(3)/pi^3",
+     [(78j, "(1+sqrt7 i)/2", 6, 2), (-8j, "sqrt7 i", 6, 2),
+      (lambda: 39 * mp.sqrt(7), "(1+sqrt7 i)/2", 6, 3),
+      (lambda: -8 * mp.sqrt(7), "sqrt7 i", 6, 3)],
+     lambda ctx: 98 * mp.sqrt(7) - 6912 * const_zeta(3, ctx) / mp.pi ** 3,
+     "combination (b)", "lhs: Lambert series; rhs: zeta(3)"),
+    ("es.p33.sqrt2",
+     "i E6''(i/sqrt2) + i E6''(sqrt2 i) + E6'''(i/sqrt2)/sqrt2 + sqrt2 E6'''(sqrt2 i) "
+     "= 18 sqrt2 - 567 zeta(3)/pi^3",
+     [(1j, "i/sqrt2", 6, 2), (1j, "sqrt2 i", 6, 2),
+      (lambda: 1 / mp.sqrt(2), "i/sqrt2", 6, 3), (lambda: mp.sqrt(2), "sqrt2 i", 6, 3)],
+     lambda ctx: 18 * mp.sqrt(2) - 567 * const_zeta(3, ctx) / mp.pi ** 3,
+     "combination (c)", "lhs: Lambert series; rhs: zeta(3)"),
+    ("es.p33.i", "i E6int''(i) + E6int'''(i) = 8 - 189 zeta(3)/pi^3",
+     [(1j, "i", 6, 2), (1, "i", 6, 3)],
+     lambda ctx: 8 - 189 * const_zeta(3, ctx) / mp.pi ** 3,
+     "combination (d)", "lhs: Lambert series; rhs: zeta(3)"),
+)
+
+
 def _seeded_points(seed: int, count: int, im_lo="0.55", im_hi="1.5"):
     rng = random.Random(seed)
     pts = []
@@ -297,132 +504,16 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
     def add(id_, suite, desc, lhs, rhs, anchor="", note=""):
         rec.append(IdentityRecord(id_, suite, desc, lhs, rhs, anchor, note))
 
-    # ------- ramanujan-classical, h2-variants, h3: closed-form rate series -------
-    w_h2_half = WeightSpec.combo({"H2_2K": 1, "H2_K": Fraction(-1, 2)})
-    w_h2_516 = WeightSpec.combo({"H2_2K": 1, "H2_K": Fraction(-5, 16)})
-    w_h2_2592 = WeightSpec.combo({"H2_2K": 1, "H2_K": Fraction(-25, 92)})
-    w_h3_plain2k = WeightSpec.combo({"H3_2K": 1})
-    w_h3_764 = WeightSpec.combo({"H3_2K": 1, "H3_K": Fraction(-7, 64)})
-    w_h3_43352 = WeightSpec.combo({"H3_2K": 1, "H3_K": Fraction(-43, 352)})
-    # (id, suite, description, rate, linear factor, weight, rhs, anchor, note)
-    for id_, suite, desc, rate, (a, b), w, rhs, anchor, note in (
-        ("rama1", "ramanujan-classical", "sum C(2k,k)^3 (4k+1)/(-64)^k = 2/pi",
-         Fraction(-1, 64), (4, 1), W_ONE, lambda ctx: 2 / mp.pi,
-         "classical series, alternating boundary rate",
-         "lhs: accelerated series; rhs: pi only"),
-        ("rama2", "ramanujan-classical", "sum C(2k,k)^3 (6k+1)/256^k = 4/pi",
-         Fraction(1, 256), (6, 1), W_ONE, lambda ctx: 4 / mp.pi,
-         "classical series", "lhs: series; rhs: pi only"),
-        ("rama3", "ramanujan-classical", "sum C(2k,k)^3 (6k+1)/(-512)^k = 2 sqrt(2)/pi",
-         Fraction(-1, 512), (6, 1), W_ONE, lambda ctx: 2 * mp.sqrt(2) / mp.pi,
-         "classical series", "lhs: series; rhs: pi only"),
-        ("rama4", "ramanujan-classical", "sum C(2k,k)^3 (42k+5)/4096^k = 16/pi",
-         Fraction(1, 4096), (42, 5), W_ONE, lambda ctx: 16 / mp.pi,
-         "classical series", "lhs: series; rhs: pi only"),
-        ("h2var.-64", "h2-variants", "sum C^3 [H2_{2k}-H2_k/2](4k+1)/(-64)^k = -pi/12",
-         Fraction(-1, 64), (4, 1), w_h2_half, lambda ctx: -mp.pi / 12,
-         "second-order harmonic variant", "lhs: accelerated series; rhs: pi only"),
-        ("h2var.256", "h2-variants", "sum C^3 [H2_{2k}-5H2_k/16](6k+1)/256^k = pi/12",
-         Fraction(1, 256), (6, 1), w_h2_516, lambda ctx: mp.pi / 12,
-         "second-order harmonic variant", "lhs: series; rhs: pi only"),
-        ("h2var.-512", "h2-variants",
-         "sum C^3 [H2_{2k}-5H2_k/16](6k+1)/(-512)^k = -sqrt(2)pi/48",
-         Fraction(-1, 512), (6, 1), w_h2_516, lambda ctx: -mp.sqrt(2) * mp.pi / 48,
-         "second-order harmonic variant", "lhs: series; rhs: pi only"),
-        ("h2var.4096", "h2-variants",
-         "sum C^3 [H2_{2k}-25H2_k/92](42k+5)/4096^k = 2pi/69",
-         Fraction(1, 4096), (42, 5), w_h2_2592, lambda ctx: 2 * mp.pi / 69,
-         "second-order harmonic variant", "lhs: series; rhs: pi only"),
-        ("h3.a", "h3", "sum C^3 H3_{2k}(4k+1)/(-64)^k = 15zeta(3)/(4pi) - 2L_{-4}(2)",
-         Fraction(-1, 64), (4, 1), w_h3_plain2k,
-         lambda ctx: 15 * const_zeta(3, ctx) / (4 * mp.pi) - 2 * dirichlet_l(-4, 2, ctx),
-         "third-order harmonic series",
-         "lhs: accelerated series; rhs: zeta(3), dirichlet_l"),
-        ("h3.b", "h3", "rate 256: = 25zeta(3)/(8pi) - L_{-4}(2)",
-         Fraction(1, 256), (6, 1), w_h3_764,
-         lambda ctx: 25 * const_zeta(3, ctx) / (8 * mp.pi) - dirichlet_l(-4, 2, ctx),
-         "third-order harmonic series", "rhs: zeta(3), dirichlet_l"),
-        ("h3.c", "h3", "rate -512: = 57zeta(3)/(16 sqrt(2) pi) - L_{-8}(2)",
-         Fraction(-1, 512), (6, 1), w_h3_764,
-         lambda ctx: (57 * const_zeta(3, ctx) / (16 * mp.sqrt(2) * mp.pi)
-                      - dirichlet_l(-8, 2, ctx)),
-         "third-order harmonic series", "rhs: zeta(3), dirichlet_l"),
-        ("h3.d", "h3", "rate 4096: = 555zeta(3)/(77pi) - 32L_{-4}(2)/11",
-         Fraction(1, 4096), (42, 5), w_h3_43352,
-         lambda ctx: (555 * const_zeta(3, ctx) / (77 * mp.pi)
-                      - mpf(32) / 11 * dirichlet_l(-4, 2, ctx)),
-         "third-order harmonic series", "rhs: zeta(3), dirichlet_l"),
-    ):
-        add(id_, suite, desc, _binom3_value(rate, a, b, w), rhs, anchor, note)
-
-    # ---------------- sun-h2 (bracketed series summing to zero) ----------------
-    def sun_lhs(rate_num, rate_den, w, dval, const_fn):
-        def lhs(ctx):
-            with ctx.working():
-                x = mpf(rate_num) / rate_den
-                s_w, s_1 = binom3_sums(x, [(LinearFactor(0, 1), w),
-                                           (LinearFactor(0, 1), W_ONE)], ctx)
-                return (s_w + const_fn(dirichlet_l(dval, 2, ctx), ctx) * s_1).real
-        return lhs
-
-    add("sun1", "sun-h2",
-        "sum C^3 [H2_{2k}-H2_k/2 + 2L_{-8}(2)-5pi^2/24]/(-64)^k = 0",
-        sun_lhs(-1, 64, w_h2_half, -8, lambda L, ctx: 2 * L - 5 * mp.pi ** 2 / 24),
-        _zero, "bracketed alternating series",
-        "constant built from dirichlet_l(-8,2) and pi; rhs literal 0")
-    add("sun2", "sun-h2",
-        "sum C^3 [H2_{2k}-5H2_k/16 + (135L_{-3}(2)-11pi^2)/96]/256^k = 0",
-        sun_lhs(1, 256, w_h2_516, -3, lambda L, ctx: (135 * L - 11 * mp.pi ** 2) / 96),
-        _zero, "bracketed series",
-        "constant from dirichlet_l(-3,2); rhs literal 0")
-    add("sun3", "sun-h2",
-        "sum C^3 [H2_{2k}-5H2_k/16 + (120L_{-4}(2)-11pi^2)/96]/(-512)^k = 0",
-        sun_lhs(-1, 512, w_h2_516, -4, lambda L, ctx: (120 * L - 11 * mp.pi ** 2) / 96),
-        _zero, "bracketed series",
-        "constant from dirichlet_l(-4,2); rhs literal 0")
-    add("sun4", "sun-h2",
-        "sum C^3 [H2_{2k}-25H2_k/92 + (735L_{-7}(2)-86pi^2)/1104]/4096^k = 0",
-        sun_lhs(1, 4096, w_h2_2592, -7, lambda L, ctx: (735 * L - 86 * mp.pi ** 2) / 1104),
-        _zero, "bracketed series",
-        "constant from dirichlet_l(-7,2); rhs literal 0")
-
-    # ---------------- h3 family: augmented series ----------------
-    def h3e_lhs(ctx):
-        with ctx.working():
-            x = mpf(1) / 4096
-            s_h3, s_inv = binom3_sums(x, [(LinearFactor(42, 5), _single("H3_K")),
-                                          (LinearFactor(0, 1), _single("INVSQ_2K1"))],
-                                      ctx)
-            return (s_h3 - 352 * s_inv).real
-    add("h3.e", "h3",
-        "sum C^3 [(42k+5)H3_k - 352/(2k+1)^2]/4096^k = (32/7)[335zeta(3)/pi - 224L_{-4}(2)]",
-        h3e_lhs,
-        lambda ctx: mpf(32) / 7 * (335 * const_zeta(3, ctx) / mp.pi
-                                   - 224 * dirichlet_l(-4, 2, ctx)),
-        "inverse-square augmented series", "rhs: zeta(3), dirichlet_l")
-
-    def weixu_lhs(ctx):
-        with ctx.working():
-            x = mpf(1) / 4096
-            w = WeightSpec.combo({"H3_2K": 17, "H3_K": -2})
-            s_w, s_inv = binom3_sums(x, [(LinearFactor(42, 5), w),
-                                         (LinearFactor(0, 1), _single("INVSQ_2K1"))],
-                                     ctx)
-            return (s_w - 27 * s_inv).real
-    add("h3.weixu", "h3",
-        "sum C^3 {(42k+5)[17H3_{2k}-2H3_k] - 27/(2k+1)^2}/4096^k = 240zeta(3)/pi - 128L_{-4}(2)",
-        weixu_lhs,
-        lambda ctx: 240 * const_zeta(3, ctx) / mp.pi - 128 * dirichlet_l(-4, 2, ctx),
-        "companion identity", "rhs: zeta(3), dirichlet_l")
+    # --- ramanujan-classical, h2-variants, sun-h2, h3: the rate series rows ---
+    for id_, suite, desc, rate, terms, rhs, anchor, note in _SERIES:
+        add(id_, suite, desc, _series_lhs(rate, terms), rhs, anchor, note)
 
     # ------ table-h2, table-h3 and the point-driven eichler-special/gz cells ------
     for p in _POINTS:
         fields = p._asdict()
         for id_, suite, desc, lhs, form, anchor, note in _CELLS:
-            def cell(ctx, lhs=lhs, p=p):
-                with ctx.working():
-                    return lhs(p, ctx)
-            add(id_ % fields, suite, desc % fields, cell, p.forms[form], anchor, note)
+            add(id_ % fields, suite, desc % fields,
+                lambda ctx, lhs=lhs, p=p: lhs(p, ctx), p.forms[form], anchor, note)
         add("gz.comb.%s" % p.tag, "epstein-gz",
             "E(4z,2)-E(z,2) = E(z+1/2,2) - (9/2)E(2z,2) + 2E(4z,2) at the tabulated z",
             (lambda ctx, zb=p.z: epstein2(4 * zb(), ctx) - epstein2(zb(), ctx)),
@@ -432,132 +523,20 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
             "sum-rule rearrangement", "both sides: Lambert route")
 
     # ---------------- eichler-special ----------------
-    sq2 = lambda: mp.sqrt(2)  # noqa: E731
-    sq3 = lambda: mp.sqrt(3)  # noqa: E731
-    sq7 = lambda: mp.sqrt(7)  # noqa: E731
-
-    add("es.e4.sqrt3", "eichler-special",
-        "E4int((1+sqrt3 i)/2) = 2i/sqrt3 + 30 zeta(3)/(pi^3 i)",
-        lambda ctx: eichler4((1 + sq3() * _I()) / 2, 0, ctx),
-        lambda ctx: 2 * _I() / sq3() + 30 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()),
-        "reflection specialization", "lhs: Lambert series; rhs: zeta(3)")
-    add("es.e4.sqrt7", "eichler-special",
-        "12 E4int((1+sqrt7 i)/2) - E4int(sqrt7 i) = 29 sqrt7 i/6 + 330 zeta(3)/(pi^3 i)",
-        lambda ctx: (12 * eichler4((1 + sq7() * _I()) / 2, 0, ctx)
-                     - eichler4(sq7() * _I(), 0, ctx)),
-        lambda ctx: (29 * sq7() * _I() / 6
-                     + 330 * const_zeta(3, ctx) / (mp.pi ** 3 * _I())),
-        "sum-rule specialization", "lhs: Lambert series; rhs: zeta(3)")
-    add("es.e4.sqrt2", "eichler-special",
-        "2 E4int(i/sqrt2) + E4int(sqrt2 i) = 5i/sqrt2 + 90 zeta(3)/(pi^3 i)",
-        lambda ctx: (2 * eichler4(_I() / sq2(), 0, ctx)
-                     + eichler4(sq2() * _I(), 0, ctx)),
-        lambda ctx: 5 * _I() / sq2() + 90 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()),
-        "reflection specialization", "lhs: Lambert series; rhs: zeta(3)")
-    add("es.e4.i", "eichler-special",
-        "E4int(i) = 7i/6 + 30 zeta(3)/(pi^3 i)",
-        lambda ctx: eichler4(_I(), 0, ctx),
-        lambda ctx: 7 * _I() / 6 + 30 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()),
-        "reflection specialization", "lhs: Lambert series; rhs: zeta(3)")
-
-    add("es.e4pp.sqrt3", "eichler-special",
-        "E4int''((1+sqrt3 i)/2) = -15 sqrt3 L_{-3}(2)/(pi^2 i) - sqrt3 i",
-        lambda ctx: eichler4((1 + sq3() * _I()) / 2, 2, ctx),
-        lambda ctx: (-15 * sq3() * dirichlet_l(-3, 2, ctx) / (mp.pi ** 2 * _I())
-                     - sq3() * _I()),
-        "second-derivative value", "lhs: Lambert series; rhs: dirichlet_l")
-    add("es.e4pp.sqrt7", "eichler-special",
-        "3 E4int''((1+sqrt7 i)/2) - E4int''(sqrt7 i) = -35 sqrt7 L_{-7}(2)/(4pi^2 i) - sqrt7 i",
-        lambda ctx: (3 * eichler4((1 + sq7() * _I()) / 2, 2, ctx)
-                     - eichler4(sq7() * _I(), 2, ctx)),
-        lambda ctx: (-35 * sq7() * dirichlet_l(-7, 2, ctx) / (4 * mp.pi ** 2 * _I())
-                     - sq7() * _I()),
-        "second-derivative combination", "lhs: Lambert series; rhs: dirichlet_l")
-    add("es.e4pp.sqrt2", "eichler-special",
-        "E4int''(i/sqrt2) + 2 E4int''(sqrt2 i) = -40 sqrt2 L_{-8}(2)/(pi^2 i) - 5 sqrt2 i",
-        lambda ctx: (eichler4(_I() / sq2(), 2, ctx)
-                     + 2 * eichler4(sq2() * _I(), 2, ctx)),
-        lambda ctx: (-40 * sq2() * dirichlet_l(-8, 2, ctx) / (mp.pi ** 2 * _I())
-                     - 5 * sq2() * _I()),
-        "second-derivative combination", "lhs: Lambert series; rhs: dirichlet_l")
-    add("es.e4pp.i", "eichler-special",
-        "E4int''(i) = -20 L_{-4}(2)/(pi^2 i) - 2i",
-        lambda ctx: eichler4(_I(), 2, ctx),
-        lambda ctx: -20 * dirichlet_l(-4, 2, ctx) / (mp.pi ** 2 * _I()) - 2 * _I(),
-        "second-derivative value", "lhs: Lambert series; rhs: dirichlet_l")
-
-    # weight-6 Eichler data at (1+sqrt3 i)/2 and the Prop-3.3 combinations
-    w3 = lambda: (1 + mp.sqrt(3) * _I()) / 2  # noqa: E731
-    add("es.e6.sqrt3.0", "eichler-special",
-        "E6int((1+sqrt3 i)/2) = 189 zeta(5)/(pi^5 i) + 11 sqrt3 i/30",
-        lambda ctx: eichler6(w3(), 0, ctx),
-        lambda ctx: (189 * const_zeta(5, ctx) / (mp.pi ** 5 * _I())
-                     + 11 * sq3() * _I() / 30),
-        "weight-6 value", "lhs: Lambert series; rhs: zeta(5)")
-    add("es.e6.sqrt3.1", "eichler-special",
-        "E6int'((1+sqrt3 i)/2) = 1/30",
-        lambda ctx: eichler6(w3(), 1, ctx),
-        lambda ctx: mpf(1) / 30,
-        "weight-6 first derivative", "lhs: Lambert series; rhs: exact rational")
-    add("es.e6.sqrt3.2", "eichler-special",
-        "E6int''((1+sqrt3 i)/2) = 84 zeta(3)/(pi^3 i) + 2 sqrt3 i",
-        lambda ctx: eichler6(w3(), 2, ctx),
-        lambda ctx: 84 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()) + 2 * sq3() * _I(),
-        "weight-6 second derivative", "lhs: Lambert series; rhs: zeta(3)")
-    add("es.e6.sqrt3.3", "eichler-special",
-        "E6int'''((1+sqrt3 i)/2) = 10 - 168 sqrt3 zeta(3)/pi^3",
-        lambda ctx: eichler6(w3(), 3, ctx),
-        lambda ctx: 10 - 168 * sq3() * const_zeta(3, ctx) / mp.pi ** 3,
-        "weight-6 third derivative", "lhs: Lambert series; rhs: zeta(3)")
-    add("es.e6.i.b", "eichler-special",
-        "2i E6int(i) + E6int'(i) = 378 zeta(5)/pi^5 - 13/10",
-        lambda ctx: 2 * _I() * eichler6(_I(), 0, ctx) + eichler6(_I(), 1, ctx),
-        lambda ctx: 378 * const_zeta(5, ctx) / mp.pi ** 5 - mpf(13) / 10,
-        "reflection Taylor coefficient", "lhs: Lambert series; rhs: zeta(5)")
-
-    add("es.p33.sqrt3", "eichler-special",
-        "i E6int''((1+sqrt3 i)/2) + (sqrt3/2) E6int'''(same) = 3 sqrt3 - 168 zeta(3)/pi^3",
-        lambda ctx: (_I() * eichler6(w3(), 2, ctx)
-                     + sq3() / 2 * eichler6(w3(), 3, ctx)),
-        lambda ctx: 3 * sq3() - 168 * const_zeta(3, ctx) / mp.pi ** 3,
-        "combination (a)", "lhs: Lambert series; rhs: zeta(3)")
-    add("es.p33.sqrt7", "eichler-special",
-        "2i[39 E6''((1+sqrt7 i)/2) - 4 E6''(sqrt7 i)] + sqrt7[39 E6'''(...) - 8 E6'''(...)] "
-        "= 98 sqrt7 - 6912 zeta(3)/pi^3",
-        lambda ctx: (2 * _I() * (39 * eichler6((1 + sq7() * _I()) / 2, 2, ctx)
-                                 - 4 * eichler6(sq7() * _I(), 2, ctx))
-                     + sq7() * (39 * eichler6((1 + sq7() * _I()) / 2, 3, ctx)
-                                - 8 * eichler6(sq7() * _I(), 3, ctx))),
-        lambda ctx: 98 * sq7() - 6912 * const_zeta(3, ctx) / mp.pi ** 3,
-        "combination (b)", "lhs: Lambert series; rhs: zeta(3)")
-    add("es.p33.sqrt2", "eichler-special",
-        "i E6''(i/sqrt2) + i E6''(sqrt2 i) + E6'''(i/sqrt2)/sqrt2 + sqrt2 E6'''(sqrt2 i) "
-        "= 18 sqrt2 - 567 zeta(3)/pi^3",
-        lambda ctx: (_I() * eichler6(_I() / sq2(), 2, ctx)
-                     + _I() * eichler6(sq2() * _I(), 2, ctx)
-                     + eichler6(_I() / sq2(), 3, ctx) / sq2()
-                     + sq2() * eichler6(sq2() * _I(), 3, ctx)),
-        lambda ctx: 18 * sq2() - 567 * const_zeta(3, ctx) / mp.pi ** 3,
-        "combination (c)", "lhs: Lambert series; rhs: zeta(3)")
-    add("es.p33.i", "eichler-special",
-        "i E6int''(i) + E6int'''(i) = 8 - 189 zeta(3)/pi^3",
-        lambda ctx: _I() * eichler6(_I(), 2, ctx) + eichler6(_I(), 3, ctx),
-        lambda ctx: 8 - 189 * const_zeta(3, ctx) / mp.pi ** 3,
-        "combination (d)", "lhs: Lambert series; rhs: zeta(3)")
+    for id_, desc, terms, rhs, anchor, note in _EICHLER:
+        add(id_, "eichler-special", desc, _eichler_lhs(terms), rhs, anchor, note)
 
     def closing_lhs(ctx):
-        with ctx.working():
-            x = mpf(1) / 256
-            num, den = binom3_sums(x, [(LinearFactor(0, 1), w_h3_764),
-                                       (LinearFactor(0, 1), W_ONE)], ctx)
-            return num / den
+        w = WeightSpec.combo({"H3_2K": 1, "H3_K": Fraction(-7, 64)})
+        num, den = binom3_sums(mpf(1) / 256, [(LinearFactor(0, 1), w),
+                                              (LinearFactor(0, 1), W_ONE)], ctx)
+        return num / den
 
     def closing_rhs(ctx):
         # E4int at sqrt3 i/2 and at 2 sqrt3 i (= 4z for the row's z)
-        with ctx.working():
-            return (mp.pi ** 3 / (32 * mp.sqrt(3)) - 7 * const_zeta(3, ctx) / 16
-                    - mp.pi ** 3 * _I() * (4 * eichler4(_pt_sqrt3(), 0, ctx)
-                                           - eichler4(4 * _pt_sqrt3(), 0, ctx)) / 960)
+        return (mp.pi ** 3 / (32 * mp.sqrt(3)) - 7 * const_zeta(3, ctx) / 16
+                - mp.pi ** 3 * _I() * (4 * eichler4(_Z["sqrt3 i/2"](), 0, ctx)
+                                       - eichler4(4 * _Z["sqrt3 i/2"](), 0, ctx)) / 960)
     add("es.h3ratio.256", "eichler-special",
         "rate-256 H3 ratio = pi^3/(32 sqrt3) - 7 zeta(3)/16 - pi^3 i[4 E4int(sqrt3 i/2) - E4int(2 sqrt3 i)]/960",
         closing_lhs, closing_rhs, "closing remark of the weight-6 section",
@@ -673,14 +652,12 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
     ):
         for m, form in zip(mults, forms):
             def lhs_e(ctx, wgt=wgt, m=m):
-                with ctx.working():
-                    return eisenstein(m * zp(), wgt, ctx)
+                return eisenstein(m * zp(), wgt, ctx)
 
             def rhs_e(ctx, wgt=wgt, form=form):
-                with ctx.working():
-                    a = alpha4(zp(), ctx)
-                    p = 2 * ell_k(a, ctx) / mp.pi
-                    return p ** wgt * form(a)
+                a = alpha4(zp(), ctx)
+                p = 2 * ell_k(a, ctx) / mp.pi
+                return p ** wgt * form(a)
             add("sr.rama-eis.E%d.%dz" % (wgt, m), "sum-rules",
                 "E%d(%dz) Ramanujan parametrization in alpha4 and K" % (wgt, m),
                 lhs_e, rhs_e, "Eisenstein tables",
@@ -703,22 +680,20 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
     # ---------------- epstein-gz ----------------
     def gz_sqrt7(s):
         def rhs(ctx):
-            with ctx.working():
-                zs = const_zeta(2 * s, ctx)
-                return (mp.sqrt(7) ** s / zs
-                        * (1 - mpf(1) / 2 ** (s - 1) + mpf(1) / 2 ** (2 * s - 1))
-                        * const_zeta(s, ctx) * dirichlet_l(-7, s, ctx))
+            zs = const_zeta(2 * s, ctx)
+            return (mp.sqrt(7) ** s / zs
+                    * (1 - mpf(1) / 2 ** (s - 1) + mpf(1) / 2 ** (2 * s - 1))
+                    * const_zeta(s, ctx) * dirichlet_l(-7, s, ctx))
         return rhs
 
     def gz_2sqrt7(s):
         def rhs(ctx):
-            with ctx.working():
-                zs = const_zeta(2 * s, ctx)
-                bracket = (1 - mpf(1) / 2 ** (s - 1) + mpf(3) / 2 ** (2 * s)
-                           - mpf(1) / 2 ** (3 * s - 2) + mpf(1) / 2 ** (4 * s - 2))
-                return ((2 * mp.sqrt(7)) ** s / (2 * zs)
-                        * (bracket * const_zeta(s, ctx) * dirichlet_l(-7, s, ctx)
-                           + dirichlet_l(-4, s, ctx) * dirichlet_l(28, s, ctx)))
+            zs = const_zeta(2 * s, ctx)
+            bracket = (1 - mpf(1) / 2 ** (s - 1) + mpf(3) / 2 ** (2 * s)
+                       - mpf(1) / 2 ** (3 * s - 2) + mpf(1) / 2 ** (4 * s - 2))
+            return ((2 * mp.sqrt(7)) ** s / (2 * zs)
+                    * (bracket * const_zeta(s, ctx) * dirichlet_l(-7, s, ctx)
+                       + dirichlet_l(-4, s, ctx) * dirichlet_l(28, s, ctx)))
         return rhs
 
     add("gz.sqrt7.s2", "epstein-gz", "E(sqrt7 i, 2) Glasser-Zucker product",
@@ -764,23 +739,21 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
 
     def mix1_lhs(tv):
         def lhs(ctx):
-            with ctx.working():
-                t = mpf(tv)
-                return 32 * binom3_series(t * (1 - t) / 16, LinearFactor(0, 1),
-                                          w_mix1, ctx)
+            t = mpf(tv)
+            return 32 * binom3_series(t * (1 - t) / 16, LinearFactor(0, 1),
+                                      w_mix1, ctx)
         return lhs
 
     def mix1_rhs(tv):
         def rhs(ctx):
-            with ctx.working():
-                t = mpf(tv)
-                zt3 = const_zeta(3, ctx)
-                p = 2 * ell_k(t, ctx) / mp.pi
-                pb = 2 * ell_k_comp(t, ctx) / mp.pi
-                d = legendre_dnu2(t, ctx)
-                db = legendre_dnu2(1 - t, ctx)
-                return (28 * zt3 * p ** 2 - mp.pi * pb * d - mp.pi * p * db
-                        - p * (mp.pi ** 3 * pb + 2 * d * mp.log(t * (1 - t) / 16)))
+            t = mpf(tv)
+            zt3 = const_zeta(3, ctx)
+            p = 2 * ell_k(t, ctx) / mp.pi
+            pb = 2 * ell_k_comp(t, ctx) / mp.pi
+            d = legendre_dnu2(t, ctx)
+            db = legendre_dnu2(1 - t, ctx)
+            return (28 * zt3 * p ** 2 - mp.pi * pb * d - mp.pi * p * db
+                    - p * (mp.pi ** 3 * pb + 2 * d * mp.log(t * (1 - t) / 16)))
         return rhs
     for tv in ("0.1", "0.3"):
         add("lem.h3mix1.t%s" % tv.replace(".", ""), "lemma-oracles",
@@ -790,30 +763,28 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
             "lhs: series; rhs: Legendre deformations and zeta(3)")
 
     def mix2_lhs(ctx):
-        with ctx.working():
-            t = mpc("0.3", "0.05")
-            return 4 * binom3_series(t * (1 - t) / 16, LinearFactor(0, 1),
-                                     WeightSpec.combo({"H3MIX": 1}), ctx)
+        t = mpc("0.3", "0.05")
+        return 4 * binom3_series(t * (1 - t) / 16, LinearFactor(0, 1),
+                                 WeightSpec.combo({"H3MIX": 1}), ctx)
 
     def mix2_rhs(ctx):
-        with ctx.working():
-            t = mpc("0.3", "0.05")
-            zt3 = const_zeta(3, ctx)
-            big_t = 1 / (4 * t * (1 - t))
-            sig = _I() * mp.sign(mp.im(big_t))
-            sq_mt = mp.sqrt(-big_t)
-            sq_1t = mp.sqrt(1 - big_t)
-            pp = 2 * ell_k((1 - sq_1t) / 2, ctx) / mp.pi
-            pm = 2 * ell_k((1 + sq_1t) / 2, ctx) / mp.pi
-            dp = legendre_dnu2((1 - sq_1t) / 2, ctx)
-            dm = legendre_dnu2((1 + sq_1t) / 2, ctx)
-            lg = mp.log(-64 * big_t)
-            return (h3mix2_tail_integral(t, ctx)
-                    + sq_mt * pp * pm / 3 * (mp.pi ** 3 - sig * (mp.pi ** 2 * lg - 12 * zt3))
-                    + 2 * sq_mt / 3 * (pp ** 2 - pm ** 2) * (mp.pi ** 2 * lg - 3 * zt3)
-                    - 2 * mp.pi ** 3 * sq_mt / 3 * sig * pp ** 2
-                    + sq_mt * (pp * (mp.pi - sig * lg) - pm * lg) * dm
-                    + sq_mt * (pm * (mp.pi - sig * lg) + pp * (lg + 2 * mp.pi * sig)) * dp)
+        t = mpc("0.3", "0.05")
+        zt3 = const_zeta(3, ctx)
+        big_t = 1 / (4 * t * (1 - t))
+        sig = _I() * mp.sign(mp.im(big_t))
+        sq_mt = mp.sqrt(-big_t)
+        sq_1t = mp.sqrt(1 - big_t)
+        pp = 2 * ell_k((1 - sq_1t) / 2, ctx) / mp.pi
+        pm = 2 * ell_k((1 + sq_1t) / 2, ctx) / mp.pi
+        dp = legendre_dnu2((1 - sq_1t) / 2, ctx)
+        dm = legendre_dnu2((1 + sq_1t) / 2, ctx)
+        lg = mp.log(-64 * big_t)
+        return (h3mix2_tail_integral(t, ctx)
+                + sq_mt * pp * pm / 3 * (mp.pi ** 3 - sig * (mp.pi ** 2 * lg - 12 * zt3))
+                + 2 * sq_mt / 3 * (pp ** 2 - pm ** 2) * (mp.pi ** 2 * lg - 3 * zt3)
+                - 2 * mp.pi ** 3 * sq_mt / 3 * sig * pp ** 2
+                + sq_mt * (pp * (mp.pi - sig * lg) - pm * lg) * dm
+                + sq_mt * (pm * (mp.pi - sig * lg) + pp * (lg + 2 * mp.pi * sig)) * dp)
     add("lem.h3mix2", "lemma-oracles",
         "complex-rate mixed-weight identity at t=0.3+0.05i",
         mix2_lhs, mix2_rhs, "reciprocal-argument representation",
@@ -865,12 +836,11 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
             return inv_binom2_series(mpf(tv), ctx)
 
         def inv_rhs(ctx, tv=tv):
-            with ctx.working():
-                t = mpf(tv)
-                kt = ell_k(t, ctx)
-                zq = _I() * ell_k_comp(t, ctx) / (2 * kt)
-                return (32 * mp.sqrt(t) * kt / mp.pi
-                        * hyp_lambert(zq, HypKernel("HALF_ODD_COSH", "ODD", 2), ctx).real)
+            t = mpf(tv)
+            kt = ell_k(t, ctx)
+            zq = _I() * ell_k_comp(t, ctx) / (2 * kt)
+            return (32 * mp.sqrt(t) * kt / mp.pi
+                    * hyp_lambert(zq, HypKernel("HALF_ODD_COSH", "ODD", 2), ctx).real)
         add("s4.invsqr.t%s" % tv.replace(".", ""), "sec4",
             "inverse-square binomial sum vs half-odd nome sum at t=%s" % tv,
             inv_lhs, inv_rhs, "elliptic-logarithm form",
@@ -881,12 +851,11 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
             return hyp_lambert(mpc(0, yv), HypKernel("COSH_1", "ALL", 2), ctx).real
 
         def rn_rhs(ctx, yv=yv):
-            with ctx.working():
-                z = mpc(0, yv)
-                g = const_catalan(ctx)
-                inner = hyp_lambert(-1 / (2 * z), HypKernel("EXPM1_ALT", "ODD", 2), ctx)
-                return (mp.pi ** 2 * (1 - 6 * z ** 2) / 6 - 8 * z * g / _I()
-                        - 16 * z / _I() * inner).real
+            z = mpc(0, yv)
+            g = const_catalan(ctx)
+            inner = hyp_lambert(-1 / (2 * z), HypKernel("EXPM1_ALT", "ODD", 2), ctx)
+            return (mp.pi ** 2 * (1 - 6 * z ** 2) / 6 - 8 * z * g / _I()
+                    - 16 * z / _I() * inner).real
         add("s4.rn2p277.y%s" % yv.replace(".", ""), "sec4",
             "notebook cosh^-1 sum identity at z=%si" % yv,
             rn_lhs, rn_rhs, "second-notebook entry",
@@ -897,11 +866,10 @@ def build_registry(seed: int = DEFAULT_SEED) -> list:
             return hyp_lambert(mpc(0, zv), HypKernel("EXPM1_ALT", "ODD", 2), ctx)
 
         def rnp_rhs(ctx, zv=zv):
-            with ctx.working():
-                q = mp.exp(-mp.pi * mpf(zv))
-                return ((8 * eli(0, 2, 1, _I(), q, ctx)
-                         + 2 * eli(0, 2, 1, 1, q ** 2, ctx)
-                         - eli(0, 2, 1, 1, q ** 4, ctx)) / (8 * _I()))
+            q = mp.exp(-mp.pi * mpf(zv))
+            return ((8 * eli(0, 2, 1, _I(), q, ctx)
+                     + 2 * eli(0, 2, 1, 1, q ** 2, ctx)
+                     - eli(0, 2, 1, 1, q ** 4, ctx)) / (8 * _I()))
         add("s4.rn2p277p.%s" % tag, "sec4",
             "alternating odd Lambert sum as elliptic polylogarithms, q=e^-%spi" % zv,
             rnp_lhs, rnp_rhs, "elliptic polylogarithm form",

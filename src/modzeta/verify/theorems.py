@@ -16,7 +16,7 @@ from mpmath import mpc, mpf
 
 from ..arith import epstein2
 from ..eichler import eichler4, eichler6
-from ..modular import _as_z, alpha4, r_half, uhp
+from ..modular import _as_z, alpha4, r_half
 from ..mpcore import DomainError, PrecisionCtx, _memoized, const_zeta
 from ..series import LinearFactor, W_ONE, WeightSpec, binom3_sums
 
@@ -31,14 +31,24 @@ W_H3_DIFF = WeightSpec.combo({"H3_2K": 1, "H3_K": Fraction(-1, 8)})
 W_H3_PLAIN = WeightSpec.combo({"H3_K": 1})
 
 
-def _require_admissible(z, ctx: PrecisionCtx):
+def _require_admissible(z, ctx: PrecisionCtx) -> mpc:
+    """z at working precision (through ``_as_z``), if the main theorems hold there.
+
+    They hold on two lines: Re z = 0 with Im z >= 1/2, and Re z = 1/2 with
+    Im z >= 1/sqrt(2).  Each comparison allows 10^-(workdps-5) of slack, so
+    boundary points built from rounded square roots still qualify.  Any other
+    point raises DomainError.
+    """
+    z = _as_z(z, ctx)
     with ctx.working():
-        pt = uhp(z)
-        if not pt.admissible_h2():
+        tol = mpf(10) ** (-(ctx.workdps - 5))
+        x, y = mp.re(z), mp.im(z)
+        if not ((abs(x) <= tol and y >= mpf(1) / 2 - tol)
+                or (abs(x - mpf(1) / 2) <= tol and y >= 1 / mp.sqrt(2) - tol)):
             raise DomainError("z=%s is outside the theorem hypothesis "
                               "(need 2z/i >= 1, or Re z = 1/2 with Im z >= 1/sqrt(2))"
-                              % (pt.z,))
-    return pt.z
+                              % (z,))
+    return z
 
 
 _THEOREM_WEIGHTS = (W_H2_DIFF, W_H2_PLAIN, W_H3_DIFF, W_H3_PLAIN)

@@ -82,10 +82,21 @@ def test_eval_binom2_boundary_rate():
     assert out.stdout.strip() == "0.834626841674073186281429732799"
 
 
-def test_eval_usage_errors():
+# every eval name with its arity
+EVAL_ARITY = {"L": 2, "zeta": 1, "G": 0, "E": 2, "eichler4": 2, "eichler6": 2,
+              "lambda": 1, "eta": 1, "E2": 1, "E4": 1, "E6": 1, "K": 1,
+              "binom3": 3, "binom2": 1, "Srz": 2, "Trz": 2, "Urz": 2}
+
+
+def test_eval_usage_errors(capsys):
     assert run_cli("eval", "K").returncode == 2          # bad arity
     assert run_cli("eval", "frobnicate", "1").returncode == 2
     assert run_cli("eval", "K", "2").returncode == 2     # branch cut
+    assert main(["eval", "Srz", "i", "1/0"]) == 2        # zero denominator
+    for name, n in EVAL_ARITY.items():
+        assert main(["eval", name] + ["1"] * (n + 1)) == 2, name
+        assert ("%s expects %d argument(s), got %d" % (name, n, n + 1)
+                in capsys.readouterr().err)
 
 
 def test_eval_complex_argument():
@@ -110,21 +121,35 @@ def test_config_file(tmp_path):
     assert run_cli("eval", "zeta", "2", "--config", str(bad)).returncode == 2
 
 
-@pytest.mark.parametrize("argv,cfg,env", [
-    (("eval", "G"), None, {"MODZETA_DIGITS": "abc"}),
-    (("eval", "G"), "digits=forty\n", None),
-    (("verify", "--suite", "h2-variants"), "jobs=two\n", None),
-    (("verify", "--suite", "h2-variants", "--jobs", "1"), "seed=1.5\n", None),
-    (("table", "h2"), "jobs=2.0\n", None),
-], ids=["env-digits", "config-digits", "config-jobs", "config-seed", "table-jobs"])
-def test_non_integer_setting_is_usage_error(tmp_path, argv, cfg, env):
+NOT_INT, JOBS, FORMAT = ("must be an integer", "jobs must be at least 1",
+                         "format must be text or json")
+
+
+# a setting that is not an integer, or out of range, stops the command
+# before any work with exit code 2
+@pytest.mark.parametrize("argv,cfg,env,message", [
+    (("eval", "G"), None, {"MODZETA_DIGITS": "abc"}, NOT_INT),
+    (("eval", "G"), "digits=forty\n", None, NOT_INT),
+    (("verify", "--suite", "h2-variants"), "jobs=two\n", None, NOT_INT),
+    (("verify", "--suite", "h2-variants", "--jobs", "1"), "seed=1.5\n", None, NOT_INT),
+    (("table", "h2"), "jobs=2.0\n", None, NOT_INT),
+    (("verify", "--suite", "h2-variants", "--jobs", "0"), None, None, JOBS),
+    (("verify", "--suite", "h2-variants", "--jobs", "-3"), None, None, JOBS),
+    (("verify", "--suite", "h2-variants"), "jobs=0\n", None, JOBS),
+    (("table", "h2", "--jobs", "0"), None, None, JOBS),
+    (("verify", "--suite", "h2-variants", "--jobs", "1"), "format=jsno\n", None, FORMAT),
+    (("table", "h2", "--jobs", "1"), "format=jsno\n", None, FORMAT),
+], ids=["env-digits", "config-digits", "config-jobs", "config-seed", "table-jobs",
+        "jobs-zero", "jobs-negative", "config-jobs-zero", "table-jobs-zero",
+        "config-format", "table-format"])
+def test_non_integer_setting_is_usage_error(tmp_path, argv, cfg, env, message):
     if cfg is not None:
         path = tmp_path / "modzeta.cfg"
         path.write_text(cfg)
         argv += ("--config", str(path))
     out = run_cli(*argv, env=env)
     assert out.returncode == 2, out.stderr
-    assert "must be an integer" in out.stderr
+    assert message in out.stderr
     assert "Traceback" not in out.stderr
 
 

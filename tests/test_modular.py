@@ -4,9 +4,11 @@ import mpmath as mp
 import pytest
 from mpmath import mpc, mpf
 
-from modzeta import (DomainError, PrecisionCtx, UhpPoint, alpha4, eisenstein,
-                     eisenstein_eta_form, eta, lambda_fn, r_half, uhp)
+from modzeta import (DomainError, PrecisionCtx, alpha4, eisenstein,
+                     eisenstein_eta_form, eta, lambda_fn, r_half)
+from modzeta.modular import _nome
 from modzeta.series import ell_k
+from modzeta.verify.theorems import _require_admissible
 
 I = mpc(0, 1)
 
@@ -139,19 +141,21 @@ def test_r_half_derivative_oracle():
         assert abs(fd + 4 / mp.pi * rr / y0) < mpf(10) ** -25
 
 
-def test_uhp_point_admissibility():
-    with mp.workdps(40):
-        assert uhp(mpc(0, "0.5")).admissible_h2()
-        assert uhp(mpc(0, 2)).admissible_h2()
-        assert not uhp(mpc(0, "0.49")).admissible_h2()
-        assert uhp(mpf(1) / 2 + I / mp.sqrt(2)).admissible_h2()
-        assert not uhp(mpc("0.5", "0.7")).admissible_h2()
-        assert not uhp(mpc("0.3", "5.0")).admissible_h2()
-    with pytest.raises(DomainError):
-        UhpPoint(mpc(1, -1))
+def test_uhp_point_admissibility(ctx25):
+    # the hypothesis of the main theorems: Re z = 0 with Im z >= 1/2, or
+    # Re z = 1/2 with Im z >= 1/sqrt(2), to within 10^-(workdps-5)
+    with ctx25.working():
+        for z in (mpc(0, "0.5"), mpc(0, 2), mpf(1) / 2 + I / mp.sqrt(2)):
+            assert _require_admissible(z, ctx25) == z
+        for z in (mpc(0, "0.49"), mpc("0.5", "0.7"), mpc("0.3", "5.0")):
+            with pytest.raises(DomainError, match="theorem hypothesis"):
+                _require_admissible(z, ctx25)
+        for z in (mpc(1, -1), mpc(0, "-0.5")):
+            with pytest.raises(DomainError, match="Im z > 0"):
+                _require_admissible(z, ctx25)
 
 
 def test_nome():
     with mp.workdps(30):
-        q = uhp(mpc(0, 1)).nome()
+        q = _nome(mpc(0, 1))
         assert abs(q - mp.exp(-2 * mp.pi)) < mpf(10) ** -28

@@ -7,8 +7,8 @@ import pytest
 from mpmath import mpf
 
 from modzeta import (DomainError, PrecisionCtx, bernoulli, const_catalan,
-                     const_euler_gamma, const_pi, const_zeta, dirichlet_l)
-from modzeta.mpcore import hurwitz_zeta_raw
+                     const_pi, const_zeta, dirichlet_l)
+from modzeta.mpcore import const_euler_gamma, hurwitz_zeta_raw
 
 # 30-digit published value of pi (cross-check for the backend constant)
 PI_30 = "3.14159265358979323846264338328"

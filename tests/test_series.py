@@ -11,10 +11,11 @@ from mpmath import mpc, mpf
 
 from modzeta import (DomainError, HypKernel, LinearFactor, PrecisionCtx,
                      WeightSpec, binom2_series, binom3_series, cvz_alt_sum,
-                     eli, ell_k, ell_k_comp, gamma_one_plus, hyp_lambert,
-                     inv_binom2_series, legendre_dnu2, legendre_p_def)
+                     eli, ell_k, ell_k_comp, hyp_lambert, inv_binom2_series,
+                     legendre_dnu2)
 from modzeta.mpcore import const_euler_gamma
-from modzeta.series import _BASIS, W_ONE, binom3_sums
+from modzeta.series import (_BASIS, W_ONE, binom3_sums, gamma_one_plus,
+                            legendre_p_def)
 
 I = mpc(0, 1)
 

@@ -13,7 +13,7 @@ from modzeta import (DomainError, PrecisionCtx, all_suites, eichler4,
                      q_ratios, r_linear, run_suite, s_r, t_r, u_check)
 from modzeta import modular, mpcore, quadrature
 from modzeta.verify import DEFAULT_SEED, SUITES
-from modzeta.verify import runner, theorems
+from modzeta.verify import registry, runner, theorems
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_strings_50.json")
 
@@ -154,6 +154,35 @@ def test_boundary_family_meets_full_bar():
             row = runner._evaluate(recs[rid], ctx)
             assert row["tol_exponent"] == digits - 5
             assert row["pass"], (digits, rid, row["abs_residual"])
+
+
+def test_registry_rows_read_the_evaluators_at_run_time(monkeypatch, ctx30):
+    # the row tables look binom3_sums, eichler4 and eichler6 up when a record
+    # is evaluated, so a rebound module attribute sees every call; a rate
+    # series row makes exactly one walk
+    seen = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            seen.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+    for name in ("binom3_sums", "eichler4", "eichler6"):
+        monkeypatch.setattr(registry, name, counting(name, getattr(registry, name)))
+    reached = {"eichler4": set(), "eichler6": set()}
+    for suite in ("h3", "sun-h2", "eichler-special"):
+        for rec in get_records(suite):
+            seen.clear()
+            assert runner._evaluate(rec, ctx30)["pass"], rec.id
+            if suite != "eichler-special":
+                assert seen == ["binom3_sums"], rec.id
+            for name in reached:
+                if name in seen:
+                    reached[name].add(rec.id)
+    ids = [r.id for r in get_records("eichler-special")]
+    assert reached["eichler4"] == {i for i in ids if i.startswith("es.e4")} | {"es.h3ratio.256"}
+    assert reached["eichler6"] == {i for i in ids if i.startswith(("es.e6.", "es.p33."))}
+    assert len(reached["eichler6"]) == 9
 
 
 def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
