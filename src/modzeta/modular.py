@@ -4,9 +4,10 @@ Lambert nome walk shared with the Eichler integrals.
 Conventions: the nome is q = exp(2*pi*i*z) with Im z > 0, so |q| < 1.  All
 q-series are truncated at an index N with a certified polynomial-geometric
 tail bound below the working threshold; N therefore grows as Im z shrinks.
-The eta product keeps its certified tail bound down to Im z = 0.03 (about
-550 factors at 65-digit precision); below that it is out of contract, since
-no modular transformations are applied to rescue convergence.
+The eta product and the nome walk keep their certified tail bounds down to
+Im z = 0.03 (about 550 eta factors at 65-digit precision); below that both
+raise DomainError, since no modular transformations are applied to rescue
+convergence.
 
 A point is any complex-like value; every function takes it through
 ``_as_z``, which converts it at working precision and rejects Im z <= 0.
@@ -14,6 +15,16 @@ A point is any complex-like value; every function takes it through
 One memoized walk per (nome, precision), ``_nome_chains``, sums every Lambert
 series at that nome: the E2/E4/E6 chains that ``eisenstein`` reads and the
 Eichler chains that ``eichler`` and ``arith.epstein2`` read.
+
+The walk runs on Python integers scaled by 2^wp: u = q^n is an (re, im)
+integer pair, one integer division per n gives r = 1/(1-u), every kernel is
+a product of u, r and 1 + u or 1 + 4u + u^2, the Eisenstein chains multiply
+u r by the integer n^p and the Eichler chains floor-divide their kernel by
+n^e.  wp is the working precision plus guard bits sized from the walk's
+amplification (``_nome_guard``): the E6 chain multiplies the rounding of
+u/(1-u) by n^5 over up to N terms, and K_3 carries r^4.  The stop rules
+read only |q| and n, as in the mpf walk: the ``near_end`` prefilter, each
+Eisenstein chain's ``tail_poly_geom`` bound and the one Eichler bound.
 """
 
 from __future__ import annotations
@@ -21,7 +32,8 @@ from __future__ import annotations
 import mpmath as mp
 from mpmath import mpc, mpf
 
-from .mpcore import DomainError, PrecisionCtx, _memoized, ensure_finite, tail_poly_geom
+from .mpcore import (DomainError, PrecisionCtx, _cmul, _dust_bits, _from_fixed,
+                     _memoized, _to_fixed, ensure_finite, tail_poly_geom)
 
 __all__ = [
     "alpha4",
@@ -115,16 +127,26 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx) -> dict:
     chain, so one tail bound, sum_{m>n} |q|^m * 6/(1-|q|)^4 with the crude
     kernel bound |K(u)| <= 6|u|/(1-|q|)^4 for |u| <= |q|, stops all seven.
     The walk ends when every chain has stopped.
+
+    The walk is out of contract for Im z < 0.03, as ``eta`` is: its length
+    grows like 1/Im z.  The terms are summed in fixed point (module
+    docstring); the stop rules read only |q| and n.
     """
+    if mp.im(z) < mpf("0.03"):
+        raise DomainError("the Lambert nome walk is out of contract for Im z < 0.03")
     with ctx.working():
         q = _nome(z)
         qa = abs(q)
         tiny = ctx.tiny()
         kb = 6 / (1 - qa) ** 4
+        wp = mp.mp.prec + _nome_guard(qa, ctx)
+        one = 1 << wp
+        s = _dust_bits(q, wp)
+        qr, qi = _to_fixed(q, wp, s)
         eis = dict(_EIS_POWER)  # Eisenstein chains still summing
-        acc = dict.fromkeys(_CHAINS + tuple(eis), mpc(0))
+        acc = dict.fromkeys(_CHAINS + tuple(eis), (0, 0))
         eichler_live = True
-        u = mpc(1)
+        ur, ui = one, 0
         # |q|^(n+1) bounds every tail bound below: while it is at least
         # 2 tiny (the 2 covers rounding) no chain can stop, so the costlier
         # bounds are evaluated only near each chain's end
@@ -132,24 +154,48 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx) -> dict:
         n = 0
         while eichler_live or eis:
             n += 1
-            m = mpf(n)
-            u *= q  # u = q^n
-            d = 1 - u
+            ur, ui = _cmul(ur, ui, qr, qi, wp, s)  # u = q^n
+            # r = 1/(1-u) = conj(1-u)/|1-u|^2, one integer division
+            dr, di = one - ur, -ui
+            inv = (1 << 3 * wp) // (dr * dr + (di * di >> 2 * s))
+            rr, ri = dr * inv >> wp, -di * inv >> wp
+            k0r, k0i = _cmul(ur, ui, rr, ri, wp, s)  # u/(1-u)
             qa_next *= qa
             near_end = qa_next < near
             for key, p in list(eis.items()):
-                acc[key] += m ** p * u / d
+                m = n ** p
+                sr, si = acc[key]
+                acc[key] = (sr + m * k0r, si + m * k0i)
                 if near_end and tail_poly_geom(qa, n, p) / (1 - qa) < tiny:
                     del eis[key]
             if eichler_live:
-                ker = (u / d, u / d ** 2, u * (1 + u) / d ** 3,
-                       u * (1 + 4 * u + u * u) / d ** 4)
-                npow = {p: m ** p for p in range(-5, 0)}
+                k1 = _cmul(k0r, k0i, rr, ri, wp, s)
+                k1r = _cmul(*k1, rr, ri, wp, s)  # u/(1-u)^3
+                poly = _cmul(ur, ui, ur + 4 * one, ui, wp, s)  # 4u + u^2
+                ker = ((k0r, k0i), k1,
+                       _cmul(*k1r, one + ur, ui, wp, s),
+                       _cmul(*_cmul(*k1r, rr, ri, wp, s), one + poly[0], poly[1], wp, s))
                 for weight, order in _CHAINS:
-                    acc[weight, order] += npow[order - weight + 1] * ker[order]
+                    m = n ** (weight - 1 - order)
+                    kr, ki = ker[order]
+                    sr, si = acc[weight, order]
+                    acc[weight, order] = (sr + kr // m, si + ki // m)
                 eichler_live = not (near_end
                                     and qa ** (n + 1) / (1 - qa) * kb < tiny)
-    return acc
+        return {key: _from_fixed(sr, si, wp, s) for key, (sr, si) in acc.items()}
+
+
+def _nome_guard(qa: mpf, ctx: PrecisionCtx) -> int:
+    """Guard bits of the fixed-point nome walk at |q| = qa.
+
+    Each kernel value is off by a few units of 2^-wp, times (1-|q|)^-4 for
+    K_3; the E6 chain multiplies its rounding by n^5 and adds up to N terms,
+    N^6 units in all.  N is bounded by twice the index where |q|^n falls
+    below tiny, which covers the polynomial factors of every stop rule.
+    """
+    n_end = 2 * int(ctx.workdps * mp.log(10) / -mp.log(qa)) + 10
+    spread = int(mp.ceil(mp.log(1 / (1 - qa), 2)))
+    return 6 * n_end.bit_length() + 4 * spread + 8
 
 
 def eisenstein(z, weight: int, ctx: PrecisionCtx) -> mpc:

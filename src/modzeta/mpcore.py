@@ -1,4 +1,5 @@
-"""Precision contexts, fundamental constants, and the Euler-Maclaurin zeta engine.
+"""Precision contexts, fixed-point helpers, fundamental constants, and the
+Euler-Maclaurin zeta engine.
 
 Every public operation in this package takes a :class:`PrecisionCtx` and
 returns values accurate to at least ``ctx.digits`` decimal digits.  Internally
@@ -17,6 +18,7 @@ from inspect import signature
 
 import mpmath as mp
 from mpmath import mpc, mpf
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 __all__ = [
     "DomainError",
@@ -94,6 +96,51 @@ def tail_poly_geom(xabs: mpf, n_last: int, deg: int) -> mpf:
         raise DomainError("tail bound requires |x| < 1")
     bound = mpf(n_last + 1) ** deg * xabs ** (n_last + 1) / (1 - xabs) ** (deg + 1)
     return bound * (6 ** deg if deg else 1)
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point complex numbers
+# ---------------------------------------------------------------------------
+# The hot walks hold each complex value as an (re, im) pair of Python
+# integers, as mpmath's own series kernels do: the real part scaled by 2**wp
+# and the imaginary part by 2**(wp+s), where s >= 0 is the gap between the
+# parts of the walk's input.  A value that is real up to rounding dust, such
+# as the nome or the rate at a point on Re z = 1/2, then keeps that dust to
+# full relative precision, as an mpc does.
+
+def _dust_bits(v: mpc, wp: int) -> int:
+    """The extra scale s of the imaginary parts of a walk at 2**wp whose input is v.
+
+    A gap wider than wp bits is capped: the working precision cannot see it.
+    """
+    if not (v.real and v.imag):
+        return 0
+    return min(wp, max(0, int(mp.mag(v.real) - mp.mag(v.imag))))
+
+
+def _to_fixed(v, wp: int, s: int = 0) -> tuple:
+    """(re, im) of the number v as integers scaled by 2**wp and 2**(wp+s), rounded down."""
+    v = mpc(v)
+    return to_fixed(v.real._mpf_, wp), to_fixed(v.imag._mpf_, wp + s)
+
+
+def _from_fixed(re: int, im: int, wp: int, s: int = 0) -> mpc:
+    """re / 2**wp + i im / 2**(wp+s), rounded to nearest at the current precision."""
+    prec = mp.mp.prec
+    return mp.make_mpc((from_man_exp(re, -wp, prec, round_nearest),
+                        from_man_exp(im, -wp - s, prec, round_nearest)))
+
+
+def _cmul(ar: int, ai: int, br: int, bi: int, wp: int, s: int = 0) -> tuple:
+    """The product of two fixed-point complex pairs, real parts at scale 2**wp
+    and imaginary parts at scale 2**(wp+s).
+
+    Each part is rounded toward zero, so a repeated product of modulus below
+    1 never grows by rounding and a vanishing one reaches 0.
+    """
+    re, im = ar * br - (ai * bi >> 2 * s), ar * bi + ai * br
+    return (re >> wp if re >= 0 else -(-re >> wp),
+            im >> wp if im >= 0 else -(-im >> wp))
 
 
 # ---------------------------------------------------------------------------

@@ -206,9 +206,14 @@ def h3mix2_tail_integral(t, ctx: PrecisionCtx) -> mpc:
     Taken along the horizontal path Im s = Im t (the integrand is analytic off
     the real rays s <= 0 and s >= 1), with the half-line mapped to [0,1) by
     s = t + v/(1-v); the leftover v=1 endpoint carries only a log^2 blowup.
+    That path needs Im t != 0: at a real t it would run along the branch cut
+    s >= 1, so a real t raises DomainError.  Off the real axis the integral
+    obeys I(conj t) = conj I(t).
     """
     with ctx.working():
         t = mpc(t)
+        if not mp.im(t):
+            raise DomainError("h3mix2_tail_integral requires Im t != 0, got t=%s" % (t,))
         kt = ell_k(t, ctx)
         k1t = ell_k_comp(t, ctx)
 

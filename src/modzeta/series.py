@@ -19,10 +19,29 @@ each sum stopping on its own certificate; :func:`binom3_series` and
 keep the nine sums of a point in a per-(point, precision) memo, so one point
 costs one walk.
 
-Harmonic weights are kept as running working-precision accumulators updated
-once per index; each weight basis is read from them through one table.
-Binomial powers are folded into the running term so nothing larger than an
-mpf exponent ever materializes.
+Fixed point
+-----------
+The interior walk runs on Python integers scaled by 2^wp, the technique of
+mpmath's own series kernels: the term C(2k,k)^p x^k is an (re, im) integer
+pair, each step multiplies it by x and by the exact integer factor
+(2(2k+1))^p / (k+1)^p with one rounding toward zero, and the six harmonic
+sums gain 2^wp // n^r per index.  Each weight basis is an integer function
+of those sums, read through one table, and each request's sum is an
+integer pair converted to mpf once at the end.  An imaginary part far below
+the real part of x (a rate at a point on Re z = 1/2) gets its own scale, as
+``mpcore._dust_bits`` describes.
+
+wp is the working precision plus guard bits sized from the walk's
+amplification (``_binom_guard``): a term's rounding grows by about one unit
+per step, the linear factor multiplies it by up to k, and a walk may take
+400 workdps steps.  The guard depends only on the precision, so an entry
+still equals the same request summed alone.
+
+The stop rules are unchanged: each request's geometric tail certificate is
+evaluated in mpf from the integer term, and an exact integer pre-test on
+|t|^2 skips that evaluation only while no request can stop yet.  The
+boundary path builds its short CVZ term lists (1.4 digits + 20 terms) with
+the mpf accumulators of ``_Harmonics``.
 """
 
 from __future__ import annotations
@@ -32,9 +51,11 @@ from fractions import Fraction
 
 import mpmath as mp
 from mpmath import mpc, mpf
+from mpmath.libmp import to_fixed
 
 from .modular import _as_z
-from .mpcore import DomainError, PrecisionCtx, const_zeta, ensure_finite
+from .mpcore import (DomainError, PrecisionCtx, _cmul, _dust_bits, _from_fixed,
+                     _to_fixed, const_zeta, ensure_finite)
 
 __all__ = [
     "HypKernel",
@@ -60,19 +81,20 @@ __all__ = [
 # Weights and linear factors
 # ---------------------------------------------------------------------------
 
-# each weight basis as a function of the running accumulators at index k
+# each weight basis as an integer function of the walk's running sums
+# h = [k, H_k, H_2k, H2_k, H2_2k, H3_k, H3_2k], each sum at scale 2^wp
 _BASIS = {
-    "ONE": lambda h: mpf(1),
-    "H1_K": lambda h: h.h1k,
-    "H1_2K": lambda h: h.h12k,
-    "H2_K": lambda h: h.h2k,
-    "H2_2K": lambda h: h.h22k,
-    "H3_K": lambda h: h.h3k,
-    "H3_2K": lambda h: h.h32k,
-    "INVSQ_2K1": lambda h: 1 / mpf(2 * h.k + 1) ** 2,
-    "H2_2K_TIMES_DH1": lambda h: h.h22k * (h.h12k - h.h1k),
-    "H2_K_TIMES_DH1": lambda h: h.h2k * (h.h12k - h.h1k),
-    "H3MIX": lambda h: h.h3k - 3 * h.h2k * (h.h12k - h.h1k),
+    "ONE": lambda h, wp: 1 << wp,
+    "H1_K": lambda h, wp: h[1],
+    "H1_2K": lambda h, wp: h[2],
+    "H2_K": lambda h, wp: h[3],
+    "H2_2K": lambda h, wp: h[4],
+    "H3_K": lambda h, wp: h[5],
+    "H3_2K": lambda h, wp: h[6],
+    "INVSQ_2K1": lambda h, wp: (1 << wp) // (2 * h[0] + 1) ** 2,
+    "H2_2K_TIMES_DH1": lambda h, wp: h[4] * (h[2] - h[1]) >> wp,
+    "H2_K_TIMES_DH1": lambda h, wp: h[3] * (h[2] - h[1]) >> wp,
+    "H3MIX": lambda h, wp: h[5] - (3 * h[3] * (h[2] - h[1]) >> wp),
 }
 
 
@@ -114,9 +136,28 @@ W_ONE = WeightSpec.one()
 
 
 class _Harmonics:
-    """Running H_k, H_{2k}, H^(2), H^(3) accumulators, updated in O(1) per k."""
+    """Running H_k, H_{2k}, H^(2), H^(3) accumulators in mpf, updated in O(1) per k.
+
+    Only the boundary path builds its CVZ term lists from them; the interior
+    walk keeps the same sums as integers.
+    """
 
     __slots__ = ("h1k", "h12k", "h2k", "h22k", "h3k", "h32k", "k")
+
+    # the mpf twin of the module's integer _BASIS table
+    _BASIS = {
+        "ONE": lambda h: mpf(1),
+        "H1_K": lambda h: h.h1k,
+        "H1_2K": lambda h: h.h12k,
+        "H2_K": lambda h: h.h2k,
+        "H2_2K": lambda h: h.h22k,
+        "H3_K": lambda h: h.h3k,
+        "H3_2K": lambda h: h.h32k,
+        "INVSQ_2K1": lambda h: 1 / mpf(2 * h.k + 1) ** 2,
+        "H2_2K_TIMES_DH1": lambda h: h.h22k * (h.h12k - h.h1k),
+        "H2_K_TIMES_DH1": lambda h: h.h2k * (h.h12k - h.h1k),
+        "H3MIX": lambda h: h.h3k - 3 * h.h2k * (h.h12k - h.h1k),
+    }
 
     def __init__(self) -> None:
         self.k = 0
@@ -142,7 +183,7 @@ class _Harmonics:
     def weight(self, spec: WeightSpec):
         total = mpf(0)
         for coeff, basis in spec.terms:
-            total += (mpf(coeff.numerator) / coeff.denominator) * _BASIS[basis](self)
+            total += (mpf(coeff.numerator) / coeff.denominator) * self._BASIS[basis](self)
         return total
 
 
@@ -232,10 +273,11 @@ def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
     linear factor is evaluated once per k, and the result list follows the
     order of ``requests``.
 
-    Interior |4^power x| < 1: direct summation.  Each request keeps its own
-    geometric tail certificate and stops accumulating once it holds, so every
-    entry equals the same request summed alone; the walk ends when every
-    request is certified.
+    Interior |4^power x| < 1: direct summation on fixed-point integers (see
+    the module docstring).  Each request keeps its own geometric tail
+    certificate and stops accumulating once it holds, so every entry equals
+    the same request summed alone; the walk ends when every request is
+    certified.
     |4^power x| = 1 with Re x < 0, to within the boundary slack
     max(1000 tiny, 10^-(dps-6)): the walk classifies the rate itself and sums
     it by CVZ acceleration.  The term list is built once on the real rate and
@@ -266,26 +308,41 @@ def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
                                   "a linear factor exceeds the slack" % name)
             return _binom_accelerated(mp.re(x), power, facs, specs, slots, ctx)
 
-        acc = [mpc(0)] * len(slots)
+        wp = mp.mp.prec + _binom_guard(ctx)
+        sd = _dust_bits(x, wp)
+        one = 1 << wp
+        xr, xi = _to_fixed(x, wp, sd)
+        facs_fx = [_to_fixed(a, wp, sd) + _to_fixed(b, wp, sd) for a, b in facs]
+        specs_fx = [[(c.numerator, c.denominator, _BASIS[b]) for c, b in w.terms]
+                    for w in specs]
+        acc = [(0, 0)] * len(slots)
         live = list(range(len(slots)))  # requests whose tail is not yet certified
-        term_base = mpc(1)  # C(2k,k)^power x^k
-        har = _Harmonics()
+        tr, ti = one, 0  # C(2k,k)^power x^k
+        h = [0] * 7  # k, H_k, H_2k, H2_k, H2_2k, H3_k, H3_2k
         k = 0
         r = abs(scale * x)
         ax = abs(x)
         abs_facs = [(abs(a), abs(b)) for a, b in facs]
+        # exact pre-test: for k >= 8 every head below is at least
+        # |t| |4^power x| min(10|a| + |b|), so while |t|^2 >= skip that lower
+        # bound is at least 2 tiny and no request can stop yet
+        low = scale * ax * min(10 * aa + ab for aa, ab in abs_facs)
+        skip = to_fixed(((2 * tiny / low) ** 2)._mpf_, 2 * wp) + 1 if low else None
         while True:
-            wts = [har.weight(w) for w in specs]
-            lin = [term_base * (a * k + b) for a, b in facs]
+            wts = [sum(n * f(h, wp) // d for n, d, f in spec) for spec in specs_fx]
+            lin = [_cmul(tr, ti, ar * k + br, ai * k + bi, wp, sd)
+                   for ar, ai, br, bi in facs_fx]
             for i in live:
                 fi, wi = slots[i]
-                acc[i] += lin[fi] * wts[wi]
-            # ratio of successive |C^power x^k| is at most |4^power x|; weight
-            # and the linear factor add at most (1+6/k)-type growth
-            if k >= 8:
+                (lr, li), w = lin[fi], wts[wi]
+                sr, si = acc[i]
+                acc[i] = (sr + (lr * w >> wp), si + (li * w >> wp))
+            if k >= 8 and (skip is None or tr * tr + (ti * ti >> 2 * sd) < skip):
+                # ratio of successive |C^power x^k| is at most |4^power x|;
+                # weight and the linear factor add at most (1+6/k)-type growth
                 grow = r * (1 + mpf(6) / k)
                 if grow < 1:
-                    head = abs(term_base) * scale * ax
+                    head = abs(_from_fixed(tr, ti, wp, sd)) * scale * ax
                     heads = [head * (aa * (k + 1) + ab + aa) for aa, ab in abs_facs]
                     guard = _weight_growth_guard(k)
                     still = []
@@ -296,18 +353,42 @@ def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
                         if heads[fi] >= tiny:
                             still.append(i)
                             continue
-                        bound = heads[fi] * (abs(wts[wi]) + 1) * guard
+                        wt = abs(_from_fixed(wts[wi], 0, wp).real)
+                        bound = heads[fi] * (wt + 1) * guard
                         if not bound * grow / (1 - grow) + bound < tiny:
                             still.append(i)
                     live = still
                     if not live:
                         break
-            term_base *= mpf(2 * (2 * k + 1)) ** power / mpf(k + 1) ** power * x
-            har.advance()
+            # one rounding toward zero per part: t * x * num / den
+            num, den = (2 * (2 * k + 1)) ** power, (k + 1) ** power
+            tr, ti = _cmul(tr, ti, xr * num, xi * num, wp, sd)
+            tr = tr // den if tr >= 0 else -(-tr // den)
+            ti = ti // den if ti >= 0 else -(-ti // den)
             k += 1
+            a, b = 2 * k - 1, 2 * k
+            h[0] = k
+            h[1] += one // k
+            h[2] += one // a + one // b
+            h[3] += one // k ** 2
+            h[4] += one // a ** 2 + one // b ** 2
+            h[5] += one // k ** 3
+            h[6] += one // a ** 3 + one // b ** 3
             if k > 400 * ctx.workdps:
                 raise DomainError("%s failed to converge" % name)
-        return [ensure_finite(v) for v in acc]
+        return [ensure_finite(_from_fixed(sr, si, wp, sd)) for sr, si in acc]
+
+
+def _binom_guard(ctx: PrecisionCtx) -> int:
+    """Guard bits of the fixed-point binomial walk.
+
+    Each step rounds the term once, so after k steps it is off by about k
+    units of 2^-wp; the linear factor then multiplies it by about k, and a
+    sum adds up to the 400 workdps steps the walk may take.  Rounding
+    therefore stays below cap^3 units, cap = 400 workdps, plus the harmonic
+    sums' k units each.
+    """
+    return 3 * (400 * ctx.workdps).bit_length() + 8
 
 
 def _binom_accelerated(xr: mpf, power: int, facs: list, specs: list, slots: list,

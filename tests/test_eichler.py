@@ -197,12 +197,14 @@ def test_nome_walk_matches_one_loop_per_chain(re_im, digits):
         q = mp.exp(2j * mp.pi * z)
         eichler_keys = [(4, 0), (4, 1), (4, 2), (6, 0), (6, 1), (6, 2), (6, 3)]
         assert set(chains) == set(eichler_keys) | {"E2", "E4", "E6"}
+        # the fixed-point walk rounds differently from the mpf loops
+        tol = mpf(10) ** -(ctx.workdps - 3)
         for weight, order in eichler_keys:
             ref = _reference_chain(q, weight, order, ctx.tiny())
-            assert chains[weight, order] == ref, (weight, order)
+            assert abs(chains[weight, order] - ref) <= tol * max(1, abs(ref)), (weight, order)
         for weight in (2, 4, 6):
             ref = _reference_eisenstein_chain(q, weight, ctx.tiny())
-            assert chains["E%d" % weight] == ref, weight
+            assert abs(chains["E%d" % weight] - ref) <= tol * max(1, abs(ref)), weight
 
 
 def test_one_nome_walk_serves_eisenstein_and_eichler(monkeypatch, ctx30):

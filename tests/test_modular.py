@@ -1,5 +1,7 @@
 """Dedekind eta, modular lambda, Eisenstein series, Legendre-Ramanujan R."""
 
+import time
+
 import mpmath as mp
 import pytest
 from mpmath import mpc, mpf
@@ -159,3 +161,18 @@ def test_nome():
     with mp.workdps(30):
         q = _nome(mpc(0, 1))
         assert abs(q - mp.exp(-2 * mp.pi)) < mpf(10) ** -28
+
+
+def test_nome_walk_floor_fails_fast(capsys):
+    # below Im z = 0.03 the nome walk is out of contract, as eta is; the
+    # in-process call and the CLI fail at once instead of walking for minutes
+    from modzeta import eichler4
+    from modzeta.cli import main
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="Im z < 0.03"):
+        eichler4(mpc(0, "0.0001"), 0, PrecisionCtx(15))
+    assert time.perf_counter() - t0 < 1
+    t0 = time.perf_counter()
+    assert main(["eval", "eichler4", "0.0001i", "0", "--digits", "15"]) == 2
+    assert time.perf_counter() - t0 < 1
+    assert "Im z < 0.03" in capsys.readouterr().err

@@ -103,3 +103,11 @@ def test_complex_path(ctx30):
     with ctx30.working():
         res = tanh_sinh(lambda z: z * z, mpf(0), mpc(1, 1), ctx30)
         assert abs(res.value - mpc(1, 1) ** 3 / 3) < mpf(10) ** -(ctx30.workdps - 10)
+
+
+def test_h3mix2_tail_integral_rejects_real_t(ctx30):
+    # the path Im s = Im t would run along the branch cut s >= 1 at a real t
+    from modzeta import DomainError, h3mix2_tail_integral
+    for t in (mpf("0.3"), mpf("-0.5")):
+        with pytest.raises(DomainError, match="h3mix2_tail_integral requires Im t != 0"):
+            h3mix2_tail_integral(t, ctx30)

@@ -1,0 +1,311 @@
+"""The fixed-point walks against the mpf loops they replaced.
+
+``_reference_binom_sums`` and ``_reference_nome_chains`` are the binomial
+walk (with ``_Harmonics``) and the nome walk as they were written in mpf,
+kept here verbatim as oracles.  The integer kernels must agree with them to
+10^-(workdps-2.5), relative to max(1, |value|), at 15, 30, 100 and 250
+digits.
+"""
+
+from fractions import Fraction
+
+import mpmath as mp
+import pytest
+from mpmath import mpc, mpf
+
+from modzeta import DomainError, PrecisionCtx
+from modzeta.modular import (_CHAINS, _EIS_POWER, _nome, _nome_chains, alpha4,
+                             r_half)
+from modzeta.mpcore import ensure_finite, tail_poly_geom
+from modzeta.series import (LinearFactor, W_ONE, WeightSpec, _binom_sums,
+                            _boundary_kind, _boundary_slack, cvz_alt_sum)
+from modzeta.verify import get_records
+from modzeta.verify.registry import _Z
+from modzeta.verify.runner import _evaluate
+from modzeta.verify.theorems import (W_H2_DIFF, W_H2_PLAIN, W_H3_DIFF,
+                                     W_H3_PLAIN)
+
+DIGITS = (15, 30, 100, 250)
+
+
+# ---------------------------------------------------------------------------
+# The mpf binomial walk
+# ---------------------------------------------------------------------------
+
+# each weight basis as a function of the running accumulators at index k
+_BASIS = {
+    "ONE": lambda h: mpf(1),
+    "H1_K": lambda h: h.h1k,
+    "H1_2K": lambda h: h.h12k,
+    "H2_K": lambda h: h.h2k,
+    "H2_2K": lambda h: h.h22k,
+    "H3_K": lambda h: h.h3k,
+    "H3_2K": lambda h: h.h32k,
+    "INVSQ_2K1": lambda h: 1 / mpf(2 * h.k + 1) ** 2,
+    "H2_2K_TIMES_DH1": lambda h: h.h22k * (h.h12k - h.h1k),
+    "H2_K_TIMES_DH1": lambda h: h.h2k * (h.h12k - h.h1k),
+    "H3MIX": lambda h: h.h3k - 3 * h.h2k * (h.h12k - h.h1k),
+}
+
+
+class _Harmonics:
+    """Running H_k, H_{2k}, H^(2), H^(3) accumulators, updated in O(1) per k."""
+
+    __slots__ = ("h1k", "h12k", "h2k", "h22k", "h3k", "h32k", "k")
+
+    def __init__(self) -> None:
+        self.k = 0
+        self.h1k = mpf(0)
+        self.h12k = mpf(0)
+        self.h2k = mpf(0)
+        self.h22k = mpf(0)
+        self.h3k = mpf(0)
+        self.h32k = mpf(0)
+
+    def advance(self) -> None:
+        # move from index k to k+1
+        self.k += 1
+        k = mpf(self.k)
+        self.h1k += 1 / k
+        self.h2k += 1 / k ** 2
+        self.h3k += 1 / k ** 3
+        a, b = mpf(2 * self.k - 1), mpf(2 * self.k)
+        self.h12k += 1 / a + 1 / b
+        self.h22k += 1 / a ** 2 + 1 / b ** 2
+        self.h32k += 1 / a ** 3 + 1 / b ** 3
+
+    def weight(self, spec):
+        total = mpf(0)
+        for coeff, basis in spec.terms:
+            total += (mpf(coeff.numerator) / coeff.denominator) * _BASIS[basis](self)
+        return total
+
+
+def _weight_growth_guard(k: int) -> mpf:
+    # Relative growth of any supported weight from k to k+1 is at most
+    # 1 + 2/k for k >= 2 (harmonic increments), squared for the products.
+    return (1 + mpf(2) / max(k, 2)) ** 2
+
+
+def _reference_binom_sums(x, power, requests, ctx):
+    name = "binom%d series" % power
+    scale = 4 ** power
+    with ctx.working():
+        x = mpc(x)
+        requests = list(requests)
+        facs = list(dict.fromkeys(f for f, _ in requests))
+        specs = list(dict.fromkeys(w for _, w in requests))
+        slots = [(facs.index(f), specs.index(w)) for f, w in requests]
+        facs = [(mpc(f.a), mpc(f.b)) for f in facs]
+        tiny = ctx.tiny()
+        kind = _boundary_kind(scale * x, tiny)
+        if kind == "out":
+            raise DomainError("%s diverges: |%dx| > 1" % (name, scale))
+        if kind == "boundary":
+            if mp.re(scale * x) > 0:
+                raise DomainError("%s: non-alternating boundary rate unsupported" % name)
+            slack = _boundary_slack(tiny)
+            dust = [mp.im(scale * x)] + [mp.im(v) for f in facs for v in f]
+            if max(abs(d) for d in dust) > slack:
+                raise DomainError("%s: imaginary part of the boundary rate or of "
+                                  "a linear factor exceeds the slack" % name)
+            return _reference_accelerated(mp.re(x), power, facs, specs, slots, ctx)
+
+        acc = [mpc(0)] * len(slots)
+        live = list(range(len(slots)))  # requests whose tail is not yet certified
+        term_base = mpc(1)  # C(2k,k)^power x^k
+        har = _Harmonics()
+        k = 0
+        r = abs(scale * x)
+        ax = abs(x)
+        abs_facs = [(abs(a), abs(b)) for a, b in facs]
+        while True:
+            wts = [har.weight(w) for w in specs]
+            lin = [term_base * (a * k + b) for a, b in facs]
+            for i in live:
+                fi, wi = slots[i]
+                acc[i] += lin[fi] * wts[wi]
+            # ratio of successive |C^power x^k| is at most |4^power x|; weight
+            # and the linear factor add at most (1+6/k)-type growth
+            if k >= 8:
+                grow = r * (1 + mpf(6) / k)
+                if grow < 1:
+                    head = abs(term_base) * scale * ax
+                    heads = [head * (aa * (k + 1) + ab + aa) for aa, ab in abs_facs]
+                    guard = _weight_growth_guard(k)
+                    still = []
+                    for i in live:
+                        fi, wi = slots[i]
+                        # the weight and guard factors are >= 1, so a head at
+                        # or above tiny already fails the test
+                        if heads[fi] >= tiny:
+                            still.append(i)
+                            continue
+                        bound = heads[fi] * (abs(wts[wi]) + 1) * guard
+                        if not bound * grow / (1 - grow) + bound < tiny:
+                            still.append(i)
+                    live = still
+                    if not live:
+                        break
+            term_base *= mpf(2 * (2 * k + 1)) ** power / mpf(k + 1) ** power * x
+            har.advance()
+            k += 1
+            if k > 400 * ctx.workdps:
+                raise DomainError("%s failed to converge" % name)
+        return [ensure_finite(v) for v in acc]
+
+
+def _reference_accelerated(xr, power, facs, specs, slots, ctx):
+    # Boundary rate xr = -1/4^power: one term list per request, each summed by CVZ.
+    n_cvz = int(mp.ceil(mpf("1.4") * ctx.digits)) + 8
+    burn = 12
+    facs = [(mp.re(a), mp.re(b)) for a, b in facs]
+    terms = [[] for _ in slots]
+    term_base = mpf(1)
+    har = _Harmonics()
+    for k in range(n_cvz + burn):
+        wts = [har.weight(w) for w in specs]
+        lin = [term_base * (a * k + b) for a, b in facs]
+        for (fi, wi), col in zip(slots, terms):
+            col.append(lin[fi] * wts[wi])
+        term_base *= mpf(2 * (2 * k + 1)) ** power / mpf(k + 1) ** power * xr
+        har.advance()
+    return [ensure_finite(mpc(cvz_alt_sum(col, ctx))) for col in terms]
+
+
+# ---------------------------------------------------------------------------
+# The mpf nome walk
+# ---------------------------------------------------------------------------
+
+def _reference_nome_chains(z, ctx):
+    with ctx.working():
+        q = _nome(z)
+        qa = abs(q)
+        tiny = ctx.tiny()
+        kb = 6 / (1 - qa) ** 4
+        eis = dict(_EIS_POWER)  # Eisenstein chains still summing
+        acc = dict.fromkeys(_CHAINS + tuple(eis), mpc(0))
+        eichler_live = True
+        u = mpc(1)
+        # |q|^(n+1) bounds every tail bound below: while it is at least
+        # 2 tiny (the 2 covers rounding) no chain can stop, so the costlier
+        # bounds are evaluated only near each chain's end
+        qa_next, near = qa, 2 * tiny
+        n = 0
+        while eichler_live or eis:
+            n += 1
+            m = mpf(n)
+            u *= q  # u = q^n
+            d = 1 - u
+            qa_next *= qa
+            near_end = qa_next < near
+            for key, p in list(eis.items()):
+                acc[key] += m ** p * u / d
+                if near_end and tail_poly_geom(qa, n, p) / (1 - qa) < tiny:
+                    del eis[key]
+            if eichler_live:
+                ker = (u / d, u / d ** 2, u * (1 + u) / d ** 3,
+                       u * (1 + 4 * u + u * u) / d ** 4)
+                npow = {p: m ** p for p in range(-5, 0)}
+                for weight, order in _CHAINS:
+                    acc[weight, order] += npow[order - weight + 1] * ker[order]
+                eichler_live = not (near_end
+                                    and qa ** (n + 1) / (1 - qa) * kb < tiny)
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# Kernels against oracles
+# ---------------------------------------------------------------------------
+
+def _close(new, ref, ctx):
+    bound = mpf(10) ** -(ctx.workdps - mpf("2.5"))
+    return abs(new - ref) <= bound * max(1, abs(ref))
+
+
+_THEOREM_WEIGHTS = (W_ONE, W_H2_DIFF, W_H2_PLAIN, W_H3_DIFF, W_H3_PLAIN)
+# two weights that read all eleven bases between them
+_EVERY_BASIS = (
+    WeightSpec.combo({"H3MIX": 2, "INVSQ_2K1": Fraction(1, 3), "H1_2K": 1,
+                      "H2_2K": -1, "ONE": Fraction(1, 5)}),
+    WeightSpec.combo({"H2_2K_TIMES_DH1": 1, "H2_K_TIMES_DH1": -1,
+                      "H3_2K": Fraction(1, 7), "H1_K": 5, "H3_K": 1, "H2_K": -2}),
+)
+
+
+def _theorem_requests(z, ctx):
+    # the nine sums of a theorem point, as theorems._series_data asks for them
+    with ctx.working():
+        a4 = alpha4(z, ctx)
+        y = mp.im(z)
+        fac = LinearFactor(2 * (1 - 2 * a4) / y, r_half(z, ctx) / y)
+        one = LinearFactor(0, 1)
+        reqs = [(one, w) for w in _THEOREM_WEIGHTS]
+        reqs += [(fac, w) for w in _THEOREM_WEIGHTS[1:]]
+        return a4 * (1 - a4) / 16, reqs
+
+
+def _binom_case(case, ctx):
+    """(rate, power, requests) of one comparison case."""
+    every_basis = [(LinearFactor(mpc("1.5", "-0.5"), mpf("0.25")), w)
+                   for w in _EVERY_BASIS]
+    real_bases = [(LinearFactor(3, -1), w) for w in _EVERY_BASIS]
+    with ctx.working():
+        if case == "z=0.55i":  # 64x = 0.957: 6,020 terms at 100 digits
+            x, reqs = _theorem_requests(mpc(0, "0.55"), ctx)
+            return x, 3, reqs
+        if case == "z=1/2+i/sqrt2":  # the theorem rate -1/64, summed by CVZ
+            x, reqs = _theorem_requests(mpf(1) / 2 + mpc(0, 1) / mp.sqrt(2), ctx)
+            return x, 3, reqs
+        if case == "64x=0.64+0.512i":
+            return mpc("0.64", "0.512") / 64, 3, every_basis
+        if case == "64x=-0.83":
+            return mpf("-0.83") / 64, 3, every_basis
+        return mpf(-1) / 16, 2, real_bases  # binom2 at 16x = -1
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+@pytest.mark.parametrize("case", ["z=0.55i", "64x=0.64+0.512i", "64x=-0.83",
+                                  "z=1/2+i/sqrt2", "binom2 16x=-1"])
+def test_binom_walk_matches_mpf_oracle(case, digits):
+    ctx = PrecisionCtx(digits)
+    x, power, reqs = _binom_case(case, ctx)
+    new = _binom_sums(x, power, reqs, ctx)
+    ref = _reference_binom_sums(x, power, reqs, ctx)
+    with ctx.working():
+        for i, (a, b) in enumerate(zip(new, ref)):
+            assert _close(a, b, ctx), (case, i, a, b)
+
+
+def _nome_points():
+    pts = dict(_Z)
+    pts["0.2+0.1i"] = lambda: mpc("0.2", "0.1")
+    pts["0.1+0.04i"] = lambda: mpc("0.1", "0.04")
+    return pts
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_nome_walk_matches_mpf_oracle(digits):
+    ctx = PrecisionCtx(digits)
+    for name, point in _nome_points().items():
+        with ctx.working():
+            z = mpc(point())
+        new = _nome_chains.__wrapped__(z, ctx)
+        ref = _reference_nome_chains(z, ctx)
+        assert set(new) == set(ref)
+        with ctx.working():
+            for key in ref:
+                assert _close(new[key], ref[key], ctx), (name, key)
+
+
+def test_weight6_sum_rules_keep_their_residuals():
+    # the E6 chain multiplies the rounding of u/(1-u) by n^5, so too few
+    # guard bits show first in these records (the mpf walk gave 2.3e-116
+    # to 7.7e-114 at 100 digits)
+    ctx = PrecisionCtx(100)
+    ids = {"sr.sumE6.z0", "sr.sumE6.z1", "sr.sumE6.z2", "sr.e6etaform"}
+    recs = [r for r in get_records("sum-rules") if r.id in ids]
+    assert {r.id for r in recs} == ids
+    for rec in recs:
+        row = _evaluate(rec, ctx)
+        assert mpf(row["abs_residual"]) < mpf("1e-112"), (rec.id, row["abs_residual"])
