@@ -15,8 +15,8 @@ same points.
 measured with this script.  With ``--baseline`` the script runs ROUNDS
 alternating pairs of fresh processes, one per tree, switching which goes
 first; the report holds every round, the per-tree medians and quartiles, the
-baseline/root ratio of the median total seconds and, per walk and digit
-level, in how many pairs the root tree was faster.
+ratio of the baseline's median total seconds to the root tree's and, per
+walk and digit level, in how many pairs the root tree was faster.
 """
 
 from __future__ import annotations
