@@ -1,22 +1,28 @@
-"""Layer benchmark of the two hot walks: the binomial walk and the nome walk.
+"""Layer benchmark of the hot kernels: the binomial walk, the nome walk and the AGM.
 
-Times ``modzeta.series._binom_sums`` and ``modzeta.modular._nome_chains``
-(bypassing its memo) on fixed inputs at 30, 50, 100 and 250 digits, and
-reports per walk and digit level the call count, total seconds and ms per
-call.  The inputs are the nine theorem sums at seven admissible points,
-three registry-style rates, and the nomes of z, 2z, 4z and z + 1/2 at the
-same points.
+Times ``modzeta.series._binom_sums``, ``modzeta.modular._nome_chains``
+(bypassing its memo) and ``modzeta.series.ell_k`` / ``ell_k_comp`` on fixed
+inputs at 30, 50, 100 and 250 digits, and reports per layer and digit level
+the call count, total seconds and ms per call.  The walk inputs are the nine
+theorem sums at seven admissible points, four more rates, and the nomes of
+z, 2z, 4z and z + 1/2 at the same points.  The AGM inputs are the arguments
+the quadratures pass: the tanh-sinh nodes of levels 0-6 on [0, 1]
+(``ell_k_comp``, as the zeta(5) and zeta(7) integrals) and on [0, 1/2] (both
+functions, as the L_{-4}(4) integral), and the path of
+``h3mix2_tail_integral`` from t = 0.3 + 0.05i over the same nodes.
 
     python3 scripts/bench_walks.py                          # this checkout
     python3 scripts/bench_walks.py --root PATH              # another checkout
     python3 scripts/bench_walks.py --baseline PATH > BENCH_walks.json
+    python3 scripts/bench_walks.py --layer agm --baseline PATH > BENCH_agm.json
 
 ``--root`` imports modzeta from ``PATH/src``, so a parent tree can be
-measured with this script.  With ``--baseline`` the script runs ROUNDS
-alternating pairs of fresh processes, one per tree, switching which goes
-first; the report holds every round, the per-tree medians and quartiles, the
-ratio of the baseline's median total seconds to the root tree's and, per
-walk and digit level, in how many pairs the root tree was faster.
+measured with this script.  ``--layer`` (repeatable) limits the run to the
+named layers.  With ``--baseline`` the script runs ROUNDS alternating pairs
+of fresh processes, one per tree, switching which goes first; the report
+holds every round, the per-tree medians and quartiles, the ratio of the
+baseline's median total seconds to the root tree's and, per layer and digit
+level, in how many pairs the root tree was faster.
 """
 
 from __future__ import annotations
@@ -37,17 +43,15 @@ POINTS = (("0", "0.55"), ("0", "0.7"), ("0", "1.0"), ("0", "1.5"),
           ("0.5", "0.75"), ("0.5", "1.0"), ("0.5", "1.3"))
 
 
-def _inputs(digits: int):
-    """(binomial calls, nome calls) at one digit level, as argument tuples."""
+def _walk_calls(ctx):
+    """(binomial calls, nome calls) at one precision, as (function, arguments) pairs."""
     from fractions import Fraction
 
-    import mpmath as mp
     from mpmath import mpc, mpf
-    from modzeta import PrecisionCtx
+    from modzeta import modular, series
     from modzeta.modular import alpha4, r_half
     from modzeta.series import W_ONE, LinearFactor, WeightSpec
 
-    ctx = PrecisionCtx(digits)
     weights = [WeightSpec.combo(w) for w in (
         {"H2_2K": 1, "H2_K": Fraction(-1, 4)}, {"H2_K": 1},
         {"H3_2K": 1, "H3_K": Fraction(-1, 8)}, {"H3_K": 1})]
@@ -55,6 +59,7 @@ def _inputs(digits: int):
              WeightSpec.combo({"H2_2K_TIMES_DH1": 1, "H2_K_TIMES_DH1": -1,
                                "H3_2K": 1, "H1_K": 5, "H2_2K": -1})]
     one = LinearFactor(0, 1)
+    walk, nome_walk = series._binom_sums, modular._nome_chains.__wrapped__
     binom, nome = [], []
     with ctx.working():
         for re, im in POINTS:
@@ -62,39 +67,65 @@ def _inputs(digits: int):
             a4 = alpha4(z, ctx)
             fac = LinearFactor(2 * (1 - 2 * a4) / z.imag, r_half(z, ctx) / z.imag)
             reqs = [(one, W_ONE)] + [(one, w) for w in weights] + [(fac, w) for w in weights]
-            binom.append((a4 * (1 - a4) / 16, 3, reqs, ctx))
-            nome += [(w, ctx) for w in (z, 2 * z, 4 * z, z + mpf(1) / 2)]
+            binom.append((walk, (a4 * (1 - a4) / 16, 3, reqs, ctx)))
+            nome += [(nome_walk, (w, ctx)) for w in (z, 2 * z, 4 * z, z + mpf(1) / 2)]
         sun = [(LinearFactor(42, 5), W_ONE)] + [(LinearFactor(42, 5), w) for w in weights]
-        binom.append((mpf(1) / 4096, 3, sun, ctx))
-        binom.append((mpf(-1) / 512, 3, sun, ctx))
-        binom.append((mpc("0.64", "0.512") / 64, 3,
-                      [(LinearFactor(mpc(1, 1), 2), w) for w in every], ctx))
-        binom.append((mpc("0.01", "0.03"), 2, [(one, w) for w in every], ctx))
+        binom.append((walk, (mpf(1) / 4096, 3, sun, ctx)))
+        binom.append((walk, (mpf(-1) / 512, 3, sun, ctx)))
+        binom.append((walk, (mpc("0.64", "0.512") / 64, 3,
+                             [(LinearFactor(mpc(1, 1), 2), w) for w in every], ctx)))
+        binom.append((walk, (mpc("0.01", "0.03"), 2, [(one, w) for w in every], ctx)))
     return binom, nome
 
 
-def measure() -> dict:
-    from modzeta import modular, series
-    walks = {"binom_sums": series._binom_sums,
-             "nome_chains": modular._nome_chains.__wrapped__}
+def _agm_calls(ctx):
+    """ell_k / ell_k_comp calls at one precision, as (function, arguments) pairs."""
+    from mpmath import mpc, mpf
+    from modzeta.quadrature import _nodes
+    from modzeta.series import ell_k, ell_k_comp
+
+    calls = []
+    with ctx.working():
+        deltas = [d for level in range(7) for d, _ in _nodes(level, ctx)]
+        half, t = mpf(1) / 2, mpc("0.3", "0.05")
+        for d in deltas:
+            calls += [(ell_k_comp, (d / 2, ctx)), (ell_k_comp, (1 - d / 2, ctx))]
+            for s in (d / 4, half - d / 4):
+                calls += [(ell_k, (s, ctx)), (ell_k_comp, (s, ctx))]
+            for u in (d / 2, 1 - d / 2):  # s = t + (1-u)/u, as h3mix2_tail_integral
+                s = t + (1 - u) / u
+                calls += [(ell_k, (s, ctx)), (ell_k_comp, (s, ctx))]
+    return calls
+
+
+LAYERS = ("binom_sums", "nome_chains", "agm")
+
+
+def measure(layers=LAYERS) -> dict:
+    from modzeta import PrecisionCtx
     out = {}
     for digits in DIGITS:
-        binom, nome = _inputs(digits)
+        ctx = PrecisionCtx(digits)
+        calls = {}
+        if {"binom_sums", "nome_chains"} & set(layers):
+            calls["binom_sums"], calls["nome_chains"] = _walk_calls(ctx)
+        if "agm" in layers:
+            calls["agm"] = _agm_calls(ctx)
         row = {}
-        for name, calls in (("binom_sums", binom), ("nome_chains", nome)):
-            fn = walks[name]
+        for name in layers:
             t0 = time.perf_counter()
-            for args in calls:
+            for fn, args in calls[name]:
                 fn(*args)
             total = time.perf_counter() - t0
-            row[name] = {"calls": len(calls), "total_s": round(total, 4),
-                         "ms_per_call": round(1000 * total / len(calls), 3)}
+            row[name] = {"calls": len(calls[name]), "total_s": round(total, 4),
+                         "ms_per_call": round(1000 * total / len(calls[name]), 3)}
         out[str(digits)] = row
     return out
 
 
-def _run_tree(root: str) -> dict:
+def _run_tree(root: str, layers) -> dict:
     cmd = [sys.executable, os.path.abspath(__file__), "--root", root]
+    cmd += [arg for name in layers for arg in ("--layer", name)]
     done = subprocess.run(cmd, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)["results"]
 
@@ -109,7 +140,7 @@ def _commit(root: str):
 
 def _summary(runs: list) -> dict:
     """Median and quartiles of total seconds, and median ms per call, per
-    walk and digit level."""
+    layer and digit level."""
     out = {}
     for digits in runs[0]:
         out[digits] = {}
@@ -126,18 +157,21 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=".", help="checkout whose src/ is measured")
     ap.add_argument("--baseline", help="checkout to compare against, run alternately")
+    ap.add_argument("--layer", action="append", choices=LAYERS,
+                    help="measure only this layer (repeatable; default: all)")
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
+    layers = tuple(name for name in LAYERS if name in (args.layer or LAYERS))
     if args.baseline is None:
         sys.path.insert(0, os.path.join(root, "src"))
-        report = {"results": measure()}
+        report = {"results": measure(layers)}
     else:
         base = os.path.abspath(args.baseline)
         runs = {"baseline": [], "root": []}
         for i in range(ROUNDS):
             order = (("baseline", base), ("root", root))
             for label, tree in (order if i % 2 == 0 else order[::-1]):
-                runs[label].append(_run_tree(tree))
+                runs[label].append(_run_tree(tree, layers))
         med = {label: _summary(r) for label, r in runs.items()}
         ratio = {d: {name: round(med["baseline"][d][name]["total_s"]
                                  / med["root"][d][name]["total_s"], 2)

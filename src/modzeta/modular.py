@@ -75,13 +75,15 @@ def eta(z, ctx: PrecisionCtx) -> mpc:
         tiny = ctx.tiny()
         prod = mpc(1)
         qn = mpc(1)
-        n = 0
+        # |log(tail)| <= sum_{m>n} |q|^m/(1-|q|) = |q|^(n+1)/(1-|q|)^2, so the
+        # product stops once the running power |q|^(n+1) falls below stop
+        stop = tiny * (1 - qa) ** 2
+        qa_next = qa
         while True:
-            n += 1
             qn *= q
             prod *= 1 - qn
-            # |log(tail)| <= sum_{m>n} |q|^m/(1-|q|) = |q|^(n+1)/(1-|q|)^2
-            if qa ** (n + 1) / (1 - qa) ** 2 < tiny:
+            qa_next *= qa
+            if qa_next < stop:
                 break
         return ensure_finite(mp.exp(mpc(0, 1) * mp.pi * z / 12) * prod)
 

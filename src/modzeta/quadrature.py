@@ -20,7 +20,7 @@ import mpmath as mp
 from mpmath import mpc, mpf
 
 from .mpcore import (DomainError, PrecisionCtx, _memoized, const_catalan,
-                     const_zeta, ensure_finite)
+                     const_zeta, ensure_finite, tail_poly_geom)
 from .series import ell_k, ell_k_comp
 
 __all__ = [
@@ -136,18 +136,24 @@ def _ksq_minus_quarter_pi_sq(s, ctx: PrecisionCtx):
     if abs(s) > mpf("1e-6"):
         k = ell_k(s, ctx)
         return k * k - mp.pi ** 2 / 4
-    # (2K/pi)^2 = (sum a_k s^k)^2 with a_k = ((1/2)_k / k!)^2
-    nterms = 14
+    if s == 0:
+        return mpc(0)
+    # (2K/pi)^2 = (sum a_k s^k)^2 = sum b_k s^k with a_k = ((1/2)_k / k!)^2.
+    # Each a_k <= 1, so b_k = sum_j a_j a_{k-j} <= k + 1 <= 2k, and the tail
+    # after index k is at most 2 sum_{n>k} n |s|^n
+    sa = abs(s)
+    tiny = ctx.tiny()
     a = [mpf(1)]
-    for k in range(1, nterms):
-        a.append(a[-1] * (mpf(2 * k - 1) / (2 * k)) ** 2)
     acc = mpc(0)
     sk = mpc(1)
-    for k in range(1, nterms):
+    k = 0
+    while True:
+        k += 1
+        a.append(a[-1] * (mpf(2 * k - 1) / (2 * k)) ** 2)
         sk *= s
-        b_k = mp.fsum(a[j] * a[k - j] for j in range(k + 1))
-        acc += b_k * sk
-    return mp.pi ** 2 / 4 * acc
+        acc += mp.fsum(a[j] * a[k - j] for j in range(k + 1)) * sk
+        if 2 * tail_poly_geom(sa, k, 1) < tiny * abs(acc):
+            return mp.pi ** 2 / 4 * acc
 
 
 def lemma_integral(which: str, t, ctx: PrecisionCtx) -> mpc:

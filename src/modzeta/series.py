@@ -42,12 +42,22 @@ evaluated in mpf from the integer term, and an exact integer pre-test on
 |t|^2 skips that evaluation only while no request can stop yet.  The
 boundary path builds its short CVZ term lists (1.4 digits + 20 terms) with
 the mpf accumulators of ``_Harmonics``.
+
+The complete elliptic integrals :func:`ell_k` and :func:`ell_k_comp`, which
+every quadrature integrand evaluates, share one fixed-point AGM kernel
+(``_agm_k``) for real and complex arguments alike: u = 1 - t or u = t goes
+in once, sqrt u is taken by ``math.isqrt`` and the half-angle formula, and
+each step holds (a, b) as integer pairs.  A large u is scaled by 4^-k
+first; a small or large u adds |log2 |u|| / 2 guard bits, the relative
+precision its small start value lacks.  The loop stops on a stated
+quadratic-convergence bound and raises DomainError at its step cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -454,19 +464,72 @@ def inv_binom2_series(t, ctx: PrecisionCtx) -> mpf:
 # Complete elliptic integral of the first kind (AGM)
 # ---------------------------------------------------------------------------
 
-def _agm_principal(b, ctx: PrecisionCtx) -> mpc:
-    # AGM(1, b) with principal square roots; optimal for Re b > 0, and the
-    # |a-b| <= |a+b| right-choice rule guards the remaining cases.
-    a = mpc(1)
-    b = mpc(b)
-    tiny = ctx.tiny()
-    for _ in range(ctx.workdps + 30):
-        if abs(a - b) <= tiny * abs(a):
-            break
-        a, b = (a + b) / 2, mp.sqrt(a * b)
-        if abs(a - b) > abs(a + b):
-            b = -b
-    return a
+# A step cap well above need: from |u| = 2^-(2^20) the AGM takes about 20
+# steps to bring b/a near 1, then log2(wp) more
+_AGM_STEP_CAP = 64
+# |u| must lie in 2^-cap .. 2^cap: the guard bits grow like |log2 |u||, and
+# beyond that range the integers would grow to megabytes
+_AGM_MAG_CAP = 1 << 20
+
+
+def _sqrt_fixed(re: int, im: int) -> tuple:
+    """Principal square root (Re >= 0) of the pair (re, im) at scale 4**wp, at scale 2**wp.
+
+    Half-angle formula from the modulus: the larger part of the root comes
+    from an isqrt of (|z| + |re|) / 2 and the other from im / (2 that part),
+    so neither cancels.  Each part is off by at most about one unit.
+    """
+    m = isqrt(re * re + im * im) if im else abs(re)
+    if re >= 0:
+        s = isqrt((m + re) >> 1)
+        return s, (im // (2 * s) if s else 0)
+    s = isqrt((m - re) >> 1)
+    return abs(im) // (2 * s), (s if im >= 0 else -s)
+
+
+def _agm_guard(e: int) -> int:
+    """Guard bits of the fixed-point AGM for an input |u| ~ 2^e.
+
+    Each step rounds each part by a unit or two, over at most the step cap;
+    the smaller start value (sqrt u, or 2^-k after scaling a large u) holds
+    |e|/2 bits fewer than wp; and the mean, about pi / (2 ln(4/|b|)), ends up
+    to |e| times smaller than 1.
+    """
+    return 12 + abs(e) // 2 + abs(e).bit_length()
+
+
+def _agm_k(u: mpc) -> mpc:
+    """pi / (2 AGM(1, sqrt u)) with the principal sqrt u, on fixed-point integers.
+
+    The AGM is homogeneous, so a large u is first scaled by 4^-k to
+    |u| <= 2, the start pair becoming (2^-k, sqrt(u 4^-k)) and the mean
+    2^k times the scaled one.  Each step keeps the right choice of
+    sqrt(ab): b -> -b when |a - b| > |a + b|, that is when Re(a conj b) < 0.
+    With that choice (a' - b')(a' + b') = (a - b)^2 / 4 and |a' + b'| >= |a'|,
+    so |a' - b'| <= |a - b|^2 / (4 |a'|), and once |a - b| <= eps |a| the mean
+    a' = (a + b)/2 is within about eps^2 |a| / 8 of the limit.  The loop stops
+    at eps^2 = 2^(3-wp) and returns a'; it raises DomainError at the step cap.
+    Call at working precision.
+    """
+    e = int(mp.mag(u))
+    if abs(e) > _AGM_MAG_CAP:
+        raise DomainError("AGM argument of size 2^%d is outside 2^-%d .. 2^%d"
+                          % (e, _AGM_MAG_CAP, _AGM_MAG_CAP))
+    k = max(0, e // 2)
+    wp = mp.mp.prec + _agm_guard(e)
+    ar, ai = 1 << (wp - k), 0
+    br, bi = _sqrt_fixed(*_to_fixed(u, 2 * (wp - k)))
+    for _ in range(_AGM_STEP_CAP):
+        dr, di = ar - br, ai - bi
+        if (dr * dr + di * di) << (wp - 3) <= ar * ar + ai * ai:
+            g = _from_fixed((ar + br) >> 1, (ai + bi) >> 1, wp - k)
+            return mp.pi / (2 * g)
+        pr, pj = ar * br - ai * bi, ar * bi + ai * br  # ab at scale 4**wp
+        ar, ai = (ar + br) >> 1, (ai + bi) >> 1
+        br, bi = _sqrt_fixed(pr, pj)
+        if ar * br + ai * bi < 0:
+            br, bi = -br, -bi
+    raise DomainError("AGM did not converge in %d steps" % _AGM_STEP_CAP)
 
 
 def ell_k(t, ctx: PrecisionCtx) -> mpc:
@@ -478,13 +541,7 @@ def ell_k(t, ctx: PrecisionCtx) -> mpc:
         t = mpc(t)
         if mp.im(t) == 0 and mp.re(t) >= 1:
             raise DomainError("ell_k: t on the branch cut [1, oo)")
-        b = mp.sqrt(1 - t)
-        if mp.re(b) < 0:
-            b = -b
-        val = mp.pi / (2 * _agm_principal(b, ctx))
-        if mp.im(t) == 0 and mp.re(t) < 1:
-            val = mpc(mp.re(val))
-        return ensure_finite(val)
+        return ensure_finite(_agm_k(1 - t))
 
 
 def ell_k_comp(t, ctx: PrecisionCtx) -> mpc:
@@ -497,10 +554,7 @@ def ell_k_comp(t, ctx: PrecisionCtx) -> mpc:
         t = mpc(t)
         if mp.im(t) == 0 and mp.re(t) <= 0:
             raise DomainError("ell_k_comp: t on the branch cut (-oo, 0]")
-        val = mp.pi / (2 * _agm_principal(mp.sqrt(t), ctx))
-        if mp.im(t) == 0 and mp.re(t) > 0:
-            val = mpc(mp.re(val))
-        return ensure_finite(val)
+        return ensure_finite(_agm_k(t))
 
 
 # ---------------------------------------------------------------------------

@@ -111,3 +111,19 @@ def test_h3mix2_tail_integral_rejects_real_t(ctx30):
     for t in (mpf("0.3"), mpf("-0.5")):
         with pytest.raises(DomainError, match="h3mix2_tail_integral requires Im t != 0"):
             h3mix2_tail_integral(t, ctx30)
+
+
+@pytest.mark.parametrize("digits", (100, 250))
+def test_small_s_ksq_series_meets_working_precision(digits):
+    # below |s| = 1e-6 K(sqrt s)^2 - (pi/2)^2 comes from the squared 2F1
+    # series, which must run until its tail bound holds at any precision
+    from modzeta.quadrature import _ksq_minus_quarter_pi_sq
+    ctx = PrecisionCtx(digits)
+    for s in (mpf("9.99e-7"), mpc("-7e-7", "7e-7"), mpf("-3e-9")):
+        with ctx.working():
+            got = _ksq_minus_quarter_pi_sq(mpc(s), ctx)
+        with mp.workdps(ctx.workdps + 60):
+            want = mp.ellipk(s) ** 2 - mp.pi ** 2 / 4
+            assert abs(got - want) <= mpf(10) ** -(ctx.workdps - 3) * abs(want), s
+    with ctx.working():
+        assert _ksq_minus_quarter_pi_sq(mpc(0), ctx) == 0

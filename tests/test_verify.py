@@ -156,6 +156,17 @@ def test_boundary_family_meets_full_bar():
             assert row["pass"], (digits, rid, row["abs_residual"])
 
 
+def test_lemma_oracles_pass_at_100_digits():
+    # every lemma-oracles record but the slow lem.h3mix2; lem.h3int2.t01 and
+    # .t03 need K(sqrt s)^2 - (pi/2)^2 to full precision for |s| <= 1e-6
+    ctx = PrecisionCtx(100)
+    recs = [r for r in get_records("lemma-oracles") if r.id != "lem.h3mix2"]
+    assert len(recs) == 10
+    for rec in recs:
+        row = runner._evaluate(rec, ctx)
+        assert row["pass"], (rec.id, row["abs_residual"], row.get("error"))
+
+
 def test_registry_rows_read_the_evaluators_at_run_time(monkeypatch, ctx30):
     # the row tables look binom3_sums, eichler4 and eichler6 up when a record
     # is evaluated, so a rebound module attribute sees every call; a rate

@@ -1,9 +1,12 @@
-"""The fixed-point walks against the mpf loops they replaced.
+"""The fixed-point kernels against the mpf loops they replaced.
 
 ``_reference_binom_sums`` and ``_reference_nome_chains`` are the binomial
 walk (with ``_Harmonics``) and the nome walk as they were written in mpf,
 kept here verbatim as oracles.  The integer kernels must agree with them to
 10^-(workdps-2.5), relative to max(1, |value|), at 15, 30, 100 and 250
+digits.  ``_reference_ell_k`` and ``_reference_ell_k_comp`` keep the mpc AGM
+loop behind ``ell_k`` / ``ell_k_comp`` the same way; the fixed-point AGM must
+agree with it to 8 units of 10^-workdps, relative, at 15, 50, 100 and 250
 digits.
 """
 
@@ -17,8 +20,10 @@ from modzeta import DomainError, PrecisionCtx
 from modzeta.modular import (_CHAINS, _EIS_POWER, _nome, _nome_chains, alpha4,
                              r_half)
 from modzeta.mpcore import ensure_finite, tail_poly_geom
+from modzeta import series
 from modzeta.series import (LinearFactor, W_ONE, WeightSpec, _binom_sums,
-                            _boundary_kind, _boundary_slack, cvz_alt_sum)
+                            _boundary_kind, _boundary_slack, cvz_alt_sum,
+                            ell_k, ell_k_comp)
 from modzeta.verify import get_records
 from modzeta.verify.registry import _Z
 from modzeta.verify.runner import _evaluate
@@ -215,6 +220,50 @@ def _reference_nome_chains(z, ctx):
 
 
 # ---------------------------------------------------------------------------
+# The mpc AGM
+# ---------------------------------------------------------------------------
+
+def _reference_agm_principal(b, ctx):
+    # AGM(1, b) with principal square roots; optimal for Re b > 0, and the
+    # |a-b| <= |a+b| right-choice rule guards the remaining cases.
+    a = mpc(1)
+    b = mpc(b)
+    tiny = ctx.tiny()
+    for _ in range(ctx.workdps + 30):
+        if abs(a - b) <= tiny * abs(a):
+            break
+        a, b = (a + b) / 2, mp.sqrt(a * b)
+        if abs(a - b) > abs(a + b):
+            b = -b
+    return a
+
+
+def _reference_ell_k(t, ctx):
+    with ctx.working():
+        t = mpc(t)
+        if mp.im(t) == 0 and mp.re(t) >= 1:
+            raise DomainError("ell_k: t on the branch cut [1, oo)")
+        b = mp.sqrt(1 - t)
+        if mp.re(b) < 0:
+            b = -b
+        val = mp.pi / (2 * _reference_agm_principal(b, ctx))
+        if mp.im(t) == 0 and mp.re(t) < 1:
+            val = mpc(mp.re(val))
+        return ensure_finite(val)
+
+
+def _reference_ell_k_comp(t, ctx):
+    with ctx.working():
+        t = mpc(t)
+        if mp.im(t) == 0 and mp.re(t) <= 0:
+            raise DomainError("ell_k_comp: t on the branch cut (-oo, 0]")
+        val = mp.pi / (2 * _reference_agm_principal(mp.sqrt(t), ctx))
+        if mp.im(t) == 0 and mp.re(t) > 0:
+            val = mpc(mp.re(val))
+        return ensure_finite(val)
+
+
+# ---------------------------------------------------------------------------
 # Kernels against oracles
 # ---------------------------------------------------------------------------
 
@@ -309,3 +358,63 @@ def test_weight6_sum_rules_keep_their_residuals():
     for rec in recs:
         row = _evaluate(rec, ctx)
         assert mpf(row["abs_residual"]) < mpf("1e-112"), (rec.id, row["abs_residual"])
+
+
+AGM_DIGITS = (15, 50, 100, 250)
+
+
+def _agm_points():
+    """Real, complex, huge and h3mix2-path arguments of ell_k / ell_k_comp."""
+    pts = [mpf(10) ** -j for j in (5, 12, 40, 100, 150, 250, 370)]
+    pts += [1 - mpf(10) ** -j for j in (5, 12)]
+    pts += [mpf(k) / 37 for k in range(1, 37)]
+    pts += [mpc(x, y) for x in ("-2", "-0.5", "0.1", "0.5", "0.9", "1", "1.5", "3")
+            for y in ("-1", "-0.01", "0.05", "2")]
+    pts += [mpc("1e8", "1e3"), mpc("-1e30", "1"), mpf("-1e30"), mpc("0.3", "1e-40")]
+    # h3mix2_tail_integral's path s = t + (1-v)/v from t = 0.3 + 0.05i
+    t = mpc("0.3", "0.05")
+    pts += [t + (1 - mpf(v)) / mpf(v) for v in ("0.999", "0.9", "0.5", "0.1", "1e-3",
+                                                 "1e-10", "1e-30")]
+    # on the branch cuts, where both sides must raise
+    pts += [mpf(1), mpf("1.5"), mpf("1e30"), mpf(0), mpf("-0.5")]
+    return pts
+
+
+@pytest.mark.parametrize("digits", AGM_DIGITS)
+def test_agm_kernel_matches_mpc_oracle(digits):
+    ctx = PrecisionCtx(digits)
+    unit = mpf(10) ** -ctx.workdps
+    for new_fn, ref_fn in ((ell_k, _reference_ell_k), (ell_k_comp, _reference_ell_k_comp)):
+        for t in _agm_points():
+            with ctx.working():
+                t = mpc(t)
+            try:
+                ref = ref_fn(t, ctx)
+            except DomainError as exc:
+                with pytest.raises(DomainError) as got:
+                    new_fn(t, ctx)
+                assert str(got.value) == str(exc)
+                continue
+            new = new_fn(t, ctx)
+            with ctx.working():
+                assert abs(new - ref) <= 8 * unit * abs(ref), (new_fn.__name__, t)
+                if t.imag == 0:
+                    assert new.imag == 0, (new_fn.__name__, t)
+
+
+def test_agm_kernel_raises_at_its_step_cap(monkeypatch, ctx30):
+    # from 1 and sqrt(1/2) the AGM needs several steps to meet its bound
+    monkeypatch.setattr(series, "_AGM_STEP_CAP", 2)
+    with pytest.raises(DomainError, match="did not converge"):
+        ell_k(mpf(1) / 2, ctx30)
+    monkeypatch.undo()
+    assert ell_k(mpf(1) / 2, ctx30).imag == 0
+
+
+def test_agm_kernel_refuses_magnitudes_beyond_its_range(ctx30):
+    # the guard bits grow with |log2 |u||; this would need integers of a
+    # million bits, so the kernel refuses it before building any
+    with pytest.raises(DomainError, match="outside"):
+        ell_k_comp(mpf(2) ** -(2 ** 21), ctx30)
+    with pytest.raises(DomainError, match="outside"):
+        ell_k(-mpf(2) ** (2 ** 21), ctx30)
