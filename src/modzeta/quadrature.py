@@ -140,7 +140,8 @@ def _ksq_minus_quarter_pi_sq(s, ctx: PrecisionCtx):
         return mpc(0)
     # (2K/pi)^2 = (sum a_k s^k)^2 = sum b_k s^k with a_k = ((1/2)_k / k!)^2.
     # Each a_k <= 1, so b_k = sum_j a_j a_{k-j} <= k + 1 <= 2k, and the tail
-    # after index k is at most 2 sum_{n>k} n |s|^n
+    # after index k is at most 2 sum_{n>k} n |s|^n; the sum stops once that
+    # bound is below tiny times the partial sum (about s/2, never 0 here)
     sa = abs(s)
     tiny = ctx.tiny()
     a = [mpf(1)]
