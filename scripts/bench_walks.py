@@ -13,16 +13,14 @@ functions, as the L_{-4}(4) integral), and the path of
 
     python3 scripts/bench_walks.py                          # this checkout
     python3 scripts/bench_walks.py --root PATH              # another checkout
-    python3 scripts/bench_walks.py --baseline PATH > BENCH_walks.json
-    python3 scripts/bench_walks.py --layer agm --baseline PATH > BENCH_agm.json
+    python3 scripts/bench_walks.py --baseline PATH > BENCH_agm.json
 
 ``--root`` imports modzeta from ``PATH/src``, so a parent tree can be
-measured with this script.  ``--layer`` (repeatable) limits the run to the
-named layers.  With ``--baseline`` the script runs ROUNDS alternating pairs
-of fresh processes, one per tree, switching which goes first; the report
-holds every round, the per-tree medians and quartiles, the ratio of the
-baseline's median total seconds to the root tree's and, per layer and digit
-level, in how many pairs the root tree was faster.
+measured with this script.  With ``--baseline`` the script runs ROUNDS
+alternating pairs of fresh processes, one per tree, switching which goes
+first; the report holds every round, the per-tree medians and quartiles, the
+ratio of the baseline's median total seconds to the root tree's and, per
+layer and digit level, in how many pairs the root tree was faster.
 """
 
 from __future__ import annotations
@@ -101,18 +99,14 @@ def _agm_calls(ctx):
 LAYERS = ("binom_sums", "nome_chains", "agm")
 
 
-def measure(layers=LAYERS) -> dict:
+def measure() -> dict:
     from modzeta import PrecisionCtx
     out = {}
     for digits in DIGITS:
         ctx = PrecisionCtx(digits)
-        calls = {}
-        if {"binom_sums", "nome_chains"} & set(layers):
-            calls["binom_sums"], calls["nome_chains"] = _walk_calls(ctx)
-        if "agm" in layers:
-            calls["agm"] = _agm_calls(ctx)
+        calls = dict(zip(LAYERS, _walk_calls(ctx) + (_agm_calls(ctx),)))
         row = {}
-        for name in layers:
+        for name in LAYERS:
             t0 = time.perf_counter()
             for fn, args in calls[name]:
                 fn(*args)
@@ -123,9 +117,8 @@ def measure(layers=LAYERS) -> dict:
     return out
 
 
-def _run_tree(root: str, layers) -> dict:
+def _run_tree(root: str) -> dict:
     cmd = [sys.executable, os.path.abspath(__file__), "--root", root]
-    cmd += [arg for name in layers for arg in ("--layer", name)]
     done = subprocess.run(cmd, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)["results"]
 
@@ -157,21 +150,18 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=".", help="checkout whose src/ is measured")
     ap.add_argument("--baseline", help="checkout to compare against, run alternately")
-    ap.add_argument("--layer", action="append", choices=LAYERS,
-                    help="measure only this layer (repeatable; default: all)")
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
-    layers = tuple(name for name in LAYERS if name in (args.layer or LAYERS))
     if args.baseline is None:
         sys.path.insert(0, os.path.join(root, "src"))
-        report = {"results": measure(layers)}
+        report = {"results": measure()}
     else:
         base = os.path.abspath(args.baseline)
         runs = {"baseline": [], "root": []}
         for i in range(ROUNDS):
             order = (("baseline", base), ("root", root))
             for label, tree in (order if i % 2 == 0 else order[::-1]):
-                runs[label].append(_run_tree(tree, layers))
+                runs[label].append(_run_tree(tree))
         med = {label: _summary(r) for label, r in runs.items()}
         ratio = {d: {name: round(med["baseline"][d][name]["total_s"]
                                  / med["root"][d][name]["total_s"], 2)

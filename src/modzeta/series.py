@@ -47,9 +47,10 @@ The complete elliptic integrals :func:`ell_k` and :func:`ell_k_comp`, which
 every quadrature integrand evaluates, share one fixed-point AGM kernel
 (``_agm_k``) for real and complex arguments alike: u = 1 - t or u = t goes
 in once, sqrt u is taken by ``math.isqrt`` and the half-angle formula, and
-each step holds (a, b) as integer pairs.  A large u is scaled by 4^-k
-first; a small or large u adds |log2 |u|| / 2 guard bits, the relative
-precision its small start value lacks.  The loop stops on a stated
+each step holds (a, b) as integer pairs, the imaginary parts with their
+own dust scale as in the walks.  A large u is scaled by 4^-k first; a
+small or large u adds |log2 |u|| / 2 guard bits, the relative precision
+its small start value lacks.  The loop stops on a stated
 quadratic-convergence bound and raises DomainError at its step cap.
 """
 
@@ -472,19 +473,22 @@ _AGM_STEP_CAP = 64
 _AGM_MAG_CAP = 1 << 20
 
 
-def _sqrt_fixed(re: int, im: int) -> tuple:
-    """Principal square root (Re >= 0) of the pair (re, im) at scale 4**wp, at scale 2**wp.
+def _sqrt_fixed(re: int, im: int, s: int = 0) -> tuple:
+    """Principal square root (Re >= 0) of the pair (re, im) at scales 4**wp and
+    4**wp * 2**s, at scales 2**wp and 2**(wp+s).
 
     Half-angle formula from the modulus: the larger part of the root comes
     from an isqrt of (|z| + |re|) / 2 and the other from im / (2 that part),
-    so neither cancels.  Each part is off by at most about one unit.
+    so neither cancels.  Each part is off by at most about one unit of its
+    own scale, except the imaginary part of a root of re < 0, which is off
+    by about one unit of 2**-wp.
     """
-    m = isqrt(re * re + im * im) if im else abs(re)
+    m = isqrt(re * re + (im >> s) ** 2) if im else abs(re)
     if re >= 0:
-        s = isqrt((m + re) >> 1)
-        return s, (im // (2 * s) if s else 0)
-    s = isqrt((m - re) >> 1)
-    return abs(im) // (2 * s), (s if im >= 0 else -s)
+        r = isqrt((m + re) >> 1)
+        return r, (im // (2 * r) if r else 0)
+    r = isqrt((m - re) >> 1)
+    return abs(im) // (2 * r << s), (r << s if im >= 0 else -r << s)
 
 
 def _agm_guard(e: int) -> int:
@@ -509,6 +513,9 @@ def _agm_k(u: mpc) -> mpc:
     so |a' - b'| <= |a - b|^2 / (4 |a'|), and once |a - b| <= eps |a| the mean
     a' = (a + b)/2 is within about eps^2 |a| / 8 of the limit.  The loop stops
     at eps^2 = 2^(3-wp) and returns a'; it raises DomainError at the step cap.
+    The imaginary parts carry the extra scale 2^s of ``mpcore._dust_bits``,
+    so an imaginary part far below the real part of u (t = 0.3 + 1e-40 i)
+    keeps its own relative precision, as an mpc loop does.
     Call at working precision.
     """
     e = int(mp.mag(u))
@@ -517,17 +524,25 @@ def _agm_k(u: mpc) -> mpc:
                           % (e, _AGM_MAG_CAP, _AGM_MAG_CAP))
     k = max(0, e // 2)
     wp = mp.mp.prec + _agm_guard(e)
+    # an imaginary dust on Re u > 0 keeps its relative precision, as in an
+    # mpc, at any gap up to the magnitude cap, and its integers stay near wp
+    # bits; on Re u < 0 the root turns it into a real dust that the result
+    # cannot show, so it gets no scale
+    s = _dust_bits(u, _AGM_MAG_CAP)
+    if s and u.real < 0:
+        s = 0
+    s2 = 2 * s
     ar, ai = 1 << (wp - k), 0
-    br, bi = _sqrt_fixed(*_to_fixed(u, 2 * (wp - k)))
+    br, bi = _sqrt_fixed(*_to_fixed(u, 2 * (wp - k), s), s)
     for _ in range(_AGM_STEP_CAP):
         dr, di = ar - br, ai - bi
-        if (dr * dr + di * di) << (wp - 3) <= ar * ar + ai * ai:
-            g = _from_fixed((ar + br) >> 1, (ai + bi) >> 1, wp - k)
+        if (dr * dr + (di * di >> s2)) << (wp - 3) <= ar * ar + (ai * ai >> s2):
+            g = _from_fixed((ar + br) >> 1, (ai + bi) >> 1, wp - k, s)
             return mp.pi / (2 * g)
-        pr, pj = ar * br - ai * bi, ar * bi + ai * br  # ab at scale 4**wp
+        pr, pj = ar * br - (ai * bi >> s2), ar * bi + ai * br  # ab at 4**wp, 4**wp 2**s
         ar, ai = (ar + br) >> 1, (ai + bi) >> 1
-        br, bi = _sqrt_fixed(pr, pj)
-        if ar * br + ai * bi < 0:
+        br, bi = _sqrt_fixed(pr, pj, s)
+        if ar * br + (ai * bi >> s2) < 0:
             br, bi = -br, -bi
     raise DomainError("AGM did not converge in %d steps" % _AGM_STEP_CAP)
 
