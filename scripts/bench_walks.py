@@ -4,16 +4,17 @@ Times ``modzeta.series._binom_sums``, ``modzeta.modular._nome_chains``
 (bypassing its memo) and ``modzeta.series.ell_k`` / ``ell_k_comp`` on fixed
 inputs at 30, 50, 100 and 250 digits, and reports per layer and digit level
 the call count, total seconds and ms per call.  The walk inputs are the nine
-theorem sums at seven admissible points, four more rates, and the nomes of
-z, 2z, 4z and z + 1/2 at the same points.  The AGM inputs are the arguments
-the quadratures pass: the tanh-sinh nodes of levels 0-6 on [0, 1]
+theorem sums at seven admissible points, four more interior rates, the two
+boundary rates -1/64 (four weights under 4k + 1) and -1/16 (binom2), and the
+nomes of z, 2z, 4z and z + 1/2 at the same points.  The AGM inputs are the
+arguments the quadratures pass: the tanh-sinh nodes of levels 0-6 on [0, 1]
 (``ell_k_comp``, as the zeta(5) and zeta(7) integrals) and on [0, 1/2] (both
 functions, as the L_{-4}(4) integral), and the path of
 ``h3mix2_tail_integral`` from t = 0.3 + 0.05i over the same nodes.
 
     python3 scripts/bench_walks.py                          # this checkout
     python3 scripts/bench_walks.py --root PATH              # another checkout
-    python3 scripts/bench_walks.py --baseline PATH > BENCH_agm.json
+    python3 scripts/bench_walks.py --baseline PATH > BENCH_walks.json
 
 ``--root`` imports modzeta from ``PATH/src``, so a parent tree can be
 measured with this script.  With ``--baseline`` the script runs ROUNDS
@@ -73,6 +74,10 @@ def _walk_calls(ctx):
         binom.append((walk, (mpc("0.64", "0.512") / 64, 3,
                              [(LinearFactor(mpc(1, 1), 2), w) for w in every], ctx)))
         binom.append((walk, (mpc("0.01", "0.03"), 2, [(one, w) for w in every], ctx)))
+        # the boundary rates, summed by CVZ
+        binom.append((walk, (mpf(-1) / 64, 3,
+                             [(LinearFactor(4, 1), w) for w in weights], ctx)))
+        binom.append((walk, (mpf(-1) / 16, 2, [(one, w) for w in every], ctx)))
     return binom, nome
 
 

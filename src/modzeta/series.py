@@ -37,11 +37,12 @@ per step, the linear factor multiplies it by up to k, and a walk may take
 400 workdps steps.  The guard depends only on the precision, so an entry
 still equals the same request summed alone.
 
-The stop rules are unchanged: each request's geometric tail certificate is
-evaluated in mpf from the integer term, and an exact integer pre-test on
-|t|^2 skips that evaluation only while no request can stop yet.  The
-boundary path builds its short CVZ term lists (1.4 digits + 20 terms) with
-the mpf accumulators of ``_Harmonics``.
+Both rates share one step, the generator ``_binom_steps``.  The interior
+sum stops on each request's geometric tail certificate, evaluated in mpf
+from the integer term, and an exact integer pre-test on |t|^2 skips that
+evaluation only while no request can stop yet.  The boundary path takes the
+first 1.4 digits + 20 steps on the real rate, converts each term to mpf
+once and hands the lists to CVZ.
 
 The complete elliptic integrals :func:`ell_k` and :func:`ell_k_comp`, which
 every quadrature integrand evaluates, share one fixed-point AGM kernel
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 
 import mpmath as mp
@@ -144,58 +146,6 @@ class WeightSpec:
 
 
 W_ONE = WeightSpec.one()
-
-
-class _Harmonics:
-    """Running H_k, H_{2k}, H^(2), H^(3) accumulators in mpf, updated in O(1) per k.
-
-    Only the boundary path builds its CVZ term lists from them; the interior
-    walk keeps the same sums as integers.
-    """
-
-    __slots__ = ("h1k", "h12k", "h2k", "h22k", "h3k", "h32k", "k")
-
-    # the mpf twin of the module's integer _BASIS table
-    _BASIS = {
-        "ONE": lambda h: mpf(1),
-        "H1_K": lambda h: h.h1k,
-        "H1_2K": lambda h: h.h12k,
-        "H2_K": lambda h: h.h2k,
-        "H2_2K": lambda h: h.h22k,
-        "H3_K": lambda h: h.h3k,
-        "H3_2K": lambda h: h.h32k,
-        "INVSQ_2K1": lambda h: 1 / mpf(2 * h.k + 1) ** 2,
-        "H2_2K_TIMES_DH1": lambda h: h.h22k * (h.h12k - h.h1k),
-        "H2_K_TIMES_DH1": lambda h: h.h2k * (h.h12k - h.h1k),
-        "H3MIX": lambda h: h.h3k - 3 * h.h2k * (h.h12k - h.h1k),
-    }
-
-    def __init__(self) -> None:
-        self.k = 0
-        self.h1k = mpf(0)
-        self.h12k = mpf(0)
-        self.h2k = mpf(0)
-        self.h22k = mpf(0)
-        self.h3k = mpf(0)
-        self.h32k = mpf(0)
-
-    def advance(self) -> None:
-        # move from index k to k+1
-        self.k += 1
-        k = mpf(self.k)
-        self.h1k += 1 / k
-        self.h2k += 1 / k ** 2
-        self.h3k += 1 / k ** 3
-        a, b = mpf(2 * self.k - 1), mpf(2 * self.k)
-        self.h12k += 1 / a + 1 / b
-        self.h22k += 1 / a ** 2 + 1 / b ** 2
-        self.h32k += 1 / a ** 3 + 1 / b ** 3
-
-    def weight(self, spec: WeightSpec):
-        total = mpf(0)
-        for coeff, basis in spec.terms:
-            total += (mpf(coeff.numerator) / coeff.denominator) * self._BASIS[basis](self)
-        return total
 
 
 def _weight_growth_guard(k: int) -> mpf:
@@ -321,16 +271,8 @@ def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
 
         wp = mp.mp.prec + _binom_guard(ctx)
         sd = _dust_bits(x, wp)
-        one = 1 << wp
-        xr, xi = _to_fixed(x, wp, sd)
-        facs_fx = [_to_fixed(a, wp, sd) + _to_fixed(b, wp, sd) for a, b in facs]
-        specs_fx = [[(c.numerator, c.denominator, _BASIS[b]) for c, b in w.terms]
-                    for w in specs]
         acc = [(0, 0)] * len(slots)
         live = list(range(len(slots)))  # requests whose tail is not yet certified
-        tr, ti = one, 0  # C(2k,k)^power x^k
-        h = [0] * 7  # k, H_k, H_2k, H2_k, H2_2k, H3_k, H3_2k
-        k = 0
         r = abs(scale * x)
         ax = abs(x)
         abs_facs = [(abs(a), abs(b)) for a, b in facs]
@@ -339,10 +281,10 @@ def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
         # bound is at least 2 tiny and no request can stop yet
         low = scale * ax * min(10 * aa + ab for aa, ab in abs_facs)
         skip = to_fixed(((2 * tiny / low) ** 2)._mpf_, 2 * wp) + 1 if low else None
-        while True:
-            wts = [sum(n * f(h, wp) // d for n, d, f in spec) for spec in specs_fx]
-            lin = [_cmul(tr, ti, ar * k + br, ai * k + bi, wp, sd)
-                   for ar, ai, br, bi in facs_fx]
+        steps = _binom_steps(x, power, facs, specs, wp, sd)
+        for k, (tr, ti, wts, lin) in enumerate(steps):
+            if k > 400 * ctx.workdps:
+                raise DomainError("%s failed to converge" % name)
             for i in live:
                 fi, wi = slots[i]
                 (lr, li), w = lin[fi], wts[wi]
@@ -371,22 +313,6 @@ def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
                     live = still
                     if not live:
                         break
-            # one rounding toward zero per part: t * x * num / den
-            num, den = (2 * (2 * k + 1)) ** power, (k + 1) ** power
-            tr, ti = _cmul(tr, ti, xr * num, xi * num, wp, sd)
-            tr = tr // den if tr >= 0 else -(-tr // den)
-            ti = ti // den if ti >= 0 else -(-ti // den)
-            k += 1
-            a, b = 2 * k - 1, 2 * k
-            h[0] = k
-            h[1] += one // k
-            h[2] += one // a + one // b
-            h[3] += one // k ** 2
-            h[4] += one // a ** 2 + one // b ** 2
-            h[5] += one // k ** 3
-            h[6] += one // a ** 3 + one // b ** 3
-            if k > 400 * ctx.workdps:
-                raise DomainError("%s failed to converge" % name)
         return [ensure_finite(_from_fixed(sr, si, wp, sd)) for sr, si in acc]
 
 
@@ -402,22 +328,56 @@ def _binom_guard(ctx: PrecisionCtx) -> int:
     return 3 * (400 * ctx.workdps).bit_length() + 8
 
 
+def _binom_steps(x, power: int, facs: list, specs: list, wp: int, sd: int):
+    """The fixed-point walk: for k = 0, 1, ... yield (tr, ti, wts, lin).
+
+    (tr, ti) is the term C(2k,k)^power x^k, ``wts`` each weight of ``specs``
+    read through ``_BASIS`` from the running sums h, and ``lin`` the term
+    times each linear factor (a, b) of ``facs`` at k: real parts at scale
+    2^wp and imaginary parts at 2^(wp+sd), weights at 2^wp.  Each step
+    rounds the term once toward zero; the caller decides where to stop.
+    """
+    one = 1 << wp
+    xr, xi = _to_fixed(x, wp, sd)
+    facs = [_to_fixed(a, wp, sd) + _to_fixed(b, wp, sd) for a, b in facs]
+    specs = [[(c.numerator, c.denominator, _BASIS[b]) for c, b in w.terms]
+             for w in specs]
+    tr, ti = one, 0
+    h = [0] * 7  # k, H_k, H_2k, H2_k, H2_2k, H3_k, H3_2k
+    k = 0
+    while True:
+        wts = [sum(n * f(h, wp) // d for n, d, f in spec) for spec in specs]
+        lin = [_cmul(tr, ti, ar * k + br, ai * k + bi, wp, sd)
+               for ar, ai, br, bi in facs]
+        yield tr, ti, wts, lin
+        # one rounding toward zero per part: t * x * num / den
+        num, den = (2 * (2 * k + 1)) ** power, (k + 1) ** power
+        tr, ti = _cmul(tr, ti, xr * num, xi * num, wp, sd)
+        tr = tr // den if tr >= 0 else -(-tr // den)
+        ti = ti // den if ti >= 0 else -(-ti // den)
+        k += 1
+        a, b = 2 * k - 1, 2 * k
+        h[0] = k
+        h[1] += one // k
+        h[2] += one // a + one // b
+        h[3] += one // k ** 2
+        h[4] += one // a ** 2 + one // b ** 2
+        h[5] += one // k ** 3
+        h[6] += one // a ** 3 + one // b ** 3
+
+
 def _binom_accelerated(xr: mpf, power: int, facs: list, specs: list, slots: list,
                        ctx: PrecisionCtx) -> list:
-    # Boundary rate xr = -1/4^power: one term list per request, each summed by CVZ.
-    n_cvz = int(mp.ceil(mpf("1.4") * ctx.digits)) + 8
-    burn = 12
+    # Boundary rate xr = -1/4^power: the terms of every request from one
+    # real walk, each term list summed by CVZ.
+    n_terms = int(mp.ceil(mpf("1.4") * ctx.digits)) + 20  # CVZ terms + 12 burn-in
+    wp = mp.mp.prec + _binom_guard(ctx)
     facs = [(mp.re(a), mp.re(b)) for a, b in facs]
     terms = [[] for _ in slots]
-    term_base = mpf(1)
-    har = _Harmonics()
-    for k in range(n_cvz + burn):
-        wts = [har.weight(w) for w in specs]
-        lin = [term_base * (a * k + b) for a, b in facs]
+    steps = _binom_steps(xr, power, facs, specs, wp, 0)
+    for _, _, wts, lin in islice(steps, n_terms):
         for (fi, wi), col in zip(slots, terms):
-            col.append(lin[fi] * wts[wi])
-        term_base *= mpf(2 * (2 * k + 1)) ** power / mpf(k + 1) ** power * xr
-        har.advance()
+            col.append(_from_fixed(lin[fi][0] * wts[wi] >> wp, 0, wp).real)
     return [ensure_finite(mpc(cvz_alt_sum(col, ctx))) for col in terms]
 
 

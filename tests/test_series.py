@@ -1,6 +1,7 @@
 """Series engines: binomial sums, CVZ, AGM, hyperbolic kernels, ELi."""
 
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import mpmath as mp
@@ -14,8 +15,8 @@ from modzeta import (DomainError, HypKernel, LinearFactor, PrecisionCtx,
                      eli, ell_k, ell_k_comp, hyp_lambert, inv_binom2_series,
                      legendre_dnu2)
 from modzeta.mpcore import const_euler_gamma
-from modzeta.series import (_BASIS, W_ONE, binom3_sums, gamma_one_plus,
-                            legendre_p_def)
+from modzeta.series import (_BASIS, W_ONE, _binom_guard, _binom_steps, binom3_sums,
+                            gamma_one_plus, legendre_p_def)
 
 I = mpc(0, 1)
 
@@ -25,11 +26,12 @@ K_HALF_30 = "1.85407467730137191843385034720"
 INV_SQR_HALF_30 = "2.67457640729806918701575056705"
 
 W_H2DIFF = WeightSpec.combo({"H2_2K": 1, "H2_K": Fraction(-1, 4)})
-# CVZ sums at the boundary rate -1/64 and 30 digits, recorded when the caller
-# had to ask for acceleration: C^3 (0k+1), C^3 (4k+1) = 2/pi, C^3 W_H2DIFF
+# CVZ sums at the boundary rate -1/64 and 30 digits: C^3 (0k+1), C^3 (4k+1)
+# = 2/pi, C^3 W_H2DIFF; test_binom3_sums_domain also checks each against a
+# 60-digit reference
 CVZ_30 = {(0, 1, W_ONE): "0.909172794546929700739778854282651225720527299684",
-          (4, 1, W_ONE): "0.636619772367581343075535053490057448137838583207",
-          (0, 1, W_H2DIFF): "-0.0875992280020186921295926813195343506450184063942"}
+          (4, 1, W_ONE): "0.63661977236758134307553505349005744813783858312",
+          (0, 1, W_H2DIFF): "-0.0875992280020186921295926813195343506450184063723"}
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +85,9 @@ def test_binom3_kk_identity(ctx40):
 
 @pytest.mark.parametrize("k", [1, 7, 19])
 def test_incremental_terms_match_scratch(k, ctx30):
-    # term k built from the incremental binomial/harmonic tracker equals the
-    # same term recomputed from scratch factorials and harmonic sums
-    from modzeta.series import _Harmonics
+    # term k of the fixed-point step (incremental binomial and harmonic
+    # updates) equals the same term recomputed from scratch factorials and
+    # harmonic sums
     with ctx30.working():
         x = mpf(1) / 300
         w = WeightSpec.combo({"H3_2K": 1, "H2_K": Fraction(-1, 3), "INVSQ_2K1": 2})
@@ -97,12 +99,11 @@ def test_incremental_terms_match_scratch(k, ctx30):
             wt = h32k - h2k / 3 + 2 / mpf(2 * j + 1) ** 2
             return mpf(comb(2 * j, j)) ** 3 * (a * j + b) * wt * x ** j
 
-        har = _Harmonics()
-        term_base = mpf(1)
-        for j in range(k):
-            term_base *= mpf(2 * (2 * j + 1)) ** 3 / mpf(j + 1) ** 3 * x
-            har.advance()
-        incremental = term_base * (a * k + b) * har.weight(w)
+        wp = mp.mp.prec + _binom_guard(ctx30)
+        steps = _binom_steps(x, 3, [(a, b)], [w], wp, 0)
+        _, _, wts, lin = next(islice(steps, k, None))
+        assert lin[0][1] == 0
+        incremental = mpf(lin[0][0]) * wts[0] / mpf(2) ** (2 * wp)
         assert abs(incremental - scratch(k)) < abs(scratch(k)) * ctx30.tiny() * 100
         # and the summed series agrees with a long scratch partial sum
         full = binom3_series(x, LinearFactor(a, b), w, ctx30)
@@ -209,6 +210,17 @@ def test_binom3_sums_domain(ctx30):
             with pytest.raises(DomainError):
                 binom3_sums(*args, ctx30)
         assert binom3_sums(*fuzzy("1e-45"), ctx30) == clean
+    # each boundary sum lies within 10^-45 of an independent 60-digit
+    # reference: Clausen's (2K(sqrt t)/pi)^2 at t(1-t)/16 = -1/64, 2/pi, and
+    # the same CVZ sum
+    sums = binom3_sums(x, [(LinearFactor(0, 1), W_ONE)] + req, ctx30)
+    ctx60 = PrecisionCtx(60)
+    with ctx60.working():
+        t = (1 - mp.sqrt(2)) / 2
+        refs = [(2 * ell_k(t, ctx60) / mp.pi) ** 2, 2 / mp.pi,
+                binom3_series(x, LinearFactor(0, 1), W_H2DIFF, ctx60)]
+        for value, ref in zip(sums, refs):
+            assert abs(value - ref) < mpf(10) ** -45
 
 
 # ---------------------------------------------------------------------------

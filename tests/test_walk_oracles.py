@@ -310,12 +310,14 @@ def _binom_case(case, ctx):
             return mpc("0.64", "0.512") / 64, 3, every_basis
         if case == "64x=-0.83":
             return mpf("-0.83") / 64, 3, every_basis
+        if case == "64x=-1":  # the cubed boundary rate, summed by CVZ
+            return mpf(-1) / 64, 3, real_bases
         return mpf(-1) / 16, 2, real_bases  # binom2 at 16x = -1
 
 
 @pytest.mark.parametrize("digits", DIGITS)
 @pytest.mark.parametrize("case", ["z=0.55i", "64x=0.64+0.512i", "64x=-0.83",
-                                  "z=1/2+i/sqrt2", "binom2 16x=-1"])
+                                  "z=1/2+i/sqrt2", "64x=-1", "binom2 16x=-1"])
 def test_binom_walk_matches_mpf_oracle(case, digits):
     ctx = PrecisionCtx(digits)
     x, power, reqs = _binom_case(case, ctx)
