@@ -370,12 +370,13 @@ def _binom_accelerated(xr: mpf, power: int, facs: list, specs: list, slots: list
                        ctx: PrecisionCtx) -> list:
     # Boundary rate xr = -1/4^power: the terms of every request from one
     # real walk, each term list summed by CVZ.
-    n_terms = int(mp.ceil(mpf("1.4") * ctx.digits)) + 20  # CVZ terms + 12 burn-in
+    n_cvz = int(mp.ceil(mpf("1.4") * ctx.digits)) + 8
+    burn = 12
     wp = mp.mp.prec + _binom_guard(ctx)
     facs = [(mp.re(a), mp.re(b)) for a, b in facs]
     terms = [[] for _ in slots]
     steps = _binom_steps(xr, power, facs, specs, wp, 0)
-    for _, _, wts, lin in islice(steps, n_terms):
+    for _, _, wts, lin in islice(steps, n_cvz + burn):
         for (fi, wi), col in zip(slots, terms):
             col.append(_from_fixed(lin[fi][0] * wts[wi] >> wp, 0, wp).real)
     return [ensure_finite(mpc(cvz_alt_sum(col, ctx))) for col in terms]
