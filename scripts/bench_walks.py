@@ -9,7 +9,7 @@ boundary rates -1/64 (four weights under 4k + 1) and -1/16 (binom2), and the
 nomes of z, 2z, 4z and z + 1/2 at the same points.  The AGM inputs are the
 arguments the quadratures pass: the tanh-sinh nodes of levels 0-6 on [0, 1]
 (``ell_k_comp``, as the zeta(5) and zeta(7) integrals) and on [0, 1/2] (both
-functions, as the L_{-4}(4) integral), and the path of
+functions, as the L_{-4}(4) integral), and the upward ray of
 ``h3mix2_tail_integral`` from t = 0.3 + 0.05i over the same nodes.
 
     python3 scripts/bench_walks.py                          # this checkout
@@ -95,8 +95,8 @@ def _agm_calls(ctx):
             calls += [(ell_k_comp, (d / 2, ctx)), (ell_k_comp, (1 - d / 2, ctx))]
             for s in (d / 4, half - d / 4):
                 calls += [(ell_k, (s, ctx)), (ell_k_comp, (s, ctx))]
-            for u in (d / 2, 1 - d / 2):  # s = t + (1-u)/u, as h3mix2_tail_integral
-                s = t + (1 - u) / u
+            for u in (d / 2, 1 - d / 2):  # s = t + i(1-u)/u, as h3mix2_tail_integral
+                s = t + mpc(0, 1) * (1 - u) / u
                 calls += [(ell_k, (s, ctx)), (ell_k_comp, (s, ctx))]
     return calls
 

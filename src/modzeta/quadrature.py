@@ -10,6 +10,10 @@ Nodes are generated as (delta, weight) pairs with delta the distance from the
 interval endpoint (1 - |x| computed stably), so integrands may be evaluated
 accurately arbitrarily close to a singular endpoint.  Straight complex paths
 are supported through the same affine map.
+
+The H3INT2 integrand's K(sqrt s)^2 - (pi/2)^2 is summed from the AGM's own
+differences, so it does not cancel near s = 0, and the lem.h3mix2 tail runs
+up or down the vertical ray from t, clear of the branch point s = 1.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import mpmath as mp
 from mpmath import mpc, mpf
 
 from .mpcore import (DomainError, PrecisionCtx, _memoized, const_catalan,
-                     const_zeta, ensure_finite, tail_poly_geom)
+                     const_zeta, ensure_finite)
 from .series import ell_k, ell_k_comp
 
 __all__ = [
@@ -132,29 +136,27 @@ _LEMMAS = ("NU2", "EPS2", "H3INT1", "H3INT2")
 
 
 def _ksq_minus_quarter_pi_sq(s, ctx: PrecisionCtx):
-    """K(sqrt(s))^2 - (pi/2)^2, stable for small |s| via the squared 2F1 series."""
-    if abs(s) > mpf("1e-6"):
-        k = ell_k(s, ctx)
-        return k * k - mp.pi ** 2 / 4
+    """K(sqrt(s))^2 - (pi/2)^2 from the differences of M = AGM(1, sqrt(1-s)).
+
+    c_1 = s / (2 (1 + sqrt(1-s))) and c_{n+1} = c_n^2 / (2 (a_n + b_n)) are
+    the half-differences (a_{n-1} - b_{n-1})/2, so 1 - M = S = sum c_n and
+    K^2 - (pi/2)^2 = (pi^2/4) S (2 - S) / (1 - S)^2 cancels at no s.  The c_n
+    fall quadratically, so once |c_n| <= tiny |S| the rest of the sum is far
+    below tiny |S|.  a_n and b_n stay in the quadrant of sqrt(1-s), so the
+    principal sqrt(ab) is the right choice and K is the branch of ``ell_k``.
+    """
     if s == 0:
         return mpc(0)
-    # (2K/pi)^2 = (sum a_k s^k)^2 = sum b_k s^k with a_k = ((1/2)_k / k!)^2.
-    # Each a_k <= 1, so b_k = sum_j a_j a_{k-j} <= k + 1 <= 2k, and the tail
-    # after index k is at most 2 sum_{n>k} n |s|^n; the sum stops once that
-    # bound is below tiny times the partial sum (about s/2, never 0 here)
-    sa = abs(s)
     tiny = ctx.tiny()
-    a = [mpf(1)]
-    acc = mpc(0)
-    sk = mpc(1)
-    k = 0
-    while True:
-        k += 1
-        a.append(a[-1] * (mpf(2 * k - 1) / (2 * k)) ** 2)
-        sk *= s
-        acc += mp.fsum(a[j] * a[k - j] for j in range(k + 1)) * sk
-        if 2 * tail_poly_geom(sa, k, 1) < tiny * abs(acc):
-            return mp.pi ** 2 / 4 * acc
+    r = mp.sqrt(1 - s)
+    c = s / (2 * (1 + r))
+    a, b = (1 + r) / 2, mp.sqrt(r)
+    acc = c
+    while abs(c) > tiny * abs(acc):
+        c = c * c / (2 * (a + b))
+        a, b = (a + b) / 2, mp.sqrt(a * b)
+        acc += c
+    return mp.pi ** 2 / 4 * acc * (2 - acc) / (1 - acc) ** 2
 
 
 def lemma_integral(which: str, t, ctx: PrecisionCtx) -> mpc:
@@ -210,12 +212,12 @@ def lemma_integral(which: str, t, ctx: PrecisionCtx) -> mpc:
 def h3mix2_tail_integral(t, ctx: PrecisionCtx) -> mpc:
     """-(2/pi)^2 * int_t^oo 4(1-2s)/(s(1-s)) [K(sqrt(1-s))K(sqrt(t)) - K(sqrt(s))K(sqrt(1-t))]^2 ds.
 
-    Taken along the horizontal path Im s = Im t (the integrand is analytic off
-    the real rays s <= 0 and s >= 1), with the half-line mapped to [0,1) by
-    s = t + v/(1-v); the leftover v=1 endpoint carries only a log^2 blowup.
-    That path needs Im t != 0: at a real t it would run along the branch cut
-    s >= 1, so a real t raises DomainError.  Off the real axis the integral
-    obeys I(conj t) = conj I(t).
+    Taken along the vertical ray s = t + i sign(Im t) (1-u)/u, u in (0, 1].
+    The integrand is analytic off the real rays s <= 0 and s >= 1 and decays
+    like log^2|s| / |s|^2, so any path to infinity on t's side of the real
+    axis gives the same value; the ray keeps clear of the branch point s = 1.
+    For Im t < 0 the ray goes down, which keeps I(conj t) = conj I(t): an
+    upward ray would end beyond the cut s >= 1.  A real t raises DomainError.
     """
     with ctx.working():
         t = mpc(t)
@@ -223,16 +225,17 @@ def h3mix2_tail_integral(t, ctx: PrecisionCtx) -> mpc:
             raise DomainError("h3mix2_tail_integral requires Im t != 0, got t=%s" % (t,))
         kt = ell_k(t, ctx)
         k1t = ell_k_comp(t, ctx)
+        ray = mpc(0, mp.sign(mp.im(t)))
 
         def f(u):
-            # u -> s = t + (1-u)/u maps (0,1] onto [t, oo) with the far end
-            # at u = 0, where mpf points keep full relative accuracy
-            s = t + (1 - u) / u
+            # u -> s = t + ray (1-u)/u maps (0,1] onto the ray with the far
+            # end at u = 0, where mpf points keep full relative accuracy
+            s = t + ray * (1 - u) / u
             ks = ell_k(s, ctx)
             bracket = ell_k_comp(s, ctx) * kt - ks * k1t
             return 4 * (1 - 2 * s) / (s * (1 - s)) * bracket ** 2 / u ** 2
         res = tanh_sinh(f, mpf(0), mpf(1), ctx)
-        return ensure_finite(-(2 / mp.pi) ** 2 * res.converged_value())
+        return ensure_finite(-(2 / mp.pi) ** 2 * ray * res.converged_value())
 
 
 # ---------------------------------------------------------------------------

@@ -77,22 +77,27 @@ def _series_data(z, ctx: PrecisionCtx) -> dict:
                 "linear": dict(zip(_THEOREM_WEIGHTS, sums[1 + n:]))}
 
 
-@_memoized
-def _q_rhs(z, ctx: PrecisionCtx):
+def _q_free(z, ctx: PrecisionCtx):
+    """The Epstein-free parts of Q1 and Q2: the zeta(3), Im z and Eichler terms."""
     with ctx.working():
         y = mp.im(z)
         z3 = const_zeta(3, ctx)
-        e_zh = epstein2(z + mpf(1) / 2, ctx)
-        e_2z = epstein2(2 * z, ctx)
         f_zh = eichler4(z + mpf(1) / 2, 0, ctx)
         f_2z = eichler4(2 * z, 0, ctx)
-        q1 = (7 * z3 / (4 * mp.pi * y)
-              - mp.pi ** 2 * (4 * e_zh - e_2z) / 90
-              - mp.pi ** 2 * 1j * (8 * f_zh - f_2z) / (120 * y))
+        q1 = 7 * z3 / (4 * mp.pi * y) - mp.pi ** 2 * 1j * (8 * f_zh - f_2z) / (120 * y)
         q2 = (-2 * mp.pi ** 2 * y ** 2 / 3 - 2 * z3 / (mp.pi * y)
-              - 2 * mp.pi ** 2 * (e_zh - 4 * e_2z) / 45
               - mp.pi ** 2 * 1j * (f_zh - 2 * f_2z) / (15 * y))
         return q1, q2
+
+
+@_memoized
+def _q_rhs(z, ctx: PrecisionCtx):
+    q1, q2 = _q_free(z, ctx)
+    with ctx.working():
+        e_zh = epstein2(z + mpf(1) / 2, ctx)
+        e_2z = epstein2(2 * z, ctx)
+        return (q1 - mp.pi ** 2 * (4 * e_zh - e_2z) / 90,
+                q2 - 2 * mp.pi ** 2 * (e_zh - 4 * e_2z) / 45)
 
 
 def _r_rhs(z, ctx: PrecisionCtx):
@@ -125,18 +130,11 @@ def r_linear(z, ctx: PrecisionCtx) -> dict:
 
 
 def s_r(z, r, ctx: PrecisionCtx) -> mpc:
-    """The Eichler-side combination that collapses to a rational multiple of pi^2."""
-    z = _as_z(z, ctx)
+    """The Epstein-free part of Q1 - r Q2, which collapses to a rational multiple of pi^2."""
+    q1, q2 = _q_free(_as_z(z, ctx), ctx)
     with ctx.working():
         r = mpf(Fraction(r).numerator) / Fraction(r).denominator
-        y = mp.im(z)
-        z3 = const_zeta(3, ctx)
-        f_zh = eichler4(z + mpf(1) / 2, 0, ctx)
-        f_2z = eichler4(2 * z, 0, ctx)
-        return (7 * z3 / (4 * mp.pi * y)
-                - mp.pi ** 2 * 1j * (8 * f_zh - f_2z) / (120 * y)
-                + r * (2 * mp.pi ** 2 * y ** 2 / 3 + 2 * z3 / (mp.pi * y)
-                       + mp.pi ** 2 * 1j * (f_zh - 2 * f_2z) / (15 * y)))
+        return q1 - r * q2
 
 
 def t_r(z, r, ctx: PrecisionCtx) -> mpc:
@@ -168,7 +166,8 @@ def h3_ratios(z, ctx: PrecisionCtx) -> dict:
             "lhs2": ratio[W_H3_PLAIN], "rhs2": h2r}
 
 
-def _h3_linear_rhs(z, ctx: PrecisionCtx):
+def _h3_linear_free(z, ctx: PrecisionCtx):
+    """The weight-3 linear-factor sides without the Epstein term of the second."""
     # Second identity: the E6'''-bracket denominators are 756*Im z and
     # 189*Im z (power one); this follows from differentiating the ratio
     # identities and is confirmed by the tabulated specializations.
@@ -182,7 +181,6 @@ def _h3_linear_rhs(z, ctx: PrecisionCtx):
         g1 = (mp.pi ** 2 * 1j * (e2_2z - 8 * e2_zh) / (1512 * y ** 2)
               + mp.pi ** 2 * (e3_2z - 4 * e3_zh) / (756 * y))
         g2 = (8 * mp.pi ** 2 * y / 3 - 6 * z3 / (mp.pi * y ** 2)
-              - 8 * mp.pi ** 2 * (epstein2(4 * z, ctx) - epstein2(z, ctx)) / (45 * y)
               + mp.pi ** 2 * 1j * (e2_zh - 8 * e2_2z) / (189 * y ** 2)
               + mp.pi ** 2 * (e3_zh - 16 * e3_2z) / (189 * y))
         return g1, g2
@@ -192,7 +190,9 @@ def h3_linear(z, ctx: PrecisionCtx) -> dict:
     """Both sides of the weight-3 linear-factor identities at an admissible z."""
     z = _require_admissible(z, ctx)
     linear = _series_data(z, ctx)["linear"]
-    g1r, g2r = _h3_linear_rhs(z, ctx)
+    g1r, g2r = _h3_linear_free(z, ctx)
+    with ctx.working():
+        g2r -= 8 * mp.pi ** 2 * (epstein2(4 * z, ctx) - epstein2(z, ctx)) / (45 * mp.im(z))
     return {"lhs1": linear[W_H3_DIFF], "rhs1": g1r,
             "lhs2": linear[W_H3_PLAIN], "rhs2": g2r}
 
@@ -200,20 +200,10 @@ def h3_linear(z, ctx: PrecisionCtx) -> dict:
 def u_check(z, rc, ctx: PrecisionCtx) -> mpc:
     """The weight-3 combination that collapses to a rational multiple of zeta(3)/pi.
 
-    Built from the Eichler derivatives only (the Epstein difference term of
-    the plain-H3 identity is deliberately absent from the bracket).
+    G1 + rc G2 of the linear-factor identities, without the Epstein
+    difference term of the plain-H3 identity.
     """
-    z = _as_z(z, ctx)
+    g1, g2 = _h3_linear_free(_as_z(z, ctx), ctx)
     with ctx.working():
         rc = mpf(Fraction(rc).numerator) / Fraction(rc).denominator
-        y = mp.im(z)
-        z3 = const_zeta(3, ctx)
-        e2_zh = eichler6(z + mpf(1) / 2, 2, ctx)
-        e2_2z = eichler6(2 * z, 2, ctx)
-        e3_zh = eichler6(z + mpf(1) / 2, 3, ctx)
-        e3_2z = eichler6(2 * z, 3, ctx)
-        return (mp.pi ** 2 * 1j * (e2_2z - 8 * e2_zh) / (1512 * y ** 2)
-                + mp.pi ** 2 * (e3_2z - 4 * e3_zh) / (756 * y)
-                + rc * (8 * mp.pi ** 2 * y / 3 - 6 * z3 / (mp.pi * y ** 2)
-                        + mp.pi ** 2 * 1j * (e2_zh - 8 * e2_2z) / (189 * y ** 2)
-                        + mp.pi ** 2 * (e3_zh - 16 * e3_2z) / (189 * y)))
+        return g1 + rc * g2

@@ -106,20 +106,22 @@ def test_complex_path(ctx30):
 
 
 def test_h3mix2_tail_integral_rejects_real_t(ctx30):
-    # the path Im s = Im t would run along the branch cut s >= 1 at a real t
+    # the ray leaves t upward or downward by the sign of Im t; a real t has none
     from modzeta import DomainError, h3mix2_tail_integral
     for t in (mpf("0.3"), mpf("-0.5")):
         with pytest.raises(DomainError, match="h3mix2_tail_integral requires Im t != 0"):
             h3mix2_tail_integral(t, ctx30)
 
 
-@pytest.mark.parametrize("digits", (100, 250))
+@pytest.mark.parametrize("digits", (50, 100, 250))
 def test_small_s_ksq_series_meets_working_precision(digits):
-    # below |s| = 1e-6 K(sqrt s)^2 - (pi/2)^2 comes from the squared 2F1
-    # series, which must run until its tail bound holds at any precision
+    # K(sqrt s)^2 - (pi/2)^2 must keep full relative precision on both sides
+    # of |s| = 1e-6, for real, negative and complex s
     from modzeta.quadrature import _ksq_minus_quarter_pi_sq
     ctx = PrecisionCtx(digits)
-    for s in (mpf("9.99e-7"), mpc("-7e-7", "7e-7"), mpf("-3e-9")):
+    for s in (mpf("9.99e-7"), mpc("-7e-7", "7e-7"), mpf("-3e-9"), mpf("1e-9"),
+              mpf("1.01e-6"), mpf("1e-5"), mpf("1e-3"), mpf("0.05"), mpf("0.3"),
+              mpf("0.5"), mpc("0.1", "0.05"), mpc("0.3", "-0.2")):
         with ctx.working():
             got = _ksq_minus_quarter_pi_sq(mpc(s), ctx)
         with mp.workdps(ctx.workdps + 60):

@@ -157,14 +157,23 @@ def test_boundary_family_meets_full_bar():
 
 
 def test_lemma_oracles_pass_at_100_digits():
-    # every lemma-oracles record but the slow lem.h3mix2; lem.h3int2.t01 and
-    # .t03 need K(sqrt s)^2 - (pi/2)^2 to full precision for |s| <= 1e-6
     ctx = PrecisionCtx(100)
-    recs = [r for r in get_records("lemma-oracles") if r.id != "lem.h3mix2"]
-    assert len(recs) == 10
+    recs = get_records("lemma-oracles")
+    assert len(recs) == 11
     for rec in recs:
         row = runner._evaluate(rec, ctx)
         assert row["pass"], (rec.id, row["abs_residual"], row.get("error"))
+
+
+def test_h3int2_residuals_stay_below_working_precision():
+    # lem.h3int2.t01 and .t03 integrate K(sqrt s)^2 - (pi/2)^2 from s = 0,
+    # so a K^2 that cancels digits near s = 0 shows in their residuals
+    recs = {r.id: r for r in get_records("lemma-oracles")}
+    for digits in (15, 50, 100):
+        ctx = PrecisionCtx(digits)
+        for rid in ("lem.h3int2.t01", "lem.h3int2.t03"):
+            row = runner._evaluate(recs[rid], ctx)
+            assert mpf(row["abs_residual"]) < mpf(10) ** -(digits + 14), (digits, rid, row)
 
 
 def test_registry_rows_read_the_evaluators_at_run_time(monkeypatch, ctx30):

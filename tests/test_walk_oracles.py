@@ -376,10 +376,11 @@ def _agm_points():
     # imaginary parts far below the real part, beyond the working precision
     pts += [mpc("0.3", "1e-40"), mpc("0.3", "-1e-40"), mpc("0.5", "1e-200"),
             mpc("-0.3", "1e-200")]
-    # h3mix2_tail_integral's path s = t + (1-v)/v from t = 0.3 + 0.05i
+    # the line Im s = 0.05 past the branch point s = 1, and the ray
+    # s = t + i (1-v)/v of h3mix2_tail_integral, from t = 0.3 + 0.05i
     t = mpc("0.3", "0.05")
-    pts += [t + (1 - mpf(v)) / mpf(v) for v in ("0.999", "0.9", "0.5", "0.1", "1e-3",
-                                                 "1e-10", "1e-30")]
+    vs = [mpf(v) for v in ("0.999", "0.9", "0.5", "0.1", "1e-3", "1e-10", "1e-30")]
+    pts += [t + (1 - v) / v for v in vs] + [t + mpc(0, 1) * (1 - v) / v for v in vs]
     # on the branch cuts, where both sides must raise
     pts += [mpf(1), mpf("1.5"), mpf("1e30"), mpf(0), mpf("-0.5")]
     return pts
