@@ -23,17 +23,19 @@ u r by the integer n^p and the Eichler chains floor-divide their kernel by
 n^e.  wp is the working precision plus guard bits sized from the walk's
 amplification (``_nome_guard``): the E6 chain multiplies the rounding of
 u/(1-u) by n^5 over up to N terms, and K_3 carries r^4.  The stop rules
-read only |q| and n, as in the mpf walk: the ``near_end`` prefilter, each
-Eisenstein chain's ``tail_poly_geom`` bound and the one Eichler bound.
+read only |q| and n: each Eisenstein chain's polynomial-geometric bound and
+the one Eichler bound, each checked in floats in log2 form at every n.
 """
 
 from __future__ import annotations
+
+from math import log2
 
 import mpmath as mp
 from mpmath import mpc, mpf
 
 from .mpcore import (DomainError, PrecisionCtx, _cmul, _dust_bits, _from_fixed,
-                     _memoized, _to_fixed, ensure_finite, tail_poly_geom)
+                     _memoized, _to_fixed, ensure_finite)
 
 __all__ = [
     "alpha4",
@@ -120,27 +122,30 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx) -> dict:
     """Every Lambert chain at the nome q of z, from one walk over n.
 
     Eisenstein chain "E<weight>" is sum_n n^p q^n/(1-q^n) with p = 1, 3, 5
-    for weight 2, 4, 6; each stops once its polynomial-geometric tail,
-    tail_poly_geom(|q|, n, p)/(1-|q|), is below the working threshold.
+    for weight 2, 4, 6; its tail after term n is at most
+    6^p (n+1)^p |q|^(n+1) / (1-|q|)^(p+2), so it stops once
+    p log2(6(n+1)) + (n+1) log2|q| - (p+2) log2(1-|q|) < log2 tiny.
 
     Eichler chain (weight, order) is sum_n n^(order-weight+1) * K_order(q^n),
     with K_0(u) = u/(1-u), K_1(u) = u/(1-u)^2, K_2(u) = u(1+u)/(1-u)^3,
     K_3(u) = u(1+4u+u^2)/(1-u)^4.  The n-exponent is <= -1 for every Eichler
     chain, so one tail bound, sum_{m>n} |q|^m * 6/(1-|q|)^4 with the crude
-    kernel bound |K(u)| <= 6|u|/(1-|q|)^4 for |u| <= |q|, stops all seven.
+    kernel bound |K(u)| <= 6|u|/(1-|q|)^4 for |u| <= |q|, stops all seven:
+    they stop once log2 6 + (n+1) log2|q| - 5 log2(1-|q|) < log2 tiny.
     The walk ends when every chain has stopped.
 
     The walk is out of contract for Im z < 0.03, as ``eta`` is: its length
     grows like 1/Im z.  The terms are summed in fixed point (module
-    docstring); the stop rules read only |q| and n.
+    docstring).  The stop rules are checked in floats; their rounding is far
+    below the slack of the constants 6^p and 6.
     """
     if mp.im(z) < mpf("0.03"):
         raise DomainError("the Lambert nome walk is out of contract for Im z < 0.03")
     with ctx.working():
         q = _nome(z)
         qa = abs(q)
-        tiny = ctx.tiny()
-        kb = 6 / (1 - qa) ** 4
+        # the stop rules in log2 form: log2 |q|, log2(1-|q|) and log2 tiny
+        lq, l1q, lt = (float(mp.log(v, 2)) for v in (qa, 1 - qa, ctx.tiny()))
         wp = mp.mp.prec + _nome_guard(qa, ctx)
         one = 1 << wp
         s = _dust_bits(q, wp)
@@ -149,10 +154,6 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx) -> dict:
         acc = dict.fromkeys(_CHAINS + tuple(eis), (0, 0))
         eichler_live = True
         ur, ui = one, 0
-        # |q|^(n+1) bounds every tail bound below: while it is at least
-        # 2 tiny (the 2 covers rounding) no chain can stop, so the costlier
-        # bounds are evaluated only near each chain's end
-        qa_next, near = qa, 2 * tiny
         n = 0
         while eichler_live or eis:
             n += 1
@@ -162,13 +163,11 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx) -> dict:
             inv = (1 << 3 * wp) // (dr * dr + (di * di >> 2 * s))
             rr, ri = dr * inv >> wp, -di * inv >> wp
             k0r, k0i = _cmul(ur, ui, rr, ri, wp, s)  # u/(1-u)
-            qa_next *= qa
-            near_end = qa_next < near
             for key, p in list(eis.items()):
                 m = n ** p
                 sr, si = acc[key]
                 acc[key] = (sr + m * k0r, si + m * k0i)
-                if near_end and tail_poly_geom(qa, n, p) / (1 - qa) < tiny:
+                if p * log2(6 * (n + 1)) + (n + 1) * lq - (p + 2) * l1q < lt:
                     del eis[key]
             if eichler_live:
                 k1 = _cmul(k0r, k0i, rr, ri, wp, s)
@@ -182,8 +181,7 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx) -> dict:
                     kr, ki = ker[order]
                     sr, si = acc[weight, order]
                     acc[weight, order] = (sr + kr // m, si + ki // m)
-                eichler_live = not (near_end
-                                    and qa ** (n + 1) / (1 - qa) * kb < tiny)
+                eichler_live = not log2(6) + (n + 1) * lq - 5 * l1q < lt
         return {key: _from_fixed(sr, si, wp, s) for key, (sr, si) in acc.items()}
 
 

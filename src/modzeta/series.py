@@ -6,15 +6,15 @@ Summation strategy
 One engine sums C(2k,k)^p (a k + b) w(k) x^k for both powers p = 3 (the
 cubed family) and p = 2 (the squared family).  Interior rates
 (|4^p x| < 1) are summed directly with incremental binomial/harmonic updates
-and a geometric tail certificate.  Boundary rates (|4^p x| = 1 with
-Re x < 0, so alternating) go through Cohen-Rodriguez Villegas-Zagier
-acceleration with N = ceil(1.4 * digits) terms and heuristic error
-~ (3+sqrt(8))^-N; direct partial sums of those series converge only
-algebraically in k and are hopeless at high precision.
+and a stated tail bound.  Boundary rates (|4^p x| = 1 with Re x < 0, so
+alternating) go through Cohen-Rodriguez Villegas-Zagier acceleration with
+N = ceil(1.4 * digits) terms and heuristic error ~ (3+sqrt(8))^-N; direct
+partial sums of those series converge only algebraically in k and are
+hopeless at high precision.
 
 The engine makes one walk per rate: :func:`binom3_sums` returns every
 requested (LinearFactor, WeightSpec) sum from a single pass over the terms,
-each sum stopping on its own certificate; :func:`binom3_series` and
+each sum stopping on its own tail bound; :func:`binom3_series` and
 :func:`binom2_series` are its one-request cases.  The theorem evaluators
 keep the nine sums of a point in a per-(point, precision) memo, so one point
 costs one walk.
@@ -31,18 +31,14 @@ integer pair converted to mpf once at the end.  An imaginary part far below
 the real part of x (a rate at a point on Re z = 1/2) gets its own scale, as
 ``mpcore._dust_bits`` describes.
 
-wp is the working precision plus guard bits sized from the walk's
-amplification (``_binom_guard``): a term's rounding grows by about one unit
-per step, the linear factor multiplies it by up to k, and a walk may take
-400 workdps steps.  The guard depends only on the precision, so an entry
-still equals the same request summed alone.
+wp is the working precision plus the guard bits of ``_binom_guard``, which
+depend only on the precision, so an entry equals the same request summed alone.
 
 Both rates share one step, the generator ``_binom_steps``.  The interior
-sum stops on each request's geometric tail certificate, evaluated in mpf
-from the integer term, and an exact integer pre-test on |t|^2 skips that
-evaluation only while no request can stop yet.  The boundary path takes the
-first 1.4 digits + 20 steps on the real rate, converts each term to mpf
-once and hands the lists to CVZ.
+sum stops each request on one stated tail bound, |t_k| times a quadratic
+in k from the rate and the weight envelopes, checked in floats at every k
+(``_binom_sums``).  The boundary path takes the first 1.4 digits + 20 steps
+on the real rate, converts each term to mpf once and hands the lists to CVZ.
 
 The complete elliptic integrals :func:`ell_k` and :func:`ell_k_comp`, which
 every quadrature integrand evaluates, share one fixed-point AGM kernel
@@ -60,11 +56,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import isqrt
+from math import hypot, inf, isqrt, log2
 
 import mpmath as mp
 from mpmath import mpc, mpf
-from mpmath.libmp import to_fixed
 
 from .modular import _as_z
 from .mpcore import (DomainError, PrecisionCtx, _cmul, _dust_bits, _from_fixed,
@@ -95,19 +90,22 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 # each weight basis as an integer function of the walk's running sums
-# h = [k, H_k, H_2k, H2_k, H2_2k, H3_k, H3_2k], each sum at scale 2^wp
+# h = [k, H_k, H_2k, H2_k, H2_2k, H3_k, H3_2k], each sum at scale 2^wp, and its
+# envelope (s, l), |basis(k)| <= s + l k for k >= 0: H_k <= k, H_2k <= 1 + k,
+# zeta(2) < 33/20, zeta(3) < 121/100, H_2k - H_k < log 2, and for H3MIX, a
+# difference of nonnegative terms, max(zeta(3), 3 zeta(2) log 2) < 693/200
 _BASIS = {
-    "ONE": lambda h, wp: 1 << wp,
-    "H1_K": lambda h, wp: h[1],
-    "H1_2K": lambda h, wp: h[2],
-    "H2_K": lambda h, wp: h[3],
-    "H2_2K": lambda h, wp: h[4],
-    "H3_K": lambda h, wp: h[5],
-    "H3_2K": lambda h, wp: h[6],
-    "INVSQ_2K1": lambda h, wp: (1 << wp) // (2 * h[0] + 1) ** 2,
-    "H2_2K_TIMES_DH1": lambda h, wp: h[4] * (h[2] - h[1]) >> wp,
-    "H2_K_TIMES_DH1": lambda h, wp: h[3] * (h[2] - h[1]) >> wp,
-    "H3MIX": lambda h, wp: h[5] - (3 * h[3] * (h[2] - h[1]) >> wp),
+    "ONE": (lambda h, wp: 1 << wp, 1, 0),
+    "H1_K": (lambda h, wp: h[1], 0, 1),
+    "H1_2K": (lambda h, wp: h[2], 1, 1),
+    "H2_K": (lambda h, wp: h[3], Fraction(33, 20), 0),
+    "H2_2K": (lambda h, wp: h[4], Fraction(33, 20), 0),
+    "H3_K": (lambda h, wp: h[5], Fraction(121, 100), 0),
+    "H3_2K": (lambda h, wp: h[6], Fraction(121, 100), 0),
+    "INVSQ_2K1": (lambda h, wp: (1 << wp) // (2 * h[0] + 1) ** 2, 1, 0),
+    "H2_2K_TIMES_DH1": (lambda h, wp: h[4] * (h[2] - h[1]) >> wp, Fraction(231, 200), 0),
+    "H2_K_TIMES_DH1": (lambda h, wp: h[3] * (h[2] - h[1]) >> wp, Fraction(231, 200), 0),
+    "H3MIX": (lambda h, wp: h[5] - (3 * h[3] * (h[2] - h[1]) >> wp), Fraction(693, 200), 0),
 }
 
 
@@ -126,7 +124,8 @@ class WeightSpec:
     Each item is (coefficient, basis) with basis one of: ONE, H1_K, H1_2K,
     H2_K, H2_2K, H3_K, H3_2K, INVSQ_2K1 = 1/(2k+1)^2,
     H2_2K_TIMES_DH1 = H2_{2k}(H_{2k}-H_k), H2_K_TIMES_DH1 = H2_k(H_{2k}-H_k),
-    H3MIX = H3_k - 3 H2_k (H_{2k}-H_k).
+    H3MIX = H3_k - 3 H2_k (H_{2k}-H_k).  Each basis has one envelope
+    |basis(k)| <= s + l k (``_BASIS``); a spec's is the sum of |c| (s, l).
     """
 
     terms: tuple
@@ -146,12 +145,6 @@ class WeightSpec:
 
 
 W_ONE = WeightSpec.one()
-
-
-def _weight_growth_guard(k: int) -> mpf:
-    # Relative growth of any supported weight from k to k+1 is at most
-    # 1 + 2/k for k >= 2 (harmonic increments), squared for the products.
-    return (1 + mpf(2) / max(k, 2)) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +227,18 @@ def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
     linear factor is evaluated once per k, and the result list follows the
     order of ``requests``.
 
-    Interior |4^power x| < 1: direct summation on fixed-point integers (see
-    the module docstring).  Each request keeps its own geometric tail
-    certificate and stops accumulating once it holds, so every entry equals
-    the same request summed alone; the walk ends when every request is
-    certified.
+    Interior r = |4^power x| < 1: direct summation on fixed-point integers
+    (see the module docstring).  The term ratio ((2(2k+1))/(k+1))^power |x|
+    is below r, |a k + b| <= |a| k + |b| and the weight is at most s + l k
+    (``WeightSpec``), so after term k the rest of a request is at most
+    |t_k| (P2 k^2 + P1 k + P0): P2 = |a| l g0, P1 = (|b| l + |a| s) g0 +
+    2 |a| l g1, P0 = |b| s g0 + (|b| l + |a| s) g1 + |a| l g2, with
+    g0 = r/(1-r), g1 = r/(1-r)^2 and g2 = r(1+r)/(1-r)^3.  A request stops
+    after the first k where that bound is below tiny, checked in floats as
+    log2 |t_k| (from the top bits of the integer term) + log2 P(k); the
+    ratio's slack covers their rounding.  So every entry equals the same
+    request summed alone; the walk ends when every request has stopped, or
+    raises DomainError at 400 workdps steps.
     |4^power x| = 1 with Re x < 0, to within the boundary slack
     max(1000 tiny, 10^-(dps-6)): the walk classifies the rate itself and sums
     it by CVZ acceleration.  The term list is built once on the real rate and
@@ -271,48 +271,43 @@ def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
 
         wp = mp.mp.prec + _binom_guard(ctx)
         sd = _dust_bits(x, wp)
-        acc = [(0, 0)] * len(slots)
-        live = list(range(len(slots)))  # requests whose tail is not yet certified
         r = abs(scale * x)
-        ax = abs(x)
-        abs_facs = [(abs(a), abs(b)) for a, b in facs]
-        # exact pre-test: for k >= 8 every head below is at least
-        # |t| |4^power x| min(10|a| + |b|), so while |t|^2 >= skip that lower
-        # bound is at least 2 tiny and no request can stop yet
-        low = scale * ax * min(10 * aa + ab for aa, ab in abs_facs)
-        skip = to_fixed(((2 * tiny / low) ** 2)._mpf_, 2 * wp) + 1 if low else None
+        g0 = r / (1 - r)
+        g1, g2 = g0 / (1 - r), g0 * (1 + r) / (1 - r) ** 2
+        top = float(mp.log(tiny, 2)) + wp
+        rules = []  # per request: P2, P1, P0 / 2^pe as floats, top - pe
+        for fi, wi in slots:
+            a, b = abs(facs[fi][0]), abs(facs[fi][1])
+            sw, lw = (sum(abs(c) * _BASIS[n][j] for c, n in specs[wi].terms) for j in (1, 2))
+            sw, lw = mpf(sw.numerator) / sw.denominator, mpf(lw.numerator) / lw.denominator
+            mid = b * lw + a * sw
+            ps = (a * lw * g0, mid * g0 + 2 * a * lw * g1, b * sw * g0 + mid * g1 + a * lw * g2)
+            pe = max(mp.mag(v) for v in ps) if any(ps) else 0
+            rules.append(tuple(float(mp.ldexp(v, -pe)) for v in ps) + (top - pe,))
+        acc = [(0, 0)] * len(slots)
+        live = list(range(len(slots)))  # requests still summing
         steps = _binom_steps(x, power, facs, specs, wp, sd)
         for k, (tr, ti, wts, lin) in enumerate(steps):
             if k > 400 * ctx.workdps:
                 raise DomainError("%s failed to converge" % name)
+            # log2 of an upper bound on |t_k| 2^wp: each part's top 50 bits, rounded up
+            tr, ti = abs(tr), abs(ti)
+            e = max(0, max(tr, ti >> sd).bit_length() - 50)
+            h = hypot(-(-tr >> e), -(-ti >> (sd + e)))
+            lt = e + log2(h) if h else -inf
+            still = []
             for i in live:
                 fi, wi = slots[i]
                 (lr, li), w = lin[fi], wts[wi]
                 sr, si = acc[i]
                 acc[i] = (sr + (lr * w >> wp), si + (li * w >> wp))
-            if k >= 8 and (skip is None or tr * tr + (ti * ti >> 2 * sd) < skip):
-                # ratio of successive |C^power x^k| is at most |4^power x|;
-                # weight and the linear factor add at most (1+6/k)-type growth
-                grow = r * (1 + mpf(6) / k)
-                if grow < 1:
-                    head = abs(_from_fixed(tr, ti, wp, sd)) * scale * ax
-                    heads = [head * (aa * (k + 1) + ab + aa) for aa, ab in abs_facs]
-                    guard = _weight_growth_guard(k)
-                    still = []
-                    for i in live:
-                        fi, wi = slots[i]
-                        # the weight and guard factors are >= 1, so a head at
-                        # or above tiny already fails the test
-                        if heads[fi] >= tiny:
-                            still.append(i)
-                            continue
-                        wt = abs(_from_fixed(wts[wi], 0, wp).real)
-                        bound = heads[fi] * (wt + 1) * guard
-                        if not bound * grow / (1 - grow) + bound < tiny:
-                            still.append(i)
-                    live = still
-                    if not live:
-                        break
+                p2, p1, p0, lim = rules[i]
+                pk = (p2 * k + p1) * k + p0
+                if pk and not lt + log2(pk) < lim:
+                    still.append(i)
+            live = still
+            if not live:
+                break
         return [ensure_finite(_from_fixed(sr, si, wp, sd)) for sr, si in acc]
 
 
@@ -340,7 +335,7 @@ def _binom_steps(x, power: int, facs: list, specs: list, wp: int, sd: int):
     one = 1 << wp
     xr, xi = _to_fixed(x, wp, sd)
     facs = [_to_fixed(a, wp, sd) + _to_fixed(b, wp, sd) for a, b in facs]
-    specs = [[(c.numerator, c.denominator, _BASIS[b]) for c, b in w.terms]
+    specs = [[(c.numerator, c.denominator, _BASIS[b][0]) for c, b in w.terms]
              for w in specs]
     tr, ti = one, 0
     h = [0] * 7  # k, H_k, H_2k, H2_k, H2_2k, H3_k, H3_2k
@@ -401,7 +396,11 @@ def binom2_series(x, w: WeightSpec, ctx: PrecisionCtx) -> mpc:
 
 
 def inv_binom2_series(t, ctx: PrecisionCtx) -> mpf:
-    """sum_{k>=1} (16 t)^k / (k^2 C(2k,k)^2) for t in (0,1)."""
+    """sum_{k>=1} (16 t)^k / (k^2 C(2k,k)^2) for t in (0,1).
+
+    Summand ratios 4t k^2/(2k+1)^2 are below t, so the sum stops once the
+    next summand over 1 - t, a bound on the rest, is below tiny.
+    """
     with ctx.working():
         t = mpf(t)
         if not (0 < t < 1):
@@ -412,13 +411,10 @@ def inv_binom2_series(t, ctx: PrecisionCtx) -> mpf:
         k = 1
         while True:
             acc += term / mpf(k) ** 2
-            # term_{k+1}/term_k = 16 t (k+1)^2 / (2(2k+1))^2 -> t
-            ratio = 16 * t * mpf(k + 1) ** 2 / mpf(2 * (2 * k + 1)) ** 2
-            nxt = term * ratio
-            if nxt / mpf(k + 1) ** 2 / (1 - max(ratio, t)) < tiny and ratio < 1:
-                break
-            term = nxt
+            term *= 16 * t * mpf(k + 1) ** 2 / mpf(2 * (2 * k + 1)) ** 2
             k += 1
+            if term / mpf(k) ** 2 / (1 - t) < tiny:
+                break
         return ensure_finite(acc)
 
 

@@ -46,8 +46,8 @@ from ..series import (HypKernel, LinearFactor, W_ONE, WeightSpec,
                       ell_k_comp, eli, hyp_lambert, inv_binom2_series,
                       legendre_dnu2)
 from .theorems import (W_H2_DIFF, W_H2_PLAIN, W_H3_DIFF, W_H3_PLAIN,
-                       h3_linear, h3_ratios, q_ratios, r_linear, s_r, t_r,
-                       u_check)
+                       _h3_epstein, h3_linear, h3_ratios, q_ratios, r_linear,
+                       s_r, t_r, u_check)
 
 DEFAULT_SEED = 20250810
 
@@ -317,8 +317,7 @@ def _tr(p, ctx):
 def _ut(p, ctx):
     z = p.z()
     g = h3_linear(z, ctx)
-    ep = 8 * mp.pi ** 2 * (epstein2(4 * z, ctx) - epstein2(z, ctx)) / (45 * mp.im(z))
-    return (g["lhs1"] + _to_mpf(p.rc) * (g["lhs2"] + ep)).real
+    return (g["lhs1"] + _to_mpf(p.rc) * (g["lhs2"] + _h3_epstein(z, ctx))).real
 
 
 # The records at each tabulated point p: (id, suite, description,

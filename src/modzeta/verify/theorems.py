@@ -186,13 +186,19 @@ def _h3_linear_free(z, ctx: PrecisionCtx):
         return g1, g2
 
 
+def _h3_epstein(z, ctx: PrecisionCtx) -> mpc:
+    """The Epstein term 8 pi^2 (E(4z,2) - E(z,2)) / (45 Im z) of the plain-H3 side."""
+    with ctx.working():
+        return 8 * mp.pi ** 2 * (epstein2(4 * z, ctx) - epstein2(z, ctx)) / (45 * mp.im(z))
+
+
 def h3_linear(z, ctx: PrecisionCtx) -> dict:
     """Both sides of the weight-3 linear-factor identities at an admissible z."""
     z = _require_admissible(z, ctx)
     linear = _series_data(z, ctx)["linear"]
     g1r, g2r = _h3_linear_free(z, ctx)
     with ctx.working():
-        g2r -= 8 * mp.pi ** 2 * (epstein2(4 * z, ctx) - epstein2(z, ctx)) / (45 * mp.im(z))
+        g2r -= _h3_epstein(z, ctx)
     return {"lhs1": linear[W_H3_DIFF], "rhs1": g1r,
             "lhs2": linear[W_H3_PLAIN], "rhs2": g2r}
 

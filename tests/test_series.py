@@ -598,6 +598,31 @@ def test_weight_spec_validation():
     with pytest.raises(DomainError):
         WeightSpec(((Fraction(1), "NOT_A_BASIS"),))
 
+
+def test_weight_envelopes_bound_every_basis():
+    # each basis's envelope (s, l) bounds it, |basis(k)| <= s + l k, against
+    # harmonic sums added directly in mpf for k <= 3000, and the rational
+    # constants lie above the limits they stand for
+    def frac(v):
+        v = Fraction(v)
+        return mpf(v.numerator) / v.denominator
+
+    with mp.workdps(30):
+        z2, z3, log2 = mp.zeta(2), mp.zeta(3), mp.log(2)
+        for basis, limit in (("H2_K", z2), ("H2_2K", z2), ("H3_K", z3), ("H3_2K", z3),
+                             ("H2_2K_TIMES_DH1", z2 * log2), ("H2_K_TIMES_DH1", z2 * log2),
+                             ("H3MIX", max(z3, 3 * z2 * log2))):
+            _, s, l = _BASIS[basis]
+            assert l == 0 and limit < frac(s), basis
+        h = {p: [mpf(0)] for p in (1, 2, 3)}
+        for m in range(1, 6001):
+            for p in (1, 2, 3):
+                h[p].append(h[p][-1] + 1 / mpf(m) ** p)
+        envelopes = {basis: (frac(s), frac(l)) for basis, (_, s, l) in _BASIS.items()}
+        for k in range(3001):
+            for basis, (s, l) in envelopes.items():
+                assert abs(_scratch_basis(basis, k, h)) <= s + l * k, (basis, k)
+
 def test_binom2_h2_weight_at_half_alpha(ctx40):
     # x = 1/32 is the squared-binomial rate where alpha4 = 1/2 (z = i/2);
     # the weighted ratio must match the hyperbolic-sum representation there

@@ -156,6 +156,19 @@ def test_boundary_family_meets_full_bar():
             assert row["pass"], (digits, rid, row["abs_residual"])
 
 
+def test_binomial_walk_suites_pass_at_15_and_250_digits():
+    # every suite whose records read the binomial walk, at both ends of the
+    # supported digit range
+    suites = ("ramanujan-classical", "h2-variants", "sun-h2", "h3", "table-h2",
+              "table-h3", "theorems-random")
+    for digits in (15, 250):
+        ctx = PrecisionCtx(digits)
+        for suite in suites:
+            for rec in get_records(suite):
+                row = runner._evaluate(rec, ctx)
+                assert row["pass"], (digits, rec.id, row["abs_residual"], row.get("error"))
+
+
 def test_lemma_oracles_pass_at_100_digits():
     ctx = PrecisionCtx(100)
     recs = get_records("lemma-oracles")

@@ -7,7 +7,9 @@ kept here verbatim as oracles.  The integer kernels must agree with them to
 digits.  ``_reference_ell_k`` and ``_reference_ell_k_comp`` keep the mpc AGM
 loop behind ``ell_k`` / ``ell_k_comp`` the same way; the fixed-point AGM must
 agree with it to 8 units of 10^-workdps, relative to each part, at 15, 50,
-100 and 250 digits.
+100 and 250 digits.  The binomial walk's stop rule is also checked on its
+own: an entry must lie within 4 units of 10^-workdps of the same entry at
+40 more digits.
 """
 
 from fractions import Fraction
@@ -326,6 +328,36 @@ def test_binom_walk_matches_mpf_oracle(case, digits):
     with ctx.working():
         for i, (a, b) in enumerate(zip(new, ref)):
             assert _close(a, b, ctx), (case, i, a, b)
+
+
+@pytest.mark.parametrize("digits", (15, 100, 250))
+@pytest.mark.parametrize("case", ["z=0.55i", "64x=0.64+0.512i", "64x=-0.83"])
+def test_binom_walk_stops_within_its_tail_bound(case, digits):
+    # each entry lies within 4 units of 10^-workdps, relative to max(1, |S|),
+    # of the same entry summed at 40 more digits
+    ctx, ref_ctx = PrecisionCtx(digits), PrecisionCtx(digits + 40)
+    x, power, reqs = _binom_case(case, ctx)
+    new = _binom_sums(x, power, reqs, ctx)
+    ref = _binom_sums(x, power, reqs, ref_ctx)
+    with ref_ctx.working():
+        for i, (a, b) in enumerate(zip(new, ref)):
+            assert abs(a - b) <= 4 * ctx.tiny() * max(1, abs(b)), (case, i, a, b)
+
+
+def test_binom_walk_takes_coefficients_beyond_the_float_range(ctx30):
+    # each request's bound is scaled into floats, so a linear factor of
+    # 1e400 or 1e-400 neither overflows nor stops early; an infinite one
+    # never meets its bound and reaches the step cap
+    x = mpf(1) / 4096
+    reqs = [(LinearFactor(mpf("1e400"), 1), w) for w in _EVERY_BASIS]
+    reqs.append((LinearFactor(mpf("1e-400"), 0), W_ONE))
+    new = _binom_sums(x, 3, reqs, ctx30)
+    ref = _reference_binom_sums(x, 3, reqs, ctx30)
+    with ctx30.working():
+        for i, (a, b) in enumerate(zip(new, ref)):
+            assert _close(a, b, ctx30), (i, a, b)
+    with pytest.raises(DomainError, match="failed to converge"):
+        _binom_sums(x, 3, [(LinearFactor(mp.inf, 1), W_ONE)], ctx30)
 
 
 def _nome_points():
