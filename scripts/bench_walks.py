@@ -1,4 +1,4 @@
-"""Layer benchmark of the hot kernels: the binomial walk, the nome walk and the AGM.
+"""Layer benchmark of the hot kernels: the walks, the AGM, tanh-sinh and Hurwitz zeta.
 
 Times ``modzeta.series._binom_sums``, ``modzeta.modular._nome_chains``
 (bypassing its memo) and ``modzeta.series.ell_k`` / ``ell_k_comp`` on fixed
@@ -10,11 +10,17 @@ nomes of z, 2z, 4z and z + 1/2 at the same points.  The AGM inputs are the
 arguments the quadratures pass: the tanh-sinh nodes of levels 0-6 on [0, 1]
 (``ell_k_comp``, as the zeta(5) and zeta(7) integrals) and on [0, 1/2] (both
 functions, as the L_{-4}(4) integral), and the upward ray of
-``h3mix2_tail_integral`` from t = 0.3 + 0.05i over the same nodes.
+``h3mix2_tail_integral`` from t = 0.3 + 0.05i over the same nodes.  The
+``quad`` layer runs the three integral identities (zeta(5), zeta(7),
+L_{-4}(4)) and the NU2 and H3INT2 lemma integrals at t = 0.1, with the
+tanh-sinh nodes built beforehand.  The ``hurwitz`` layer calls
+``arith.hurwitz_zeta`` at the (s, a) pairs of the L-values and zeta values
+that a 100-digit pass of the non-quadrature suites reads.
 
     python3 scripts/bench_walks.py                          # this checkout
     python3 scripts/bench_walks.py --root PATH              # another checkout
     python3 scripts/bench_walks.py --baseline PATH > BENCH_walks.json
+    python3 scripts/bench_walks.py --layers quad hurwitz --baseline PATH > BENCH_quad.json
 
 ``--root`` imports modzeta from ``PATH/src``, so a parent tree can be
 measured with this script.  With ``--baseline`` the script runs ROUNDS
@@ -101,17 +107,62 @@ def _agm_calls(ctx):
     return calls
 
 
-LAYERS = ("binom_sums", "nome_chains", "agm")
+def _quad_calls(ctx):
+    """The integral identities and two lemma integrals, as (function, arguments) pairs."""
+    from mpmath import mpf
+    from modzeta.quadrature import (_nodes, lemma_integral, lminus4_4_integral,
+                                    zeta5_integral, zeta7_integral)
+
+    for level in range(9):  # the nodes are memoized; build them untimed
+        _nodes(level, ctx)
+    with ctx.working():
+        t = mpf("0.1")
+    return [(zeta5_integral, (ctx,)), (zeta7_integral, (ctx,)),
+            (lminus4_4_integral, (ctx,)),
+            (lemma_integral, ("NU2", t, ctx)), (lemma_integral, ("H3INT2", t, ctx))]
 
 
-def measure() -> dict:
+# (d, s) of the L_d(s) values a 100-digit pass of the non-quadrature suites
+# reads, and the s of its zeta(s) values
+DIRICHLET = ((-4, 2), (-4, 3), (-4, 4), (-8, 2), (-3, 2), (-7, 2), (-7, 3),
+             (28, 2), (28, 3))
+ZETA = (2, 3, 4, 5, 6, 7)
+
+
+def _hurwitz_calls(ctx):
+    """zeta(s, a/m) at the terms of the Hurwitz decompositions of DIRICHLET,
+    as ``dirichlet_l`` takes them, and zeta(s, 1) for ZETA, as (function,
+    arguments) pairs."""
+    from mpmath import mpf
+    from modzeta.arith import hurwitz_zeta, kronecker
+
+    calls = []
+    with ctx.working():
+        for d, s in DIRICHLET:
+            m = abs(d) if d % 4 in (0, 1) else 4 * abs(d)
+            calls += [(hurwitz_zeta, (s, mpf(a) / m, ctx))
+                      for a in range(1, m + 1) if kronecker(d, a)]
+        calls += [(hurwitz_zeta, (s, 1, ctx)) for s in ZETA]
+    return calls
+
+
+LAYERS = ("binom_sums", "nome_chains", "agm", "quad", "hurwitz")
+
+
+def measure(layers=LAYERS) -> dict:
     from modzeta import PrecisionCtx
     out = {}
     for digits in DIGITS:
         ctx = PrecisionCtx(digits)
-        calls = dict(zip(LAYERS, _walk_calls(ctx) + (_agm_calls(ctx),)))
+        calls = {}
+        if "binom_sums" in layers or "nome_chains" in layers:
+            calls["binom_sums"], calls["nome_chains"] = _walk_calls(ctx)
+        for name, build in (("agm", _agm_calls), ("quad", _quad_calls),
+                            ("hurwitz", _hurwitz_calls)):
+            if name in layers:
+                calls[name] = build(ctx)
         row = {}
-        for name in LAYERS:
+        for name in layers:
             t0 = time.perf_counter()
             for fn, args in calls[name]:
                 fn(*args)
@@ -122,8 +173,8 @@ def measure() -> dict:
     return out
 
 
-def _run_tree(root: str) -> dict:
-    cmd = [sys.executable, os.path.abspath(__file__), "--root", root]
+def _run_tree(root: str, layers) -> dict:
+    cmd = [sys.executable, os.path.abspath(__file__), "--root", root, "--layers", *layers]
     done = subprocess.run(cmd, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)["results"]
 
@@ -155,18 +206,20 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=".", help="checkout whose src/ is measured")
     ap.add_argument("--baseline", help="checkout to compare against, run alternately")
+    ap.add_argument("--layers", nargs="+", choices=LAYERS, default=list(LAYERS),
+                    help="layers to time (default: all)")
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
     if args.baseline is None:
         sys.path.insert(0, os.path.join(root, "src"))
-        report = {"results": measure()}
+        report = {"results": measure(args.layers)}
     else:
         base = os.path.abspath(args.baseline)
         runs = {"baseline": [], "root": []}
         for i in range(ROUNDS):
             order = (("baseline", base), ("root", root))
             for label, tree in (order if i % 2 == 0 else order[::-1]):
-                runs[label].append(_run_tree(tree))
+                runs[label].append(_run_tree(tree, args.layers))
         med = {label: _summary(r) for label, r in runs.items()}
         ratio = {d: {name: round(med["baseline"][d][name]["total_s"]
                                  / med["root"][d][name]["total_s"], 2)

@@ -86,6 +86,11 @@ def ensure_finite(x):
     return x
 
 
+def _real_or_complex(x):
+    """x at the current precision: an mpf if x is real, an mpc if it is complex."""
+    return mpc(x) if isinstance(x, (mpc, complex)) else mpf(x)
+
+
 def tail_poly_geom(xabs: mpf, n_last: int, deg: int) -> mpf:
     """Safe overestimate of sum_{n>n_last} n^deg * xabs^n for 0 <= xabs < 1.
 
@@ -251,13 +256,36 @@ def bernoulli(n: int, cap: int = BERNOULLI_CAP) -> Fraction:
 # Hurwitz zeta by Euler-Maclaurin (the engine behind const_zeta and L_d)
 # ---------------------------------------------------------------------------
 
+@_memoized
+def _em_coefficients(s: mpf, ctx: PrecisionCtx) -> list:
+    """[c_1(s), c_2(s), ...] with c_j(s) = B_2j / (2j)! * (s)_{2j-1}, at ctx's precision.
+
+    The Euler-Maclaurin coefficients of zeta(s, a) do not depend on a, so one
+    table serves every a; ``hurwitz_zeta_raw`` extends it as it needs terms.
+    """
+    with ctx.working():
+        return [s / 12]
+
+
 def hurwitz_zeta_raw(s: mpf, a: mpf) -> mpf:
     """zeta(s, a) for real s > 1, a > 0, at the current mpmath precision.
 
-    Euler-Maclaurin with exact Bernoulli numbers; the correction series is
-    truncated once a term falls below the working threshold, and the classic
-    remainder bound (a constant multiple of the first omitted term for real
-    s > 0) keeps the result within guard digits.
+    Euler-Maclaurin: with N direct terms and M corrections,
+
+        zeta(s, a) = sum_{k<N} (a+k)^-s + (a+N)^(1-s)/(s-1) + (a+N)^-s / 2
+                     + sum_{j=1..M} c_j(s) (a+N)^(1-s-2j) + R_M,
+
+    c_j(s) = B_2j / (2j)! * (s)_{2j-1}, read from the table of
+    ``_em_coefficients`` for (s, precision).  For real s > 1, Johansson
+    ("Rigorous high-precision computation of the Hurwitz zeta function and
+    its derivatives", Numer. Algorithms 2015, Theorem 1) bounds
+    |R_M| <= 4 (s)_{2M} (a+N)^(1-s-2M) / ((2 pi)^2M (s+2M-1)), and
+    |B_2M| / (2M)! >= 2 / (2 pi)^2M makes that at most twice the last term
+    kept.  So the corrections stop once a term falls below
+    10^-(dps+2) max(1, |sum|), which truncates by less than 2 10^-(dps+2)
+    relative to max(1, |zeta|); the rounding of the N direct terms adds a
+    few units of the last digit.  If the terms start to grow first, the
+    asymptotic series cannot reach the stop at this N, and N is enlarged.
     """
     s = mpf(s)
     a = mpf(a)
@@ -265,6 +293,7 @@ def hurwitz_zeta_raw(s: mpf, a: mpf) -> mpf:
         raise DomainError("hurwitz zeta requires s > 1")
     if not a > 0:
         raise DomainError("hurwitz zeta requires a > 0")
+    coeffs = _em_coefficients(s, PrecisionCtx(max(10, mp.mp.dps), 0))
     prec_goal = mpf(10) ** (-(mp.mp.dps + 2))
     n_direct = max(10, int(0.6 * mp.mp.dps) + 2)
     while True:
@@ -274,26 +303,24 @@ def hurwitz_zeta_raw(s: mpf, a: mpf) -> mpf:
         big = a + n_direct
         acc += big ** (1 - s) / (s - 1)
         acc += big ** (-s) / 2
-        # Correction terms: B_{2j}/(2j)! * (s)_{2j-1} * big^(-s-2j+1)
-        rising = s  # (s)_1
-        fact = mpf(2)  # (2j)! at j=1
-        scale = big ** (-s - 1)
+        scale = big ** (-s - 1)  # (a+N)^(1-s-2j) at j = 1
         big2 = big * big
         prev = mp.inf
         ok = False
         for j in range(1, BERNOULLI_CAP // 2):
-            b2j = bernoulli(2 * j)
-            term = mpf(b2j.numerator) / b2j.denominator / fact * rising * scale
+            if j > len(coeffs):
+                r = bernoulli(2 * j) / (bernoulli(2 * j - 2) * (2 * j - 1) * 2 * j)
+                coeffs.append(coeffs[-1] * ((s + 2 * j - 3) * (s + 2 * j - 2))
+                              * r.numerator / r.denominator)
+            term = coeffs[j - 1] * scale
             acc += term
             at = abs(term)
             if at < prec_goal * max(mpf(1), abs(acc)):
                 ok = True
                 break
             if at > prev:
-                break  # asymptotic divergence reached before target: enlarge M
+                break  # asymptotic divergence reached before target: enlarge N
             prev = at
-            rising *= (s + 2 * j - 1) * (s + 2 * j)
-            fact *= (2 * j + 1) * (2 * j + 2)
             scale /= big2
         if ok:
             return ensure_finite(acc)

@@ -9,7 +9,15 @@ endpoint, which double-exponential nodes absorb without splitting.
 Nodes are generated as (delta, weight) pairs with delta the distance from the
 interval endpoint (1 - |x| computed stably), so integrands may be evaluated
 accurately arbitrarily close to a singular endpoint.  Straight complex paths
-are supported through the same affine map.
+are supported through the same affine map; a real segment stays in mpf, and
+so do the K integrands on it, since ``ell_k`` and ``ell_k_comp`` keep a real
+argument real.
+
+Each level halves the step and squares the discretisation error, so the
+difference d_L of two successive sums is about the error of the coarser
+one: the refinement stops at the first level L >= 3 with
+d_L^2 <= 10^-workdps max(1, |S_L|)^2, one level before d_L itself meets the
+target.
 
 The H3INT2 integrand's K(sqrt s)^2 - (pi/2)^2 is summed from the AGM's own
 differences, so it does not cancel near s = 0, and the lem.h3mix2 tail runs
@@ -23,8 +31,8 @@ from dataclasses import dataclass, replace
 import mpmath as mp
 from mpmath import mpc, mpf
 
-from .mpcore import (DomainError, PrecisionCtx, _memoized, const_catalan,
-                     const_zeta, ensure_finite)
+from .mpcore import (DomainError, PrecisionCtx, _memoized, _real_or_complex,
+                     const_catalan, const_zeta, ensure_finite)
 from .series import ell_k, ell_k_comp
 
 __all__ = [
@@ -90,20 +98,28 @@ def tanh_sinh(f, a, b, ctx: PrecisionCtx, max_level: int = MAX_LEVEL) -> QuadRes
 
     ``f`` is called with points a + (b-a)*delta/2 and b - (b-a)*delta/2, so
     endpoint distances remain accurate down to ~10^(-1.5*dps); integrable
-    endpoint singularities (logarithmic or algebraic) are fine.  Refinement
-    stops once two successive levels agree to the working tolerance, or at
-    ``max_level`` with ``converged=False``.
+    endpoint singularities (logarithmic or algebraic) are fine.  Real
+    endpoints stay mpf, so f sees mpf points and the sum is an mpf unless f
+    returns complex values; a complex endpoint makes the path complex.
+
+    With S_L the sum at step h = 2^-L and d_L = |S_L - S_{L-1}|, refinement
+    stops at the first level L >= 3 with
+    d_L^2 <= 10^-workdps * max(1, |S_L|)^2.  d_L is about the error of
+    S_{L-1}, and halving h squares the discretisation error, so S_L is then
+    within about 10^-workdps * max(1, |S|) of the integral.  At ``max_level``
+    without meeting that, the result has ``converged=False``.  The error
+    estimate is d_L times the half-length of the segment.
     """
     with ctx.working():
-        a = mpc(a)
-        b = mpc(b)
+        num = mpc if isinstance(a, (mpc, complex)) or isinstance(b, (mpc, complex)) else mpf
+        a, b = num(a), num(b)
         scale = (b - a) / 2
         if scale == 0:
             return QuadResult(mpf(0), mpf(0), 0, True)
-        target = mpf(10) ** (-(ctx.workdps - 8))
+        target = mpf(10) ** (-ctx.workdps)
 
         def eval_nodes(nodes):
-            tot = mpc(0)
+            tot = num(0)
             for delta, w in nodes:
                 tot += w * f(a + scale * delta)
                 if delta != 1:  # the t=0 node sits at the midpoint, count once
@@ -119,7 +135,7 @@ def tanh_sinh(f, a, b, ctx: PrecisionCtx, max_level: int = MAX_LEVEL) -> QuadRes
             s_new = prev / 2 + h * eval_nodes(_nodes(level, ctx))
             err = abs(s_new - prev)
             prev = s_new
-            if level >= 3 and err < target * max(mpf(1), abs(prev)):
+            if level >= 3 and err ** 2 <= target * max(mpf(1), abs(prev)) ** 2:
                 converged = True
                 break
         val = ensure_finite(prev * scale)
@@ -159,20 +175,21 @@ def _ksq_minus_quarter_pi_sq(s, ctx: PrecisionCtx):
     return mp.pi ** 2 / 4 * acc * (2 - acc) / (1 - acc) ** 2
 
 
-def lemma_integral(which: str, t, ctx: PrecisionCtx) -> mpc:
+def lemma_integral(which: str, t, ctx: PrecisionCtx):
     """Full right-hand side of the named integral representation at t.
 
     NU2 / EPS2 are the weight-2 harmonic representations, H3INT1 / H3INT2 the
     weight-3 ones; EPS2 includes its non-integral trailing terms (with
     Catalan's constant).  Paths are straight segments from the stated base
-    point (0 or 1/2) to t.
+    point (0 or 1/2) to t.  A real t gives an mpf, a complex one an mpc.
     """
     if which not in _LEMMAS:
         raise DomainError("unknown lemma integral %r" % (which,))
     with ctx.working():
-        t = mpc(t)
+        t = _real_or_complex(t)
         if t == 0 and which != "EPS2":
-            return mpc(0)  # empty range; the harmonic weights vanish at k=0
+            # empty range; the harmonic weights vanish at k=0
+            return mpc(0) if isinstance(t, mpc) else mpf(0)
         kt = ell_k(t, ctx)
         k1t = ell_k_comp(t, ctx)
 

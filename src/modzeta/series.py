@@ -63,7 +63,7 @@ from mpmath import mpc, mpf
 
 from .modular import _as_z
 from .mpcore import (DomainError, PrecisionCtx, _cmul, _dust_bits, _from_fixed,
-                     _to_fixed, const_zeta, ensure_finite)
+                     _real_or_complex, _to_fixed, const_zeta, ensure_finite)
 
 __all__ = [
     "HypKernel",
@@ -459,7 +459,7 @@ def _agm_guard(e: int) -> int:
     return 12 + abs(e) // 2 + abs(e).bit_length()
 
 
-def _agm_k(u: mpc) -> mpc:
+def _agm_k(u):
     """pi / (2 AGM(1, sqrt u)) with the principal sqrt u, on fixed-point integers.
 
     The AGM is homogeneous, so a large u is first scaled by 4^-k to
@@ -472,7 +472,8 @@ def _agm_k(u: mpc) -> mpc:
     at eps^2 = 2^(3-wp) and returns a'; it raises DomainError at the step cap.
     The imaginary parts carry the extra scale 2^s of ``mpcore._dust_bits``,
     so an imaginary part far below the real part of u (t = 0.3 + 1e-40 i)
-    keeps its own relative precision, as an mpc loop does.
+    keeps its own relative precision, as an mpc loop does.  An mpf u > 0
+    keeps every imaginary part exactly 0 and gives an mpf.
     Call at working precision.
     """
     e = int(mp.mag(u))
@@ -495,6 +496,8 @@ def _agm_k(u: mpc) -> mpc:
         dr, di = ar - br, ai - bi
         if (dr * dr + (di * di >> s2)) << (wp - 3) <= ar * ar + (ai * ai >> s2):
             g = _from_fixed((ar + br) >> 1, (ai + bi) >> 1, wp - k, s)
+            if not isinstance(u, mpc):
+                g = g.real
             return mp.pi / (2 * g)
         pr, pj = ar * br - (ai * bi >> s2), ar * bi + ai * br  # ab at 4**wp, 4**wp 2**s
         ar, ai = (ar + br) >> 1, (ai + bi) >> 1
@@ -504,26 +507,27 @@ def _agm_k(u: mpc) -> mpc:
     raise DomainError("AGM did not converge in %d steps" % _AGM_STEP_CAP)
 
 
-def ell_k(t, ctx: PrecisionCtx) -> mpc:
+def ell_k(t, ctx: PrecisionCtx):
     """K(sqrt(t)) = pi / (2 AGM(1, sqrt(1-t))), principal branches.
 
     The branch cut sits on the real ray t in [1, inf), which is rejected.
+    A real t gives an mpf, a complex one an mpc.
     """
     with ctx.working():
-        t = mpc(t)
+        t = _real_or_complex(t)
         if mp.im(t) == 0 and mp.re(t) >= 1:
             raise DomainError("ell_k: t on the branch cut [1, oo)")
         return ensure_finite(_agm_k(1 - t))
 
 
-def ell_k_comp(t, ctx: PrecisionCtx) -> mpc:
+def ell_k_comp(t, ctx: PrecisionCtx):
     """K(sqrt(1-t)) = pi / (2 AGM(1, sqrt(t))), stable as t -> 0.
 
     Use this form whenever the complementary argument 1-t would round to 1;
-    the cut is now t on (-oo, 0].
+    the cut is now t on (-oo, 0].  A real t gives an mpf, a complex one an mpc.
     """
     with ctx.working():
-        t = mpc(t)
+        t = _real_or_complex(t)
         if mp.im(t) == 0 and mp.re(t) <= 0:
             raise DomainError("ell_k_comp: t on the branch cut (-oo, 0]")
         return ensure_finite(_agm_k(t))

@@ -8,6 +8,7 @@ from mpmath import mpf
 
 from modzeta import (DomainError, PrecisionCtx, bernoulli, const_catalan,
                      const_pi, const_zeta, dirichlet_l)
+from modzeta import mpcore
 from modzeta.mpcore import const_euler_gamma, hurwitz_zeta_raw
 
 # 30-digit published value of pi (cross-check for the backend constant)
@@ -118,6 +119,25 @@ def test_hurwitz_engine_matches_reference():
     with mp.workdps(45):
         for s, a in ((mpf(2), mpf(1)), (mpf(3), mpf("0.25")), (mpf("2.5"), mpf("0.7"))):
             assert abs(hurwitz_zeta_raw(s, a) - mp.zeta(s, a)) < mpf(10) ** -42
+
+
+@pytest.mark.parametrize("dps", (15, 50, 100, 250))
+def test_hurwitz_engine_meets_working_precision(dps, monkeypatch):
+    # a few units of 10^-dps, relative, against mpmath's zeta at 20 more
+    # digits on the same rounded a: the truncation is below 2 10^-(dps+2),
+    # and the rounding of the direct terms reaches 1.4 units at 250 digits;
+    # one coefficient table per (s, precision) serves every a
+    monkeypatch.setattr(mpcore, "_memo", {})
+    table = mpcore._em_coefficients.__wrapped__
+    for s in (2, 3, 4, 5, 7):
+        for a in (Fraction(1, 7), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+            with mp.workdps(dps):
+                a = mpf(a.numerator) / a.denominator
+                got = hurwitz_zeta_raw(mpf(s), a)
+            with mp.workdps(dps + 20):
+                want = mp.zeta(s, a)
+                assert abs(got - want) <= 4 * mpf(10) ** -dps * abs(want), (s, a)
+    assert sum(key[0] is table for key in mpcore._memo) == 5
 
 
 @pytest.mark.parametrize("op", [const_pi, const_catalan, const_euler_gamma,

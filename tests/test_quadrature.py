@@ -8,7 +8,8 @@ from modzeta import (LinearFactor, PrecisionCtx, WeightSpec, binom3_series,
                      const_zeta, dirichlet_l, lemma_integral,
                      lminus4_4_integral, tanh_sinh, zeta5_integral,
                      zeta7_integral)
-from modzeta.series import W_ONE
+from modzeta.series import W_ONE, ell_k, ell_k_comp
+from modzeta.verify import get_records, runner
 from fractions import Fraction
 
 W_EPS = WeightSpec.combo({"H2_K": 1})
@@ -54,6 +55,53 @@ def test_non_convergence_flag(ctx30):
         res = tanh_sinh(lambda t: mp.cos(300 * t), mpf(0), mpf(1), ctx30,
                         max_level=3)
         assert not res.converged
+
+
+def test_real_segment_stays_real(ctx30):
+    # real endpoints give mpf points, an mpf sum and an mpf value; the K
+    # integrands then run in mpf arithmetic
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return t * ell_k(t, ctx30) * ell_k_comp(t, ctx30)
+    res = tanh_sinh(f, 0, mpf(1) / 2, ctx30)
+    assert res.converged and isinstance(res.value, mpf)
+    assert all(isinstance(t, mpf) for t in seen)
+    assert isinstance(tanh_sinh(lambda t: mpc(t, 1), 0, 1, ctx30).value, mpc)
+    assert isinstance(lemma_integral("NU2", mpf("0.1"), ctx30), mpf)
+
+
+# (integral, levels used at 100 digits): one level before the old stop
+# d_L < 10^-(workdps-8) max(1, |S|), which doubled the integrand calls
+STOP_LEVELS_100 = ((zeta5_integral, 5), (zeta7_integral, 5), (lminus4_4_integral, 6))
+
+
+@pytest.mark.parametrize("integral,levels", STOP_LEVELS_100)
+def test_squared_difference_stop(integral, levels):
+    # the stop d_L^2 <= 10^-workdps max(1, |S_L|)^2 leaves each value
+    # within a few units of 10^-workdps of the same integral at 40 more digits
+    ctx = PrecisionCtx(100)
+    res = integral(ctx)
+    assert res.converged and res.levels_used == levels
+    ref = integral(PrecisionCtx(140)).value
+    with ctx.working():
+        assert abs(res.value - ref) <= 4 * ctx.tiny() * max(1, abs(ref))
+
+
+QUAD_RECORDS = ("s4.zeta5int", "s4.zeta7int", "s4.lm44int")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("digits", (15, 250))
+def test_quadrature_records_pass_at_15_and_250_digits(digits):
+    recs = get_records("lemma-oracles") + [r for r in get_records("sec4")
+                                           if r.id in QUAD_RECORDS]
+    assert len(recs) == 14
+    ctx = PrecisionCtx(digits)
+    for rec in recs:
+        row = runner._evaluate(rec, ctx)
+        assert row["pass"], (digits, rec.id, row["abs_residual"], row.get("error"))
 
 
 def test_zeta5_integral(ctx40):
