@@ -19,8 +19,7 @@ that a 100-digit pass of the non-quadrature suites reads.
 
     python3 scripts/bench_walks.py                          # this checkout
     python3 scripts/bench_walks.py --root PATH              # another checkout
-    python3 scripts/bench_walks.py --baseline PATH > BENCH_walks.json
-    python3 scripts/bench_walks.py --layers quad hurwitz --baseline PATH > BENCH_quad.json
+    python3 scripts/bench_walks.py --baseline PATH > BENCH_quad.json
 
 ``--root`` imports modzeta from ``PATH/src``, so a parent tree can be
 measured with this script.  With ``--baseline`` the script runs ROUNDS
@@ -149,20 +148,15 @@ def _hurwitz_calls(ctx):
 LAYERS = ("binom_sums", "nome_chains", "agm", "quad", "hurwitz")
 
 
-def measure(layers=LAYERS) -> dict:
+def measure() -> dict:
     from modzeta import PrecisionCtx
     out = {}
     for digits in DIGITS:
         ctx = PrecisionCtx(digits)
-        calls = {}
-        if "binom_sums" in layers or "nome_chains" in layers:
-            calls["binom_sums"], calls["nome_chains"] = _walk_calls(ctx)
-        for name, build in (("agm", _agm_calls), ("quad", _quad_calls),
-                            ("hurwitz", _hurwitz_calls)):
-            if name in layers:
-                calls[name] = build(ctx)
+        calls = dict(zip(LAYERS, _walk_calls(ctx) + (_agm_calls(ctx), _quad_calls(ctx),
+                                                     _hurwitz_calls(ctx))))
         row = {}
-        for name in layers:
+        for name in LAYERS:
             t0 = time.perf_counter()
             for fn, args in calls[name]:
                 fn(*args)
@@ -173,8 +167,8 @@ def measure(layers=LAYERS) -> dict:
     return out
 
 
-def _run_tree(root: str, layers) -> dict:
-    cmd = [sys.executable, os.path.abspath(__file__), "--root", root, "--layers", *layers]
+def _run_tree(root: str) -> dict:
+    cmd = [sys.executable, os.path.abspath(__file__), "--root", root]
     done = subprocess.run(cmd, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)["results"]
 
@@ -206,20 +200,18 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=".", help="checkout whose src/ is measured")
     ap.add_argument("--baseline", help="checkout to compare against, run alternately")
-    ap.add_argument("--layers", nargs="+", choices=LAYERS, default=list(LAYERS),
-                    help="layers to time (default: all)")
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
     if args.baseline is None:
         sys.path.insert(0, os.path.join(root, "src"))
-        report = {"results": measure(args.layers)}
+        report = {"results": measure()}
     else:
         base = os.path.abspath(args.baseline)
         runs = {"baseline": [], "root": []}
         for i in range(ROUNDS):
             order = (("baseline", base), ("root", root))
             for label, tree in (order if i % 2 == 0 else order[::-1]):
-                runs[label].append(_run_tree(tree, args.layers))
+                runs[label].append(_run_tree(tree))
         med = {label: _summary(r) for label, r in runs.items()}
         ratio = {d: {name: round(med["baseline"][d][name]["total_s"]
                                  / med["root"][d][name]["total_s"], 2)

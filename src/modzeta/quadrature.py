@@ -111,15 +111,14 @@ def tanh_sinh(f, a, b, ctx: PrecisionCtx, max_level: int = MAX_LEVEL) -> QuadRes
     estimate is d_L times the half-length of the segment.
     """
     with ctx.working():
-        num = mpc if isinstance(a, (mpc, complex)) or isinstance(b, (mpc, complex)) else mpf
-        a, b = num(a), num(b)
+        a, b = _real_or_complex(a), _real_or_complex(b)
         scale = (b - a) / 2
         if scale == 0:
             return QuadResult(mpf(0), mpf(0), 0, True)
         target = mpf(10) ** (-ctx.workdps)
 
         def eval_nodes(nodes):
-            tot = num(0)
+            tot = mpf(0)  # an mpc term makes it an mpc
             for delta, w in nodes:
                 tot += w * f(a + scale * delta)
                 if delta != 1:  # the t=0 node sits at the midpoint, count once
@@ -188,8 +187,7 @@ def lemma_integral(which: str, t, ctx: PrecisionCtx):
     with ctx.working():
         t = _real_or_complex(t)
         if t == 0 and which != "EPS2":
-            # empty range; the harmonic weights vanish at k=0
-            return mpc(0) if isinstance(t, mpc) else mpf(0)
+            return 0 * t  # empty range; the harmonic weights vanish at k=0
         kt = ell_k(t, ctx)
         k1t = ell_k_comp(t, ctx)
 

@@ -2,8 +2,7 @@
 
 Identities are independent pure computations; with ``jobs > 1`` they fan out
 across worker processes (each worker rebuilds the registry from the shared
-seed and evaluates by record id), the quadrature suites first because they
-hold the longest records, and the report is assembled in id order
+seed and evaluates by record id), and the report is assembled in id order
 regardless of completion order.  All high-precision values serialize as
 decimal strings, never binary floats.
 """
@@ -24,8 +23,6 @@ from .registry import DEFAULT_SEED, SUITES, IdentityRecord, build_registry
 __all__ = ["Report", "all_suites", "get_records", "run_suite"]
 
 _registry_cache: dict = {}
-# handed to a worker pool first: their tanh-sinh records take the longest
-_LONG_SUITES = ("lemma-oracles", "sec4")
 
 
 def all_suites() -> list:
@@ -143,7 +140,6 @@ def run_suite(suite: str, ctx: PrecisionCtx, jobs: int = 1,
     """Evaluate every identity in ``suite``; deterministic id-ordered report."""
     recs = get_records(suite, seed)
     if jobs and jobs > 1 and len(recs) > 1:
-        recs = sorted(recs, key=lambda r: r.suite not in _LONG_SUITES)
         args = [(suite, r.id, ctx.digits, ctx.guard, seed) for r in recs]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_worker, args))

@@ -76,42 +76,6 @@ def test_parallel_matches_serial(ctx50):
         assert a["pass"] and b["pass"]
 
 
-def test_parallel_all_matches_serial():
-    ctx = PrecisionCtx(30)
-    serial = run_suite("all", ctx, jobs=1)
-    parallel = run_suite("all", ctx, jobs=2)
-    assert [r["id"] for r in serial.rows] == [r["id"] for r in parallel.rows]
-    for a, b in zip(serial.rows, parallel.rows):
-        assert (a["pass"], a["abs_residual"]) == (b["pass"], b["abs_residual"]), a["id"]
-    assert serial.all_pass
-
-
-def test_pool_gets_the_quadrature_suites_first(monkeypatch):
-    # the longest records go to the pool first; the report stays in id order
-    handed = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            handed.extend(args)
-            return map(fn, handed)
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
-    rep = run_suite("all", PrecisionCtx(15), jobs=2)
-    ids = [r.id for r in get_records("all")]
-    long = [r.id for r in get_records("all") if r.suite in ("lemma-oracles", "sec4")]
-    assert [a[1] for a in handed[:len(long)]] == long
-    assert sorted(a[1] for a in handed) == ids
-    assert [r["id"] for r in rep.rows] == ids
-
-
 def test_seeded_registry_reproducible():
     a = [r.id for r in get_records("sum-rules", seed=123)]
     b = [r.id for r in get_records("sum-rules", seed=123)]
