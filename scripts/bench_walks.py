@@ -15,7 +15,7 @@ functions, as the L_{-4}(4) integral), and the upward ray of
 L_{-4}(4)) and the NU2 and H3INT2 lemma integrals at t = 0.1, with the
 tanh-sinh nodes built beforehand.  The ``hurwitz`` layer calls
 ``arith.hurwitz_zeta`` at the (s, a) pairs of the L-values and zeta values
-that a 100-digit pass of the non-quadrature suites reads.
+that a 100-digit pass of every suite but lemma-oracles reads.
 
     python3 scripts/bench_walks.py                          # this checkout
     python3 scripts/bench_walks.py --root PATH              # another checkout
@@ -121,8 +121,8 @@ def _quad_calls(ctx):
             (lemma_integral, ("NU2", t, ctx)), (lemma_integral, ("H3INT2", t, ctx))]
 
 
-# (d, s) of the L_d(s) values a 100-digit pass of the non-quadrature suites
-# reads, and the s of its zeta(s) values
+# (d, s) of the L_d(s) values a 100-digit pass of every suite but
+# lemma-oracles reads, and the s of its zeta(s) values
 DIRICHLET = ((-4, 2), (-4, 3), (-4, 4), (-8, 2), (-3, 2), (-7, 2), (-7, 3),
              (28, 2), (28, 3))
 ZETA = (2, 3, 4, 5, 6, 7)
