@@ -25,7 +25,6 @@ __all__ = [
     "PrecisionCtx",
     "bernoulli",
     "const_catalan",
-    "const_euler_gamma",
     "const_pi",
     "const_zeta",
     "ensure_finite",
@@ -194,12 +193,6 @@ def const_catalan(ctx: PrecisionCtx) -> mpf:
     """Catalan's constant G = sum (-1)^n/(2n+1)^2."""
     with ctx.working():
         return +mp.catalan
-
-
-def const_euler_gamma(ctx: PrecisionCtx) -> mpf:
-    """Euler-Mascheroni constant gamma_0."""
-    with ctx.working():
-        return +mp.euler
 
 
 @_memoized

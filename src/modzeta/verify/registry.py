@@ -8,17 +8,19 @@ decimals.  Every record passes at 10^-(digits-5); the conditionally
 convergent -1/64 rate family needs no flag, because the series engine sees the
 boundary rate and sums it by CVZ acceleration.
 
-The records are rows over the evaluators.  The eighteen rate series (the
-classical, H2-variant, Sun and H3 records) are one table of coefficient x
-``binom3_sums`` terms at a rational rate, one walk per row.  The seventeen
-Eichler special values are one table of coefficient x ``eichler4``/``eichler6``
-terms over six named points.  The four tabulated points of the special-value
-tables share one point table (z, rate, r, rc and each cell's closed form,
-written once), and the theorem-table cells read the theorem evaluators of
-``theorems.py`` instead of re-deriving their series.  A row looks its
-evaluators up as module globals when the record is evaluated, so a rebound
-module attribute (a tracer's wrapper) sees every call.  The runner evaluates
-both sides at the context's working precision; no row sets precision itself.
+The registry is data over the evaluators.  Every record is a row of a
+module-level table, (id, suite, description, lhs(p, ctx), rhs(p, ctx), anchor,
+note), crossed with a tuple of points p: the four tabulated points of the
+special-value tables (whose cells name their closed form in ``p.forms``
+instead of a rhs), seeded or fixed points z, parameters t, or ``_ONCE`` for
+single records.  A point's fields fill the %-fields of the id and the
+description; ``build_registry`` is one loop binding each point to each row of
+its table.  A side names its evaluators as module globals, so they are looked
+up when the record is evaluated and a rebound module attribute (a tracer's
+wrapper) sees every call; no table holds an evaluator.  Points and parameters
+stay strings or builders (``_Z``, ``_mk_z``) until then, exact at the caller's
+precision.  The runner evaluates both sides at the context's working
+precision; no row sets precision itself.
 
 Random-z suites draw their points from a fixed seed (DEFAULT_SEED) so reports
 are reproducible; the coordinates are rounded to short decimals and stored as
@@ -30,6 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple
 
 import mpmath as mp
@@ -73,7 +76,7 @@ def _I():
     return mpc(0, 1)
 
 
-def _zero(ctx):
+def _zero(p, ctx):
     return mpf(0)
 
 
@@ -96,145 +99,150 @@ def _to_mpf(fr: Fraction) -> mpf:
     return mpf(fr.numerator) / fr.denominator
 
 
-def _series_lhs(rate: Fraction, terms):
-    """ctx -> Re sum of coef * S over a row's terms, every S from one walk.
+def _mk_z(re: str, im: str):
+    return mpf(re) + _I() * mpf(im)
+
+
+class _Point(NamedTuple):
+    """A point a row table is crossed with: its fields fill the %-fields of
+    each row's id and description, and the row's sides read it."""
+
+    tag: str                # id suffix
+    name: str = ""          # tabulated points: the eichler-special suffix
+    z: Callable = None      # () -> z at the caller's precision
+    r: Fraction = None      # tabulated: weight-2 coefficient of Q1 - r Q2, S_r and T_r
+    rc: Fraction = None     # tabulated: weight-3 coefficient of the T-check
+    forms: dict = None      # tabulated: each cell's closed form, ctx -> value
+    re: str = ""            # Re z, as the description shows it
+    im: str = ""            # Im z, as the description shows it
+    t: str = ""             # a real parameter
+
+
+_ONCE = (_Point(""),)
+
+
+def _at(tag: str, re: str, im: str, z=None) -> _Point:
+    """The point re + im i, built from its strings unless z builds it."""
+    return _Point(tag, z=z or partial(_mk_z, re, im), re=re, im=im)
+
+
+def _record(row, p: _Point) -> IdentityRecord:
+    """The record of one table row at the point p."""
+    id_, suite, desc, lhs, rhs, anchor, note = row
+    fields = p._asdict()
+    rhs = p.forms[rhs] if isinstance(rhs, str) else partial(rhs, p)
+    return IdentityRecord(id_ % fields, suite, desc % fields, partial(lhs, p), rhs,
+                          anchor, note)
+
+
+def _series(rate: str, terms, ctx):
+    """Re sum of coef * S over a row's terms, every S from one walk.
 
     S is the binom3 sum of C(2k,k)^3 (a k + b) w(k) rate^k for the term
-    (coef, (a, b), w), with w given as {basis: coefficient}.
+    (coef, (a, b), w), with the rate a fraction string and w given as
+    {basis: coefficient}.  A coef is a number, or a ctx -> value callable for
+    Sun's bracket constant.
     """
-    def lhs(ctx):
-        sums = binom3_sums(_to_mpf(rate), [(LinearFactor(a, b), WeightSpec.combo(w))
-                                           for _, (a, b), w in terms], ctx)
-        return sum((c(ctx) if callable(c) else c) * s
-                   for (c, _, _), s in zip(terms, sums)).real
-    return lhs
+    sums = binom3_sums(_to_mpf(Fraction(rate)),
+                       [(LinearFactor(a, b), WeightSpec.combo(w)) for _, (a, b), w in terms],
+                       ctx)
+    return sum((c(ctx) if callable(c) else c) * s
+               for (c, _, _), s in zip(terms, sums)).real
 
 
-# The rate series: (id, suite, description, rate, terms, rhs, anchor, note).
-# A term's coef is a number, or a ctx -> value callable for Sun's bracket
-# constant; see _series_lhs.
+# The rate series: each lhs is one _series walk, each rhs a closed form.
 _SERIES = (
     ("rama1", "ramanujan-classical", "sum C(2k,k)^3 (4k+1)/(-64)^k = 2/pi",
-     Fraction(-1, 64), [(1, (4, 1), {"ONE": 1})], lambda ctx: 2 / mp.pi,
-     "classical series, alternating boundary rate",
-     "lhs: accelerated series; rhs: pi only"),
+     lambda p, ctx: _series("-1/64", [(1, (4, 1), {"ONE": 1})], ctx), lambda p, ctx: 2 / mp.pi,
+     "classical series, alternating boundary rate", "lhs: accelerated series; rhs: pi only"),
     ("rama2", "ramanujan-classical", "sum C(2k,k)^3 (6k+1)/256^k = 4/pi",
-     Fraction(1, 256), [(1, (6, 1), {"ONE": 1})], lambda ctx: 4 / mp.pi,
+     lambda p, ctx: _series("1/256", [(1, (6, 1), {"ONE": 1})], ctx), lambda p, ctx: 4 / mp.pi,
      "classical series", "lhs: series; rhs: pi only"),
     ("rama3", "ramanujan-classical", "sum C(2k,k)^3 (6k+1)/(-512)^k = 2 sqrt(2)/pi",
-     Fraction(-1, 512), [(1, (6, 1), {"ONE": 1})], lambda ctx: 2 * mp.sqrt(2) / mp.pi,
+     lambda p, ctx: _series("-1/512", [(1, (6, 1), {"ONE": 1})], ctx),
+     lambda p, ctx: 2 * mp.sqrt(2) / mp.pi,
      "classical series", "lhs: series; rhs: pi only"),
     ("rama4", "ramanujan-classical", "sum C(2k,k)^3 (42k+5)/4096^k = 16/pi",
-     Fraction(1, 4096), [(1, (42, 5), {"ONE": 1})], lambda ctx: 16 / mp.pi,
+     lambda p, ctx: _series("1/4096", [(1, (42, 5), {"ONE": 1})], ctx), lambda p, ctx: 16 / mp.pi,
      "classical series", "lhs: series; rhs: pi only"),
     ("h2var.-64", "h2-variants", "sum C^3 [H2_{2k}-H2_k/2](4k+1)/(-64)^k = -pi/12",
-     Fraction(-1, 64), [(1, (4, 1), {"H2_2K": 1, "H2_K": "-1/2"})],
-     lambda ctx: -mp.pi / 12,
+     lambda p, ctx: _series("-1/64", [(1, (4, 1), {"H2_2K": 1, "H2_K": "-1/2"})], ctx),
+     lambda p, ctx: -mp.pi / 12,
      "second-order harmonic variant", "lhs: accelerated series; rhs: pi only"),
     ("h2var.256", "h2-variants", "sum C^3 [H2_{2k}-5H2_k/16](6k+1)/256^k = pi/12",
-     Fraction(1, 256), [(1, (6, 1), {"H2_2K": 1, "H2_K": "-5/16"})],
-     lambda ctx: mp.pi / 12,
+     lambda p, ctx: _series("1/256", [(1, (6, 1), {"H2_2K": 1, "H2_K": "-5/16"})], ctx),
+     lambda p, ctx: mp.pi / 12,
      "second-order harmonic variant", "lhs: series; rhs: pi only"),
-    ("h2var.-512", "h2-variants",
-     "sum C^3 [H2_{2k}-5H2_k/16](6k+1)/(-512)^k = -sqrt(2)pi/48",
-     Fraction(-1, 512), [(1, (6, 1), {"H2_2K": 1, "H2_K": "-5/16"})],
-     lambda ctx: -mp.sqrt(2) * mp.pi / 48,
+    ("h2var.-512", "h2-variants", "sum C^3 [H2_{2k}-5H2_k/16](6k+1)/(-512)^k = -sqrt(2)pi/48",
+     lambda p, ctx: _series("-1/512", [(1, (6, 1), {"H2_2K": 1, "H2_K": "-5/16"})], ctx),
+     lambda p, ctx: -mp.sqrt(2) * mp.pi / 48,
      "second-order harmonic variant", "lhs: series; rhs: pi only"),
-    ("h2var.4096", "h2-variants",
-     "sum C^3 [H2_{2k}-25H2_k/92](42k+5)/4096^k = 2pi/69",
-     Fraction(1, 4096), [(1, (42, 5), {"H2_2K": 1, "H2_K": "-25/92"})],
-     lambda ctx: 2 * mp.pi / 69,
+    ("h2var.4096", "h2-variants", "sum C^3 [H2_{2k}-25H2_k/92](42k+5)/4096^k = 2pi/69",
+     lambda p, ctx: _series("1/4096", [(1, (42, 5), {"H2_2K": 1, "H2_K": "-25/92"})], ctx),
+     lambda p, ctx: 2 * mp.pi / 69,
      "second-order harmonic variant", "lhs: series; rhs: pi only"),
     ("h3.a", "h3", "sum C^3 H3_{2k}(4k+1)/(-64)^k = 15zeta(3)/(4pi) - 2L_{-4}(2)",
-     Fraction(-1, 64), [(1, (4, 1), {"H3_2K": 1})],
-     lambda ctx: 15 * const_zeta(3, ctx) / (4 * mp.pi) - 2 * dirichlet_l(-4, 2, ctx),
-     "third-order harmonic series",
-     "lhs: accelerated series; rhs: zeta(3), dirichlet_l"),
+     lambda p, ctx: _series("-1/64", [(1, (4, 1), {"H3_2K": 1})], ctx),
+     lambda p, ctx: 15 * const_zeta(3, ctx) / (4 * mp.pi) - 2 * dirichlet_l(-4, 2, ctx),
+     "third-order harmonic series", "lhs: accelerated series; rhs: zeta(3), dirichlet_l"),
     ("h3.b", "h3", "rate 256: = 25zeta(3)/(8pi) - L_{-4}(2)",
-     Fraction(1, 256), [(1, (6, 1), {"H3_2K": 1, "H3_K": "-7/64"})],
-     lambda ctx: 25 * const_zeta(3, ctx) / (8 * mp.pi) - dirichlet_l(-4, 2, ctx),
+     lambda p, ctx: _series("1/256", [(1, (6, 1), {"H3_2K": 1, "H3_K": "-7/64"})], ctx),
+     lambda p, ctx: 25 * const_zeta(3, ctx) / (8 * mp.pi) - dirichlet_l(-4, 2, ctx),
      "third-order harmonic series", "rhs: zeta(3), dirichlet_l"),
     ("h3.c", "h3", "rate -512: = 57zeta(3)/(16 sqrt(2) pi) - L_{-8}(2)",
-     Fraction(-1, 512), [(1, (6, 1), {"H3_2K": 1, "H3_K": "-7/64"})],
-     lambda ctx: (57 * const_zeta(3, ctx) / (16 * mp.sqrt(2) * mp.pi)
-                  - dirichlet_l(-8, 2, ctx)),
+     lambda p, ctx: _series("-1/512", [(1, (6, 1), {"H3_2K": 1, "H3_K": "-7/64"})], ctx),
+     lambda p, ctx: (57 * const_zeta(3, ctx) / (16 * mp.sqrt(2) * mp.pi)
+                     - dirichlet_l(-8, 2, ctx)),
      "third-order harmonic series", "rhs: zeta(3), dirichlet_l"),
     ("h3.d", "h3", "rate 4096: = 555zeta(3)/(77pi) - 32L_{-4}(2)/11",
-     Fraction(1, 4096), [(1, (42, 5), {"H3_2K": 1, "H3_K": "-43/352"})],
-     lambda ctx: (555 * const_zeta(3, ctx) / (77 * mp.pi)
-                  - mpf(32) / 11 * dirichlet_l(-4, 2, ctx)),
+     lambda p, ctx: _series("1/4096", [(1, (42, 5), {"H3_2K": 1, "H3_K": "-43/352"})], ctx),
+     lambda p, ctx: (555 * const_zeta(3, ctx) / (77 * mp.pi)
+                     - mpf(32) / 11 * dirichlet_l(-4, 2, ctx)),
      "third-order harmonic series", "rhs: zeta(3), dirichlet_l"),
-    ("sun1", "sun-h2",
-     "sum C^3 [H2_{2k}-H2_k/2 + 2L_{-8}(2)-5pi^2/24]/(-64)^k = 0",
-     Fraction(-1, 64),
-     [(1, (0, 1), {"H2_2K": 1, "H2_K": "-1/2"}),
-      (lambda ctx: 2 * dirichlet_l(-8, 2, ctx) - 5 * mp.pi ** 2 / 24, (0, 1),
-       {"ONE": 1})],
+    ("sun1", "sun-h2", "sum C^3 [H2_{2k}-H2_k/2 + 2L_{-8}(2)-5pi^2/24]/(-64)^k = 0",
+     lambda p, ctx: _series("-1/64", [
+         (1, (0, 1), {"H2_2K": 1, "H2_K": "-1/2"}),
+         (lambda ctx: 2 * dirichlet_l(-8, 2, ctx) - 5 * mp.pi ** 2 / 24, (0, 1),
+          {"ONE": 1})], ctx),
      _zero, "bracketed alternating series",
      "constant built from dirichlet_l(-8,2) and pi; rhs literal 0"),
-    ("sun2", "sun-h2",
-     "sum C^3 [H2_{2k}-5H2_k/16 + (135L_{-3}(2)-11pi^2)/96]/256^k = 0",
-     Fraction(1, 256),
-     [(1, (0, 1), {"H2_2K": 1, "H2_K": "-5/16"}),
-      (lambda ctx: (135 * dirichlet_l(-3, 2, ctx) - 11 * mp.pi ** 2) / 96, (0, 1),
-       {"ONE": 1})],
+    ("sun2", "sun-h2", "sum C^3 [H2_{2k}-5H2_k/16 + (135L_{-3}(2)-11pi^2)/96]/256^k = 0",
+     lambda p, ctx: _series("1/256", [
+         (1, (0, 1), {"H2_2K": 1, "H2_K": "-5/16"}),
+         (lambda ctx: (135 * dirichlet_l(-3, 2, ctx) - 11 * mp.pi ** 2) / 96, (0, 1),
+          {"ONE": 1})], ctx),
      _zero, "bracketed series", "constant from dirichlet_l(-3,2); rhs literal 0"),
-    ("sun3", "sun-h2",
-     "sum C^3 [H2_{2k}-5H2_k/16 + (120L_{-4}(2)-11pi^2)/96]/(-512)^k = 0",
-     Fraction(-1, 512),
-     [(1, (0, 1), {"H2_2K": 1, "H2_K": "-5/16"}),
-      (lambda ctx: (120 * dirichlet_l(-4, 2, ctx) - 11 * mp.pi ** 2) / 96, (0, 1),
-       {"ONE": 1})],
+    ("sun3", "sun-h2", "sum C^3 [H2_{2k}-5H2_k/16 + (120L_{-4}(2)-11pi^2)/96]/(-512)^k = 0",
+     lambda p, ctx: _series("-1/512", [
+         (1, (0, 1), {"H2_2K": 1, "H2_K": "-5/16"}),
+         (lambda ctx: (120 * dirichlet_l(-4, 2, ctx) - 11 * mp.pi ** 2) / 96, (0, 1),
+          {"ONE": 1})], ctx),
      _zero, "bracketed series", "constant from dirichlet_l(-4,2); rhs literal 0"),
-    ("sun4", "sun-h2",
-     "sum C^3 [H2_{2k}-25H2_k/92 + (735L_{-7}(2)-86pi^2)/1104]/4096^k = 0",
-     Fraction(1, 4096),
-     [(1, (0, 1), {"H2_2K": 1, "H2_K": "-25/92"}),
-      (lambda ctx: (735 * dirichlet_l(-7, 2, ctx) - 86 * mp.pi ** 2) / 1104, (0, 1),
-       {"ONE": 1})],
+    ("sun4", "sun-h2", "sum C^3 [H2_{2k}-25H2_k/92 + (735L_{-7}(2)-86pi^2)/1104]/4096^k = 0",
+     lambda p, ctx: _series("1/4096", [
+         (1, (0, 1), {"H2_2K": 1, "H2_K": "-25/92"}),
+         (lambda ctx: (735 * dirichlet_l(-7, 2, ctx) - 86 * mp.pi ** 2) / 1104, (0, 1),
+          {"ONE": 1})], ctx),
      _zero, "bracketed series", "constant from dirichlet_l(-7,2); rhs literal 0"),
     ("h3.e", "h3",
      "sum C^3 [(42k+5)H3_k - 352/(2k+1)^2]/4096^k = (32/7)[335zeta(3)/pi - 224L_{-4}(2)]",
-     Fraction(1, 4096), [(1, (42, 5), {"H3_K": 1}), (-352, (0, 1), {"INVSQ_2K1": 1})],
-     lambda ctx: mpf(32) / 7 * (335 * const_zeta(3, ctx) / mp.pi
-                                - 224 * dirichlet_l(-4, 2, ctx)),
+     lambda p, ctx: _series("1/4096", [(1, (42, 5), {"H3_K": 1}),
+                                       (-352, (0, 1), {"INVSQ_2K1": 1})], ctx),
+     lambda p, ctx: mpf(32) / 7 * (335 * const_zeta(3, ctx) / mp.pi
+                                   - 224 * dirichlet_l(-4, 2, ctx)),
      "inverse-square augmented series", "rhs: zeta(3), dirichlet_l"),
     ("h3.weixu", "h3",
      "sum C^3 {(42k+5)[17H3_{2k}-2H3_k] - 27/(2k+1)^2}/4096^k = 240zeta(3)/pi - 128L_{-4}(2)",
-     Fraction(1, 4096),
-     [(1, (42, 5), {"H3_2K": 17, "H3_K": -2}), (-27, (0, 1), {"INVSQ_2K1": 1})],
-     lambda ctx: 240 * const_zeta(3, ctx) / mp.pi - 128 * dirichlet_l(-4, 2, ctx),
+     lambda p, ctx: _series("1/4096", [(1, (42, 5), {"H3_2K": 17, "H3_K": -2}),
+                                       (-27, (0, 1), {"INVSQ_2K1": 1})], ctx),
+     lambda p, ctx: 240 * const_zeta(3, ctx) / mp.pi - 128 * dirichlet_l(-4, 2, ctx),
      "companion identity", "rhs: zeta(3), dirichlet_l"),
 )
 
 
-def _four_term(f, coeffs, zi):
-    """c1 f(z+1/2) + c2 f(z) + c3 f(2z) + c4 f(4z): the shape of a sum rule."""
-    c1, c2, c3, c4 = coeffs
-
-    def lhs(ctx):
-        z = zi()
-        return (c1 * f(z + mpf(1) / 2, ctx) + c2 * f(z, ctx)
-                + c3 * f(2 * z, ctx) + c4 * f(4 * z, ctx))
-    return lhs
-
-
-class _Point(NamedTuple):
-    """A tabulated point z of the special-value tables.
-
-    ``forms`` maps each closed-form key of ``_CELLS`` to a ctx -> value
-    callable, written once: the T_r value ``t`` and the T-check value ``u``
-    each serve a table cell and an eichler-special record.
-    """
-
-    tag: str        # table row, r1..r4
-    name: str       # eichler-special suffix
-    z: Callable     # () -> z at the caller's precision
-    r: Fraction     # weight-2 coefficient of Q1 - r Q2, S_r and T_r
-    rc: Fraction    # weight-3 coefficient of the T-check
-    forms: dict
-
-
+# The four tabulated points.  ``forms`` holds each closed form of the cells,
+# written once: the T_r value ``t`` and the T-check value ``u`` each serve a
+# table cell and an eichler-special record.
 _POINTS = (
     _Point("r1", "sqrt3", _Z["sqrt3 i/2"], Fraction(1, 16), Fraction(1, 64), dict(
         rate=lambda ctx: mpf(1) / 256,
@@ -320,9 +328,8 @@ def _ut(p, ctx):
     return (g["lhs1"] + _to_mpf(p.rc) * (g["lhs2"] + _h3_epstein(z, ctx))).real
 
 
-# The records at each tabulated point p: (id, suite, description,
-# lhs(p, ctx), key of the rhs in p.forms, anchor, independence note); the id
-# and the description are %-formatted with the fields of p.
+# The records at each tabulated point; a rhs given as a string is the key of
+# its closed form in p.forms.
 _CELLS = (
     ("th2.%(tag)s.rate", "table-h2", "alpha4(1-alpha4)/16 cell", _rate, "rate",
      "modular rate", "lhs: eta quotients; rhs: exact rational"),
@@ -355,8 +362,7 @@ _CELLS = (
      lambda p, ctx: epstein3(2 * p.z(), ctx), "e2z3",
      "weight-3 Epstein value", "lhs: Eichler route; rhs: zeta(3)"),
     ("th3.%(tag)s.ut", "table-h3", "T-check cell (series route)", _ut, "u",
-     "last column",
-     "lhs: linear-factor series + Lambert Epstein; rhs: zeta(3)/pi multiple"),
+     "last column", "lhs: linear-factor series + Lambert Epstein; rhs: zeta(3)/pi multiple"),
     ("es.s.%(name)s", "eichler-special",
      "S_%(r)s at the tabulated point is a rational multiple of pi^2",
      lambda p, ctx: s_r(p.z(), p.r, ctx).real, "s",
@@ -369,550 +375,541 @@ _CELLS = (
      "T-check_%(rc)s at the tabulated point is a rational multiple of zeta(3)/pi",
      lambda p, ctx: u_check(p.z(), p.rc, ctx).real, "u",
      "weight-6 combination value", "lhs: Eichler route; rhs: zeta(3)/pi multiple"),
+    ("gz.comb.%(tag)s", "epstein-gz",
+     "E(4z,2)-E(z,2) = E(z+1/2,2) - (9/2)E(2z,2) + 2E(4z,2) at the tabulated z",
+     lambda p, ctx: epstein2(4 * p.z(), ctx) - epstein2(p.z(), ctx),
+     lambda p, ctx: (epstein2(p.z() + mpf(1) / 2, ctx)
+                     - mpf(9) / 2 * epstein2(2 * p.z(), ctx)
+                     + 2 * epstein2(4 * p.z(), ctx)),
+     "sum-rule rearrangement", "both sides: Lambert route"),
 )
 
 
-def _eichler_lhs(terms):
-    """ctx -> sum of coef * E over a row's (coef, point, weight, order) terms.
+def _eichler(terms, ctx):
+    """Sum of coef * E over a row's (coef, point, weight, order) terms.
 
     E is the order-th derivative of the weight-4 or weight-6 Eichler integral
     at the point of ``_Z`` so named; an irrational coef is a zero-argument
     callable.
     """
-    def lhs(ctx):
-        return sum((c() if callable(c) else c)
-                   * (eichler4 if weight == 4 else eichler6)(_Z[pt](), order, ctx)
-                   for c, pt, weight, order in terms)
-    return lhs
+    return sum((c() if callable(c) else c)
+               * (eichler4 if weight == 4 else eichler6)(_Z[pt](), order, ctx)
+               for c, pt, weight, order in terms)
 
 
-# The eichler-special values: (id, description, terms, rhs, anchor, note).
+def _h3_ratio_256(p, ctx):
+    """sum C^3 [H3_{2k} - 7 H3_k/64]/256^k over sum C^3/256^k, from one walk."""
+    w = WeightSpec.combo({"H3_2K": 1, "H3_K": Fraction(-7, 64)})
+    num, den = binom3_sums(mpf(1) / 256, [(LinearFactor(0, 1), w),
+                                          (LinearFactor(0, 1), W_ONE)], ctx)
+    return num / den
+
+
+# The Eichler special values, and the closing rate-256 H3 ratio.
 _EICHLER = (
-    ("es.e4.sqrt3", "E4int((1+sqrt3 i)/2) = 2i/sqrt3 + 30 zeta(3)/(pi^3 i)",
-     [(1, "(1+sqrt3 i)/2", 4, 0)],
-     lambda ctx: 2 * _I() / mp.sqrt(3) + 30 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()),
+    ("es.e4.sqrt3", "eichler-special", "E4int((1+sqrt3 i)/2) = 2i/sqrt3 + 30 zeta(3)/(pi^3 i)",
+     lambda p, ctx: _eichler([(1, "(1+sqrt3 i)/2", 4, 0)], ctx),
+     lambda p, ctx: 2 * _I() / mp.sqrt(3) + 30 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()),
      "reflection specialization", "lhs: Lambert series; rhs: zeta(3)"),
-    ("es.e4.sqrt7",
+    ("es.e4.sqrt7", "eichler-special",
      "12 E4int((1+sqrt7 i)/2) - E4int(sqrt7 i) = 29 sqrt7 i/6 + 330 zeta(3)/(pi^3 i)",
-     [(12, "(1+sqrt7 i)/2", 4, 0), (-1, "sqrt7 i", 4, 0)],
-     lambda ctx: (29 * mp.sqrt(7) * _I() / 6
-                  + 330 * const_zeta(3, ctx) / (mp.pi ** 3 * _I())),
+     lambda p, ctx: _eichler([(12, "(1+sqrt7 i)/2", 4, 0), (-1, "sqrt7 i", 4, 0)], ctx),
+     lambda p, ctx: (29 * mp.sqrt(7) * _I() / 6
+                     + 330 * const_zeta(3, ctx) / (mp.pi ** 3 * _I())),
      "sum-rule specialization", "lhs: Lambert series; rhs: zeta(3)"),
-    ("es.e4.sqrt2", "2 E4int(i/sqrt2) + E4int(sqrt2 i) = 5i/sqrt2 + 90 zeta(3)/(pi^3 i)",
-     [(2, "i/sqrt2", 4, 0), (1, "sqrt2 i", 4, 0)],
-     lambda ctx: 5 * _I() / mp.sqrt(2) + 90 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()),
+    ("es.e4.sqrt2", "eichler-special",
+     "2 E4int(i/sqrt2) + E4int(sqrt2 i) = 5i/sqrt2 + 90 zeta(3)/(pi^3 i)",
+     lambda p, ctx: _eichler([(2, "i/sqrt2", 4, 0), (1, "sqrt2 i", 4, 0)], ctx),
+     lambda p, ctx: 5 * _I() / mp.sqrt(2) + 90 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()),
      "reflection specialization", "lhs: Lambert series; rhs: zeta(3)"),
-    ("es.e4.i", "E4int(i) = 7i/6 + 30 zeta(3)/(pi^3 i)",
-     [(1, "i", 4, 0)],
-     lambda ctx: 7 * _I() / 6 + 30 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()),
+    ("es.e4.i", "eichler-special", "E4int(i) = 7i/6 + 30 zeta(3)/(pi^3 i)",
+     lambda p, ctx: _eichler([(1, "i", 4, 0)], ctx),
+     lambda p, ctx: 7 * _I() / 6 + 30 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()),
      "reflection specialization", "lhs: Lambert series; rhs: zeta(3)"),
-    ("es.e4pp.sqrt3", "E4int''((1+sqrt3 i)/2) = -15 sqrt3 L_{-3}(2)/(pi^2 i) - sqrt3 i",
-     [(1, "(1+sqrt3 i)/2", 4, 2)],
-     lambda ctx: (-15 * mp.sqrt(3) * dirichlet_l(-3, 2, ctx) / (mp.pi ** 2 * _I())
-                  - mp.sqrt(3) * _I()),
+    ("es.e4pp.sqrt3", "eichler-special",
+     "E4int''((1+sqrt3 i)/2) = -15 sqrt3 L_{-3}(2)/(pi^2 i) - sqrt3 i",
+     lambda p, ctx: _eichler([(1, "(1+sqrt3 i)/2", 4, 2)], ctx),
+     lambda p, ctx: (-15 * mp.sqrt(3) * dirichlet_l(-3, 2, ctx) / (mp.pi ** 2 * _I())
+                     - mp.sqrt(3) * _I()),
      "second-derivative value", "lhs: Lambert series; rhs: dirichlet_l"),
-    ("es.e4pp.sqrt7",
+    ("es.e4pp.sqrt7", "eichler-special",
      "3 E4int''((1+sqrt7 i)/2) - E4int''(sqrt7 i) = -35 sqrt7 L_{-7}(2)/(4pi^2 i) - sqrt7 i",
-     [(3, "(1+sqrt7 i)/2", 4, 2), (-1, "sqrt7 i", 4, 2)],
-     lambda ctx: (-35 * mp.sqrt(7) * dirichlet_l(-7, 2, ctx) / (4 * mp.pi ** 2 * _I())
-                  - mp.sqrt(7) * _I()),
+     lambda p, ctx: _eichler([(3, "(1+sqrt7 i)/2", 4, 2), (-1, "sqrt7 i", 4, 2)], ctx),
+     lambda p, ctx: (-35 * mp.sqrt(7) * dirichlet_l(-7, 2, ctx) / (4 * mp.pi ** 2 * _I())
+                     - mp.sqrt(7) * _I()),
      "second-derivative combination", "lhs: Lambert series; rhs: dirichlet_l"),
-    ("es.e4pp.sqrt2",
+    ("es.e4pp.sqrt2", "eichler-special",
      "E4int''(i/sqrt2) + 2 E4int''(sqrt2 i) = -40 sqrt2 L_{-8}(2)/(pi^2 i) - 5 sqrt2 i",
-     [(1, "i/sqrt2", 4, 2), (2, "sqrt2 i", 4, 2)],
-     lambda ctx: (-40 * mp.sqrt(2) * dirichlet_l(-8, 2, ctx) / (mp.pi ** 2 * _I())
-                  - 5 * mp.sqrt(2) * _I()),
+     lambda p, ctx: _eichler([(1, "i/sqrt2", 4, 2), (2, "sqrt2 i", 4, 2)], ctx),
+     lambda p, ctx: (-40 * mp.sqrt(2) * dirichlet_l(-8, 2, ctx) / (mp.pi ** 2 * _I())
+                     - 5 * mp.sqrt(2) * _I()),
      "second-derivative combination", "lhs: Lambert series; rhs: dirichlet_l"),
-    ("es.e4pp.i", "E4int''(i) = -20 L_{-4}(2)/(pi^2 i) - 2i",
-     [(1, "i", 4, 2)],
-     lambda ctx: -20 * dirichlet_l(-4, 2, ctx) / (mp.pi ** 2 * _I()) - 2 * _I(),
+    ("es.e4pp.i", "eichler-special", "E4int''(i) = -20 L_{-4}(2)/(pi^2 i) - 2i",
+     lambda p, ctx: _eichler([(1, "i", 4, 2)], ctx),
+     lambda p, ctx: -20 * dirichlet_l(-4, 2, ctx) / (mp.pi ** 2 * _I()) - 2 * _I(),
      "second-derivative value", "lhs: Lambert series; rhs: dirichlet_l"),
     # weight-6 Eichler data at (1+sqrt3 i)/2 and the Prop-3.3 combinations
-    ("es.e6.sqrt3.0", "E6int((1+sqrt3 i)/2) = 189 zeta(5)/(pi^5 i) + 11 sqrt3 i/30",
-     [(1, "(1+sqrt3 i)/2", 6, 0)],
-     lambda ctx: (189 * const_zeta(5, ctx) / (mp.pi ** 5 * _I())
-                  + 11 * mp.sqrt(3) * _I() / 30),
+    ("es.e6.sqrt3.0", "eichler-special",
+     "E6int((1+sqrt3 i)/2) = 189 zeta(5)/(pi^5 i) + 11 sqrt3 i/30",
+     lambda p, ctx: _eichler([(1, "(1+sqrt3 i)/2", 6, 0)], ctx),
+     lambda p, ctx: (189 * const_zeta(5, ctx) / (mp.pi ** 5 * _I())
+                     + 11 * mp.sqrt(3) * _I() / 30),
      "weight-6 value", "lhs: Lambert series; rhs: zeta(5)"),
-    ("es.e6.sqrt3.1", "E6int'((1+sqrt3 i)/2) = 1/30",
-     [(1, "(1+sqrt3 i)/2", 6, 1)],
-     lambda ctx: mpf(1) / 30,
+    ("es.e6.sqrt3.1", "eichler-special", "E6int'((1+sqrt3 i)/2) = 1/30",
+     lambda p, ctx: _eichler([(1, "(1+sqrt3 i)/2", 6, 1)], ctx), lambda p, ctx: mpf(1) / 30,
      "weight-6 first derivative", "lhs: Lambert series; rhs: exact rational"),
-    ("es.e6.sqrt3.2", "E6int''((1+sqrt3 i)/2) = 84 zeta(3)/(pi^3 i) + 2 sqrt3 i",
-     [(1, "(1+sqrt3 i)/2", 6, 2)],
-     lambda ctx: 84 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()) + 2 * mp.sqrt(3) * _I(),
+    ("es.e6.sqrt3.2", "eichler-special",
+     "E6int''((1+sqrt3 i)/2) = 84 zeta(3)/(pi^3 i) + 2 sqrt3 i",
+     lambda p, ctx: _eichler([(1, "(1+sqrt3 i)/2", 6, 2)], ctx),
+     lambda p, ctx: 84 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()) + 2 * mp.sqrt(3) * _I(),
      "weight-6 second derivative", "lhs: Lambert series; rhs: zeta(3)"),
-    ("es.e6.sqrt3.3", "E6int'''((1+sqrt3 i)/2) = 10 - 168 sqrt3 zeta(3)/pi^3",
-     [(1, "(1+sqrt3 i)/2", 6, 3)],
-     lambda ctx: 10 - 168 * mp.sqrt(3) * const_zeta(3, ctx) / mp.pi ** 3,
+    ("es.e6.sqrt3.3", "eichler-special", "E6int'''((1+sqrt3 i)/2) = 10 - 168 sqrt3 zeta(3)/pi^3",
+     lambda p, ctx: _eichler([(1, "(1+sqrt3 i)/2", 6, 3)], ctx),
+     lambda p, ctx: 10 - 168 * mp.sqrt(3) * const_zeta(3, ctx) / mp.pi ** 3,
      "weight-6 third derivative", "lhs: Lambert series; rhs: zeta(3)"),
-    ("es.e6.i.b", "2i E6int(i) + E6int'(i) = 378 zeta(5)/pi^5 - 13/10",
-     [(2j, "i", 6, 0), (1, "i", 6, 1)],
-     lambda ctx: 378 * const_zeta(5, ctx) / mp.pi ** 5 - mpf(13) / 10,
+    ("es.e6.i.b", "eichler-special", "2i E6int(i) + E6int'(i) = 378 zeta(5)/pi^5 - 13/10",
+     lambda p, ctx: _eichler([(2j, "i", 6, 0), (1, "i", 6, 1)], ctx),
+     lambda p, ctx: 378 * const_zeta(5, ctx) / mp.pi ** 5 - mpf(13) / 10,
      "reflection Taylor coefficient", "lhs: Lambert series; rhs: zeta(5)"),
-    ("es.p33.sqrt3",
+    ("es.p33.sqrt3", "eichler-special",
      "i E6int''((1+sqrt3 i)/2) + (sqrt3/2) E6int'''(same) = 3 sqrt3 - 168 zeta(3)/pi^3",
-     [(1j, "(1+sqrt3 i)/2", 6, 2), (lambda: mp.sqrt(3) / 2, "(1+sqrt3 i)/2", 6, 3)],
-     lambda ctx: 3 * mp.sqrt(3) - 168 * const_zeta(3, ctx) / mp.pi ** 3,
+     lambda p, ctx: _eichler([(1j, "(1+sqrt3 i)/2", 6, 2),
+                              (lambda: mp.sqrt(3) / 2, "(1+sqrt3 i)/2", 6, 3)], ctx),
+     lambda p, ctx: 3 * mp.sqrt(3) - 168 * const_zeta(3, ctx) / mp.pi ** 3,
      "combination (a)", "lhs: Lambert series; rhs: zeta(3)"),
-    ("es.p33.sqrt7",
+    ("es.p33.sqrt7", "eichler-special",
      "2i[39 E6''((1+sqrt7 i)/2) - 4 E6''(sqrt7 i)] + sqrt7[39 E6'''(...) - 8 E6'''(...)] "
      "= 98 sqrt7 - 6912 zeta(3)/pi^3",
-     [(78j, "(1+sqrt7 i)/2", 6, 2), (-8j, "sqrt7 i", 6, 2),
-      (lambda: 39 * mp.sqrt(7), "(1+sqrt7 i)/2", 6, 3),
-      (lambda: -8 * mp.sqrt(7), "sqrt7 i", 6, 3)],
-     lambda ctx: 98 * mp.sqrt(7) - 6912 * const_zeta(3, ctx) / mp.pi ** 3,
+     lambda p, ctx: _eichler([(78j, "(1+sqrt7 i)/2", 6, 2), (-8j, "sqrt7 i", 6, 2),
+                              (lambda: 39 * mp.sqrt(7), "(1+sqrt7 i)/2", 6, 3),
+                              (lambda: -8 * mp.sqrt(7), "sqrt7 i", 6, 3)], ctx),
+     lambda p, ctx: 98 * mp.sqrt(7) - 6912 * const_zeta(3, ctx) / mp.pi ** 3,
      "combination (b)", "lhs: Lambert series; rhs: zeta(3)"),
-    ("es.p33.sqrt2",
+    ("es.p33.sqrt2", "eichler-special",
      "i E6''(i/sqrt2) + i E6''(sqrt2 i) + E6'''(i/sqrt2)/sqrt2 + sqrt2 E6'''(sqrt2 i) "
      "= 18 sqrt2 - 567 zeta(3)/pi^3",
-     [(1j, "i/sqrt2", 6, 2), (1j, "sqrt2 i", 6, 2),
-      (lambda: 1 / mp.sqrt(2), "i/sqrt2", 6, 3), (lambda: mp.sqrt(2), "sqrt2 i", 6, 3)],
-     lambda ctx: 18 * mp.sqrt(2) - 567 * const_zeta(3, ctx) / mp.pi ** 3,
+     lambda p, ctx: _eichler([(1j, "i/sqrt2", 6, 2), (1j, "sqrt2 i", 6, 2),
+                              (lambda: 1 / mp.sqrt(2), "i/sqrt2", 6, 3),
+                              (lambda: mp.sqrt(2), "sqrt2 i", 6, 3)], ctx),
+     lambda p, ctx: 18 * mp.sqrt(2) - 567 * const_zeta(3, ctx) / mp.pi ** 3,
      "combination (c)", "lhs: Lambert series; rhs: zeta(3)"),
-    ("es.p33.i", "i E6int''(i) + E6int'''(i) = 8 - 189 zeta(3)/pi^3",
-     [(1j, "i", 6, 2), (1, "i", 6, 3)],
-     lambda ctx: 8 - 189 * const_zeta(3, ctx) / mp.pi ** 3,
+    ("es.p33.i", "eichler-special", "i E6int''(i) + E6int'''(i) = 8 - 189 zeta(3)/pi^3",
+     lambda p, ctx: _eichler([(1j, "i", 6, 2), (1, "i", 6, 3)], ctx),
+     lambda p, ctx: 8 - 189 * const_zeta(3, ctx) / mp.pi ** 3,
      "combination (d)", "lhs: Lambert series; rhs: zeta(3)"),
+    # E4int at sqrt3 i/2 and at 2 sqrt3 i (= 4z for the row's z)
+    ("es.h3ratio.256", "eichler-special",
+     "rate-256 H3 ratio = pi^3/(32 sqrt3) - 7 zeta(3)/16 - pi^3 i[4 E4int(sqrt3 i/2) - E4int(2 sqrt3 i)]/960",
+     _h3_ratio_256,
+     lambda p, ctx: (mp.pi ** 3 / (32 * mp.sqrt(3)) - 7 * const_zeta(3, ctx) / 16
+                     - mp.pi ** 3 * _I() * (4 * eichler4(_Z["sqrt3 i/2"](), 0, ctx)
+                                            - eichler4(4 * _Z["sqrt3 i/2"](), 0, ctx)) / 960),
+     "closing remark of the weight-6 section",
+     "lhs: series ratio; rhs: Eichler route with zeta(3)"),
 )
 
 
-def _seeded_points(seed: int, count: int, im_lo="0.55", im_hi="1.5"):
+def _seeded_points(seed: int, count: int) -> list:
+    """count points z0, z1, ...: Re z is 0, 1/2 or uniform in [-0.45, 0.45],
+    Im z uniform in [0.55, 1.5], both rounded to 4 decimals."""
     rng = random.Random(seed)
     pts = []
-    for _ in range(count):
+    for i in range(count):
         mode = rng.randrange(3)
-        if mode == 0:
-            re = 0.0
-        elif mode == 1:
-            re = 0.5
-        else:
-            re = round(rng.uniform(-0.45, 0.45), 4)
-        im = round(rng.uniform(float(im_lo), float(im_hi)), 4)
-        pts.append((str(re), str(im)))
+        re = round(rng.uniform(-0.45, 0.45), 4) if mode == 2 else mode / 2
+        im = round(rng.uniform(0.55, 1.5), 4)
+        pts.append(_at("z%d" % i, str(re), str(im)))
     return pts
 
 
-def _mk_z(pt):
-    re, im = pt
-    return mpf(re) + _I() * mpf(im)
+def _four_term(f, coeffs, p):
+    """c1 f(z+1/2) + c2 f(z) + c3 f(2z) + c4 f(4z): the shape of a sum rule."""
+    c1, c2, c3, c4 = coeffs
+    z = p.z()
+    return c1 * f(z + mpf(1) / 2) + c2 * f(z) + c3 * f(2 * z) + c4 * f(4 * z)
+
+
+# The sum rules at each seeded point.
+_SUM_RULES = (
+    ("sr.sumE4.%(tag)s", "sum-rules", "E4(z+1/2)+E4(z)-18E4(2z)+16E4(4z) = 0 at z=%(re)s+%(im)si",
+     lambda p, ctx: _four_term(lambda w: eisenstein(w, 4, ctx), (1, 1, -18, 16), p),
+     _zero, "weight-4 sum rule", "lhs: q-series; rhs: 0"),
+    ("sr.sumE6.%(tag)s", "sum-rules", "E6(z+1/2)+E6(z)-66E6(2z)+64E6(4z) = 0 at z=%(re)s+%(im)si",
+     lambda p, ctx: _four_term(lambda w: eisenstein(w, 6, ctx), (1, 1, -66, 64), p),
+     _zero, "weight-6 sum rule", "lhs: q-series; rhs: 0"),
+    ("sr.sumEich4.%(tag)s", "sum-rules", "4E4int(z+1/2)+4E4int(z)-9E4int(2z)+E4int(4z) = 0",
+     lambda p, ctx: _four_term(lambda w: eichler4(w, 0, ctx), (4, 4, -9, 1), p),
+     _zero, "Eichler sum rule", "lhs: Lambert series; rhs: 0"),
+    ("sr.sumEich6.%(tag)s", "sum-rules", "16E6int(z+1/2)+16E6int(z)-33E6int(2z)+E6int(4z) = 0",
+     lambda p, ctx: _four_term(lambda w: eichler6(w, 0, ctx), (16, 16, -33, 1), p),
+     _zero, "Eichler sum rule", "lhs: Lambert series; rhs: 0"),
+    ("sr.sumEich4pp.%(tag)s", "sum-rules",
+     "E4int''(z+1/2)+E4int''(z)-9E4int''(2z)+4E4int''(4z) = 0",
+     lambda p, ctx: _four_term(lambda w: eichler4(w, 2, ctx), (1, 1, -9, 4), p),
+     _zero, "second-derivative sum rule", "lhs: Lambert series; rhs: 0"),
+    ("sr.ez2add.%(tag)s", "sum-rules", "2E(z+1/2,2)+2E(z,2)-9E(2z,2)+2E(4z,2) = 0",
+     lambda p, ctx: _four_term(lambda w: epstein2(w, ctx), (2, 2, -9, 2), p),
+     _zero, "weight-2 Epstein sum rule", "lhs: Lambert route; rhs: 0"),
+    ("sr.ez3add.%(tag)s", "sum-rules", "4E(z+1/2,3)+4E(z,3)-33E(2z,3)+4E(4z,3) = 0",
+     lambda p, ctx: _four_term(lambda w: epstein3(w, ctx), (4, 4, -33, 4), p),
+     _zero, "weight-3 Epstein sum rule", "lhs: Eichler route; rhs: 0"),
+    ("sr.refl4.%(tag)s", "sum-rules",
+     "E4int(z) - z^2 E4int(-1/z) = -(z^4-5z^2+1)/(3z) - 30 zeta(3)(z^2-1)/(pi^3 i)",
+     lambda p, ctx: (eichler4(p.z(), 0, ctx)
+                     - p.z() ** 2 * eichler4(-1 / p.z(), 0, ctx)),
+     lambda p, ctx: (-(p.z() ** 4 - 5 * p.z() ** 2 + 1) / (3 * p.z())
+                     - 30 * const_zeta(3, ctx) * (p.z() ** 2 - 1)
+                     / (mp.pi ** 3 * _I())),
+     "weight-4 reflection", "lhs: Lambert series; rhs: zeta(3)"),
+    ("sr.refl6.%(tag)s", "sum-rules",
+     "E6int(z) - z^4 E6int(-1/z) = -(z^2+1)(2z^4-9z^2+2)/(10z) - 189 zeta(5)(z^4-1)/(pi^5 i)",
+     lambda p, ctx: (eichler6(p.z(), 0, ctx)
+                     - p.z() ** 4 * eichler6(-1 / p.z(), 0, ctx)),
+     lambda p, ctx: (-(p.z() ** 2 + 1) * (2 * p.z() ** 4 - 9 * p.z() ** 2 + 2)
+                     / (10 * p.z())
+                     - 189 * const_zeta(5, ctx) * (p.z() ** 4 - 1)
+                     / (mp.pi ** 5 * _I())),
+     "weight-6 reflection", "lhs: Lambert series; rhs: zeta(5)"),
+    ("sr.refl4pp.%(tag)s", "sum-rules",
+     "differentiated reflection: E4''(z) - E4''(-1/z)/z^2 - 2E4(-1/z) - 2E4'(-1/z)/z "
+     "= -2/(3z^3) - 2z - 60 zeta(3)/(pi^3 i)",
+     lambda p, ctx: (eichler4(p.z(), 2, ctx)
+                     - eichler4(-1 / p.z(), 2, ctx) / p.z() ** 2
+                     - 2 * eichler4(-1 / p.z(), 0, ctx)
+                     - 2 * eichler4(-1 / p.z(), 1, ctx) / p.z()),
+     lambda p, ctx: (-2 / (3 * p.z() ** 3) - 2 * p.z()
+                     - 60 * const_zeta(3, ctx) / (mp.pi ** 3 * _I())),
+     "differentiated reflection", "lhs: Lambert series; rhs: zeta(3)"),
+    ("sr.lam.%(tag)s", "sum-rules", "alpha4(z) + alpha4(-1/(4z)) = 1",
+     lambda p, ctx: alpha4(p.z(), ctx) + alpha4(-1 / (4 * p.z()), ctx),
+     lambda p, ctx: mpf(1), "lambda reflection", "lhs: eta quotients; rhs: 1"),
+    ("sr.inv2.%(tag)s", "sum-rules", "E(z,2) = E(-1/z,2)",
+     lambda p, ctx: epstein2(p.z(), ctx), lambda p, ctx: epstein2(-1 / p.z(), ctx),
+     "modular inversion", "both sides: Lambert route at unrelated nomes"),
+    ("sr.inv3.%(tag)s", "sum-rules", "E(z,3) = E(-1/z,3)",
+     lambda p, ctx: epstein3(p.z(), ctx), lambda p, ctx: epstein3(-1 / p.z(), ctx),
+     "modular inversion", "both sides: Eichler route at unrelated nomes"),
+    ("sr.zk.%(tag)s", "sum-rules", "z = i K(sqrt(1-lambda(z)))/K(sqrt(lambda(z)))",
+     lambda p, ctx: p.z(),
+     lambda p, ctx: (_I() * ell_k(1 - lambda_fn(p.z(), ctx), ctx)
+                     / ell_k(lambda_fn(p.z(), ctx), ctx)),
+     "nome-period relation", "lhs: input; rhs: AGM over eta quotients"),
+    ("sr.e2per.%(tag)s", "sum-rules", "E2(z+1) = E2(z) (completed weight-2 series)",
+     lambda p, ctx: eisenstein(p.z() + 1, 2, ctx), lambda p, ctx: eisenstein(p.z(), 2, ctx),
+     "periodicity", "both sides: q-series at shifted nomes"),
+    ("sr.ezflr.%(tag)s", "sum-rules",
+     "[4E(z,2)-E(2z,2)]/60 = 21 zeta(3)/(8 pi^3 y) + odd Lambert sums",
+     lambda p, ctx: (4 * epstein2(p.z(), ctx) - epstein2(2 * p.z(), ctx)) / 60,
+     lambda p, ctx: (21 * const_zeta(3, ctx) / (8 * mp.pi ** 3 * mp.im(p.z()))
+                     + 6 / (mp.pi ** 3 * mp.im(p.z()))
+                     * mp.re(hyp_lambert(2 * p.z(), HypKernel("EXPM1", "ODD", 3), ctx))
+                     + 3 / mp.pi ** 2
+                     * mp.re(hyp_lambert(p.z(), HypKernel("SINH_SQ", "ODD", 2), ctx))),
+     "odd-index Lambert decomposition", "lhs: Lambert E route; rhs: hyperbolic sums + zeta(3)"),
+)
+
+
+def _rama_eis(wgt, form, p, ctx):
+    """(2K(alpha4)/pi)^wgt form(alpha4) at z = p.z(): Ramanujan's E_wgt."""
+    a = alpha4(p.z(), ctx)
+    return (2 * ell_k(a, ctx) / mp.pi) ** wgt * form(a)
+
+
+# Ramanujan's Eisenstein parametrizations at the first seeded point; the 4z
+# row of E6 carries a minus on the alpha^2/32 term (verified by an
+# exact-rational fit of E6(4z)/P^6 and by the weight-6 sum rule).
+_EIS = "Eisenstein tables"
+_EIS_NOTE = "lhs: q-series; rhs: K(AGM) polynomial in alpha4"
+_RAMA_EIS = (
+    ("sr.rama-eis.E4.1z", "sum-rules", "E4(1z) Ramanujan parametrization in alpha4 and K",
+     lambda p, ctx: eisenstein(1 * p.z(), 4, ctx),
+     lambda p, ctx: _rama_eis(4, lambda a: 1 + 14 * a + a ** 2, p, ctx), _EIS, _EIS_NOTE),
+    ("sr.rama-eis.E4.2z", "sum-rules", "E4(2z) Ramanujan parametrization in alpha4 and K",
+     lambda p, ctx: eisenstein(2 * p.z(), 4, ctx),
+     lambda p, ctx: _rama_eis(4, lambda a: 1 - a + a ** 2, p, ctx), _EIS, _EIS_NOTE),
+    ("sr.rama-eis.E4.4z", "sum-rules", "E4(4z) Ramanujan parametrization in alpha4 and K",
+     lambda p, ctx: eisenstein(4 * p.z(), 4, ctx),
+     lambda p, ctx: _rama_eis(4, lambda a: 1 - a + a ** 2 / 16, p, ctx), _EIS, _EIS_NOTE),
+    ("sr.rama-eis.E6.1z", "sum-rules", "E6(1z) Ramanujan parametrization in alpha4 and K",
+     lambda p, ctx: eisenstein(1 * p.z(), 6, ctx),
+     lambda p, ctx: _rama_eis(6, lambda a: (1 + a) * (1 - 34 * a + a ** 2), p, ctx),
+     _EIS, _EIS_NOTE),
+    ("sr.rama-eis.E6.2z", "sum-rules", "E6(2z) Ramanujan parametrization in alpha4 and K",
+     lambda p, ctx: eisenstein(2 * p.z(), 6, ctx),
+     lambda p, ctx: _rama_eis(6, lambda a: (1 + a) * (1 - a / 2) * (1 - 2 * a), p, ctx),
+     _EIS, _EIS_NOTE),
+    ("sr.rama-eis.E6.4z", "sum-rules", "E6(4z) Ramanujan parametrization in alpha4 and K",
+     lambda p, ctx: eisenstein(4 * p.z(), 6, ctx),
+     lambda p, ctx: _rama_eis(6, lambda a: (1 - a / 2) * (1 - a - a ** 2 / 32), p, ctx),
+     _EIS, _EIS_NOTE),
+)
+
+# The eta-quotient and Lambert forms of E4 and E6 at the second seeded point.
+_ETA_FORMS = (
+    ("sr.e4etaform", "sum-rules", "E4 eta-quotient form equals its Lambert form",
+     lambda p, ctx: eisenstein_eta_form(p.z(), 4, ctx), lambda p, ctx: eisenstein(p.z(), 4, ctx),
+     "two faces of the weight-4 series", "lhs: eta quotients; rhs: Lambert sum"),
+    ("sr.e6etaform", "sum-rules", "E6 eta-quotient form equals its Lambert form",
+     lambda p, ctx: eisenstein_eta_form(p.z(), 6, ctx), lambda p, ctx: eisenstein(p.z(), 6, ctx),
+     "two faces of the weight-6 series", "lhs: eta quotients; rhs: Lambert sum"),
+)
+
+
+def _gz_sqrt7(s, ctx):
+    """E(sqrt7 i, s) as a Glasser-Zucker product of zeta and L-values."""
+    zs = const_zeta(2 * s, ctx)
+    return (mp.sqrt(7) ** s / zs
+            * (1 - mpf(1) / 2 ** (s - 1) + mpf(1) / 2 ** (2 * s - 1))
+            * const_zeta(s, ctx) * dirichlet_l(-7, s, ctx))
+
+
+def _gz_2sqrt7(s, ctx):
+    """E(2 sqrt7 i, s) as a Glasser-Zucker product of zeta and L-values."""
+    zs = const_zeta(2 * s, ctx)
+    bracket = (1 - mpf(1) / 2 ** (s - 1) + mpf(3) / 2 ** (2 * s)
+               - mpf(1) / 2 ** (3 * s - 2) + mpf(1) / 2 ** (4 * s - 2))
+    return ((2 * mp.sqrt(7)) ** s / (2 * zs)
+            * (bracket * const_zeta(s, ctx) * dirichlet_l(-7, s, ctx)
+               + dirichlet_l(-4, s, ctx) * dirichlet_l(28, s, ctx)))
+
+
+_GZ = (
+    ("gz.sqrt7.s2", "epstein-gz", "E(sqrt7 i, 2) Glasser-Zucker product",
+     lambda p, ctx: epstein2(mp.sqrt(7) * _I(), ctx), lambda p, ctx: _gz_sqrt7(2, ctx),
+     "binary quadratic form (1,0,7)", "lhs: Lambert route; rhs: L-product"),
+    ("gz.sqrt7.s3", "epstein-gz", "E(sqrt7 i, 3) Glasser-Zucker product",
+     lambda p, ctx: epstein3(mp.sqrt(7) * _I(), ctx), lambda p, ctx: _gz_sqrt7(3, ctx),
+     "binary quadratic form (1,0,7)", "lhs: Eichler route; rhs: L-product"),
+    ("gz.2sqrt7.s2", "epstein-gz", "E(2 sqrt7 i, 2) Glasser-Zucker product",
+     lambda p, ctx: epstein2(2 * mp.sqrt(7) * _I(), ctx), lambda p, ctx: _gz_2sqrt7(2, ctx),
+     "binary quadratic form (1,0,28)", "lhs: Lambert route; rhs: L-product"),
+    ("gz.2sqrt7.s3", "epstein-gz", "E(2 sqrt7 i, 3) Glasser-Zucker product",
+     lambda p, ctx: epstein3(2 * mp.sqrt(7) * _I(), ctx), lambda p, ctx: _gz_2sqrt7(3, ctx),
+     "binary quadratic form (1,0,28)", "lhs: Eichler route; rhs: L-product"),
+    ("gz.i.s2", "epstein-gz", "E(i,2) = 30 G / pi^2",
+     lambda p, ctx: epstein2(_I(), ctx), lambda p, ctx: 30 * const_catalan(ctx) / mp.pi ** 2,
+     "square lattice value", "lhs: Lambert route; rhs: Catalan constant"),
+    ("gz.ihalf.s2", "epstein-gz", "E(i/2,2) = 105 G / (2 pi^2)",
+     lambda p, ctx: epstein2(_I() / 2, ctx),
+     lambda p, ctx: 105 * const_catalan(ctx) / (2 * mp.pi ** 2),
+     "doubled square lattice", "lhs: Lambert route; rhs: Catalan constant"),
+    ("gz.2i.s2", "epstein-gz", "E(2i,2) = E(i/2,2)",
+     lambda p, ctx: epstein2(2 * _I(), ctx), lambda p, ctx: epstein2(_I() / 2, ctx),
+     "inversion pair", "both sides: Lambert route at unrelated nomes"),
+)
+
+_W_MIX1 = WeightSpec.combo({"H3_2K": 1, "H3_K": Fraction(-1, 8),
+                            "H2_2K_TIMES_DH1": Fraction(-3, 2),
+                            "H2_K_TIMES_DH1": Fraction(3, 8)})
+
+
+def _t_series(w, p, ctx):
+    """sum C(2k,k)^3 w(k) (t(1-t)/16)^k at the parameter t of p."""
+    t = mpf(p.t)
+    return binom3_series(t * (1 - t) / 16, LinearFactor(0, 1), w, ctx)
+
+
+def _mix1_rhs(p, ctx):
+    t = mpf(p.t)
+    zt3 = const_zeta(3, ctx)
+    pk = 2 * ell_k(t, ctx) / mp.pi
+    pb = 2 * ell_k_comp(t, ctx) / mp.pi
+    d = legendre_dnu2(t, ctx)
+    db = legendre_dnu2(1 - t, ctx)
+    return (28 * zt3 * pk ** 2 - mp.pi * pb * d - mp.pi * pk * db
+            - pk * (mp.pi ** 3 * pb + 2 * d * mp.log(t * (1 - t) / 16)))
+
+
+# The integral representations and the mixed-weight identity at each t.
+_VOP = "variation-of-parameters representation"
+_VOP_NOTE = "lhs: tanh-sinh over K-products; rhs: harmonic series"
+_LEMMA = (
+    ("lem.nu2.%(tag)s", "lemma-oracles", "NU2 integral representation vs series at t=%(t)s",
+     lambda p, ctx: lemma_integral("NU2", mpf(p.t), ctx),
+     lambda p, ctx: _t_series(W_H2_DIFF, p, ctx), _VOP, _VOP_NOTE),
+    ("lem.eps2.%(tag)s", "lemma-oracles", "EPS2 integral representation vs series at t=%(t)s",
+     lambda p, ctx: lemma_integral("EPS2", mpf(p.t), ctx),
+     lambda p, ctx: _t_series(W_H2_PLAIN, p, ctx), _VOP, _VOP_NOTE),
+    ("lem.h3int1.%(tag)s", "lemma-oracles", "H3INT1 integral representation vs series at t=%(t)s",
+     lambda p, ctx: lemma_integral("H3INT1", mpf(p.t), ctx),
+     lambda p, ctx: _t_series(W_H3_DIFF, p, ctx), _VOP, _VOP_NOTE),
+    ("lem.h3int2.%(tag)s", "lemma-oracles", "H3INT2 integral representation vs series at t=%(t)s",
+     lambda p, ctx: lemma_integral("H3INT2", mpf(p.t), ctx),
+     lambda p, ctx: _t_series(W_H3_PLAIN, p, ctx), _VOP, _VOP_NOTE),
+    ("lem.h3mix1.%(tag)s", "lemma-oracles",
+     "mixed-weight identity (H3 with H2*(H_{2k}-H_k)) at t=%(t)s",
+     lambda p, ctx: 32 * _t_series(_W_MIX1, p, ctx), _mix1_rhs,
+     "mixed harmonic weights", "lhs: series; rhs: Legendre deformations and zeta(3)"),
+)
+_LEMMA_T = (_Point("t01", t="0.1"), _Point("t03", t="0.3"))
+
+
+def _mix2_lhs(p, ctx):
+    t = mpc("0.3", "0.05")
+    return 4 * binom3_series(t * (1 - t) / 16, LinearFactor(0, 1),
+                             WeightSpec.combo({"H3MIX": 1}), ctx)
+
+
+def _mix2_rhs(p, ctx):
+    t = mpc("0.3", "0.05")
+    zt3 = const_zeta(3, ctx)
+    big_t = 1 / (4 * t * (1 - t))
+    sig = _I() * mp.sign(mp.im(big_t))
+    sq_mt = mp.sqrt(-big_t)
+    sq_1t = mp.sqrt(1 - big_t)
+    pp = 2 * ell_k((1 - sq_1t) / 2, ctx) / mp.pi
+    pm = 2 * ell_k((1 + sq_1t) / 2, ctx) / mp.pi
+    dp = legendre_dnu2((1 - sq_1t) / 2, ctx)
+    dm = legendre_dnu2((1 + sq_1t) / 2, ctx)
+    lg = mp.log(-64 * big_t)
+    return (h3mix2_tail_integral(t, ctx)
+            + sq_mt * pp * pm / 3 * (mp.pi ** 3 - sig * (mp.pi ** 2 * lg - 12 * zt3))
+            + 2 * sq_mt / 3 * (pp ** 2 - pm ** 2) * (mp.pi ** 2 * lg - 3 * zt3)
+            - 2 * mp.pi ** 3 * sq_mt / 3 * sig * pp ** 2
+            + sq_mt * (pp * (mp.pi - sig * lg) - pm * lg) * dm
+            + sq_mt * (pm * (mp.pi - sig * lg) + pp * (lg + 2 * mp.pi * sig)) * dp)
+
+
+_H3MIX2 = (
+    ("lem.h3mix2", "lemma-oracles", "complex-rate mixed-weight identity at t=0.3+0.05i",
+     _mix2_lhs, _mix2_rhs, "reciprocal-argument representation",
+     "lhs: series; rhs: tail integral + Legendre deformations"),
+)
+
+
+def _sq_ratio(w, p, ctx):
+    """sum C(2k,k)^2 w(k) (alpha4/16)^k over the same sum with w = 1, at p.z()."""
+    a4 = alpha4(p.z(), ctx)
+    den = binom2_series(a4 / 16, W_ONE, ctx)
+    return binom2_series(a4 / 16, w, ctx) / den
+
+
+# The squared-binomial analogues and their Eichler bridges at each sec4 point.
+_SEC4 = (
+    ("s4.lr1sqr.%(tag)s", "sec4", "squared-binomial ratio (H2 diff) = odd cosh^-2 Lambert sum",
+     lambda p, ctx: _sq_ratio(W_H2_DIFF, p, ctx),
+     lambda p, ctx: hyp_lambert(p.z(), HypKernel("COSH_SQ", "ODD", 2), ctx),
+     "squared-binomial analogue (first)", "lhs: series ratio; rhs: hyperbolic sum"),
+    ("s4.lr2sqr.%(tag)s", "sec4",
+     "squared-binomial ratio (H2 plain) = cosh^-1/cosh^-2 Lambert sums",
+     lambda p, ctx: _sq_ratio(W_H2_PLAIN, p, ctx),
+     lambda p, ctx: (2 * hyp_lambert(p.z(), HypKernel("COSH_1", "ALL", 2), ctx)
+                     - hyp_lambert(p.z(), HypKernel("COSH_SQ", "ALL", 2), ctx)),
+     "squared-binomial analogue (second)", "lhs: series ratio; rhs: hyperbolic sums"),
+    ("s4.e4dp.odd.%(tag)s", "sec4", "odd cosh^-2 sum = pi^2[4 E4int'(z+1/2) - E4int'(2z)]/120",
+     lambda p, ctx: hyp_lambert(p.z(), HypKernel("COSH_SQ", "ODD", 2), ctx),
+     lambda p, ctx: (mp.pi ** 2 * (4 * eichler4(p.z() + mpf(1) / 2, 1, ctx)
+                                   - eichler4(2 * p.z(), 1, ctx)) / 120),
+     "first-derivative bridge", "lhs: hyperbolic sum; rhs: Eichler derivatives"),
+    ("s4.e4dp.all.%(tag)s", "sec4", "cosh^-2 sum = pi^2[4 E4int'(4z) - E4int'(2z)]/30",
+     lambda p, ctx: hyp_lambert(p.z(), HypKernel("COSH_SQ", "ALL", 2), ctx),
+     lambda p, ctx: (mp.pi ** 2 * (4 * eichler4(4 * p.z(), 1, ctx)
+                                   - eichler4(2 * p.z(), 1, ctx)) / 30),
+     "first-derivative bridge (even index)", "lhs: hyperbolic sum; rhs: Eichler derivatives"),
+)
+_SEC4_Z = (_at("z0", "0", "0.8"), _at("z1", "0", "1.1"), _at("z2", "0.5", "0.9"))
+
+
+def _invsqr_rhs(p, ctx):
+    t = mpf(p.t)
+    kt = ell_k(t, ctx)
+    zq = _I() * ell_k_comp(t, ctx) / (2 * kt)
+    return (32 * mp.sqrt(t) * kt / mp.pi
+            * hyp_lambert(zq, HypKernel("HALF_ODD_COSH", "ODD", 2), ctx).real)
+
+
+_INVSQR = (
+    ("s4.invsqr.%(tag)s", "sec4", "inverse-square binomial sum vs half-odd nome sum at t=%(t)s",
+     lambda p, ctx: inv_binom2_series(mpf(p.t), ctx), _invsqr_rhs,
+     "elliptic-logarithm form", "lhs: direct series; rhs: K-ratio nome sum"),
+)
+_INVSQR_T = (_Point("t025", t="0.25"), _Point("t05", t="0.5"), _Point("t009", t="0.09"))
+
+
+def _rn_rhs(p, ctx):
+    z = mpc(0, p.im)
+    g = const_catalan(ctx)
+    inner = hyp_lambert(-1 / (2 * z), HypKernel("EXPM1_ALT", "ODD", 2), ctx)
+    return (mp.pi ** 2 * (1 - 6 * z ** 2) / 6 - 8 * z * g / _I()
+            - 16 * z / _I() * inner).real
+
+
+def _rnp_rhs(p, ctx):
+    q = mp.exp(-mp.pi * mpf(p.im))
+    return ((8 * eli(0, 2, 1, _I(), q, ctx)
+             + 2 * eli(0, 2, 1, 1, q ** 2, ctx)
+             - eli(0, 2, 1, 1, q ** 4, ctx)) / (8 * _I()))
+
+
+# Ramanujan's notebook sums on the imaginary axis, z = i Im z.
+_RN = (
+    ("s4.rn2p277.%(tag)s", "sec4", "notebook cosh^-1 sum identity at z=%(im)si",
+     lambda p, ctx: hyp_lambert(mpc(0, p.im), HypKernel("COSH_1", "ALL", 2), ctx).real,
+     _rn_rhs, "second-notebook entry",
+     "lhs: hyperbolic sum; rhs: Catalan + alternating sum at -1/(2z)"),
+)
+_RN_Y = (_Point("y06", im="0.6"), _Point("y10", im="1.0"), _Point("y14", im="1.4"))
+_RNP = (
+    ("s4.rn2p277p.%(tag)s", "sec4",
+     "alternating odd Lambert sum as elliptic polylogarithms, q=e^-%(im)spi",
+     lambda p, ctx: hyp_lambert(mpc(0, p.im), HypKernel("EXPM1_ALT", "ODD", 2), ctx),
+     _rnp_rhs, "elliptic polylogarithm form", "lhs: hyperbolic sum; rhs: ELi evaluator"),
+)
+_RNP_Y = (_Point("epi", im="1.0"), _Point("e2pi", im="2.0"), _Point("epihalf", im="0.5"))
+
+_SEC4_INTEGRALS = (
+    ("s4.zeta5int", "sec4", "zeta(5) from the K^4 integral",
+     lambda p, ctx: zeta5_integral(ctx).converged_value(), lambda p, ctx: const_zeta(5, ctx),
+     "weight-5 integral identity", "lhs: tanh-sinh; rhs: Euler-Maclaurin zeta"),
+    ("s4.zeta7int", "sec4", "zeta(7) from the K^6 integral",
+     lambda p, ctx: zeta7_integral(ctx).converged_value(), lambda p, ctx: const_zeta(7, ctx),
+     "weight-7 integral identity", "lhs: tanh-sinh; rhs: Euler-Maclaurin zeta"),
+    ("s4.lm44int", "sec4", "L_{-4}(4) from the K^6 ratio integral",
+     lambda p, ctx: lminus4_4_integral(ctx).converged_value(),
+     lambda p, ctx: dirichlet_l(-4, 4, ctx),
+     "weight-4 L-value integral", "lhs: tanh-sinh; rhs: Hurwitz decomposition"),
+)
+
+# The two identities of each main theorem at non-special points.
+_THM = "main theorems at a non-special point"
+_THM_NOTE = "lhs: harmonic series at the modular rate; rhs: Epstein/Eichler assembly"
+_THEOREMS = (
+    ("thm.q1.%(tag)s", "theorems-random", "q identity 1 at z = %(re)s + %(im)s i",
+     lambda p, ctx: q_ratios(p.z(), ctx)["q1_lhs"],
+     lambda p, ctx: q_ratios(p.z(), ctx)["q1_rhs"], _THM, _THM_NOTE),
+    ("thm.q2.%(tag)s", "theorems-random", "q identity 2 at z = %(re)s + %(im)s i",
+     lambda p, ctx: q_ratios(p.z(), ctx)["q2_lhs"],
+     lambda p, ctx: q_ratios(p.z(), ctx)["q2_rhs"], _THM, _THM_NOTE),
+    ("thm.r1.%(tag)s", "theorems-random", "r identity 1 at z = %(re)s + %(im)s i",
+     lambda p, ctx: r_linear(p.z(), ctx)["r1_lhs"],
+     lambda p, ctx: r_linear(p.z(), ctx)["r1_rhs"], _THM, _THM_NOTE),
+    ("thm.r2.%(tag)s", "theorems-random", "r identity 2 at z = %(re)s + %(im)s i",
+     lambda p, ctx: r_linear(p.z(), ctx)["r2_lhs"],
+     lambda p, ctx: r_linear(p.z(), ctx)["r2_rhs"], _THM, _THM_NOTE),
+    ("thm.hq1.%(tag)s", "theorems-random", "hq identity 1 at z = %(re)s + %(im)s i",
+     lambda p, ctx: h3_ratios(p.z(), ctx)["lhs1"],
+     lambda p, ctx: h3_ratios(p.z(), ctx)["rhs1"], _THM, _THM_NOTE),
+    ("thm.hq2.%(tag)s", "theorems-random", "hq identity 2 at z = %(re)s + %(im)s i",
+     lambda p, ctx: h3_ratios(p.z(), ctx)["lhs2"],
+     lambda p, ctx: h3_ratios(p.z(), ctx)["rhs2"], _THM, _THM_NOTE),
+    ("thm.hr1.%(tag)s", "theorems-random", "hr identity 1 at z = %(re)s + %(im)s i",
+     lambda p, ctx: h3_linear(p.z(), ctx)["lhs1"],
+     lambda p, ctx: h3_linear(p.z(), ctx)["rhs1"], _THM, _THM_NOTE),
+    ("thm.hr2.%(tag)s", "theorems-random", "hr identity 2 at z = %(re)s + %(im)s i",
+     lambda p, ctx: h3_linear(p.z(), ctx)["lhs2"],
+     lambda p, ctx: h3_linear(p.z(), ctx)["rhs2"], _THM, _THM_NOTE),
+)
+_THM_Z = (_at("0_105", "0", "1.05"), _at("0_13", "0", "1.3"), _at("0_20", "0", "2.0"),
+          _at("05_075", "0.5", "0.75"),
+          _at("05_1sqrt2", "0.5", "1/sqrt2", _Z["1/2 + i/sqrt2"]), _at("05_14", "0.5", "1.4"))
 
 
 def build_registry(seed: int = DEFAULT_SEED) -> list:
-    rec = []
-
-    def add(id_, suite, desc, lhs, rhs, anchor="", note=""):
-        rec.append(IdentityRecord(id_, suite, desc, lhs, rhs, anchor, note))
-
-    # --- ramanujan-classical, h2-variants, sun-h2, h3: the rate series rows ---
-    for id_, suite, desc, rate, terms, rhs, anchor, note in _SERIES:
-        add(id_, suite, desc, _series_lhs(rate, terms), rhs, anchor, note)
-
-    # ------ table-h2, table-h3 and the point-driven eichler-special/gz cells ------
-    for p in _POINTS:
-        fields = p._asdict()
-        for id_, suite, desc, lhs, form, anchor, note in _CELLS:
-            add(id_ % fields, suite, desc % fields,
-                lambda ctx, lhs=lhs, p=p: lhs(p, ctx), p.forms[form], anchor, note)
-        add("gz.comb.%s" % p.tag, "epstein-gz",
-            "E(4z,2)-E(z,2) = E(z+1/2,2) - (9/2)E(2z,2) + 2E(4z,2) at the tabulated z",
-            (lambda ctx, zb=p.z: epstein2(4 * zb(), ctx) - epstein2(zb(), ctx)),
-            (lambda ctx, zb=p.z: (epstein2(zb() + mpf(1) / 2, ctx)
-                                  - mpf(9) / 2 * epstein2(2 * zb(), ctx)
-                                  + 2 * epstein2(4 * zb(), ctx))),
-            "sum-rule rearrangement", "both sides: Lambert route")
-
-    # ---------------- eichler-special ----------------
-    for id_, desc, terms, rhs, anchor, note in _EICHLER:
-        add(id_, "eichler-special", desc, _eichler_lhs(terms), rhs, anchor, note)
-
-    def closing_lhs(ctx):
-        w = WeightSpec.combo({"H3_2K": 1, "H3_K": Fraction(-7, 64)})
-        num, den = binom3_sums(mpf(1) / 256, [(LinearFactor(0, 1), w),
-                                              (LinearFactor(0, 1), W_ONE)], ctx)
-        return num / den
-
-    def closing_rhs(ctx):
-        # E4int at sqrt3 i/2 and at 2 sqrt3 i (= 4z for the row's z)
-        return (mp.pi ** 3 / (32 * mp.sqrt(3)) - 7 * const_zeta(3, ctx) / 16
-                - mp.pi ** 3 * _I() * (4 * eichler4(_Z["sqrt3 i/2"](), 0, ctx)
-                                       - eichler4(4 * _Z["sqrt3 i/2"](), 0, ctx)) / 960)
-    add("es.h3ratio.256", "eichler-special",
-        "rate-256 H3 ratio = pi^3/(32 sqrt3) - 7 zeta(3)/16 - pi^3 i[4 E4int(sqrt3 i/2) - E4int(2 sqrt3 i)]/960",
-        closing_lhs, closing_rhs, "closing remark of the weight-6 section",
-        "lhs: series ratio; rhs: Eichler route with zeta(3)")
-
-    # ---------------- sum-rules (seeded random z) ----------------
-    pts = _seeded_points(seed, 3)
-    for i, pt in enumerate(pts):
-        zi = lambda pt=pt: _mk_z(pt)
-        tagz = "z%d" % i
-
-        for name, desc, f, coeffs, anchor, note in (
-            ("sumE4", "E4(z+1/2)+E4(z)-18E4(2z)+16E4(4z) = 0 at z=%s+%si" % pt,
-             lambda w, ctx: eisenstein(w, 4, ctx), (1, 1, -18, 16),
-             "weight-4 sum rule", "lhs: q-series; rhs: 0"),
-            ("sumE6", "E6(z+1/2)+E6(z)-66E6(2z)+64E6(4z) = 0 at z=%s+%si" % pt,
-             lambda w, ctx: eisenstein(w, 6, ctx), (1, 1, -66, 64),
-             "weight-6 sum rule", "lhs: q-series; rhs: 0"),
-            ("sumEich4", "4E4int(z+1/2)+4E4int(z)-9E4int(2z)+E4int(4z) = 0",
-             lambda w, ctx: eichler4(w, 0, ctx), (4, 4, -9, 1),
-             "Eichler sum rule", "lhs: Lambert series; rhs: 0"),
-            ("sumEich6", "16E6int(z+1/2)+16E6int(z)-33E6int(2z)+E6int(4z) = 0",
-             lambda w, ctx: eichler6(w, 0, ctx), (16, 16, -33, 1),
-             "Eichler sum rule", "lhs: Lambert series; rhs: 0"),
-            ("sumEich4pp", "E4int''(z+1/2)+E4int''(z)-9E4int''(2z)+4E4int''(4z) = 0",
-             lambda w, ctx: eichler4(w, 2, ctx), (1, 1, -9, 4),
-             "second-derivative sum rule", "lhs: Lambert series; rhs: 0"),
-            ("ez2add", "2E(z+1/2,2)+2E(z,2)-9E(2z,2)+2E(4z,2) = 0",
-             epstein2, (2, 2, -9, 2),
-             "weight-2 Epstein sum rule", "lhs: Lambert route; rhs: 0"),
-            ("ez3add", "4E(z+1/2,3)+4E(z,3)-33E(2z,3)+4E(4z,3) = 0",
-             epstein3, (4, 4, -33, 4),
-             "weight-3 Epstein sum rule", "lhs: Eichler route; rhs: 0"),
-        ):
-            add("sr.%s.%s" % (name, tagz), "sum-rules", desc,
-                _four_term(f, coeffs, zi), _zero, anchor, note)
-        add("sr.refl4.%s" % tagz, "sum-rules",
-            "E4int(z) - z^2 E4int(-1/z) = -(z^4-5z^2+1)/(3z) - 30 zeta(3)(z^2-1)/(pi^3 i)",
-            (lambda ctx, zi=zi: (eichler4(zi(), 0, ctx)
-                                 - zi() ** 2 * eichler4(-1 / zi(), 0, ctx))),
-            (lambda ctx, zi=zi: (-(zi() ** 4 - 5 * zi() ** 2 + 1) / (3 * zi())
-                                 - 30 * const_zeta(3, ctx) * (zi() ** 2 - 1)
-                                 / (mp.pi ** 3 * _I()))),
-            "weight-4 reflection", "lhs: Lambert series; rhs: zeta(3)")
-        add("sr.refl6.%s" % tagz, "sum-rules",
-            "E6int(z) - z^4 E6int(-1/z) = -(z^2+1)(2z^4-9z^2+2)/(10z) - 189 zeta(5)(z^4-1)/(pi^5 i)",
-            (lambda ctx, zi=zi: (eichler6(zi(), 0, ctx)
-                                 - zi() ** 4 * eichler6(-1 / zi(), 0, ctx))),
-            (lambda ctx, zi=zi: (-(zi() ** 2 + 1) * (2 * zi() ** 4 - 9 * zi() ** 2 + 2)
-                                 / (10 * zi())
-                                 - 189 * const_zeta(5, ctx) * (zi() ** 4 - 1)
-                                 / (mp.pi ** 5 * _I()))),
-            "weight-6 reflection", "lhs: Lambert series; rhs: zeta(5)")
-        add("sr.refl4pp.%s" % tagz, "sum-rules",
-            "differentiated reflection: E4''(z) - E4''(-1/z)/z^2 - 2E4(-1/z) - 2E4'(-1/z)/z "
-            "= -2/(3z^3) - 2z - 60 zeta(3)/(pi^3 i)",
-            (lambda ctx, zi=zi: (eichler4(zi(), 2, ctx)
-                                 - eichler4(-1 / zi(), 2, ctx) / zi() ** 2
-                                 - 2 * eichler4(-1 / zi(), 0, ctx)
-                                 - 2 * eichler4(-1 / zi(), 1, ctx) / zi())),
-            (lambda ctx, zi=zi: (-2 / (3 * zi() ** 3) - 2 * zi()
-                                 - 60 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()))),
-            "differentiated reflection", "lhs: Lambert series; rhs: zeta(3)")
-        add("sr.lam.%s" % tagz, "sum-rules",
-            "alpha4(z) + alpha4(-1/(4z)) = 1",
-            (lambda ctx, zi=zi: (alpha4(zi(), ctx)
-                                 + alpha4(-1 / (4 * zi()), ctx))),
-            lambda ctx: mpf(1), "lambda reflection", "lhs: eta quotients; rhs: 1")
-        add("sr.inv2.%s" % tagz, "sum-rules",
-            "E(z,2) = E(-1/z,2)",
-            (lambda ctx, zi=zi: epstein2(zi(), ctx)),
-            (lambda ctx, zi=zi: epstein2(-1 / zi(), ctx)),
-            "modular inversion", "both sides: Lambert route at unrelated nomes")
-        add("sr.inv3.%s" % tagz, "sum-rules",
-            "E(z,3) = E(-1/z,3)",
-            (lambda ctx, zi=zi: epstein3(zi(), ctx)),
-            (lambda ctx, zi=zi: epstein3(-1 / zi(), ctx)),
-            "modular inversion", "both sides: Eichler route at unrelated nomes")
-        add("sr.zk.%s" % tagz, "sum-rules",
-            "z = i K(sqrt(1-lambda(z)))/K(sqrt(lambda(z)))",
-            (lambda ctx, zi=zi: zi()),
-            (lambda ctx, zi=zi: (_I() * ell_k(1 - lambda_fn(zi(), ctx), ctx)
-                                 / ell_k(lambda_fn(zi(), ctx), ctx))),
-            "nome-period relation", "lhs: input; rhs: AGM over eta quotients")
-        add("sr.e2per.%s" % tagz, "sum-rules",
-            "E2(z+1) = E2(z) (completed weight-2 series)",
-            (lambda ctx, zi=zi: eisenstein(zi() + 1, 2, ctx)),
-            (lambda ctx, zi=zi: eisenstein(zi(), 2, ctx)),
-            "periodicity", "both sides: q-series at shifted nomes")
-        add("sr.ezflr.%s" % tagz, "sum-rules",
-            "[4E(z,2)-E(2z,2)]/60 = 21 zeta(3)/(8 pi^3 y) + odd Lambert sums",
-            (lambda ctx, zi=zi: ((4 * epstein2(zi(), ctx)
-                                  - epstein2(2 * zi(), ctx)) / 60)),
-            (lambda ctx, zi=zi: (21 * const_zeta(3, ctx) / (8 * mp.pi ** 3 * mp.im(zi()))
-                                 + 6 / (mp.pi ** 3 * mp.im(zi()))
-                                 * mp.re(hyp_lambert(2 * zi(), HypKernel("EXPM1", "ODD", 3), ctx))
-                                 + 3 / mp.pi ** 2
-                                 * mp.re(hyp_lambert(zi(), HypKernel("SINH_SQ", "ODD", 2), ctx)))),
-            "odd-index Lambert decomposition",
-            "lhs: Lambert E route; rhs: hyperbolic sums + zeta(3)")
-
-    # Ramanujan Eisenstein parametrizations at one seeded point
-    zp = lambda: _mk_z(pts[0])  # noqa: E731
-    for wgt, mults, forms in (
-        (4, (1, 2, 4), (lambda a: 1 + 14 * a + a ** 2,
-                        lambda a: 1 - a + a ** 2,
-                        lambda a: 1 - a + a ** 2 / 16)),
-        # the 4z row carries a minus on the alpha^2/32 term (verified by an
-        # exact-rational fit of E6(4z)/P^6 and by the weight-6 sum rule)
-        (6, (1, 2, 4), (lambda a: (1 + a) * (1 - 34 * a + a ** 2),
-                        lambda a: (1 + a) * (1 - a / 2) * (1 - 2 * a),
-                        lambda a: (1 - a / 2) * (1 - a - a ** 2 / 32))),
-    ):
-        for m, form in zip(mults, forms):
-            def lhs_e(ctx, wgt=wgt, m=m):
-                return eisenstein(m * zp(), wgt, ctx)
-
-            def rhs_e(ctx, wgt=wgt, form=form):
-                a = alpha4(zp(), ctx)
-                p = 2 * ell_k(a, ctx) / mp.pi
-                return p ** wgt * form(a)
-            add("sr.rama-eis.E%d.%dz" % (wgt, m), "sum-rules",
-                "E%d(%dz) Ramanujan parametrization in alpha4 and K" % (wgt, m),
-                lhs_e, rhs_e, "Eisenstein tables",
-                "lhs: q-series; rhs: K(AGM) polynomial in alpha4")
-
-    # eta-quotient vs Lambert Eisenstein forms
-    add("sr.e4etaform", "sum-rules",
-        "E4 eta-quotient form equals its Lambert form",
-        lambda ctx: eisenstein_eta_form(_mk_z(pts[1]), 4, ctx),
-        lambda ctx: eisenstein(_mk_z(pts[1]), 4, ctx),
-        "two faces of the weight-4 series",
-        "lhs: eta quotients; rhs: Lambert sum")
-    add("sr.e6etaform", "sum-rules",
-        "E6 eta-quotient form equals its Lambert form",
-        lambda ctx: eisenstein_eta_form(_mk_z(pts[1]), 6, ctx),
-        lambda ctx: eisenstein(_mk_z(pts[1]), 6, ctx),
-        "two faces of the weight-6 series",
-        "lhs: eta quotients; rhs: Lambert sum")
-
-    # ---------------- epstein-gz ----------------
-    def gz_sqrt7(s):
-        def rhs(ctx):
-            zs = const_zeta(2 * s, ctx)
-            return (mp.sqrt(7) ** s / zs
-                    * (1 - mpf(1) / 2 ** (s - 1) + mpf(1) / 2 ** (2 * s - 1))
-                    * const_zeta(s, ctx) * dirichlet_l(-7, s, ctx))
-        return rhs
-
-    def gz_2sqrt7(s):
-        def rhs(ctx):
-            zs = const_zeta(2 * s, ctx)
-            bracket = (1 - mpf(1) / 2 ** (s - 1) + mpf(3) / 2 ** (2 * s)
-                       - mpf(1) / 2 ** (3 * s - 2) + mpf(1) / 2 ** (4 * s - 2))
-            return ((2 * mp.sqrt(7)) ** s / (2 * zs)
-                    * (bracket * const_zeta(s, ctx) * dirichlet_l(-7, s, ctx)
-                       + dirichlet_l(-4, s, ctx) * dirichlet_l(28, s, ctx)))
-        return rhs
-
-    add("gz.sqrt7.s2", "epstein-gz", "E(sqrt7 i, 2) Glasser-Zucker product",
-        lambda ctx: epstein2(mp.sqrt(7) * _I(), ctx), gz_sqrt7(2),
-        "binary quadratic form (1,0,7)", "lhs: Lambert route; rhs: L-product")
-    add("gz.sqrt7.s3", "epstein-gz", "E(sqrt7 i, 3) Glasser-Zucker product",
-        lambda ctx: epstein3(mp.sqrt(7) * _I(), ctx), gz_sqrt7(3),
-        "binary quadratic form (1,0,7)", "lhs: Eichler route; rhs: L-product")
-    add("gz.2sqrt7.s2", "epstein-gz", "E(2 sqrt7 i, 2) Glasser-Zucker product",
-        lambda ctx: epstein2(2 * mp.sqrt(7) * _I(), ctx), gz_2sqrt7(2),
-        "binary quadratic form (1,0,28)", "lhs: Lambert route; rhs: L-product")
-    add("gz.2sqrt7.s3", "epstein-gz", "E(2 sqrt7 i, 3) Glasser-Zucker product",
-        lambda ctx: epstein3(2 * mp.sqrt(7) * _I(), ctx), gz_2sqrt7(3),
-        "binary quadratic form (1,0,28)", "lhs: Eichler route; rhs: L-product")
-    add("gz.i.s2", "epstein-gz", "E(i,2) = 30 G / pi^2",
-        lambda ctx: epstein2(_I(), ctx),
-        lambda ctx: 30 * const_catalan(ctx) / mp.pi ** 2,
-        "square lattice value", "lhs: Lambert route; rhs: Catalan constant")
-    add("gz.ihalf.s2", "epstein-gz", "E(i/2,2) = 105 G / (2 pi^2)",
-        lambda ctx: epstein2(_I() / 2, ctx),
-        lambda ctx: 105 * const_catalan(ctx) / (2 * mp.pi ** 2),
-        "doubled square lattice", "lhs: Lambert route; rhs: Catalan constant")
-    add("gz.2i.s2", "epstein-gz", "E(2i,2) = E(i/2,2)",
-        lambda ctx: epstein2(2 * _I(), ctx),
-        lambda ctx: epstein2(_I() / 2, ctx),
-        "inversion pair", "both sides: Lambert route at unrelated nomes")
-    # ---------------- lemma-oracles ----------------
-    for name, w in (("NU2", W_H2_DIFF), ("EPS2", W_H2_PLAIN),
-                    ("H3INT1", W_H3_DIFF), ("H3INT2", W_H3_PLAIN)):
-        for tv in ("0.1", "0.3"):
-            add("lem.%s.t%s" % (name.lower(), tv.replace(".", "")),
-                "lemma-oracles",
-                "%s integral representation vs series at t=%s" % (name, tv),
-                (lambda ctx, name=name, tv=tv: lemma_integral(name, mpf(tv), ctx)),
-                (lambda ctx, w=w, tv=tv: binom3_series(
-                    mpf(tv) * (1 - mpf(tv)) / 16, LinearFactor(0, 1), w, ctx)),
-                "variation-of-parameters representation",
-                "lhs: tanh-sinh over K-products; rhs: harmonic series")
-
-    w_mix1 = WeightSpec.combo({"H3_2K": 1, "H3_K": Fraction(-1, 8),
-                               "H2_2K_TIMES_DH1": Fraction(-3, 2),
-                               "H2_K_TIMES_DH1": Fraction(3, 8)})
-
-    def mix1_lhs(tv):
-        def lhs(ctx):
-            t = mpf(tv)
-            return 32 * binom3_series(t * (1 - t) / 16, LinearFactor(0, 1),
-                                      w_mix1, ctx)
-        return lhs
-
-    def mix1_rhs(tv):
-        def rhs(ctx):
-            t = mpf(tv)
-            zt3 = const_zeta(3, ctx)
-            p = 2 * ell_k(t, ctx) / mp.pi
-            pb = 2 * ell_k_comp(t, ctx) / mp.pi
-            d = legendre_dnu2(t, ctx)
-            db = legendre_dnu2(1 - t, ctx)
-            return (28 * zt3 * p ** 2 - mp.pi * pb * d - mp.pi * p * db
-                    - p * (mp.pi ** 3 * pb + 2 * d * mp.log(t * (1 - t) / 16)))
-        return rhs
-    for tv in ("0.1", "0.3"):
-        add("lem.h3mix1.t%s" % tv.replace(".", ""), "lemma-oracles",
-            "mixed-weight identity (H3 with H2*(H_{2k}-H_k)) at t=%s" % tv,
-            mix1_lhs(tv), mix1_rhs(tv),
-            "mixed harmonic weights",
-            "lhs: series; rhs: Legendre deformations and zeta(3)")
-
-    def mix2_lhs(ctx):
-        t = mpc("0.3", "0.05")
-        return 4 * binom3_series(t * (1 - t) / 16, LinearFactor(0, 1),
-                                 WeightSpec.combo({"H3MIX": 1}), ctx)
-
-    def mix2_rhs(ctx):
-        t = mpc("0.3", "0.05")
-        zt3 = const_zeta(3, ctx)
-        big_t = 1 / (4 * t * (1 - t))
-        sig = _I() * mp.sign(mp.im(big_t))
-        sq_mt = mp.sqrt(-big_t)
-        sq_1t = mp.sqrt(1 - big_t)
-        pp = 2 * ell_k((1 - sq_1t) / 2, ctx) / mp.pi
-        pm = 2 * ell_k((1 + sq_1t) / 2, ctx) / mp.pi
-        dp = legendre_dnu2((1 - sq_1t) / 2, ctx)
-        dm = legendre_dnu2((1 + sq_1t) / 2, ctx)
-        lg = mp.log(-64 * big_t)
-        return (h3mix2_tail_integral(t, ctx)
-                + sq_mt * pp * pm / 3 * (mp.pi ** 3 - sig * (mp.pi ** 2 * lg - 12 * zt3))
-                + 2 * sq_mt / 3 * (pp ** 2 - pm ** 2) * (mp.pi ** 2 * lg - 3 * zt3)
-                - 2 * mp.pi ** 3 * sq_mt / 3 * sig * pp ** 2
-                + sq_mt * (pp * (mp.pi - sig * lg) - pm * lg) * dm
-                + sq_mt * (pm * (mp.pi - sig * lg) + pp * (lg + 2 * mp.pi * sig)) * dp)
-    add("lem.h3mix2", "lemma-oracles",
-        "complex-rate mixed-weight identity at t=0.3+0.05i",
-        mix2_lhs, mix2_rhs, "reciprocal-argument representation",
-        "lhs: series; rhs: tail integral + Legendre deformations")
-
-    # ---------------- sec4 ----------------
-    sec4_pts = [("0", "0.8"), ("0", "1.1"), ("0.5", "0.9")]
-    for i, pt in enumerate(sec4_pts):
-        zi = lambda pt=pt: _mk_z(pt)
-        tagz = "z%d" % i
-
-        def sq_env(ctx, zi=zi):
-            a4 = alpha4(zi(), ctx)
-            den = binom2_series(a4 / 16, W_ONE, ctx)
-            return a4, den
-
-        add("s4.lr1sqr.%s" % tagz, "sec4",
-            "squared-binomial ratio (H2 diff) = odd cosh^-2 Lambert sum",
-            (lambda ctx, sq_env=sq_env: (lambda ad: binom2_series(
-                ad[0] / 16, W_H2_DIFF, ctx) / ad[1])(sq_env(ctx))),
-            (lambda ctx, zi=zi: hyp_lambert(zi(), HypKernel("COSH_SQ", "ODD", 2), ctx)),
-            "squared-binomial analogue (first)",
-            "lhs: series ratio; rhs: hyperbolic sum")
-        add("s4.lr2sqr.%s" % tagz, "sec4",
-            "squared-binomial ratio (H2 plain) = cosh^-1/cosh^-2 Lambert sums",
-            (lambda ctx, sq_env=sq_env: (lambda ad: binom2_series(
-                ad[0] / 16, W_H2_PLAIN, ctx) / ad[1])(sq_env(ctx))),
-            (lambda ctx, zi=zi: (2 * hyp_lambert(zi(), HypKernel("COSH_1", "ALL", 2), ctx)
-                                 - hyp_lambert(zi(), HypKernel("COSH_SQ", "ALL", 2), ctx))),
-            "squared-binomial analogue (second)",
-            "lhs: series ratio; rhs: hyperbolic sums")
-        add("s4.e4dp.odd.%s" % tagz, "sec4",
-            "odd cosh^-2 sum = pi^2[4 E4int'(z+1/2) - E4int'(2z)]/120",
-            (lambda ctx, zi=zi: hyp_lambert(zi(), HypKernel("COSH_SQ", "ODD", 2), ctx)),
-            (lambda ctx, zi=zi: (mp.pi ** 2 * (4 * eichler4(zi() + mpf(1) / 2, 1, ctx)
-                                               - eichler4(2 * zi(), 1, ctx)) / 120)),
-            "first-derivative bridge",
-            "lhs: hyperbolic sum; rhs: Eichler derivatives")
-        add("s4.e4dp.all.%s" % tagz, "sec4",
-            "cosh^-2 sum = pi^2[4 E4int'(4z) - E4int'(2z)]/30",
-            (lambda ctx, zi=zi: hyp_lambert(zi(), HypKernel("COSH_SQ", "ALL", 2), ctx)),
-            (lambda ctx, zi=zi: (mp.pi ** 2 * (4 * eichler4(4 * zi(), 1, ctx)
-                                               - eichler4(2 * zi(), 1, ctx)) / 30)),
-            "first-derivative bridge (even index)",
-            "lhs: hyperbolic sum; rhs: Eichler derivatives")
-
-    for tv in ("0.25", "0.5", "0.09"):
-        def inv_lhs(ctx, tv=tv):
-            return inv_binom2_series(mpf(tv), ctx)
-
-        def inv_rhs(ctx, tv=tv):
-            t = mpf(tv)
-            kt = ell_k(t, ctx)
-            zq = _I() * ell_k_comp(t, ctx) / (2 * kt)
-            return (32 * mp.sqrt(t) * kt / mp.pi
-                    * hyp_lambert(zq, HypKernel("HALF_ODD_COSH", "ODD", 2), ctx).real)
-        add("s4.invsqr.t%s" % tv.replace(".", ""), "sec4",
-            "inverse-square binomial sum vs half-odd nome sum at t=%s" % tv,
-            inv_lhs, inv_rhs, "elliptic-logarithm form",
-            "lhs: direct series; rhs: K-ratio nome sum")
-
-    for yv in ("0.6", "1.0", "1.4"):
-        def rn_lhs(ctx, yv=yv):
-            return hyp_lambert(mpc(0, yv), HypKernel("COSH_1", "ALL", 2), ctx).real
-
-        def rn_rhs(ctx, yv=yv):
-            z = mpc(0, yv)
-            g = const_catalan(ctx)
-            inner = hyp_lambert(-1 / (2 * z), HypKernel("EXPM1_ALT", "ODD", 2), ctx)
-            return (mp.pi ** 2 * (1 - 6 * z ** 2) / 6 - 8 * z * g / _I()
-                    - 16 * z / _I() * inner).real
-        add("s4.rn2p277.y%s" % yv.replace(".", ""), "sec4",
-            "notebook cosh^-1 sum identity at z=%si" % yv,
-            rn_lhs, rn_rhs, "second-notebook entry",
-            "lhs: hyperbolic sum; rhs: Catalan + alternating sum at -1/(2z)")
-
-    for tag, zv in (("epi", "1.0"), ("e2pi", "2.0"), ("epihalf", "0.5")):
-        def rnp_lhs(ctx, zv=zv):
-            return hyp_lambert(mpc(0, zv), HypKernel("EXPM1_ALT", "ODD", 2), ctx)
-
-        def rnp_rhs(ctx, zv=zv):
-            q = mp.exp(-mp.pi * mpf(zv))
-            return ((8 * eli(0, 2, 1, _I(), q, ctx)
-                     + 2 * eli(0, 2, 1, 1, q ** 2, ctx)
-                     - eli(0, 2, 1, 1, q ** 4, ctx)) / (8 * _I()))
-        add("s4.rn2p277p.%s" % tag, "sec4",
-            "alternating odd Lambert sum as elliptic polylogarithms, q=e^-%spi" % zv,
-            rnp_lhs, rnp_rhs, "elliptic polylogarithm form",
-            "lhs: hyperbolic sum; rhs: ELi evaluator")
-
-    add("s4.zeta5int", "sec4", "zeta(5) from the K^4 integral",
-        lambda ctx: zeta5_integral(ctx).converged_value(),
-        lambda ctx: const_zeta(5, ctx),
-        "weight-5 integral identity", "lhs: tanh-sinh; rhs: Euler-Maclaurin zeta")
-    add("s4.zeta7int", "sec4", "zeta(7) from the K^6 integral",
-        lambda ctx: zeta7_integral(ctx).converged_value(),
-        lambda ctx: const_zeta(7, ctx),
-        "weight-7 integral identity", "lhs: tanh-sinh; rhs: Euler-Maclaurin zeta")
-    add("s4.lm44int", "sec4", "L_{-4}(4) from the K^6 ratio integral",
-        lambda ctx: lminus4_4_integral(ctx).converged_value(),
-        lambda ctx: dirichlet_l(-4, 4, ctx),
-        "weight-4 L-value integral", "lhs: tanh-sinh; rhs: Hurwitz decomposition")
-
-    # ---------------- theorems-random ----------------
-    thm_pts = [("0", "1.05"), ("0", "1.3"), ("0", "2.0"),
-               ("0.5", "0.75"), ("0.5", "1/sqrt2"), ("0.5", "1.4")]
-
-    def thm_z(pt):
-        re, im = pt
-        if im == "1/sqrt2":
-            return mpf(re) + _I() / mp.sqrt(2)
-        return _mk_z(pt)
-
-    for pt in thm_pts:
-        tagz = ("%s_%s" % pt).replace(".", "").replace("/", "")
-        for name, op, k1, k2 in (("q", q_ratios, ("q1_lhs", "q1_rhs"), ("q2_lhs", "q2_rhs")),
-                                 ("r", r_linear, ("r1_lhs", "r1_rhs"), ("r2_lhs", "r2_rhs")),
-                                 ("hq", h3_ratios, ("lhs1", "rhs1"), ("lhs2", "rhs2")),
-                                 ("hr", h3_linear, ("lhs1", "rhs1"), ("lhs2", "rhs2"))):
-            for j, keys in ((1, k1), (2, k2)):
-                def lhs_t(ctx, op=op, keys=keys, pt=pt):
-                    return op(thm_z(pt), ctx)[keys[0]]
-
-                def rhs_t(ctx, op=op, keys=keys, pt=pt):
-                    return op(thm_z(pt), ctx)[keys[1]]
-                add("thm.%s%d.%s" % (name, j, tagz), "theorems-random",
-                    "%s identity %d at z = %s + %s i" % (name, j, pt[0], pt[1]),
-                    lhs_t, rhs_t, "main theorems at a non-special point",
-                    "lhs: harmonic series at the modular rate; "
-                    "rhs: Epstein/Eichler assembly")
-
-    return rec
+    """Every record: each row table crossed with its points, in table order."""
+    z = _seeded_points(seed, 3)
+    return [_record(row, p) for rows, points in (
+        (_SERIES, _ONCE), (_CELLS, _POINTS), (_EICHLER, _ONCE), (_SUM_RULES, z),
+        (_RAMA_EIS, z[:1]), (_ETA_FORMS, z[1:2]), (_GZ, _ONCE), (_LEMMA, _LEMMA_T),
+        (_H3MIX2, _ONCE), (_SEC4, _SEC4_Z), (_INVSQR, _INVSQR_T), (_RN, _RN_Y),
+        (_RNP, _RNP_Y), (_SEC4_INTEGRALS, _ONCE), (_THEOREMS, _THM_Z),
+    ) for p in points for row in rows]

@@ -9,13 +9,12 @@ from mpmath import mpf
 from modzeta import (DomainError, PrecisionCtx, bernoulli, const_catalan,
                      const_pi, const_zeta, dirichlet_l)
 from modzeta import mpcore
-from modzeta.mpcore import const_euler_gamma, hurwitz_zeta_raw
+from modzeta.mpcore import hurwitz_zeta_raw
 
 # 30-digit published value of pi (cross-check for the backend constant)
 PI_30 = "3.14159265358979323846264338328"
-# Catalan / Euler-Mascheroni reference prefixes (20 digits)
+# Catalan reference prefix (20 digits)
 G_20 = "0.91596559417721901505"
-GAMMA_20 = "0.57721566490153286061"
 # zeta(3) by direct summation with an Euler-Maclaurin tail (frozen oracle)
 ZETA3_20 = "1.2020569031595942854"
 
@@ -84,14 +83,6 @@ def test_catalan():
         assert abs(const_catalan(ctx) - partial) < mpf(1) / (2 * n) ** 2
 
 
-def test_euler_gamma():
-    ctx = PrecisionCtx(30)
-    with ctx.working():
-        g = const_euler_gamma(ctx)
-        assert close(g, mpf(GAMMA_20), -19)
-        assert close(mp.log(mp.exp(g)), g, -(ctx.workdps - 2))
-
-
 @pytest.mark.parametrize("n,expect", [
     (0, Fraction(1)),
     (2, Fraction(1, 6)),
@@ -140,8 +131,7 @@ def test_hurwitz_engine_meets_working_precision(dps, monkeypatch):
     assert sum(key[0] is table for key in mpcore._memo) == 5
 
 
-@pytest.mark.parametrize("op", [const_pi, const_catalan, const_euler_gamma,
-                                lambda c: const_zeta(3, c)])
+@pytest.mark.parametrize("op", [const_pi, const_catalan, lambda c: const_zeta(3, c)])
 def test_precision_monotonicity(op):
     # the 40-digit result truncated to 20 digits equals the 20-digit result
     lo, hi = PrecisionCtx(20, 5), PrecisionCtx(40, 5)

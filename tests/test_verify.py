@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+import types
 
 import mpmath as mp
 import pytest
@@ -189,10 +190,12 @@ def test_h3int2_residuals_stay_below_working_precision():
             assert mpf(row["abs_residual"]) < mpf(10) ** -(digits + 14), (digits, rid, row)
 
 
-def test_registry_rows_read_the_evaluators_at_run_time(monkeypatch, ctx30):
-    # the row tables look binom3_sums, eichler4 and eichler6 up when a record
-    # is evaluated, so a rebound module attribute sees every call; a rate
-    # series row makes exactly one walk
+def test_registry_rows_read_the_evaluators_at_run_time(monkeypatch):
+    # every row side names its evaluators as module globals, so rebinding them
+    # after get_records has cached the registry (as a tracer does) sees every
+    # call: each lhs reaches a wrapper, except sr.zk's, which is the input z;
+    # a rate series row makes exactly one walk
+    recs = get_records("all")
     seen = []
 
     def counting(name, real):
@@ -200,18 +203,30 @@ def test_registry_rows_read_the_evaluators_at_run_time(monkeypatch, ctx30):
             seen.append(name)
             return real(*args, **kwargs)
         return wrapper
-    for name in ("binom3_sums", "eichler4", "eichler6"):
+    evaluators = [name for name, fn in vars(registry).items()
+                  if isinstance(fn, types.FunctionType) and fn.__module__ != registry.__name__
+                  and fn.__module__.startswith("modzeta.")]
+    assert {"binom3_sums", "eichler4", "epstein2", "q_ratios", "_h3_epstein"} <= set(evaluators)
+    for name in evaluators:
         monkeypatch.setattr(registry, name, counting(name, getattr(registry, name)))
-    reached = {"eichler4": set(), "eichler6": set()}
-    for suite in ("h3", "sun-h2", "eichler-special"):
-        for rec in get_records(suite):
+    ctx = PrecisionCtx(20)
+    unreached = []
+    with ctx.working():
+        for rec in recs:
             seen.clear()
-            assert runner._evaluate(rec, ctx30)["pass"], rec.id
-            if suite != "eichler-special":
-                assert seen == ["binom3_sums"], rec.id
-            for name in reached:
-                if name in seen:
-                    reached[name].add(rec.id)
+            rec.lhs(ctx)
+            if not seen:
+                unreached.append(rec.id)
+            if rec.suite in ("ramanujan-classical", "h2-variants", "sun-h2", "h3"):
+                assert seen.count("binom3_sums") == 1, rec.id
+    assert unreached == ["sr.zk.z0", "sr.zk.z1", "sr.zk.z2"]
+    reached = {"eichler4": set(), "eichler6": set()}
+    for rec in get_records("eichler-special"):
+        seen.clear()
+        assert runner._evaluate(rec, ctx)["pass"], rec.id
+        for name in reached:
+            if name in seen:
+                reached[name].add(rec.id)
     ids = [r.id for r in get_records("eichler-special")]
     assert reached["eichler4"] == {i for i in ids if i.startswith("es.e4")} | {"es.h3ratio.256"}
     assert reached["eichler6"] == {i for i in ids if i.startswith(("es.e6.", "es.p33."))}
