@@ -1,4 +1,4 @@
-"""Layer benchmark of the hot kernels: the walks, the AGM, tanh-sinh and Hurwitz zeta.
+"""Layer benchmark of the hot kernels: the walks, the AGM, tanh-sinh, Hurwitz zeta and the q-series.
 
 Times ``modzeta.series._binom_sums``, ``modzeta.modular._nome_chains``
 (bypassing its memo) and ``modzeta.series.ell_k`` / ``ell_k_comp`` on fixed
@@ -15,11 +15,19 @@ functions, as the L_{-4}(4) integral), and the upward ray of
 L_{-4}(4)) and the NU2 and H3INT2 lemma integrals at t = 0.1, with the
 tanh-sinh nodes built beforehand.  The ``hurwitz`` layer calls
 ``arith.hurwitz_zeta`` at the (s, a) pairs of the L-values and zeta values
-that a 100-digit pass of every suite but lemma-oracles reads.
+that a 100-digit pass of every suite but lemma-oracles reads.  The
+``eta`` layer calls ``modular.eta`` at z/2, z and 2z of the theorem points;
+the ``hyp_lambert`` and ``eli`` layers call ``series.hyp_lambert`` and
+``series.eli`` with the arguments of the sec4 records: the four Lambert
+sums of the squared-binomial analogues at 0.8i, 1.1i and 0.5 + 0.9i, the
+half-odd nome sums of the inverse-square records at t = 0.25, 0.5, 0.09,
+and the notebook entries rn2p277 (z = iy and -1/(2z), y = 0.6, 1.0, 1.4)
+and rn2p277p (the alternating odd sum and the three ELi values at
+q = e^(-pi y), y = 1, 2, 0.5).
 
     python3 scripts/bench_walks.py                          # this checkout
     python3 scripts/bench_walks.py --root PATH              # another checkout
-    python3 scripts/bench_walks.py --baseline PATH > BENCH_quad.json
+    python3 scripts/bench_walks.py --baseline PATH > BENCH_qseries.json
 
 ``--root`` imports modzeta from ``PATH/src``, so a parent tree can be
 measured with this script.  With ``--baseline`` the script runs ROUNDS
@@ -145,7 +153,38 @@ def _hurwitz_calls(ctx):
     return calls
 
 
-LAYERS = ("binom_sums", "nome_chains", "agm", "quad", "hurwitz")
+def _qseries_calls(ctx):
+    """(eta calls, hyp_lambert calls, eli calls) at one precision, as (function,
+    arguments) pairs."""
+    from mpmath import mpc, mpf
+    import mpmath as mp
+    from modzeta.modular import eta
+    from modzeta.series import HypKernel, ell_k, ell_k_comp, eli, hyp_lambert
+
+    i = mpc(0, 1)
+    with ctx.working():
+        etas = [(eta, (mpc(re, im) * f, ctx)) for re, im in POINTS
+                for f in (mpf(1) / 2, 1, 2)]
+        hyp = [(hyp_lambert, (mpc(re, im), HypKernel(kind, parity, 2), ctx))
+               for re, im in (("0", "0.8"), ("0", "1.1"), ("0.5", "0.9"))
+               for kind, parity in (("COSH_SQ", "ODD"), ("COSH_1", "ALL"), ("COSH_SQ", "ALL"))]
+        for t in (mpf("0.25"), mpf("0.5"), mpf("0.09")):
+            zq = i * ell_k_comp(t, ctx) / (2 * ell_k(t, ctx))
+            hyp.append((hyp_lambert, (zq, HypKernel("HALF_ODD_COSH", "ODD", 2), ctx)))
+        for y in ("0.6", "1.0", "1.4"):
+            z = mpc(0, y)
+            hyp += [(hyp_lambert, (z, HypKernel("COSH_1", "ALL", 2), ctx)),
+                    (hyp_lambert, (-1 / (2 * z), HypKernel("EXPM1_ALT", "ODD", 2), ctx))]
+        elis = []
+        for y in ("1.0", "2.0", "0.5"):
+            hyp.append((hyp_lambert, (mpc(0, y), HypKernel("EXPM1_ALT", "ODD", 2), ctx)))
+            q = mp.exp(-mp.pi * mpf(y))
+            elis += [(eli, (0, 2, 1, i, q, ctx)), (eli, (0, 2, 1, 1, q ** 2, ctx)),
+                     (eli, (0, 2, 1, 1, q ** 4, ctx))]
+    return etas, hyp, elis
+
+
+LAYERS = ("binom_sums", "nome_chains", "agm", "quad", "hurwitz", "eta", "hyp_lambert", "eli")
 
 
 def measure() -> dict:
@@ -154,7 +193,8 @@ def measure() -> dict:
     for digits in DIGITS:
         ctx = PrecisionCtx(digits)
         calls = dict(zip(LAYERS, _walk_calls(ctx) + (_agm_calls(ctx), _quad_calls(ctx),
-                                                     _hurwitz_calls(ctx))))
+                                                     _hurwitz_calls(ctx))
+                         + _qseries_calls(ctx)))
         row = {}
         for name in LAYERS:
             t0 = time.perf_counter()

@@ -39,7 +39,6 @@ __all__ = [
     "dirichlet_l",
     "epstein2",
     "epstein3",
-    "epstein3_imag_residue",
     "epstein_lattice",
     "hurwitz_zeta",
     "kronecker",
@@ -139,13 +138,20 @@ def epstein2(z, ctx: PrecisionCtx) -> mpf:
     the memoized walk at the nome of z that ``eichler4`` shares.
     """
     z = _as_z(z, ctx)
-    chains = _nome_chains(z, ctx)
-    s3, s2 = chains[4, 0], chains[4, 1]
+    lam3, lam2 = _epstein2_lambert(z, ctx)
     with ctx.working():
         y = mp.im(z)
-        val = (y ** 2 + 45 * const_zeta(3, ctx) / (mp.pi ** 3 * y)
-               + 90 * mp.re(s3) / (mp.pi ** 3 * y) + 180 * mp.re(s2) / mp.pi ** 2)
+        val = y ** 2 + 45 * const_zeta(3, ctx) / (mp.pi ** 3 * y) + lam3 + lam2
         return ensure_finite(val)
+
+
+def _epstein2_lambert(z, ctx: PrecisionCtx) -> tuple:
+    """The two Lambert terms of E(z,2), the part without y^2 and zeta(3)."""
+    z = _as_z(z, ctx)
+    chains = _nome_chains(z, ctx)
+    with ctx.working():
+        return (90 * mp.re(chains[4, 0]) / (mp.pi ** 3 * mp.im(z)),
+                180 * mp.re(chains[4, 1]) / mp.pi ** 2)
 
 
 def _epstein3_braced(z, ctx: PrecisionCtx) -> mpc:
@@ -161,8 +167,7 @@ def epstein3(z, ctx: PrecisionCtx) -> mpf:
 
     E(z,3) = y^3 + 2835 zeta(5)/(8 pi^5 y^2) - (15/(8 y^2)) Re{braced},
     where braced = i*E6int(z) + E6int'(z)*y - i*E6int''(z)*y^2/3.  The real
-    part is exact for 2*Re z integral; elsewhere it is still E(z,3) (the
-    imaginary residue of the braced term is available separately).
+    part is exact for 2*Re z integral; elsewhere it is still E(z,3).
     """
     z = _as_z(z, ctx)
     with ctx.working():
@@ -170,13 +175,6 @@ def epstein3(z, ctx: PrecisionCtx) -> mpf:
         val = (y ** 3 + 2835 * const_zeta(5, ctx) / (8 * mp.pi ** 5 * y ** 2)
                - 15 * mp.re(_epstein3_braced(z, ctx)) / (8 * y ** 2))
         return ensure_finite(val)
-
-
-def epstein3_imag_residue(z, ctx: PrecisionCtx) -> mpf:
-    """Imaginary part of the braced term in epstein3 (diagnostic; 0 iff 2*Re z in Z)."""
-    z = _as_z(z, ctx)
-    with ctx.working():
-        return mp.im(_epstein3_braced(z, ctx))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,10 @@ Lambert nome walk shared with the Eichler integrals.
 Conventions: the nome is q = exp(2*pi*i*z) with Im z > 0, so |q| < 1.  All
 q-series are truncated at an index N with a certified polynomial-geometric
 tail bound below the working threshold; N therefore grows as Im z shrinks.
-The eta product and the nome walk keep their certified tail bounds down to
-Im z = 0.03 (about 550 eta factors at 65-digit precision); below that both
-raise DomainError, since no modular transformations are applied to rescue
-convergence.
+Eta's pentagonal series and the nome walk keep their certified tail bounds
+down to Im z = 0.03 (23 pentagonal indices at 65-digit precision, 550 nome
+walk steps); below that both raise DomainError, since no modular
+transformations are applied to rescue convergence.
 
 A point is any complex-like value; every function takes it through
 ``_as_z``, which converts it at working precision and rejects Im z <= 0.
@@ -25,17 +25,18 @@ amplification (``_nome_guard``): the E6 chain multiplies the rounding of
 u/(1-u) by n^5 over up to N terms, and K_3 carries r^4.  The stop rules
 read only |q| and n: each Eisenstein chain's polynomial-geometric bound and
 the one Eichler bound, each checked in floats in log2 form at every n.
+``eta`` sums Euler's pentagonal series on the same integer pairs.
 """
 
 from __future__ import annotations
 
-from math import log2
+from math import ceil, exp, expm1, isqrt, log, log2, pi
 
 import mpmath as mp
 from mpmath import mpc, mpf
 
-from .mpcore import (DomainError, PrecisionCtx, _cmul, _dust_bits, _from_fixed,
-                     _memoized, _to_fixed, ensure_finite)
+from .mpcore import (DomainError, PrecisionCtx, _cinv, _cmul, _dust_bits,
+                     _from_fixed, _memoized, _to_fixed, ensure_finite)
 
 __all__ = [
     "alpha4",
@@ -67,27 +68,68 @@ def _nome(z: mpc) -> mpc:
 # ---------------------------------------------------------------------------
 
 def eta(z, ctx: PrecisionCtx) -> mpc:
-    """Dedekind eta: exp(pi*i*z/12) * prod_{n>=1} (1 - q^n)."""
+    """Dedekind eta by Euler's pentagonal series, q^(1/24) sum_k (-1)^k q^(k(3k-1)/2).
+
+    The sum over k in Z is 1 + sum_{k>=1} (-1)^k q^P(k) (1 + q^k) with
+    P(k) = k(3k-1)/2.  P(k+1) = P(k) + 3k + 1, so index k takes its powers
+    from a running q^(3k+1) and a running q^k: four products of fixed-point
+    pairs (module docstring), the imaginary parts at the ``_dust_bits``
+    scale of q.
+
+    Tail bound: both terms of an index k > K are at most |q|^P(k), and
+    P(k) >= P(K+1) + k - K - 1, so the rest after index K is at most
+    2 |q|^P(K+1) / (1-|q|).  The sum is prod_n (1 - q^n), whose modulus is
+    at least exp(-(pi^2/6) |q|/(1-|q|)), since
+    -log prod_n (1 - x^n) = sum_m x^m / (m (1 - x^m)) <= sum_m x / (m^2 (1 - x)).
+    Writing c = (pi^2/6) |q| / ((1-|q|) ln 2) for the bits that bound takes,
+    the loop stops after the first K with
+    1 + P(K+1) log2|q| - log2(1-|q|) + c < log2 tiny, checked in floats, so
+    the sum is cut at a relative error below tiny.
+
+    Guard bits: the series' cancellation takes at most log2(2/(1-|q|)) + c
+    bits (the terms add up to at most 2/(1-|q|)), about 15 at Im z = 0.03.
+    Each index rounds each of the four running products once, and an error
+    in a power carries into the later ones, so the K indices leave at most
+    about K^2 units: wp carries that cancellation, 2 log2 K and 6 bits
+    beyond the working precision, K bounded from the stop rule through
+    P(K+1) >= 3 (K+1)^2 / 2.  The sum times q^(1/24) is rounded once, to
+    the working precision.
+    """
     z = _as_z(z, ctx)
     with ctx.working():
         if mp.im(z) < mpf("0.03"):
             raise DomainError("eta is out of contract for Im z < 0.03")
         q = _nome(z)
-        qa = abs(q)
-        tiny = ctx.tiny()
-        prod = mpc(1)
-        qn = mpc(1)
-        # |log(tail)| <= sum_{m>n} |q|^m/(1-|q|) = |q|^(n+1)/(1-|q|)^2, so the
-        # product stops once the running power |q|^(n+1) falls below stop
-        stop = tiny * (1 - qa) ** 2
-        qa_next = qa
+        # log2|q|, log2(1-|q|), c and log2 tiny in floats, from |q| = exp(-2 pi Im z)
+        x = 2 * pi * float(mp.im(z))
+        lq, l1q = -x / log(2), log2(-expm1(-x))
+        low = pi ** 2 / 6 * exp(-x) / (-expm1(-x) * log(2))
+        lim = -ctx.workdps * log2(10) - 1 + l1q - low  # stop once P(K+1) log2|q| < lim
+        k_end = isqrt(int(lim / lq) + 1) + 2  # P(K+1) >= 3 (K+1)^2 / 2
+        wp = mp.mp.prec + ceil(1 - l1q + low) + 2 * k_end.bit_length() + 6
+        s = _dust_bits(q, wp)
+        one = 1 << wp
+        qf = _to_fixed(q, wp, s)
+        q3 = _cmul(*_cmul(*qf, *qf, wp, s), *qf, wp, s)
+        lead, step, qk = (one, 0), qf, (one, 0)  # q^P(k), q^(3k+1), q^k at k = 0
+        sr, si = one, 0
+        k = 0
         while True:
-            qn *= q
-            prod *= 1 - qn
-            qa_next *= qa
-            if qa_next < stop:
+            k += 1
+            lead = _cmul(*lead, *step, wp, s)
+            step = _cmul(*step, *q3, wp, s)
+            qk = _cmul(*qk, *qf, wp, s)
+            tr, ti = _cmul(*lead, one + qk[0], qk[1], wp, s)
+            if k % 2:
+                sr, si = sr - tr, si - ti
+            else:
+                sr, si = sr + tr, si + ti
+            if (k + 1) * (3 * k + 2) // 2 * lq < lim:
                 break
-        return ensure_finite(mp.exp(mpc(0, 1) * mp.pi * z / 12) * prod)
+        pre = mp.exp(mpc(0, 1) * mp.pi * z / 12)  # q^(1/24)
+        with mp.workprec(wp):  # times the sum, rounded once to the working precision
+            val = pre * _from_fixed(sr, si, wp, s)
+        return ensure_finite(+val)
 
 
 def lambda_fn(z, ctx: PrecisionCtx) -> mpc:
@@ -158,10 +200,7 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx) -> dict:
         while eichler_live or eis:
             n += 1
             ur, ui = _cmul(ur, ui, qr, qi, wp, s)  # u = q^n
-            # r = 1/(1-u) = conj(1-u)/|1-u|^2, one integer division
-            dr, di = one - ur, -ui
-            inv = (1 << 3 * wp) // (dr * dr + (di * di >> 2 * s))
-            rr, ri = dr * inv >> wp, -di * inv >> wp
+            rr, ri = _cinv(one - ur, -ui, wp, s)  # r = 1/(1-u)
             k0r, k0i = _cmul(ur, ui, rr, ri, wp, s)  # u/(1-u)
             for key, p in list(eis.items()):
                 m = n ** p

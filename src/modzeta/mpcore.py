@@ -29,7 +29,6 @@ __all__ = [
     "const_zeta",
     "ensure_finite",
     "hurwitz_zeta_raw",
-    "tail_poly_geom",
 ]
 
 BERNOULLI_CAP = 512
@@ -90,18 +89,6 @@ def _real_or_complex(x):
     return mpc(x) if isinstance(x, (mpc, complex)) else mpf(x)
 
 
-def tail_poly_geom(xabs: mpf, n_last: int, deg: int) -> mpf:
-    """Safe overestimate of sum_{n>n_last} n^deg * xabs^n for 0 <= xabs < 1.
-
-    Uses n^deg <= (n_last+1)^deg * deg! * C(j+deg, deg) for n = n_last+1+j,
-    giving a closed geometric-series bound with a crude deg! <= 6^deg factor.
-    """
-    if xabs >= 1:
-        raise DomainError("tail bound requires |x| < 1")
-    bound = mpf(n_last + 1) ** deg * xabs ** (n_last + 1) / (1 - xabs) ** (deg + 1)
-    return bound * (6 ** deg if deg else 1)
-
-
 # ---------------------------------------------------------------------------
 # Fixed-point complex numbers
 # ---------------------------------------------------------------------------
@@ -145,6 +132,17 @@ def _cmul(ar: int, ai: int, br: int, bi: int, wp: int, s: int = 0) -> tuple:
     re, im = ar * br - (ai * bi >> 2 * s), ar * bi + ai * br
     return (re >> wp if re >= 0 else -(-re >> wp),
             im >> wp if im >= 0 else -(-im >> wp))
+
+
+def _cinv(re: int, im: int, wp: int, s: int = 0) -> tuple:
+    """1 / (re + i im) of a nonzero fixed-point pair, with one integer division.
+
+    conj(d) / |d|^2: the reciprocal of |d|^2 is taken once, at scale 2**wp,
+    and multiplies both parts, each floored; each part is off by a few units
+    of its scale, more as |d| shrinks.
+    """
+    inv = (1 << 3 * wp) // (re * re + (im * im >> 2 * s))
+    return re * inv >> wp, -im * inv >> wp
 
 
 # ---------------------------------------------------------------------------

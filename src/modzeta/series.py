@@ -40,6 +40,12 @@ in k from the rate and the weight envelopes, checked in floats at every k
 (``_binom_sums``).  The boundary path takes the first 1.4 digits + 20 steps
 on the real rate, converts each term to mpf once and hands the lists to CVZ.
 
+The hyperbolic Lambert sums (:func:`hyp_lambert`) and the elliptic
+polylogarithm (:func:`eli`) run on the same integer pairs: one integer
+division per term for a kernel's denominator, a floor division for each
+weight, and one stop rule each in log2 floats (their docstrings state the
+bounds and the guard bits).
+
 The complete elliptic integrals :func:`ell_k` and :func:`ell_k_comp`, which
 every quadrature integrand evaluates, share one fixed-point AGM kernel
 (``_agm_k``) for real and complex arguments alike: u = 1 - t or u = t goes
@@ -56,14 +62,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import hypot, inf, isqrt, log2
+from math import ceil, expm1, hypot, inf, isqrt, log, log2, pi
 
 import mpmath as mp
 from mpmath import mpc, mpf
 
 from .modular import _as_z
-from .mpcore import (DomainError, PrecisionCtx, _cmul, _dust_bits, _from_fixed,
-                     _real_or_complex, _to_fixed, const_zeta, ensure_finite)
+from .mpcore import (DomainError, PrecisionCtx, _cinv, _cmul, _dust_bits, _from_fixed,
+                     _real_or_complex, _to_fixed, ensure_finite)
 
 __all__ = [
     "HypKernel",
@@ -77,11 +83,9 @@ __all__ = [
     "ell_k",
     "ell_k_comp",
     "eli",
-    "gamma_one_plus",
     "hyp_lambert",
     "inv_binom2_series",
     "legendre_dnu2",
-    "legendre_p_def",
 ]
 
 
@@ -537,60 +541,6 @@ def ell_k_comp(t, ctx: PrecisionCtx):
 # Deformed Legendre functions
 # ---------------------------------------------------------------------------
 
-def gamma_one_plus(eps, ctx: PrecisionCtx) -> mpf:
-    """Gamma(1+eps) for |eps| < 1/2, via exp(-gamma0 eps + sum (-1)^k zeta(k) eps^k / k)."""
-    with ctx.working():
-        eps = mpf(eps) if mp.im(mpc(eps)) == 0 else mpc(eps)
-        if abs(eps) >= mpf(1) / 2:
-            raise DomainError("gamma_one_plus requires |eps| < 1/2")
-        if eps == 0:
-            return mpf(1)
-        tiny = ctx.tiny()
-        acc = -mp.euler * eps
-        ek = -eps  # tracks (-eps)^k, so (-1)^k eps^k comes out right
-        k = 1
-        while True:
-            k += 1
-            ek *= -eps
-            acc += const_zeta(k, ctx) * ek / k
-            if 2 * abs(ek) / (k * (1 - abs(eps))) < tiny:
-                break
-        return ensure_finite(mp.exp(acc))
-
-
-def legendre_p_def(nu, eps, t, ctx: PrecisionCtx) -> mpc:
-    """Associated Legendre P_nu^{-eps}(1-2t) for |eps| < 1/2.
-
-    (1/Gamma(1+eps)) * 2F1(-nu, 1+nu; 1+eps; t) * (t/(1-t))^(eps/2),
-    with the 2F1 summed directly (the lemmas' domain keeps |t| < 1).
-    """
-    with ctx.working():
-        nu = mpf(nu)
-        eps = mpf(eps)
-        t = mpc(t)
-        if abs(eps) >= mpf(1) / 2:
-            raise DomainError("legendre_p_def requires |eps| < 1/2")
-        if abs(t) >= mpf("0.999"):
-            raise DomainError("legendre_p_def: |t| too close to 1 for the series")
-        tiny = ctx.tiny()
-        acc = mpc(0)
-        c = mpc(1)
-        n = 0
-        ta = abs(t)
-        while True:
-            acc += c
-            c *= (-nu + n) * (1 + nu + n) / ((1 + eps + n) * (n + 1)) * t
-            n += 1
-            # successive ratio tends to |t| from (1 + O(1/n)) above
-            if n > 8 and 2 * abs(c) / (1 - min(ta * (1 + mpf(2) / n), mpf("0.9995"))) < tiny:
-                break
-        f21 = acc
-        if eps == 0:
-            return ensure_finite(f21)
-        pref = mp.power(t / (1 - t), eps / 2)
-        return ensure_finite(f21 * pref / gamma_one_plus(eps, ctx))
-
-
 def legendre_dnu2(t, ctx: PrecisionCtx) -> mpc:
     """d^2/dnu^2 P_nu(1-2t) at nu = -1/2, as its harmonic-weighted series.
 
@@ -606,14 +556,15 @@ def legendre_dnu2(t, ctx: PrecisionCtx) -> mpc:
 # Hyperbolic Lambert sums
 # ---------------------------------------------------------------------------
 
-# each kernel kind as a function of x = exp(-theta_n) and x2 = x^2
+# each kernel kind as (e, fa, fb, pb): with v = x^2 and d = 1 + e v, the
+# kernel at x = c u is c fa u/d + fb v/d^pb (x/(1-x) = (x + x^2)/(1 - x^2))
 _KERNELS = {
-    "EXPM1": lambda x, x2: x / (1 - x),
-    "EXPM1_ALT": lambda x, x2: x / (1 - x),
-    "COSH_SQ": lambda x, x2: 4 * x2 / (1 + x2) ** 2,
-    "SINH_SQ": lambda x, x2: 4 * x2 / (1 - x2) ** 2,
-    "COSH_1": lambda x, x2: 2 * x / (1 + x2),
-    "HALF_ODD_COSH": lambda x, x2: x / (1 + x2),
+    "EXPM1": (-1, 1, 1, 1),
+    "EXPM1_ALT": (-1, 1, 1, 1),
+    "COSH_SQ": (1, 0, 4, 2),
+    "SINH_SQ": (-1, 0, 4, 2),
+    "COSH_1": (1, 2, 0, 0),
+    "HALF_ODD_COSH": (1, 1, 0, 0),
 }
 
 
@@ -649,50 +600,86 @@ class HypKernel:
 def hyp_lambert(z, kernel: HypKernel, ctx: PrecisionCtx) -> mpc:
     """The designated hyperbolic sum at z, with a geometric tail certificate.
 
-    Stop rule: the n-th kernel argument is x_n = x step^j with |step| < 1.
-    For |x| < 0.6 each kernel is at most 13|x|, since |1 - x| > 0.4 and
-    |1 +- x^2| > 0.64; the worst, SINH_SQ, is below 4|x|^2/0.64^2 < 5.9|x|,
-    and 13 is kept so that no value moves.  The weights n^-a are at most 1,
-    so the rest of the sum after the term at x is at most
-    13|x||step|/(1 - |step|), and the loop stops once that is below tiny.
+    With step = exp(2 pi i z), the n-th kernel argument is x_n = c step^n:
+    c = 1 and n >= 1 for parity ALL, c = exp(pi i z) and n >= 0 for ODD.
+    Each kernel is c A(u, v) + B(v) in u = step^n and v = x_n^2
+    (``_KERNELS``), so the sums of A and B run over powers of step alone and
+    c multiplies once at the end: at a point on Re z = 1/2 step is real up to
+    a dust that keeps its ``_dust_bits`` scale, while c is imaginary.  Each
+    term is fixed-point integer pairs at 2^wp: u and v advance by one product
+    each, 1/d is one integer division (``mpcore._cinv``), and the weight
+    n^-a or (2n+1)^-a is a floor division.
+
+    Stop rule: for |x| < 0.6 each kernel is at most 13|x|, since
+    |1 - x| > 0.4 and |1 +- x^2| > 0.64; the worst, SINH_SQ, is below
+    4|x|^2/0.64^2 < 5.9|x|, and 13 is kept so that no value moves.  The
+    weights are at most 1, so the rest of the sum after the term at x is at
+    most 13|x||step|/(1 - |step|), and the loop stops once that is below
+    tiny, checked in floats as log2|x_n| = log2|c| + n log2|step| < log2 0.6
+    and log2 13 + log2|x_n| + log2|step| - log2(1 - |step|) < log2 tiny.  It
+    raises DomainError after 100 workdps terms.
+
+    Guard bits: |d| >= 1 - |step|, so 1/d, and the rounding it carries, is
+    at most (1-|step|)^-1 and the kernels' roundings at most
+    (1-|step|)^-4 units; the terms add up to N of them, N bounded by the
+    index where the stop rule holds.  So wp carries
+    log2 N + 4 log2(1/(1-|step|)) + 8 bits beyond the working precision.
     """
     z = _as_z(z, ctx)
     with ctx.working():
-        tiny = ctx.tiny()
-        if kernel.parity == "ALL":
-            if kernel.kind == "EXPM1_ALT":
-                raise DomainError("alternating kernels are supported for ODD parity only")
-            step = mp.exp(2j * mp.pi * z)      # x_n = step^n
-            x = mpc(1)
-            idx = 0
-        else:
-            half = mp.exp(1j * mp.pi * z)      # x_n = half^(2n+1)
-            step = half * half
-            x = half / step                    # pre-divide; loop multiplies once
-            idx = -1
-        sa = abs(step)
-        if not sa < 1:
+        odd = kernel.parity == "ODD"
+        if not odd and kernel.kind == "EXPM1_ALT":
+            raise DomainError("alternating kernels are supported for ODD parity only")
+        c = mp.exp(1j * mp.pi * z) if odd else mpc(1)
+        step = c * c if odd else mp.exp(2j * mp.pi * z)
+        if not abs(step) < 1:
             raise DomainError("hyp_lambert requires Im z > 0")
-        kern = _KERNELS[kernel.kind]
-        acc = mpc(0)
-        n = 0
+        # log2|step|, log2(1-|step|), log2|c| and log2 tiny in floats, from
+        # |step| = exp(-2 pi Im z)
+        y = 2 * pi * float(mp.im(z))
+        ls, l1s = -y / log(2), log2(-expm1(-y))
+        lc = ls / 2 if odd else 0.0
+        lt = -ctx.workdps * log2(10)
+        lim = min(log2(0.6), lt - log2(13) - ls + l1s)  # stop once log2|x_n| < lim
+        n_cap = 100 * ctx.workdps
+        n_end = min(n_cap, int(lim / ls) + 2)  # lc <= 0, so past the last index
+        wp = mp.mp.prec + n_end.bit_length() + 4 * ceil(-l1s) + 8
+        s = _dust_bits(step, wp)
+        one = 1 << wp
+        e, fa, fb, pb = _KERNELS[kernel.kind]
+        sf = _to_fixed(step, wp, s)
+        s2 = _cmul(*sf, *sf, wp, s)
+        n = 0 if odd else 1  # u = step^n, v = c^2 u^2, weight index 2n+1 or n
+        u, v = ((one, 0), sf) if odd else (sf, s2)
+        idx = 1
+        ar = ai = br = bi = 0
         sign = 1
         while True:
-            x *= step
-            idx += 1 if kernel.parity == "ALL" else 2
-            wt = mpf(idx) ** (-kernel.a)
-            val = kern(x, x * x) * wt
-            if kernel.kind == "EXPM1_ALT":
-                val *= sign
-                sign = -sign
-            acc += val
-            n += 1
-            xa = abs(x)
-            if xa < mpf("0.6") and 13 * xa * sa / (1 - sa) < tiny:
+            wt = sign * idx ** kernel.a
+            rr, ri = _cinv(one + e * v[0], e * v[1], wp, s)  # 1/d
+            if fa:
+                tr, ti = _cmul(*u, rr, ri, wp, s)
+                ar, ai = ar + fa * tr // wt, ai + fa * ti // wt
+            if fb:
+                tr, ti = _cmul(*v, rr, ri, wp, s)
+                if pb == 2:
+                    tr, ti = _cmul(tr, ti, rr, ri, wp, s)
+                br, bi = br + fb * tr // wt, bi + fb * ti // wt
+            lx = lc + n * ls
+            if lx < lim:
                 break
-            if n > 100 * ctx.workdps:
+            if n >= n_cap:
                 raise DomainError("hyp_lambert failed to converge")
-        return ensure_finite(acc)
+            u, v = _cmul(*u, *sf, wp, s), _cmul(*v, *s2, wp, s)
+            n += 1
+            idx += 2 if odd else 1
+            if kernel.kind == "EXPM1_ALT":
+                sign = -sign
+        with mp.workprec(wp):  # c A + B, rounded once to the working precision
+            acc = _from_fixed(br, bi, wp, s)
+            if fa:
+                acc += c * _from_fixed(ar, ai, wp, s)
+        return ensure_finite(+acc)
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +691,30 @@ def eli(n: int, m: int, x, y, q, ctx: PrecisionCtx) -> mpc:
 
     Requires |q| < 1 together with |x q| < 1 and |y q| < 1 for absolute
     convergence of the defining double series.
+
+    The double series is summed as it stands, on fixed-point integer pairs
+    at 2^wp: with w = y q^j, the j-th outer term is
+    sum_{k>=1} p_k / k^m / j^n with p_k = x^j w^k, so p_1 = y (xq)^j comes
+    from a running product and each inner term costs one product by w and
+    one floor division by k^m; each inner sum is floor-divided by j^n.  Every
+    |p_k| <= |y|, so the roundings stay absolute units of 2^-wp whatever |x|
+    is.  The imaginary parts take the smallest ``_dust_bits`` scale of the
+    complex inputs among x, y and q.
+
+    Outer stop: |Li_m(y q^(j+1))| <= |y| |q|^(j+1)/(1-|yq|), so
+    the rest after term j is at most |y| |xq|^(j+1)/((1-|xq|)(1-|yq|)), and
+    the walk stops once that is below tiny.
+    Inner stop: the rest of the j-th term after k is at most
+    |p_k| |w| / (1-|w|) = |y| |xq|^j |w|^k / (1-|w|), and |w| <= |yq|, so it
+    stops once |y| |w|^k / ((1-|yq|)(1-|xq|)) is below tiny: then the rests
+    of all inner sums add up to less than tiny sum_j |xq|^j (1-|xq|) < tiny.
+    Both are checked in floats in log2 form from |x q|, |y|, |q|, j and k.
+
+    Guard bits: each running product is off by at most (1+|y|) / (1-|xq|)
+    or / (1-|q|) units and each p_k by that over (1-|yq|) more, so the T
+    inner terms add at most T (1+|y|)^2 / ((1-|q|)(1-|xq|)(1-|yq|)) units,
+    and wp carries log2 of that and 8 bits beyond the working precision; T
+    is at most the outer index bound times the inner one at j = 1.
     """
     if int(n) != n or n < 0 or int(m) != m or m < 0:
         raise DomainError("eli requires integer n, m >= 0")
@@ -717,32 +728,37 @@ def eli(n: int, m: int, x, y, q, ctx: PrecisionCtx) -> mpc:
             raise DomainError("eli requires |xq| < 1 and |yq| < 1")
         if x == 0 or q == 0 or y == 0:
             return mpc(0)
-        tiny = ctx.tiny()
-
-        def li_m(w: mpc) -> mpc:
-            tot = mpc(0)
-            wk = mpc(1)
-            k = 0
-            wa = abs(w)
-            while True:
-                k += 1
-                wk *= w
-                tot += wk / mpf(k) ** m
-                if wa ** (k + 1) / (1 - wa) < tiny:
-                    return tot
-
-        acc = mpc(0)
-        xj = mpc(1)
-        qj = mpc(1)
+        xq, yq = abs(x * q), abs(y * q)
+        lq, ly, lxq, l1x, l1y, l1q = (float(mp.log(v, 2)) for v in
+                                      (abs(q), abs(y), xq, 1 - xq, 1 - yq, 1 - abs(q)))
+        lim = -ctx.workdps * log2(10) + l1x + l1y - ly  # both rules compare with it
+        # T inner terms at most: the outer index bound times the inner one at j = 1
+        terms = (int(max(lim / lxq, 0)) + 2) * (int(max(lim / (ly + lq), 0)) + 2)
+        wp = (mp.mp.prec + terms.bit_length() + 2 * ceil(max(ly, 0) + 1)
+              + ceil(-(l1x + l1y + l1q)) + 8)
+        s = min([_dust_bits(v, wp) for v in (x, y, q) if v.imag] or [0])
+        qf = _to_fixed(q, wp, s)
+        with mp.workprec(wp):  # x q to a unit of 2^-wp, whatever |x| is
+            xqf = _to_fixed(x * q, wp, s)
+        lead = w = _to_fixed(y, wp, s)  # y (xq)^j and y q^j at j = 0
+        acc_r = acc_i = 0
         j = 0
-        ra = abs(x * q)
-        ya = abs(y)
         while True:
             j += 1
-            xj *= x
-            qj *= q
-            acc += xj / mpf(j) ** n * li_m(y * qj)
-            # |Li_m(y q^(j+1))| <= |y| |q|^(j+1)/(1-|yq|)
-            if ya * ra ** (j + 1) / ((1 - ra) * (1 - abs(y * q))) < tiny:
+            lead, w = _cmul(*lead, *xqf, wp, s), _cmul(*w, *qf, wp, s)
+            lw = ly + j * lq
+            pr, pj = lead
+            tr = ti = 0
+            k = 0
+            while True:
+                k += 1
+                km = k ** m
+                tr, ti = tr + pr // km, ti + pj // km
+                if k * lw < lim:
+                    break
+                pr, pj = _cmul(pr, pj, *w, wp, s)
+            jn = j ** n
+            acc_r, acc_i = acc_r + tr // jn, acc_i + ti // jn
+            if (j + 1) * lxq < lim:
                 break
-        return ensure_finite(acc)
+        return ensure_finite(_from_fixed(acc_r, acc_i, wp, s))

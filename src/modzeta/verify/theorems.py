@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath import mpc, mpf
 
-from ..arith import epstein2
+from ..arith import _epstein2_lambert, epstein2
 from ..eichler import eichler4, eichler6
 from ..modular import _as_z, alpha4, r_half
 from ..mpcore import DomainError, PrecisionCtx, _memoized, const_zeta
@@ -167,7 +167,11 @@ def h3_ratios(z, ctx: PrecisionCtx) -> dict:
 
 
 def _h3_linear_free(z, ctx: PrecisionCtx):
-    """The weight-3 linear-factor sides without the Epstein term of the second."""
+    """The weight-3 linear-factor sides without the Epstein term of the second.
+
+    The second side comes as its four terms, 8 pi^2 y/3 and -6 zeta(3)/(pi y^2)
+    first: ``h3_linear`` cancels those two against the Epstein difference.
+    """
     # Second identity: the E6'''-bracket denominators are 756*Im z and
     # 189*Im z (power one); this follows from differentiating the ratio
     # identities and is confirmed by the tabulated specializations.
@@ -180,9 +184,9 @@ def _h3_linear_free(z, ctx: PrecisionCtx):
         e3_2z = eichler6(2 * z, 3, ctx)
         g1 = (mp.pi ** 2 * 1j * (e2_2z - 8 * e2_zh) / (1512 * y ** 2)
               + mp.pi ** 2 * (e3_2z - 4 * e3_zh) / (756 * y))
-        g2 = (8 * mp.pi ** 2 * y / 3 - 6 * z3 / (mp.pi * y ** 2)
-              + mp.pi ** 2 * 1j * (e2_zh - 8 * e2_2z) / (189 * y ** 2)
-              + mp.pi ** 2 * (e3_zh - 16 * e3_2z) / (189 * y))
+        g2 = (8 * mp.pi ** 2 * y / 3, -6 * z3 / (mp.pi * y ** 2),
+              mp.pi ** 2 * 1j * (e2_zh - 8 * e2_2z) / (189 * y ** 2),
+              mp.pi ** 2 * (e3_zh - 16 * e3_2z) / (189 * y))
         return g1, g2
 
 
@@ -196,9 +200,14 @@ def h3_linear(z, ctx: PrecisionCtx) -> dict:
     """Both sides of the weight-3 linear-factor identities at an admissible z."""
     z = _require_admissible(z, ctx)
     linear = _series_data(z, ctx)["linear"]
-    g1r, g2r = _h3_linear_free(z, ctx)
+    g1r, g2 = _h3_linear_free(z, ctx)
     with ctx.working():
-        g2r -= _h3_epstein(z, ctx)
+        # E(w,2) = Im(w)^2 + 45 zeta(3)/(pi^3 Im w) + its Lambert terms, so the
+        # y^2 and zeta(3) terms of the Epstein term 8 pi^2 (E(4z,2) -
+        # E(z,2))/(45 y) are 8 pi^2 y/3 - 6 zeta(3)/(pi y^2), the first two
+        # terms of g2: the four cancel exactly and are left out of the sum
+        lam = [sum(_epstein2_lambert(w, ctx)) for w in (4 * z, z)]
+        g2r = g2[2] + g2[3] - 8 * mp.pi ** 2 * (lam[0] - lam[1]) / (45 * mp.im(z))
     return {"lhs1": linear[W_H3_DIFF], "rhs1": g1r,
             "lhs2": linear[W_H3_PLAIN], "rhs2": g2r}
 
@@ -212,4 +221,4 @@ def u_check(z, rc, ctx: PrecisionCtx) -> mpc:
     g1, g2 = _h3_linear_free(_as_z(z, ctx), ctx)
     with ctx.working():
         rc = mpf(Fraction(rc).numerator) / Fraction(rc).denominator
-        return g1 + rc * g2
+        return g1 + rc * sum(g2)

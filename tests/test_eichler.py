@@ -7,7 +7,7 @@ from mpmath import mpc, mpf
 from modzeta import (DomainError, PrecisionCtx, const_zeta, dirichlet_l,
                      eichler4, eichler6, eisenstein, epstein2)
 from modzeta import modular, mpcore
-from modzeta.mpcore import tail_poly_geom
+from oracles import tail_poly_geom
 
 I = mpc(0, 1)
 

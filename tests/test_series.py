@@ -14,8 +14,8 @@ from modzeta import (DomainError, HypKernel, LinearFactor, PrecisionCtx,
                      WeightSpec, binom2_series, binom3_series, cvz_alt_sum,
                      eli, ell_k, ell_k_comp, hyp_lambert, inv_binom2_series,
                      legendre_dnu2)
-from modzeta.series import (_BASIS, W_ONE, _binom_guard, _binom_steps, binom3_sums,
-                            gamma_one_plus, legendre_p_def)
+from modzeta.series import _BASIS, W_ONE, _binom_guard, _binom_steps, binom3_sums
+from oracles import gamma_one_plus, legendre_p_def
 
 I = mpc(0, 1)
 

@@ -258,10 +258,12 @@ def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
 
 
 def test_four_evaluators_make_one_walk_per_nome(monkeypatch, ctx30):
-    # nomes of z+1/2, 2z, z and 4z; r_linear reuses q_ratios' Epstein pair;
+    # nomes of z+1/2, 2z, z and 4z; r_linear reuses q_ratios' Epstein pair,
+    # and h3_linear reads the Lambert terms of its own pair;
     # Euler-Maclaurin runs once per (n, workdps)
-    em_runs, epstein_calls = [], []
+    em_runs, epstein_calls, lambert_calls = [], [], []
     real_em, real_epstein = mpcore.hurwitz_zeta_raw, theorems.epstein2
+    real_lambert = theorems._epstein2_lambert
 
     def counting_em(s, a):
         em_runs.append((s, a, mp.mp.dps))
@@ -270,8 +272,13 @@ def test_four_evaluators_make_one_walk_per_nome(monkeypatch, ctx30):
     def counting_epstein(z, ctx):
         epstein_calls.append(z)
         return real_epstein(z, ctx)
+
+    def counting_lambert(z, ctx):
+        lambert_calls.append(z)
+        return real_lambert(z, ctx)
     monkeypatch.setattr(mpcore, "hurwitz_zeta_raw", counting_em)
     monkeypatch.setattr(theorems, "epstein2", counting_epstein)
+    monkeypatch.setattr(theorems, "_epstein2_lambert", counting_lambert)
     monkeypatch.setattr(mpcore, "_memo", {})
     walk = modular._nome_chains.__wrapped__
     for im in ("0.9137", "1.0721"):
@@ -279,7 +286,8 @@ def test_four_evaluators_make_one_walk_per_nome(monkeypatch, ctx30):
         for f in (q_ratios, r_linear, h3_ratios, h3_linear):
             f(mp.mpc("0.5", im), ctx30)
         assert sum(key[0] is walk for key in mpcore._memo) - before == 4
-    assert len(epstein_calls) == 8
+    assert len(epstein_calls) == 4
+    assert len(lambert_calls) == 4
     assert len(em_runs) == 1
 
 

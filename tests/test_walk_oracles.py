@@ -10,6 +10,13 @@ agree with it to 8 units of 10^-workdps, relative to each part, at 15, 50,
 100 and 250 digits.  The binomial walk's stop rule is also checked on its
 own: an entry must lie within 4 units of 10^-workdps of the same entry at
 40 more digits.
+
+``_reference_eta``, ``_reference_hyp_lambert`` and ``_reference_eli`` keep
+the mpc loops behind ``eta`` (the N-factor product), ``hyp_lambert`` and
+``eli``.  The fixed-point q-series kernels must agree with them to
+10^-(workdps-2.5) at 15, 30, 100 and 250 digits (eta relative to |eta|, the
+sums relative to max(1, |value|)), and each lies within 4 units of
+10^-workdps of itself at 40 more digits.
 """
 
 from fractions import Fraction
@@ -18,10 +25,10 @@ import mpmath as mp
 import pytest
 from mpmath import mpc, mpf
 
-from modzeta import DomainError, PrecisionCtx
-from modzeta.modular import (_CHAINS, _EIS_POWER, _nome, _nome_chains, alpha4,
-                             r_half)
-from modzeta.mpcore import ensure_finite, tail_poly_geom
+from modzeta import DomainError, HypKernel, PrecisionCtx, eli, eta, hyp_lambert
+from modzeta.modular import (_CHAINS, _EIS_POWER, _as_z, _nome, _nome_chains,
+                             alpha4, r_half)
+from modzeta.mpcore import ensure_finite
 from modzeta import series
 from modzeta.series import (LinearFactor, W_ONE, WeightSpec, _binom_sums,
                             _boundary_kind, _boundary_slack, cvz_alt_sum,
@@ -31,6 +38,7 @@ from modzeta.verify.registry import _Z
 from modzeta.verify.runner import _evaluate
 from modzeta.verify.theorems import (W_H2_DIFF, W_H2_PLAIN, W_H3_DIFF,
                                      W_H3_PLAIN)
+from oracles import tail_poly_geom
 
 DIGITS = (15, 30, 100, 250)
 
@@ -457,3 +465,219 @@ def test_agm_kernel_refuses_magnitudes_beyond_its_range(ctx30):
         ell_k_comp(mpf(2) ** -(2 ** 21), ctx30)
     with pytest.raises(DomainError, match="outside"):
         ell_k(-mpf(2) ** (2 ** 21), ctx30)
+
+
+# ---------------------------------------------------------------------------
+# The mpc q-series loops: eta, the hyperbolic Lambert sums, ELi
+# ---------------------------------------------------------------------------
+
+def _reference_eta(z, ctx):
+    z = _as_z(z, ctx)
+    with ctx.working():
+        if mp.im(z) < mpf("0.03"):
+            raise DomainError("eta is out of contract for Im z < 0.03")
+        q = _nome(z)
+        qa = abs(q)
+        tiny = ctx.tiny()
+        prod = mpc(1)
+        qn = mpc(1)
+        # |log(tail)| <= sum_{m>n} |q|^m/(1-|q|) = |q|^(n+1)/(1-|q|)^2, so the
+        # product stops once the running power |q|^(n+1) falls below stop
+        stop = tiny * (1 - qa) ** 2
+        qa_next = qa
+        while True:
+            qn *= q
+            prod *= 1 - qn
+            qa_next *= qa
+            if qa_next < stop:
+                break
+        return ensure_finite(mp.exp(mpc(0, 1) * mp.pi * z / 12) * prod)
+
+
+# each kernel kind as a function of x = exp(-theta_n) and x2 = x^2
+_REFERENCE_KERNELS = {
+    "EXPM1": lambda x, x2: x / (1 - x),
+    "EXPM1_ALT": lambda x, x2: x / (1 - x),
+    "COSH_SQ": lambda x, x2: 4 * x2 / (1 + x2) ** 2,
+    "SINH_SQ": lambda x, x2: 4 * x2 / (1 - x2) ** 2,
+    "COSH_1": lambda x, x2: 2 * x / (1 + x2),
+    "HALF_ODD_COSH": lambda x, x2: x / (1 + x2),
+}
+
+
+def _reference_hyp_lambert(z, kernel, ctx):
+    z = _as_z(z, ctx)
+    with ctx.working():
+        tiny = ctx.tiny()
+        if kernel.parity == "ALL":
+            if kernel.kind == "EXPM1_ALT":
+                raise DomainError("alternating kernels are supported for ODD parity only")
+            step = mp.exp(2j * mp.pi * z)      # x_n = step^n
+            x = mpc(1)
+            idx = 0
+        else:
+            half = mp.exp(1j * mp.pi * z)      # x_n = half^(2n+1)
+            step = half * half
+            x = half / step                    # pre-divide; loop multiplies once
+            idx = -1
+        sa = abs(step)
+        if not sa < 1:
+            raise DomainError("hyp_lambert requires Im z > 0")
+        kern = _REFERENCE_KERNELS[kernel.kind]
+        acc = mpc(0)
+        n = 0
+        sign = 1
+        while True:
+            x *= step
+            idx += 1 if kernel.parity == "ALL" else 2
+            wt = mpf(idx) ** (-kernel.a)
+            val = kern(x, x * x) * wt
+            if kernel.kind == "EXPM1_ALT":
+                val *= sign
+                sign = -sign
+            acc += val
+            n += 1
+            xa = abs(x)
+            if xa < mpf("0.6") and 13 * xa * sa / (1 - sa) < tiny:
+                break
+            if n > 100 * ctx.workdps:
+                raise DomainError("hyp_lambert failed to converge")
+        return ensure_finite(acc)
+
+
+def _reference_eli(n, m, x, y, q, ctx):
+    if int(n) != n or n < 0 or int(m) != m or m < 0:
+        raise DomainError("eli requires integer n, m >= 0")
+    with ctx.working():
+        x = mpc(x)
+        y = mpc(y)
+        q = mpc(q)
+        if not abs(q) < 1:
+            raise DomainError("eli requires |q| < 1")
+        if not (abs(x * q) < 1 and abs(y * q) < 1):
+            raise DomainError("eli requires |xq| < 1 and |yq| < 1")
+        if x == 0 or q == 0 or y == 0:
+            return mpc(0)
+        tiny = ctx.tiny()
+
+        def li_m(w: mpc) -> mpc:
+            tot = mpc(0)
+            wk = mpc(1)
+            k = 0
+            wa = abs(w)
+            while True:
+                k += 1
+                wk *= w
+                tot += wk / mpf(k) ** m
+                if wa ** (k + 1) / (1 - wa) < tiny:
+                    return tot
+
+        acc = mpc(0)
+        xj = mpc(1)
+        qj = mpc(1)
+        j = 0
+        ra = abs(x * q)
+        ya = abs(y)
+        while True:
+            j += 1
+            xj *= x
+            qj *= q
+            acc += xj / mpf(j) ** n * li_m(y * qj)
+            # |Li_m(y q^(j+1))| <= |y| |q|^(j+1)/(1-|yq|)
+            if ya * ra ** (j + 1) / ((1 - ra) * (1 - abs(y * q))) < tiny:
+                break
+        return ensure_finite(acc)
+
+
+def _eta_points():
+    """z/2, z and 2z of admissible theorem points, and points near Im z = 0.03."""
+    pts = [mpc(re, im) * f for re, im in (("0", "0.55"), ("0", "1.0"), ("0.5", "0.75"),
+                                           ("0.5", "1.3"), ("0.25", "0.6"))
+           for f in (mpf(1) / 2, 1, 2)]
+    return pts + [mpc(0, "0.0301"), mpc("0.5", "0.0301"), mpc("0.2", "0.031"),
+                  mpc("-0.3", "0.1"), mpc(0, 60)]
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_eta_series_matches_mpc_product(digits):
+    ctx = PrecisionCtx(digits)
+    for z in _eta_points():
+        with ctx.working():
+            z = mpc(z)
+        new, ref = eta(z, ctx), _reference_eta(z, ctx)
+        with ctx.working():
+            assert abs(new - ref) <= mpf(10) ** -(ctx.workdps - mpf("2.5")) * abs(ref), z
+
+
+# every kernel kind x parity; EXPM1_ALT is ODD only
+_HYP_KERNELS = [HypKernel(kind, parity, 3 if kind == "EXPM1" else 2)
+                for kind in ("EXPM1", "EXPM1_ALT", "COSH_SQ", "SINH_SQ", "COSH_1",
+                             "HALF_ODD_COSH")
+                for parity in ("ODD", "ALL") if (kind, parity) != ("EXPM1_ALT", "ALL")]
+
+
+def _hyp_points():
+    """The sec4 points (0.5 + 0.9i among them), the rn2p277 arguments z = iy
+    and -1/(2z), a generic point and a slow one."""
+    pts = [mpc(0, "0.8"), mpc(0, "1.1"), mpc("0.5", "0.9"), mpc("0.13", "0.81"),
+           mpc("0.2", "0.1")]
+    return pts + [z for y in ("0.6", "1.4") for z in (mpc(0, y), -1 / (2 * mpc(0, y)))]
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_hyp_lambert_kernel_matches_mpc_oracle(digits):
+    ctx = PrecisionCtx(digits)
+    for z in _hyp_points():
+        with ctx.working():
+            z = mpc(z)
+        for kernel in _HYP_KERNELS:
+            new, ref = hyp_lambert(z, kernel, ctx), _reference_hyp_lambert(z, kernel, ctx)
+            with ctx.working():
+                assert _close(new, ref, ctx), (z, kernel)
+    with pytest.raises(DomainError, match="ODD parity only"):
+        hyp_lambert(mpc(0, 1), HypKernel("EXPM1_ALT", "ALL", 2), ctx)
+
+
+def _eli_cases(ctx):
+    """(n, m, x, y, q): the rn2p277p arguments (y = i and y = 1 at q, q^2, q^4
+    with q = e^(-pi Im z)), a real y with a negative q, complex x, y, q and an
+    imaginary dust on q."""
+    with ctx.working():
+        cases = []
+        for im in ("1.0", "2.0", "0.5"):
+            q = mp.exp(-mp.pi * mpf(im))
+            cases += [(0, 2, 1, mpc(0, 1), q), (0, 2, 1, 1, q ** 2), (0, 2, 1, 1, q ** 4)]
+        return cases + [(3, 1, mpc(0, 1), mpf("1.5"), mpf("-0.6")),
+                        (1, 2, mpc("0.3", "0.4"), mpc("-0.5", "0.7"), mpc("0.2", "0.5")),
+                        (0, 0, 1, mpf("0.5"), mpc("0.6", "1e-40"))]
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_eli_kernel_matches_mpc_oracle(digits):
+    ctx = PrecisionCtx(digits)
+    for case in _eli_cases(ctx):
+        new, ref = eli(*case, ctx), _reference_eli(*case, ctx)
+        with ctx.working():
+            assert _close(new, ref, ctx), case
+            if not ref.imag:  # a real y, x and q give a real value
+                assert new.imag == 0, case
+
+
+@pytest.mark.parametrize("digits", (15, 100, 250))
+def test_qseries_kernels_stop_within_their_tail_bounds(digits):
+    # each value lies within 4 units of 10^-workdps (relative to |eta|, or to
+    # max(1, |value|) for the sums) of itself at 40 more digits; eli with
+    # |x| > 1 too, where an inner sum cut at tiny alone would be multiplied
+    # by |x|^j
+    ctx, ref_ctx = PrecisionCtx(digits), PrecisionCtx(digits + 40)
+    evals = [(eta, (z,)) for z in _eta_points()[::2]]
+    evals += [(hyp_lambert, (z, k)) for z in _hyp_points()[1:4] for k in _HYP_KERNELS]
+    evals += [(eli, case) for case in _eli_cases(ctx)[::2]]
+    evals.append((eli, (2, 3, mpf("1.9"), 1, mpf("0.5"))))
+    for fn, args in evals:
+        with ctx.working():
+            args = tuple(mpc(a) if isinstance(a, mpc) else a for a in args)
+        new, ref = fn(*args, ctx), fn(*args, ref_ctx)
+        with ref_ctx.working():
+            scale = abs(ref) if fn is eta else max(1, abs(ref))
+            assert abs(new - ref) <= 4 * ctx.tiny() * scale, (fn.__name__, args)
