@@ -612,7 +612,7 @@ def hyp_lambert(z, kernel: HypKernel, ctx: PrecisionCtx) -> mpc:
 
     Stop rule: for |x| < 0.6 each kernel is at most 13|x|, since
     |1 - x| > 0.4 and |1 +- x^2| > 0.64; the worst, SINH_SQ, is below
-    4|x|^2/0.64^2 < 5.9|x|, and 13 is kept so that no value moves.  The
+    4|x|^2/0.64^2 < 5.9|x|, so 13 bounds them all with room.  The
     weights are at most 1, so the rest of the sum after the term at x is at
     most 13|x||step|/(1 - |step|), and the loop stops once that is below
     tiny, checked in floats as log2|x_n| = log2|c| + n log2|step| < log2 0.6
