@@ -7,11 +7,11 @@ Values returned by the operations are mpmath mpf/mpc scalars computed at
 follow-up arithmetic does not truncate to mpmath's default precision.
 """
 
-from .arith import (bernoulli, dirichlet_l, epstein2, epstein3, epstein_lattice,
-                    hurwitz_zeta, kronecker)
+from .arith import (dirichlet_l, epstein2, epstein3, epstein_lattice, hurwitz_zeta,
+                    kronecker)
 from .eichler import eichler4, eichler6
 from .modular import alpha4, eisenstein, eisenstein_eta_form, eta, lambda_fn, r_half
-from .mpcore import DomainError, PrecisionCtx, const_catalan, const_pi, const_zeta
+from .mpcore import DomainError, PrecisionCtx, bernoulli, const_catalan, const_zeta
 from .quadrature import (QuadResult, h3mix2_tail_integral, lemma_integral,
                          lminus4_4_integral, tanh_sinh, zeta5_integral,
                          zeta7_integral)
@@ -27,7 +27,7 @@ __all__ = [
     "DEFAULT_SEED", "DomainError", "HypKernel", "LinearFactor",
     "PrecisionCtx", "QuadResult", "Report", "WeightSpec",
     "all_suites", "alpha4", "bernoulli", "binom2_series", "binom3_series",
-    "const_catalan", "const_pi", "const_zeta",
+    "const_catalan", "const_zeta",
     "cvz_alt_sum", "dirichlet_l", "eichler4", "eichler6", "eisenstein",
     "eisenstein_eta_form", "ell_k", "ell_k_comp", "eli", "epstein2",
     "epstein3", "epstein_lattice", "eta", "get_records",

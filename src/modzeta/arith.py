@@ -27,7 +27,6 @@ from .mpcore import (
     DomainError,
     PrecisionCtx,
     _memoized,
-    bernoulli,
     const_zeta,
     ensure_finite,
     hurwitz_zeta_raw,
@@ -35,7 +34,6 @@ from .mpcore import (
 
 __all__ = [
     "LatticeSum",
-    "bernoulli",
     "dirichlet_l",
     "epstein2",
     "epstein3",

@@ -11,6 +11,7 @@ remainder below ``10**-(digits+guard)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -25,7 +26,6 @@ __all__ = [
     "PrecisionCtx",
     "bernoulli",
     "const_catalan",
-    "const_pi",
     "const_zeta",
     "ensure_finite",
     "hurwitz_zeta_raw",
@@ -181,12 +181,6 @@ def _memoized(fn):
 # Fundamental constants
 # ---------------------------------------------------------------------------
 
-def const_pi(ctx: PrecisionCtx) -> mpf:
-    """pi at working precision."""
-    with ctx.working():
-        return +mp.pi
-
-
 def const_catalan(ctx: PrecisionCtx) -> mpf:
     """Catalan's constant G = sum (-1)^n/(2n+1)^2."""
     with ctx.working():
@@ -206,14 +200,8 @@ def const_zeta(n: int, ctx: PrecisionCtx) -> mpf:
 # Bernoulli numbers (exact rationals, via tangent numbers)
 # ---------------------------------------------------------------------------
 
-_tangent_cache: list[int] = []
-
-
 def _tangent_numbers(m: int) -> list[int]:
-    # Knuth-Buckholtz triangle; integer-only, cached incrementally.
-    global _tangent_cache
-    if len(_tangent_cache) >= m:
-        return _tangent_cache
+    """[T_1, T_3, ..., T_(2m-1)], the first m tangent numbers (Knuth-Buckholtz triangle)."""
     t = [0] * (m + 1)
     t[1] = 1
     for k in range(2, m + 1):
@@ -221,98 +209,109 @@ def _tangent_numbers(m: int) -> list[int]:
     for k in range(2, m + 1):
         for j in range(k, m + 1):
             t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    _tangent_cache = t[1:]
-    return _tangent_cache
+    return t[1:]
 
 
-def bernoulli(n: int, cap: int = BERNOULLI_CAP) -> Fraction:
-    """Bernoulli number B_n as an exact rational, for even n >= 0 (and n=1)."""
+def bernoulli(n: int) -> Fraction:
+    """Bernoulli number B_n as an exact rational, for 0 <= n <= BERNOULLI_CAP.
+
+    B_2j = (-1)^(j+1) 2j T_(2j-1) / (4^j (4^j - 1)) from the tangent numbers.
+    """
     if int(n) != n or n < 0:
         raise DomainError("bernoulli requires an integer n >= 0")
-    if n > cap:
-        raise DomainError("bernoulli cap exceeded: n=%d > %d" % (n, cap))
+    if n > BERNOULLI_CAP:
+        raise DomainError("bernoulli cap exceeded: n=%d > %d" % (n, BERNOULLI_CAP))
+    if n % 2:
+        return Fraction(-1, 2) if n == 1 else Fraction(0)
     if n == 0:
         return Fraction(1)
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2:
-        return Fraction(0)
     half = n // 2
-    t = _tangent_numbers(half)[half - 1]
     sign = 1 if half % 2 == 1 else -1
-    return Fraction(sign * n * t, (4 ** half) * (4 ** half - 1))
+    return Fraction(sign * n * _tangent_numbers(half)[-1], (4 ** half) * (4 ** half - 1))
 
 
 # ---------------------------------------------------------------------------
 # Hurwitz zeta by Euler-Maclaurin (the engine behind const_zeta and L_d)
 # ---------------------------------------------------------------------------
 
-@_memoized
-def _em_coefficients(s: mpf, ctx: PrecisionCtx) -> list:
-    """[c_1(s), c_2(s), ...] with c_j(s) = B_2j / (2j)! * (s)_{2j-1}, at ctx's precision.
+def _em_plan(s, dps: int) -> tuple:
+    """(N, M): the direct terms and corrections of ``hurwitz_zeta_raw`` at s.
 
-    The Euler-Maclaurin coefficients of zeta(s, a) do not depend on a, so one
-    table serves every a; ``hurwitz_zeta_raw`` extends it as it needs terms.
+    Johansson's bound over zeta(s, a) >= (a+N)^(1-s)/(s-1), with a + N >= N,
+    is 4 (s-1) (s)_2M / ((2 pi N)^2M (s+2M-1)) for every a > 0; its log is
+    taken in floats through ``math.lgamma``.  N is max(10, 0.6 dps + 2), or,
+    where no M <= BERNOULLI_CAP/2 brings that bound below 10^-(dps+2)
+    (above about 500 digits), the least N at which M = BERNOULLI_CAP/2 does;
+    M is the least count that does at that N.
     """
+    cap = BERNOULLI_CAP // 2
+    goal = -(dps + 2) * math.log(10)
+    s1, s = float(s - 1), float(s)
+
+    def log_bound(m: int, n: int = 1) -> float:
+        return (math.log(4 * s1) + math.lgamma(s + 2 * m) - math.lgamma(s)
+                - math.log(s1 + 2 * m) - 2 * m * math.log(2 * math.pi * n))
+
+    def least_m(n: int):
+        return next((m for m in range(1, cap + 1) if log_bound(m, n) < goal), None)
+
+    n = max(10, int(0.6 * dps) + 2)
+    if least_m(n) is None:
+        n = int(math.exp((log_bound(cap) - goal) / (2 * cap))) + 1
+    return n, least_m(n) or cap  # "or cap" guards the float rounding of that N
+
+
+@_memoized
+def _em_coefficients(s: mpf, ctx: PrecisionCtx) -> tuple:
+    """(N, (c_1(s), ..., c_M(s))) for (N, M) = ``_em_plan(s, ctx.workdps)``, at
+    ctx's precision, from one pass of tangent numbers:
+
+        c_j(s) = B_2j (s)_{2j-1} / (2j)!
+               = (-1)^(j+1) T_(2j-1) (s)_{2j-1} / (4^j (4^j - 1) (2j-1)!).
+
+    The coefficients do not depend on a, so one table serves every a.
+    """
+    n, m = _em_plan(s, ctx.workdps)
     with ctx.working():
-        return [s / 12]
+        coeffs, poch, fact = [], s, 1  # (s)_{2j-1} and (2j-1)!
+        for j, t in enumerate(_tangent_numbers(m), 1):
+            coeffs.append((-1) ** (j + 1) * poch * t / (4 ** j * (4 ** j - 1) * fact))
+            poch *= (s + 2 * j - 1) * (s + 2 * j)
+            fact *= 2 * j * (2 * j + 1)
+        return n, tuple(coeffs)
 
 
 def hurwitz_zeta_raw(s: mpf, a: mpf) -> mpf:
     """zeta(s, a) for real s > 1, a > 0, at the current mpmath precision.
 
-    Euler-Maclaurin: with N direct terms and M corrections,
+    Euler-Maclaurin with N direct terms and M corrections, x = (a+N)^-2:
 
-        zeta(s, a) = sum_{k<N} (a+k)^-s + (a+N)^(1-s)/(s-1) + (a+N)^-s / 2
-                     + sum_{j=1..M} c_j(s) (a+N)^(1-s-2j) + R_M,
+        zeta(s, a) = sum_{k<N} (a+k)^-s
+                     + (a+N)^(1-s) (1/(s-1) + 1/(2(a+N)) + sum_{j=1..M} c_j(s) x^j)
+                     + R_M.
 
-    c_j(s) = B_2j / (2j)! * (s)_{2j-1}, read from the table of
-    ``_em_coefficients`` for (s, precision).  For real s > 1, Johansson
-    ("Rigorous high-precision computation of the Hurwitz zeta function and
-    its derivatives", Numer. Algorithms 2015, Theorem 1) bounds
-    |R_M| <= 4 (s)_{2M} (a+N)^(1-s-2M) / ((2 pi)^2M (s+2M-1)), and
-    |B_2M| / (2M)! >= 2 / (2 pi)^2M makes that at most twice the last term
-    kept.  So the corrections stop once a term falls below
-    10^-(dps+2) max(1, |sum|), which truncates by less than 2 10^-(dps+2)
-    relative to max(1, |zeta|); the rounding of the N direct terms adds a
-    few units of the last digit.  If the terms start to grow first, the
-    asymptotic series cannot reach the stop at this N, and N is enlarged.
+    Johansson ("Rigorous high-precision computation of the Hurwitz zeta
+    function and its derivatives", Numer. Algorithms 2015, Theorem 1) bounds
+    |R_M| <= 4 (s)_{2M} (a+N)^(1-s-2M) / ((2 pi)^2M (s+2M-1)) for real s > 1.
+    N and M are planned before the sum (``_em_plan``) so that this bound is
+    below 10^-(dps+2) relative, whatever a is; ``_em_coefficients`` holds N
+    and c_1..c_M per (s, precision).  The N powers and the corrections (by
+    Horner's rule in x) are summed straight through at N.bit_length() + 4
+    extra bits, and the result is rounded once: the rounding of the sum
+    stays a fraction of the last bit.
     """
-    s = mpf(s)
-    a = mpf(a)
+    s, a = mpf(s), mpf(a)
     if not s > 1:
         raise DomainError("hurwitz zeta requires s > 1")
     if not a > 0:
         raise DomainError("hurwitz zeta requires a > 0")
-    coeffs = _em_coefficients(s, PrecisionCtx(max(10, mp.mp.dps), 0))
-    prec_goal = mpf(10) ** (-(mp.mp.dps + 2))
-    n_direct = max(10, int(0.6 * mp.mp.dps) + 2)
-    while True:
-        acc = mpf(0)
-        for k in range(n_direct):
-            acc += (a + k) ** (-s)
-        big = a + n_direct
-        acc += big ** (1 - s) / (s - 1)
-        acc += big ** (-s) / 2
-        scale = big ** (-s - 1)  # (a+N)^(1-s-2j) at j = 1
-        big2 = big * big
-        prev = mp.inf
-        ok = False
-        for j in range(1, BERNOULLI_CAP // 2):
-            if j > len(coeffs):
-                r = bernoulli(2 * j) / (bernoulli(2 * j - 2) * (2 * j - 1) * 2 * j)
-                coeffs.append(coeffs[-1] * ((s + 2 * j - 3) * (s + 2 * j - 2))
-                              * r.numerator / r.denominator)
-            term = coeffs[j - 1] * scale
-            acc += term
-            at = abs(term)
-            if at < prec_goal * max(mpf(1), abs(acc)):
-                ok = True
-                break
-            if at > prev:
-                break  # asymptotic divergence reached before target: enlarge N
-            prev = at
-            scale /= big2
-        if ok:
-            return ensure_finite(acc)
-        n_direct = int(n_direct * 1.8) + 4
+    n, coeffs = _em_coefficients(s, PrecisionCtx(max(10, mp.mp.dps), 0))
+    with mp.extraprec(n.bit_length() + 4):
+        acc = mp.fsum((a + k) ** -s for k in range(n))
+        big = a + n
+        x = 1 / (big * big)
+        tail = mpf(0)
+        for c in reversed(coeffs):
+            tail = (tail + c) * x
+        acc += big ** (1 - s) * (1 / (s - 1) + 1 / (2 * big) + tail)
+    return ensure_finite(+acc)

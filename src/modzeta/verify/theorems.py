@@ -78,26 +78,35 @@ def _series_data(z, ctx: PrecisionCtx) -> dict:
 
 
 def _q_free(z, ctx: PrecisionCtx):
-    """The Epstein-free parts of Q1 and Q2: the zeta(3), Im z and Eichler terms."""
+    """The Epstein-free parts of Q1 and Q2, each as a pair: its zeta(3) and
+    Im z terms, then its Eichler terms.
+
+    The first of each pair equals the y^2 and zeta(3) terms of its Epstein
+    combination with the sign reversed, so ``_q_rhs`` reads only the second.
+    """
     with ctx.working():
         y = mp.im(z)
         z3 = const_zeta(3, ctx)
         f_zh = eichler4(z + mpf(1) / 2, 0, ctx)
         f_2z = eichler4(2 * z, 0, ctx)
-        q1 = 7 * z3 / (4 * mp.pi * y) - mp.pi ** 2 * 1j * (8 * f_zh - f_2z) / (120 * y)
-        q2 = (-2 * mp.pi ** 2 * y ** 2 / 3 - 2 * z3 / (mp.pi * y)
-              - mp.pi ** 2 * 1j * (f_zh - 2 * f_2z) / (15 * y))
+        q1 = (7 * z3 / (4 * mp.pi * y), -mp.pi ** 2 * 1j * (8 * f_zh - f_2z) / (120 * y))
+        q2 = (-2 * mp.pi ** 2 * y ** 2 / 3 - 2 * z3 / (mp.pi * y),
+              -mp.pi ** 2 * 1j * (f_zh - 2 * f_2z) / (15 * y))
         return q1, q2
 
 
 @_memoized
 def _q_rhs(z, ctx: PrecisionCtx):
-    q1, q2 = _q_free(z, ctx)
+    (_, q1), (_, q2) = _q_free(z, ctx)
     with ctx.working():
-        e_zh = epstein2(z + mpf(1) / 2, ctx)
-        e_2z = epstein2(2 * z, ctx)
-        return (q1 - mp.pi ** 2 * (4 * e_zh - e_2z) / 90,
-                q2 - 2 * mp.pi ** 2 * (e_zh - 4 * e_2z) / 45)
+        # E(w,2) = Im(w)^2 + 45 zeta(3)/(pi^3 Im w) + its Lambert terms; at
+        # w = z + 1/2 and 2z the y^2 and zeta(3) terms of the Epstein
+        # combinations, 2 pi^2 y^2/3 + 2 zeta(3)/(pi y) in Q2 and
+        # -7 zeta(3)/(4 pi y) in Q1, cancel the first terms of _q_free's pairs
+        # exactly, so neither is formed
+        lam_zh, lam_2z = (sum(_epstein2_lambert(w, ctx)) for w in (z + mpf(1) / 2, 2 * z))
+        return (q1 - mp.pi ** 2 * (4 * lam_zh - lam_2z) / 90,
+                q2 - 2 * mp.pi ** 2 * (lam_zh - 4 * lam_2z) / 45)
 
 
 def _r_rhs(z, ctx: PrecisionCtx):
@@ -134,7 +143,7 @@ def s_r(z, r, ctx: PrecisionCtx) -> mpc:
     q1, q2 = _q_free(_as_z(z, ctx), ctx)
     with ctx.working():
         r = mpf(Fraction(r).numerator) / Fraction(r).denominator
-        return q1 - r * q2
+        return sum(q1) - r * sum(q2)
 
 
 def t_r(z, r, ctx: PrecisionCtx) -> mpc:

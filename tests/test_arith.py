@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
-from modzeta import (DomainError, PrecisionCtx, const_catalan, const_pi,
-                     dirichlet_l, epstein2, epstein3, epstein_lattice,
-                     hurwitz_zeta, kronecker)
+from modzeta import (DomainError, PrecisionCtx, const_catalan, dirichlet_l,
+                     epstein2, epstein3, epstein_lattice, hurwitz_zeta, kronecker)
 
 I = mpc(0, 1)
 
@@ -49,7 +48,7 @@ def test_kronecker_periodicity(d):
 
 def test_hurwitz_basic_identities(ctx30):
     with ctx30.working():
-        pi = const_pi(ctx30)
+        pi = +mp.pi
         assert abs(hurwitz_zeta(2, 1, ctx30) - pi ** 2 / 6) < mpf(10) ** -40
         assert abs(hurwitz_zeta(2, mpf(1) / 2, ctx30) - pi ** 2 / 2) < mpf(10) ** -40
         assert abs(hurwitz_zeta(3, mpf("0.25"), ctx30)
@@ -73,13 +72,13 @@ def test_dirichlet_l_catalan(ctx40):
 
 def test_dirichlet_l_trivial_character(ctx40):
     with ctx40.working():
-        pi = const_pi(ctx40)
+        pi = +mp.pi
         assert abs(dirichlet_l(1, 2, ctx40) - pi ** 2 / 6) < ctx40.tiny() * 100
 
 
 def test_dirichlet_l_28(ctx40):
     with ctx40.working():
-        pi = const_pi(ctx40)
+        pi = +mp.pi
         target = 2 * pi ** 2 / (7 * mp.sqrt(7))
         assert abs(dirichlet_l(28, 2, ctx40) - target) < ctx40.tiny() * 1000
 

@@ -258,9 +258,10 @@ def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
 
 
 def test_four_evaluators_make_one_walk_per_nome(monkeypatch, ctx30):
-    # nomes of z+1/2, 2z, z and 4z; r_linear reuses q_ratios' Epstein pair,
-    # and h3_linear reads the Lambert terms of its own pair;
-    # Euler-Maclaurin runs once per (n, workdps)
+    # nomes of z+1/2, 2z, z and 4z; r_linear reuses q_ratios' right-hand
+    # sides, and q_ratios and h3_linear read only the Lambert terms of their
+    # Epstein pairs, never a whole epstein2; Euler-Maclaurin runs once per
+    # (n, workdps)
     em_runs, epstein_calls, lambert_calls = [], [], []
     real_em, real_epstein = mpcore.hurwitz_zeta_raw, theorems.epstein2
     real_lambert = theorems._epstein2_lambert
@@ -286,8 +287,8 @@ def test_four_evaluators_make_one_walk_per_nome(monkeypatch, ctx30):
         for f in (q_ratios, r_linear, h3_ratios, h3_linear):
             f(mp.mpc("0.5", im), ctx30)
         assert sum(key[0] is walk for key in mpcore._memo) - before == 4
-    assert len(epstein_calls) == 4
-    assert len(lambert_calls) == 4
+    assert len(epstein_calls) == 0
+    assert len(lambert_calls) == 8
     assert len(em_runs) == 1
 
 
