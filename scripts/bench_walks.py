@@ -23,7 +23,13 @@ sums of the squared-binomial analogues at 0.8i, 1.1i and 0.5 + 0.9i, the
 half-odd nome sums of the inverse-square records at t = 0.25, 0.5, 0.09,
 and the notebook entries rn2p277 (z = iy and -1/(2z), y = 0.6, 1.0, 1.4)
 and rn2p277p (the alternating odd sum and the three ELi values at
-q = e^(-pi y), y = 1, 2, 0.5).
+q = e^(-pi y), y = 1, 2, 0.5).  The ``nodes`` layer builds the tanh-sinh
+nodes of levels 0-6 (``quadrature._nodes``, bypassing its memo), which
+every process that integrates pays once per precision.  The ``import``
+layer, reported under the key "import" in place of a digit level, starts
+IMPORT_RUNS fresh processes that each time ``import modzeta`` and
+``get_records("all")`` and report their peak RSS (``ru_maxrss``); the
+interpreter's own start-up is not counted.
 
     python3 scripts/bench_walks.py                          # this checkout
     python3 scripts/bench_walks.py --root PATH              # another checkout
@@ -50,6 +56,7 @@ import time
 
 DIGITS = (30, 50, 100, 250)
 ROUNDS = 10  # alternating pairs with --baseline
+IMPORT_RUNS = 5  # fresh processes per measurement of the import layer
 # admissible theorem points (Re z, Im z)
 POINTS = (("0", "0.55"), ("0", "0.7"), ("0", "1.0"), ("0", "1.5"),
           ("0.5", "0.75"), ("0.5", "1.0"), ("0.5", "1.3"))
@@ -184,17 +191,55 @@ def _qseries_calls(ctx):
     return etas, hyp, elis
 
 
-LAYERS = ("binom_sums", "nome_chains", "agm", "quad", "hurwitz", "eta", "hyp_lambert", "eli")
+def _node_calls(ctx):
+    """The tanh-sinh node levels 0-6 at one precision, as (function, arguments) pairs."""
+    from modzeta.quadrature import _nodes
+
+    return [(_nodes.__wrapped__, (level, ctx)) for level in range(7)]
 
 
-def measure() -> dict:
+# run in a fresh process: seconds for the import and the registry, and peak RSS
+_IMPORT = """\
+import resource, time
+t0 = time.perf_counter()
+import modzeta
+modzeta.get_records("all")
+t = time.perf_counter() - t0
+print(modzeta.__file__, t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def measure_import(root: str) -> dict:
+    """The import layer: IMPORT_RUNS fresh processes importing modzeta from root/src."""
+    src = os.path.join(root, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    secs, rss = [], []
+    for _ in range(IMPORT_RUNS):
+        done = subprocess.run([sys.executable, "-c", _IMPORT], env=env, cwd=root,
+                              capture_output=True, text=True, check=True)
+        path, t, mb = done.stdout.split()
+        if not path.startswith(src + os.sep):
+            raise RuntimeError("modzeta imported from %s, not from %s" % (path, src))
+        secs.append(float(t))
+        rss.append(float(mb))
+    total = sum(secs)
+    return {"calls": IMPORT_RUNS, "total_s": round(total, 4),
+            "ms_per_call": round(1000 * total / IMPORT_RUNS, 3),
+            "peak_rss_mb": round(statistics.median(rss), 1)}
+
+
+LAYERS = ("binom_sums", "nome_chains", "agm", "quad", "hurwitz", "eta", "hyp_lambert", "eli",
+          "nodes")
+
+
+def measure(root: str) -> dict:
     from modzeta import PrecisionCtx
-    out = {}
+    out = {"import": {"import": measure_import(root)}}
     for digits in DIGITS:
         ctx = PrecisionCtx(digits)
         calls = dict(zip(LAYERS, _walk_calls(ctx) + (_agm_calls(ctx), _quad_calls(ctx),
                                                      _hurwitz_calls(ctx))
-                         + _qseries_calls(ctx)))
+                         + _qseries_calls(ctx) + (_node_calls(ctx),)))
         row = {}
         for name in LAYERS:
             t0 = time.perf_counter()
@@ -223,7 +268,7 @@ def _commit(root: str):
 
 def _summary(runs: list) -> dict:
     """Median and quartiles of total seconds, and median ms per call, per
-    layer and digit level."""
+    layer and digit level, with the median peak RSS where a layer reports it."""
     out = {}
     for digits in runs[0]:
         out[digits] = {}
@@ -233,6 +278,9 @@ def _summary(runs: list) -> dict:
             out[digits][name] = {"calls": first["calls"], "total_s": round(med, 4),
                                  "total_s_q1_q3": [round(q1, 4), round(q3, 4)],
                                  "ms_per_call": round(1000 * med / first["calls"], 3)}
+            if "peak_rss_mb" in first:
+                out[digits][name]["peak_rss_mb"] = round(statistics.median(
+                    r[digits][name]["peak_rss_mb"] for r in runs), 1)
     return out
 
 
@@ -244,7 +292,7 @@ def main(argv=None) -> int:
     root = os.path.abspath(args.root)
     if args.baseline is None:
         sys.path.insert(0, os.path.join(root, "src"))
-        report = {"results": measure()}
+        report = {"results": measure(root)}
     else:
         base = os.path.abspath(args.baseline)
         runs = {"baseline": [], "root": []}

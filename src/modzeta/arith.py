@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 from mpmath import mpc, mpf
 
 from .eichler import eichler6
@@ -189,7 +188,11 @@ def epstein_lattice(z, s: int, radius: int, ctx: PrecisionCtx) -> LatticeSum:
     by 2 zeta(2s).  The tail decays like radius^(2-2s); the attached error
     estimate comes from comparing against the half-radius sum (empirical
     constant times radius^(2-2s)), plus float64 accumulation slop.
+
+    numpy serves only this oracle, so it is imported on the first call.
     """
+    import numpy as np
+
     if s not in (2, 3):
         raise DomainError("epstein_lattice supports s in {2, 3}")
     if radius < 10:

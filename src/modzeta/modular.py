@@ -185,10 +185,11 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx) -> dict:
         raise DomainError("the Lambert nome walk is out of contract for Im z < 0.03")
     with ctx.working():
         q = _nome(z)
-        qa = abs(q)
-        # the stop rules in log2 form: log2 |q|, log2(1-|q|) and log2 tiny
-        lq, l1q, lt = (float(mp.log(v, 2)) for v in (qa, 1 - qa, ctx.tiny()))
-        wp = mp.mp.prec + _nome_guard(qa, ctx)
+        # the stop rules in log2 form, in floats from |q| = exp(-x), x = 2 pi Im z:
+        # log2 |q|, log2(1-|q|) and log2 tiny
+        x = 2 * pi * float(mp.im(z))
+        lq, l1q, lt = -x / log(2), log2(-expm1(-x)), -ctx.workdps * log2(10)
+        wp = mp.mp.prec + _nome_guard(lq, l1q, lt)
         one = 1 << wp
         s = _dust_bits(q, wp)
         qr, qi = _to_fixed(q, wp, s)
@@ -224,17 +225,16 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx) -> dict:
         return {key: _from_fixed(sr, si, wp, s) for key, (sr, si) in acc.items()}
 
 
-def _nome_guard(qa: mpf, ctx: PrecisionCtx) -> int:
-    """Guard bits of the fixed-point nome walk at |q| = qa.
+def _nome_guard(lq: float, l1q: float, lt: float) -> int:
+    """Guard bits of the fixed-point nome walk from log2|q|, log2(1-|q|) and log2 tiny.
 
     Each kernel value is off by a few units of 2^-wp, times (1-|q|)^-4 for
     K_3; the E6 chain multiplies its rounding by n^5 and adds up to N terms,
     N^6 units in all.  N is bounded by twice the index where |q|^n falls
     below tiny, which covers the polynomial factors of every stop rule.
     """
-    n_end = 2 * int(ctx.workdps * mp.log(10) / -mp.log(qa)) + 10
-    spread = int(mp.ceil(mp.log(1 / (1 - qa), 2)))
-    return 6 * n_end.bit_length() + 4 * spread + 8
+    n_end = 2 * int(lt / lq) + 10
+    return 6 * n_end.bit_length() + 4 * ceil(-l1q) + 8
 
 
 def eisenstein(z, weight: int, ctx: PrecisionCtx) -> mpc:

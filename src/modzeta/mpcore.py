@@ -239,26 +239,24 @@ def _em_plan(s, dps: int) -> tuple:
 
     Johansson's bound over zeta(s, a) >= (a+N)^(1-s)/(s-1), with a + N >= N,
     is 4 (s-1) (s)_2M / ((2 pi N)^2M (s+2M-1)) for every a > 0; its log is
-    taken in floats through ``math.lgamma``.  N is max(10, 0.6 dps + 2), or,
-    where no M <= BERNOULLI_CAP/2 brings that bound below 10^-(dps+2)
-    (above about 500 digits), the least N at which M = BERNOULLI_CAP/2 does;
-    M is the least count that does at that N.
+    taken in floats through ``math.lgamma``.  N is max(10, 0.6 dps + 2) and
+    M the least count that brings that bound below 10^-(dps+2).  The bound
+    falls only while s + 2M < 2 pi N, so M stops at pi N; where no M up to
+    there meets the goal (only for s of about N or more), N is doubled.
     """
-    cap = BERNOULLI_CAP // 2
     goal = -(dps + 2) * math.log(10)
     s1, s = float(s - 1), float(s)
 
-    def log_bound(m: int, n: int = 1) -> float:
+    def log_bound(m: int, n: int) -> float:
         return (math.log(4 * s1) + math.lgamma(s + 2 * m) - math.lgamma(s)
                 - math.log(s1 + 2 * m) - 2 * m * math.log(2 * math.pi * n))
 
-    def least_m(n: int):
-        return next((m for m in range(1, cap + 1) if log_bound(m, n) < goal), None)
-
     n = max(10, int(0.6 * dps) + 2)
-    if least_m(n) is None:
-        n = int(math.exp((log_bound(cap) - goal) / (2 * cap))) + 1
-    return n, least_m(n) or cap  # "or cap" guards the float rounding of that N
+    while True:
+        m = next((m for m in range(1, int(math.pi * n) + 1) if log_bound(m, n) < goal), None)
+        if m is not None:
+            return n, m
+        n *= 2
 
 
 @_memoized

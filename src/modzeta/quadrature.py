@@ -73,22 +73,28 @@ def _nodes(level: int, ctx: PrecisionCtx) -> list:
 
     Level 0 holds all integer multiples of h=1 (including t=0); level L > 0
     holds the odd multiples of h = 2^-L.  delta = 1 - tanh((pi/2) sinh t).
+    Each node takes one exp: e^t runs by recurrence, times e^(step h), and
+    with E = exp(pi sinh t), delta = 2/(E+1) and the weight
+    (pi/2) cosh t / cosh((pi/2) sinh t)^2 is 2 pi cosh t E / (E+1)^2.  The
+    recurrence adds one rounding per node, and E multiplies the relative
+    error of e^t by about pi sinh t (below 10^3 up to tmax): a few of the
+    10 extra digits.
     """
     dps = ctx.workdps
     with mp.workdps(dps + 10):
         tmax = _tmax(dps)
         h = mpf(1) / (1 << level)
+        pi = +mp.pi
         out = []
         k = 0 if level == 0 else 1
         step = 1 if level == 0 else 2
-        while True:
-            t = k * h
-            if t > tmax:
-                break
-            u = mp.pi / 2 * mp.sinh(t)
-            delta = 2 / (mp.exp(2 * u) + 1)
-            w = mp.pi / 2 * mp.cosh(t) / mp.cosh(u) ** 2
-            out.append((delta, w))
+        et, grow = mp.exp(k * h), mp.exp(step * h)  # e^t at the first node, its ratio
+        while k * h <= tmax:
+            inv = 1 / et
+            big = mp.exp(pi * (et - inv) / 2)  # E = exp(pi sinh t)
+            delta = 2 / (big + 1)
+            out.append((delta, pi * (et + inv) * big / (big + 1) ** 2))
+            et *= grow
             k += step
     return out
 

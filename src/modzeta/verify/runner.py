@@ -1,17 +1,17 @@
 """Suite runner and report generation.
 
 Identities are independent pure computations; with ``jobs > 1`` they fan out
-across worker processes (each worker rebuilds the registry from the shared
-seed and evaluates by record id), and the report is assembled in id order
-regardless of completion order.  All high-precision values serialize as
-decimal strings, never binary floats.
+across worker processes that evaluate by record id (a forked worker inherits
+the registry built before the pool starts; a spawned one rebuilds it from the
+shared seed), and the report is assembled in id order regardless of
+completion order.  All high-precision values serialize as decimal strings,
+never binary floats.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -140,6 +140,8 @@ def run_suite(suite: str, ctx: PrecisionCtx, jobs: int = 1,
     """Evaluate every identity in ``suite``; deterministic id-ordered report."""
     recs = get_records(suite, seed)
     if jobs and jobs > 1 and len(recs) > 1:
+        # imported here: a serial run never loads the process pool
+        from concurrent.futures import ProcessPoolExecutor
         args = [(suite, r.id, ctx.digits, ctx.guard, seed) for r in recs]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_worker, args))

@@ -9,7 +9,7 @@ from mpmath import mpf
 from modzeta import (DomainError, PrecisionCtx, bernoulli, const_catalan,
                      const_zeta, dirichlet_l)
 from modzeta import mpcore
-from modzeta.mpcore import BERNOULLI_CAP, _em_plan, hurwitz_zeta_raw
+from modzeta.mpcore import _em_plan, hurwitz_zeta_raw
 
 # Catalan reference prefix (20 digits)
 G_20 = "0.91596559417721901505"
@@ -98,10 +98,11 @@ def test_hurwitz_engine_matches_reference():
             assert abs(hurwitz_zeta_raw(s, a) - mp.zeta(s, a)) < mpf(10) ** -42
 
 
-def test_em_plan_meets_its_bound_within_the_bernoulli_cap():
+def test_em_plan_meets_its_bound():
     # Johansson's remainder bound for the planned (N, M), relative to
     # zeta(s, a) >= (a+N)^(1-s)/(s-1), recomputed at 30 digits from the
-    # rising factorial: below 10^-(dps+2) at M, not yet at M - 1
+    # rising factorial: below 10^-(dps+2) at M, not yet at M - 1; N stays
+    # max(10, 0.6 dps + 2) at every precision, past the Bernoulli cap too
     def log10_bound(s, n, m):
         with mp.workdps(30):
             return mp.log10(4 * (s - 1) * mp.rf(s, 2 * m)
@@ -109,19 +110,36 @@ def test_em_plan_meets_its_bound_within_the_bernoulli_cap():
     for s in [mpf(k) / 2 for k in range(4, 17)]:
         for dps in range(25, 1016, 10):
             n, m = _em_plan(s, dps)
-            assert n >= 10 and 1 <= m <= BERNOULLI_CAP // 2, (s, dps)
+            assert n == max(10, int(0.6 * dps) + 2) and m >= 1, (s, dps)
             assert log10_bound(s, n, m) < -(dps + 2), (s, dps)
             assert m == 1 or log10_bound(s, n, m - 1) >= -(dps + 2), (s, dps)
+    assert _em_plan(2, 1015) == (611, 501)  # M past BERNOULLI_CAP / 2 = 256
+
+
+def test_em_plan_raises_n_for_large_s():
+    # at s = 500 no M up to pi N meets the bound at N = 20; N doubles
+    n, m = _em_plan(500, 30)
+    assert n > 20 and n % 20 == 0 and m >= 1
 
 
 def test_hurwitz_engine_at_1000_digits():
-    # past the Bernoulli cap, where the plan raises N
+    # past the Bernoulli cap, where the plan takes M above 256
     with mp.workdps(1000):
         a = mpf(1) / 28
         got = hurwitz_zeta_raw(mpf(2), a)
     with mp.workdps(1020):
         want = mp.zeta(2, a)
         assert abs(got - want) <= mpf("0.2") * mpf(10) ** -1000 * want
+
+
+def test_hurwitz_engine_at_1015_digits():
+    # the plan (N, M) = (611, 501)
+    with mp.workdps(1015):
+        a = mpf(3) / 28
+        got = hurwitz_zeta_raw(mpf(2), a)
+    with mp.workdps(1040):
+        want = mp.zeta(2, a)
+        assert abs(got - want) <= mpf("0.2") * mpf(10) ** -1015 * want
 
 
 @pytest.mark.parametrize("dps", (15, 50, 100, 250))

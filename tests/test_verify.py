@@ -3,6 +3,8 @@
 import functools
 import json
 import os
+import subprocess
+import sys
 import types
 
 import mpmath as mp
@@ -69,12 +71,29 @@ def test_empty_report_shape():
 
 
 def test_parallel_matches_serial(ctx50):
-    serial = run_suite("sun-h2", ctx50, jobs=1)
-    parallel = run_suite("sun-h2", ctx50, jobs=2)
-    assert [r["id"] for r in serial.rows] == [r["id"] for r in parallel.rows]
-    for a, b in zip(serial.rows, parallel.rows):
-        assert a["lhs"] == b["lhs"]
-        assert a["pass"] and b["pass"]
+    # the process pool, imported on the jobs > 1 branch only, gives the
+    # serial rows apart from their timings
+    def rows(suite, ctx, jobs):
+        return [{k: v for k, v in row.items() if k != "elapsed_ms"}
+                for row in run_suite(suite, ctx, jobs=jobs).rows]
+    for suite, ctx in (("sun-h2", ctx50), ("h2-variants", PrecisionCtx(15))):
+        serial = rows(suite, ctx, 1)
+        assert serial and all(row["pass"] for row in serial)
+        assert rows(suite, ctx, 2) == serial
+
+
+def test_import_loads_neither_numpy_nor_the_process_pool():
+    # numpy serves only epstein_lattice and the pool only run_suite(jobs > 1):
+    # a fresh process that imports the package and builds the registry loads neither
+    src = os.path.dirname(os.path.dirname(modular.__file__))
+    code = ("import sys, modzeta; modzeta.get_records('all'); "
+            "print([m for m in ('numpy', 'concurrent.futures.process', "
+            "'multiprocessing') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_seeded_registry_reproducible():
