@@ -299,8 +299,8 @@ def hurwitz_zeta_raw(s: mpf, a: mpf) -> mpf:
     stays a fraction of the last bit.
     """
     s, a = mpf(s), mpf(a)
-    if not s > 1:
-        raise DomainError("hurwitz zeta requires s > 1")
+    if not 1 < s < mp.inf:  # an infinite s would send the plan's search on forever
+        raise DomainError("hurwitz zeta requires a finite s > 1")
     if not a > 0:
         raise DomainError("hurwitz zeta requires a > 0")
     n, coeffs = _em_coefficients(s, PrecisionCtx(max(10, mp.mp.dps), 0))

@@ -57,6 +57,8 @@ def test_zeta_domain():
     ctx = PrecisionCtx(20)
     with pytest.raises(DomainError):
         const_zeta(1, ctx)
+    with pytest.raises(DomainError):
+        hurwitz_zeta_raw(mp.inf, mpf(1))
 
 
 def test_catalan():
