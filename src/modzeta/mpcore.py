@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import wraps
 from inspect import signature
 
@@ -24,14 +23,11 @@ from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 __all__ = [
     "DomainError",
     "PrecisionCtx",
-    "bernoulli",
     "const_catalan",
     "const_zeta",
     "ensure_finite",
     "hurwitz_zeta_raw",
 ]
-
-BERNOULLI_CAP = 512
 
 
 class DomainError(ValueError):
@@ -197,7 +193,7 @@ def const_zeta(n: int, ctx: PrecisionCtx) -> mpf:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers (exact rationals, via tangent numbers)
+# Tangent numbers (the exact Bernoulli numbers of the Euler-Maclaurin table)
 # ---------------------------------------------------------------------------
 
 def _tangent_numbers(m: int) -> list[int]:
@@ -212,24 +208,6 @@ def _tangent_numbers(m: int) -> list[int]:
     return t[1:]
 
 
-def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n as an exact rational, for 0 <= n <= BERNOULLI_CAP.
-
-    B_2j = (-1)^(j+1) 2j T_(2j-1) / (4^j (4^j - 1)) from the tangent numbers.
-    """
-    if int(n) != n or n < 0:
-        raise DomainError("bernoulli requires an integer n >= 0")
-    if n > BERNOULLI_CAP:
-        raise DomainError("bernoulli cap exceeded: n=%d > %d" % (n, BERNOULLI_CAP))
-    if n % 2:
-        return Fraction(-1, 2) if n == 1 else Fraction(0)
-    if n == 0:
-        return Fraction(1)
-    half = n // 2
-    sign = 1 if half % 2 == 1 else -1
-    return Fraction(sign * n * _tangent_numbers(half)[-1], (4 ** half) * (4 ** half - 1))
-
-
 # ---------------------------------------------------------------------------
 # Hurwitz zeta by Euler-Maclaurin (the engine behind const_zeta and L_d)
 # ---------------------------------------------------------------------------
@@ -239,24 +217,31 @@ def _em_plan(s, dps: int) -> tuple:
 
     Johansson's bound over zeta(s, a) >= (a+N)^(1-s)/(s-1), with a + N >= N,
     is 4 (s-1) (s)_2M / ((2 pi N)^2M (s+2M-1)) for every a > 0; its log is
-    taken in floats through ``math.lgamma``.  N is max(10, 0.6 dps + 2) and
-    M the least count that brings that bound below 10^-(dps+2).  The bound
-    falls only while s + 2M < 2 pi N, so M stops at pi N; where no M up to
-    there meets the goal (only for s of about N or more), N is doubled.
+    taken in floats through ``math.lgamma``, with log(s-1) from the mpf s so
+    that an s within 1e-308 of 1 keeps it.  N is N0 = max(10, 0.6 dps + 2)
+    and M the least count up to pi N0 that brings that bound below
+    10^-(dps+2).  The bound falls only while s + 2M < 2 pi N, so for s of
+    about N0 or more no such M may exist; then N is doubled, up to 16 N0.
+    Past that the plan raises DomainError, at once for s >= 32 pi N0, where
+    the bound cannot fall.  Every s below 50 N0 (at least 500, about 30 dps)
+    is served, with at most 16 N0 direct terms and pi N0 corrections.
     """
-    goal = -(dps + 2) * math.log(10)
-    s1, s = float(s - 1), float(s)
+    n0 = max(10, int(0.6 * dps) + 2)
+    if s < 32 * math.pi * n0:
+        goal = -(dps + 2) * math.log(10)
+        log4s1, s1, s = math.log(4) + float(mp.log(s - 1)), float(s - 1), float(s)
 
-    def log_bound(m: int, n: int) -> float:
-        return (math.log(4 * s1) + math.lgamma(s + 2 * m) - math.lgamma(s)
-                - math.log(s1 + 2 * m) - 2 * m * math.log(2 * math.pi * n))
+        def log_bound(m: int, n: int) -> float:
+            return (log4s1 + math.lgamma(s + 2 * m) - math.lgamma(s)
+                    - math.log(s1 + 2 * m) - 2 * m * math.log(2 * math.pi * n))
 
-    n = max(10, int(0.6 * dps) + 2)
-    while True:
-        m = next((m for m in range(1, int(math.pi * n) + 1) if log_bound(m, n) < goal), None)
-        if m is not None:
-            return n, m
-        n *= 2
+        for n in (n0 << k for k in range(5)):
+            m = next((m for m in range(1, int(math.pi * n0) + 1) if log_bound(m, n) < goal),
+                     None)
+            if m is not None:
+                return n, m
+    raise DomainError("hurwitz zeta: no Euler-Maclaurin plan for s = %s at %d digits"
+                      % (mp.nstr(mpf(s), 5), dps))
 
 
 @_memoized
@@ -299,8 +284,8 @@ def hurwitz_zeta_raw(s: mpf, a: mpf) -> mpf:
     stays a fraction of the last bit.
     """
     s, a = mpf(s), mpf(a)
-    if not 1 < s < mp.inf:  # an infinite s would send the plan's search on forever
-        raise DomainError("hurwitz zeta requires a finite s > 1")
+    if not s > 1:
+        raise DomainError("hurwitz zeta requires s > 1")
     if not a > 0:
         raise DomainError("hurwitz zeta requires a > 0")
     n, coeffs = _em_coefficients(s, PrecisionCtx(max(10, mp.mp.dps), 0))

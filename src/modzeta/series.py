@@ -143,12 +143,8 @@ class WeightSpec:
     def combo(cls, coeffs: dict) -> "WeightSpec":
         return cls(tuple((Fraction(c), b) for b, c in coeffs.items()))
 
-    @classmethod
-    def one(cls) -> "WeightSpec":
-        return cls.combo({"ONE": 1})
 
-
-W_ONE = WeightSpec.one()
+W_ONE = WeightSpec.combo({"ONE": 1})
 
 
 # ---------------------------------------------------------------------------

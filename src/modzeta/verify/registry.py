@@ -9,8 +9,8 @@ convergent -1/64 rate family needs no flag, because the series engine sees the
 boundary rate and sums it by CVZ acceleration.
 
 The registry is data over the evaluators.  Every record is a row of a
-module-level table, (id, suite, description, lhs(p, ctx), rhs(p, ctx), anchor,
-note), crossed with a tuple of points p: the four tabulated points of the
+module-level table, (id, suite, description, lhs(p, ctx), rhs(p, ctx)),
+crossed with a tuple of points p: the four tabulated points of the
 special-value tables (whose cells name their closed form in ``p.forms``
 instead of a rhs), seeded or fixed points z, parameters t, or ``_ONCE`` for
 single records.  A point's fields fill the %-fields of the id and the
@@ -68,8 +68,6 @@ class IdentityRecord:
     description: str
     lhs: object  # callable ctx -> mpf | mpc
     rhs: object
-    paper_anchor: str = ""
-    independence_note: str = ""
 
 
 def _I():
@@ -128,11 +126,10 @@ def _at(tag: str, re: str, im: str, z=None) -> _Point:
 
 def _record(row, p: _Point) -> IdentityRecord:
     """The record of one table row at the point p."""
-    id_, suite, desc, lhs, rhs, anchor, note = row
+    id_, suite, desc, lhs, rhs = row
     fields = p._asdict()
     rhs = p.forms[rhs] if isinstance(rhs, str) else partial(rhs, p)
-    return IdentityRecord(id_ % fields, suite, desc % fields, partial(lhs, p), rhs,
-                          anchor, note)
+    return IdentityRecord(id_ % fields, suite, desc % fields, partial(lhs, p), rhs)
 
 
 def _series(rate: str, terms, ctx):
@@ -153,90 +150,75 @@ def _series(rate: str, terms, ctx):
 # The rate series: each lhs is one _series walk, each rhs a closed form.
 _SERIES = (
     ("rama1", "ramanujan-classical", "sum C(2k,k)^3 (4k+1)/(-64)^k = 2/pi",
-     lambda p, ctx: _series("-1/64", [(1, (4, 1), {"ONE": 1})], ctx), lambda p, ctx: 2 / mp.pi,
-     "classical series, alternating boundary rate", "lhs: accelerated series; rhs: pi only"),
+     lambda p, ctx: _series("-1/64", [(1, (4, 1), {"ONE": 1})], ctx), lambda p, ctx: 2 / mp.pi),
     ("rama2", "ramanujan-classical", "sum C(2k,k)^3 (6k+1)/256^k = 4/pi",
-     lambda p, ctx: _series("1/256", [(1, (6, 1), {"ONE": 1})], ctx), lambda p, ctx: 4 / mp.pi,
-     "classical series", "lhs: series; rhs: pi only"),
+     lambda p, ctx: _series("1/256", [(1, (6, 1), {"ONE": 1})], ctx), lambda p, ctx: 4 / mp.pi),
     ("rama3", "ramanujan-classical", "sum C(2k,k)^3 (6k+1)/(-512)^k = 2 sqrt(2)/pi",
      lambda p, ctx: _series("-1/512", [(1, (6, 1), {"ONE": 1})], ctx),
-     lambda p, ctx: 2 * mp.sqrt(2) / mp.pi,
-     "classical series", "lhs: series; rhs: pi only"),
+     lambda p, ctx: 2 * mp.sqrt(2) / mp.pi),
     ("rama4", "ramanujan-classical", "sum C(2k,k)^3 (42k+5)/4096^k = 16/pi",
-     lambda p, ctx: _series("1/4096", [(1, (42, 5), {"ONE": 1})], ctx), lambda p, ctx: 16 / mp.pi,
-     "classical series", "lhs: series; rhs: pi only"),
+     lambda p, ctx: _series("1/4096", [(1, (42, 5), {"ONE": 1})], ctx), lambda p, ctx: 16 / mp.pi),
     ("h2var.-64", "h2-variants", "sum C^3 [H2_{2k}-H2_k/2](4k+1)/(-64)^k = -pi/12",
      lambda p, ctx: _series("-1/64", [(1, (4, 1), {"H2_2K": 1, "H2_K": "-1/2"})], ctx),
-     lambda p, ctx: -mp.pi / 12,
-     "second-order harmonic variant", "lhs: accelerated series; rhs: pi only"),
+     lambda p, ctx: -mp.pi / 12),
     ("h2var.256", "h2-variants", "sum C^3 [H2_{2k}-5H2_k/16](6k+1)/256^k = pi/12",
      lambda p, ctx: _series("1/256", [(1, (6, 1), {"H2_2K": 1, "H2_K": "-5/16"})], ctx),
-     lambda p, ctx: mp.pi / 12,
-     "second-order harmonic variant", "lhs: series; rhs: pi only"),
+     lambda p, ctx: mp.pi / 12),
     ("h2var.-512", "h2-variants", "sum C^3 [H2_{2k}-5H2_k/16](6k+1)/(-512)^k = -sqrt(2)pi/48",
      lambda p, ctx: _series("-1/512", [(1, (6, 1), {"H2_2K": 1, "H2_K": "-5/16"})], ctx),
-     lambda p, ctx: -mp.sqrt(2) * mp.pi / 48,
-     "second-order harmonic variant", "lhs: series; rhs: pi only"),
+     lambda p, ctx: -mp.sqrt(2) * mp.pi / 48),
     ("h2var.4096", "h2-variants", "sum C^3 [H2_{2k}-25H2_k/92](42k+5)/4096^k = 2pi/69",
      lambda p, ctx: _series("1/4096", [(1, (42, 5), {"H2_2K": 1, "H2_K": "-25/92"})], ctx),
-     lambda p, ctx: 2 * mp.pi / 69,
-     "second-order harmonic variant", "lhs: series; rhs: pi only"),
+     lambda p, ctx: 2 * mp.pi / 69),
     ("h3.a", "h3", "sum C^3 H3_{2k}(4k+1)/(-64)^k = 15zeta(3)/(4pi) - 2L_{-4}(2)",
      lambda p, ctx: _series("-1/64", [(1, (4, 1), {"H3_2K": 1})], ctx),
-     lambda p, ctx: 15 * const_zeta(3, ctx) / (4 * mp.pi) - 2 * dirichlet_l(-4, 2, ctx),
-     "third-order harmonic series", "lhs: accelerated series; rhs: zeta(3), dirichlet_l"),
+     lambda p, ctx: 15 * const_zeta(3, ctx) / (4 * mp.pi) - 2 * dirichlet_l(-4, 2, ctx)),
     ("h3.b", "h3", "rate 256: = 25zeta(3)/(8pi) - L_{-4}(2)",
      lambda p, ctx: _series("1/256", [(1, (6, 1), {"H3_2K": 1, "H3_K": "-7/64"})], ctx),
-     lambda p, ctx: 25 * const_zeta(3, ctx) / (8 * mp.pi) - dirichlet_l(-4, 2, ctx),
-     "third-order harmonic series", "rhs: zeta(3), dirichlet_l"),
+     lambda p, ctx: 25 * const_zeta(3, ctx) / (8 * mp.pi) - dirichlet_l(-4, 2, ctx)),
     ("h3.c", "h3", "rate -512: = 57zeta(3)/(16 sqrt(2) pi) - L_{-8}(2)",
      lambda p, ctx: _series("-1/512", [(1, (6, 1), {"H3_2K": 1, "H3_K": "-7/64"})], ctx),
      lambda p, ctx: (57 * const_zeta(3, ctx) / (16 * mp.sqrt(2) * mp.pi)
-                     - dirichlet_l(-8, 2, ctx)),
-     "third-order harmonic series", "rhs: zeta(3), dirichlet_l"),
+                     - dirichlet_l(-8, 2, ctx))),
     ("h3.d", "h3", "rate 4096: = 555zeta(3)/(77pi) - 32L_{-4}(2)/11",
      lambda p, ctx: _series("1/4096", [(1, (42, 5), {"H3_2K": 1, "H3_K": "-43/352"})], ctx),
      lambda p, ctx: (555 * const_zeta(3, ctx) / (77 * mp.pi)
-                     - mpf(32) / 11 * dirichlet_l(-4, 2, ctx)),
-     "third-order harmonic series", "rhs: zeta(3), dirichlet_l"),
+                     - mpf(32) / 11 * dirichlet_l(-4, 2, ctx))),
     ("sun1", "sun-h2", "sum C^3 [H2_{2k}-H2_k/2 + 2L_{-8}(2)-5pi^2/24]/(-64)^k = 0",
      lambda p, ctx: _series("-1/64", [
          (1, (0, 1), {"H2_2K": 1, "H2_K": "-1/2"}),
          (lambda ctx: 2 * dirichlet_l(-8, 2, ctx) - 5 * mp.pi ** 2 / 24, (0, 1),
           {"ONE": 1})], ctx),
-     _zero, "bracketed alternating series",
-     "constant built from dirichlet_l(-8,2) and pi; rhs literal 0"),
+     _zero),
     ("sun2", "sun-h2", "sum C^3 [H2_{2k}-5H2_k/16 + (135L_{-3}(2)-11pi^2)/96]/256^k = 0",
      lambda p, ctx: _series("1/256", [
          (1, (0, 1), {"H2_2K": 1, "H2_K": "-5/16"}),
          (lambda ctx: (135 * dirichlet_l(-3, 2, ctx) - 11 * mp.pi ** 2) / 96, (0, 1),
           {"ONE": 1})], ctx),
-     _zero, "bracketed series", "constant from dirichlet_l(-3,2); rhs literal 0"),
+     _zero),
     ("sun3", "sun-h2", "sum C^3 [H2_{2k}-5H2_k/16 + (120L_{-4}(2)-11pi^2)/96]/(-512)^k = 0",
      lambda p, ctx: _series("-1/512", [
          (1, (0, 1), {"H2_2K": 1, "H2_K": "-5/16"}),
          (lambda ctx: (120 * dirichlet_l(-4, 2, ctx) - 11 * mp.pi ** 2) / 96, (0, 1),
           {"ONE": 1})], ctx),
-     _zero, "bracketed series", "constant from dirichlet_l(-4,2); rhs literal 0"),
+     _zero),
     ("sun4", "sun-h2", "sum C^3 [H2_{2k}-25H2_k/92 + (735L_{-7}(2)-86pi^2)/1104]/4096^k = 0",
      lambda p, ctx: _series("1/4096", [
          (1, (0, 1), {"H2_2K": 1, "H2_K": "-25/92"}),
          (lambda ctx: (735 * dirichlet_l(-7, 2, ctx) - 86 * mp.pi ** 2) / 1104, (0, 1),
           {"ONE": 1})], ctx),
-     _zero, "bracketed series", "constant from dirichlet_l(-7,2); rhs literal 0"),
+     _zero),
     ("h3.e", "h3",
      "sum C^3 [(42k+5)H3_k - 352/(2k+1)^2]/4096^k = (32/7)[335zeta(3)/pi - 224L_{-4}(2)]",
      lambda p, ctx: _series("1/4096", [(1, (42, 5), {"H3_K": 1}),
                                        (-352, (0, 1), {"INVSQ_2K1": 1})], ctx),
      lambda p, ctx: mpf(32) / 7 * (335 * const_zeta(3, ctx) / mp.pi
-                                   - 224 * dirichlet_l(-4, 2, ctx)),
-     "inverse-square augmented series", "rhs: zeta(3), dirichlet_l"),
+                                   - 224 * dirichlet_l(-4, 2, ctx))),
     ("h3.weixu", "h3",
      "sum C^3 {(42k+5)[17H3_{2k}-2H3_k] - 27/(2k+1)^2}/4096^k = 240zeta(3)/pi - 128L_{-4}(2)",
      lambda p, ctx: _series("1/4096", [(1, (42, 5), {"H3_2K": 17, "H3_K": -2}),
                                        (-27, (0, 1), {"INVSQ_2K1": 1})], ctx),
-     lambda p, ctx: 240 * const_zeta(3, ctx) / mp.pi - 128 * dirichlet_l(-4, 2, ctx),
-     "companion identity", "rhs: zeta(3), dirichlet_l"),
+     lambda p, ctx: 240 * const_zeta(3, ctx) / mp.pi - 128 * dirichlet_l(-4, 2, ctx)),
 )
 
 
@@ -331,57 +313,41 @@ def _ut(p, ctx):
 # The records at each tabulated point; a rhs given as a string is the key of
 # its closed form in p.forms.
 _CELLS = (
-    ("th2.%(tag)s.rate", "table-h2", "alpha4(1-alpha4)/16 cell", _rate, "rate",
-     "modular rate", "lhs: eta quotients; rhs: exact rational"),
+    ("th2.%(tag)s.rate", "table-h2", "alpha4(1-alpha4)/16 cell", _rate, "rate"),
     ("th2.%(tag)s.lin", "table-h2", "(1-2 alpha4)/Im z cell",
-     lambda p, ctx: (1 - 2 * alpha4(p.z(), ctx)) / mp.im(p.z()), "lin",
-     "modular data", "lhs: eta quotients; rhs: closed form"),
+     lambda p, ctx: (1 - 2 * alpha4(p.z(), ctx)) / mp.im(p.z()), "lin"),
     ("th2.%(tag)s.rhalf", "table-h2", "R_{-1/2}/(2(1-2 alpha4)) cell",
-     lambda p, ctx: r_half(p.z(), ctx) / (2 * (1 - 2 * alpha4(p.z(), ctx))), "rhalf",
-     "Legendre-Ramanujan value", "lhs: E2/E4 q-series; rhs: exact rational"),
+     lambda p, ctx: r_half(p.z(), ctx) / (2 * (1 - 2 * alpha4(p.z(), ctx))), "rhalf"),
     ("th2.%(tag)s.ezh", "table-h2", "E(z+1/2,2) cell",
-     lambda p, ctx: epstein2(p.z() + mpf(1) / 2, ctx), "ezh",
-     "Epstein special value", "lhs: Lambert route; rhs: dirichlet_l closed form"),
+     lambda p, ctx: epstein2(p.z() + mpf(1) / 2, ctx), "ezh"),
     ("th2.%(tag)s.e2z", "table-h2", "E(2z,2) cell",
-     lambda p, ctx: epstein2(2 * p.z(), ctx), "e2z",
-     "Epstein special value", "lhs: Lambert route; rhs: dirichlet_l closed form"),
-    ("th2.%(tag)s.q1q2", "table-h2", "Q1 - r Q2 cell (series route)", _q1q2, "q1q2",
-     "penultimate column", "lhs: series ratios; rhs: pi^2 and dirichlet_l"),
-    ("th2.%(tag)s.tr", "table-h2", "T_r cell (series route)", _tr, "t",
-     "last column", "lhs: linear-factor series; rhs: rational multiple of pi"),
+     lambda p, ctx: epstein2(2 * p.z(), ctx), "e2z"),
+    ("th2.%(tag)s.q1q2", "table-h2", "Q1 - r Q2 cell (series route)", _q1q2, "q1q2"),
+    ("th2.%(tag)s.tr", "table-h2", "T_r cell (series route)", _tr, "t"),
     ("th3.%(tag)s.e4z2", "table-h3", "E(4z,2) cell",
-     lambda p, ctx: epstein2(4 * p.z(), ctx), "e4z2",
-     "Epstein value", "lhs: Lambert route; rhs: dirichlet_l"),
+     lambda p, ctx: epstein2(4 * p.z(), ctx), "e4z2"),
     ("th3.%(tag)s.ediff", "table-h3", "E(4z,2) - E(z,2) cell",
-     lambda p, ctx: epstein2(4 * p.z(), ctx) - epstein2(p.z(), ctx), "ediff",
-     "Epstein difference", "lhs: Lambert route; rhs: dirichlet_l"),
+     lambda p, ctx: epstein2(4 * p.z(), ctx) - epstein2(p.z(), ctx), "ediff"),
     ("th3.%(tag)s.ezh3", "table-h3", "E(z+1/2,3) cell",
-     lambda p, ctx: epstein3(p.z() + mpf(1) / 2, ctx), "ezh3",
-     "weight-3 Epstein value", "lhs: Eichler route; rhs: zeta(3)"),
+     lambda p, ctx: epstein3(p.z() + mpf(1) / 2, ctx), "ezh3"),
     ("th3.%(tag)s.e2z3", "table-h3", "E(2z,3) cell",
-     lambda p, ctx: epstein3(2 * p.z(), ctx), "e2z3",
-     "weight-3 Epstein value", "lhs: Eichler route; rhs: zeta(3)"),
-    ("th3.%(tag)s.ut", "table-h3", "T-check cell (series route)", _ut, "u",
-     "last column", "lhs: linear-factor series + Lambert Epstein; rhs: zeta(3)/pi multiple"),
+     lambda p, ctx: epstein3(2 * p.z(), ctx), "e2z3"),
+    ("th3.%(tag)s.ut", "table-h3", "T-check cell (series route)", _ut, "u"),
     ("es.s.%(name)s", "eichler-special",
      "S_%(r)s at the tabulated point is a rational multiple of pi^2",
-     lambda p, ctx: s_r(p.z(), p.r, ctx).real, "s",
-     "S-combination value", "lhs: Eichler route; rhs: rational * pi^2"),
+     lambda p, ctx: s_r(p.z(), p.r, ctx).real, "s"),
     ("es.t.%(name)s", "eichler-special",
      "T_%(r)s at the tabulated point is a rational multiple of pi",
-     lambda p, ctx: t_r(p.z(), p.r, ctx).real, "t",
-     "T-combination value", "lhs: Epstein/Eichler route; rhs: rational * pi"),
+     lambda p, ctx: t_r(p.z(), p.r, ctx).real, "t"),
     ("es.u.%(name)s", "eichler-special",
      "T-check_%(rc)s at the tabulated point is a rational multiple of zeta(3)/pi",
-     lambda p, ctx: u_check(p.z(), p.rc, ctx).real, "u",
-     "weight-6 combination value", "lhs: Eichler route; rhs: zeta(3)/pi multiple"),
+     lambda p, ctx: u_check(p.z(), p.rc, ctx).real, "u"),
     ("gz.comb.%(tag)s", "epstein-gz",
      "E(4z,2)-E(z,2) = E(z+1/2,2) - (9/2)E(2z,2) + 2E(4z,2) at the tabulated z",
      lambda p, ctx: epstein2(4 * p.z(), ctx) - epstein2(p.z(), ctx),
      lambda p, ctx: (epstein2(p.z() + mpf(1) / 2, ctx)
                      - mpf(9) / 2 * epstein2(2 * p.z(), ctx)
-                     + 2 * epstein2(4 * p.z(), ctx)),
-     "sum-rule rearrangement", "both sides: Lambert route"),
+                     + 2 * epstein2(4 * p.z(), ctx))),
 )
 
 
@@ -409,103 +375,84 @@ def _h3_ratio_256(p, ctx):
 _EICHLER = (
     ("es.e4.sqrt3", "eichler-special", "E4int((1+sqrt3 i)/2) = 2i/sqrt3 + 30 zeta(3)/(pi^3 i)",
      lambda p, ctx: _eichler([(1, "(1+sqrt3 i)/2", 4, 0)], ctx),
-     lambda p, ctx: 2 * _I() / mp.sqrt(3) + 30 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()),
-     "reflection specialization", "lhs: Lambert series; rhs: zeta(3)"),
+     lambda p, ctx: 2 * _I() / mp.sqrt(3) + 30 * const_zeta(3, ctx) / (mp.pi ** 3 * _I())),
     ("es.e4.sqrt7", "eichler-special",
      "12 E4int((1+sqrt7 i)/2) - E4int(sqrt7 i) = 29 sqrt7 i/6 + 330 zeta(3)/(pi^3 i)",
      lambda p, ctx: _eichler([(12, "(1+sqrt7 i)/2", 4, 0), (-1, "sqrt7 i", 4, 0)], ctx),
      lambda p, ctx: (29 * mp.sqrt(7) * _I() / 6
-                     + 330 * const_zeta(3, ctx) / (mp.pi ** 3 * _I())),
-     "sum-rule specialization", "lhs: Lambert series; rhs: zeta(3)"),
+                     + 330 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()))),
     ("es.e4.sqrt2", "eichler-special",
      "2 E4int(i/sqrt2) + E4int(sqrt2 i) = 5i/sqrt2 + 90 zeta(3)/(pi^3 i)",
      lambda p, ctx: _eichler([(2, "i/sqrt2", 4, 0), (1, "sqrt2 i", 4, 0)], ctx),
-     lambda p, ctx: 5 * _I() / mp.sqrt(2) + 90 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()),
-     "reflection specialization", "lhs: Lambert series; rhs: zeta(3)"),
+     lambda p, ctx: 5 * _I() / mp.sqrt(2) + 90 * const_zeta(3, ctx) / (mp.pi ** 3 * _I())),
     ("es.e4.i", "eichler-special", "E4int(i) = 7i/6 + 30 zeta(3)/(pi^3 i)",
      lambda p, ctx: _eichler([(1, "i", 4, 0)], ctx),
-     lambda p, ctx: 7 * _I() / 6 + 30 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()),
-     "reflection specialization", "lhs: Lambert series; rhs: zeta(3)"),
+     lambda p, ctx: 7 * _I() / 6 + 30 * const_zeta(3, ctx) / (mp.pi ** 3 * _I())),
     ("es.e4pp.sqrt3", "eichler-special",
      "E4int''((1+sqrt3 i)/2) = -15 sqrt3 L_{-3}(2)/(pi^2 i) - sqrt3 i",
      lambda p, ctx: _eichler([(1, "(1+sqrt3 i)/2", 4, 2)], ctx),
      lambda p, ctx: (-15 * mp.sqrt(3) * dirichlet_l(-3, 2, ctx) / (mp.pi ** 2 * _I())
-                     - mp.sqrt(3) * _I()),
-     "second-derivative value", "lhs: Lambert series; rhs: dirichlet_l"),
+                     - mp.sqrt(3) * _I())),
     ("es.e4pp.sqrt7", "eichler-special",
      "3 E4int''((1+sqrt7 i)/2) - E4int''(sqrt7 i) = -35 sqrt7 L_{-7}(2)/(4pi^2 i) - sqrt7 i",
      lambda p, ctx: _eichler([(3, "(1+sqrt7 i)/2", 4, 2), (-1, "sqrt7 i", 4, 2)], ctx),
      lambda p, ctx: (-35 * mp.sqrt(7) * dirichlet_l(-7, 2, ctx) / (4 * mp.pi ** 2 * _I())
-                     - mp.sqrt(7) * _I()),
-     "second-derivative combination", "lhs: Lambert series; rhs: dirichlet_l"),
+                     - mp.sqrt(7) * _I())),
     ("es.e4pp.sqrt2", "eichler-special",
      "E4int''(i/sqrt2) + 2 E4int''(sqrt2 i) = -40 sqrt2 L_{-8}(2)/(pi^2 i) - 5 sqrt2 i",
      lambda p, ctx: _eichler([(1, "i/sqrt2", 4, 2), (2, "sqrt2 i", 4, 2)], ctx),
      lambda p, ctx: (-40 * mp.sqrt(2) * dirichlet_l(-8, 2, ctx) / (mp.pi ** 2 * _I())
-                     - 5 * mp.sqrt(2) * _I()),
-     "second-derivative combination", "lhs: Lambert series; rhs: dirichlet_l"),
+                     - 5 * mp.sqrt(2) * _I())),
     ("es.e4pp.i", "eichler-special", "E4int''(i) = -20 L_{-4}(2)/(pi^2 i) - 2i",
      lambda p, ctx: _eichler([(1, "i", 4, 2)], ctx),
-     lambda p, ctx: -20 * dirichlet_l(-4, 2, ctx) / (mp.pi ** 2 * _I()) - 2 * _I(),
-     "second-derivative value", "lhs: Lambert series; rhs: dirichlet_l"),
+     lambda p, ctx: -20 * dirichlet_l(-4, 2, ctx) / (mp.pi ** 2 * _I()) - 2 * _I()),
     # weight-6 Eichler data at (1+sqrt3 i)/2 and the Prop-3.3 combinations
     ("es.e6.sqrt3.0", "eichler-special",
      "E6int((1+sqrt3 i)/2) = 189 zeta(5)/(pi^5 i) + 11 sqrt3 i/30",
      lambda p, ctx: _eichler([(1, "(1+sqrt3 i)/2", 6, 0)], ctx),
      lambda p, ctx: (189 * const_zeta(5, ctx) / (mp.pi ** 5 * _I())
-                     + 11 * mp.sqrt(3) * _I() / 30),
-     "weight-6 value", "lhs: Lambert series; rhs: zeta(5)"),
+                     + 11 * mp.sqrt(3) * _I() / 30)),
     ("es.e6.sqrt3.1", "eichler-special", "E6int'((1+sqrt3 i)/2) = 1/30",
-     lambda p, ctx: _eichler([(1, "(1+sqrt3 i)/2", 6, 1)], ctx), lambda p, ctx: mpf(1) / 30,
-     "weight-6 first derivative", "lhs: Lambert series; rhs: exact rational"),
+     lambda p, ctx: _eichler([(1, "(1+sqrt3 i)/2", 6, 1)], ctx), lambda p, ctx: mpf(1) / 30),
     ("es.e6.sqrt3.2", "eichler-special",
      "E6int''((1+sqrt3 i)/2) = 84 zeta(3)/(pi^3 i) + 2 sqrt3 i",
      lambda p, ctx: _eichler([(1, "(1+sqrt3 i)/2", 6, 2)], ctx),
-     lambda p, ctx: 84 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()) + 2 * mp.sqrt(3) * _I(),
-     "weight-6 second derivative", "lhs: Lambert series; rhs: zeta(3)"),
+     lambda p, ctx: 84 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()) + 2 * mp.sqrt(3) * _I()),
     ("es.e6.sqrt3.3", "eichler-special", "E6int'''((1+sqrt3 i)/2) = 10 - 168 sqrt3 zeta(3)/pi^3",
      lambda p, ctx: _eichler([(1, "(1+sqrt3 i)/2", 6, 3)], ctx),
-     lambda p, ctx: 10 - 168 * mp.sqrt(3) * const_zeta(3, ctx) / mp.pi ** 3,
-     "weight-6 third derivative", "lhs: Lambert series; rhs: zeta(3)"),
+     lambda p, ctx: 10 - 168 * mp.sqrt(3) * const_zeta(3, ctx) / mp.pi ** 3),
     ("es.e6.i.b", "eichler-special", "2i E6int(i) + E6int'(i) = 378 zeta(5)/pi^5 - 13/10",
      lambda p, ctx: _eichler([(2j, "i", 6, 0), (1, "i", 6, 1)], ctx),
-     lambda p, ctx: 378 * const_zeta(5, ctx) / mp.pi ** 5 - mpf(13) / 10,
-     "reflection Taylor coefficient", "lhs: Lambert series; rhs: zeta(5)"),
+     lambda p, ctx: 378 * const_zeta(5, ctx) / mp.pi ** 5 - mpf(13) / 10),
     ("es.p33.sqrt3", "eichler-special",
      "i E6int''((1+sqrt3 i)/2) + (sqrt3/2) E6int'''(same) = 3 sqrt3 - 168 zeta(3)/pi^3",
      lambda p, ctx: _eichler([(1j, "(1+sqrt3 i)/2", 6, 2),
                               (lambda: mp.sqrt(3) / 2, "(1+sqrt3 i)/2", 6, 3)], ctx),
-     lambda p, ctx: 3 * mp.sqrt(3) - 168 * const_zeta(3, ctx) / mp.pi ** 3,
-     "combination (a)", "lhs: Lambert series; rhs: zeta(3)"),
+     lambda p, ctx: 3 * mp.sqrt(3) - 168 * const_zeta(3, ctx) / mp.pi ** 3),
     ("es.p33.sqrt7", "eichler-special",
      "2i[39 E6''((1+sqrt7 i)/2) - 4 E6''(sqrt7 i)] + sqrt7[39 E6'''(...) - 8 E6'''(...)] "
      "= 98 sqrt7 - 6912 zeta(3)/pi^3",
      lambda p, ctx: _eichler([(78j, "(1+sqrt7 i)/2", 6, 2), (-8j, "sqrt7 i", 6, 2),
                               (lambda: 39 * mp.sqrt(7), "(1+sqrt7 i)/2", 6, 3),
                               (lambda: -8 * mp.sqrt(7), "sqrt7 i", 6, 3)], ctx),
-     lambda p, ctx: 98 * mp.sqrt(7) - 6912 * const_zeta(3, ctx) / mp.pi ** 3,
-     "combination (b)", "lhs: Lambert series; rhs: zeta(3)"),
+     lambda p, ctx: 98 * mp.sqrt(7) - 6912 * const_zeta(3, ctx) / mp.pi ** 3),
     ("es.p33.sqrt2", "eichler-special",
      "i E6''(i/sqrt2) + i E6''(sqrt2 i) + E6'''(i/sqrt2)/sqrt2 + sqrt2 E6'''(sqrt2 i) "
      "= 18 sqrt2 - 567 zeta(3)/pi^3",
      lambda p, ctx: _eichler([(1j, "i/sqrt2", 6, 2), (1j, "sqrt2 i", 6, 2),
                               (lambda: 1 / mp.sqrt(2), "i/sqrt2", 6, 3),
                               (lambda: mp.sqrt(2), "sqrt2 i", 6, 3)], ctx),
-     lambda p, ctx: 18 * mp.sqrt(2) - 567 * const_zeta(3, ctx) / mp.pi ** 3,
-     "combination (c)", "lhs: Lambert series; rhs: zeta(3)"),
+     lambda p, ctx: 18 * mp.sqrt(2) - 567 * const_zeta(3, ctx) / mp.pi ** 3),
     ("es.p33.i", "eichler-special", "i E6int''(i) + E6int'''(i) = 8 - 189 zeta(3)/pi^3",
      lambda p, ctx: _eichler([(1j, "i", 6, 2), (1, "i", 6, 3)], ctx),
-     lambda p, ctx: 8 - 189 * const_zeta(3, ctx) / mp.pi ** 3,
-     "combination (d)", "lhs: Lambert series; rhs: zeta(3)"),
+     lambda p, ctx: 8 - 189 * const_zeta(3, ctx) / mp.pi ** 3),
     # E4int at sqrt3 i/2 and at 2 sqrt3 i (= 4z for the row's z)
     ("es.h3ratio.256", "eichler-special",
      "rate-256 H3 ratio = pi^3/(32 sqrt3) - 7 zeta(3)/16 - pi^3 i[4 E4int(sqrt3 i/2) - E4int(2 sqrt3 i)]/960",
      _h3_ratio_256,
      lambda p, ctx: (mp.pi ** 3 / (32 * mp.sqrt(3)) - 7 * const_zeta(3, ctx) / 16
                      - mp.pi ** 3 * _I() * (4 * eichler4(_Z["sqrt3 i/2"](), 0, ctx)
-                                            - eichler4(4 * _Z["sqrt3 i/2"](), 0, ctx)) / 960),
-     "closing remark of the weight-6 section",
-     "lhs: series ratio; rhs: Eichler route with zeta(3)"),
+                                            - eichler4(4 * _Z["sqrt3 i/2"](), 0, ctx)) / 960)),
 )
 
 
@@ -533,34 +480,33 @@ def _four_term(f, coeffs, p):
 _SUM_RULES = (
     ("sr.sumE4.%(tag)s", "sum-rules", "E4(z+1/2)+E4(z)-18E4(2z)+16E4(4z) = 0 at z=%(re)s+%(im)si",
      lambda p, ctx: _four_term(lambda w: eisenstein(w, 4, ctx), (1, 1, -18, 16), p),
-     _zero, "weight-4 sum rule", "lhs: q-series; rhs: 0"),
+     _zero),
     ("sr.sumE6.%(tag)s", "sum-rules", "E6(z+1/2)+E6(z)-66E6(2z)+64E6(4z) = 0 at z=%(re)s+%(im)si",
      lambda p, ctx: _four_term(lambda w: eisenstein(w, 6, ctx), (1, 1, -66, 64), p),
-     _zero, "weight-6 sum rule", "lhs: q-series; rhs: 0"),
+     _zero),
     ("sr.sumEich4.%(tag)s", "sum-rules", "4E4int(z+1/2)+4E4int(z)-9E4int(2z)+E4int(4z) = 0",
      lambda p, ctx: _four_term(lambda w: eichler4(w, 0, ctx), (4, 4, -9, 1), p),
-     _zero, "Eichler sum rule", "lhs: Lambert series; rhs: 0"),
+     _zero),
     ("sr.sumEich6.%(tag)s", "sum-rules", "16E6int(z+1/2)+16E6int(z)-33E6int(2z)+E6int(4z) = 0",
      lambda p, ctx: _four_term(lambda w: eichler6(w, 0, ctx), (16, 16, -33, 1), p),
-     _zero, "Eichler sum rule", "lhs: Lambert series; rhs: 0"),
+     _zero),
     ("sr.sumEich4pp.%(tag)s", "sum-rules",
      "E4int''(z+1/2)+E4int''(z)-9E4int''(2z)+4E4int''(4z) = 0",
      lambda p, ctx: _four_term(lambda w: eichler4(w, 2, ctx), (1, 1, -9, 4), p),
-     _zero, "second-derivative sum rule", "lhs: Lambert series; rhs: 0"),
+     _zero),
     ("sr.ez2add.%(tag)s", "sum-rules", "2E(z+1/2,2)+2E(z,2)-9E(2z,2)+2E(4z,2) = 0",
      lambda p, ctx: _four_term(lambda w: epstein2(w, ctx), (2, 2, -9, 2), p),
-     _zero, "weight-2 Epstein sum rule", "lhs: Lambert route; rhs: 0"),
+     _zero),
     ("sr.ez3add.%(tag)s", "sum-rules", "4E(z+1/2,3)+4E(z,3)-33E(2z,3)+4E(4z,3) = 0",
      lambda p, ctx: _four_term(lambda w: epstein3(w, ctx), (4, 4, -33, 4), p),
-     _zero, "weight-3 Epstein sum rule", "lhs: Eichler route; rhs: 0"),
+     _zero),
     ("sr.refl4.%(tag)s", "sum-rules",
      "E4int(z) - z^2 E4int(-1/z) = -(z^4-5z^2+1)/(3z) - 30 zeta(3)(z^2-1)/(pi^3 i)",
      lambda p, ctx: (eichler4(p.z(), 0, ctx)
                      - p.z() ** 2 * eichler4(-1 / p.z(), 0, ctx)),
      lambda p, ctx: (-(p.z() ** 4 - 5 * p.z() ** 2 + 1) / (3 * p.z())
                      - 30 * const_zeta(3, ctx) * (p.z() ** 2 - 1)
-                     / (mp.pi ** 3 * _I())),
-     "weight-4 reflection", "lhs: Lambert series; rhs: zeta(3)"),
+                     / (mp.pi ** 3 * _I()))),
     ("sr.refl6.%(tag)s", "sum-rules",
      "E6int(z) - z^4 E6int(-1/z) = -(z^2+1)(2z^4-9z^2+2)/(10z) - 189 zeta(5)(z^4-1)/(pi^5 i)",
      lambda p, ctx: (eichler6(p.z(), 0, ctx)
@@ -568,8 +514,7 @@ _SUM_RULES = (
      lambda p, ctx: (-(p.z() ** 2 + 1) * (2 * p.z() ** 4 - 9 * p.z() ** 2 + 2)
                      / (10 * p.z())
                      - 189 * const_zeta(5, ctx) * (p.z() ** 4 - 1)
-                     / (mp.pi ** 5 * _I())),
-     "weight-6 reflection", "lhs: Lambert series; rhs: zeta(5)"),
+                     / (mp.pi ** 5 * _I()))),
     ("sr.refl4pp.%(tag)s", "sum-rules",
      "differentiated reflection: E4''(z) - E4''(-1/z)/z^2 - 2E4(-1/z) - 2E4'(-1/z)/z "
      "= -2/(3z^3) - 2z - 60 zeta(3)/(pi^3 i)",
@@ -578,25 +523,20 @@ _SUM_RULES = (
                      - 2 * eichler4(-1 / p.z(), 0, ctx)
                      - 2 * eichler4(-1 / p.z(), 1, ctx) / p.z()),
      lambda p, ctx: (-2 / (3 * p.z() ** 3) - 2 * p.z()
-                     - 60 * const_zeta(3, ctx) / (mp.pi ** 3 * _I())),
-     "differentiated reflection", "lhs: Lambert series; rhs: zeta(3)"),
+                     - 60 * const_zeta(3, ctx) / (mp.pi ** 3 * _I()))),
     ("sr.lam.%(tag)s", "sum-rules", "alpha4(z) + alpha4(-1/(4z)) = 1",
      lambda p, ctx: alpha4(p.z(), ctx) + alpha4(-1 / (4 * p.z()), ctx),
-     lambda p, ctx: mpf(1), "lambda reflection", "lhs: eta quotients; rhs: 1"),
+     lambda p, ctx: mpf(1)),
     ("sr.inv2.%(tag)s", "sum-rules", "E(z,2) = E(-1/z,2)",
-     lambda p, ctx: epstein2(p.z(), ctx), lambda p, ctx: epstein2(-1 / p.z(), ctx),
-     "modular inversion", "both sides: Lambert route at unrelated nomes"),
+     lambda p, ctx: epstein2(p.z(), ctx), lambda p, ctx: epstein2(-1 / p.z(), ctx)),
     ("sr.inv3.%(tag)s", "sum-rules", "E(z,3) = E(-1/z,3)",
-     lambda p, ctx: epstein3(p.z(), ctx), lambda p, ctx: epstein3(-1 / p.z(), ctx),
-     "modular inversion", "both sides: Eichler route at unrelated nomes"),
+     lambda p, ctx: epstein3(p.z(), ctx), lambda p, ctx: epstein3(-1 / p.z(), ctx)),
     ("sr.zk.%(tag)s", "sum-rules", "z = i K(sqrt(1-lambda(z)))/K(sqrt(lambda(z)))",
      lambda p, ctx: p.z(),
      lambda p, ctx: (_I() * ell_k(1 - lambda_fn(p.z(), ctx), ctx)
-                     / ell_k(lambda_fn(p.z(), ctx), ctx)),
-     "nome-period relation", "lhs: input; rhs: AGM over eta quotients"),
+                     / ell_k(lambda_fn(p.z(), ctx), ctx))),
     ("sr.e2per.%(tag)s", "sum-rules", "E2(z+1) = E2(z) (completed weight-2 series)",
-     lambda p, ctx: eisenstein(p.z() + 1, 2, ctx), lambda p, ctx: eisenstein(p.z(), 2, ctx),
-     "periodicity", "both sides: q-series at shifted nomes"),
+     lambda p, ctx: eisenstein(p.z() + 1, 2, ctx), lambda p, ctx: eisenstein(p.z(), 2, ctx)),
     ("sr.ezflr.%(tag)s", "sum-rules",
      "[4E(z,2)-E(2z,2)]/60 = 21 zeta(3)/(8 pi^3 y) + odd Lambert sums",
      lambda p, ctx: (4 * epstein2(p.z(), ctx) - epstein2(2 * p.z(), ctx)) / 60,
@@ -604,8 +544,7 @@ _SUM_RULES = (
                      + 6 / (mp.pi ** 3 * mp.im(p.z()))
                      * mp.re(hyp_lambert(2 * p.z(), HypKernel("EXPM1", "ODD", 3), ctx))
                      + 3 / mp.pi ** 2
-                     * mp.re(hyp_lambert(p.z(), HypKernel("SINH_SQ", "ODD", 2), ctx))),
-     "odd-index Lambert decomposition", "lhs: Lambert E route; rhs: hyperbolic sums + zeta(3)"),
+                     * mp.re(hyp_lambert(p.z(), HypKernel("SINH_SQ", "ODD", 2), ctx)))),
 )
 
 
@@ -618,40 +557,33 @@ def _rama_eis(wgt, form, p, ctx):
 # Ramanujan's Eisenstein parametrizations at the first seeded point; the 4z
 # row of E6 carries a minus on the alpha^2/32 term (verified by an
 # exact-rational fit of E6(4z)/P^6 and by the weight-6 sum rule).
-_EIS = "Eisenstein tables"
-_EIS_NOTE = "lhs: q-series; rhs: K(AGM) polynomial in alpha4"
 _RAMA_EIS = (
     ("sr.rama-eis.E4.1z", "sum-rules", "E4(1z) Ramanujan parametrization in alpha4 and K",
      lambda p, ctx: eisenstein(1 * p.z(), 4, ctx),
-     lambda p, ctx: _rama_eis(4, lambda a: 1 + 14 * a + a ** 2, p, ctx), _EIS, _EIS_NOTE),
+     lambda p, ctx: _rama_eis(4, lambda a: 1 + 14 * a + a ** 2, p, ctx)),
     ("sr.rama-eis.E4.2z", "sum-rules", "E4(2z) Ramanujan parametrization in alpha4 and K",
      lambda p, ctx: eisenstein(2 * p.z(), 4, ctx),
-     lambda p, ctx: _rama_eis(4, lambda a: 1 - a + a ** 2, p, ctx), _EIS, _EIS_NOTE),
+     lambda p, ctx: _rama_eis(4, lambda a: 1 - a + a ** 2, p, ctx)),
     ("sr.rama-eis.E4.4z", "sum-rules", "E4(4z) Ramanujan parametrization in alpha4 and K",
      lambda p, ctx: eisenstein(4 * p.z(), 4, ctx),
-     lambda p, ctx: _rama_eis(4, lambda a: 1 - a + a ** 2 / 16, p, ctx), _EIS, _EIS_NOTE),
+     lambda p, ctx: _rama_eis(4, lambda a: 1 - a + a ** 2 / 16, p, ctx)),
     ("sr.rama-eis.E6.1z", "sum-rules", "E6(1z) Ramanujan parametrization in alpha4 and K",
      lambda p, ctx: eisenstein(1 * p.z(), 6, ctx),
-     lambda p, ctx: _rama_eis(6, lambda a: (1 + a) * (1 - 34 * a + a ** 2), p, ctx),
-     _EIS, _EIS_NOTE),
+     lambda p, ctx: _rama_eis(6, lambda a: (1 + a) * (1 - 34 * a + a ** 2), p, ctx)),
     ("sr.rama-eis.E6.2z", "sum-rules", "E6(2z) Ramanujan parametrization in alpha4 and K",
      lambda p, ctx: eisenstein(2 * p.z(), 6, ctx),
-     lambda p, ctx: _rama_eis(6, lambda a: (1 + a) * (1 - a / 2) * (1 - 2 * a), p, ctx),
-     _EIS, _EIS_NOTE),
+     lambda p, ctx: _rama_eis(6, lambda a: (1 + a) * (1 - a / 2) * (1 - 2 * a), p, ctx)),
     ("sr.rama-eis.E6.4z", "sum-rules", "E6(4z) Ramanujan parametrization in alpha4 and K",
      lambda p, ctx: eisenstein(4 * p.z(), 6, ctx),
-     lambda p, ctx: _rama_eis(6, lambda a: (1 - a / 2) * (1 - a - a ** 2 / 32), p, ctx),
-     _EIS, _EIS_NOTE),
+     lambda p, ctx: _rama_eis(6, lambda a: (1 - a / 2) * (1 - a - a ** 2 / 32), p, ctx)),
 )
 
 # The eta-quotient and Lambert forms of E4 and E6 at the second seeded point.
 _ETA_FORMS = (
     ("sr.e4etaform", "sum-rules", "E4 eta-quotient form equals its Lambert form",
-     lambda p, ctx: eisenstein_eta_form(p.z(), 4, ctx), lambda p, ctx: eisenstein(p.z(), 4, ctx),
-     "two faces of the weight-4 series", "lhs: eta quotients; rhs: Lambert sum"),
+     lambda p, ctx: eisenstein_eta_form(p.z(), 4, ctx), lambda p, ctx: eisenstein(p.z(), 4, ctx)),
     ("sr.e6etaform", "sum-rules", "E6 eta-quotient form equals its Lambert form",
-     lambda p, ctx: eisenstein_eta_form(p.z(), 6, ctx), lambda p, ctx: eisenstein(p.z(), 6, ctx),
-     "two faces of the weight-6 series", "lhs: eta quotients; rhs: Lambert sum"),
+     lambda p, ctx: eisenstein_eta_form(p.z(), 6, ctx), lambda p, ctx: eisenstein(p.z(), 6, ctx)),
 )
 
 
@@ -675,27 +607,20 @@ def _gz_2sqrt7(s, ctx):
 
 _GZ = (
     ("gz.sqrt7.s2", "epstein-gz", "E(sqrt7 i, 2) Glasser-Zucker product",
-     lambda p, ctx: epstein2(mp.sqrt(7) * _I(), ctx), lambda p, ctx: _gz_sqrt7(2, ctx),
-     "binary quadratic form (1,0,7)", "lhs: Lambert route; rhs: L-product"),
+     lambda p, ctx: epstein2(mp.sqrt(7) * _I(), ctx), lambda p, ctx: _gz_sqrt7(2, ctx)),
     ("gz.sqrt7.s3", "epstein-gz", "E(sqrt7 i, 3) Glasser-Zucker product",
-     lambda p, ctx: epstein3(mp.sqrt(7) * _I(), ctx), lambda p, ctx: _gz_sqrt7(3, ctx),
-     "binary quadratic form (1,0,7)", "lhs: Eichler route; rhs: L-product"),
+     lambda p, ctx: epstein3(mp.sqrt(7) * _I(), ctx), lambda p, ctx: _gz_sqrt7(3, ctx)),
     ("gz.2sqrt7.s2", "epstein-gz", "E(2 sqrt7 i, 2) Glasser-Zucker product",
-     lambda p, ctx: epstein2(2 * mp.sqrt(7) * _I(), ctx), lambda p, ctx: _gz_2sqrt7(2, ctx),
-     "binary quadratic form (1,0,28)", "lhs: Lambert route; rhs: L-product"),
+     lambda p, ctx: epstein2(2 * mp.sqrt(7) * _I(), ctx), lambda p, ctx: _gz_2sqrt7(2, ctx)),
     ("gz.2sqrt7.s3", "epstein-gz", "E(2 sqrt7 i, 3) Glasser-Zucker product",
-     lambda p, ctx: epstein3(2 * mp.sqrt(7) * _I(), ctx), lambda p, ctx: _gz_2sqrt7(3, ctx),
-     "binary quadratic form (1,0,28)", "lhs: Eichler route; rhs: L-product"),
+     lambda p, ctx: epstein3(2 * mp.sqrt(7) * _I(), ctx), lambda p, ctx: _gz_2sqrt7(3, ctx)),
     ("gz.i.s2", "epstein-gz", "E(i,2) = 30 G / pi^2",
-     lambda p, ctx: epstein2(_I(), ctx), lambda p, ctx: 30 * const_catalan(ctx) / mp.pi ** 2,
-     "square lattice value", "lhs: Lambert route; rhs: Catalan constant"),
+     lambda p, ctx: epstein2(_I(), ctx), lambda p, ctx: 30 * const_catalan(ctx) / mp.pi ** 2),
     ("gz.ihalf.s2", "epstein-gz", "E(i/2,2) = 105 G / (2 pi^2)",
      lambda p, ctx: epstein2(_I() / 2, ctx),
-     lambda p, ctx: 105 * const_catalan(ctx) / (2 * mp.pi ** 2),
-     "doubled square lattice", "lhs: Lambert route; rhs: Catalan constant"),
+     lambda p, ctx: 105 * const_catalan(ctx) / (2 * mp.pi ** 2)),
     ("gz.2i.s2", "epstein-gz", "E(2i,2) = E(i/2,2)",
-     lambda p, ctx: epstein2(2 * _I(), ctx), lambda p, ctx: epstein2(_I() / 2, ctx),
-     "inversion pair", "both sides: Lambert route at unrelated nomes"),
+     lambda p, ctx: epstein2(2 * _I(), ctx), lambda p, ctx: epstein2(_I() / 2, ctx)),
 )
 
 _W_MIX1 = WeightSpec.combo({"H3_2K": 1, "H3_K": Fraction(-1, 8),
@@ -721,25 +646,22 @@ def _mix1_rhs(p, ctx):
 
 
 # The integral representations and the mixed-weight identity at each t.
-_VOP = "variation-of-parameters representation"
-_VOP_NOTE = "lhs: tanh-sinh over K-products; rhs: harmonic series"
 _LEMMA = (
     ("lem.nu2.%(tag)s", "lemma-oracles", "NU2 integral representation vs series at t=%(t)s",
      lambda p, ctx: lemma_integral("NU2", mpf(p.t), ctx),
-     lambda p, ctx: _t_series(W_H2_DIFF, p, ctx), _VOP, _VOP_NOTE),
+     lambda p, ctx: _t_series(W_H2_DIFF, p, ctx)),
     ("lem.eps2.%(tag)s", "lemma-oracles", "EPS2 integral representation vs series at t=%(t)s",
      lambda p, ctx: lemma_integral("EPS2", mpf(p.t), ctx),
-     lambda p, ctx: _t_series(W_H2_PLAIN, p, ctx), _VOP, _VOP_NOTE),
+     lambda p, ctx: _t_series(W_H2_PLAIN, p, ctx)),
     ("lem.h3int1.%(tag)s", "lemma-oracles", "H3INT1 integral representation vs series at t=%(t)s",
      lambda p, ctx: lemma_integral("H3INT1", mpf(p.t), ctx),
-     lambda p, ctx: _t_series(W_H3_DIFF, p, ctx), _VOP, _VOP_NOTE),
+     lambda p, ctx: _t_series(W_H3_DIFF, p, ctx)),
     ("lem.h3int2.%(tag)s", "lemma-oracles", "H3INT2 integral representation vs series at t=%(t)s",
      lambda p, ctx: lemma_integral("H3INT2", mpf(p.t), ctx),
-     lambda p, ctx: _t_series(W_H3_PLAIN, p, ctx), _VOP, _VOP_NOTE),
+     lambda p, ctx: _t_series(W_H3_PLAIN, p, ctx)),
     ("lem.h3mix1.%(tag)s", "lemma-oracles",
      "mixed-weight identity (H3 with H2*(H_{2k}-H_k)) at t=%(t)s",
-     lambda p, ctx: 32 * _t_series(_W_MIX1, p, ctx), _mix1_rhs,
-     "mixed harmonic weights", "lhs: series; rhs: Legendre deformations and zeta(3)"),
+     lambda p, ctx: 32 * _t_series(_W_MIX1, p, ctx), _mix1_rhs),
 )
 _LEMMA_T = (_Point("t01", t="0.1"), _Point("t03", t="0.3"))
 
@@ -772,8 +694,7 @@ def _mix2_rhs(p, ctx):
 
 _H3MIX2 = (
     ("lem.h3mix2", "lemma-oracles", "complex-rate mixed-weight identity at t=0.3+0.05i",
-     _mix2_lhs, _mix2_rhs, "reciprocal-argument representation",
-     "lhs: series; rhs: tail integral + Legendre deformations"),
+     _mix2_lhs, _mix2_rhs),
 )
 
 
@@ -788,24 +709,20 @@ def _sq_ratio(w, p, ctx):
 _SEC4 = (
     ("s4.lr1sqr.%(tag)s", "sec4", "squared-binomial ratio (H2 diff) = odd cosh^-2 Lambert sum",
      lambda p, ctx: _sq_ratio(W_H2_DIFF, p, ctx),
-     lambda p, ctx: hyp_lambert(p.z(), HypKernel("COSH_SQ", "ODD", 2), ctx),
-     "squared-binomial analogue (first)", "lhs: series ratio; rhs: hyperbolic sum"),
+     lambda p, ctx: hyp_lambert(p.z(), HypKernel("COSH_SQ", "ODD", 2), ctx)),
     ("s4.lr2sqr.%(tag)s", "sec4",
      "squared-binomial ratio (H2 plain) = cosh^-1/cosh^-2 Lambert sums",
      lambda p, ctx: _sq_ratio(W_H2_PLAIN, p, ctx),
      lambda p, ctx: (2 * hyp_lambert(p.z(), HypKernel("COSH_1", "ALL", 2), ctx)
-                     - hyp_lambert(p.z(), HypKernel("COSH_SQ", "ALL", 2), ctx)),
-     "squared-binomial analogue (second)", "lhs: series ratio; rhs: hyperbolic sums"),
+                     - hyp_lambert(p.z(), HypKernel("COSH_SQ", "ALL", 2), ctx))),
     ("s4.e4dp.odd.%(tag)s", "sec4", "odd cosh^-2 sum = pi^2[4 E4int'(z+1/2) - E4int'(2z)]/120",
      lambda p, ctx: hyp_lambert(p.z(), HypKernel("COSH_SQ", "ODD", 2), ctx),
      lambda p, ctx: (mp.pi ** 2 * (4 * eichler4(p.z() + mpf(1) / 2, 1, ctx)
-                                   - eichler4(2 * p.z(), 1, ctx)) / 120),
-     "first-derivative bridge", "lhs: hyperbolic sum; rhs: Eichler derivatives"),
+                                   - eichler4(2 * p.z(), 1, ctx)) / 120)),
     ("s4.e4dp.all.%(tag)s", "sec4", "cosh^-2 sum = pi^2[4 E4int'(4z) - E4int'(2z)]/30",
      lambda p, ctx: hyp_lambert(p.z(), HypKernel("COSH_SQ", "ALL", 2), ctx),
      lambda p, ctx: (mp.pi ** 2 * (4 * eichler4(4 * p.z(), 1, ctx)
-                                   - eichler4(2 * p.z(), 1, ctx)) / 30),
-     "first-derivative bridge (even index)", "lhs: hyperbolic sum; rhs: Eichler derivatives"),
+                                   - eichler4(2 * p.z(), 1, ctx)) / 30)),
 )
 _SEC4_Z = (_at("z0", "0", "0.8"), _at("z1", "0", "1.1"), _at("z2", "0.5", "0.9"))
 
@@ -820,8 +737,7 @@ def _invsqr_rhs(p, ctx):
 
 _INVSQR = (
     ("s4.invsqr.%(tag)s", "sec4", "inverse-square binomial sum vs half-odd nome sum at t=%(t)s",
-     lambda p, ctx: inv_binom2_series(mpf(p.t), ctx), _invsqr_rhs,
-     "elliptic-logarithm form", "lhs: direct series; rhs: K-ratio nome sum"),
+     lambda p, ctx: inv_binom2_series(mpf(p.t), ctx), _invsqr_rhs),
 )
 _INVSQR_T = (_Point("t025", t="0.25"), _Point("t05", t="0.5"), _Point("t009", t="0.09"))
 
@@ -845,59 +761,53 @@ def _rnp_rhs(p, ctx):
 _RN = (
     ("s4.rn2p277.%(tag)s", "sec4", "notebook cosh^-1 sum identity at z=%(im)si",
      lambda p, ctx: hyp_lambert(mpc(0, p.im), HypKernel("COSH_1", "ALL", 2), ctx).real,
-     _rn_rhs, "second-notebook entry",
-     "lhs: hyperbolic sum; rhs: Catalan + alternating sum at -1/(2z)"),
+     _rn_rhs),
 )
 _RN_Y = (_Point("y06", im="0.6"), _Point("y10", im="1.0"), _Point("y14", im="1.4"))
 _RNP = (
     ("s4.rn2p277p.%(tag)s", "sec4",
      "alternating odd Lambert sum as elliptic polylogarithms, q=e^-%(im)spi",
      lambda p, ctx: hyp_lambert(mpc(0, p.im), HypKernel("EXPM1_ALT", "ODD", 2), ctx),
-     _rnp_rhs, "elliptic polylogarithm form", "lhs: hyperbolic sum; rhs: ELi evaluator"),
+     _rnp_rhs),
 )
 _RNP_Y = (_Point("epi", im="1.0"), _Point("e2pi", im="2.0"), _Point("epihalf", im="0.5"))
 
 _SEC4_INTEGRALS = (
     ("s4.zeta5int", "sec4", "zeta(5) from the K^4 integral",
-     lambda p, ctx: zeta5_integral(ctx).converged_value(), lambda p, ctx: const_zeta(5, ctx),
-     "weight-5 integral identity", "lhs: tanh-sinh; rhs: Euler-Maclaurin zeta"),
+     lambda p, ctx: zeta5_integral(ctx).converged_value(), lambda p, ctx: const_zeta(5, ctx)),
     ("s4.zeta7int", "sec4", "zeta(7) from the K^6 integral",
-     lambda p, ctx: zeta7_integral(ctx).converged_value(), lambda p, ctx: const_zeta(7, ctx),
-     "weight-7 integral identity", "lhs: tanh-sinh; rhs: Euler-Maclaurin zeta"),
+     lambda p, ctx: zeta7_integral(ctx).converged_value(), lambda p, ctx: const_zeta(7, ctx)),
     ("s4.lm44int", "sec4", "L_{-4}(4) from the K^6 ratio integral",
      lambda p, ctx: lminus4_4_integral(ctx).converged_value(),
-     lambda p, ctx: dirichlet_l(-4, 4, ctx),
-     "weight-4 L-value integral", "lhs: tanh-sinh; rhs: Hurwitz decomposition"),
+     lambda p, ctx: dirichlet_l(-4, 4, ctx)),
 )
 
 # The two identities of each main theorem at non-special points.
-_THM = "main theorems at a non-special point"
-_THM_NOTE = "lhs: harmonic series at the modular rate; rhs: Epstein/Eichler assembly"
 _THEOREMS = (
     ("thm.q1.%(tag)s", "theorems-random", "q identity 1 at z = %(re)s + %(im)s i",
      lambda p, ctx: q_ratios(p.z(), ctx)["q1_lhs"],
-     lambda p, ctx: q_ratios(p.z(), ctx)["q1_rhs"], _THM, _THM_NOTE),
+     lambda p, ctx: q_ratios(p.z(), ctx)["q1_rhs"]),
     ("thm.q2.%(tag)s", "theorems-random", "q identity 2 at z = %(re)s + %(im)s i",
      lambda p, ctx: q_ratios(p.z(), ctx)["q2_lhs"],
-     lambda p, ctx: q_ratios(p.z(), ctx)["q2_rhs"], _THM, _THM_NOTE),
+     lambda p, ctx: q_ratios(p.z(), ctx)["q2_rhs"]),
     ("thm.r1.%(tag)s", "theorems-random", "r identity 1 at z = %(re)s + %(im)s i",
      lambda p, ctx: r_linear(p.z(), ctx)["r1_lhs"],
-     lambda p, ctx: r_linear(p.z(), ctx)["r1_rhs"], _THM, _THM_NOTE),
+     lambda p, ctx: r_linear(p.z(), ctx)["r1_rhs"]),
     ("thm.r2.%(tag)s", "theorems-random", "r identity 2 at z = %(re)s + %(im)s i",
      lambda p, ctx: r_linear(p.z(), ctx)["r2_lhs"],
-     lambda p, ctx: r_linear(p.z(), ctx)["r2_rhs"], _THM, _THM_NOTE),
+     lambda p, ctx: r_linear(p.z(), ctx)["r2_rhs"]),
     ("thm.hq1.%(tag)s", "theorems-random", "hq identity 1 at z = %(re)s + %(im)s i",
      lambda p, ctx: h3_ratios(p.z(), ctx)["lhs1"],
-     lambda p, ctx: h3_ratios(p.z(), ctx)["rhs1"], _THM, _THM_NOTE),
+     lambda p, ctx: h3_ratios(p.z(), ctx)["rhs1"]),
     ("thm.hq2.%(tag)s", "theorems-random", "hq identity 2 at z = %(re)s + %(im)s i",
      lambda p, ctx: h3_ratios(p.z(), ctx)["lhs2"],
-     lambda p, ctx: h3_ratios(p.z(), ctx)["rhs2"], _THM, _THM_NOTE),
+     lambda p, ctx: h3_ratios(p.z(), ctx)["rhs2"]),
     ("thm.hr1.%(tag)s", "theorems-random", "hr identity 1 at z = %(re)s + %(im)s i",
      lambda p, ctx: h3_linear(p.z(), ctx)["lhs1"],
-     lambda p, ctx: h3_linear(p.z(), ctx)["rhs1"], _THM, _THM_NOTE),
+     lambda p, ctx: h3_linear(p.z(), ctx)["rhs1"]),
     ("thm.hr2.%(tag)s", "theorems-random", "hr identity 2 at z = %(re)s + %(im)s i",
      lambda p, ctx: h3_linear(p.z(), ctx)["lhs2"],
-     lambda p, ctx: h3_linear(p.z(), ctx)["rhs2"], _THM, _THM_NOTE),
+     lambda p, ctx: h3_linear(p.z(), ctx)["rhs2"]),
 )
 _THM_Z = (_at("0_105", "0", "1.05"), _at("0_13", "0", "1.3"), _at("0_20", "0", "2.0"),
           _at("05_075", "0.5", "0.75"),

@@ -5,15 +5,19 @@ walk oracles; ``gamma_one_plus`` and ``legendre_p_def`` are the deformed
 Legendre function P_nu^{-eps} by its direct 2F1 series, the finite-difference
 oracle of ``legendre_dnu2``; ``epstein3_imag_residue`` is the imaginary part
 of the Eichler term inside ``epstein3``, which vanishes iff 2 Re z is an
-integer.
+integer; ``bernoulli`` is B_n from the tangent numbers that the
+Euler-Maclaurin table reads.
 """
+
+from fractions import Fraction
 
 import mpmath as mp
 from mpmath import mpc, mpf
 
 from modzeta.arith import _epstein3_braced
 from modzeta.modular import _as_z
-from modzeta.mpcore import DomainError, PrecisionCtx, const_zeta, ensure_finite
+from modzeta.mpcore import (DomainError, PrecisionCtx, _tangent_numbers, const_zeta,
+                            ensure_finite)
 
 
 def tail_poly_geom(xabs: mpf, n_last: int, deg: int) -> mpf:
@@ -87,3 +91,16 @@ def epstein3_imag_residue(z, ctx: PrecisionCtx) -> mpf:
     z = _as_z(z, ctx)
     with ctx.working():
         return mp.im(_epstein3_braced(z, ctx))
+
+
+def bernoulli(n: int) -> Fraction:
+    """Bernoulli number B_n as an exact rational, for n >= 0.
+
+    B_2j = (-1)^(j+1) 2j T_(2j-1) / (4^j (4^j - 1)) from the tangent numbers.
+    """
+    if n % 2:
+        return Fraction(-1, 2) if n == 1 else Fraction(0)
+    if n == 0:
+        return Fraction(1)
+    j = n // 2
+    return Fraction((-1) ** (j + 1) * n * _tangent_numbers(j)[-1], 4 ** j * (4 ** j - 1))

@@ -1,15 +1,18 @@
-"""Constants, Bernoulli numbers, and the Euler-Maclaurin engine."""
+"""Constants, the tangent numbers, and the Euler-Maclaurin engine."""
 
+import math
+import time
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from mpmath import mpf
 
-from modzeta import (DomainError, PrecisionCtx, bernoulli, const_catalan,
-                     const_zeta, dirichlet_l)
+from modzeta import (DomainError, PrecisionCtx, const_catalan, const_zeta,
+                     dirichlet_l)
 from modzeta import mpcore
 from modzeta.mpcore import _em_plan, hurwitz_zeta_raw
+from oracles import bernoulli
 
 # Catalan reference prefix (20 digits)
 G_20 = "0.91596559417721901505"
@@ -89,11 +92,6 @@ def test_bernoulli_recurrence():
         assert acc == 0
 
 
-def test_bernoulli_cap():
-    with pytest.raises(DomainError):
-        bernoulli(514)
-
-
 def test_hurwitz_engine_matches_reference():
     with mp.workdps(45):
         for s, a in ((mpf(2), mpf(1)), (mpf(3), mpf("0.25")), (mpf("2.5"), mpf("0.7"))):
@@ -104,7 +102,7 @@ def test_em_plan_meets_its_bound():
     # Johansson's remainder bound for the planned (N, M), relative to
     # zeta(s, a) >= (a+N)^(1-s)/(s-1), recomputed at 30 digits from the
     # rising factorial: below 10^-(dps+2) at M, not yet at M - 1; N stays
-    # max(10, 0.6 dps + 2) at every precision, past the Bernoulli cap too
+    # max(10, 0.6 dps + 2) at every precision, with M above 256 too
     def log10_bound(s, n, m):
         with mp.workdps(30):
             return mp.log10(4 * (s - 1) * mp.rf(s, 2 * m)
@@ -115,17 +113,48 @@ def test_em_plan_meets_its_bound():
             assert n == max(10, int(0.6 * dps) + 2) and m >= 1, (s, dps)
             assert log10_bound(s, n, m) < -(dps + 2), (s, dps)
             assert m == 1 or log10_bound(s, n, m - 1) >= -(dps + 2), (s, dps)
-    assert _em_plan(2, 1015) == (611, 501)  # M past BERNOULLI_CAP / 2 = 256
+    assert _em_plan(2, 1015) == (611, 501)
 
 
 def test_em_plan_raises_n_for_large_s():
-    # at s = 500 no M up to pi N meets the bound at N = 20; N doubles
+    # at s = 500 no M up to pi N0 meets the bound at N0 = 20; N doubles
     n, m = _em_plan(500, 30)
     assert n > 20 and n % 20 == 0 and m >= 1
 
 
+def test_em_plan_refuses_s_past_its_cap():
+    # N doubles at most four times and M stays within pi N0: at 30 digits
+    # (N0 = 20) every s below 50 N0 is served and the value holds; past the
+    # cap, and at once for s >= 32 pi N0, hurwitz_zeta_raw raises
+    n, m = _em_plan(999, 30)
+    assert n <= 16 * 20 and m <= math.pi * 20
+    with mp.workdps(30):
+        a = mpf(1) / 3
+        got = hurwitz_zeta_raw(mpf(999), a)
+    with mp.workdps(50):
+        assert abs(got - mp.zeta(999, a)) <= mpf(10) ** -30 * mp.zeta(999, a)
+    with pytest.raises(DomainError):
+        _em_plan(1100, 30)
+    for dps in (30, 500):
+        for s in (mpf(10) ** 7, mpf(10) ** 9, mpf(10) ** 400, mp.inf):
+            t0 = time.perf_counter()
+            with mp.workdps(dps), pytest.raises(DomainError):
+                hurwitz_zeta_raw(s, mpf(1))
+            assert time.perf_counter() - t0 < 1, (dps, s)
+
+
+def test_hurwitz_engine_just_above_s_1():
+    # s - 1 = 10^-400 is 0 as a float; the plan takes log(s - 1) from the mpf
+    with mp.workdps(500):
+        s = 1 + mpf(10) ** -400
+        got = hurwitz_zeta_raw(s, mpf(1))
+    with mp.workdps(530):
+        want = mp.zeta(s)
+        assert abs(got - want) <= mpf(10) ** -500 * want
+
+
 def test_hurwitz_engine_at_1000_digits():
-    # past the Bernoulli cap, where the plan takes M above 256
+    # where the plan takes M above 256
     with mp.workdps(1000):
         a = mpf(1) / 28
         got = hurwitz_zeta_raw(mpf(2), a)

@@ -212,9 +212,16 @@ def test_h3int2_residuals_stay_below_working_precision():
 def test_registry_rows_read_the_evaluators_at_run_time(monkeypatch):
     # every row side names its evaluators as module globals, so rebinding them
     # after get_records has cached the registry (as a tracer does) sees every
-    # call: each lhs reaches a wrapper, except sr.zk's, which is the input z;
-    # a rate series row makes exactly one walk
+    # call: each lhs reaches a wrapper, except sr.zk's, which is the input z,
+    # and each rhs does, except the closed forms in pi, square roots and
+    # rationals and the literal zeros listed here; a rate series row makes
+    # exactly one walk
     recs = get_records("all")
+    closed = [r.id for r in recs if r.id.startswith((
+        "rama", "h2var.", "sun", "sr.sumE", "sr.ez2add.", "sr.ez3add.", "sr.lam.",
+        "es.s.", "es.t.", "es.e6.sqrt3.1"))
+        or r.id.startswith("th2.") and r.id.endswith((".rate", ".lin", ".rhalf", ".tr"))]
+    assert len(closed) == 61
     seen = []
 
     def counting(name, real):
@@ -229,16 +236,19 @@ def test_registry_rows_read_the_evaluators_at_run_time(monkeypatch):
     for name in evaluators:
         monkeypatch.setattr(registry, name, counting(name, getattr(registry, name)))
     ctx = PrecisionCtx(20)
-    unreached = []
+    unreached = {"lhs": [], "rhs": []}
     with ctx.working():
         for rec in recs:
-            seen.clear()
-            rec.lhs(ctx)
-            if not seen:
-                unreached.append(rec.id)
-            if rec.suite in ("ramanujan-classical", "h2-variants", "sun-h2", "h3"):
-                assert seen.count("binom3_sums") == 1, rec.id
-    assert unreached == ["sr.zk.z0", "sr.zk.z1", "sr.zk.z2"]
+            for side in unreached:
+                seen.clear()
+                getattr(rec, side)(ctx)
+                if not seen:
+                    unreached[side].append(rec.id)
+                if side == "lhs" and rec.suite in (
+                        "ramanujan-classical", "h2-variants", "sun-h2", "h3"):
+                    assert seen.count("binom3_sums") == 1, rec.id
+    assert unreached["lhs"] == ["sr.zk.z0", "sr.zk.z1", "sr.zk.z2"]
+    assert unreached["rhs"] == closed
     reached = {"eichler4": set(), "eichler6": set()}
     for rec in get_records("eichler-special"):
         seen.clear()
