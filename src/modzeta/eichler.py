@@ -18,7 +18,7 @@ the tests).
 from __future__ import annotations
 
 import mpmath as mp
-from mpmath import mpc, mpf
+from mpmath import mpc
 
 from .modular import _as_z, _nome_chains
 from .mpcore import DomainError, PrecisionCtx, ensure_finite
@@ -26,19 +26,11 @@ from .mpcore import DomainError, PrecisionCtx, ensure_finite
 __all__ = ["eichler4", "eichler6"]
 
 
-_E4_PREF = {0: lambda: mpc(0, 60) / mp.pi ** 3,
-            1: lambda: mpf(-120) / mp.pi ** 2,
-            2: lambda: mpc(0, -240) / mp.pi}
-_E6_PREF = {0: lambda: mpc(0, 378) / mp.pi ** 5,
-            1: lambda: mpf(-756) / mp.pi ** 4,
-            2: lambda: mpc(0, -1512) / mp.pi ** 3,
-            3: lambda: mpf(3024) / mp.pi ** 2}
-
-
 def _eichler(z, weight: int, order: int, ctx: PrecisionCtx) -> mpc:
     s = _nome_chains(_as_z(z, ctx), ctx)[weight, order]
     with ctx.working():
-        pref = (_E4_PREF if weight == 4 else _E6_PREF)[order]()
+        # the docstring's c i / pi^(weight-1), times 2 pi i per derivative
+        pref = mpc(0, 60 if weight == 4 else 378) * (2j) ** order / mp.pi ** (weight - 1 - order)
         return ensure_finite(pref * s)
 
 

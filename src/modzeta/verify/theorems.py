@@ -5,6 +5,12 @@ disjoint routes: the LHS route sums central-binomial harmonic series at the
 modular rate alpha4(z)(1-alpha4(z))/16, while the RHS route assembles Epstein
 zeta values, Eichler integrals, and zeta constants.  Neither side ever sees
 the other's closed-form constant.
+
+Each route of a point is one memoized record per (point, precision):
+``_series_data`` holds every left-hand side from one binomial walk, and
+``_modular_data`` every right-hand side from one read of each Eichler
+integral and Lambert term.  The four evaluators are views of the two
+records, and ``s_r``, ``t_r`` and ``u_check`` read the modular one.
 """
 
 from __future__ import annotations
@@ -51,7 +57,8 @@ def _require_admissible(z, ctx: PrecisionCtx) -> mpc:
     return z
 
 
-_THEOREM_WEIGHTS = (W_H2_DIFF, W_H2_PLAIN, W_H3_DIFF, W_H3_PLAIN)
+_H2 = (W_H2_DIFF, W_H2_PLAIN)
+_H3 = (W_H3_DIFF, W_H3_PLAIN)
 
 
 @_memoized
@@ -68,157 +75,107 @@ def _series_data(z, ctx: PrecisionCtx) -> dict:
         y = mp.im(z)
         one = LinearFactor(0, 1)
         fac = LinearFactor(2 * (1 - 2 * a4) / y, r_half(z, ctx) / y)
-        sums = binom3_sums(x, [(one, W_ONE)]
-                           + [(one, w) for w in _THEOREM_WEIGHTS]
-                           + [(fac, w) for w in _THEOREM_WEIGHTS], ctx)
-        den = sums[0]
-        n = len(_THEOREM_WEIGHTS)
-        return {"ratio": {w: s / den for w, s in zip(_THEOREM_WEIGHTS, sums[1:1 + n])},
-                "linear": dict(zip(_THEOREM_WEIGHTS, sums[1 + n:]))}
-
-
-def _q_free(z, ctx: PrecisionCtx):
-    """The Epstein-free parts of Q1 and Q2, each as a pair: its zeta(3) and
-    Im z terms, then its Eichler terms.
-
-    The first of each pair equals the y^2 and zeta(3) terms of its Epstein
-    combination with the sign reversed, so ``_q_rhs`` reads only the second.
-    """
-    with ctx.working():
-        y = mp.im(z)
-        z3 = const_zeta(3, ctx)
-        f_zh = eichler4(z + mpf(1) / 2, 0, ctx)
-        f_2z = eichler4(2 * z, 0, ctx)
-        q1 = (7 * z3 / (4 * mp.pi * y), -mp.pi ** 2 * 1j * (8 * f_zh - f_2z) / (120 * y))
-        q2 = (-2 * mp.pi ** 2 * y ** 2 / 3 - 2 * z3 / (mp.pi * y),
-              -mp.pi ** 2 * 1j * (f_zh - 2 * f_2z) / (15 * y))
-        return q1, q2
+        sums = binom3_sums(x, [(one, W_ONE)] + [(one, w) for w in _H2 + _H3]
+                           + [(fac, w) for w in _H2 + _H3], ctx)
+        return {"ratio": {w: s / sums[0] for w, s in zip(_H2 + _H3, sums[1:5])},
+                "linear": dict(zip(_H2 + _H3, sums[5:]))}
 
 
 @_memoized
-def _q_rhs(z, ctx: PrecisionCtx):
-    (_, q1), (_, q2) = _q_free(z, ctx)
-    with ctx.working():
-        # E(w,2) = Im(w)^2 + 45 zeta(3)/(pi^3 Im w) + its Lambert terms; at
-        # w = z + 1/2 and 2z the y^2 and zeta(3) terms of the Epstein
-        # combinations, 2 pi^2 y^2/3 + 2 zeta(3)/(pi y) in Q2 and
-        # -7 zeta(3)/(4 pi y) in Q1, cancel the first terms of _q_free's pairs
-        # exactly, so neither is formed
-        lam_zh, lam_2z = (sum(_epstein2_lambert(w, ctx)) for w in (z + mpf(1) / 2, 2 * z))
-        return (q1 - mp.pi ** 2 * (4 * lam_zh - lam_2z) / 90,
-                q2 - 2 * mp.pi ** 2 * (lam_zh - 4 * lam_2z) / 45)
+def _modular_data(z, ctx: PrecisionCtx) -> dict:
+    """The modular side at a point: every right-hand side, one read of each term.
 
-
-def _r_rhs(z, ctx: PrecisionCtx):
-    with ctx.working():
-        y = mp.im(z)
-        q1r, q2r = _q_rhs(z, ctx)
-        g_zh = eichler4(z + mpf(1) / 2, 2, ctx)
-        g_2z = eichler4(2 * z, 2, ctx)
-        r1r = q1r / (mp.pi * y ** 2) - mp.pi * 1j * (2 * g_zh - g_2z) / (30 * y)
-        r2r = q2r / (mp.pi * y ** 2) - mp.pi * 1j * (g_zh - 8 * g_2z) / (15 * y)
-        return r1r, r2r
-
-
-def q_ratios(z, ctx: PrecisionCtx) -> dict:
-    """Both sides of the weight-2 ratio identities at an admissible z."""
-    z = _require_admissible(z, ctx)
-    ratio = _series_data(z, ctx)["ratio"]
-    q1r, q2r = _q_rhs(z, ctx)
-    return {"q1_lhs": ratio[W_H2_DIFF], "q1_rhs": q1r,
-            "q2_lhs": ratio[W_H2_PLAIN], "q2_rhs": q2r}
-
-
-def r_linear(z, ctx: PrecisionCtx) -> dict:
-    """Both sides of the weight-2 linear-factor identities at an admissible z."""
-    z = _require_admissible(z, ctx)
-    linear = _series_data(z, ctx)["linear"]
-    r1r, r2r = _r_rhs(z, ctx)
-    return {"r1_lhs": linear[W_H2_DIFF], "r1_rhs": r1r,
-            "r2_lhs": linear[W_H2_PLAIN], "r2_rhs": r2r}
-
-
-def s_r(z, r, ctx: PrecisionCtx) -> mpc:
-    """The Epstein-free part of Q1 - r Q2, which collapses to a rational multiple of pi^2."""
-    q1, q2 = _q_free(_as_z(z, ctx), ctx)
-    with ctx.working():
-        r = mpf(Fraction(r).numerator) / Fraction(r).denominator
-        return sum(q1) - r * sum(q2)
-
-
-def t_r(z, r, ctx: PrecisionCtx) -> mpc:
-    """R1(z) - r R2(z) through the Epstein/Eichler route (no series)."""
-    z = _require_admissible(z, ctx)
-    r1r, r2r = _r_rhs(z, ctx)
-    with ctx.working():
-        r = mpf(Fraction(r).numerator) / Fraction(r).denominator
-        return r1r - r * r2r
-
-
-def _h3_rhs(z, ctx: PrecisionCtx):
-    with ctx.working():
-        e2_zh = eichler6(z + mpf(1) / 2, 2, ctx)
-        e2_2z = eichler6(2 * z, 2, ctx)
-        h1 = mp.pi ** 3 * 1j * (e2_2z - 8 * e2_zh) / 1512
-        h2 = (mp.pi ** 3 * 1j * (e2_zh - 8 * e2_2z) / 189
-              - mp.pi ** 3 * 1j * (4 * eichler4(z, 0, ctx)
-                                   - eichler4(4 * z, 0, ctx)) / 15)
-        return h1, h2
-
-
-def h3_ratios(z, ctx: PrecisionCtx) -> dict:
-    """Both sides of the weight-3 ratio identities at an admissible z."""
-    z = _require_admissible(z, ctx)
-    ratio = _series_data(z, ctx)["ratio"]
-    h1r, h2r = _h3_rhs(z, ctx)
-    return {"lhs1": ratio[W_H3_DIFF], "rhs1": h1r,
-            "lhs2": ratio[W_H3_PLAIN], "rhs2": h2r}
-
-
-def _h3_linear_free(z, ctx: PrecisionCtx):
-    """The weight-3 linear-factor sides without the Epstein term of the second.
-
-    The second side comes as its four terms, 8 pi^2 y/3 and -6 zeta(3)/(pi y^2)
-    first: ``h3_linear`` cancels those two against the Epstein difference.
+    "ratio" and "linear" hold the right-hand sides by weight, as
+    ``_series_data`` holds the left-hand sides.  E(w,2) = Im(w)^2 +
+    45 zeta(3)/(pi^3 Im w) + its Lambert terms, and in every right-hand side
+    the y^2 and zeta(3) terms of its Epstein combination cancel exactly
+    against terms of its Epstein-free part, so neither is formed: a side adds
+    only the Lambert terms.  "s" holds the Epstein-free parts of Q1 and Q2,
+    and "u" that of the plain-H3 linear side, which ``s_r`` and ``u_check``
+    combine.
     """
-    # Second identity: the E6'''-bracket denominators are 756*Im z and
-    # 189*Im z (power one); this follows from differentiating the ratio
-    # identities and is confirmed by the tabulated specializations.
     with ctx.working():
         y = mp.im(z)
         z3 = const_zeta(3, ctx)
-        e2_zh = eichler6(z + mpf(1) / 2, 2, ctx)
-        e2_2z = eichler6(2 * z, 2, ctx)
-        e3_zh = eichler6(z + mpf(1) / 2, 3, ctx)
-        e3_2z = eichler6(2 * z, 3, ctx)
+        zh = z + mpf(1) / 2
+        f_zh, f_2z = eichler4(zh, 0, ctx), eichler4(2 * z, 0, ctx)
+        g_zh, g_2z = eichler4(zh, 2, ctx), eichler4(2 * z, 2, ctx)
+        e2_zh, e2_2z = eichler6(zh, 2, ctx), eichler6(2 * z, 2, ctx)
+        e3_zh, e3_2z = eichler6(zh, 3, ctx), eichler6(2 * z, 3, ctx)
+        lam_zh, lam_2z, lam_4z, lam_z = (sum(_epstein2_lambert(w, ctx))
+                                         for w in (zh, 2 * z, 4 * z, z))
+        # Q1 and Q2 as pairs: the zeta(3) and Im z terms, then the Eichler terms
+        q1 = (7 * z3 / (4 * mp.pi * y), -mp.pi ** 2 * 1j * (8 * f_zh - f_2z) / (120 * y))
+        q2 = (-2 * mp.pi ** 2 * y ** 2 / 3 - 2 * z3 / (mp.pi * y),
+              -mp.pi ** 2 * 1j * (f_zh - 2 * f_2z) / (15 * y))
+        q1r = q1[1] - mp.pi ** 2 * (4 * lam_zh - lam_2z) / 90
+        q2r = q2[1] - 2 * mp.pi ** 2 * (lam_zh - 4 * lam_2z) / 45
+        r1r = q1r / (mp.pi * y ** 2) - mp.pi * 1j * (2 * g_zh - g_2z) / (30 * y)
+        r2r = q2r / (mp.pi * y ** 2) - mp.pi * 1j * (g_zh - 8 * g_2z) / (15 * y)
+        h1 = mp.pi ** 3 * 1j * (e2_2z - 8 * e2_zh) / 1512
+        h2 = (mp.pi ** 3 * 1j * (e2_zh - 8 * e2_2z) / 189
+              - mp.pi ** 3 * 1j * (4 * eichler4(z, 0, ctx) - eichler4(4 * z, 0, ctx)) / 15)
+        # The weight-3 linear sides.  The E6'''-bracket denominators are
+        # 756*Im z and 189*Im z (power one); this follows from differentiating
+        # the ratio identities and is confirmed by the tabulated
+        # specializations.  The first two terms of g2 are the y^2 and zeta(3)
+        # terms of 8 pi^2 (E(4z,2) - E(z,2))/(45 y) with the sign reversed.
         g1 = (mp.pi ** 2 * 1j * (e2_2z - 8 * e2_zh) / (1512 * y ** 2)
               + mp.pi ** 2 * (e3_2z - 4 * e3_zh) / (756 * y))
         g2 = (8 * mp.pi ** 2 * y / 3, -6 * z3 / (mp.pi * y ** 2),
               mp.pi ** 2 * 1j * (e2_zh - 8 * e2_2z) / (189 * y ** 2),
               mp.pi ** 2 * (e3_zh - 16 * e3_2z) / (189 * y))
-        return g1, g2
+        g2r = g2[2] + g2[3] - 8 * mp.pi ** 2 * (lam_4z - lam_z) / (45 * y)
+        return {"ratio": dict(zip(_H2 + _H3, (q1r, q2r, h1, h2))),
+                "linear": dict(zip(_H2 + _H3, (r1r, r2r, g1, g2r))),
+                "s": (sum(q1), sum(q2)), "u": sum(g2)}
 
 
-def _h3_epstein(z, ctx: PrecisionCtx) -> mpc:
-    """The Epstein term 8 pi^2 (E(4z,2) - E(z,2)) / (45 Im z) of the plain-H3 side."""
-    with ctx.working():
-        return 8 * mp.pi ** 2 * (epstein2(4 * z, ctx) - epstein2(z, ctx)) / (45 * mp.im(z))
+def _sides(z, ctx: PrecisionCtx, kind: str, weights: tuple, names: tuple) -> dict:
+    """Both sides of the two identities of ``kind`` ("ratio" or "linear") at
+    ``weights``, keyed by each (lhs, rhs) pair of ``names``, at an admissible z."""
+    z = _require_admissible(z, ctx)
+    lhs, rhs = _series_data(z, ctx)[kind], _modular_data(z, ctx)[kind]
+    out = {}
+    for w, (lname, rname) in zip(weights, names):
+        out[lname], out[rname] = lhs[w], rhs[w]
+    return out
+
+
+def q_ratios(z, ctx: PrecisionCtx) -> dict:
+    """Both sides of the weight-2 ratio identities at an admissible z."""
+    return _sides(z, ctx, "ratio", _H2, (("q1_lhs", "q1_rhs"), ("q2_lhs", "q2_rhs")))
+
+
+def r_linear(z, ctx: PrecisionCtx) -> dict:
+    """Both sides of the weight-2 linear-factor identities at an admissible z."""
+    return _sides(z, ctx, "linear", _H2, (("r1_lhs", "r1_rhs"), ("r2_lhs", "r2_rhs")))
+
+
+def h3_ratios(z, ctx: PrecisionCtx) -> dict:
+    """Both sides of the weight-3 ratio identities at an admissible z."""
+    return _sides(z, ctx, "ratio", _H3, (("lhs1", "rhs1"), ("lhs2", "rhs2")))
 
 
 def h3_linear(z, ctx: PrecisionCtx) -> dict:
     """Both sides of the weight-3 linear-factor identities at an admissible z."""
-    z = _require_admissible(z, ctx)
-    linear = _series_data(z, ctx)["linear"]
-    g1r, g2 = _h3_linear_free(z, ctx)
+    return _sides(z, ctx, "linear", _H3, (("lhs1", "rhs1"), ("lhs2", "rhs2")))
+
+
+def s_r(z, r, ctx: PrecisionCtx) -> mpc:
+    """The Epstein-free part of Q1 - r Q2, which collapses to a rational multiple of pi^2."""
+    q1, q2 = _modular_data(_as_z(z, ctx), ctx)["s"]
     with ctx.working():
-        # E(w,2) = Im(w)^2 + 45 zeta(3)/(pi^3 Im w) + its Lambert terms, so the
-        # y^2 and zeta(3) terms of the Epstein term 8 pi^2 (E(4z,2) -
-        # E(z,2))/(45 y) are 8 pi^2 y/3 - 6 zeta(3)/(pi y^2), the first two
-        # terms of g2: the four cancel exactly and are left out of the sum
-        lam = [sum(_epstein2_lambert(w, ctx)) for w in (4 * z, z)]
-        g2r = g2[2] + g2[3] - 8 * mp.pi ** 2 * (lam[0] - lam[1]) / (45 * mp.im(z))
-    return {"lhs1": linear[W_H3_DIFF], "rhs1": g1r,
-            "lhs2": linear[W_H3_PLAIN], "rhs2": g2r}
+        r = mpf(Fraction(r).numerator) / Fraction(r).denominator
+        return q1 - r * q2
+
+
+def t_r(z, r, ctx: PrecisionCtx) -> mpc:
+    """R1(z) - r R2(z) through the Epstein/Eichler route (no series)."""
+    linear = _modular_data(_require_admissible(z, ctx), ctx)["linear"]
+    with ctx.working():
+        r = mpf(Fraction(r).numerator) / Fraction(r).denominator
+        return linear[W_H2_DIFF] - r * linear[W_H2_PLAIN]
 
 
 def u_check(z, rc, ctx: PrecisionCtx) -> mpc:
@@ -227,7 +184,13 @@ def u_check(z, rc, ctx: PrecisionCtx) -> mpc:
     G1 + rc G2 of the linear-factor identities, without the Epstein
     difference term of the plain-H3 identity.
     """
-    g1, g2 = _h3_linear_free(_as_z(z, ctx), ctx)
+    data = _modular_data(_as_z(z, ctx), ctx)
     with ctx.working():
         rc = mpf(Fraction(rc).numerator) / Fraction(rc).denominator
-        return g1 + rc * sum(g2)
+        return data["linear"][W_H3_DIFF] + rc * data["u"]
+
+
+def _h3_epstein(z, ctx: PrecisionCtx) -> mpc:
+    """The Epstein term 8 pi^2 (E(4z,2) - E(z,2)) / (45 Im z) of the plain-H3 side."""
+    with ctx.working():
+        return 8 * mp.pi ** 2 * (epstein2(4 * z, ctx) - epstein2(z, ctx)) / (45 * mp.im(z))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -287,10 +288,10 @@ def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
 
 
 def test_four_evaluators_make_one_walk_per_nome(monkeypatch, ctx30):
-    # nomes of z+1/2, 2z, z and 4z; r_linear reuses q_ratios' right-hand
-    # sides, and q_ratios and h3_linear read only the Lambert terms of their
-    # Epstein pairs, never a whole epstein2; Euler-Maclaurin runs once per
-    # (n, workdps)
+    # nomes of z+1/2, 2z, z and 4z; the four evaluators read one modular
+    # record, whose Q and plain-H3 linear sides read only the Lambert terms of
+    # their Epstein pairs, never a whole epstein2; Euler-Maclaurin runs once
+    # per (n, workdps)
     em_runs, epstein_calls, lambert_calls = [], [], []
     real_em, real_epstein = mpcore.hurwitz_zeta_raw, theorems.epstein2
     real_lambert = theorems._epstein2_lambert
@@ -319,6 +320,46 @@ def test_four_evaluators_make_one_walk_per_nome(monkeypatch, ctx30):
     assert len(epstein_calls) == 0
     assert len(lambert_calls) == 8
     assert len(em_runs) == 1
+
+
+def test_four_evaluators_read_one_modular_record(monkeypatch, ctx30):
+    # each Eichler integral is read once per (point, precision): 6 eichler4
+    # and 4 eichler6 calls into one _modular_data entry; s_r, t_r and u_check
+    # then read that record and add no walk and no memo entry
+    reads = {"eichler4": [], "eichler6": []}
+    walks = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            reads[name].append(args[:2])
+            return real(*args, **kwargs)
+        return wrapper
+
+    def counting_walk(*args, **kwargs):
+        walks.append(args)
+        return real_walk(*args, **kwargs)
+    real_walk = theorems.binom3_sums
+    for name in reads:
+        monkeypatch.setattr(theorems, name, counting(name, getattr(theorems, name)))
+    monkeypatch.setattr(theorems, "binom3_sums", counting_walk)
+    monkeypatch.setattr(mpcore, "_memo", {})
+    record = theorems._modular_data.__wrapped__
+    z = mp.mpc("0.5", "1.1173")
+    for _ in range(2):
+        for f in (q_ratios, r_linear, h3_ratios, h3_linear):
+            f(z, ctx30)
+        assert {name: len(args) for name, args in reads.items()} == {"eichler4": 6,
+                                                                     "eichler6": 4}
+        assert len(set(reads["eichler4"])) == 6 and len(set(reads["eichler6"])) == 4
+        assert sum(key[0] is record for key in mpcore._memo) == 1
+        assert len(walks) == 1
+    entries = len(mpcore._memo)
+    for f, r in ((s_r, Fraction(1, 16)), (t_r, Fraction(1, 16)), (u_check, Fraction(1, 64))):
+        f(z, r, ctx30)
+    assert len(mpcore._memo) == entries
+    assert len(walks) == 1 and sum(map(len, reads.values())) == 10
+    q_ratios(z, PrecisionCtx(35))
+    assert sum(key[0] is record for key in mpcore._memo) == 2
 
 
 def test_points_convert_at_working_precision(monkeypatch, ctx30):
