@@ -176,6 +176,11 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx) -> dict:
     they stop once log2 6 + (n+1) log2|q| - 5 log2(1-|q|) < log2 tiny.
     The walk ends when every chain has stopped.
 
+    tiny is 2^-9 * 10^-workdps, not 10^-workdps: the readers of the chains
+    multiply them by up to 504 (the E6 coefficient) and 3024/pi^2, about 306
+    (the Eichler prefactors), both below 2^9, so each tail cut stays below
+    10^-workdps in every value read.  ``_nome_guard`` reads the same tiny.
+
     The walk is out of contract for Im z < 0.03, as ``eta`` is: its length
     grows like 1/Im z.  The terms are summed in fixed point (module
     docstring).  The stop rules are checked in floats; their rounding is far
@@ -188,7 +193,7 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx) -> dict:
         # the stop rules in log2 form, in floats from |q| = exp(-x), x = 2 pi Im z:
         # log2 |q|, log2(1-|q|) and log2 tiny
         x = 2 * pi * float(mp.im(z))
-        lq, l1q, lt = -x / log(2), log2(-expm1(-x)), -ctx.workdps * log2(10)
+        lq, l1q, lt = -x / log(2), log2(-expm1(-x)), -ctx.workdps * log2(10) - 9
         wp = mp.mp.prec + _nome_guard(lq, l1q, lt)
         one = 1 << wp
         s = _dust_bits(q, wp)

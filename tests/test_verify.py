@@ -362,6 +362,27 @@ def test_four_evaluators_read_one_modular_record(monkeypatch, ctx30):
     assert sum(key[0] is record for key in mpcore._memo) == 2
 
 
+@pytest.mark.parametrize("digits", [30, 100])
+def test_theorem_rhs_agree_with_40_more_digits(digits):
+    # every right-hand side is within half a unit of 10^-workdps of the same
+    # evaluator at +40 digits on the same rounded z, at the theorems-random
+    # points but the boundary point 1/2 + i/sqrt2 (rounded at the lower
+    # precision, it lies off the boundary at the higher one) and at
+    # 1/2 + 1.200266i, where a nome walk cut at 10^-workdps before the
+    # Eichler prefactors lost 2 units in r2_rhs at 30 digits
+    ctx, fine = PrecisionCtx(digits), PrecisionCtx(digits + 40)
+    unit = mpf(10) ** -ctx.workdps
+    for re, im in (("0", "1.05"), ("0", "1.3"), ("0", "2.0"), ("0.5", "0.75"),
+                   ("0.5", "1.4"), ("0.5", "1.200266")):
+        with ctx.working():
+            z = mpc(mpf(re), mpf(im))
+        for f in (q_ratios, r_linear, h3_ratios, h3_linear):
+            out, ref = f(z, ctx), f(z, fine)
+            with fine.working():
+                for key in (k for k in out if "rhs" in k):
+                    assert abs(out[key] - ref[key]) <= unit / 2, (re, im, f.__name__, key)
+
+
 def test_points_convert_at_working_precision(monkeypatch, ctx30):
     # two points 1e-20 apart, built at working precision and passed from
     # outside it, stay apart and evaluate as they would inside it
