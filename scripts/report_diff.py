@@ -22,6 +22,7 @@ It needs only the standard library.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -31,13 +32,6 @@ from decimal import Decimal
 DIGITS = (15, 50, 100, 250)
 FIELDS = ("lhs", "rhs", "abs_residual", "pass", "error")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# the (lhs, rhs) keys of each theorem evaluator
-PAIRS = {
-    "q_ratios": (("q1_lhs", "q1_rhs"), ("q2_lhs", "q2_rhs")),
-    "r_linear": (("r1_lhs", "r1_rhs"), ("r2_lhs", "r2_rhs")),
-    "h3_ratios": (("lhs1", "rhs1"), ("lhs2", "rhs2")),
-    "h3_linear": (("lhs1", "rhs1"), ("lhs2", "rhs2")),
-}
 # run in a child process with a tree's src on its path: print the point rows
 POINTS_CHILD = "import sys; sys.path.insert(0, %r); import report_diff; report_diff._print_points()"
 
@@ -77,9 +71,10 @@ def _print_points() -> None:
         ctx = PrecisionCtx(p["digits"])
         with ctx.working():
             z = mp.mpc(mp.mpf(p["re"]), mp.mpf(p["im"]))
-            for fname, pairs in PAIRS.items():
+            for fname in ("q_ratios", "r_linear", "h3_ratios", "h3_linear"):
                 sides = getattr(verify, fname)(z, ctx)
-                for lk, rk in pairs:
+                for lk in (k for k in sides if "lhs" in k):
+                    rk = lk.replace("lhs", "rhs")
                     rid = "%s+%si@%d %s.%s" % (p["re"], p["im"], p["digits"], fname, lk)
                     rows[rid] = {"lhs": mp.nstr(sides[lk], ctx.workdps),
                                  "rhs": mp.nstr(sides[rk], ctx.workdps),
@@ -121,7 +116,7 @@ def main(argv=None) -> int:
         sys.exit("usage: report_diff.py PARENT")
     other_tree = os.path.abspath(argv[0])
     differ = False
-    levels = [("%d digits" % d, lambda tree, d=d: _report(tree, d)) for d in DIGITS]
+    levels = [("%d digits" % d, functools.partial(_report, digits=d)) for d in DIGITS]
     for name, rows in levels + [("theorem points", _points)]:
         this, other = rows(ROOT), rows(other_tree)
         diff = _differences(other, this)
