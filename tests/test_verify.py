@@ -148,7 +148,6 @@ def test_q_ratios_independent_sides(ctx40):
 
 
 def test_s_t_u_values(ctx40):
-    from fractions import Fraction
     with ctx40.working():
         z = mp.sqrt(3) * mp.mpc(0, 1) / 2
         assert abs(s_r(z, Fraction(1, 16), ctx40)
@@ -264,27 +263,46 @@ def test_registry_rows_read_the_evaluators_at_run_time(monkeypatch):
 
 
 def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
-    # the four evaluators read one memoized nine-sum walk per (point, precision)
+    # the four evaluators read one memoized nine-sum walk and one modular
+    # record per (point, precision); the record reads each Eichler integral
+    # once, 6 eichler4 and 4 eichler6 calls; s_r, t_r and u_check then read
+    # that record and add no walk and no memo entry
     walks = []
-    real = theorems.binom3_sums
+    reads = {"eichler4": [], "eichler6": []}
 
-    def counting(*args, **kwargs):
-        walks.append(args)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(theorems, "binom3_sums", counting)
+    def counting(real, calls):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(theorems, "binom3_sums", counting(theorems.binom3_sums, walks))
+    for name, calls in reads.items():
+        monkeypatch.setattr(theorems, name, counting(getattr(theorems, name), calls))
     monkeypatch.setattr(mpcore, "_memo", {})
+    record = theorems._modular_data.__wrapped__
     z = mp.mpc("0.5", "0.9137")
     for _ in range(2):
         sides = [f(z, ctx30) for f in (q_ratios, r_linear, h3_ratios, h3_linear)]
         assert len(walks) == 1
+        assert {name: len(calls) for name, calls in reads.items()} == {"eichler4": 6,
+                                                                       "eichler6": 4}
+        assert sum(key[0] is record for key in mpcore._memo) == 1
+    assert len({args[:2] for args in reads["eichler4"]}) == 6
+    assert len({args[:2] for args in reads["eichler6"]}) == 4
     with ctx30.working():
         for out in sides:
             lhs = [v for k, v in out.items() if "lhs" in k]
             rhs = [v for k, v in out.items() if "rhs" in k]
             for a, b in zip(lhs, rhs):
                 assert abs(a - b) < ctx30.tolerance()
+    entries = len(mpcore._memo)
+    for f, r in ((s_r, Fraction(1, 16)), (t_r, Fraction(1, 16)), (u_check, Fraction(1, 64))):
+        f(z, r, ctx30)
+    assert len(mpcore._memo) == entries
+    assert len(walks) == 1 and sum(map(len, reads.values())) == 10
     q_ratios(z, PrecisionCtx(35))
     assert len(walks) == 2
+    assert sum(key[0] is record for key in mpcore._memo) == 2
 
 
 def test_four_evaluators_make_one_walk_per_nome(monkeypatch, ctx30):
@@ -320,46 +338,6 @@ def test_four_evaluators_make_one_walk_per_nome(monkeypatch, ctx30):
     assert len(epstein_calls) == 0
     assert len(lambert_calls) == 8
     assert len(em_runs) == 1
-
-
-def test_four_evaluators_read_one_modular_record(monkeypatch, ctx30):
-    # each Eichler integral is read once per (point, precision): 6 eichler4
-    # and 4 eichler6 calls into one _modular_data entry; s_r, t_r and u_check
-    # then read that record and add no walk and no memo entry
-    reads = {"eichler4": [], "eichler6": []}
-    walks = []
-
-    def counting(name, real):
-        def wrapper(*args, **kwargs):
-            reads[name].append(args[:2])
-            return real(*args, **kwargs)
-        return wrapper
-
-    def counting_walk(*args, **kwargs):
-        walks.append(args)
-        return real_walk(*args, **kwargs)
-    real_walk = theorems.binom3_sums
-    for name in reads:
-        monkeypatch.setattr(theorems, name, counting(name, getattr(theorems, name)))
-    monkeypatch.setattr(theorems, "binom3_sums", counting_walk)
-    monkeypatch.setattr(mpcore, "_memo", {})
-    record = theorems._modular_data.__wrapped__
-    z = mp.mpc("0.5", "1.1173")
-    for _ in range(2):
-        for f in (q_ratios, r_linear, h3_ratios, h3_linear):
-            f(z, ctx30)
-        assert {name: len(args) for name, args in reads.items()} == {"eichler4": 6,
-                                                                     "eichler6": 4}
-        assert len(set(reads["eichler4"])) == 6 and len(set(reads["eichler6"])) == 4
-        assert sum(key[0] is record for key in mpcore._memo) == 1
-        assert len(walks) == 1
-    entries = len(mpcore._memo)
-    for f, r in ((s_r, Fraction(1, 16)), (t_r, Fraction(1, 16)), (u_check, Fraction(1, 64))):
-        f(z, r, ctx30)
-    assert len(mpcore._memo) == entries
-    assert len(walks) == 1 and sum(map(len, reads.values())) == 10
-    q_ratios(z, PrecisionCtx(35))
-    assert sum(key[0] is record for key in mpcore._memo) == 2
 
 
 @pytest.mark.parametrize("digits", [30, 100])
