@@ -16,8 +16,8 @@ from .quadrature import (QuadResult, h3mix2_tail_integral, lemma_integral,
                          lminus4_4_integral, tanh_sinh, zeta5_integral,
                          zeta7_integral)
 from .series import (HypKernel, LinearFactor, WeightSpec, binom2_series,
-                     binom3_series, cvz_alt_sum, ell_k, ell_k_comp, eli,
-                     hyp_lambert, inv_binom2_series, legendre_dnu2)
+                     binom3_series, ell_k, ell_k_comp, eli, hyp_lambert,
+                     inv_binom2_series, legendre_dnu2)
 from .verify import (DEFAULT_SEED, Report, all_suites, get_records, h3_linear,
                      h3_ratios, q_ratios, r_linear, run_suite, s_r, t_r, u_check)
 
@@ -27,9 +27,8 @@ __all__ = [
     "DEFAULT_SEED", "DomainError", "HypKernel", "LinearFactor",
     "PrecisionCtx", "QuadResult", "Report", "WeightSpec",
     "all_suites", "alpha4", "binom2_series", "binom3_series",
-    "const_catalan", "const_zeta",
-    "cvz_alt_sum", "dirichlet_l", "eichler4", "eichler6", "eisenstein",
-    "eisenstein_eta_form", "ell_k", "ell_k_comp", "eli", "epstein2",
+    "const_catalan", "const_zeta", "dirichlet_l", "eichler4", "eichler6",
+    "eisenstein", "eisenstein_eta_form", "ell_k", "ell_k_comp", "eli", "epstein2",
     "epstein3", "epstein_lattice", "eta", "get_records",
     "h3_linear", "h3_ratios", "h3mix2_tail_integral", "hurwitz_zeta",
     "hyp_lambert", "inv_binom2_series", "kronecker", "lambda_fn",

@@ -262,9 +262,9 @@ def eisenstein_eta_form(z, weight: int, ctx: PrecisionCtx) -> mpc:
     """E4 or E6 from eta quotients and lambda; an independent route for tests."""
     z = _as_z(z, ctx)
     with ctx.working():
-        lam = lambda_fn(z, ctx)
-        e_one = eta(z, ctx)
-        pair = eta(2 * z, ctx) * eta(z / 2, ctx)
+        e_half, e_one, e_two = eta(z / 2, ctx), eta(z, ctx), eta(2 * z, ctx)
+        lam = ensure_finite(16 * e_half ** 8 * e_two ** 16 / e_one ** 24)  # as lambda_fn
+        pair = e_two * e_half
         if weight == 4:
             return ensure_finite(e_one ** 40 * (1 - lam + lam ** 2) / pair ** 16)
         if weight == 6:

@@ -7,10 +7,10 @@ One engine sums C(2k,k)^p (a k + b) w(k) x^k for both powers p = 3 (the
 cubed family) and p = 2 (the squared family).  Interior rates
 (|4^p x| < 1) are summed directly with incremental binomial/harmonic updates
 and a stated tail bound.  Boundary rates (|4^p x| = 1 with Re x < 0, so
-alternating) go through Cohen-Rodriguez Villegas-Zagier acceleration with
-N = ceil(1.4 * digits) terms and heuristic error ~ (3+sqrt(8))^-N; direct
-partial sums of those series converge only algebraically in k and are
-hopeless at high precision.
+alternating) go through Algorithm 1 of Cohen, Rodriguez Villegas and Zagier
+(2000) on the first N = ceil(1.4 digits) + 20 terms: the error is at most
+|t_0| / T_N(3) < 2 |t_0| (3+sqrt 8)^-N when |t_k| is a moment sequence.
+Direct partial sums converge only algebraically in k.
 
 The engine makes one walk per rate: :func:`binom3_sums` returns every
 requested (LinearFactor, WeightSpec) sum from a single pass over the terms,
@@ -38,7 +38,8 @@ Both rates share one step, the generator ``_binom_steps``.  The interior
 sum stops each request on one stated tail bound, |t_k| times a quadratic
 in k from the rate and the weight envelopes, checked in floats at every k
 (``_binom_sums``).  The boundary path takes the first 1.4 digits + 20 steps
-on the real rate, converts each term to mpf once and hands the lists to CVZ.
+on the real rate and weights each fixed-point term by an exact integer CVZ
+coefficient, so the whole sum is one integer rounded once.
 
 The hyperbolic Lambert sums (:func:`hyp_lambert`) and the elliptic
 polylogarithm (:func:`eli`) run on the same integer pairs: one integer
@@ -79,7 +80,6 @@ __all__ = [
     "binom2_series",
     "binom3_series",
     "binom3_sums",
-    "cvz_alt_sum",
     "ell_k",
     "ell_k_comp",
     "eli",
@@ -148,57 +148,6 @@ W_ONE = WeightSpec.combo({"ONE": 1})
 
 
 # ---------------------------------------------------------------------------
-# CVZ acceleration
-# ---------------------------------------------------------------------------
-
-def _cvz_core(a: list) -> mpf:
-    """Cohen-Rodriguez Villegas-Zagier sum of sum_k (-1)^k a_k, a_k >= 0."""
-    n = len(a)
-    d = (3 + 2 * mp.sqrt(2)) ** n
-    d = (d + 1 / d) / 2
-    b = mpf(-1)
-    c = -d
-    s = mpf(0)
-    for k in range(n):
-        c = b - c
-        s += c * a[k]
-        b *= 2 * (k + n) * (k - n) / mpf((2 * k + 1) * (k + 1))
-    return s / d
-
-
-def cvz_alt_sum(terms, ctx: PrecisionCtx) -> mpf:
-    """Accelerated limit of an eventually-alternating series from its terms.
-
-    The leading non-alternating burn-in (sign changes not yet settled) is
-    summed directly; the alternating tail goes through CVZ with N equal to
-    the number of remaining terms.  Heuristic error ~ 5.83^-N.
-    """
-    with ctx.working():
-        terms = [mpf(t) for t in terms]
-        while terms and terms[-1] == 0:
-            terms.pop()
-        n = len(terms)
-        if n == 0:
-            return mpf(0)
-        # find the last index where strict alternation is violated
-        start = 0
-        for i in range(1, n):
-            if terms[i] == 0 or (terms[i - 1] != 0
-                                 and mp.sign(terms[i]) == mp.sign(terms[i - 1])):
-                start = i + 1
-        while start < n and terms[start] == 0:  # zeros sum exactly, keep in head
-            start += 1
-        tail = terms[start:]
-        if len(tail) < 8:
-            if start > n // 2:
-                raise DomainError("cvz_alt_sum: input not eventually alternating")
-            return ensure_finite(mp.fsum(terms))
-        head = mp.fsum(terms[:start])
-        lead = mp.sign(tail[0])
-        return ensure_finite(head + lead * _cvz_core([abs(t) for t in tail]))
-
-
-# ---------------------------------------------------------------------------
 # Binomial series
 # ---------------------------------------------------------------------------
 
@@ -241,9 +190,14 @@ def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
     raises DomainError at 400 workdps steps.
     |4^power x| = 1 with Re x < 0, to within the boundary slack
     max(1000 tiny, 10^-(dps-6)): the walk classifies the rate itself and sums
-    it by CVZ acceleration.  The term list is built once on the real rate and
-    each request goes through CVZ.  The imaginary parts of 4^power x, a and
-    b are dropped, so each must lie within the same slack, else DomainError.
+    each request by CVZ Algorithm 1 on the first n = ceil(1.4 digits) + 20
+    terms t_k, as the integer sum_k (-1)^k c_k t_k // d rounded once:
+    d = T_n(3) (d_0 = 1, d_1 = 3, d_{m+1} = 6 d_m - d_{m-1}), b_0 = -1,
+    b_{k+1} = b_k 2(k+n)(k-n) / ((2k+1)(k+1)), exact (the coefficients of
+    T_n(1-2x)), and c_k = b_k - c_{k-1} from c_{-1} = -d; |c_k| <= d, so
+    the sum keeps the terms' roundings.  The imaginary parts of 4^power x,
+    a and b are dropped, so each must lie within the same slack, else
+    DomainError.
     |4^power x| = 1 with x > 0 and |4^power x| > 1 are rejected.
     """
     name = "binom%d series" % power
@@ -363,18 +317,24 @@ def _binom_steps(x, power: int, facs: list, specs: list, wp: int, sd: int):
 
 def _binom_accelerated(xr: mpf, power: int, facs: list, specs: list, slots: list,
                        ctx: PrecisionCtx) -> list:
-    # Boundary rate xr = -1/4^power: the terms of every request from one
-    # real walk, each term list summed by CVZ.
-    n_cvz = int(mp.ceil(mpf("1.4") * ctx.digits)) + 8
-    burn = 12
+    # Boundary rate xr = -1/4^power: CVZ Algorithm 1 in integers on the
+    # walk's own first n terms, as _binom_sums states
+    n = int(mp.ceil(mpf("1.4") * ctx.digits)) + 20
     wp = mp.mp.prec + _binom_guard(ctx)
+    d0, d = 1, 3  # T_n(3): d_{m+1} = 6 d_m - d_{m-1}
+    for _ in range(n - 1):
+        d0, d = d, 6 * d - d0
+    bk, ck = -1, -d
+    acc = [0] * len(slots)
     facs = [(mp.re(a), mp.re(b)) for a, b in facs]
-    terms = [[] for _ in slots]
     steps = _binom_steps(xr, power, facs, specs, wp, 0)
-    for _, _, wts, lin in islice(steps, n_cvz + burn):
-        for (fi, wi), col in zip(slots, terms):
-            col.append(_from_fixed(lin[fi][0] * wts[wi] >> wp, 0, wp).real)
-    return [ensure_finite(mpc(cvz_alt_sum(col, ctx))) for col in terms]
+    for k, (_, _, wts, lin) in enumerate(islice(steps, n)):
+        ck = bk - ck
+        sk = -ck if k & 1 else ck
+        for i, (fi, wi) in enumerate(slots):
+            acc[i] += sk * (lin[fi][0] * wts[wi] >> wp)
+        bk = bk * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))  # exact
+    return [ensure_finite(_from_fixed(s // d, 0, wp)) for s in acc]
 
 
 def binom3_sums(x, requests, ctx: PrecisionCtx) -> list:

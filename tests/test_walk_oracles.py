@@ -2,14 +2,15 @@
 
 ``_reference_binom_sums`` and ``_reference_nome_chains`` are the binomial
 walk (with ``_Harmonics``) and the nome walk as they were written in mpf,
-kept here verbatim as oracles.  The integer kernels must agree with them to
+kept here as oracles; at the boundary rates the mpf walk sums each request
+by its own mpf CVZ loop.  The integer kernels must agree with them to
 10^-(workdps-2.5), relative to max(1, |value|), at 15, 30, 100 and 250
 digits.  ``_reference_ell_k`` and ``_reference_ell_k_comp`` keep the mpc AGM
 loop behind ``ell_k`` / ``ell_k_comp`` the same way; the fixed-point AGM must
 agree with it to 8 units of 10^-workdps, relative to each part, at 15, 50,
-100 and 250 digits.  The binomial walk's stop rule is also checked on its
-own: an entry must lie within 4 units of 10^-workdps of the same entry at
-40 more digits.
+100 and 250 digits.  The binomial walk's stop rule, and its CVZ at the
+boundary rates, are also checked on their own: an entry must lie within 4
+units of 10^-workdps of the same entry at 40 more digits.
 
 ``_reference_eta``, ``_reference_hyp_lambert`` and ``_reference_eli`` keep
 the mpc loops behind ``eta`` (the N-factor product), ``hyp_lambert`` and
@@ -31,8 +32,7 @@ from modzeta.modular import (_CHAINS, _EIS_POWER, _as_z, _nome, _nome_chains,
 from modzeta.mpcore import ensure_finite
 from modzeta import series
 from modzeta.series import (LinearFactor, W_ONE, WeightSpec, _binom_sums,
-                            _boundary_kind, _boundary_slack, cvz_alt_sum,
-                            ell_k, ell_k_comp)
+                            _boundary_kind, _boundary_slack, ell_k, ell_k_comp)
 from modzeta.verify import get_records
 from modzeta.verify.registry import _Z
 from modzeta.verify.runner import _evaluate
@@ -171,21 +171,26 @@ def _reference_binom_sums(x, power, requests, ctx):
 
 
 def _reference_accelerated(xr, power, facs, specs, slots, ctx):
-    # Boundary rate xr = -1/4^power: one term list per request, each summed by CVZ.
-    n_cvz = int(mp.ceil(mpf("1.4") * ctx.digits)) + 8
-    burn = 12
+    # Boundary rate xr = -1/4^power: CVZ Algorithm 1 in mpf over the first n
+    # terms of each request (Cohen, Rodriguez Villegas and Zagier, 2000)
+    n = int(mp.ceil(mpf("1.4") * ctx.digits)) + 20
+    d = (3 + mp.sqrt(8)) ** n
+    d = (d + 1 / d) / 2
+    bk, ck = mpf(-1), -d
     facs = [(mp.re(a), mp.re(b)) for a, b in facs]
-    terms = [[] for _ in slots]
+    acc = [mpf(0)] * len(slots)
     term_base = mpf(1)
     har = _Harmonics()
-    for k in range(n_cvz + burn):
+    for k in range(n):
+        ck = bk - ck
         wts = [har.weight(w) for w in specs]
         lin = [term_base * (a * k + b) for a, b in facs]
-        for (fi, wi), col in zip(slots, terms):
-            col.append(lin[fi] * wts[wi])
+        for i, (fi, wi) in enumerate(slots):
+            acc[i] += (-1) ** k * ck * lin[fi] * wts[wi]
+        bk *= mpf(2 * (k + n) * (k - n)) / ((2 * k + 1) * (k + 1))
         term_base *= mpf(2 * (2 * k + 1)) ** power / mpf(k + 1) ** power * xr
         har.advance()
-    return [ensure_finite(mpc(cvz_alt_sum(col, ctx))) for col in terms]
+    return [ensure_finite(mpc(v / d)) for v in acc]
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +344,8 @@ def test_binom_walk_matches_mpf_oracle(case, digits):
 
 
 @pytest.mark.parametrize("digits", (15, 100, 250))
-@pytest.mark.parametrize("case", ["z=0.55i", "64x=0.64+0.512i", "64x=-0.83"])
+@pytest.mark.parametrize("case", ["z=0.55i", "64x=0.64+0.512i", "64x=-0.83",
+                                  "64x=-1", "binom2 16x=-1"])
 def test_binom_walk_stops_within_its_tail_bound(case, digits):
     # each entry lies within 4 units of 10^-workdps, relative to max(1, |S|),
     # of the same entry summed at 40 more digits
