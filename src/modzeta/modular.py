@@ -132,14 +132,16 @@ def eta(z, ctx: PrecisionCtx) -> mpc:
         return ensure_finite(+val)
 
 
+def _lambda_of_etas(e_half, e_one, e_two) -> mpc:
+    """lambda(z) = 2^4 eta(z/2)^8 eta(2z)^16 / eta(z)^24 from the three etas."""
+    return ensure_finite(16 * e_half ** 8 * e_two ** 16 / e_one ** 24)
+
+
 def lambda_fn(z, ctx: PrecisionCtx) -> mpc:
     """Modular lambda via the eta quotient 2^4 eta(z/2)^8 eta(2z)^16 / eta(z)^24."""
     z = _as_z(z, ctx)
     with ctx.working():
-        e_half = eta(z / 2, ctx)
-        e_one = eta(z, ctx)
-        e_two = eta(2 * z, ctx)
-        return ensure_finite(16 * e_half ** 8 * e_two ** 16 / e_one ** 24)
+        return _lambda_of_etas(eta(z / 2, ctx), eta(z, ctx), eta(2 * z, ctx))
 
 
 def alpha4(z, ctx: PrecisionCtx) -> mpc:
@@ -263,7 +265,7 @@ def eisenstein_eta_form(z, weight: int, ctx: PrecisionCtx) -> mpc:
     z = _as_z(z, ctx)
     with ctx.working():
         e_half, e_one, e_two = eta(z / 2, ctx), eta(z, ctx), eta(2 * z, ctx)
-        lam = ensure_finite(16 * e_half ** 8 * e_two ** 16 / e_one ** 24)  # as lambda_fn
+        lam = _lambda_of_etas(e_half, e_one, e_two)
         pair = e_two * e_half
         if weight == 4:
             return ensure_finite(e_one ** 40 * (1 - lam + lam ** 2) / pair ** 16)

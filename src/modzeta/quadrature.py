@@ -19,9 +19,10 @@ one: the refinement stops at the first level L >= 3 with
 d_L^2 <= 10^-workdps max(1, |S_L|)^2, one level before d_L itself meets the
 target.
 
-The H3INT2 integrand's K(sqrt s)^2 - (pi/2)^2 is summed from the AGM's own
-differences, so it does not cancel near s = 0, and the lem.h3mix2 tail runs
-up or down the vertical ray from t, clear of the branch point s = 1.
+The H3INT2 integrand's K(sqrt s)^2 - (pi/2)^2 cancels about log10(1/|s|)
+digits near s = 0, so it takes K from one ``ell_k`` call raised by that
+many digits, and the lem.h3mix2 tail runs up or down the vertical ray from
+t, clear of the branch point s = 1.
 """
 
 from __future__ import annotations
@@ -156,28 +157,18 @@ def tanh_sinh(f, a, b, ctx: PrecisionCtx, max_level: int = MAX_LEVEL) -> QuadRes
 _LEMMAS = ("NU2", "EPS2", "H3INT1", "H3INT2")
 
 
-def _ksq_minus_quarter_pi_sq(s, ctx: PrecisionCtx):
-    """K(sqrt(s))^2 - (pi/2)^2 from the differences of M = AGM(1, sqrt(1-s)).
+def _k_and_ksq_excess(s, ctx: PrecisionCtx):
+    """K(sqrt(s)) and K(sqrt(s))^2 - (pi/2)^2 from one ``ell_k`` call.
 
-    c_1 = s / (2 (1 + sqrt(1-s))) and c_{n+1} = c_n^2 / (2 (a_n + b_n)) are
-    the half-differences (a_{n-1} - b_{n-1})/2, so 1 - M = S = sum c_n and
-    K^2 - (pi/2)^2 = (pi^2/4) S (2 - S) / (1 - S)^2 cancels at no s.  The c_n
-    fall quadratically, so once |c_n| <= tiny |S| the rest of the sum is far
-    below tiny |S|.  a_n and b_n stay in the quadrant of sqrt(1-s), so the
-    principal sqrt(ab) is the right choice and K is the branch of ``ell_k``.
+    K = (pi/2)(1 + s/4 + ...), so the difference cancels about log10(1/|s|)
+    digits near s = 0; ``ell_k`` runs that many digits, plus two, above ctx,
+    and the difference is taken at that precision.
     """
-    if s == 0:
-        return mpc(0)
-    tiny = ctx.tiny()
-    r = mp.sqrt(1 - s)
-    c = s / (2 * (1 + r))
-    a, b = (1 + r) / 2, mp.sqrt(r)
-    acc = c
-    while abs(c) > tiny * abs(acc):
-        c = c * c / (2 * (a + b))
-        a, b = (a + b) / 2, mp.sqrt(a * b)
-        acc += c
-    return mp.pi ** 2 / 4 * acc * (2 - acc) / (1 - acc) ** 2
+    extra = max(0, int(-mp.mag(s) * 0.302) + 2) if s else 0
+    hi = replace(ctx, guard=ctx.guard + extra)
+    k = ell_k(s, hi)
+    with hi.working():
+        return k, k * k - mp.pi ** 2 / 4
 
 
 def lemma_integral(which: str, t, ctx: PrecisionCtx):
@@ -222,10 +213,9 @@ def lemma_integral(which: str, t, ctx: PrecisionCtx):
             return ensure_finite((2 / mp.pi) ** 4 * res.converged_value())
 
         def f(s):
-            ks = ell_k(s, ctx)
+            ks, excess = _k_and_ksq_excess(s, ctx)
             bracket = ell_k_comp(s, ctx) * kt - ks * k1t
-            return (2 * (1 - 2 * s) / (s * (1 - s))
-                    * _ksq_minus_quarter_pi_sq(s, ctx) * bracket ** 2)
+            return 2 * (1 - 2 * s) / (s * (1 - s)) * excess * bracket ** 2
         res = tanh_sinh(f, mpf(0), t, ctx)
         return ensure_finite((2 / mp.pi) ** 4 * res.converged_value())
 

@@ -132,10 +132,11 @@ def test_lminus4_4_integral(ctx40):
 @pytest.mark.parametrize("which,w", [
     ("NU2", W_NU), ("EPS2", W_EPS), ("H3INT1", W_H31), ("H3INT2", W_H32),
 ])
-@pytest.mark.parametrize("tv", ["0.1", "0.3"])
+@pytest.mark.parametrize("tv", ["0.1", "0.3", "0.2+0.1j"])
 def test_lemma_integrals_match_series(ctx30, which, w, tv):
+    # the complex t integrates on a complex segment from the base point
     with ctx30.working():
-        t = mpf(tv)
+        t = mp.mpmathify(tv)
         quad = lemma_integral(which, t, ctx30)
         series = binom3_series(t * (1 - t) / 16, LinearFactor(0, 1), w, ctx30)
         assert abs(quad - series) < mpf(10) ** -25
@@ -164,16 +165,19 @@ def test_h3mix2_tail_integral_rejects_real_t(ctx30):
 @pytest.mark.parametrize("digits", (50, 100, 250))
 def test_small_s_ksq_series_meets_working_precision(digits):
     # K(sqrt s)^2 - (pi/2)^2 must keep full relative precision on both sides
-    # of |s| = 1e-6, for real, negative and complex s
-    from modzeta.quadrature import _ksq_minus_quarter_pi_sq
+    # of |s| = 1e-6, for real, negative and complex s, and down to s = 1e-200:
+    # tanh-sinh nodes come within about 10^(-1.5 workdps) of s = 0
+    from modzeta.quadrature import _k_and_ksq_excess
     ctx = PrecisionCtx(digits)
     for s in (mpf("9.99e-7"), mpc("-7e-7", "7e-7"), mpf("-3e-9"), mpf("1e-9"),
               mpf("1.01e-6"), mpf("1e-5"), mpf("1e-3"), mpf("0.05"), mpf("0.3"),
-              mpf("0.5"), mpc("0.1", "0.05"), mpc("0.3", "-0.2")):
+              mpf("0.5"), mpc("0.1", "0.05"), mpc("0.3", "-0.2"),
+              mpf("1e-60"), mpf("1e-200")):
         with ctx.working():
-            got = _ksq_minus_quarter_pi_sq(mpc(s), ctx)
-        with mp.workdps(ctx.workdps + 60):
+            got = _k_and_ksq_excess(mpc(s), ctx)[1]
+        # the difference cancels about log10(1/|s|) digits in the reference too
+        with mp.workdps(ctx.workdps + 60 + max(0, -int(mp.log10(abs(s))))):
             want = mp.ellipk(s) ** 2 - mp.pi ** 2 / 4
             assert abs(got - want) <= mpf(10) ** -(ctx.workdps - 3) * abs(want), s
     with ctx.working():
-        assert _ksq_minus_quarter_pi_sq(mpc(0), ctx) == 0
+        assert _k_and_ksq_excess(mpc(0), ctx)[1] == 0

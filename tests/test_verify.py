@@ -202,7 +202,7 @@ def test_h3int2_residuals_stay_below_working_precision():
     # lem.h3int2.t01 and .t03 integrate K(sqrt s)^2 - (pi/2)^2 from s = 0,
     # so a K^2 that cancels digits near s = 0 shows in their residuals
     recs = {r.id: r for r in get_records("lemma-oracles")}
-    for digits in (15, 50, 100):
+    for digits in (15, 50, 100, 250):
         ctx = PrecisionCtx(digits)
         for rid in ("lem.h3int2.t01", "lem.h3int2.t03"):
             row = runner._evaluate(recs[rid], ctx)
