@@ -39,7 +39,8 @@ def main() -> None:
         ):
             t0 = time.perf_counter()
             res = quad(ctx)
-            line(name, res.value, want, time.perf_counter() - t0, res.levels_used)
+            line(name, res.converged_value(), want, time.perf_counter() - t0,
+                 res.levels_used)
 
         t = mpf("0.3")
         w = WeightSpec.combo({"H3_2K": 1, "H3_K": Fraction(-1, 8)})

@@ -9,13 +9,10 @@ uniform in the precision and independent of the sign of d.
 
 E(z,2) and E(z,3) use the rapidly convergent Lambert / Eichler representations
 (real parts taken, see the module notes on epstein3); the brute-force lattice
-sum is kept only as a deliberately slow low-precision oracle.
+sum, a deliberately slow low-precision oracle, lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -32,11 +29,9 @@ from .mpcore import (
 )
 
 __all__ = [
-    "LatticeSum",
     "dirichlet_l",
     "epstein2",
     "epstein3",
-    "epstein_lattice",
     "hurwitz_zeta",
     "kronecker",
 ]
@@ -172,56 +167,3 @@ def epstein3(z, ctx: PrecisionCtx) -> mpf:
         val = (y ** 3 + 2835 * const_zeta(5, ctx) / (8 * mp.pi ** 5 * y ** 2)
                - 15 * mp.re(_epstein3_braced(z, ctx)) / (8 * y ** 2))
         return ensure_finite(val)
-
-
-@dataclass(frozen=True)
-class LatticeSum:
-    value: float
-    err_estimate: float
-    radius: int
-
-
-def epstein_lattice(z, s: int, radius: int, ctx: PrecisionCtx) -> LatticeSum:
-    """Truncated lattice sum oracle for E(z,s), in float64 via numpy.
-
-    Sums (Im z)^s / |m z + n|^(2s) over 0 < max(|m|,|n|) <= radius and divides
-    by 2 zeta(2s).  The tail decays like radius^(2-2s); the attached error
-    estimate comes from comparing against the half-radius sum (empirical
-    constant times radius^(2-2s)), plus float64 accumulation slop.
-
-    numpy serves only this oracle, so it is imported on the first call.
-    """
-    import numpy as np
-
-    if s not in (2, 3):
-        raise DomainError("epstein_lattice supports s in {2, 3}")
-    if radius < 10:
-        raise DomainError("epstein_lattice requires radius >= 10")
-    z = _as_z(z, ctx)
-    x = float(mp.re(z))
-    y = float(mp.im(z))
-
-    def boxed(r: int) -> float:
-        ms = np.arange(-r, r + 1, dtype=np.float64)
-        total = 0.0
-        chunk = max(1, int(4e6 / (2 * r + 1)))
-        ns = np.arange(-r, r + 1, dtype=np.float64)
-        for i in range(0, len(ms), chunk):
-            mblock = ms[i:i + chunk][:, None]
-            norm = (mblock * x + ns[None, :]) ** 2 + (mblock * y) ** 2
-            with np.errstate(divide="ignore"):
-                inv = norm ** (-s)
-            m_idx = np.nonzero(mblock[:, 0] == 0)[0]
-            if m_idx.size:
-                inv[m_idx[0], r] = 0.0  # drop (m,n) = (0,0)
-            total += float(inv.sum())
-        return total * y ** s
-
-    with ctx.working():
-        norm_const = 2 * float(const_zeta(2 * s, ctx))
-    full = boxed(radius) / norm_const
-    half = boxed(radius // 2) / norm_const
-    # tail(r) ~ C r^(2-2s): difference of the two truncations calibrates C
-    ratio = 1.0 - 2.0 ** (2 - 2 * s)
-    err = abs(full - half) / max(ratio, 1e-9) * 2.0 ** (2 - 2 * s) + 1e-12 * abs(full)
-    return LatticeSum(value=full, err_estimate=err, radius=radius)

@@ -20,17 +20,19 @@ The walk runs on Python integers scaled by 2^wp: u = q^n is an (re, im)
 integer pair, one integer division per n gives r = 1/(1-u), every kernel is
 a product of u, r and 1 + u or 1 + 4u + u^2, the Eisenstein chains multiply
 u r by the integer n^p and the Eichler chains floor-divide their kernel by
-n^e.  wp is the working precision plus guard bits sized from the walk's
-amplification (``_nome_guard``): the E6 chain multiplies the rounding of
-u/(1-u) by n^5 over up to N terms, and K_3 carries r^4.  The stop rules
-read only |q| and n: each Eisenstein chain's polynomial-geometric bound and
-the one Eichler bound, each checked in floats in log2 form at every n.
-``eta`` sums Euler's pentagonal series on the same integer pairs.
+n^e.  ``eta`` sums Euler's pentagonal series on the same integer pairs, and
+``series.hyp_lambert`` and ``series.eli`` the hyperbolic sums and ELi.
+
+Every stop rule of these walks reads only moduli and the index n, so each
+walk plans its lengths before it sums a term: ``_walk_length`` returns the
+first n at which a rule, evaluated in floats in log2 form, holds, and raises
+DomainError past 100 workdps terms.  The walk then runs a plain loop over
+the planned range, with guard bits sized from that length.
 """
 
 from __future__ import annotations
 
-from math import ceil, exp, expm1, isqrt, log, log2, pi
+from math import ceil, expm1, log, log2, pi
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -63,6 +65,25 @@ def _nome(z: mpc) -> mpc:
     return mp.exp(mpc(0, 2) * mp.pi * z)
 
 
+def _nome_logs(z: mpc) -> tuple:
+    """log2|q| and log2(1-|q|) in floats, from |q| = exp(-2 pi Im z)."""
+    x = 2 * pi * float(mp.im(z))
+    return -x / log(2), log2(-expm1(-x))
+
+
+def _walk_length(stop, start: int, ctx: PrecisionCtx) -> int:
+    """The first n >= start at which a walk's float stop rule ``stop(n)`` holds.
+
+    The scan ends at 100 workdps: a longer walk raises DomainError before it
+    sums a term.
+    """
+    cap = 100 * ctx.workdps
+    for n in range(start, cap + 1):
+        if stop(n):
+            return n
+    raise DomainError("the q-series walk needs more than %d terms" % cap)
+
+
 # ---------------------------------------------------------------------------
 # Dedekind eta and the lambda function
 # ---------------------------------------------------------------------------
@@ -82,30 +103,27 @@ def eta(z, ctx: PrecisionCtx) -> mpc:
     at least exp(-(pi^2/6) |q|/(1-|q|)), since
     -log prod_n (1 - x^n) = sum_m x^m / (m (1 - x^m)) <= sum_m x / (m^2 (1 - x)).
     Writing c = (pi^2/6) |q| / ((1-|q|) ln 2) for the bits that bound takes,
-    the loop stops after the first K with
-    1 + P(K+1) log2|q| - log2(1-|q|) + c < log2 tiny, checked in floats, so
-    the sum is cut at a relative error below tiny.
+    the walk plans K as the first index with
+    1 + P(K+1) log2|q| - log2(1-|q|) + c < log2 tiny, in floats, so the sum
+    is cut at a relative error below tiny.
 
     Guard bits: the series' cancellation takes at most log2(2/(1-|q|)) + c
     bits (the terms add up to at most 2/(1-|q|)), about 15 at Im z = 0.03.
     Each index rounds each of the four running products once, and an error
     in a power carries into the later ones, so the K indices leave at most
     about K^2 units: wp carries that cancellation, 2 log2 K and 6 bits
-    beyond the working precision, K bounded from the stop rule through
-    P(K+1) >= 3 (K+1)^2 / 2.  The sum times q^(1/24) is rounded once, to
-    the working precision.
+    beyond the working precision.  The sum times q^(1/24) is rounded once,
+    to the working precision.
     """
     z = _as_z(z, ctx)
     with ctx.working():
         if mp.im(z) < mpf("0.03"):
             raise DomainError("eta is out of contract for Im z < 0.03")
         q = _nome(z)
-        # log2|q|, log2(1-|q|), c and log2 tiny in floats, from |q| = exp(-2 pi Im z)
-        x = 2 * pi * float(mp.im(z))
-        lq, l1q = -x / log(2), log2(-expm1(-x))
-        low = pi ** 2 / 6 * exp(-x) / (-expm1(-x) * log(2))
+        lq, l1q = _nome_logs(z)
+        low = pi ** 2 / 6 * 2 ** (lq - l1q) / log(2)  # c
         lim = -ctx.workdps * log2(10) - 1 + l1q - low  # stop once P(K+1) log2|q| < lim
-        k_end = isqrt(int(lim / lq) + 1) + 2  # P(K+1) >= 3 (K+1)^2 / 2
+        k_end = _walk_length(lambda k: (k + 1) * (3 * k + 2) // 2 * lq < lim, 1, ctx)
         wp = mp.mp.prec + ceil(1 - l1q + low) + 2 * k_end.bit_length() + 6
         s = _dust_bits(q, wp)
         one = 1 << wp
@@ -113,9 +131,7 @@ def eta(z, ctx: PrecisionCtx) -> mpc:
         q3 = _cmul(*_cmul(*qf, *qf, wp, s), *qf, wp, s)
         lead, step, qk = (one, 0), qf, (one, 0)  # q^P(k), q^(3k+1), q^k at k = 0
         sr, si = one, 0
-        k = 0
-        while True:
-            k += 1
+        for k in range(1, k_end + 1):
             lead = _cmul(*lead, *step, wp, s)
             step = _cmul(*step, *q3, wp, s)
             qk = _cmul(*qk, *qf, wp, s)
@@ -124,8 +140,6 @@ def eta(z, ctx: PrecisionCtx) -> mpc:
                 sr, si = sr - tr, si - ti
             else:
                 sr, si = sr + tr, si + ti
-            if (k + 1) * (3 * k + 2) // 2 * lq < lim:
-                break
         pre = mp.exp(mpc(0, 1) * mp.pi * z / 12)  # q^(1/24)
         with mp.workprec(wp):  # times the sum, rounded once to the working precision
             val = pre * _from_fixed(sr, si, wp, s)
@@ -167,56 +181,61 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx) -> dict:
 
     Eisenstein chain "E<weight>" is sum_n n^p q^n/(1-q^n) with p = 1, 3, 5
     for weight 2, 4, 6; its tail after term n is at most
-    6^p (n+1)^p |q|^(n+1) / (1-|q|)^(p+2), so it stops once
+    6^p (n+1)^p |q|^(n+1) / (1-|q|)^(p+2), so its length is the first n with
     p log2(6(n+1)) + (n+1) log2|q| - (p+2) log2(1-|q|) < log2 tiny.
 
     Eichler chain (weight, order) is sum_n n^(order-weight+1) * K_order(q^n),
     with K_0(u) = u/(1-u), K_1(u) = u/(1-u)^2, K_2(u) = u(1+u)/(1-u)^3,
     K_3(u) = u(1+4u+u^2)/(1-u)^4.  The n-exponent is <= -1 for every Eichler
     chain, so one tail bound, sum_{m>n} |q|^m * 6/(1-|q|)^4 with the crude
-    kernel bound |K(u)| <= 6|u|/(1-|q|)^4 for |u| <= |q|, stops all seven:
-    they stop once log2 6 + (n+1) log2|q| - 5 log2(1-|q|) < log2 tiny.
-    The walk ends when every chain has stopped.
+    kernel bound |K(u)| <= 6|u|/(1-|q|)^4 for |u| <= |q|, gives all seven one
+    length: the first n with
+    log2 6 + (n+1) log2|q| - 5 log2(1-|q|) < log2 tiny.
+    The walk plans these four lengths (``_walk_length``) and runs to the
+    longest; each chain sums its own terms.
 
     tiny is 2^-9 * 10^-workdps, not 10^-workdps: the readers of the chains
     multiply them by up to 504 (the E6 coefficient) and 3024/pi^2, about 306
     (the Eichler prefactors), both below 2^9, so each tail cut stays below
-    10^-workdps in every value read.  ``_nome_guard`` reads the same tiny.
+    10^-workdps in every value read.
+
+    Guard bits: each kernel value is off by a few units of 2^-wp, times
+    (1-|q|)^-4 for K_3; the E6 chain multiplies its rounding by n^5 and adds
+    up to N terms, N^6 units in all, N the walk's length.  So wp carries
+    6 log2 N + 4 log2(1/(1-|q|)) + 8 bits beyond the working precision.
 
     The walk is out of contract for Im z < 0.03, as ``eta`` is: its length
     grows like 1/Im z.  The terms are summed in fixed point (module
-    docstring).  The stop rules are checked in floats; their rounding is far
-    below the slack of the constants 6^p and 6.
+    docstring).  The stop rules are evaluated in floats; their rounding is
+    far below the slack of the constants 6^p and 6.
     """
     if mp.im(z) < mpf("0.03"):
         raise DomainError("the Lambert nome walk is out of contract for Im z < 0.03")
     with ctx.working():
         q = _nome(z)
-        # the stop rules in log2 form, in floats from |q| = exp(-x), x = 2 pi Im z:
-        # log2 |q|, log2(1-|q|) and log2 tiny
-        x = 2 * pi * float(mp.im(z))
-        lq, l1q, lt = -x / log(2), log2(-expm1(-x)), -ctx.workdps * log2(10) - 9
-        wp = mp.mp.prec + _nome_guard(lq, l1q, lt)
+        lq, l1q = _nome_logs(z)
+        lt = -ctx.workdps * log2(10) - 9
+        ends = {key: _walk_length(lambda n, p=p: p * log2(6 * (n + 1)) + (n + 1) * lq
+                                  - (p + 2) * l1q < lt, 1, ctx)
+                for key, p in _EIS_POWER.items()}
+        n_eichler = _walk_length(lambda n: log2(6) + (n + 1) * lq - 5 * l1q < lt, 1, ctx)
+        n_end = max(n_eichler, *ends.values())
+        wp = mp.mp.prec + 6 * n_end.bit_length() + 4 * ceil(-l1q) + 8
         one = 1 << wp
         s = _dust_bits(q, wp)
         qr, qi = _to_fixed(q, wp, s)
-        eis = dict(_EIS_POWER)  # Eisenstein chains still summing
-        acc = dict.fromkeys(_CHAINS + tuple(eis), (0, 0))
-        eichler_live = True
+        acc = dict.fromkeys(_CHAINS + tuple(_EIS_POWER), (0, 0))
         ur, ui = one, 0
-        n = 0
-        while eichler_live or eis:
-            n += 1
+        for n in range(1, n_end + 1):
             ur, ui = _cmul(ur, ui, qr, qi, wp, s)  # u = q^n
             rr, ri = _cinv(one - ur, -ui, wp, s)  # r = 1/(1-u)
             k0r, k0i = _cmul(ur, ui, rr, ri, wp, s)  # u/(1-u)
-            for key, p in list(eis.items()):
-                m = n ** p
-                sr, si = acc[key]
-                acc[key] = (sr + m * k0r, si + m * k0i)
-                if p * log2(6 * (n + 1)) + (n + 1) * lq - (p + 2) * l1q < lt:
-                    del eis[key]
-            if eichler_live:
+            for key, p in _EIS_POWER.items():
+                if n <= ends[key]:
+                    m = n ** p
+                    sr, si = acc[key]
+                    acc[key] = (sr + m * k0r, si + m * k0i)
+            if n <= n_eichler:
                 k1 = _cmul(k0r, k0i, rr, ri, wp, s)
                 k1r = _cmul(*k1, rr, ri, wp, s)  # u/(1-u)^3
                 poly = _cmul(ur, ui, ur + 4 * one, ui, wp, s)  # 4u + u^2
@@ -228,20 +247,7 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx) -> dict:
                     kr, ki = ker[order]
                     sr, si = acc[weight, order]
                     acc[weight, order] = (sr + kr // m, si + ki // m)
-                eichler_live = not log2(6) + (n + 1) * lq - 5 * l1q < lt
         return {key: _from_fixed(sr, si, wp, s) for key, (sr, si) in acc.items()}
-
-
-def _nome_guard(lq: float, l1q: float, lt: float) -> int:
-    """Guard bits of the fixed-point nome walk from log2|q|, log2(1-|q|) and log2 tiny.
-
-    Each kernel value is off by a few units of 2^-wp, times (1-|q|)^-4 for
-    K_3; the E6 chain multiplies its rounding by n^5 and adds up to N terms,
-    N^6 units in all.  N is bounded by twice the index where |q|^n falls
-    below tiny, which covers the polynomial factors of every stop rule.
-    """
-    n_end = 2 * int(lt / lq) + 10
-    return 6 * n_end.bit_length() + 4 * ceil(-l1q) + 8
 
 
 def eisenstein(z, weight: int, ctx: PrecisionCtx) -> mpc:

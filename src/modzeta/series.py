@@ -63,12 +63,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import ceil, expm1, hypot, inf, isqrt, log, log2, pi
+from math import ceil, hypot, inf, isqrt, log2
 
 import mpmath as mp
 from mpmath import mpc, mpf
 
-from .modular import _as_z
+from .modular import _as_z, _nome_logs, _walk_length
 from .mpcore import (DomainError, PrecisionCtx, _cinv, _cmul, _dust_bits, _from_fixed,
                      _real_or_complex, _to_fixed, ensure_finite)
 
@@ -570,15 +570,15 @@ def hyp_lambert(z, kernel: HypKernel, ctx: PrecisionCtx) -> mpc:
     |1 - x| > 0.4 and |1 +- x^2| > 0.64; the worst, SINH_SQ, is below
     4|x|^2/0.64^2 < 5.9|x|, so 13 bounds them all with room.  The
     weights are at most 1, so the rest of the sum after the term at x is at
-    most 13|x||step|/(1 - |step|), and the loop stops once that is below
-    tiny, checked in floats as log2|x_n| = log2|c| + n log2|step| < log2 0.6
-    and log2 13 + log2|x_n| + log2|step| - log2(1 - |step|) < log2 tiny.  It
-    raises DomainError after 100 workdps terms.
+    most 13|x||step|/(1 - |step|).  The walk's length is the first n at
+    which that is below tiny, in floats as log2|x_n| = log2|c| + n log2|step|
+    < log2 0.6 and log2 13 + log2|x_n| + log2|step| - log2(1 - |step|)
+    < log2 tiny (``modular._walk_length``), which raises DomainError before
+    summing when it passes 100 workdps terms.
 
     Guard bits: |d| >= 1 - |step|, so 1/d, and the rounding it carries, is
     at most (1-|step|)^-1 and the kernels' roundings at most
-    (1-|step|)^-4 units; the terms add up to N of them, N bounded by the
-    index where the stop rule holds.  So wp carries
+    (1-|step|)^-4 units; the N terms add up to N of them.  So wp carries
     log2 N + 4 log2(1/(1-|step|)) + 8 bits beyond the working precision.
     """
     z = _as_z(z, ctx)
@@ -590,28 +590,24 @@ def hyp_lambert(z, kernel: HypKernel, ctx: PrecisionCtx) -> mpc:
         step = c * c if odd else mp.exp(2j * mp.pi * z)
         if not abs(step) < 1:
             raise DomainError("hyp_lambert requires Im z > 0")
-        # log2|step|, log2(1-|step|), log2|c| and log2 tiny in floats, from
-        # |step| = exp(-2 pi Im z)
-        y = 2 * pi * float(mp.im(z))
-        ls, l1s = -y / log(2), log2(-expm1(-y))
+        ls, l1s = _nome_logs(z)  # |step| = |q|
         lc = ls / 2 if odd else 0.0
         lt = -ctx.workdps * log2(10)
         lim = min(log2(0.6), lt - log2(13) - ls + l1s)  # stop once log2|x_n| < lim
-        n_cap = 100 * ctx.workdps
-        n_end = min(n_cap, int(lim / ls) + 2)  # lc <= 0, so past the last index
-        wp = mp.mp.prec + n_end.bit_length() + 4 * ceil(-l1s) + 8
+        n0 = 0 if odd else 1  # u = step^n, v = c^2 u^2, weight index 2n+1 or n
+        n_end = _walk_length(lambda n: lc + n * ls < lim, n0, ctx)
+        wp = mp.mp.prec + (n_end + 1 - n0).bit_length() + 4 * ceil(-l1s) + 8
         s = _dust_bits(step, wp)
         one = 1 << wp
         e, fa, fb, pb = _KERNELS[kernel.kind]
         sf = _to_fixed(step, wp, s)
         s2 = _cmul(*sf, *sf, wp, s)
-        n = 0 if odd else 1  # u = step^n, v = c^2 u^2, weight index 2n+1 or n
         u, v = ((one, 0), sf) if odd else (sf, s2)
-        idx = 1
         ar = ai = br = bi = 0
-        sign = 1
-        while True:
-            wt = sign * idx ** kernel.a
+        for n in range(n0, n_end + 1):
+            wt = (2 * n + 1 if odd else n) ** kernel.a
+            if kernel.kind == "EXPM1_ALT" and n % 2:
+                wt = -wt
             rr, ri = _cinv(one + e * v[0], e * v[1], wp, s)  # 1/d
             if fa:
                 tr, ti = _cmul(*u, rr, ri, wp, s)
@@ -621,16 +617,7 @@ def hyp_lambert(z, kernel: HypKernel, ctx: PrecisionCtx) -> mpc:
                 if pb == 2:
                     tr, ti = _cmul(tr, ti, rr, ri, wp, s)
                 br, bi = br + fb * tr // wt, bi + fb * ti // wt
-            lx = lc + n * ls
-            if lx < lim:
-                break
-            if n >= n_cap:
-                raise DomainError("hyp_lambert failed to converge")
             u, v = _cmul(*u, *sf, wp, s), _cmul(*v, *s2, wp, s)
-            n += 1
-            idx += 2 if odd else 1
-            if kernel.kind == "EXPM1_ALT":
-                sign = -sign
         with mp.workprec(wp):  # c A + B, rounded once to the working precision
             acc = _from_fixed(br, bi, wp, s)
             if fa:
@@ -657,20 +644,21 @@ def eli(n: int, m: int, x, y, q, ctx: PrecisionCtx) -> mpc:
     is.  The imaginary parts take the smallest ``_dust_bits`` scale of the
     complex inputs among x, y and q.
 
-    Outer stop: |Li_m(y q^(j+1))| <= |y| |q|^(j+1)/(1-|yq|), so
-    the rest after term j is at most |y| |xq|^(j+1)/((1-|xq|)(1-|yq|)), and
-    the walk stops once that is below tiny.
-    Inner stop: the rest of the j-th term after k is at most
+    Outer length: |Li_m(y q^(j+1))| <= |y| |q|^(j+1)/(1-|yq|), so the rest
+    after term j is at most |y| |xq|^(j+1)/((1-|xq|)(1-|yq|)), and the walk
+    ends at the first j at which that is below tiny.
+    Inner lengths: the rest of the j-th term after k is at most
     |p_k| |w| / (1-|w|) = |y| |xq|^j |w|^k / (1-|w|), and |w| <= |yq|, so it
-    stops once |y| |w|^k / ((1-|yq|)(1-|xq|)) is below tiny: then the rests
-    of all inner sums add up to less than tiny sum_j |xq|^j (1-|xq|) < tiny.
-    Both are checked in floats in log2 form from |x q|, |y|, |q|, j and k.
+    ends at the first k at which |y| |w|^k / ((1-|yq|)(1-|xq|)) is below
+    tiny: then the rests of all inner sums add up to less than
+    tiny sum_j |xq|^j (1-|xq|) < tiny.  Every length is planned before the
+    walk (``modular._walk_length``), in floats in log2 form from |x q|,
+    |y|, |q|, j and k; past 100 workdps terms it raises DomainError.
 
     Guard bits: each running product is off by at most (1+|y|) / (1-|xq|)
     or / (1-|q|) units and each p_k by that over (1-|yq|) more, so the T
     inner terms add at most T (1+|y|)^2 / ((1-|q|)(1-|xq|)(1-|yq|)) units,
-    and wp carries log2 of that and 8 bits beyond the working precision; T
-    is at most the outer index bound times the inner one at j = 1.
+    and wp carries log2 of that and 8 bits beyond the working precision.
     """
     if int(n) != n or n < 0 or int(m) != m or m < 0:
         raise DomainError("eli requires integer n, m >= 0")
@@ -688,9 +676,11 @@ def eli(n: int, m: int, x, y, q, ctx: PrecisionCtx) -> mpc:
         lq, ly, lxq, l1x, l1y, l1q = (float(mp.log(v, 2)) for v in
                                       (abs(q), abs(y), xq, 1 - xq, 1 - yq, 1 - abs(q)))
         lim = -ctx.workdps * log2(10) + l1x + l1y - ly  # both rules compare with it
-        # T inner terms at most: the outer index bound times the inner one at j = 1
-        terms = (int(max(lim / lxq, 0)) + 2) * (int(max(lim / (ly + lq), 0)) + 2)
-        wp = (mp.mp.prec + terms.bit_length() + 2 * ceil(max(ly, 0) + 1)
+        j_end = _walk_length(lambda j: (j + 1) * lxq < lim, 1, ctx)
+        # the inner length at j, from log2|w| = log2|y q^j|
+        k_ends = [_walk_length(lambda k, lw=ly + j * lq: k * lw < lim, 1, ctx)
+                  for j in range(1, j_end + 1)]
+        wp = (mp.mp.prec + sum(k_ends).bit_length() + 2 * ceil(max(ly, 0) + 1)
               + ceil(-(l1x + l1y + l1q)) + 8)
         s = min([_dust_bits(v, wp) for v in (x, y, q) if v.imag] or [0])
         qf = _to_fixed(q, wp, s)
@@ -698,23 +688,13 @@ def eli(n: int, m: int, x, y, q, ctx: PrecisionCtx) -> mpc:
             xqf = _to_fixed(x * q, wp, s)
         lead = w = _to_fixed(y, wp, s)  # y (xq)^j and y q^j at j = 0
         acc_r = acc_i = 0
-        j = 0
-        while True:
-            j += 1
+        for j, k_end in enumerate(k_ends, 1):
             lead, w = _cmul(*lead, *xqf, wp, s), _cmul(*w, *qf, wp, s)
-            lw = ly + j * lq
-            pr, pj = lead
-            tr = ti = 0
-            k = 0
-            while True:
-                k += 1
+            pr, pj = tr, ti = lead  # p_1
+            for k in range(2, k_end + 1):
+                pr, pj = _cmul(pr, pj, *w, wp, s)
                 km = k ** m
                 tr, ti = tr + pr // km, ti + pj // km
-                if k * lw < lim:
-                    break
-                pr, pj = _cmul(pr, pj, *w, wp, s)
             jn = j ** n
             acc_r, acc_i = acc_r + tr // jn, acc_i + ti // jn
-            if (j + 1) * lxq < lim:
-                break
         return ensure_finite(_from_fixed(acc_r, acc_i, wp, s))

@@ -17,11 +17,11 @@ from mpmath import mpc, mpf
 
 from modzeta import (LinearFactor, PrecisionCtx, WeightSpec, alpha4,
                      binom3_series, eichler4, eichler6, eisenstein, epstein2,
-                     epstein3, epstein_lattice, const_zeta, dirichlet_l,
+                     epstein3, const_zeta, dirichlet_l,
                      legendre_dnu2, lminus4_4_integral, run_suite,
                      zeta5_integral, zeta7_integral)
 from modzeta.series import W_ONE
-from oracles import legendre_p_def
+from oracles import epstein_lattice, legendre_p_def
 
 I = mpc(0, 1)
 JOBS = min(8, os.cpu_count() or 1)

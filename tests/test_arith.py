@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
 from modzeta import (DomainError, PrecisionCtx, const_catalan, dirichlet_l,
-                     epstein2, epstein3, epstein_lattice, hurwitz_zeta, kronecker)
+                     epstein2, epstein3, hurwitz_zeta, kronecker)
+from oracles import epstein_lattice
 
 I = mpc(0, 1)
 

@@ -4,10 +4,12 @@ import time
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
 from modzeta import (DomainError, PrecisionCtx, alpha4, eisenstein,
-                     eisenstein_eta_form, eta, lambda_fn, r_half)
+                     eisenstein_eta_form, epstein2, eta, lambda_fn, r_half)
 from modzeta.modular import _nome
 from modzeta.series import ell_k
 from modzeta.verify.theorems import _require_admissible
@@ -102,6 +104,27 @@ def test_e2_periodicity_including_completion(ctx30):
 def test_eisenstein_weight_validation(ctx30):
     with pytest.raises(DomainError):
         eisenstein(I, 3, ctx30)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.floats(-0.5, 0.5), st.floats(0.5, 1.5))
+def test_modular_transformations_at_random_points(x, y):
+    # the S and T transformations of eta, completed E2/E4/E6, lambda and
+    # E(z,2), each side from its own q-series walk, at 30 digits
+    ctx = PrecisionCtx(30)
+    with ctx.working():
+        z = mpc(x, y)
+        s = -1 / z
+        lam = lambda_fn(z, ctx)
+        pairs = [(eta(s, ctx), mp.sqrt(-I * z) * eta(z, ctx)),
+                 (eta(z + 1, ctx), mp.exp(I * mp.pi / 12) * eta(z, ctx)),
+                 (lambda_fn(s, ctx), 1 - lam),
+                 (lambda_fn(z + 1, ctx), lam / (lam - 1)),
+                 (epstein2(s, ctx), epstein2(z, ctx))]
+        pairs += [(eisenstein(s, w, ctx), z ** w * eisenstein(z, w, ctx)) for w in (2, 4, 6)]
+        bar = mpf(10) ** -(ctx.digits + 10)
+        for i, (lhs, rhs) in enumerate(pairs):
+            assert abs(lhs - rhs) <= bar * max(1, abs(lhs), abs(rhs)), (i, z)
 
 
 @pytest.mark.parametrize("zkey,c3,c4", [

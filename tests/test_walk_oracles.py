@@ -644,6 +644,18 @@ def test_hyp_lambert_kernel_matches_mpc_oracle(digits):
         hyp_lambert(mpc(0, 1), HypKernel("EXPM1_ALT", "ALL", 2), ctx)
 
 
+def test_hyp_lambert_raises_before_summing_past_its_cap(ctx30, monkeypatch):
+    # at z = 1e-4 i the planned length is about 1.8e5 terms, past 100 workdps
+    # (4500): the call raises before any kernel product is taken
+    def unreachable(*args):
+        raise AssertionError("a term was summed")
+
+    monkeypatch.setattr(series, "_cmul", unreachable)
+    monkeypatch.setattr(series, "_cinv", unreachable)
+    with pytest.raises(DomainError, match="more than 4500 terms"):
+        hyp_lambert(mpc(0, "1e-4"), HypKernel("EXPM1"), ctx30)
+
+
 def _eli_cases(ctx):
     """(n, m, x, y, q): the rn2p277p arguments (y = i and y = 1 at q, q^2, q^4
     with q = e^(-pi Im z)), a real y with a negative q, complex x, y, q and an
@@ -674,16 +686,21 @@ def test_qseries_kernels_stop_within_their_tail_bounds(digits):
     # each value lies within 4 units of 10^-workdps (relative to |eta|, or to
     # max(1, |value|) for the sums) of itself at 40 more digits; eli with
     # |x| > 1 too, where an inner sum cut at tiny alone would be multiplied
-    # by |x|^j
+    # by |x|^j; every chain of the nome walk too
     ctx, ref_ctx = PrecisionCtx(digits), PrecisionCtx(digits + 40)
     evals = [(eta, (z,)) for z in _eta_points()[::2]]
     evals += [(hyp_lambert, (z, k)) for z in _hyp_points()[1:4] for k in _HYP_KERNELS]
     evals += [(eli, case) for case in _eli_cases(ctx)[::2]]
     evals.append((eli, (2, 3, mpf("1.9"), 1, mpf("0.5"))))
+    with ctx.working():
+        evals += [(_nome_chains.__wrapped__, (mpc(point()),)) for point in _nome_points().values()]
     for fn, args in evals:
         with ctx.working():
             args = tuple(mpc(a) if isinstance(a, mpc) else a for a in args)
         new, ref = fn(*args, ctx), fn(*args, ref_ctx)
+        if not isinstance(ref, dict):
+            new, ref = {None: new}, {None: ref}
         with ref_ctx.working():
-            scale = abs(ref) if fn is eta else max(1, abs(ref))
-            assert abs(new - ref) <= 4 * ctx.tiny() * scale, (fn.__name__, args)
+            for key, val in ref.items():
+                scale = abs(val) if fn is eta else max(1, abs(val))
+                assert abs(new[key] - val) <= 4 * ctx.tiny() * scale, (fn.__name__, args, key)
