@@ -27,7 +27,9 @@ Every stop rule of these walks reads only moduli and the index n, so each
 walk plans its lengths before it sums a term: ``_walk_length`` returns the
 first n at which a rule, evaluated in floats in log2 form, holds, and raises
 DomainError past 100 workdps terms.  The walk then runs a plain loop over
-the planned range, with guard bits sized from that length.
+the planned range, with guard bits sized from that length.  The binomial
+walk (``series._binom_sums``) plans too, every request in one float scan,
+with its own cap of 400 workdps terms.
 """
 
 from __future__ import annotations

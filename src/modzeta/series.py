@@ -34,12 +34,12 @@ the real part of x (a rate at a point on Re z = 1/2) gets its own scale, as
 wp is the working precision plus the guard bits of ``_binom_guard``, which
 depend only on the precision, so an entry equals the same request summed alone.
 
-Both rates share one step, the generator ``_binom_steps``.  The interior
-sum stops each request on one stated tail bound, |t_k| times a quadratic
-in k from the rate and the weight envelopes, checked in floats at every k
-(``_binom_sums``).  The boundary path takes the first 1.4 digits + 20 steps
-on the real rate and weights each fixed-point term by an exact integer CVZ
-coefficient, so the whole sum is one integer rounded once.
+Both rates run one loop over the step generator ``_binom_steps``, to a
+length planned before the first term: at an interior rate each request ends
+on one stated tail bound, |t_k| times a quadratic in k from the rate and the
+weight envelopes, found by one float scan (``_binom_ends``); at the boundary
+each takes the first 1.4 digits + 20 steps on the real rate, weighted by
+exact integer CVZ coefficients, so each sum is one integer rounded once.
 
 The hyperbolic Lambert sums (:func:`hyp_lambert`) and the elliptic
 polylogarithm (:func:`eli`) run on the same integer pairs: one integer
@@ -62,8 +62,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from math import ceil, hypot, inf, isqrt, log2
+from itertools import islice, repeat
+from math import ceil, isqrt, log2
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -170,35 +170,19 @@ def _boundary_kind(scaled: mpc, tiny: mpf):
 def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
     """[sum_{k>=0} C(2k,k)^power (a k + b) w(k) x^k for each (LinearFactor, WeightSpec)].
 
-    The engine behind :func:`binom3_sums` and :func:`binom2_series`.  One
-    walk serves every request: the term C(2k,k)^power x^k and the harmonic
-    accumulators advance once per k, each distinct weight and each distinct
-    linear factor is evaluated once per k, and the result list follows the
-    order of ``requests``.
-
-    Interior r = |4^power x| < 1: direct summation on fixed-point integers
-    (see the module docstring).  The term ratio ((2(2k+1))/(k+1))^power |x|
-    is below r, |a k + b| <= |a| k + |b| and the weight is at most s + l k
-    (``WeightSpec``), so after term k the rest of a request is at most
-    |t_k| (P2 k^2 + P1 k + P0): P2 = |a| l g0, P1 = (|b| l + |a| s) g0 +
-    2 |a| l g1, P0 = |b| s g0 + (|b| l + |a| s) g1 + |a| l g2, with
-    g0 = r/(1-r), g1 = r/(1-r)^2 and g2 = r(1+r)/(1-r)^3.  A request stops
-    after the first k where that bound is below tiny, checked in floats as
-    log2 |t_k| (from the top bits of the integer term) + log2 P(k); the
-    ratio's slack covers their rounding.  So every entry equals the same
-    request summed alone; the walk ends when every request has stopped, or
-    raises DomainError at 400 workdps steps.
-    |4^power x| = 1 with Re x < 0, to within the boundary slack
-    max(1000 tiny, 10^-(dps-6)): the walk classifies the rate itself and sums
-    each request by CVZ Algorithm 1 on the first n = ceil(1.4 digits) + 20
-    terms t_k, as the integer sum_k (-1)^k c_k t_k // d rounded once:
-    d = T_n(3) (d_0 = 1, d_1 = 3, d_{m+1} = 6 d_m - d_{m-1}), b_0 = -1,
-    b_{k+1} = b_k 2(k+n)(k-n) / ((2k+1)(k+1)), exact (the coefficients of
-    T_n(1-2x)), and c_k = b_k - c_{k-1} from c_{-1} = -d; |c_k| <= d, so
-    the sum keeps the terms' roundings.  The imaginary parts of 4^power x,
-    a and b are dropped, so each must lie within the same slack, else
-    DomainError.
-    |4^power x| = 1 with x > 0 and |4^power x| > 1 are rejected.
+    The engine behind :func:`binom3_sums` and :func:`binom2_series`.  It plans
+    every request's last index, then makes one walk for all: the term
+    C(2k,k)^power x^k, the harmonic sums, each distinct weight and each
+    distinct linear factor advance once per k, and each request adds
+    c_k (a k + b) w(k) t_k up to its last index, floor-divides by d and is
+    rounded once.  Interior |4^power x| < 1: c_k = d = 1, and each request
+    ends on its own tail bound (``_binom_ends``), so it equals the same
+    request summed alone.  |4^power x| = 1 with Re x < 0, to within the
+    boundary slack max(1000 tiny, 10^-(dps-6)): CVZ Algorithm 1
+    (``_cvz_weights``) on the first n = ceil(1.4 digits) + 20 terms at the
+    real rate; the imaginary parts of 4^power x, a and b must lie within the
+    same slack, else DomainError.  |4^power x| = 1 with x > 0 and
+    |4^power x| > 1 are rejected.
     """
     name = "binom%d series" % power
     scale = 4 ** power
@@ -213,6 +197,7 @@ def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
         kind = _boundary_kind(scale * x, tiny)
         if kind == "out":
             raise DomainError("%s diverges: |%dx| > 1" % (name, scale))
+        wp = mp.mp.prec + _binom_guard(ctx)
         if kind == "boundary":
             if mp.re(scale * x) > 0:
                 raise DomainError("%s: non-alternating boundary rate unsupported" % name)
@@ -221,48 +206,65 @@ def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
             if max(abs(d) for d in dust) > slack:
                 raise DomainError("%s: imaginary part of the boundary rate or of "
                                   "a linear factor exceeds the slack" % name)
-            return _binom_accelerated(mp.re(x), power, facs, specs, slots, ctx)
-
-        wp = mp.mp.prec + _binom_guard(ctx)
+            x, facs = mp.re(x), [(mp.re(a), mp.re(b)) for a, b in facs]
+            n = int(mp.ceil(mpf("1.4") * ctx.digits)) + 20
+            ends = [n - 1] * len(slots)
+            coefs, d = _cvz_weights(n)
+        else:
+            ends = _binom_ends(x, power, facs, specs, slots, wp, ctx)
+            coefs, d = repeat(1), 1
         sd = _dust_bits(x, wp)
-        r = abs(scale * x)
-        g0 = r / (1 - r)
-        g1, g2 = g0 / (1 - r), g0 * (1 + r) / (1 - r) ** 2
-        top = float(mp.log(tiny, 2)) + wp
-        rules = []  # per request: P2, P1, P0 / 2^pe as floats, top - pe
-        for fi, wi in slots:
-            a, b = abs(facs[fi][0]), abs(facs[fi][1])
-            sw, lw = (sum(abs(c) * _BASIS[n][j] for c, n in specs[wi].terms) for j in (1, 2))
-            sw, lw = mpf(sw.numerator) / sw.denominator, mpf(lw.numerator) / lw.denominator
-            mid = b * lw + a * sw
-            ps = (a * lw * g0, mid * g0 + 2 * a * lw * g1, b * sw * g0 + mid * g1 + a * lw * g2)
-            pe = max(mp.mag(v) for v in ps) if any(ps) else 0
-            rules.append(tuple(float(mp.ldexp(v, -pe)) for v in ps) + (top - pe,))
         acc = [(0, 0)] * len(slots)
-        live = list(range(len(slots)))  # requests still summing
-        steps = _binom_steps(x, power, facs, specs, wp, sd)
-        for k, (tr, ti, wts, lin) in enumerate(steps):
-            if k > 400 * ctx.workdps:
-                raise DomainError("%s failed to converge" % name)
-            # log2 of an upper bound on |t_k| 2^wp: each part's top 50 bits, rounded up
-            tr, ti = abs(tr), abs(ti)
-            e = max(0, max(tr, ti >> sd).bit_length() - 50)
-            h = hypot(-(-tr >> e), -(-ti >> (sd + e)))
-            lt = e + log2(h) if h else -inf
-            still = []
-            for i in live:
-                fi, wi = slots[i]
-                (lr, li), w = lin[fi], wts[wi]
-                sr, si = acc[i]
-                acc[i] = (sr + (lr * w >> wp), si + (li * w >> wp))
-                p2, p1, p0, lim = rules[i]
+        steps = islice(_binom_steps(x, power, facs, specs, wp, sd), max(ends, default=-1) + 1)
+        for k, ((wts, lin), c) in enumerate(zip(steps, coefs)):
+            for i, (fi, wi) in enumerate(slots):
+                if k <= ends[i]:
+                    (lr, li), w, (sr, si) = lin[fi], wts[wi], acc[i]
+                    acc[i] = (sr + c * (lr * w >> wp), si + c * (li * w >> wp))
+        return [ensure_finite(_from_fixed(sr // d, si // d, wp, sd)) for sr, si in acc]
+
+
+def _binom_ends(x, power: int, facs: list, specs: list, slots: list, wp: int,
+                ctx: PrecisionCtx) -> list:
+    """Each request's last index k at an interior rate r = |4^power x| < 1.
+
+    The term ratio ((2(2k+1))/(k+1))^power |x| is below r, |a k + b| <=
+    |a| k + |b| and the weight is at most s + l k (``WeightSpec``), so after
+    term k the rest of a request is at most |t_k| (P2 k^2 + P1 k + P0):
+    P2 = |a| l g0, P1 = (|b| l + |a| s) g0 + 2 |a| l g1,
+    P0 = |b| s g0 + (|b| l + |a| s) g1 + |a| l g2, with g0 = r/(1-r),
+    g1 = r/(1-r)^2 and g2 = r(1+r)/(1-r)^3.  A request ends at the first k
+    where that bound is below tiny, found by one float scan over k for all
+    requests: lt_k + log2 P(k) < log2(tiny 2^wp), where lt_k = log2(|t_k| 2^wp)
+    is a running sum of log2 of the exact ratios from lt_0 = wp; the ratio's
+    slack covers its rounding.  Past 400 workdps indices the scan raises
+    DomainError, before any term is summed.
+    """
+    r = abs(4 ** power * x)
+    g0 = r / (1 - r)
+    g1, g2 = g0 / (1 - r), g0 * (1 + r) / (1 - r) ** 2
+    top = float(mp.log(ctx.tiny(), 2)) + wp
+    rules = []  # per request: P2, P1, P0 / 2^pe as floats, top - pe
+    for fi, wi in slots:
+        a, b = abs(facs[fi][0]), abs(facs[fi][1])
+        sw, lw = (sum(abs(c) * _BASIS[n][j] for c, n in specs[wi].terms) for j in (1, 2))
+        sw, lw = mpf(sw.numerator) / sw.denominator, mpf(lw.numerator) / lw.denominator
+        mid = b * lw + a * sw
+        ps = (a * lw * g0, mid * g0 + 2 * a * lw * g1, b * sw * g0 + mid * g1 + a * lw * g2)
+        pe = max(mp.mag(v) for v in ps) if any(ps) else 0
+        rules.append(tuple(float(mp.ldexp(v, -pe)) for v in ps) + (top - pe,))
+    lx = float(mp.log(abs(x), 2))
+    ends, lt = [None] * len(rules), float(wp)
+    for k in range(400 * ctx.workdps + 1):
+        for i, (p2, p1, p0, lim) in enumerate(rules):
+            if ends[i] is None:
                 pk = (p2 * k + p1) * k + p0
-                if pk and not lt + log2(pk) < lim:
-                    still.append(i)
-            live = still
-            if not live:
-                break
-        return [ensure_finite(_from_fixed(sr, si, wp, sd)) for sr, si in acc]
+                if not pk or lt + log2(pk) < lim:
+                    ends[i] = k
+        if None not in ends:
+            return ends
+        lt += power * log2((4 * k + 2) / (k + 1)) + lx
+    raise DomainError("binom%d series failed to converge" % power)
 
 
 def _binom_guard(ctx: PrecisionCtx) -> int:
@@ -278,13 +280,13 @@ def _binom_guard(ctx: PrecisionCtx) -> int:
 
 
 def _binom_steps(x, power: int, facs: list, specs: list, wp: int, sd: int):
-    """The fixed-point walk: for k = 0, 1, ... yield (tr, ti, wts, lin).
+    """The fixed-point walk: for k = 0, 1, ... yield (wts, lin).
 
-    (tr, ti) is the term C(2k,k)^power x^k, ``wts`` each weight of ``specs``
-    read through ``_BASIS`` from the running sums h, and ``lin`` the term
-    times each linear factor (a, b) of ``facs`` at k: real parts at scale
-    2^wp and imaginary parts at 2^(wp+sd), weights at 2^wp.  Each step
-    rounds the term once toward zero; the caller decides where to stop.
+    ``wts`` is each weight of ``specs`` read through ``_BASIS`` from the
+    running sums h, and ``lin`` the term C(2k,k)^power x^k times each linear
+    factor (a, b) of ``facs`` at k: real parts at scale 2^wp and imaginary
+    parts at 2^(wp+sd), weights at 2^wp.  Each step rounds the term once
+    toward zero; the caller decides where to stop.
     """
     one = 1 << wp
     xr, xi = _to_fixed(x, wp, sd)
@@ -298,7 +300,7 @@ def _binom_steps(x, power: int, facs: list, specs: list, wp: int, sd: int):
         wts = [sum(n * f(h, wp) // d for n, d, f in spec) for spec in specs]
         lin = [_cmul(tr, ti, ar * k + br, ai * k + bi, wp, sd)
                for ar, ai, br, bi in facs]
-        yield tr, ti, wts, lin
+        yield wts, lin
         # one rounding toward zero per part: t * x * num / den
         num, den = (2 * (2 * k + 1)) ** power, (k + 1) ** power
         tr, ti = _cmul(tr, ti, xr * num, xi * num, wp, sd)
@@ -315,26 +317,23 @@ def _binom_steps(x, power: int, facs: list, specs: list, wp: int, sd: int):
         h[6] += one // a ** 3 + one // b ** 3
 
 
-def _binom_accelerated(xr: mpf, power: int, facs: list, specs: list, slots: list,
-                       ctx: PrecisionCtx) -> list:
-    # Boundary rate xr = -1/4^power: CVZ Algorithm 1 in integers on the
-    # walk's own first n terms, as _binom_sums states
-    n = int(mp.ceil(mpf("1.4") * ctx.digits)) + 20
-    wp = mp.mp.prec + _binom_guard(ctx)
-    d0, d = 1, 3  # T_n(3): d_{m+1} = 6 d_m - d_{m-1}
+def _cvz_weights(n: int) -> tuple:
+    """([(-1)^k c_k for k < n], d) of CVZ Algorithm 1 on n terms, exact integers.
+
+    d = T_n(3) (d_0 = 1, d_1 = 3, d_{m+1} = 6 d_m - d_{m-1}), b_0 = -1,
+    b_{k+1} = b_k 2(k+n)(k-n) / ((2k+1)(k+1)), exact (the coefficients of
+    T_n(1-2x)), and c_k = b_k - c_{k-1} from c_{-1} = -d; |c_k| <= d, so a
+    weighted sum of fixed-point terms keeps their roundings.
+    """
+    d0, d = 1, 3
     for _ in range(n - 1):
         d0, d = d, 6 * d - d0
-    bk, ck = -1, -d
-    acc = [0] * len(slots)
-    facs = [(mp.re(a), mp.re(b)) for a, b in facs]
-    steps = _binom_steps(xr, power, facs, specs, wp, 0)
-    for k, (_, _, wts, lin) in enumerate(islice(steps, n)):
+    bk, ck, coefs = -1, -d, []
+    for k in range(n):
         ck = bk - ck
-        sk = -ck if k & 1 else ck
-        for i, (fi, wi) in enumerate(slots):
-            acc[i] += sk * (lin[fi][0] * wts[wi] >> wp)
+        coefs.append(-ck if k & 1 else ck)
         bk = bk * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))  # exact
-    return [ensure_finite(_from_fixed(s // d, 0, wp)) for s in acc]
+    return coefs, d
 
 
 def binom3_sums(x, requests, ctx: PrecisionCtx) -> list:

@@ -10,7 +10,9 @@ loop behind ``ell_k`` / ``ell_k_comp`` the same way; the fixed-point AGM must
 agree with it to 8 units of 10^-workdps, relative to each part, at 15, 50,
 100 and 250 digits.  The binomial walk's stop rule, and its CVZ at the
 boundary rates, are also checked on their own: an entry must lie within 4
-units of 10^-workdps of the same entry at 40 more digits.
+units of 10^-workdps of the same entry at 40 more digits, and each planned
+last index must be the first at which the stated tail bound, taken in mpf,
+is below the threshold.
 
 ``_reference_eta``, ``_reference_hyp_lambert`` and ``_reference_eli`` keep
 the mpc loops behind ``eta`` (the N-factor product), ``hyp_lambert`` and
@@ -21,6 +23,7 @@ sums relative to max(1, |value|)), and each lies within 4 units of
 """
 
 from fractions import Fraction
+from math import comb
 
 import mpmath as mp
 import pytest
@@ -361,7 +364,7 @@ def test_binom_walk_stops_within_its_tail_bound(case, digits):
 def test_binom_walk_takes_coefficients_beyond_the_float_range(ctx30):
     # each request's bound is scaled into floats, so a linear factor of
     # 1e400 or 1e-400 neither overflows nor stops early; an infinite one
-    # never meets its bound and reaches the step cap
+    # never meets its bound and its plan raises before summing
     x = mpf(1) / 4096
     reqs = [(LinearFactor(mpf("1e400"), 1), w) for w in _EVERY_BASIS]
     reqs.append((LinearFactor(mpf("1e-400"), 0), W_ONE))
@@ -372,6 +375,89 @@ def test_binom_walk_takes_coefficients_beyond_the_float_range(ctx30):
             assert _close(a, b, ctx30), (i, a, b)
     with pytest.raises(DomainError, match="failed to converge"):
         _binom_sums(x, 3, [(LinearFactor(mp.inf, 1), W_ONE)], ctx30)
+
+
+def _counted_steps(monkeypatch):
+    """One entry per binomial walk started: the number of terms it took."""
+    counts, steps = [], series._binom_steps
+
+    def counted(*args):
+        counts.append(0)
+        for step in steps(*args):
+            counts[-1] += 1
+            yield step
+    monkeypatch.setattr(series, "_binom_steps", counted)
+    return counts
+
+
+def test_binom_walk_edge_inputs(ctx30, monkeypatch):
+    # no request starts no walk, at an interior and at a boundary rate; a
+    # zero rate and a zero linear factor end at the first term
+    counts = _counted_steps(monkeypatch)
+    with ctx30.working():
+        assert _binom_sums(mpf(1) / 4096, 3, [], ctx30) == []
+        assert _binom_sums(mpf(-1) / 64, 3, [], ctx30) == []
+        assert counts == []
+        zero = LinearFactor(0, 0)
+        assert _binom_sums(0, 3, [(LinearFactor(7, 3), W_ONE), (zero, W_ONE)], ctx30) == [3, 0]
+        assert _binom_sums(mpf(1) / 4096, 3, [(zero, w) for w in _EVERY_BASIS], ctx30) == [0, 0]
+        assert counts == [1, 1]
+
+
+def test_binom_plan_raises_before_summing(monkeypatch):
+    # a rate whose walk would pass 400 workdps terms raises from its plan,
+    # before the walk takes a term
+    def no_walk(*args):
+        raise AssertionError("the walk started")
+    monkeypatch.setattr(series, "_binom_steps", no_walk)
+    ctx = PrecisionCtx(30)
+    with ctx.working():
+        x = mpf("-0.9999") / 64
+    with pytest.raises(DomainError, match="failed to converge"):
+        series.binom3_sums(x, [(LinearFactor(0, 1), W_ONE)], ctx)
+    x, reqs = _theorem_requests(mpf(1) / 2 + mpc(0, "0.7072"), ctx)
+    with pytest.raises(DomainError, match="failed to converge"):
+        series.binom3_sums(x, reqs, ctx)
+
+
+def _stated_tail(x, power, factor, w, k):
+    """|t_k| (P2 k^2 + P1 k + P0) in mpf from the exact C(2k,k), as ``_binom_ends`` states."""
+    r = abs(4 ** power * x)
+    g0 = r / (1 - r)
+    g1, g2 = g0 / (1 - r), g0 * (1 + r) / (1 - r) ** 2
+    s, l = (Fraction(sum(abs(c) * series._BASIS[n][j] for c, n in w.terms)) for j in (1, 2))
+    s, l = mpf(s.numerator) / s.denominator, mpf(l.numerator) / l.denominator
+    a, b = abs(mpc(factor.a)), abs(mpc(factor.b))
+    p = ((a * l * g0 * k + (b * l + a * s) * g0 + 2 * a * l * g1) * k
+         + b * s * g0 + (b * l + a * s) * g1 + a * l * g2)
+    return mpf(comb(2 * k, k)) ** power * abs(x) ** k * p
+
+
+@pytest.mark.parametrize("digits", (30, 100))
+@pytest.mark.parametrize("power,rate", [(3, "1/4096"), (3, "(0.64+0.512i)/64"),
+                                        (3, "-0.96/64"), (2, "0.9i/16")])
+def test_binom_plan_stops_where_its_bound_does(power, rate, digits):
+    # the float scan's last index of each request is the first k at which
+    # the stated tail bound, taken in mpf, is below tiny (up to 2^-40
+    # relative slack for the floats' rounding)
+    ctx = PrecisionCtx(digits)
+    factors = [LinearFactor(0, 1), LinearFactor(mpc("1.5", "-0.5"), mpf("0.25"))]
+    specs = [WeightSpec.combo({basis: 1}) for basis in series._BASIS]
+    slots = [(fi, wi) for fi in range(len(factors)) for wi in range(len(specs))]
+    with ctx.working():
+        x = {"1/4096": mpf(1) / 4096, "(0.64+0.512i)/64": mpc("0.64", "0.512") / 64,
+             "-0.96/64": mpf("-0.96") / 64, "0.9i/16": mpc(0, "0.9") / 16}[rate]
+        wp = mp.mp.prec + series._binom_guard(ctx)
+        facs = [(mpc(f.a), mpc(f.b)) for f in factors]
+        ends = series._binom_ends(x, power, facs, specs, slots, wp, ctx)
+        tiny = ctx.tiny()
+    slack = mpf(2) ** -40
+    with mp.workdps(ctx.workdps + 20):
+        for (fi, wi), end in zip(slots, ends):
+            def tail(k):
+                return _stated_tail(x, power, factors[fi], specs[wi], k)
+            assert tail(end) < tiny * (1 + slack), (fi, wi, end)
+            assert end == 0 or tail(end - 1) >= tiny * (1 - slack), (fi, wi, end)
 
 
 def _nome_points():
