@@ -174,8 +174,8 @@ def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
     every request's last index, then makes one walk for all: the term
     C(2k,k)^power x^k, the harmonic sums, each distinct weight and each
     distinct linear factor advance once per k, and each request adds
-    c_k (a k + b) w(k) t_k up to its last index, floor-divides by d and is
-    rounded once.  Interior |4^power x| < 1: c_k = d = 1, and each request
+    c_k (a k + b) w(k) t_k up to its last index; its sum is floor-divided
+    by d and rounded once.  Interior |4^power x| < 1: c_k = d = 1, and each request
     ends on its own tail bound (``_binom_ends``), so it equals the same
     request summed alone.  |4^power x| = 1 with Re x < 0, to within the
     boundary slack max(1000 tiny, 10^-(dps-6)): CVZ Algorithm 1
