@@ -391,8 +391,8 @@ def _counted_steps(monkeypatch):
 
 
 def test_binom_walk_edge_inputs(ctx30, monkeypatch):
-    # no request starts no walk, at an interior and at a boundary rate; a
-    # zero rate and a zero linear factor end at the first term
+    # an empty request list starts no walk, at an interior and at a boundary
+    # rate; a zero rate and a zero linear factor end at the first term
     counts = _counted_steps(monkeypatch)
     with ctx30.working():
         assert _binom_sums(mpf(1) / 4096, 3, [], ctx30) == []
@@ -454,10 +454,9 @@ def test_binom_plan_stops_where_its_bound_does(power, rate, digits):
     slack = mpf(2) ** -40
     with mp.workdps(ctx.workdps + 20):
         for (fi, wi), end in zip(slots, ends):
-            def tail(k):
-                return _stated_tail(x, power, factors[fi], specs[wi], k)
-            assert tail(end) < tiny * (1 + slack), (fi, wi, end)
-            assert end == 0 or tail(end - 1) >= tiny * (1 - slack), (fi, wi, end)
+            req = (x, power, factors[fi], specs[wi])
+            assert _stated_tail(*req, end) < tiny * (1 + slack), (fi, wi, end)
+            assert end == 0 or _stated_tail(*req, end - 1) >= tiny * (1 - slack), (fi, wi, end)
 
 
 def _nome_points():
