@@ -25,7 +25,12 @@ and the notebook entries rn2p277 (z = iy and -1/(2z), y = 0.6, 1.0, 1.4)
 and rn2p277p (the alternating odd sum and the three ELi values at
 q = e^(-pi y), y = 1, 2, 0.5).  The ``nodes`` layer builds the tanh-sinh
 nodes of levels 0-6 (``quadrature._nodes``, bypassing its memo), which
-every process that integrates pays once per precision.  The ``import``
+every process that integrates pays once per precision.  The
+``modular_record`` layer calls ``verify.theorems._modular_data`` at the
+theorem points, bypassing its memo, RECORD_REPEATS times each, after one
+warm call that leaves the point's nome walks, the Eichler prefactors and
+zeta(3) in the memo: it times the record's own reads and arithmetic.  The
+``import``
 layer, reported under the key "import" in place of a digit level, starts
 IMPORT_RUNS fresh processes that each time ``import modzeta`` and
 ``get_records("all")`` and report their peak RSS (``ru_maxrss``); the
@@ -57,6 +62,7 @@ import time
 DIGITS = (30, 50, 100, 250)
 ROUNDS = 10  # alternating pairs with --baseline
 IMPORT_RUNS = 5  # fresh processes per measurement of the import layer
+RECORD_REPEATS = 10  # timed calls per point of the modular_record layer
 # admissible theorem points (Re z, Im z)
 POINTS = (("0", "0.55"), ("0", "0.7"), ("0", "1.0"), ("0", "1.5"),
           ("0.5", "0.75"), ("0.5", "1.0"), ("0.5", "1.3"))
@@ -191,6 +197,21 @@ def _qseries_calls(ctx):
     return etas, hyp, elis
 
 
+def _record_calls(ctx):
+    """The modular record at each theorem point, as (function, arguments) pairs,
+    each point warmed by one memoized call first."""
+    from mpmath import mpc
+    from modzeta.verify import theorems
+
+    calls = []
+    with ctx.working():
+        for re, im in POINTS:
+            z = mpc(re, im)
+            theorems._modular_data(z, ctx)
+            calls += [(theorems._modular_data.__wrapped__, (z, ctx))] * RECORD_REPEATS
+    return calls
+
+
 def _node_calls(ctx):
     """The tanh-sinh node levels 0-6 at one precision, as (function, arguments) pairs."""
     from modzeta.quadrature import _nodes
@@ -229,7 +250,7 @@ def measure_import(root: str) -> dict:
 
 
 LAYERS = ("binom_sums", "nome_chains", "agm", "quad", "hurwitz", "eta", "hyp_lambert", "eli",
-          "nodes")
+          "nodes", "modular_record")
 
 
 def measure(root: str) -> dict:
@@ -239,7 +260,7 @@ def measure(root: str) -> dict:
         ctx = PrecisionCtx(digits)
         calls = dict(zip(LAYERS, _walk_calls(ctx) + (_agm_calls(ctx), _quad_calls(ctx),
                                                      _hurwitz_calls(ctx))
-                         + _qseries_calls(ctx) + (_node_calls(ctx),)))
+                         + _qseries_calls(ctx) + (_node_calls(ctx), _record_calls(ctx))))
         row = {}
         for name in LAYERS:
             t0 = time.perf_counter()

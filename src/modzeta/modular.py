@@ -260,12 +260,18 @@ def eisenstein(z, weight: int, ctx: PrecisionCtx) -> mpc:
     if weight not in _EIS_COEFF:
         raise DomainError("eisenstein weight must be 2, 4 or 6")
     z = _as_z(z, ctx)
-    acc = _nome_chains(z, ctx)["E%d" % weight]
+    chains = _nome_chains(z, ctx)
     with ctx.working():
-        val = 1 + _EIS_COEFF[weight] * acc
-        if weight == 2:
-            val -= 3 / (mp.pi * mp.im(z))
-        return ensure_finite(val)
+        return ensure_finite(_eisenstein_of(chains, weight, mp.im(z)))
+
+
+def _eisenstein_of(chains: dict, weight: int, y) -> mpc:
+    """E<weight> from the nome record ``chains`` of a point with Im z = y, at
+    the current precision: 1 + c times the chain, less 3/(pi y) for E2."""
+    val = 1 + _EIS_COEFF[weight] * chains["E%d" % weight]
+    if weight == 2:
+        val -= 3 / (mp.pi * y)
+    return val
 
 
 def eisenstein_eta_form(z, weight: int, ctx: PrecisionCtx) -> mpc:
@@ -293,14 +299,14 @@ def r_half(z, ctx: PrecisionCtx) -> mpc:
 
     Implements
         -(16 E2(4z)^2 - 16 E4(4z) - E2(z)^2 + E4(z)) / (2 (4 E2(4z) - E2(z))^2)
-    and raises DomainError when the denominator vanishes.
+    and raises DomainError when the denominator vanishes.  The four values
+    are those of ``eisenstein``, read from the nome records of z and 4z.
     """
     z = _as_z(z, ctx)
     with ctx.working():
-        e2_z = eisenstein(z, 2, ctx)
-        e2_4z = eisenstein(4 * z, 2, ctx)
-        e4_z = eisenstein(z, 4, ctx)
-        e4_4z = eisenstein(4 * z, 4, ctx)
+        y, c_z, c_4z = mp.im(z), _nome_chains(z, ctx), _nome_chains(4 * z, ctx)
+        e2_z, e4_z = _eisenstein_of(c_z, 2, y), _eisenstein_of(c_z, 4, y)
+        e2_4z, e4_4z = _eisenstein_of(c_4z, 2, 4 * y), _eisenstein_of(c_4z, 4, 4 * y)
         den = 4 * e2_4z - e2_z
         if abs(den) < mpf(10) ** (-(ctx.workdps // 2)):
             raise DomainError("4 E2(4z) - E2(z) vanishes at z=%s" % (z,))

@@ -40,6 +40,14 @@ on one stated tail bound, |t_k| times a quadratic in k from the rate and the
 weight envelopes, found by one float scan (``_binom_ends``); at the boundary
 each takes the first 1.4 digits + 20 steps on the real rate, weighted by
 exact integer CVZ coefficients, so each sum is one integer rounded once.
+The plan runs in floats: every size is a log2 read from the mantissa and
+exponent of an mpf, so linear factors far beyond the float range keep
+theirs, and only 1 - |4^p x| is taken in mpf; each distinct factor's sizes
+are read once per call and each spec carries its envelope.  A request also
+ends where the fixed-point term must already be exactly 0 (the underflow
+end), which only a bound above tiny 2^(wp+sd) reaches first.  Each step reads
+each distinct weight basis once, and the factor (0, 1) takes the term as it
+is.
 
 The hyperbolic Lambert sums (:func:`hyp_lambert`) and the elliptic
 polylogarithm (:func:`eli`) run on the same integer pairs: one integer
@@ -63,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
-from math import ceil, isqrt, log2
+from math import ceil, inf, isqrt, log2
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -129,7 +137,8 @@ class WeightSpec:
     H2_K, H2_2K, H3_K, H3_2K, INVSQ_2K1 = 1/(2k+1)^2,
     H2_2K_TIMES_DH1 = H2_{2k}(H_{2k}-H_k), H2_K_TIMES_DH1 = H2_k(H_{2k}-H_k),
     H3MIX = H3_k - 3 H2_k (H_{2k}-H_k).  Each basis has one envelope
-    |basis(k)| <= s + l k (``_BASIS``); a spec's is the sum of |c| (s, l).
+    |basis(k)| <= s + l k (``_BASIS``); a spec's is the sum of |c| (s, l),
+    taken once, exactly, and kept as log2 s and log2 l for the binomial plan.
     """
 
     terms: tuple
@@ -138,6 +147,9 @@ class WeightSpec:
         for _, basis in self.terms:
             if basis not in _BASIS:
                 raise DomainError("unknown weight basis %r" % (basis,))
+        env = (sum(abs(Fraction(c)) * _BASIS[b][j] for c, b in self.terms) for j in (1, 2))
+        object.__setattr__(self, "_log2_envelope", tuple(
+            log2(v.numerator) - log2(v.denominator) if v else -inf for v in env))
 
     @classmethod
     def combo(cls, coeffs: dict) -> "WeightSpec":
@@ -236,26 +248,59 @@ def _binom_ends(x, power: int, facs: list, specs: list, slots: list, wp: int,
     g1 = r/(1-r)^2 and g2 = r(1+r)/(1-r)^3.  A request ends at the first k
     where that bound is below tiny, found by one float scan over k for all
     requests: lt_k + log2 P(k) < log2(tiny 2^wp), where lt_k = log2(|t_k| 2^wp)
-    is a running sum of log2 of the exact ratios from lt_0 = wp; the ratio's
-    slack covers its rounding.  Past 400 workdps indices the scan raises
-    DomainError, before any term is summed.
+    is a running sum of log2 of the exact ratios from lt_0 = wp, and
+    log2 tiny = -workdps log2 10; the ratio's slack covers its rounding.
+
+    The plan runs in floats.  Only 1 - r is taken in mpf, where a float
+    would lose its low bits near r = 1.  Every other size is a log2: |x|,
+    |a| and |b| come from the mantissas and exponents of their mpf parts
+    (``_log2_abs``), so a factor of 1e400 or 1e-400 keeps its size, and each
+    spec carries log2 s and log2 l.  P2, P1 and P0 are sums of products of
+    these, taken in log2, then scaled by 2^-pe, pe the largest of them, into
+    floats that the scan evaluates at each k.
+
+    A request also ends where the walk's own term must be 0 (the underflow
+    end).  Each step of ``_binom_steps`` rounds the term toward zero, with x
+    rounded down at 2^-wp, so the fixed-point term is at most
+    |t_k| (1 + 2^(1/2-wp)/|x|)^k; lf_k is log2 of that times 2^(wp+sd), sd =
+    ``_dust_bits(x, wp)`` the extra scale of the imaginary parts.  Once
+    lf_k < -4 (16 times over, for the floats' rounding) both parts of the
+    term k and of every later one are exactly 0, and every request still
+    open ends at k - 1.  That end comes first only when P(k) exceeds
+    tiny 2^(wp+sd), as for a linear factor of 1e400.
+
+    Past 400 workdps indices the scan raises DomainError, before any term is
+    summed; so does an infinite or NaN linear factor, whose bound is infinite.
     """
-    r = abs(4 ** power * x)
-    g0 = r / (1 - r)
-    g1, g2 = g0 / (1 - r), g0 * (1 + r) / (1 - r) ** 2
-    top = float(mp.log(ctx.tiny(), 2)) + wp
+    lx = _log2_abs(x)
+    if lx == -inf:  # x = 0: each sum is its first term
+        return [0] * len(slots)
+    mags = [(_log2_abs(a), _log2_abs(b)) for a, b in facs]
+    if inf in (v for m in mags for v in m):
+        raise DomainError("binom%d series failed to converge: an infinite linear factor"
+                          % power)
+    lr = 2 * power + lx  # log2 r
+    l1r = _log2_abs(1 - 4 ** power * abs(x))  # log2(1 - r)
+    lg0 = lr - l1r
+    lg1, lg2 = lg0 - l1r, lg0 + log2(1 + 2.0 ** lr) - 2 * l1r
+    top = wp - ctx.workdps * log2(10)
     rules = []  # per request: P2, P1, P0 / 2^pe as floats, top - pe
     for fi, wi in slots:
-        a, b = abs(facs[fi][0]), abs(facs[fi][1])
-        sw, lw = (sum(abs(c) * _BASIS[n][j] for c, n in specs[wi].terms) for j in (1, 2))
-        sw, lw = mpf(sw.numerator) / sw.denominator, mpf(lw.numerator) / lw.denominator
-        mid = b * lw + a * sw
-        ps = (a * lw * g0, mid * g0 + 2 * a * lw * g1, b * sw * g0 + mid * g1 + a * lw * g2)
-        pe = max(mp.mag(v) for v in ps) if any(ps) else 0
-        rules.append(tuple(float(mp.ldexp(v, -pe)) for v in ps) + (top - pe,))
-    lx = float(mp.log(abs(x), 2))
-    ends, lt = [None] * len(rules), float(wp)
+        la, lb = mags[fi]
+        ls, ll = specs[wi]._log2_envelope
+        al, mid, bs = la + ll, _log2_sum(lb + ll, la + ls), lb + ls  # |a|l, |b|l + |a|s, |b|s
+        ps = (al + lg0, _log2_sum(mid + lg0, 1 + al + lg1),
+              _log2_sum(bs + lg0, mid + lg1, al + lg2))
+        pe = max(ps)
+        if pe == -inf:  # a zero factor or weight: the sum is 0 past its first term
+            rules.append((0.0, 0.0, 0.0, 0.0))
+        else:
+            rules.append(tuple(2.0 ** (v - pe) for v in ps) + (top - pe,))
+    lxf = _log2_sum(lx, 0.5 - wp)  # log2 of the bound on |x| rounded at 2^-wp
+    ends, lt, lf = [None] * len(rules), float(wp), float(wp + _dust_bits(x, wp))
     for k in range(400 * ctx.workdps + 1):
+        if lf < -4:
+            return [k - 1 if e is None else e for e in ends]
         for i, (p2, p1, p0, lim) in enumerate(rules):
             if ends[i] is None:
                 pk = (p2 * k + p1) * k + p0
@@ -263,8 +308,29 @@ def _binom_ends(x, power: int, facs: list, specs: list, slots: list, wp: int,
                     ends[i] = k
         if None not in ends:
             return ends
-        lt += power * log2((4 * k + 2) / (k + 1)) + lx
+        step = power * log2((4 * k + 2) / (k + 1))
+        lt += step + lx
+        lf += step + lxf
     raise DomainError("binom%d series failed to converge" % power)
+
+
+def _log2_abs(v) -> float:
+    """log2 |v| of an mpf or mpc v, in floats from the mantissas and exponents
+    of its parts: -inf for 0, inf if a part is infinite or NaN."""
+    logs = [log2(man) + exp if man else (inf if exp else -inf)
+            for _, man, exp, _ in (v._mpc_ if isinstance(v, mpc) else (v._mpf_,))]
+    top = max(logs)
+    if len(logs) == 1 or top in (inf, -inf):
+        return top
+    return top + log2(sum(4.0 ** (v - top) for v in logs)) / 2
+
+
+def _log2_sum(*logs) -> float:
+    """log2 of the sum of 2^v over the floats logs: -inf if every v is."""
+    top = max(logs)
+    if top == -inf:
+        return top
+    return top + log2(sum(2.0 ** (v - top) for v in logs))
 
 
 def _binom_guard(ctx: PrecisionCtx) -> int:
@@ -282,24 +348,33 @@ def _binom_guard(ctx: PrecisionCtx) -> int:
 def _binom_steps(x, power: int, facs: list, specs: list, wp: int, sd: int):
     """The fixed-point walk: for k = 0, 1, ... yield (wts, lin).
 
-    ``wts`` is each weight of ``specs`` read through ``_BASIS`` from the
-    running sums h, and ``lin`` the term C(2k,k)^power x^k times each linear
-    factor (a, b) of ``facs`` at k: real parts at scale 2^wp and imaginary
-    parts at 2^(wp+sd), weights at 2^wp.  Each step rounds the term once
-    toward zero; the caller decides where to stop.
+    ``wts`` is each weight of ``specs`` from the running sums h: each
+    distinct basis is read through ``_BASIS`` once per step, and a spec of one
+    basis with coefficient 1 is that read.  ``lin`` is the term
+    C(2k,k)^power x^k times each linear factor (a, b) of ``facs`` at k: real
+    parts at scale 2^wp and imaginary parts at 2^(wp+sd), weights at 2^wp;
+    the factor (0, 1) gives the term itself, the exact product.  Each step
+    rounds the term once toward zero; the caller decides where to stop.
     """
     one = 1 << wp
     xr, xi = _to_fixed(x, wp, sd)
     facs = [_to_fixed(a, wp, sd) + _to_fixed(b, wp, sd) for a, b in facs]
-    specs = [[(c.numerator, c.denominator, _BASIS[b][0]) for c, b in w.terms]
+    facs = [None if f == (0, 0, one, 0) else f for f in facs]
+    bases = list(dict.fromkeys(b for w in specs for _, b in w.terms))
+    reads = [_BASIS[b][0] for b in bases]
+    # each spec as the index of its one read, or as (n, d, index) triples
+    specs = [bases.index(w.terms[0][1]) if len(w.terms) == 1 and w.terms[0][0] == 1
+             else [(c.numerator, c.denominator, bases.index(b)) for c, b in w.terms]
              for w in specs]
     tr, ti = one, 0
     h = [0] * 7  # k, H_k, H_2k, H2_k, H2_2k, H3_k, H3_2k
     k = 0
     while True:
-        wts = [sum(n * f(h, wp) // d for n, d, f in spec) for spec in specs]
-        lin = [_cmul(tr, ti, ar * k + br, ai * k + bi, wp, sd)
-               for ar, ai, br, bi in facs]
+        vals = [f(h, wp) for f in reads]
+        wts = [vals[w] if isinstance(w, int) else sum(n * vals[j] // d for n, d, j in w)
+               for w in specs]
+        lin = [_cmul(tr, ti, f[0] * k + f[2], f[1] * k + f[3], wp, sd) if f else (tr, ti)
+               for f in facs]
         yield wts, lin
         # one rounding toward zero per part: t * x * num / den
         num, den = (2 * (2 * k + 1)) ** power, (k + 1) ** power

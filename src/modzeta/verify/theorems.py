@@ -8,8 +8,8 @@ the other's closed-form constant.
 
 Each route of a point is one memoized record per (point, precision):
 ``_series_data`` holds every left-hand side from one binomial walk, and
-``_modular_data`` every right-hand side from one read of each Eichler
-integral and Lambert term.  The four evaluators are views of the two
+``_modular_data`` every right-hand side from one read of each of its four
+nome records.  The four evaluators are views of the two
 records, and ``s_r``, ``t_r`` and ``u_check`` read the modular one.
 """
 
@@ -20,9 +20,9 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath import mpc, mpf
 
-from ..arith import _epstein2_lambert, epstein2
-from ..eichler import eichler4, eichler6
-from ..modular import _as_z, alpha4, r_half
+from ..arith import epstein2
+from ..eichler import _prefactor
+from ..modular import _as_z, _nome_chains, alpha4, r_half
 from ..mpcore import DomainError, PrecisionCtx, _memoized, const_zeta
 from ..series import LinearFactor, W_ONE, WeightSpec, binom3_sums
 
@@ -93,39 +93,53 @@ def _modular_data(z, ctx: PrecisionCtx) -> dict:
     only the Lambert terms.  "s" holds the Epstein-free parts of Q1 and Q2,
     and "u" that of the plain-H3 linear side, which ``s_r`` and ``u_check``
     combine.
+
+    The record reads the nome records (``modular._nome_chains``) of z + 1/2,
+    2z, 4z and z once each and takes every term from their chains, as
+    ``eichler4``, ``eichler6`` and ``arith._epstein2_lambert`` would: an
+    Eichler integral is its chain times the memoized ``eichler._prefactor``,
+    and the Lambert terms of E(w,2) are
+    90 Re(chain (4,0)) / (pi^3 Im w) + 180 Re(chain (4,1)) / pi^2.  pi, its
+    powers, i, y and y^2 are taken once.  ``tests/oracles.py`` assembles the
+    same sides from the public functions.
     """
     with ctx.working():
         y = mp.im(z)
+        y2 = y * y
+        pi = +mp.pi
+        pi2 = pi * pi
+        pi3 = pi2 * pi
+        i = mpc(0, 1)
         z3 = const_zeta(3, ctx)
-        zh = z + mpf(1) / 2
-        f_zh, f_2z = eichler4(zh, 0, ctx), eichler4(2 * z, 0, ctx)
-        g_zh, g_2z = eichler4(zh, 2, ctx), eichler4(2 * z, 2, ctx)
-        e2_zh, e2_2z = eichler6(zh, 2, ctx), eichler6(2 * z, 2, ctx)
-        e3_zh, e3_2z = eichler6(zh, 3, ctx), eichler6(2 * z, 3, ctx)
-        lam_zh, lam_2z, lam_4z, lam_z = (sum(_epstein2_lambert(w, ctx))
-                                         for w in (zh, 2 * z, 4 * z, z))
+        c_zh, c_2z, c_4z, c_z = (_nome_chains(w, ctx) for w in (z + mpf(1) / 2, 2 * z, 4 * z, z))
+        p40, p42, p62, p63 = (_prefactor(w, o, ctx) for w, o in ((4, 0), (4, 2), (6, 2), (6, 3)))
+        f_zh, f_2z, f_4z, f_z = (p40 * c[4, 0] for c in (c_zh, c_2z, c_4z, c_z))
+        g_zh, g_2z = p42 * c_zh[4, 2], p42 * c_2z[4, 2]
+        e2_zh, e2_2z = p62 * c_zh[6, 2], p62 * c_2z[6, 2]
+        e3_zh, e3_2z = p63 * c_zh[6, 3], p63 * c_2z[6, 3]
+        lam_zh, lam_2z, lam_4z, lam_z = (90 * c[4, 0].real / (pi3 * m * y)
+                                         + 180 * c[4, 1].real / pi2
+                                         for c, m in ((c_zh, 1), (c_2z, 2), (c_4z, 4), (c_z, 1)))
         # Q1 and Q2 as pairs: the zeta(3) and Im z terms, then the Eichler terms
-        q1 = (7 * z3 / (4 * mp.pi * y), -mp.pi ** 2 * 1j * (8 * f_zh - f_2z) / (120 * y))
-        q2 = (-2 * mp.pi ** 2 * y ** 2 / 3 - 2 * z3 / (mp.pi * y),
-              -mp.pi ** 2 * 1j * (f_zh - 2 * f_2z) / (15 * y))
-        q1r = q1[1] - mp.pi ** 2 * (4 * lam_zh - lam_2z) / 90
-        q2r = q2[1] - 2 * mp.pi ** 2 * (lam_zh - 4 * lam_2z) / 45
-        r1r = q1r / (mp.pi * y ** 2) - mp.pi * 1j * (2 * g_zh - g_2z) / (30 * y)
-        r2r = q2r / (mp.pi * y ** 2) - mp.pi * 1j * (g_zh - 8 * g_2z) / (15 * y)
-        h1 = mp.pi ** 3 * 1j * (e2_2z - 8 * e2_zh) / 1512
-        h2 = (mp.pi ** 3 * 1j * (e2_zh - 8 * e2_2z) / 189
-              - mp.pi ** 3 * 1j * (4 * eichler4(z, 0, ctx) - eichler4(4 * z, 0, ctx)) / 15)
+        q1 = (7 * z3 / (4 * pi * y), -pi2 * i * (8 * f_zh - f_2z) / (120 * y))
+        q2 = (-2 * pi2 * y2 / 3 - 2 * z3 / (pi * y), -pi2 * i * (f_zh - 2 * f_2z) / (15 * y))
+        q1r = q1[1] - pi2 * (4 * lam_zh - lam_2z) / 90
+        q2r = q2[1] - 2 * pi2 * (lam_zh - 4 * lam_2z) / 45
+        r1r = q1r / (pi * y2) - pi * i * (2 * g_zh - g_2z) / (30 * y)
+        r2r = q2r / (pi * y2) - pi * i * (g_zh - 8 * g_2z) / (15 * y)
+        h1 = pi3 * i * (e2_2z - 8 * e2_zh) / 1512
+        h2 = pi3 * i * (e2_zh - 8 * e2_2z) / 189 - pi3 * i * (4 * f_z - f_4z) / 15
         # The weight-3 linear sides.  The E6'''-bracket denominators are
         # 756*Im z and 189*Im z (power one); this follows from differentiating
         # the ratio identities and is confirmed by the tabulated
         # specializations.  The first two terms of g2 are the y^2 and zeta(3)
         # terms of 8 pi^2 (E(4z,2) - E(z,2))/(45 y) with the sign reversed.
-        g1 = (mp.pi ** 2 * 1j * (e2_2z - 8 * e2_zh) / (1512 * y ** 2)
-              + mp.pi ** 2 * (e3_2z - 4 * e3_zh) / (756 * y))
-        g2 = (8 * mp.pi ** 2 * y / 3, -6 * z3 / (mp.pi * y ** 2),
-              mp.pi ** 2 * 1j * (e2_zh - 8 * e2_2z) / (189 * y ** 2),
-              mp.pi ** 2 * (e3_zh - 16 * e3_2z) / (189 * y))
-        g2r = g2[2] + g2[3] - 8 * mp.pi ** 2 * (lam_4z - lam_z) / (45 * y)
+        g1 = (pi2 * i * (e2_2z - 8 * e2_zh) / (1512 * y2)
+              + pi2 * (e3_2z - 4 * e3_zh) / (756 * y))
+        g2 = (8 * pi2 * y / 3, -6 * z3 / (pi * y2),
+              pi2 * i * (e2_zh - 8 * e2_2z) / (189 * y2),
+              pi2 * (e3_zh - 16 * e3_2z) / (189 * y))
+        g2r = g2[2] + g2[3] - 8 * pi2 * (lam_4z - lam_z) / (45 * y)
         return {"ratio": dict(zip(_H2 + _H3, (q1r, q2r, h1, h2))),
                 "linear": dict(zip(_H2 + _H3, (r1r, r2r, g1, g2r))),
                 "s": (sum(q1), sum(q2)), "u": sum(g2)}

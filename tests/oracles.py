@@ -8,7 +8,9 @@ of the Eichler term inside ``epstein3``, which vanishes iff 2 Re z is an
 integer; ``bernoulli`` is B_n from the tangent numbers that the
 Euler-Maclaurin table reads; ``epstein_lattice`` is the float64 truncated
 lattice sum of E(z, s), the slow independent oracle of ``epstein2`` and
-``epstein3`` and the only use of numpy.
+``epstein3`` and the only use of numpy; ``modular_record`` assembles the
+right-hand sides of the main theorems from the public ``eichler4``,
+``eichler6`` and ``epstein2``, the oracle of ``theorems._modular_data``.
 """
 
 from dataclasses import dataclass
@@ -18,6 +20,7 @@ import mpmath as mp
 import numpy as np
 from mpmath import mpc, mpf
 
+from modzeta import eichler4, eichler6, epstein2
 from modzeta.arith import _epstein3_braced
 from modzeta.modular import _as_z
 from modzeta.mpcore import (DomainError, PrecisionCtx, _tangent_numbers, const_zeta,
@@ -157,3 +160,51 @@ def epstein_lattice(z, s: int, radius: int, ctx: PrecisionCtx) -> LatticeSum:
     ratio = 1.0 - 2.0 ** (2 - 2 * s)
     err = abs(full - half) / max(ratio, 1e-9) * 2.0 ** (2 - 2 * s) + 1e-12 * abs(full)
     return LatticeSum(value=full, err_estimate=err, radius=radius)
+
+
+def modular_record(z, ctx: PrecisionCtx) -> dict:
+    """Every right-hand side of the main theorems at z, in the shape of
+    ``theorems._modular_data``: "ratio" and "linear" keyed by weight, the
+    Epstein-free parts "s" of Q1 and Q2 and "u" of the plain-H3 linear side.
+
+    Ten Eichler integrals from ``eichler4`` and ``eichler6``; the Lambert
+    terms of E(w,2) as ``epstein2(w)`` less Im(w)^2 and
+    45 zeta(3)/(pi^3 Im w).  That difference cancels up to Im(w)^2 against
+    a value near 0, so evaluate at more digits than the record it checks.
+    """
+    from modzeta.verify.theorems import W_H2_DIFF, W_H2_PLAIN, W_H3_DIFF, W_H3_PLAIN
+
+    z = _as_z(z, ctx)
+    with ctx.working():
+        y = mp.im(z)
+        z3 = const_zeta(3, ctx)
+        zh = z + mpf(1) / 2
+
+        def lam(w):
+            yw = mp.im(w)
+            return epstein2(w, ctx) - yw ** 2 - 45 * z3 / (mp.pi ** 3 * yw)
+        f_zh, f_2z = eichler4(zh, 0, ctx), eichler4(2 * z, 0, ctx)
+        g_zh, g_2z = eichler4(zh, 2, ctx), eichler4(2 * z, 2, ctx)
+        e2_zh, e2_2z = eichler6(zh, 2, ctx), eichler6(2 * z, 2, ctx)
+        e3_zh, e3_2z = eichler6(zh, 3, ctx), eichler6(2 * z, 3, ctx)
+        lam_zh, lam_2z, lam_4z, lam_z = (lam(w) for w in (zh, 2 * z, 4 * z, z))
+        q1 = (7 * z3 / (4 * mp.pi * y), -mp.pi ** 2 * 1j * (8 * f_zh - f_2z) / (120 * y))
+        q2 = (-2 * mp.pi ** 2 * y ** 2 / 3 - 2 * z3 / (mp.pi * y),
+              -mp.pi ** 2 * 1j * (f_zh - 2 * f_2z) / (15 * y))
+        q1r = q1[1] - mp.pi ** 2 * (4 * lam_zh - lam_2z) / 90
+        q2r = q2[1] - 2 * mp.pi ** 2 * (lam_zh - 4 * lam_2z) / 45
+        r1r = q1r / (mp.pi * y ** 2) - mp.pi * 1j * (2 * g_zh - g_2z) / (30 * y)
+        r2r = q2r / (mp.pi * y ** 2) - mp.pi * 1j * (g_zh - 8 * g_2z) / (15 * y)
+        h1 = mp.pi ** 3 * 1j * (e2_2z - 8 * e2_zh) / 1512
+        h2 = (mp.pi ** 3 * 1j * (e2_zh - 8 * e2_2z) / 189
+              - mp.pi ** 3 * 1j * (4 * eichler4(z, 0, ctx) - eichler4(4 * z, 0, ctx)) / 15)
+        g1 = (mp.pi ** 2 * 1j * (e2_2z - 8 * e2_zh) / (1512 * y ** 2)
+              + mp.pi ** 2 * (e3_2z - 4 * e3_zh) / (756 * y))
+        g2 = (8 * mp.pi ** 2 * y / 3, -6 * z3 / (mp.pi * y ** 2),
+              mp.pi ** 2 * 1j * (e2_zh - 8 * e2_2z) / (189 * y ** 2),
+              mp.pi ** 2 * (e3_zh - 16 * e3_2z) / (189 * y))
+        g2r = g2[2] + g2[3] - 8 * mp.pi ** 2 * (lam_4z - lam_z) / (45 * y)
+        weights = (W_H2_DIFF, W_H2_PLAIN, W_H3_DIFF, W_H3_PLAIN)
+        return {"ratio": dict(zip(weights, (q1r, q2r, h1, h2))),
+                "linear": dict(zip(weights, (r1r, r2r, g1, g2r))),
+                "s": (sum(q1), sum(q2)), "u": sum(g2)}

@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+import random
 import subprocess
 import sys
 import types
@@ -18,6 +19,7 @@ from modzeta import (DomainError, PrecisionCtx, all_suites, eichler4,
 from modzeta import modular, mpcore, quadrature
 from modzeta.verify import DEFAULT_SEED, SUITES
 from modzeta.verify import registry, runner, theorems
+from oracles import modular_record
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_strings_50.json")
 
@@ -264,11 +266,11 @@ def test_registry_rows_read_the_evaluators_at_run_time(monkeypatch):
 
 def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
     # the four evaluators read one memoized nine-sum walk and one modular
-    # record per (point, precision); the record reads each Eichler integral
-    # once, 6 eichler4 and 4 eichler6 calls; s_r, t_r and u_check then read
-    # that record and add no walk and no memo entry
+    # record per (point, precision); the record reads each of its four nome
+    # records and each of its four Eichler prefactors once; s_r, t_r and
+    # u_check then read that record and add no walk and no memo entry
     walks = []
-    reads = {"eichler4": [], "eichler6": []}
+    reads = {"_nome_chains": [], "_prefactor": []}
 
     def counting(real, calls):
         def wrapper(*args, **kwargs):
@@ -284,11 +286,11 @@ def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
     for _ in range(2):
         sides = [f(z, ctx30) for f in (q_ratios, r_linear, h3_ratios, h3_linear)]
         assert len(walks) == 1
-        assert {name: len(calls) for name, calls in reads.items()} == {"eichler4": 6,
-                                                                       "eichler6": 4}
+        assert {name: len(calls) for name, calls in reads.items()} == {"_nome_chains": 4,
+                                                                       "_prefactor": 4}
         assert sum(key[0] is record for key in mpcore._memo) == 1
-    assert len({args[:2] for args in reads["eichler4"]}) == 6
-    assert len({args[:2] for args in reads["eichler6"]}) == 4
+    assert len({args[:-1] for args in reads["_nome_chains"]}) == 4
+    assert len({args[:-1] for args in reads["_prefactor"]}) == 4
     with ctx30.working():
         for out in sides:
             lhs = [v for k, v in out.items() if "lhs" in k]
@@ -299,7 +301,7 @@ def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
     for f, r in ((s_r, Fraction(1, 16)), (t_r, Fraction(1, 16)), (u_check, Fraction(1, 64))):
         f(z, r, ctx30)
     assert len(mpcore._memo) == entries
-    assert len(walks) == 1 and sum(map(len, reads.values())) == 10
+    assert len(walks) == 1 and sum(map(len, reads.values())) == 8
     q_ratios(z, PrecisionCtx(35))
     assert len(walks) == 2
     assert sum(key[0] is record for key in mpcore._memo) == 2
@@ -307,12 +309,12 @@ def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
 
 def test_four_evaluators_make_one_walk_per_nome(monkeypatch, ctx30):
     # nomes of z+1/2, 2z, z and 4z; the four evaluators read one modular
-    # record, whose Q and plain-H3 linear sides read only the Lambert terms of
-    # their Epstein pairs, never a whole epstein2; Euler-Maclaurin runs once
-    # per (n, workdps)
-    em_runs, epstein_calls, lambert_calls = [], [], []
+    # record, which reads each nome record once, and whose Q and plain-H3
+    # linear sides read only the Lambert terms of their Epstein pairs, never a
+    # whole epstein2; Euler-Maclaurin runs once per (n, workdps)
+    em_runs, epstein_calls, nome_reads = [], [], []
     real_em, real_epstein = mpcore.hurwitz_zeta_raw, theorems.epstein2
-    real_lambert = theorems._epstein2_lambert
+    real_nome = theorems._nome_chains
 
     def counting_em(s, a):
         em_runs.append((s, a, mp.mp.dps))
@@ -322,12 +324,12 @@ def test_four_evaluators_make_one_walk_per_nome(monkeypatch, ctx30):
         epstein_calls.append(z)
         return real_epstein(z, ctx)
 
-    def counting_lambert(z, ctx):
-        lambert_calls.append(z)
-        return real_lambert(z, ctx)
+    def counting_nome(z, ctx):
+        nome_reads.append(z)
+        return real_nome(z, ctx)
     monkeypatch.setattr(mpcore, "hurwitz_zeta_raw", counting_em)
     monkeypatch.setattr(theorems, "epstein2", counting_epstein)
-    monkeypatch.setattr(theorems, "_epstein2_lambert", counting_lambert)
+    monkeypatch.setattr(theorems, "_nome_chains", counting_nome)
     monkeypatch.setattr(mpcore, "_memo", {})
     walk = modular._nome_chains.__wrapped__
     for im in ("0.9137", "1.0721"):
@@ -336,7 +338,7 @@ def test_four_evaluators_make_one_walk_per_nome(monkeypatch, ctx30):
             f(mp.mpc("0.5", im), ctx30)
         assert sum(key[0] is walk for key in mpcore._memo) - before == 4
     assert len(epstein_calls) == 0
-    assert len(lambert_calls) == 8
+    assert len(nome_reads) == len(set(nome_reads)) == 8
     assert len(em_runs) == 1
 
 
@@ -359,6 +361,34 @@ def test_theorem_rhs_agree_with_40_more_digits(digits):
             with fine.working():
                 for key in (k for k in out if "rhs" in k):
                     assert abs(out[key] - ref[key]) <= unit / 2, (re, im, f.__name__, key)
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+def test_modular_record_matches_its_oracle(digits):
+    # the record and s_r, t_r and u_check agree with the same sides
+    # assembled from the public eichler4, eichler6 and epstein2 at 10 more
+    # digits, within 4 units of 10^-workdps relative to max(1, |v|), at the
+    # four table points with their r and rc and at three random points
+    ctx, fine = PrecisionCtx(digits), PrecisionCtx(digits + 10)
+    rng = random.Random(7)
+    with ctx.working():
+        points = [(p.z(), p.r, p.rc) for p in registry._POINTS]
+        points += [(mpc(re, lo + (hi - lo) * rng.random()), Fraction(1, 16), Fraction(1, 64))
+                   for re, lo, hi in (("0", 0.65, 1.8), ("0.5", 0.75, 1.5), ("0", 0.65, 1.8))]
+    unit = mpf(10) ** -ctx.workdps
+    for z, r, rc in points:
+        record, ref = theorems._modular_data(z, ctx), modular_record(z, fine)
+        with fine.working():
+            lin = ref["linear"]
+            r_, rc_ = (mpf(f.numerator) / f.denominator for f in (r, rc))
+            pairs = [(record[kind][w], ref[kind][w]) for kind in ("ratio", "linear")
+                     for w in ref[kind]]
+            pairs += list(zip(record["s"], ref["s"])) + [(record["u"], ref["u"])]
+            pairs += [(s_r(z, r, ctx), ref["s"][0] - r_ * ref["s"][1]),
+                      (t_r(z, r, ctx), lin[theorems.W_H2_DIFF] - r_ * lin[theorems.W_H2_PLAIN]),
+                      (u_check(z, rc, ctx), lin[theorems.W_H3_DIFF] + rc_ * ref["u"])]
+            for i, (v, w) in enumerate(pairs):
+                assert abs(v - w) <= 4 * unit * max(1, abs(w)), (z, i, v, w)
 
 
 def test_points_convert_at_working_precision(monkeypatch, ctx30):

@@ -23,6 +23,7 @@ sums relative to max(1, |value|)), and each lies within 4 units of
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import mpmath as mp
@@ -32,7 +33,7 @@ from mpmath import mpc, mpf
 from modzeta import DomainError, HypKernel, PrecisionCtx, eli, eta, hyp_lambert
 from modzeta.modular import (_CHAINS, _EIS_POWER, _as_z, _nome, _nome_chains,
                              alpha4, r_half)
-from modzeta.mpcore import ensure_finite
+from modzeta.mpcore import _dust_bits, ensure_finite
 from modzeta import series
 from modzeta.series import (LinearFactor, W_ONE, WeightSpec, _binom_sums,
                             _boundary_kind, _boundary_slack, ell_k, ell_k_comp)
@@ -390,6 +391,37 @@ def _counted_steps(monkeypatch):
     return counts
 
 
+@pytest.mark.parametrize("digits", (15, 250))
+def test_binom_plan_ends_where_the_term_underflows(digits, monkeypatch):
+    # a linear factor of 1e400 keeps the stated bound above tiny long after
+    # the fixed-point term is exactly 0 (at 15 digits from index 24 of the
+    # 239 that bound takes); the plan ends there instead, the walk takes
+    # at most two zero terms, and those requests walked 300 steps further
+    # give the same sums bit for bit
+    ctx = PrecisionCtx(digits)
+    with ctx.working():
+        x = mpf(1) / 4096
+    reqs = [(LinearFactor(0, 1), W_ONE)]
+    reqs += [(LinearFactor(mpf("1e400"), 1), w) for w in _EVERY_BASIS]
+    terms, steps = [], series._binom_steps
+
+    def recorded(*args):
+        for wts, lin in steps(*args):
+            terms.append(lin[0])
+            yield wts, lin
+    monkeypatch.setattr(series, "_binom_steps", recorded)
+    planned = _binom_sums(x, 3, reqs, ctx)
+    first_zero = terms.index((0, 0))
+    assert set(terms[first_zero:]) == {(0, 0)} and len(terms) <= first_zero + 2
+    ends = series._binom_ends
+    monkeypatch.setattr(series, "_binom_ends",
+                        lambda *args: [e if i == 0 else e + 300
+                                       for i, e in enumerate(ends(*args))])
+    terms.clear()
+    assert _binom_sums(x, 3, reqs, ctx) == planned
+    assert len(terms) > first_zero + 300
+
+
 def test_binom_walk_edge_inputs(ctx30, monkeypatch):
     # an empty request list starts no walk, at an interior and at a boundary
     # rate; a zero rate and a zero linear factor end at the first term
@@ -439,10 +471,14 @@ def _stated_tail(x, power, factor, w, k):
 def test_binom_plan_stops_where_its_bound_does(power, rate, digits):
     # the float scan's last index of each request is the first k at which
     # the stated tail bound, taken in mpf, is below tiny (up to 2^-40
-    # relative slack for the floats' rounding)
+    # relative slack for the floats' rounding), or, where that bound is
+    # still above tiny, an index after which the walk's term is exactly 0;
+    # for every weight basis, the theorems' two-term weights and linear
+    # factors beyond the float range
     ctx = PrecisionCtx(digits)
-    factors = [LinearFactor(0, 1), LinearFactor(mpc("1.5", "-0.5"), mpf("0.25"))]
-    specs = [WeightSpec.combo({basis: 1}) for basis in series._BASIS]
+    factors = [LinearFactor(0, 1), LinearFactor(mpc("1.5", "-0.5"), mpf("0.25")),
+               LinearFactor(mpf("1e400"), 1), LinearFactor(mpf("1e-400"), 0)]
+    specs = [WeightSpec.combo({basis: 1}) for basis in series._BASIS] + [W_H2_DIFF, W_H3_DIFF]
     slots = [(fi, wi) for fi in range(len(factors)) for wi in range(len(specs))]
     with ctx.working():
         x = {"1/4096": mpf(1) / 4096, "(0.64+0.512i)/64": mpc("0.64", "0.512") / 64,
@@ -451,12 +487,19 @@ def test_binom_plan_stops_where_its_bound_does(power, rate, digits):
         facs = [(mpc(f.a), mpc(f.b)) for f in factors]
         ends = series._binom_ends(x, power, facs, specs, slots, wp, ctx)
         tiny = ctx.tiny()
+        steps = series._binom_steps(x, power, [(mpc(0), mpc(1))], [W_ONE], wp,
+                                    _dust_bits(x, wp))
+        terms = [lin[0] for _, lin in islice(steps, max(ends) + 2)]
     slack = mpf(2) ** -40
+    underflow_ends = 0
     with mp.workdps(ctx.workdps + 20):
         for (fi, wi), end in zip(slots, ends):
             req = (x, power, factors[fi], specs[wi])
-            assert _stated_tail(*req, end) < tiny * (1 + slack), (fi, wi, end)
             assert end == 0 or _stated_tail(*req, end - 1) >= tiny * (1 - slack), (fi, wi, end)
+            if _stated_tail(*req, end) >= tiny * (1 + slack):
+                assert terms[end + 1] == (0, 0), (fi, wi, end)
+                underflow_ends += 1
+    assert underflow_ends <= len(specs)  # the 1e400 factor's at most
 
 
 def _nome_points():
