@@ -130,20 +130,18 @@ def epstein2(z, ctx: PrecisionCtx) -> mpf:
     the memoized walk at the nome of z that ``eichler4`` shares.
     """
     z = _as_z(z, ctx)
-    lam3, lam2 = _epstein2_lambert(z, ctx)
+    chains = _nome_chains(z, ctx)
     with ctx.working():
         y = mp.im(z)
+        lam3, lam2 = _epstein2_lambert(chains, y)
         val = y ** 2 + 45 * const_zeta(3, ctx) / (mp.pi ** 3 * y) + lam3 + lam2
         return ensure_finite(val)
 
 
-def _epstein2_lambert(z, ctx: PrecisionCtx) -> tuple:
-    """The two Lambert terms of E(z,2), the part without y^2 and zeta(3)."""
-    z = _as_z(z, ctx)
-    chains = _nome_chains(z, ctx)
-    with ctx.working():
-        return (90 * mp.re(chains[4, 0]) / (mp.pi ** 3 * mp.im(z)),
-                180 * mp.re(chains[4, 1]) / mp.pi ** 2)
+def _epstein2_lambert(chains: dict, y) -> tuple:
+    """The two Lambert terms of E(z,2), the part without y^2 and zeta(3), from
+    the nome record ``chains`` of z, y = Im z, at the current precision."""
+    return (90 * mp.re(chains[4, 0]) / (mp.pi ** 3 * y), 180 * mp.re(chains[4, 1]) / mp.pi ** 2)
 
 
 def _epstein3_braced(z, ctx: PrecisionCtx) -> mpc:

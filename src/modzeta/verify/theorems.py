@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath import mpc, mpf
 
-from ..arith import epstein2
+from ..arith import _epstein2_lambert, epstein2
 from ..eichler import _prefactor
 from ..modular import _as_z, _nome_chains, alpha4, r_half
 from ..mpcore import DomainError, PrecisionCtx, _memoized, const_zeta
@@ -95,13 +95,12 @@ def _modular_data(z, ctx: PrecisionCtx) -> dict:
     combine.
 
     The record reads the nome records (``modular._nome_chains``) of z + 1/2,
-    2z, 4z and z once each and takes every term from their chains, as
-    ``eichler4``, ``eichler6`` and ``arith._epstein2_lambert`` would: an
+    2z, 4z and z once each and takes every term from their chains: an
     Eichler integral is its chain times the memoized ``eichler._prefactor``,
-    and the Lambert terms of E(w,2) are
-    90 Re(chain (4,0)) / (pi^3 Im w) + 180 Re(chain (4,1)) / pi^2.  pi, its
-    powers, i, y and y^2 are taken once.  ``tests/oracles.py`` assembles the
-    same sides from the public functions.
+    as ``eichler4`` and ``eichler6`` take it, and the Lambert terms of E(w,2)
+    come from ``arith._epstein2_lambert``, as ``epstein2`` takes them.  pi,
+    its powers, i, y and y^2 are taken once.  ``tests/oracles.py``
+    assembles the same sides from the public functions.
     """
     with ctx.working():
         y = mp.im(z)
@@ -117,8 +116,7 @@ def _modular_data(z, ctx: PrecisionCtx) -> dict:
         g_zh, g_2z = p42 * c_zh[4, 2], p42 * c_2z[4, 2]
         e2_zh, e2_2z = p62 * c_zh[6, 2], p62 * c_2z[6, 2]
         e3_zh, e3_2z = p63 * c_zh[6, 3], p63 * c_2z[6, 3]
-        lam_zh, lam_2z, lam_4z, lam_z = (90 * c[4, 0].real / (pi3 * m * y)
-                                         + 180 * c[4, 1].real / pi2
+        lam_zh, lam_2z, lam_4z, lam_z = (sum(_epstein2_lambert(c, m * y))
                                          for c, m in ((c_zh, 1), (c_2z, 2), (c_4z, 4), (c_z, 1)))
         # Q1 and Q2 as pairs: the zeta(3) and Im z terms, then the Eichler terms
         q1 = (7 * z3 / (4 * pi * y), -pi2 * i * (8 * f_zh - f_2z) / (120 * y))
