@@ -11,9 +11,8 @@ u/(1-u) -> u/(1-u)^2 -> u(1+u)/(1-u)^3 -> u(1+4u+u^2)/(1-u)^4.
 The seven sums (weight 4, orders 0-2; weight 6, orders 0-3) are chains of
 ``modular._nome_chains``, the one memoized walk per nome that also serves the
 Eisenstein series and ``arith.epstein2``; this module only applies the
-prefactors, one memoized value per (weight, order, precision) that the
-theorem records read too.  Finite differences are deliberately not used here
-(they live in the tests).
+prefactors.  Finite differences are deliberately not used here (they live in
+the tests).
 """
 
 from __future__ import annotations
@@ -22,24 +21,17 @@ import mpmath as mp
 from mpmath import mpc
 
 from .modular import _as_z, _nome_chains
-from .mpcore import DomainError, PrecisionCtx, _memoized, ensure_finite
+from .mpcore import DomainError, PrecisionCtx, ensure_finite
 
 __all__ = ["eichler4", "eichler6"]
-
-
-@_memoized
-def _prefactor(weight: int, order: int, ctx: PrecisionCtx) -> mpc:
-    """The factor of chain (weight, order) in the order-th derivative of the
-    weight's Eichler integral: the docstring's c i / pi^(weight-1), times
-    2 pi i per derivative."""
-    with ctx.working():
-        return mpc(0, 60 if weight == 4 else 378) * (2j) ** order / mp.pi ** (weight - 1 - order)
 
 
 def _eichler(z, weight: int, order: int, ctx: PrecisionCtx) -> mpc:
     s = _nome_chains(_as_z(z, ctx), ctx)[weight, order]
     with ctx.working():
-        return ensure_finite(_prefactor(weight, order, ctx) * s)
+        # the docstring's c i / pi^(weight-1), times 2 pi i per derivative
+        pref = mpc(0, 60 if weight == 4 else 378) * (2j) ** order / mp.pi ** (weight - 1 - order)
+        return ensure_finite(pref * s)
 
 
 def eichler4(z, order: int, ctx: PrecisionCtx) -> mpc:

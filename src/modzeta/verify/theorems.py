@@ -21,7 +21,6 @@ import mpmath as mp
 from mpmath import mpc, mpf
 
 from ..arith import _epstein2_lambert, epstein2
-from ..eichler import _prefactor
 from ..modular import _as_z, _nome_chains, alpha4, r_half
 from ..mpcore import DomainError, PrecisionCtx, _memoized, const_zeta
 from ..series import LinearFactor, W_ONE, WeightSpec, binom3_sums
@@ -95,48 +94,54 @@ def _modular_data(z, ctx: PrecisionCtx) -> dict:
     combine.
 
     The record reads the nome records (``modular._nome_chains``) of z + 1/2,
-    2z, 4z and z once each and takes every term from their chains: an
-    Eichler integral is its chain times the memoized ``eichler._prefactor``,
-    as ``eichler4`` and ``eichler6`` take it, and the Lambert terms of E(w,2)
-    come from ``arith._epstein2_lambert``, as ``epstein2`` takes them.  pi,
-    its powers, i, y and y^2 are taken once.  ``tests/oracles.py``
-    assembles the same sides from the public functions.
+    2z, 4z and z once each and takes every term from their chains.  The
+    Lambert terms of E(w,2) come from ``arith._epstein2_lambert``, as
+    ``epstein2`` takes them.  An Eichler integral is its chain times
+    c i (2i)^order / pi^(weight-1-order) (``eichler``): 60i/pi^3 for (4,0),
+    -240i/pi for (4,2), -1512i/pi^3 for (6,2) and 3024/pi^2 for (6,3).  The
+    sides are the paper's, in Eichler integrals, with those factors
+    multiplied out, so each Eichler term is a rational combination of chains
+    over 1, y or pi y^k; ``tests/oracles.py`` assembles the sides as written,
+    from ``eichler4``, ``eichler6`` and ``epstein2``.
     """
     with ctx.working():
         y = mp.im(z)
-        y2 = y * y
         pi = +mp.pi
-        pi2 = pi * pi
-        pi3 = pi2 * pi
-        i = mpc(0, 1)
+        pi2, piy = pi * pi, pi * y
         z3 = const_zeta(3, ctx)
         c_zh, c_2z, c_4z, c_z = (_nome_chains(w, ctx) for w in (z + mpf(1) / 2, 2 * z, 4 * z, z))
-        p40, p42, p62, p63 = (_prefactor(w, o, ctx) for w, o in ((4, 0), (4, 2), (6, 2), (6, 3)))
-        f_zh, f_2z, f_4z, f_z = (p40 * c[4, 0] for c in (c_zh, c_2z, c_4z, c_z))
-        g_zh, g_2z = p42 * c_zh[4, 2], p42 * c_2z[4, 2]
-        e2_zh, e2_2z = p62 * c_zh[6, 2], p62 * c_2z[6, 2]
-        e3_zh, e3_2z = p63 * c_zh[6, 3], p63 * c_2z[6, 3]
         lam_zh, lam_2z, lam_4z, lam_z = (sum(_epstein2_lambert(c, m * y))
                                          for c, m in ((c_zh, 1), (c_2z, 2), (c_4z, 4), (c_z, 1)))
-        # Q1 and Q2 as pairs: the zeta(3) and Im z terms, then the Eichler terms
-        q1 = (7 * z3 / (4 * pi * y), -pi2 * i * (8 * f_zh - f_2z) / (120 * y))
-        q2 = (-2 * pi2 * y2 / 3 - 2 * z3 / (pi * y), -pi2 * i * (f_zh - 2 * f_2z) / (15 * y))
+        # Each side as the paper writes it in the Eichler integrals F4 and F6
+        # (primes are z-derivatives), then with the factors multiplied out.
+        # Q1 and Q2 as pairs: the zeta(3) and Im z terms, then the F4 terms
+        # -pi^2 i (8 F4(z+1/2) - F4(2z)) / (120 y) and
+        # -pi^2 i (F4(z+1/2) - 2 F4(2z)) / (15 y)
+        q1 = (7 * z3 / (4 * piy), (8 * c_zh[4, 0] - c_2z[4, 0]) / (2 * piy))
+        q2 = (-2 * pi2 * y * y / 3 - 2 * z3 / piy, 4 * (c_zh[4, 0] - 2 * c_2z[4, 0]) / piy)
         q1r = q1[1] - pi2 * (4 * lam_zh - lam_2z) / 90
         q2r = q2[1] - 2 * pi2 * (lam_zh - 4 * lam_2z) / 45
-        r1r = q1r / (pi * y2) - pi * i * (2 * g_zh - g_2z) / (30 * y)
-        r2r = q2r / (pi * y2) - pi * i * (g_zh - 8 * g_2z) / (15 * y)
-        h1 = pi3 * i * (e2_2z - 8 * e2_zh) / 1512
-        h2 = pi3 * i * (e2_zh - 8 * e2_2z) / 189 - pi3 * i * (4 * f_z - f_4z) / 15
-        # The weight-3 linear sides.  The E6'''-bracket denominators are
-        # 756*Im z and 189*Im z (power one); this follows from differentiating
-        # the ratio identities and is confirmed by the tabulated
-        # specializations.  The first two terms of g2 are the y^2 and zeta(3)
-        # terms of 8 pi^2 (E(4z,2) - E(z,2))/(45 y) with the sign reversed.
-        g1 = (pi2 * i * (e2_2z - 8 * e2_zh) / (1512 * y2)
-              + pi2 * (e3_2z - 4 * e3_zh) / (756 * y))
-        g2 = (8 * pi2 * y / 3, -6 * z3 / (pi * y2),
-              pi2 * i * (e2_zh - 8 * e2_2z) / (189 * y2),
-              pi2 * (e3_zh - 16 * e3_2z) / (189 * y))
+        # R1 and R2: Q1 and Q2 over pi y^2, less
+        # pi i (2 F4''(z+1/2) - F4''(2z)) / (30 y) and
+        # pi i (F4''(z+1/2) - 8 F4''(2z)) / (15 y)
+        r1r = q1r / (piy * y) - 8 * (2 * c_zh[4, 2] - c_2z[4, 2]) / y
+        r2r = q2r / (piy * y) - 16 * (c_zh[4, 2] - 8 * c_2z[4, 2]) / y
+        # H1 = pi^3 i (F6''(2z) - 8 F6''(z+1/2)) / 1512 and
+        # H2 = pi^3 i (F6''(z+1/2) - 8 F6''(2z)) / 189 - pi^3 i (4 F4(z) - F4(4z)) / 15
+        h1 = c_2z[6, 2] - 8 * c_zh[6, 2]
+        d8 = 8 * (c_zh[6, 2] - 8 * c_2z[6, 2])
+        h2 = d8 + 4 * (4 * c_z[4, 0] - c_4z[4, 0])
+        # The weight-3 linear sides: G1 = H1 / (pi y^2) +
+        # pi^2 (F6'''(2z) - 4 F6'''(z+1/2)) / (756 y), and G2 with the terms
+        # pi^2 i (F6''(z+1/2) - 8 F6''(2z)) / (189 y^2) and
+        # pi^2 (F6'''(z+1/2) - 16 F6'''(2z)) / (189 y).  The F6''' denominators
+        # are 756*Im z and 189*Im z (power one); this follows from
+        # differentiating the ratio identities and is confirmed by the
+        # tabulated specializations.  The first two terms of g2 are the y^2 and
+        # zeta(3) terms of 8 pi^2 (E(4z,2) - E(z,2))/(45 y) with the sign reversed.
+        g1 = h1 / (piy * y) + 4 * (c_2z[6, 3] - 4 * c_zh[6, 3]) / y
+        g2 = (8 * pi2 * y / 3, -6 * z3 / (piy * y), d8 / (piy * y),
+              16 * (c_zh[6, 3] - 16 * c_2z[6, 3]) / y)
         g2r = g2[2] + g2[3] - 8 * pi2 * (lam_4z - lam_z) / (45 * y)
         return {"ratio": dict(zip(_H2 + _H3, (q1r, q2r, h1, h2))),
                 "linear": dict(zip(_H2 + _H3, (r1r, r2r, g1, g2r))),

@@ -267,10 +267,9 @@ def test_registry_rows_read_the_evaluators_at_run_time(monkeypatch):
 def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
     # the four evaluators read one memoized nine-sum walk and one modular
     # record per (point, precision); the record reads each of its four nome
-    # records and each of its four Eichler prefactors once; s_r, t_r and
-    # u_check then read that record and add no walk and no memo entry
-    walks = []
-    reads = {"_nome_chains": [], "_prefactor": []}
+    # records once; s_r, t_r and u_check then read that record and add no
+    # walk and no memo entry
+    walks, reads = [], []
 
     def counting(real, calls):
         def wrapper(*args, **kwargs):
@@ -278,19 +277,16 @@ def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
             return real(*args, **kwargs)
         return wrapper
     monkeypatch.setattr(theorems, "binom3_sums", counting(theorems.binom3_sums, walks))
-    for name, calls in reads.items():
-        monkeypatch.setattr(theorems, name, counting(getattr(theorems, name), calls))
+    monkeypatch.setattr(theorems, "_nome_chains", counting(theorems._nome_chains, reads))
     monkeypatch.setattr(mpcore, "_memo", {})
     record = theorems._modular_data.__wrapped__
     z = mp.mpc("0.5", "0.9137")
     for _ in range(2):
         sides = [f(z, ctx30) for f in (q_ratios, r_linear, h3_ratios, h3_linear)]
         assert len(walks) == 1
-        assert {name: len(calls) for name, calls in reads.items()} == {"_nome_chains": 4,
-                                                                       "_prefactor": 4}
+        assert len(reads) == 4
         assert sum(key[0] is record for key in mpcore._memo) == 1
-    assert len({args[:-1] for args in reads["_nome_chains"]}) == 4
-    assert len({args[:-1] for args in reads["_prefactor"]}) == 4
+    assert len({args[:-1] for args in reads}) == 4
     with ctx30.working():
         for out in sides:
             lhs = [v for k, v in out.items() if "lhs" in k]
@@ -301,7 +297,7 @@ def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
     for f, r in ((s_r, Fraction(1, 16)), (t_r, Fraction(1, 16)), (u_check, Fraction(1, 64))):
         f(z, r, ctx30)
     assert len(mpcore._memo) == entries
-    assert len(walks) == 1 and sum(map(len, reads.values())) == 8
+    assert len(walks) == 1 and len(reads) == 4
     q_ratios(z, PrecisionCtx(35))
     assert len(walks) == 2
     assert sum(key[0] is record for key in mpcore._memo) == 2
