@@ -9,8 +9,8 @@ the other's closed-form constant.
 Each route of a point is one memoized record per (point, precision):
 ``_series_data`` holds every left-hand side from one binomial walk, and
 ``_modular_data`` every right-hand side from one read of each of its four
-nome records.  The four evaluators are views of the two
-records, and ``s_r``, ``t_r`` and ``u_check`` read the modular one.
+nome records.  The four evaluators are views of the two records, and
+``s_r``, ``t_r`` and ``u_check`` read the modular one.
 """
 
 from __future__ import annotations
