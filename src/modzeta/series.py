@@ -269,6 +269,13 @@ def _binom_ends(x, power: int, facs: list, specs: list, slots: list, wp: int,
     open ends at k - 1.  That end comes first only when P(k) exceeds
     tiny 2^(wp+sd), as for a linear factor of 1e400.
 
+    The scan checks the requests only where one may end: at a check each open
+    request is lt_k + log2 P(k) - lim bits above its stop, and every later
+    log ratio is at least the current one while P only grows, so no request
+    ends for the least of those over -log2 of the ratio more indices; lt_k
+    and lf_k are still summed at every index, so each end is the one a check
+    at every index would find.
+
     Past 400 workdps indices the scan raises DomainError, before any term is
     summed; so does an infinite or NaN linear factor, whose bound is infinite.
     """
@@ -298,17 +305,24 @@ def _binom_ends(x, power: int, facs: list, specs: list, slots: list, wp: int,
             rules.append(tuple(2.0 ** (v - pe) for v in ps) + (top - pe,))
     lxf = _log2_sum(lx, 0.5 - wp)  # log2 of the bound on |x| rounded at 2^-wp
     ends, lt, lf = [None] * len(rules), float(wp), float(wp + _dust_bits(x, wp))
+    check = 0  # the next index at which any open request may end
     for k in range(400 * ctx.workdps + 1):
         if lf < -4:
             return [k - 1 if e is None else e for e in ends]
-        for i, (p2, p1, p0, lim) in enumerate(rules):
-            if ends[i] is None:
-                pk = (p2 * k + p1) * k + p0
-                if not pk or lt + log2(pk) < lim:
-                    ends[i] = k
-        if None not in ends:
-            return ends
         step = power * log2((4 * k + 2) / (k + 1))
+        if k >= check:
+            slack = inf
+            for i, (p2, p1, p0, lim) in enumerate(rules):
+                if ends[i] is None:
+                    pk = (p2 * k + p1) * k + p0
+                    if not pk or lt + log2(pk) < lim:
+                        ends[i] = k
+                    else:
+                        slack = min(slack, lt + log2(pk) - lim)
+            if None not in ends:
+                return ends
+            # each later log ratio is at least step + lx and P(k) only grows
+            check = k + 1 + int(max(0.0, slack - 1e-6) / -(step + lx))
         lt += step + lx
         lf += step + lxf
     raise DomainError("binom%d series failed to converge" % power)
