@@ -43,11 +43,11 @@ exact integer CVZ coefficients, so each sum is one integer rounded once.
 The plan runs in floats: every size is a log2 read from the mantissa and
 exponent of an mpf, so linear factors far beyond the float range keep
 theirs, and only 1 - |4^p x| is taken in mpf; each distinct factor's sizes
-are read once per call and each spec carries its envelope.  A request also
-ends where the fixed-point term must already be exactly 0 (the underflow
-end), which only a bound above tiny 2^(wp+sd) reaches first.  Each step reads
-each distinct weight basis once, and the factor (0, 1) takes the term as it
-is.
+are read once per call and each spec carries its envelope, and the scan
+checks the requests only where one may end.  A request also ends where the
+fixed-point term must already be exactly 0 (the underflow end), which only
+a bound above tiny 2^(wp+sd) reaches first.  Each step reads each distinct
+weight basis once, and the factor (0, 1) takes the term as it is.
 
 The hyperbolic Lambert sums (:func:`hyp_lambert`) and the elliptic
 polylogarithm (:func:`eli`) run on the same integer pairs: one integer
