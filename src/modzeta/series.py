@@ -315,10 +315,11 @@ def _binom_ends(x, power: int, facs: list, specs: list, slots: list, wp: int,
             for i, (p2, p1, p0, lim) in enumerate(rules):
                 if ends[i] is None:
                     pk = (p2 * k + p1) * k + p0
-                    if not pk or lt + log2(pk) < lim:
+                    above = lt + log2(pk) - lim if pk else -inf  # bits above the stop
+                    if above < 0:
                         ends[i] = k
                     else:
-                        slack = min(slack, lt + log2(pk) - lim)
+                        slack = min(slack, above)
             if None not in ends:
                 return ends
             # each later log ratio is at least step + lx and P(k) only grows
