@@ -12,7 +12,7 @@ agree with it to 8 units of 10^-workdps, relative to each part, at 15, 50,
 boundary rates, are also checked on their own: an entry must lie within 4
 units of 10^-workdps of the same entry at 40 more digits, and each planned
 last index must be the first at which the stated tail bound, taken in mpf,
-is below the threshold.
+is below the threshold, or one after which the walk's term is exactly 0.
 
 ``_reference_eta``, ``_reference_hyp_lambert`` and ``_reference_eli`` keep
 the mpc loops behind ``eta`` (the N-factor product), ``hyp_lambert`` and
