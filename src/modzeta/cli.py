@@ -66,19 +66,21 @@ def _parse_number(text: str):
 def _load_config(path: str | None) -> dict:
     cfg = {}
     if path:
-        if not os.path.exists(path):
-            raise UsageError("config file not found: %s" % path)
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError("bad config line (want key=value): %r" % line)
-                k, v = line.split("=", 1)
-                if k.strip() not in ("digits", "suite", "jobs", "format", "out", "seed"):
-                    raise UsageError("unknown config key %r" % k.strip())
-                cfg[k.strip()] = v.strip()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except OSError as exc:
+            raise UsageError("cannot read config file %s: %s" % (path, exc.strerror)) from exc
+        for line in lines:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise UsageError("bad config line (want key=value): %r" % line)
+            k, v = line.split("=", 1)
+            if k.strip() not in ("digits", "suite", "jobs", "format", "out", "seed"):
+                raise UsageError("unknown config key %r" % k.strip())
+            cfg[k.strip()] = v.strip()
     return cfg
 
 
@@ -117,8 +119,11 @@ def _resolve_jobs_format(args, cfg) -> tuple:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError("cannot write %s: %s" % (out, exc.strerror)) from exc
     else:
         print(text)
 
@@ -189,11 +194,8 @@ def _eval_dispatch(name: str, argv: list, ctx: PrecisionCtx):
 
 
 def _format_value(v, digits: int) -> str:
-    if isinstance(v, mpc):
-        if v.imag == 0:
-            v = v.real
-        else:
-            return mp.nstr(v, digits, strip_zeros=False)
+    if isinstance(v, mpc) and v.imag == 0:
+        v = v.real
     return mp.nstr(v, digits, strip_zeros=False)
 
 

@@ -17,7 +17,10 @@ single records.  A point's fields fill the %-fields of the id and the
 description; ``build_registry`` is one loop binding each point to each row of
 its table.  A side names its evaluators as module globals, so they are looked
 up when the record is evaluated and a rebound module attribute (a tracer's
-wrapper) sees every call; no table holds an evaluator.  Points and parameters
+wrapper) sees every call; no table holds an evaluator.  The ``theorems-random``
+rows are built from ``theorems._IDENTITIES``: each lhs reads the series record
+``_series_data`` of its point and each rhs the modular record
+``_modular_data``, through ``_theorem``.  Points and parameters
 stay strings or builders (``_Z``, ``_mk_z``) until then, exact at the caller's
 precision.  The runner evaluates both sides at the context's working
 precision; no row sets precision itself.
@@ -40,7 +43,7 @@ from mpmath import mpc, mpf
 
 from ..arith import dirichlet_l, epstein2, epstein3
 from ..eichler import eichler4, eichler6
-from ..modular import alpha4, eisenstein, eisenstein_eta_form, lambda_fn, r_half
+from ..modular import _as_z, alpha4, eisenstein, eisenstein_eta_form, lambda_fn, r_half
 from ..mpcore import const_catalan, const_zeta
 from ..quadrature import (h3mix2_tail_integral, lemma_integral,
                           lminus4_4_integral, zeta5_integral, zeta7_integral)
@@ -48,9 +51,9 @@ from ..series import (HypKernel, LinearFactor, W_ONE, WeightSpec,
                       binom2_series, binom3_series, binom3_sums, ell_k,
                       ell_k_comp, eli, hyp_lambert, inv_binom2_series,
                       legendre_dnu2)
-from .theorems import (W_H2_DIFF, W_H2_PLAIN, W_H3_DIFF, W_H3_PLAIN,
-                       _h3_epstein, h3_linear, h3_ratios, q_ratios, r_linear,
-                       s_r, t_r, u_check)
+from .theorems import (_IDENTITIES, W_H2_DIFF, W_H2_PLAIN, W_H3_DIFF, W_H3_PLAIN,
+                       _h3_epstein, _modular_data, _series_data, _to_mpf, s_r, t_r,
+                       u_check)
 
 DEFAULT_SEED = 20250810
 
@@ -91,10 +94,6 @@ _Z = {
     "sqrt2 i": lambda: mp.sqrt(2) * _I(),
     "i": _I,
 }
-
-
-def _to_mpf(fr: Fraction) -> mpf:
-    return mpf(fr.numerator) / fr.denominator
 
 
 def _mk_z(re: str, im: str):
@@ -140,7 +139,7 @@ def _series(rate: str, terms, ctx):
     {basis: coefficient}.  A coef is a number, or a ctx -> value callable for
     Sun's bracket constant.
     """
-    sums = binom3_sums(_to_mpf(Fraction(rate)),
+    sums = binom3_sums(_to_mpf(rate),
                        [(LinearFactor(a, b), WeightSpec.combo(w)) for _, (a, b), w in terms],
                        ctx)
     return sum((c(ctx) if callable(c) else c) * s
@@ -294,20 +293,25 @@ def _rate(p, ctx):
     return a4 * (1 - a4) / 16
 
 
+def _theorem(series: bool, kind: str, w, p, ctx):
+    """The (kind, w) entry of the series record (series true) or of the
+    modular record of the main theorems at p.z(), each looked up when called."""
+    return (_series_data if series else _modular_data)(_as_z(p.z(), ctx), ctx)[kind][w]
+
+
 def _q1q2(p, ctx):
-    q = q_ratios(p.z(), ctx)
-    return (q["q1_lhs"] - _to_mpf(p.r) * q["q2_lhs"]).real
+    q1, q2 = (_theorem(True, "ratio", w, p, ctx) for w in (W_H2_DIFF, W_H2_PLAIN))
+    return (q1 - _to_mpf(p.r) * q2).real
 
 
 def _tr(p, ctx):
-    t = r_linear(p.z(), ctx)
-    return (t["r1_lhs"] - _to_mpf(p.r) * t["r2_lhs"]).real
+    r1, r2 = (_theorem(True, "linear", w, p, ctx) for w in (W_H2_DIFF, W_H2_PLAIN))
+    return (r1 - _to_mpf(p.r) * r2).real
 
 
 def _ut(p, ctx):
-    z = p.z()
-    g = h3_linear(z, ctx)
-    return (g["lhs1"] + _to_mpf(p.rc) * (g["lhs2"] + _h3_epstein(z, ctx))).real
+    g1, g2 = (_theorem(True, "linear", w, p, ctx) for w in (W_H3_DIFF, W_H3_PLAIN))
+    return (g1 + _to_mpf(p.rc) * (g2 + _h3_epstein(p.z(), ctx))).real
 
 
 # The records at each tabulated point; a rhs given as a string is the key of
@@ -782,33 +786,11 @@ _SEC4_INTEGRALS = (
      lambda p, ctx: dirichlet_l(-4, 4, ctx)),
 )
 
-# The two identities of each main theorem at non-special points.
-_THEOREMS = (
-    ("thm.q1.%(tag)s", "theorems-random", "q identity 1 at z = %(re)s + %(im)s i",
-     lambda p, ctx: q_ratios(p.z(), ctx)["q1_lhs"],
-     lambda p, ctx: q_ratios(p.z(), ctx)["q1_rhs"]),
-    ("thm.q2.%(tag)s", "theorems-random", "q identity 2 at z = %(re)s + %(im)s i",
-     lambda p, ctx: q_ratios(p.z(), ctx)["q2_lhs"],
-     lambda p, ctx: q_ratios(p.z(), ctx)["q2_rhs"]),
-    ("thm.r1.%(tag)s", "theorems-random", "r identity 1 at z = %(re)s + %(im)s i",
-     lambda p, ctx: r_linear(p.z(), ctx)["r1_lhs"],
-     lambda p, ctx: r_linear(p.z(), ctx)["r1_rhs"]),
-    ("thm.r2.%(tag)s", "theorems-random", "r identity 2 at z = %(re)s + %(im)s i",
-     lambda p, ctx: r_linear(p.z(), ctx)["r2_lhs"],
-     lambda p, ctx: r_linear(p.z(), ctx)["r2_rhs"]),
-    ("thm.hq1.%(tag)s", "theorems-random", "hq identity 1 at z = %(re)s + %(im)s i",
-     lambda p, ctx: h3_ratios(p.z(), ctx)["lhs1"],
-     lambda p, ctx: h3_ratios(p.z(), ctx)["rhs1"]),
-    ("thm.hq2.%(tag)s", "theorems-random", "hq identity 2 at z = %(re)s + %(im)s i",
-     lambda p, ctx: h3_ratios(p.z(), ctx)["lhs2"],
-     lambda p, ctx: h3_ratios(p.z(), ctx)["rhs2"]),
-    ("thm.hr1.%(tag)s", "theorems-random", "hr identity 1 at z = %(re)s + %(im)s i",
-     lambda p, ctx: h3_linear(p.z(), ctx)["lhs1"],
-     lambda p, ctx: h3_linear(p.z(), ctx)["rhs1"]),
-    ("thm.hr2.%(tag)s", "theorems-random", "hr identity 2 at z = %(re)s + %(im)s i",
-     lambda p, ctx: h3_linear(p.z(), ctx)["lhs2"],
-     lambda p, ctx: h3_linear(p.z(), ctx)["rhs2"]),
-)
+# The two identities of each main theorem at non-special points: each lhs reads
+# the series record and each rhs the modular record.
+_THEOREMS = tuple(("thm.%s.%%(tag)s" % stem, "theorems-random", desc + " at z = %(re)s + %(im)s i",
+                   partial(_theorem, True, kind, w), partial(_theorem, False, kind, w))
+                  for _, _, _, stem, desc, kind, w in _IDENTITIES)
 _THM_Z = (_at("0_105", "0", "1.05"), _at("0_13", "0", "1.3"), _at("0_20", "0", "2.0"),
           _at("05_075", "0.5", "0.75"),
           _at("05_1sqrt2", "0.5", "1/sqrt2", _Z["1/2 + i/sqrt2"]), _at("05_14", "0.5", "1.4"))

@@ -1,16 +1,21 @@
 """Theorem-level composite evaluators.
 
-Each function returns both sides of a main-theorem identity computed by
-disjoint routes: the LHS route sums central-binomial harmonic series at the
-modular rate alpha4(z)(1-alpha4(z))/16, while the RHS route assembles Epstein
-zeta values, Eichler integrals, and zeta constants.  Neither side ever sees
-the other's closed-form constant.
+Each identity of the main theorems has two sides computed by disjoint routes:
+the LHS route sums central-binomial harmonic series at the modular rate
+alpha4(z)(1-alpha4(z))/16, while the RHS route assembles Epstein zeta values,
+Eichler integrals, and zeta constants.  Neither side ever sees the other's
+closed-form constant.
 
 Each route of a point is one memoized record per (point, precision):
-``_series_data`` holds every left-hand side from one binomial walk, and
-``_modular_data`` every right-hand side from one read of each of its four
-nome records.  The four evaluators are views of the two records, and
-``s_r``, ``t_r`` and ``u_check`` read the modular one.
+``_series_data`` holds every left-hand side from one binomial walk, and checks
+the point against the theorem hypothesis, and ``_modular_data`` holds every
+right-hand side from one read of each of its four nome records.  The table
+``_IDENTITIES`` names each of the eight identities once: its evaluator, its
+keys, its registry id stem and description, and its (kind, weight) entry of
+the two records.  The four evaluators are built from it as views of both
+records, and so are the registry's ``theorems-random`` rows, whose lhs reads
+only the series record and whose rhs only the modular one.  ``s_r``, ``t_r``
+and ``u_check`` read the modular record.
 """
 
 from __future__ import annotations
@@ -60,14 +65,22 @@ _H2 = (W_H2_DIFF, W_H2_PLAIN)
 _H3 = (W_H3_DIFF, W_H3_PLAIN)
 
 
+def _to_mpf(r) -> mpf:
+    """The rational r (a Fraction, an int or a string such as "-1/64") as an mpf."""
+    r = Fraction(r)
+    return mpf(r.numerator) / r.denominator
+
+
 @_memoized
 def _series_data(z, ctx: PrecisionCtx) -> dict:
     """The series side at an admissible z: every ratio and linear sum, one walk.
 
     Nine sums at the rate x = alpha4(1-alpha4)/16: the denominator (weight 1)
     and each theorem weight, once with factor 1 and once with the linear
-    factor 2(1-2 alpha4)/Im z * k + R_{-1/2}/Im z.
+    factor 2(1-2 alpha4)/Im z * k + R_{-1/2}/Im z.  Any other z raises
+    DomainError, before any sum.
     """
+    _require_admissible(z, ctx)
     with ctx.working():
         a4 = alpha4(z, ctx)
         x = a4 * (1 - a4) / 16
@@ -148,51 +161,55 @@ def _modular_data(z, ctx: PrecisionCtx) -> dict:
                 "s": (sum(q1), sum(q2)), "u": sum(g2)}
 
 
-def _sides(z, ctx: PrecisionCtx, kind: str, weights: tuple, names: tuple) -> dict:
-    """Both sides of the two identities of ``kind`` ("ratio" or "linear") at
-    ``weights``, keyed by each (lhs, rhs) pair of ``names``, at an admissible z."""
-    z = _require_admissible(z, ctx)
-    lhs, rhs = _series_data(z, ctx)[kind], _modular_data(z, ctx)[kind]
-    out = {}
-    for w, (lname, rname) in zip(weights, names):
-        out[lname], out[rname] = lhs[w], rhs[w]
-    return out
+# The eight identities: evaluator, lhs key, rhs key, registry id stem and
+# description, and the (kind, weight) entry of the series and modular records.
+_IDENTITIES = (
+    ("q_ratios", "q1_lhs", "q1_rhs", "q1", "q identity 1", "ratio", W_H2_DIFF),
+    ("q_ratios", "q2_lhs", "q2_rhs", "q2", "q identity 2", "ratio", W_H2_PLAIN),
+    ("r_linear", "r1_lhs", "r1_rhs", "r1", "r identity 1", "linear", W_H2_DIFF),
+    ("r_linear", "r2_lhs", "r2_rhs", "r2", "r identity 2", "linear", W_H2_PLAIN),
+    ("h3_ratios", "lhs1", "rhs1", "hq1", "hq identity 1", "ratio", W_H3_DIFF),
+    ("h3_ratios", "lhs2", "rhs2", "hq2", "hq identity 2", "ratio", W_H3_PLAIN),
+    ("h3_linear", "lhs1", "rhs1", "hr1", "hr identity 1", "linear", W_H3_DIFF),
+    ("h3_linear", "lhs2", "rhs2", "hr2", "hr identity 2", "linear", W_H3_PLAIN),
+)
 
 
-def q_ratios(z, ctx: PrecisionCtx) -> dict:
-    """Both sides of the weight-2 ratio identities at an admissible z."""
-    return _sides(z, ctx, "ratio", _H2, (("q1_lhs", "q1_rhs"), ("q2_lhs", "q2_rhs")))
+def _evaluator(name: str, identities: str):
+    """The public evaluator ``name``: both sides of each of its rows of
+    ``_IDENTITIES`` at an admissible z, keyed by the rows' lhs and rhs keys."""
+    rows = [row for row in _IDENTITIES if row[0] == name]
+
+    def evaluate(z, ctx: PrecisionCtx) -> dict:
+        z = _as_z(z, ctx)
+        lhs, rhs = _series_data(z, ctx), _modular_data(z, ctx)
+        out = {}
+        for _, lkey, rkey, _, _, kind, w in rows:
+            out[lkey], out[rkey] = lhs[kind][w], rhs[kind][w]
+        return out
+    evaluate.__name__ = evaluate.__qualname__ = name
+    evaluate.__doc__ = "Both sides of the %s identities at an admissible z." % identities
+    return evaluate
 
 
-def r_linear(z, ctx: PrecisionCtx) -> dict:
-    """Both sides of the weight-2 linear-factor identities at an admissible z."""
-    return _sides(z, ctx, "linear", _H2, (("r1_lhs", "r1_rhs"), ("r2_lhs", "r2_rhs")))
-
-
-def h3_ratios(z, ctx: PrecisionCtx) -> dict:
-    """Both sides of the weight-3 ratio identities at an admissible z."""
-    return _sides(z, ctx, "ratio", _H3, (("lhs1", "rhs1"), ("lhs2", "rhs2")))
-
-
-def h3_linear(z, ctx: PrecisionCtx) -> dict:
-    """Both sides of the weight-3 linear-factor identities at an admissible z."""
-    return _sides(z, ctx, "linear", _H3, (("lhs1", "rhs1"), ("lhs2", "rhs2")))
+q_ratios = _evaluator("q_ratios", "weight-2 ratio")
+r_linear = _evaluator("r_linear", "weight-2 linear-factor")
+h3_ratios = _evaluator("h3_ratios", "weight-3 ratio")
+h3_linear = _evaluator("h3_linear", "weight-3 linear-factor")
 
 
 def s_r(z, r, ctx: PrecisionCtx) -> mpc:
     """The Epstein-free part of Q1 - r Q2, which collapses to a rational multiple of pi^2."""
     q1, q2 = _modular_data(_as_z(z, ctx), ctx)["s"]
     with ctx.working():
-        r = mpf(Fraction(r).numerator) / Fraction(r).denominator
-        return q1 - r * q2
+        return q1 - _to_mpf(r) * q2
 
 
 def t_r(z, r, ctx: PrecisionCtx) -> mpc:
     """R1(z) - r R2(z) through the Epstein/Eichler route (no series)."""
     linear = _modular_data(_require_admissible(z, ctx), ctx)["linear"]
     with ctx.working():
-        r = mpf(Fraction(r).numerator) / Fraction(r).denominator
-        return linear[W_H2_DIFF] - r * linear[W_H2_PLAIN]
+        return linear[W_H2_DIFF] - _to_mpf(r) * linear[W_H2_PLAIN]
 
 
 def u_check(z, rc, ctx: PrecisionCtx) -> mpc:
@@ -203,8 +220,7 @@ def u_check(z, rc, ctx: PrecisionCtx) -> mpc:
     """
     data = _modular_data(_as_z(z, ctx), ctx)
     with ctx.working():
-        rc = mpf(Fraction(rc).numerator) / Fraction(rc).denominator
-        return data["linear"][W_H3_DIFF] + rc * data["u"]
+        return data["linear"][W_H3_DIFF] + _to_mpf(rc) * data["u"]
 
 
 def _h3_epstein(z, ctx: PrecisionCtx) -> mpc:

@@ -126,7 +126,8 @@ NOT_INT, JOBS, FORMAT = ("must be an integer", "jobs must be at least 1",
 
 
 # a setting that is not an integer, or out of range, stops the command
-# before any work with exit code 2
+# before any work with exit code 2; so does a config file that cannot be read,
+# and an output file that cannot be written stops it with the same code
 @pytest.mark.parametrize("argv,cfg,env,message", [
     (("eval", "G"), None, {"MODZETA_DIGITS": "abc"}, NOT_INT),
     (("eval", "G"), "digits=forty\n", None, NOT_INT),
@@ -139,9 +140,11 @@ NOT_INT, JOBS, FORMAT = ("must be an integer", "jobs must be at least 1",
     (("table", "h2", "--jobs", "0"), None, None, JOBS),
     (("verify", "--suite", "h2-variants", "--jobs", "1"), "format=jsno\n", None, FORMAT),
     (("table", "h2", "--jobs", "1"), "format=jsno\n", None, FORMAT),
+    (("eval", "zeta", "2", "--config", "."), None, None, "cannot read config file"),
+    (("eval", "zeta", "2", "--out", "."), None, None, "cannot write ."),
 ], ids=["env-digits", "config-digits", "config-jobs", "config-seed", "table-jobs",
         "jobs-zero", "jobs-negative", "config-jobs-zero", "table-jobs-zero",
-        "config-format", "table-format"])
+        "config-format", "table-format", "config-directory", "out-directory"])
 def test_non_integer_setting_is_usage_error(tmp_path, argv, cfg, env, message):
     if cfg is not None:
         path = tmp_path / "modzeta.cfg"

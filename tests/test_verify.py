@@ -234,7 +234,8 @@ def test_registry_rows_read_the_evaluators_at_run_time(monkeypatch):
     evaluators = [name for name, fn in vars(registry).items()
                   if isinstance(fn, types.FunctionType) and fn.__module__ != registry.__name__
                   and fn.__module__.startswith("modzeta.")]
-    assert {"binom3_sums", "eichler4", "epstein2", "q_ratios", "_h3_epstein"} <= set(evaluators)
+    assert {"binom3_sums", "eichler4", "epstein2", "_series_data", "_modular_data",
+            "_h3_epstein"} <= set(evaluators)
     for name in evaluators:
         monkeypatch.setattr(registry, name, counting(name, getattr(registry, name)))
     ctx = PrecisionCtx(20)
@@ -266,10 +267,11 @@ def test_registry_rows_read_the_evaluators_at_run_time(monkeypatch):
 
 def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
     # the four evaluators read one memoized nine-sum walk and one modular
-    # record per (point, precision); the record reads each of its four nome
-    # records once; s_r, t_r and u_check then read that record and add no
-    # walk and no memo entry
-    walks, reads = [], []
+    # record per (point, precision), and check the point once, in the walk's
+    # record; the record reads each of its four nome records once; s_r, t_r
+    # and u_check then read that record and add no walk and no memo entry,
+    # and t_r alone checks the point again
+    walks, reads, checks = [], [], []
 
     def counting(real, calls):
         def wrapper(*args, **kwargs):
@@ -278,6 +280,8 @@ def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
         return wrapper
     monkeypatch.setattr(theorems, "binom3_sums", counting(theorems.binom3_sums, walks))
     monkeypatch.setattr(theorems, "_nome_chains", counting(theorems._nome_chains, reads))
+    monkeypatch.setattr(theorems, "_require_admissible",
+                        counting(theorems._require_admissible, checks))
     monkeypatch.setattr(mpcore, "_memo", {})
     record = theorems._modular_data.__wrapped__
     z = mp.mpc("0.5", "0.9137")
@@ -285,6 +289,7 @@ def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
         sides = [f(z, ctx30) for f in (q_ratios, r_linear, h3_ratios, h3_linear)]
         assert len(walks) == 1
         assert len(reads) == 4
+        assert len(checks) == 1
         assert sum(key[0] is record for key in mpcore._memo) == 1
     assert len({args[:-1] for args in reads}) == 4
     with ctx30.working():
@@ -297,9 +302,9 @@ def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
     for f, r in ((s_r, Fraction(1, 16)), (t_r, Fraction(1, 16)), (u_check, Fraction(1, 64))):
         f(z, r, ctx30)
     assert len(mpcore._memo) == entries
-    assert len(walks) == 1 and len(reads) == 4
+    assert len(walks) == 1 and len(reads) == 4 and len(checks) == 2
     q_ratios(z, PrecisionCtx(35))
-    assert len(walks) == 2
+    assert len(walks) == 2 and len(checks) == 3
     assert sum(key[0] is record for key in mpcore._memo) == 2
 
 
