@@ -41,7 +41,9 @@ interpreter's own start-up is not counted.
     python3 scripts/bench_walks.py --baseline PATH > BENCH_qseries.json
 
 ``--root`` imports modzeta from ``PATH/src``, so a parent tree can be
-measured with this script.  With ``--baseline`` the script runs ROUNDS
+measured with this script.  For that reason the walk inputs derive the nine
+theorem requests here, from ``alpha4`` and ``r_half``, rather than reading
+``verify.theorems._series_plan``, which older trees do not have.  With ``--baseline`` the script runs ROUNDS
 alternating pairs of fresh processes, one per tree, switching which goes
 first; the report holds every round, the per-tree medians and quartiles, the
 ratio of the baseline's median total seconds to the root tree's and, per

@@ -120,14 +120,15 @@ def dirichlet_l(d: int, s: int, ctx: PrecisionCtx) -> mpf:
 # ---------------------------------------------------------------------------
 
 def epstein2(z, ctx: PrecisionCtx) -> mpf:
-    """E(z,2) from its Lambert representation; valid for all Im z > 0.
+    """E(z,2) from its Lambert representation, for Im z >= 0.03.
 
     E(z,2) = y^2 + 45 zeta(3)/(pi^3 y)
              + (90/(pi^3 y)) Re sum q^n/(n^3 (1-q^n))
              + (180/pi^2)    Re sum q^n/(n^2 (1-q^n)^2),    y = Im z.
 
     The two sums are the weight-4 Eichler chains of orders 0 and 1, read from
-    the memoized walk at the nome of z that ``eichler4`` shares.
+    the memoized walk at the nome of z that ``eichler4`` shares; that walk
+    raises DomainError below Im z = 0.03.
     """
     z = _as_z(z, ctx)
     chains = _nome_chains(z, ctx)
@@ -158,6 +159,7 @@ def epstein3(z, ctx: PrecisionCtx) -> mpf:
     E(z,3) = y^3 + 2835 zeta(5)/(8 pi^5 y^2) - (15/(8 y^2)) Re{braced},
     where braced = i*E6int(z) + E6int'(z)*y - i*E6int''(z)*y^2/3.  The real
     part is exact for 2*Re z integral; elsewhere it is still E(z,3).
+    Like ``eichler6``, it raises DomainError below Im z = 0.03.
     """
     z = _as_z(z, ctx)
     with ctx.working():

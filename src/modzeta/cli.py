@@ -208,7 +208,7 @@ def cmd_eval(args) -> int:
     ctx = PrecisionCtx(digits)
     try:
         value = _eval_dispatch(args.function, args.args, ctx)
-    except (DomainError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from exc
     with ctx.working():
         _emit(_format_value(value, digits), args.out or cfg.get("out"))
@@ -308,10 +308,7 @@ def main(argv=None) -> int:
         return 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except (UsageError, DomainError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

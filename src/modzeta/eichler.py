@@ -35,14 +35,16 @@ def _eichler(z, weight: int, order: int, ctx: PrecisionCtx) -> mpc:
 
 
 def eichler4(z, order: int, ctx: PrecisionCtx) -> mpc:
-    """Order-th z-derivative of the weight-4 Eichler integral (order 0..2)."""
+    """Order-th z-derivative of the weight-4 Eichler integral (order 0..2),
+    for Im z >= 0.03: below it the nome walk raises DomainError."""
     if order not in (0, 1, 2):
         raise DomainError("eichler4 order must be 0, 1 or 2")
     return _eichler(z, 4, order, ctx)
 
 
 def eichler6(z, order: int, ctx: PrecisionCtx) -> mpc:
-    """Order-th z-derivative of the weight-6 Eichler integral (order 0..3)."""
+    """Order-th z-derivative of the weight-6 Eichler integral (order 0..3),
+    for Im z >= 0.03: below it the nome walk raises DomainError."""
     if order not in (0, 1, 2, 3):
         raise DomainError("eichler6 order must be 0, 1, 2 or 3")
     return _eichler(z, 6, order, ctx)

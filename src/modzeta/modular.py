@@ -255,7 +255,8 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx) -> dict:
 def eisenstein(z, weight: int, ctx: PrecisionCtx) -> mpc:
     """E2 (with its -3/(pi Im z) completion), E4, or E6 as Lambert q-series.
 
-    The Lambert sum is the chain "E<weight>" of the memoized nome walk.
+    The Lambert sum is the chain "E<weight>" of the memoized nome walk, which
+    raises DomainError below Im z = 0.03.
     """
     if weight not in _EIS_COEFF:
         raise DomainError("eisenstein weight must be 2, 4 or 6")

@@ -16,8 +16,8 @@ The engine makes one walk per rate: :func:`binom3_sums` returns every
 requested (LinearFactor, WeightSpec) sum from a single pass over the terms,
 each sum stopping on its own tail bound; :func:`binom3_series` and
 :func:`binom2_series` are its one-request cases.  The theorem evaluators
-keep the nine sums of a point in a per-(point, precision) memo, so one point
-costs one walk.
+keep a point's nine requests and its nine sums in per-(point, precision)
+memos, so one point costs one walk.
 
 Fixed point
 -----------
@@ -38,11 +38,12 @@ Both rates run one loop over the step generator ``_binom_steps``, to a
 length planned before the first term: at an interior rate each request ends
 on one stated tail bound, |t_k| times a quadratic in k from the rate and the
 weight envelopes, found by one float scan (``_binom_ends``); at the boundary
-each takes the first 1.4 digits + 20 steps on the real rate, weighted by
-exact integer CVZ coefficients, so each sum is one integer rounded once.
+each takes the first ceil(1.4 digits) + 20 steps on the real rate, weighted
+by exact integer CVZ coefficients, so each sum is one integer rounded once;
+one mpf, gap = 1 - |4^p x|, decides which of the two a rate is.
 The plan runs in floats: every size is a log2 read from the mantissa and
 exponent of an mpf, so linear factors far beyond the float range keep
-theirs, and only 1 - |4^p x| is taken in mpf; each distinct factor's sizes
+theirs, and only the gap is taken in mpf; each distinct factor's sizes
 are read once per call and each spec carries its envelope, and the scan
 checks the requests only where one may end.  A request also ends where the
 fixed-point term must already be exactly 0 (the underflow end), which only
@@ -163,22 +164,6 @@ W_ONE = WeightSpec.combo({"ONE": 1})
 # Binomial series
 # ---------------------------------------------------------------------------
 
-def _boundary_slack(tiny: mpf) -> mpf:
-    """How far |64x| or |16x| may sit from 1 and still count as the boundary."""
-    return max(tiny * 1000, mpf(10) ** (-(mp.mp.dps - 6)))
-
-
-def _boundary_kind(scaled: mpc, tiny: mpf):
-    """Classify |scaled| (=|64x| or |16x|) vs 1 with ulp slack: in/boundary/out."""
-    r = abs(scaled)
-    slack = _boundary_slack(tiny)
-    if r < 1 - slack:
-        return "in"
-    if r <= 1 + slack:
-        return "boundary"
-    return "out"
-
-
 def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
     """[sum_{k>=0} C(2k,k)^power (a k + b) w(k) x^k for each (LinearFactor, WeightSpec)].
 
@@ -187,14 +172,15 @@ def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
     C(2k,k)^power x^k, the harmonic sums, each distinct weight and each
     distinct linear factor advance once per k, and each request adds
     c_k (a k + b) w(k) t_k up to its last index; its sum is floor-divided
-    by d and rounded once.  Interior |4^power x| < 1: c_k = d = 1, and each request
-    ends on its own tail bound (``_binom_ends``), so it equals the same
-    request summed alone.  |4^power x| = 1 with Re x < 0, to within the
-    boundary slack max(1000 tiny, 10^-(dps-6)): CVZ Algorithm 1
-    (``_cvz_weights``) on the first n = ceil(1.4 digits) + 20 terms at the
-    real rate; the imaginary parts of 4^power x, a and b must lie within the
-    same slack, else DomainError.  |4^power x| = 1 with x > 0 and
-    |4^power x| > 1 are rejected.
+    by d and rounded once.  The rate is decided once, from gap =
+    1 - |4^power x| and slack = 10^-(workdps-6).  gap < -slack diverges
+    (DomainError).  gap > slack is interior: c_k = d = 1, and each request
+    ends on its own tail bound (``_binom_ends``, given gap as 1 - r), so it
+    equals the same request summed alone.  Otherwise the rate is on the
+    boundary, rejected with Re x > 0; with Re x < 0, CVZ Algorithm 1
+    (``_cvz_weights``) on the first n = ceil(1.4 digits) + 20 terms, in
+    integers, at the real rate; the imaginary parts of 4^power x, a and b
+    must lie within the slack, else DomainError.
     """
     name = "binom%d series" % power
     scale = 4 ** power
@@ -205,25 +191,23 @@ def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
         specs = list(dict.fromkeys(w for _, w in requests))
         slots = [(facs.index(f), specs.index(w)) for f, w in requests]
         facs = [(mpc(f.a), mpc(f.b)) for f in facs]
-        tiny = ctx.tiny()
-        kind = _boundary_kind(scale * x, tiny)
-        if kind == "out":
+        gap, slack = 1 - scale * abs(x), mpf(10) ** (6 - ctx.workdps)
+        if gap < -slack:
             raise DomainError("%s diverges: |%dx| > 1" % (name, scale))
         wp = mp.mp.prec + _binom_guard(ctx)
-        if kind == "boundary":
+        if gap <= slack:
             if mp.re(scale * x) > 0:
                 raise DomainError("%s: non-alternating boundary rate unsupported" % name)
-            slack = _boundary_slack(tiny)
             dust = [mp.im(scale * x)] + [mp.im(v) for f in facs for v in f]
             if max(abs(d) for d in dust) > slack:
                 raise DomainError("%s: imaginary part of the boundary rate or of "
                                   "a linear factor exceeds the slack" % name)
             x, facs = mp.re(x), [(mp.re(a), mp.re(b)) for a, b in facs]
-            n = int(mp.ceil(mpf("1.4") * ctx.digits)) + 20
+            n = (14 * ctx.digits + 9) // 10 + 20  # ceil(1.4 digits) + 20
             ends = [n - 1] * len(slots)
             coefs, d = _cvz_weights(n)
         else:
-            ends = _binom_ends(x, power, facs, specs, slots, wp, ctx)
+            ends = _binom_ends(x, power, gap, facs, specs, slots, wp, ctx)
             coefs, d = repeat(1), 1
         sd = _dust_bits(x, wp)
         acc = [(0, 0)] * len(slots)
@@ -236,7 +220,7 @@ def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
         return [ensure_finite(_from_fixed(sr // d, si // d, wp, sd)) for sr, si in acc]
 
 
-def _binom_ends(x, power: int, facs: list, specs: list, slots: list, wp: int,
+def _binom_ends(x, power: int, gap, facs: list, specs: list, slots: list, wp: int,
                 ctx: PrecisionCtx) -> list:
     """Each request's last index k at an interior rate r = |4^power x| < 1.
 
@@ -251,8 +235,9 @@ def _binom_ends(x, power: int, facs: list, specs: list, slots: list, wp: int,
     is a running sum of log2 of the exact ratios from lt_0 = wp, and
     log2 tiny = -workdps log2 10; the ratio's slack covers its rounding.
 
-    The plan runs in floats.  Only 1 - r is taken in mpf, where a float
-    would lose its low bits near r = 1.  Every other size is a log2: |x|,
+    The plan runs in floats.  Only gap = 1 - r is taken in mpf, where a
+    float would lose its low bits near r = 1, and the caller passes it in,
+    as it decided the rate from it.  Every other size is a log2: |x|,
     |a| and |b| come from the mantissas and exponents of their mpf parts
     (``_log2_abs``), so a factor of 1e400 or 1e-400 keeps its size, and each
     spec carries log2 s and log2 l.  P2, P1 and P0 are sums of products of
@@ -287,7 +272,7 @@ def _binom_ends(x, power: int, facs: list, specs: list, slots: list, wp: int,
         raise DomainError("binom%d series failed to converge: an infinite linear factor"
                           % power)
     lr = 2 * power + lx  # log2 r
-    l1r = _log2_abs(1 - 4 ** power * abs(x))  # log2(1 - r)
+    l1r = _log2_abs(gap)  # log2(1 - r)
     lg0 = lr - l1r
     lg1, lg2 = lg0 - l1r, lg0 + log2(1 + 2.0 ** lr) - 2 * l1r
     top = wp - ctx.workdps * log2(10)

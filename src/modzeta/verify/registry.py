@@ -20,10 +20,12 @@ up when the record is evaluated and a rebound module attribute (a tracer's
 wrapper) sees every call; no table holds an evaluator.  The ``theorems-random``
 rows are built from ``theorems._IDENTITIES``: each lhs reads the series record
 ``_series_data`` of its point and each rhs the modular record
-``_modular_data``, through ``_theorem``.  Points and parameters
-stay strings or builders (``_Z``, ``_mk_z``) until then, exact at the caller's
-precision.  The runner evaluates both sides at the context's working
-precision; no row sets precision itself.
+``_modular_data``, through ``_theorem``; the table-h2 rate, lin and rhalf
+cells read alpha4, R_{-1/2} and the rate from the point's series plan
+``_series_plan``, through ``_plan``, and derive none of them again.  Points
+and parameters stay strings or builders (``_Z``, ``_mk_z``) until then,
+exact at the caller's precision.  The runner evaluates both sides at the
+context's working precision; no row sets precision itself.
 
 Random-z suites draw their points from a fixed seed (DEFAULT_SEED) so reports
 are reproducible; the coordinates are rounded to short decimals and stored as
@@ -43,17 +45,16 @@ from mpmath import mpc, mpf
 
 from ..arith import dirichlet_l, epstein2, epstein3
 from ..eichler import eichler4, eichler6
-from ..modular import _as_z, alpha4, eisenstein, eisenstein_eta_form, lambda_fn, r_half
+from ..modular import _as_z, alpha4, eisenstein, eisenstein_eta_form, lambda_fn
 from ..mpcore import const_catalan, const_zeta
 from ..quadrature import (h3mix2_tail_integral, lemma_integral,
                           lminus4_4_integral, zeta5_integral, zeta7_integral)
-from ..series import (HypKernel, LinearFactor, W_ONE, WeightSpec,
-                      binom2_series, binom3_series, binom3_sums, ell_k,
-                      ell_k_comp, eli, hyp_lambert, inv_binom2_series,
-                      legendre_dnu2)
+from ..series import (HypKernel, LinearFactor, W_ONE, WeightSpec, _binom_sums,
+                      binom3_series, binom3_sums, ell_k, ell_k_comp, eli,
+                      hyp_lambert, inv_binom2_series, legendre_dnu2)
 from .theorems import (_IDENTITIES, W_H2_DIFF, W_H2_PLAIN, W_H3_DIFF, W_H3_PLAIN,
-                       _h3_epstein, _modular_data, _series_data, _to_mpf, s_r, t_r,
-                       u_check)
+                       _h3_epstein, _modular_data, _series_data, _series_plan, _to_mpf,
+                       s_r, t_r, u_check)
 
 DEFAULT_SEED = 20250810
 
@@ -288,9 +289,14 @@ _POINTS = (
 )
 
 
-def _rate(p, ctx):
-    a4 = alpha4(p.z(), ctx)
-    return a4 * (1 - a4) / 16
+def _plan(p, ctx):
+    """The series plan of the main theorems at p.z(), looked up when called."""
+    return _series_plan(_as_z(p.z(), ctx), ctx)
+
+
+def _rhalf(p, ctx):
+    plan = _plan(p, ctx)
+    return plan["rhalf"] / (2 * (1 - 2 * plan["a4"]))
 
 
 def _theorem(series: bool, kind: str, w, p, ctx):
@@ -317,11 +323,11 @@ def _ut(p, ctx):
 # The records at each tabulated point; a rhs given as a string is the key of
 # its closed form in p.forms.
 _CELLS = (
-    ("th2.%(tag)s.rate", "table-h2", "alpha4(1-alpha4)/16 cell", _rate, "rate"),
+    ("th2.%(tag)s.rate", "table-h2", "alpha4(1-alpha4)/16 cell",
+     lambda p, ctx: _plan(p, ctx)["x"], "rate"),
     ("th2.%(tag)s.lin", "table-h2", "(1-2 alpha4)/Im z cell",
-     lambda p, ctx: (1 - 2 * alpha4(p.z(), ctx)) / mp.im(p.z()), "lin"),
-    ("th2.%(tag)s.rhalf", "table-h2", "R_{-1/2}/(2(1-2 alpha4)) cell",
-     lambda p, ctx: r_half(p.z(), ctx) / (2 * (1 - 2 * alpha4(p.z(), ctx))), "rhalf"),
+     lambda p, ctx: (1 - 2 * _plan(p, ctx)["a4"]) / mp.im(p.z()), "lin"),
+    ("th2.%(tag)s.rhalf", "table-h2", "R_{-1/2}/(2(1-2 alpha4)) cell", _rhalf, "rhalf"),
     ("th2.%(tag)s.ezh", "table-h2", "E(z+1/2,2) cell",
      lambda p, ctx: epstein2(p.z() + mpf(1) / 2, ctx), "ezh"),
     ("th2.%(tag)s.e2z", "table-h2", "E(2z,2) cell",
@@ -703,10 +709,11 @@ _H3MIX2 = (
 
 
 def _sq_ratio(w, p, ctx):
-    """sum C(2k,k)^2 w(k) (alpha4/16)^k over the same sum with w = 1, at p.z()."""
-    a4 = alpha4(p.z(), ctx)
-    den = binom2_series(a4 / 16, W_ONE, ctx)
-    return binom2_series(a4 / 16, w, ctx) / den
+    """sum C(2k,k)^2 w(k) (alpha4/16)^k over the same sum with w = 1, at p.z(),
+    from one walk."""
+    one = LinearFactor(0, 1)
+    num, den = _binom_sums(alpha4(p.z(), ctx) / 16, 2, [(one, w), (one, W_ONE)], ctx)
+    return num / den
 
 
 # The squared-binomial analogues and their Eichler bridges at each sec4 point.

@@ -7,15 +7,19 @@ Eichler integrals, and zeta constants.  Neither side ever sees the other's
 closed-form constant.
 
 Each route of a point is one memoized record per (point, precision):
-``_series_data`` holds every left-hand side from one binomial walk, and checks
-the point against the theorem hypothesis, and ``_modular_data`` holds every
-right-hand side from one read of each of its four nome records.  The table
-``_IDENTITIES`` names each of the eight identities once: its evaluator, its
-keys, its registry id stem and description, and its (kind, weight) entry of
-the two records.  The four evaluators are built from it as views of both
-records, and so are the registry's ``theorems-random`` rows, whose lhs reads
-only the series record and whose rhs only the modular one.  ``s_r``, ``t_r``
-and ``u_check`` read the modular record.
+``_series_data`` holds every left-hand side from one binomial walk over the
+requests of ``_series_plan``, and ``_modular_data`` holds every right-hand
+side from one read of each of its four nome records.  The plan, also
+memoized, checks the point against the theorem hypothesis and holds alpha4,
+R_{-1/2}, the rate and the nine requests; the registry's table-h2 cells read
+alpha4 and R_{-1/2} from it.  The table ``_IDENTITIES`` names each of the
+eight identities once: its evaluator, its keys, its registry id stem and
+description, and its (kind, weight) entry of the two records.  The four
+evaluators are built from it as views of both records, and so are the
+registry's ``theorems-random`` rows, whose lhs reads only the series record
+and whose rhs only the modular one.  ``s_r``, ``t_r``
+and ``u_check`` read the modular record alone, so they need no theorem
+hypothesis, only Im z >= 0.03.
 """
 
 from __future__ import annotations
@@ -48,6 +52,13 @@ def _require_admissible(z, ctx: PrecisionCtx) -> mpc:
     Im z >= 1/sqrt(2).  Each comparison allows 10^-(workdps-5) of slack, so
     boundary points built from rounded square roots still qualify.  Any other
     point raises DomainError.
+
+    The series walk serves a narrower strip: its plan raises DomainError where
+    it would pass 400 workdps terms, which is where |64x| passes about
+    10^(-1/400) = 0.99426.  At 30 and 100 digits the evaluators raise at
+    0.517i and at 1/2 + 0.7078i, and serve 0.52i and 1/2 + 0.708i.  The
+    point 1/2 + i/sqrt2 has the rate -1/64, summed by CVZ; i/2 has 64x = +1,
+    a non-alternating boundary rate, and raises.
     """
     z = _as_z(z, ctx)
     with ctx.working():
@@ -72,23 +83,32 @@ def _to_mpf(r) -> mpf:
 
 
 @_memoized
-def _series_data(z, ctx: PrecisionCtx) -> dict:
-    """The series side at an admissible z: every ratio and linear sum, one walk.
+def _series_plan(z, ctx: PrecisionCtx) -> dict:
+    """The series route's inputs at an admissible z, before any walk.
 
-    Nine sums at the rate x = alpha4(1-alpha4)/16: the denominator (weight 1)
-    and each theorem weight, once with factor 1 and once with the linear
-    factor 2(1-2 alpha4)/Im z * k + R_{-1/2}/Im z.  Any other z raises
-    DomainError, before any sum.
+    "a4" is alpha4(z), "rhalf" R_{-1/2}(1 - 2 alpha4), "x" the rate
+    alpha4(1-alpha4)/16, and "requests" the nine (LinearFactor, WeightSpec)
+    sums at it: the denominator (weight 1) and each theorem weight, once with
+    factor 1 and once with the linear factor 2(1-2 alpha4)/Im z * k +
+    R_{-1/2}/Im z.  Any other z raises DomainError.
     """
     _require_admissible(z, ctx)
     with ctx.working():
-        a4 = alpha4(z, ctx)
-        x = a4 * (1 - a4) / 16
-        y = mp.im(z)
+        a4, rhalf, y = alpha4(z, ctx), r_half(z, ctx), mp.im(z)
         one = LinearFactor(0, 1)
-        fac = LinearFactor(2 * (1 - 2 * a4) / y, r_half(z, ctx) / y)
-        sums = binom3_sums(x, [(one, W_ONE)] + [(one, w) for w in _H2 + _H3]
-                           + [(fac, w) for w in _H2 + _H3], ctx)
+        fac = LinearFactor(2 * (1 - 2 * a4) / y, rhalf / y)
+        return {"a4": a4, "rhalf": rhalf, "x": a4 * (1 - a4) / 16,
+                "requests": ((one, W_ONE), *((one, w) for w in _H2 + _H3),
+                             *((fac, w) for w in _H2 + _H3))}
+
+
+@_memoized
+def _series_data(z, ctx: PrecisionCtx) -> dict:
+    """The series side at an admissible z: every ratio and linear sum, one
+    walk over the nine requests of ``_series_plan``."""
+    plan = _series_plan(z, ctx)
+    with ctx.working():
+        sums = binom3_sums(plan["x"], plan["requests"], ctx)
         return {"ratio": {w: s / sums[0] for w, s in zip(_H2 + _H3, sums[1:5])},
                 "linear": dict(zip(_H2 + _H3, sums[5:]))}
 
@@ -199,15 +219,21 @@ h3_linear = _evaluator("h3_linear", "weight-3 linear-factor")
 
 
 def s_r(z, r, ctx: PrecisionCtx) -> mpc:
-    """The Epstein-free part of Q1 - r Q2, which collapses to a rational multiple of pi^2."""
+    """The Epstein-free part of Q1 - r Q2, which collapses to a rational multiple of pi^2.
+
+    Defined wherever the nome walk serves the modular record, Im z >= 0.03.
+    """
     q1, q2 = _modular_data(_as_z(z, ctx), ctx)["s"]
     with ctx.working():
         return q1 - _to_mpf(r) * q2
 
 
 def t_r(z, r, ctx: PrecisionCtx) -> mpc:
-    """R1(z) - r R2(z) through the Epstein/Eichler route (no series)."""
-    linear = _modular_data(_require_admissible(z, ctx), ctx)["linear"]
+    """R1(z) - r R2(z) through the Epstein/Eichler route (no series).
+
+    Defined wherever the nome walk serves the modular record, Im z >= 0.03.
+    """
+    linear = _modular_data(_as_z(z, ctx), ctx)["linear"]
     with ctx.working():
         return linear[W_H2_DIFF] - _to_mpf(r) * linear[W_H2_PLAIN]
 
@@ -216,7 +242,8 @@ def u_check(z, rc, ctx: PrecisionCtx) -> mpc:
     """The weight-3 combination that collapses to a rational multiple of zeta(3)/pi.
 
     G1 + rc G2 of the linear-factor identities, without the Epstein
-    difference term of the plain-H3 identity.
+    difference term of the plain-H3 identity.  Defined wherever the nome
+    walk serves the modular record, Im z >= 0.03.
     """
     data = _modular_data(_as_z(z, ctx), ctx)
     with ctx.working():

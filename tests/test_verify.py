@@ -158,6 +158,38 @@ def test_s_t_u_values(ctx40):
         z3 = mp.zeta(3)
         assert abs(u_check(z, Fraction(1, 64), ctx40)
                    - 25 * z3 / (24 * mp.pi)) < ctx40.tolerance()
+    # the three read the modular record alone, so they serve any point the
+    # nome walk serves, inside the theorem hypothesis or not, and raise
+    # below Im z = 0.03
+    for f, r in ((s_r, Fraction(1, 16)), (t_r, Fraction(1, 16)), (u_check, Fraction(1, 64))):
+        assert mp.isfinite(f(mp.mpc("0.3", "0.9"), r, ctx40))
+        with pytest.raises(DomainError):
+            f(mp.mpc("0.3", "0.02"), r, ctx40)
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("point,served", [
+    ("0.517i", False), ("0.52i", True), ("1/2+0.7078i", False), ("1/2+0.708i", True),
+    ("1/2+i/sqrt2", True), ("i/2", False)])
+def test_theorem_evaluators_serve_their_stated_strip(point, served, digits):
+    # the binomial plan's cap of 400 workdps terms ends the served strip
+    # where |64x| passes about 10^(-1/400), inside the theorem hypothesis:
+    # a served point agrees with its modular side, an edge point raises;
+    # the rate -1/64 at 1/2 + i/sqrt2 goes through CVZ, and i/2 (64x = +1)
+    # is a non-alternating boundary rate
+    ctx = PrecisionCtx(digits)
+    with ctx.working():
+        z = {"0.517i": mpc(0, "0.517"), "0.52i": mpc(0, "0.52"),
+             "1/2+0.7078i": mpc("0.5", "0.7078"), "1/2+0.708i": mpc("0.5", "0.708"),
+             "1/2+i/sqrt2": mpf(1) / 2 + mpc(0, 1) / mp.sqrt(2), "i/2": mpc(0, "0.5")}[point]
+    if not served:
+        with pytest.raises(DomainError):
+            q_ratios(z, ctx)
+        return
+    out = q_ratios(z, ctx)
+    with ctx.working():
+        for n in (1, 2):
+            assert abs(out["q%d_lhs" % n] - out["q%d_rhs" % n]) < ctx.tolerance()
 
 
 # the CVZ boundary family (rate -1/64) and the records that once carried a
@@ -234,8 +266,8 @@ def test_registry_rows_read_the_evaluators_at_run_time(monkeypatch):
     evaluators = [name for name, fn in vars(registry).items()
                   if isinstance(fn, types.FunctionType) and fn.__module__ != registry.__name__
                   and fn.__module__.startswith("modzeta.")]
-    assert {"binom3_sums", "eichler4", "epstein2", "_series_data", "_modular_data",
-            "_h3_epstein"} <= set(evaluators)
+    assert {"binom3_sums", "_binom_sums", "eichler4", "epstein2", "_series_data",
+            "_series_plan", "_modular_data", "_h3_epstein"} <= set(evaluators)
     for name in evaluators:
         monkeypatch.setattr(registry, name, counting(name, getattr(registry, name)))
     ctx = PrecisionCtx(20)
@@ -268,9 +300,9 @@ def test_registry_rows_read_the_evaluators_at_run_time(monkeypatch):
 def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
     # the four evaluators read one memoized nine-sum walk and one modular
     # record per (point, precision), and check the point once, in the walk's
-    # record; the record reads each of its four nome records once; s_r, t_r
-    # and u_check then read that record and add no walk and no memo entry,
-    # and t_r alone checks the point again
+    # series plan; the record reads each of its four nome records once; s_r,
+    # t_r and u_check then read that record and add no walk, no memo entry
+    # and no check
     walks, reads, checks = [], [], []
 
     def counting(real, calls):
@@ -302,10 +334,28 @@ def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
     for f, r in ((s_r, Fraction(1, 16)), (t_r, Fraction(1, 16)), (u_check, Fraction(1, 64))):
         f(z, r, ctx30)
     assert len(mpcore._memo) == entries
-    assert len(walks) == 1 and len(reads) == 4 and len(checks) == 2
+    assert len(walks) == 1 and len(reads) == 4 and len(checks) == 1
     q_ratios(z, PrecisionCtx(35))
-    assert len(walks) == 2 and len(checks) == 3
+    assert len(walks) == 2 and len(checks) == 2
     assert sum(key[0] is record for key in mpcore._memo) == 2
+
+
+def test_table_h2_cells_read_one_series_plan(monkeypatch, ctx30):
+    # the rate, lin and rhalf cells of a tabulated point read alpha4 and
+    # R_{-1/2} from the series plan that its q1q2 and tr cells walk, so its
+    # seven cells take the three eta values of one alpha4
+    calls, real = [], modular.eta
+
+    def counting(z, ctx):
+        calls.append(z)
+        return real(z, ctx)
+    monkeypatch.setattr(modular, "eta", counting)
+    monkeypatch.setattr(mpcore, "_memo", {})
+    recs = [r for r in get_records("table-h2") if r.id.startswith("th2.r1.")]
+    assert len(recs) == 7
+    for rec in recs:
+        assert runner._evaluate(rec, ctx30)["pass"], rec.id
+    assert len(calls) == 3
 
 
 def test_four_evaluators_make_one_walk_per_nome(monkeypatch, ctx30):

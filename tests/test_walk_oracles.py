@@ -31,17 +31,15 @@ import pytest
 from mpmath import mpc, mpf
 
 from modzeta import DomainError, HypKernel, PrecisionCtx, eli, eta, hyp_lambert
-from modzeta.modular import (_CHAINS, _EIS_POWER, _as_z, _nome, _nome_chains,
-                             alpha4, r_half)
+from modzeta.modular import _CHAINS, _EIS_POWER, _as_z, _nome, _nome_chains
 from modzeta.mpcore import _dust_bits, ensure_finite
 from modzeta import series
-from modzeta.series import (LinearFactor, W_ONE, WeightSpec, _binom_sums,
-                            _boundary_kind, _boundary_slack, ell_k, ell_k_comp)
+from modzeta.series import (LinearFactor, W_ONE, WeightSpec, _binom_sums, ell_k,
+                            ell_k_comp)
 from modzeta.verify import get_records
 from modzeta.verify.registry import _Z
 from modzeta.verify.runner import _evaluate
-from modzeta.verify.theorems import (W_H2_DIFF, W_H2_PLAIN, W_H3_DIFF,
-                                     W_H3_PLAIN)
+from modzeta.verify.theorems import W_H2_DIFF, W_H3_DIFF, _series_plan
 from oracles import tail_poly_geom
 
 DIGITS = (15, 30, 100, 250)
@@ -117,13 +115,13 @@ def _reference_binom_sums(x, power, requests, ctx):
         slots = [(facs.index(f), specs.index(w)) for f, w in requests]
         facs = [(mpc(f.a), mpc(f.b)) for f in facs]
         tiny = ctx.tiny()
-        kind = _boundary_kind(scale * x, tiny)
-        if kind == "out":
+        # |4^power x| within 10^-(workdps-6) of 1 is the boundary
+        r, slack = abs(scale * x), mpf(10) ** (-(ctx.workdps - 6))
+        if r > 1 + slack:
             raise DomainError("%s diverges: |%dx| > 1" % (name, scale))
-        if kind == "boundary":
+        if r >= 1 - slack:
             if mp.re(scale * x) > 0:
                 raise DomainError("%s: non-alternating boundary rate unsupported" % name)
-            slack = _boundary_slack(tiny)
             dust = [mp.im(scale * x)] + [mp.im(v) for f in facs for v in f]
             if max(abs(d) for d in dust) > slack:
                 raise DomainError("%s: imaginary part of the boundary rate or of "
@@ -135,7 +133,6 @@ def _reference_binom_sums(x, power, requests, ctx):
         term_base = mpc(1)  # C(2k,k)^power x^k
         har = _Harmonics()
         k = 0
-        r = abs(scale * x)
         ax = abs(x)
         abs_facs = [(abs(a), abs(b)) for a, b in facs]
         while True:
@@ -177,7 +174,7 @@ def _reference_binom_sums(x, power, requests, ctx):
 def _reference_accelerated(xr, power, facs, specs, slots, ctx):
     # Boundary rate xr = -1/4^power: CVZ Algorithm 1 in mpf over the first n
     # terms of each request (Cohen, Rodriguez Villegas and Zagier, 2000)
-    n = int(mp.ceil(mpf("1.4") * ctx.digits)) + 20
+    n = (14 * ctx.digits + 9) // 10 + 20  # ceil(1.4 digits) + 20
     d = (3 + mp.sqrt(8)) ** n
     d = (d + 1 / d) / 2
     bk, ck = mpf(-1), -d
@@ -291,7 +288,6 @@ def _close(new, ref, ctx):
     return abs(new - ref) <= bound * max(1, abs(ref))
 
 
-_THEOREM_WEIGHTS = (W_ONE, W_H2_DIFF, W_H2_PLAIN, W_H3_DIFF, W_H3_PLAIN)
 # two weights that read all eleven bases between them
 _EVERY_BASIS = (
     WeightSpec.combo({"H3MIX": 2, "INVSQ_2K1": Fraction(1, 3), "H1_2K": 1,
@@ -302,15 +298,10 @@ _EVERY_BASIS = (
 
 
 def _theorem_requests(z, ctx):
-    # the nine sums of a theorem point, as theorems._series_data asks for them
-    with ctx.working():
-        a4 = alpha4(z, ctx)
-        y = mp.im(z)
-        fac = LinearFactor(2 * (1 - 2 * a4) / y, r_half(z, ctx) / y)
-        one = LinearFactor(0, 1)
-        reqs = [(one, w) for w in _THEOREM_WEIGHTS]
-        reqs += [(fac, w) for w in _THEOREM_WEIGHTS[1:]]
-        return a4 * (1 - a4) / 16, reqs
+    # the rate and the nine sums of a theorem point, from its series plan,
+    # which checks the point but does not walk
+    plan = _series_plan(_as_z(z, ctx), ctx)
+    return plan["x"], plan["requests"]
 
 
 def _binom_case(case, ctx):
@@ -424,7 +415,9 @@ def test_binom_plan_ends_where_the_term_underflows(digits, monkeypatch):
 
 def test_binom_walk_edge_inputs(ctx30, monkeypatch):
     # an empty request list starts no walk, at an interior and at a boundary
-    # rate; a zero rate and a zero linear factor end at the first term
+    # rate; a zero rate and a zero linear factor end at the first term; the
+    # boundary rate takes exactly ceil(1.4 digits) + 20 terms, 83 at 45
+    # digits, where an mpf 1.4 would round up to 84
     counts = _counted_steps(monkeypatch)
     with ctx30.working():
         assert _binom_sums(mpf(1) / 4096, 3, [], ctx30) == []
@@ -434,6 +427,10 @@ def test_binom_walk_edge_inputs(ctx30, monkeypatch):
         assert _binom_sums(0, 3, [(LinearFactor(7, 3), W_ONE), (zero, W_ONE)], ctx30) == [3, 0]
         assert _binom_sums(mpf(1) / 4096, 3, [(zero, w) for w in _EVERY_BASIS], ctx30) == [0, 0]
         assert counts == [1, 1]
+    ctx45 = PrecisionCtx(45)
+    with ctx45.working():
+        _binom_sums(mpf(-1) / 64, 3, [(LinearFactor(0, 1), W_ONE)], ctx45)
+    assert counts == [1, 1, 83]
 
 
 def test_binom_plan_raises_before_summing(monkeypatch):
@@ -485,7 +482,8 @@ def test_binom_plan_stops_where_its_bound_does(power, rate, digits):
              "-0.96/64": mpf("-0.96") / 64, "0.9i/16": mpc(0, "0.9") / 16}[rate]
         wp = mp.mp.prec + series._binom_guard(ctx)
         facs = [(mpc(f.a), mpc(f.b)) for f in factors]
-        ends = series._binom_ends(x, power, facs, specs, slots, wp, ctx)
+        gap = 1 - 4 ** power * abs(x)
+        ends = series._binom_ends(x, power, gap, facs, specs, slots, wp, ctx)
         tiny = ctx.tiny()
         steps = series._binom_steps(x, power, [(mpc(0), mpc(1))], [W_ONE], wp,
                                     _dust_bits(x, wp))
