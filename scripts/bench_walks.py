@@ -41,9 +41,9 @@ interpreter's own start-up is not counted.
     python3 scripts/bench_walks.py --baseline PATH > BENCH_qseries.json
 
 ``--root`` imports modzeta from ``PATH/src``, so a parent tree can be
-measured with this script.  For that reason the walk inputs derive the nine
-theorem requests here, from ``alpha4`` and ``r_half``, rather than reading
-``verify.theorems._series_plan``, which older trees do not have.  With ``--baseline`` the script runs ROUNDS
+measured with this script.  The walk inputs read the theorem points' rates
+and nine requests from ``verify.theorems._series_plan``, so the measured tree
+must have it.  With ``--baseline`` the script runs ROUNDS
 alternating pairs of fresh processes, one per tree, switching which goes
 first; the report holds every round, the per-tree medians and quartiles, the
 ratio of the baseline's median total seconds to the root tree's and, per
@@ -76,12 +76,11 @@ def _walk_calls(ctx):
 
     from mpmath import mpc, mpf
     from modzeta import modular, series
-    from modzeta.modular import alpha4, r_half
     from modzeta.series import W_ONE, LinearFactor, WeightSpec
+    from modzeta.verify.theorems import (W_H2_DIFF, W_H2_PLAIN, W_H3_DIFF, W_H3_PLAIN,
+                                         _series_plan)
 
-    weights = [WeightSpec.combo(w) for w in (
-        {"H2_2K": 1, "H2_K": Fraction(-1, 4)}, {"H2_K": 1},
-        {"H3_2K": 1, "H3_K": Fraction(-1, 8)}, {"H3_K": 1})]
+    weights = [W_H2_DIFF, W_H2_PLAIN, W_H3_DIFF, W_H3_PLAIN]
     every = [WeightSpec.combo({"H3MIX": 2, "INVSQ_2K1": Fraction(1, 3), "H1_2K": 1}),
              WeightSpec.combo({"H2_2K_TIMES_DH1": 1, "H2_K_TIMES_DH1": -1,
                                "H3_2K": 1, "H1_K": 5, "H2_2K": -1})]
@@ -91,10 +90,8 @@ def _walk_calls(ctx):
     with ctx.working():
         for re, im in POINTS:
             z = mpc(re, im)
-            a4 = alpha4(z, ctx)
-            fac = LinearFactor(2 * (1 - 2 * a4) / z.imag, r_half(z, ctx) / z.imag)
-            reqs = [(one, W_ONE)] + [(one, w) for w in weights] + [(fac, w) for w in weights]
-            binom.append((walk, (a4 * (1 - a4) / 16, 3, reqs, ctx)))
+            plan = _series_plan(z, ctx)
+            binom.append((walk, (plan["x"], 3, plan["requests"], ctx)))
             nome += [(nome_walk, (w, ctx)) for w in (z, 2 * z, 4 * z, z + mpf(1) / 2)]
         sun = [(LinearFactor(42, 5), W_ONE)] + [(LinearFactor(42, 5), w) for w in weights]
         binom.append((walk, (mpf(1) / 4096, 3, sun, ctx)))

@@ -1,15 +1,18 @@
 """Command-line front end: `modzeta verify|eval|table`.
 
 Exit codes: 0 all-pass, 1 any identity failed, 2 usage/configuration error.
-High-precision values are printed as decimal strings only.  The default digit
-count comes from --digits, then the MODZETA_DIGITS environment variable, then
-an optional flat key=value config file (flags override the file).
+High-precision values are printed as decimal strings only.
+
+Each setting is one argparse argument whose type checks it (``_setting``).
+``main`` makes the values of the flat key=value --config file, then
+MODZETA_DIGITS, the chosen command's string defaults and parses again, so a
+flag beats the environment, which beats the file, which beats the built-in
+default, and a bad value gets the same message from any source.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -34,33 +37,23 @@ class UsageError(Exception):
 
 
 def _parse_number(text: str):
-    """Exact rational ('3', '-1/64') or decimal complex ('0.5+0.75i', '2i')."""
+    """Exact rational ('3', '-1/64') or finite decimal complex ('0.5+0.75i',
+    '2i', '-i'), at the current precision."""
     text = text.strip()
     try:
         fr = Fraction(text)
         return mpf(fr.numerator) / fr.denominator
     except (ValueError, ZeroDivisionError):
         pass
-    s = text.replace(" ", "")
-    if s.endswith(("i", "j")):
-        body = s[:-1]
-        # split into real and imaginary pieces at the last +/- sign
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "eE":
-                re_part, im_part = body[:k], body[k:]
-                break
-        else:
-            re_part, im_part = "0", body or "1"
-        if im_part in ("+", "-"):
-            im_part += "1"
-        try:
-            return mpc(mpf(re_part), mpf(im_part))
-        except ValueError as exc:
-            raise UsageError("cannot parse complex number %r" % (text,)) from exc
+    # mpmath reads '0.5-1j': write i as j, and a bare imaginary unit as 1j
+    s = re.sub(r"(^|(?<![eE])[+-])j$", r"\g<1>1j", re.sub(r"i$", "j", text.replace(" ", "")))
     try:
-        return mpf(s)
-    except ValueError as exc:
-        raise UsageError("cannot parse number %r" % (text,)) from exc
+        value = mp.mpmathify(s)
+    except (AttributeError, TypeError, ValueError):  # 'ii' raises AttributeError
+        value = mp.nan
+    if not mp.isfinite(value):
+        raise UsageError("cannot parse number %r" % (text,))
+    return value
 
 
 def _load_config(path: str | None) -> dict:
@@ -84,37 +77,25 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _int_setting(name: str, value) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise UsageError("%s must be an integer, got %r" % (name, value)) from None
-
-
-def _resolve_digits(args, cfg) -> int:
-    if args.digits is not None:
-        digits = args.digits
-    elif os.environ.get("MODZETA_DIGITS"):
-        digits = _int_setting("MODZETA_DIGITS", os.environ["MODZETA_DIGITS"])
-    elif "digits" in cfg:
-        digits = _int_setting("digits", cfg["digits"])
-    else:
-        digits = 50
-    if not 10 <= digits <= 1000:
-        raise UsageError("digits must lie in [10, 1000], got %d" % digits)
-    return digits
-
-
-def _resolve_jobs_format(args, cfg) -> tuple:
-    """Worker count (at least 1) and report format ("text" or "json")."""
-    jobs = (args.jobs if args.jobs is not None
-            else _int_setting("jobs", cfg.get("jobs", os.cpu_count() or 1)))
-    if jobs < 1:
-        raise UsageError("jobs must be at least 1, got %d" % jobs)
-    fmt = args.format or cfg.get("format", "text")
-    if fmt not in ("text", "json"):
-        raise UsageError("format must be text or json, got %r" % (fmt,))
-    return jobs, fmt
+def _setting(name: str, low=None, high=None, choices=()):
+    """The argparse ``type`` of one setting: an integer, at least ``low`` (and
+    at most ``high``), or one of ``choices``; main passes config and
+    MODZETA_DIGITS values through it too, as string defaults."""
+    def check(text: str):
+        if choices:
+            if text in choices:
+                return text
+            raise UsageError("%s must be %s, got %r" % (name, " or ".join(choices), text))
+        try:
+            value = int(text)
+        except ValueError:
+            raise UsageError("%s must be an integer, got %r" % (name, text)) from None
+        if high is not None and not low <= value <= high:
+            raise UsageError("%s must lie in [%d, %d], got %d" % (name, low, high, value))
+        if low is not None and value < low:
+            raise UsageError("%s must be at least %d, got %d" % (name, low, value))
+        return value
+    return check
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -128,30 +109,14 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
 def cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
-    digits = _resolve_digits(args, cfg)
-    suite = args.suite or cfg.get("suite", "all")
-    if suite not in verify.all_suites():
+    if args.suite not in verify.all_suites():
         raise UsageError("unknown suite %r; choose from: %s"
-                         % (suite, ", ".join(verify.all_suites())))
-    jobs, fmt = _resolve_jobs_format(args, cfg)
-    seed = (args.seed if args.seed is not None
-            else _int_setting("seed", cfg.get("seed", verify.DEFAULT_SEED)))
-    ctx = PrecisionCtx(digits)
-    report = run_suite(suite, ctx, jobs=jobs, seed=seed)
-    _emit(report.to_json() if fmt == "json" else report.to_text(),
-          args.out or cfg.get("out"))
+                         % (args.suite, ", ".join(verify.all_suites())))
+    report = run_suite(args.suite, PrecisionCtx(args.digits), jobs=args.jobs, seed=args.seed)
+    _emit(report.to_json() if args.format == "json" else report.to_text(), args.out)
     return 0 if report.all_pass else 1
 
-
-# ---------------------------------------------------------------------------
-# eval
-# ---------------------------------------------------------------------------
 
 def _epstein(z, s: int, ctx: PrecisionCtx):
     if s == 2:
@@ -184,15 +149,6 @@ _EVAL = {
 }
 
 
-def _eval_dispatch(name: str, argv: list, ctx: PrecisionCtx):
-    parsers, evaluator = _EVAL[name]
-    if len(argv) != len(parsers):
-        raise UsageError("%s expects %d argument(s), got %d"
-                         % (name, len(parsers), len(argv)))
-    with ctx.working():
-        return evaluator(*[parse(a) for parse, a in zip(parsers, argv)], ctx)
-
-
 def _format_value(v, digits: int) -> str:
     if isinstance(v, mpc) and v.imag == 0:
         v = v.real
@@ -200,34 +156,29 @@ def _format_value(v, digits: int) -> str:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args.config)
-    digits = _resolve_digits(args, cfg)
     if args.function not in _EVAL:
         raise UsageError("unknown function %r; choose from: %s"
                          % (args.function, ", ".join(_EVAL)))
-    ctx = PrecisionCtx(digits)
-    try:
-        value = _eval_dispatch(args.function, args.args, ctx)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(str(exc)) from exc
+    parsers, evaluator = _EVAL[args.function]
+    if len(args.args) != len(parsers):
+        raise UsageError("%s expects %d argument(s), got %d"
+                         % (args.function, len(parsers), len(args.args)))
+    ctx = PrecisionCtx(args.digits)
     with ctx.working():
-        _emit(_format_value(value, digits), args.out or cfg.get("out"))
+        try:
+            values = [parse(a) for parse, a in zip(parsers, args.args)]
+        except (ValueError, ZeroDivisionError) as exc:  # int('1.5'), Fraction('1/0')
+            raise UsageError(str(exc)) from exc
+        # a DomainError of the evaluation reaches main as itself
+        _emit(_format_value(evaluator(*values, ctx), args.digits), args.out)
     return 0
 
 
-# ---------------------------------------------------------------------------
-# table
-# ---------------------------------------------------------------------------
-
 def cmd_table(args) -> int:
-    cfg = _load_config(args.config)
-    digits = _resolve_digits(args, cfg)
-    jobs, fmt = _resolve_jobs_format(args, cfg)
     suite = "table-h2" if args.which == "h2" else "table-h3"
-    ctx = PrecisionCtx(digits)
-    report = run_suite(suite, ctx, jobs=jobs)
-    if fmt == "json":
-        _emit(report.to_json(), args.out or cfg.get("out"))
+    report = run_suite(suite, PrecisionCtx(args.digits), jobs=args.jobs)
+    if args.format == "json":
+        _emit(report.to_json(), args.out)
     else:
         lines = ["%s: every cell recomputed from first principles vs closed form"
                  % suite]
@@ -237,25 +188,28 @@ def cmd_table(args) -> int:
             lines.append("%-14s %-6s    closed=%s  (residual %s)" % (
                 "", "", r["rhs"], r["abs_residual"]))
         s = report.summary
-        lines.append("%d/%d cells matched at digits=%d" % (s["passed"], s["total"], digits))
-        _emit("\n".join(lines), args.out or cfg.get("out"))
+        lines.append("%d/%d cells matched at digits=%d" % (s["passed"], s["total"], args.digits))
+        _emit("\n".join(lines), args.out)
     return 0 if report.all_pass else 1
 
 
-# ---------------------------------------------------------------------------
-# entry point
-# ---------------------------------------------------------------------------
-
 class _Parser(argparse.ArgumentParser):
-    """Takes '-1/64' and '-0.5+2i' for values: argparse alone reads any
-    '-'-prefixed token other than a plain negative decimal as an option."""
+    """Takes '-1/64', '-0.5+2i' and '-i' for values: argparse alone reads any
+    '-'-prefixed token other than a plain negative decimal as an option.
+    An argparse error prints the usage line and raises UsageError, which
+    ``main`` reports as any other usage error."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|i$)")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """The top-level parser and its subcommand parsers by name."""
     ap = _Parser(
         prog="modzeta",
         description="verify modular / zeta / L-function series identities "
@@ -263,20 +217,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command")
 
     def common(p):
-        p.add_argument("--digits", type=int, default=None,
+        p.add_argument("--digits", type=_setting("digits", 10, 1000), default=50,
                        help="decimal digits (default 50; env MODZETA_DIGITS)")
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", default=None, help="write output to a file")
 
+    def report(p):
+        p.add_argument("--jobs", type=_setting("jobs", 1), default=os.cpu_count() or 1,
+                       help="parallel workers (default: cpu count)")
+        p.add_argument("--format", type=_setting("format", choices=("text", "json")),
+                       default="text", help="text or json (default text)")
+
     pv = sub.add_parser("verify", help="run an identity suite")
     common(pv)
-    pv.add_argument("--suite", default=None,
+    report(pv)
+    pv.add_argument("--suite", default="all",
                     help="suite name (default all); see --list-suites")
-    pv.add_argument("--jobs", type=int, default=None,
-                    help="parallel workers (default: cpu count)")
-    pv.add_argument("--seed", type=int, default=None,
+    pv.add_argument("--seed", type=_setting("seed"), default=verify.DEFAULT_SEED,
                     help="seed for the random-z suites")
-    pv.add_argument("--format", choices=("text", "json"), default=None)
     pv.add_argument("--list-suites", action="store_true")
     pv.set_defaults(func=cmd_verify)
 
@@ -289,24 +247,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("table", help="recompute a special-value table")
     common(pt)
+    report(pt)
     pt.add_argument("which", choices=("h2", "h3"))
-    pt.add_argument("--jobs", type=int, default=None)
-    pt.add_argument("--format", choices=("text", "json"), default=None)
     pt.set_defaults(func=cmd_table)
 
-    return ap
+    return ap, sub.choices
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
-    if args.command is None:
-        ap.print_help()
-        return 2
-    if getattr(args, "list_suites", False):
-        print("\n".join(verify.all_suites()))
-        return 0
+    ap, commands = _build_parser()
     try:
+        args = ap.parse_args(argv)
+        if args.command is None:
+            ap.print_help()
+            return 2
+        if getattr(args, "list_suites", False):
+            print("\n".join(verify.all_suites()))
+            return 0
+        # config values, then MODZETA_DIGITS, become the command's defaults, which
+        # argparse runs through each type; a key the command does not take is unread
+        command = commands[args.command]
+        command.set_defaults(**_load_config(args.config))
+        if os.environ.get("MODZETA_DIGITS"):
+            command.set_defaults(digits=os.environ["MODZETA_DIGITS"])
+        args = ap.parse_args(argv)
         return args.func(args)
     except (UsageError, DomainError) as exc:
         print("error: %s" % exc, file=sys.stderr)

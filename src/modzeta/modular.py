@@ -73,6 +73,11 @@ def _nome_logs(z: mpc) -> tuple:
     return -x / log(2), log2(-expm1(-x))
 
 
+# Im z below which eta and the nome walk raise DomainError, as a decimal string
+# each check takes as an mpf at its own precision
+_IM_FLOOR = "0.03"
+
+
 def _walk_length(stop, start: int, ctx: PrecisionCtx) -> int:
     """The first n >= start at which a walk's float stop rule ``stop(n)`` holds.
 
@@ -119,8 +124,8 @@ def eta(z, ctx: PrecisionCtx) -> mpc:
     """
     z = _as_z(z, ctx)
     with ctx.working():
-        if mp.im(z) < mpf("0.03"):
-            raise DomainError("eta is out of contract for Im z < 0.03")
+        if mp.im(z) < mpf(_IM_FLOOR):
+            raise DomainError("eta is out of contract for Im z < %s" % _IM_FLOOR)
         q = _nome(z)
         lq, l1q = _nome_logs(z)
         low = pi ** 2 / 6 * 2 ** (lq - l1q) / log(2)  # c
@@ -211,8 +216,8 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx) -> dict:
     docstring).  The stop rules are evaluated in floats; their rounding is
     far below the slack of the constants 6^p and 6.
     """
-    if mp.im(z) < mpf("0.03"):
-        raise DomainError("the Lambert nome walk is out of contract for Im z < 0.03")
+    if mp.im(z) < mpf(_IM_FLOOR):
+        raise DomainError("the Lambert nome walk is out of contract for Im z < %s" % _IM_FLOOR)
     with ctx.working():
         q = _nome(z)
         lq, l1q = _nome_logs(z)

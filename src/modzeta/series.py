@@ -72,7 +72,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
-from math import ceil, inf, isqrt, log2
+from math import ceil, inf, isqrt, lgamma, log, log2
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -96,6 +96,10 @@ __all__ = [
     "inv_binom2_series",
     "legendre_dnu2",
 ]
+
+# the binomial walk's cap, in terms per working digit: its plan raises
+# DomainError past it, and its guard bits are sized for that many terms
+_BINOM_CAP = 400
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +265,9 @@ def _binom_ends(x, power: int, gap, facs: list, specs: list, slots: list, wp: in
     and lf_k are still summed at every index, so each end is the one a check
     at every index would find.
 
-    Past 400 workdps indices the scan raises DomainError, before any term is
-    summed; so does an infinite or NaN linear factor, whose bound is infinite.
+    Past ``_BINOM_CAP`` workdps indices the scan raises DomainError, before
+    any term is summed; so does an infinite or NaN linear factor, whose bound
+    is infinite.
     """
     lx = _log2_abs(x)
     if lx == -inf:  # x = 0: each sum is its first term
@@ -291,7 +296,7 @@ def _binom_ends(x, power: int, gap, facs: list, specs: list, slots: list, wp: in
     lxf = _log2_sum(lx, 0.5 - wp)  # log2 of the bound on |x| rounded at 2^-wp
     ends, lt, lf = [None] * len(rules), float(wp), float(wp + _dust_bits(x, wp))
     check = 0  # the next index at which any open request may end
-    for k in range(400 * ctx.workdps + 1):
+    for k in range(_BINOM_CAP * ctx.workdps + 1):
         if lf < -4:
             return [k - 1 if e is None else e for e in ends]
         step = power * log2((4 * k + 2) / (k + 1))
@@ -311,7 +316,8 @@ def _binom_ends(x, power: int, gap, facs: list, specs: list, slots: list, wp: in
             check = k + 1 + int(max(0.0, slack - 1e-6) / -(step + lx))
         lt += step + lx
         lf += step + lxf
-    raise DomainError("binom%d series failed to converge" % power)
+    raise DomainError("binom%d series failed to converge within %d terms"
+                      % (power, _BINOM_CAP * ctx.workdps))
 
 
 def _log2_abs(v) -> float:
@@ -338,11 +344,11 @@ def _binom_guard(ctx: PrecisionCtx) -> int:
 
     Each step rounds the term once, so after k steps it is off by about k
     units of 2^-wp; the linear factor then multiplies it by about k, and a
-    sum adds up to the 400 workdps steps the walk may take.  Rounding
-    therefore stays below cap^3 units, cap = 400 workdps, plus the harmonic
+    sum adds up to cap = ``_BINOM_CAP`` workdps steps, the most the walk may
+    take.  Rounding therefore stays below cap^3 units, plus the harmonic
     sums' k units each.
     """
-    return 3 * (400 * ctx.workdps).bit_length() + 8
+    return 3 * (_BINOM_CAP * ctx.workdps).bit_length() + 8
 
 
 def _binom_steps(x, power: int, facs: list, specs: list, wp: int, sd: int):
@@ -430,25 +436,36 @@ def binom2_series(x, w: WeightSpec, ctx: PrecisionCtx) -> mpc:
 
 
 def inv_binom2_series(t, ctx: PrecisionCtx) -> mpf:
-    """sum_{k>=1} (16 t)^k / (k^2 C(2k,k)^2) for t in (0,1).
+    """sum_{k>=1} (16 t)^k / (k^2 C(2k,k)^2) for t in (0,1), served up to about
+    t = 0.977.
 
-    Summand ratios 4t k^2/(2k+1)^2 are below t, so the sum stops once the
-    next summand over 1 - t, a bound on the rest, is below tiny.
+    With term_k = (16t)^k / C(2k,k)^2, summand ratios 4t k^2/(2k+1)^2 are
+    below t, so the rest after summand K is at most
+    term_(K+1) / ((K+1)^2 (1 - t)).  The sum plans K before its first term
+    (``modular._walk_length``): the first K at which that bound is below
+    tiny, in floats in log2 form, log2 term_k = k log2(16t) - 2 log2 C(2k,k)
+    with log2 C(2k,k) from lgamma, and log2 t and log2(1 - t) read from the
+    mantissas and exponents of the mpf values (``_log2_abs``).  A plan past
+    100 workdps terms raises DomainError, which at every precision is where
+    t passes about 0.977 (0.9782 at 30 working digits, 0.9774 at 265).  The
+    summands are then added in mpf, in order, from the recurrence
+    term_(k+1) = term_k 16t (k+1)^2 / (2(2k+1))^2.
     """
     with ctx.working():
         t = mpf(t)
         if not (0 < t < 1):
             raise DomainError("inv_binom2_series requires t in (0,1)")
-        tiny = ctx.tiny()
+        l16t, lim = 4 + _log2_abs(t), _log2_abs(1 - t) - ctx.workdps * log2(10)
+
+        def stop(k):  # log2 of term_(k+1) / ((k+1)^2 (1 - t)) below log2 tiny
+            m = k + 1
+            return m * l16t - 2 * (lgamma(2 * m + 1) - 2 * lgamma(m + 1)) / log(2) - 2 * log2(m) < lim
+        k_end = _walk_length(stop, 1, ctx)
         acc = mpf(0)
         term = 16 * t / 4  # k=1: (16t)/C(2,1)^2
-        k = 1
-        while True:
+        for k in range(1, k_end + 1):
             acc += term / mpf(k) ** 2
             term *= 16 * t * mpf(k + 1) ** 2 / mpf(2 * (2 * k + 1)) ** 2
-            k += 1
-            if term / mpf(k) ** 2 / (1 - t) < tiny:
-                break
         return ensure_finite(acc)
 
 

@@ -1,14 +1,16 @@
 """End-to-end CLI behavior: exit codes, formats, configuration."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 
 import pytest
-from mpmath import mpf
+from mpmath import mpc, mpf
 
-from modzeta.cli import main
+from modzeta import DomainError, PrecisionCtx
+from modzeta.cli import _parse_number, cmd_eval, main
 
 
 def run_cli(*argv, env=None):
@@ -142,9 +144,13 @@ NOT_INT, JOBS, FORMAT = ("must be an integer", "jobs must be at least 1",
     (("table", "h2", "--jobs", "1"), "format=jsno\n", None, FORMAT),
     (("eval", "zeta", "2", "--config", "."), None, None, "cannot read config file"),
     (("eval", "zeta", "2", "--out", "."), None, None, "cannot write ."),
+    (("eval", "G", "--digits", "abc"), None, None, NOT_INT),
+    (("verify", "--suite", "h2-variants", "--format", "jsno"), None, None, FORMAT),
+    (("table", "h2", "--jobs", "1", "--format", "jsno"), None, None, FORMAT),
 ], ids=["env-digits", "config-digits", "config-jobs", "config-seed", "table-jobs",
         "jobs-zero", "jobs-negative", "config-jobs-zero", "table-jobs-zero",
-        "config-format", "table-format", "config-directory", "out-directory"])
+        "config-format", "table-format", "config-directory", "out-directory",
+        "flag-digits", "flag-format", "table-flag-format"])
 def test_non_integer_setting_is_usage_error(tmp_path, argv, cfg, env, message):
     if cfg is not None:
         path = tmp_path / "modzeta.cfg"
@@ -154,6 +160,104 @@ def test_non_integer_setting_is_usage_error(tmp_path, argv, cfg, env, message):
     assert out.returncode == 2, out.stderr
     assert message in out.stderr
     assert "Traceback" not in out.stderr
+
+
+# one check per setting: a bad value gives the same message, and main returns
+# 2 without raising SystemExit, whether it comes from a flag, the config file
+# or (for digits) MODZETA_DIGITS
+@pytest.mark.parametrize("argv,key,value,message", [
+    (("eval", "G"), "digits", "abc", "digits must be an integer, got 'abc'"),
+    (("eval", "G"), "digits", "5", "digits must lie in [10, 1000], got 5"),
+    (("table", "h2"), "jobs", "0", "jobs must be at least 1, got 0"),
+    (("verify", "--suite", "h2-variants"), "seed", "1.5", "seed must be an integer, got '1.5'"),
+    (("verify", "--suite", "h2-variants"), "format", "jsno",
+     "format must be text or json, got 'jsno'"),
+])
+def test_bad_setting_same_message_from_every_source(tmp_path, monkeypatch, capsys,
+                                                     argv, key, value, message):
+    monkeypatch.delenv("MODZETA_DIGITS", raising=False)
+    path = tmp_path / "modzeta.cfg"
+    path.write_text("%s=%s\n" % (key, value))
+    runs = [argv + ("--" + key, value), argv + ("--config", str(path))]
+    errors = []
+    for run in runs:
+        assert main(list(run)) == 2
+        errors.append(capsys.readouterr().err)
+    if key == "digits":
+        monkeypatch.setenv("MODZETA_DIGITS", value)
+        assert main(list(argv)) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: %s\n" % message] * len(errors)
+
+
+def test_argparse_error_returns_two_with_usage(capsys):
+    assert main(["table", "h4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: modzeta table") and "error: argument which" in err
+    assert main(["eval", "G", "--nonsense"]) == 2
+    assert "error: unrecognized arguments: --nonsense" in capsys.readouterr().err
+
+
+def test_settings_precedence(tmp_path, monkeypatch, capsys):
+    # flag > MODZETA_DIGITS > config file > default 50
+    path = tmp_path / "modzeta.cfg"
+    path.write_text("digits=20\n")
+    monkeypatch.delenv("MODZETA_DIGITS", raising=False)
+    sizes = []
+    for env, argv in ((None, ()), (None, ("--config", str(path))),
+                      ("15", ("--config", str(path))),
+                      ("15", ("--config", str(path), "--digits", "12"))):
+        if env:
+            monkeypatch.setenv("MODZETA_DIGITS", env)
+        assert main(["eval", "G", *argv]) == 0
+        sizes.append(len(capsys.readouterr().out.strip()) - 2)  # digits after "0."
+    assert sizes == [50, 20, 15, 12]
+
+
+def test_config_key_a_command_does_not_take_is_ignored(tmp_path, capsys):
+    path = tmp_path / "modzeta.cfg"
+    path.write_text("digits=15\njobs=two\nseed=x\nsuite=nonsense\n")
+    assert main(["eval", "G", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "0.915965594177219"
+
+
+# the values an eval argument parses to, at 30 digits
+@pytest.mark.parametrize("text,expected", [
+    ("i", (0, 1)),
+    ("-i", (0, -1)),
+    ("0.5-i", ("0.5", -1)),
+    ("2i", (0, 2)),
+    ("1e-3-2.5e2i", ("1e-3", "-2.5e2")),
+    ("-1/64", None),
+    ("0.5 + 0.75 i", ("0.5", "0.75")),
+])
+def test_parse_number(text, expected):
+    ctx = PrecisionCtx(30)
+    with ctx.working():
+        value = _parse_number(text)
+        if expected is None:
+            assert value == mpf(-1) / 64 and isinstance(value, mpf)
+        else:
+            assert value == mpc(*(mpf(v) for v in expected))
+
+
+@pytest.mark.parametrize("text", ["ii", "abc", "1+", "nan"])
+def test_unparsable_number_is_usage_error(capsys, text):
+    assert main(["eval", "eta", text, "--digits", "30"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot parse number %r\n" % text
+
+
+def test_eval_domain_error_is_not_rewrapped(capsys):
+    # the nome walk's DomainError reaches main as itself: exit 2, its message
+    argv = ["eval", "Srz", "0.3+0.02i", "1/16", "--digits", "15"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: the Lambert nome walk is out of contract for Im z < 0.03\n")
+    args = argparse.Namespace(function="Srz", args=argv[2:4], digits=15, out=None)
+    with pytest.raises(DomainError) as info:
+        cmd_eval(args)
+    assert type(info.value) is DomainError
 
 
 def test_digits_bounds():

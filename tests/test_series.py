@@ -1,5 +1,6 @@
 """Series engines: binomial sums, CVZ, AGM, hyperbolic kernels, ELi."""
 
+import time
 from fractions import Fraction
 from itertools import islice
 from math import comb
@@ -338,6 +339,40 @@ def test_inv_binom2_frozen_value(ctx30):
 def test_inv_binom2_domain(ctx30):
     with pytest.raises(DomainError):
         inv_binom2_series(mpf("1.0"), ctx30)
+
+
+def _inv_binom2_loop(t, ctx):
+    # the summation that tests its stop in mpf after every summand: the
+    # function plans the same last index in floats and adds the same summands
+    with ctx.working():
+        t, acc, term, k = mpf(t), mpf(0), 4 * mpf(t), 1
+        while True:
+            acc += term / mpf(k) ** 2
+            term *= 16 * t * mpf(k + 1) ** 2 / mpf(2 * (2 * k + 1)) ** 2
+            k += 1
+            if term / mpf(k) ** 2 / (1 - t) < ctx.tiny():
+                return acc
+
+
+@pytest.mark.parametrize("digits", [15, 50])
+@pytest.mark.parametrize("t", ["0.09", "0.5", "0.97"])
+def test_inv_binom2_planned_length_sums_the_loops_summands(digits, t):
+    ctx = PrecisionCtx(digits)
+    with ctx.working():
+        assert inv_binom2_series(mpf(t), ctx) == _inv_binom2_loop(t, ctx)
+
+
+@pytest.mark.parametrize("t", ["0.98", "1 - 10^-20"])
+def test_inv_binom2_beyond_served_range_raises_before_summing(ctx30, t):
+    # the plan passes 100 workdps terms above t = 0.977; 1 - 10^-20 is below 1
+    # at working precision and would take about 10^21 summands
+    with ctx30.working():
+        t = 1 - mpf(10) ** -20 if t.startswith("1 -") else mpf(t)
+        assert t < 1
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="needs more than 4500 terms"):
+            inv_binom2_series(t, ctx30)
+    assert time.perf_counter() - t0 < 1
 
 
 # ---------------------------------------------------------------------------
