@@ -30,7 +30,11 @@ every process that integrates pays once per precision.  The
 theorem points, bypassing its memo, RECORD_REPEATS times each, after one
 warm call that leaves the point's nome walks, the Eichler prefactors and
 zeta(3) in the memo: it times the record's own reads and arithmetic.  The
-``import``
+``point_q`` layer runs ``verify.theorems._series_plan`` and then
+``_modular_data`` at the theorem points, RECORD_REPEATS times each, each
+time from a memo that holds only the zeta constants: it times a fresh
+point's q-expansions, alpha4, R_{-1/2}, the Lambert walks and the record,
+without the binomial walk.  The ``import``
 layer, reported under the key "import" in place of a digit level, starts
 IMPORT_RUNS fresh processes that each time ``import modzeta`` and
 ``get_records("all")`` and report their peak RSS (``ru_maxrss``); the
@@ -38,7 +42,7 @@ interpreter's own start-up is not counted.
 
     python3 scripts/bench_walks.py                          # this checkout
     python3 scripts/bench_walks.py --root PATH              # another checkout
-    python3 scripts/bench_walks.py --baseline PATH > BENCH_qseries.json
+    python3 scripts/bench_walks.py --baseline PATH > BENCH_qpoint.json
 
 ``--root`` imports modzeta from ``PATH/src``, so a parent tree can be
 measured with this script.  The walk inputs read the theorem points' rates
@@ -211,6 +215,28 @@ def _record_calls(ctx):
     return calls
 
 
+def _point_q(z, ctx):
+    """One fresh theorem point's series plan and modular record."""
+    from modzeta import mpcore
+    from modzeta.verify import theorems
+
+    zeta = mpcore.const_zeta.__wrapped__
+    mpcore._memo = {key: v for key, v in mpcore._memo.items() if key[0] is zeta}
+    theorems._series_plan(z, ctx)
+    theorems._modular_data(z, ctx)
+
+
+def _point_q_calls(ctx):
+    """``_point_q`` at each theorem point, as (function, arguments) pairs, with
+    zeta(3) in the memo first."""
+    from mpmath import mpc
+    from modzeta.mpcore import const_zeta
+
+    const_zeta(3, ctx)
+    with ctx.working():
+        return [(_point_q, (mpc(re, im), ctx)) for re, im in POINTS] * RECORD_REPEATS
+
+
 def _node_calls(ctx):
     """The tanh-sinh node levels 0-6 at one precision, as (function, arguments) pairs."""
     from modzeta.quadrature import _nodes
@@ -249,7 +275,7 @@ def measure_import(root: str) -> dict:
 
 
 LAYERS = ("binom_sums", "nome_chains", "agm", "quad", "hurwitz", "eta", "hyp_lambert", "eli",
-          "nodes", "modular_record")
+          "nodes", "modular_record", "point_q")
 
 
 def measure(root: str) -> dict:
@@ -259,7 +285,8 @@ def measure(root: str) -> dict:
         ctx = PrecisionCtx(digits)
         calls = dict(zip(LAYERS, _walk_calls(ctx) + (_agm_calls(ctx), _quad_calls(ctx),
                                                      _hurwitz_calls(ctx))
-                         + _qseries_calls(ctx) + (_node_calls(ctx), _record_calls(ctx))))
+                         + _qseries_calls(ctx)
+                         + (_node_calls(ctx), _record_calls(ctx), _point_q_calls(ctx))))
         row = {}
         for name in LAYERS:
             t0 = time.perf_counter()

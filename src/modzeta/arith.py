@@ -131,7 +131,7 @@ def epstein2(z, ctx: PrecisionCtx) -> mpf:
     raises DomainError below Im z = 0.03.
     """
     z = _as_z(z, ctx)
-    chains = _nome_chains(z, ctx)
+    chains = _nome_chains(z, ctx)[1]
     with ctx.working():
         y = mp.im(z)
         lam3, lam2 = _epstein2_lambert(chains, y)
@@ -141,7 +141,7 @@ def epstein2(z, ctx: PrecisionCtx) -> mpf:
 
 def _epstein2_lambert(chains: dict, y) -> tuple:
     """The two Lambert terms of E(z,2), the part without y^2 and zeta(3), from
-    the nome record ``chains`` of z, y = Im z, at the current precision."""
+    the chains ``chains`` at the nome of z, y = Im z, at the current precision."""
     return (90 * mp.re(chains[4, 0]) / (mp.pi ** 3 * y), 180 * mp.re(chains[4, 1]) / mp.pi ** 2)
 
 

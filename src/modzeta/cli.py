@@ -257,24 +257,32 @@ def _build_parser() -> tuple:
 def main(argv=None) -> int:
     ap, commands = _build_parser()
     try:
-        args = ap.parse_args(argv)
-        if args.command is None:
-            ap.print_help()
+        try:
+            args = ap.parse_args(argv)
+            if args.command is None:
+                ap.print_help()
+                return 2
+            if getattr(args, "list_suites", False):
+                print("\n".join(verify.all_suites()))
+                return 0
+            # config values, then MODZETA_DIGITS, become the command's defaults, which
+            # argparse runs through each type; a key the command does not take is unread
+            command = commands[args.command]
+            command.set_defaults(**_load_config(args.config))
+            if os.environ.get("MODZETA_DIGITS"):
+                command.set_defaults(digits=os.environ["MODZETA_DIGITS"])
+            args = ap.parse_args(argv)
+            return args.func(args)
+        except (UsageError, DomainError) as exc:
+            print("error: %s" % exc, file=sys.stderr)
             return 2
-        if getattr(args, "list_suites", False):
-            print("\n".join(verify.all_suites()))
-            return 0
-        # config values, then MODZETA_DIGITS, become the command's defaults, which
-        # argparse runs through each type; a key the command does not take is unread
-        command = commands[args.command]
-        command.set_defaults(**_load_config(args.config))
-        if os.environ.get("MODZETA_DIGITS"):
-            command.set_defaults(digits=os.environ["MODZETA_DIGITS"])
-        args = ap.parse_args(argv)
-        return args.func(args)
-    except (UsageError, DomainError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        finally:
+            sys.stdout.flush()  # a reader of stdout that has gone raises here, not at exit
+    except BrokenPipeError:
+        # what is left goes to devnull, so the interpreter's flush at exit
+        # cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,10 +9,12 @@ with q = exp(2*pi*i*z); each derivative in z multiplies a term by 2*pi*i*n and
 turns the rational kernel in q^n into the next one in the chain
 u/(1-u) -> u/(1-u)^2 -> u(1+u)/(1-u)^3 -> u(1+4u+u^2)/(1-u)^4.
 The seven sums (weight 4, orders 0-2; weight 6, orders 0-3) are chains of
-``modular._nome_chains``, the one memoized walk per nome that also serves the
-Eisenstein series and ``arith.epstein2``; this module only applies the
-prefactors.  Finite differences are deliberately not used here (they live in
-the tests).
+``modular._nome_chains``, the one memoized walk over the powers of the nome
+that also serves the Eisenstein series and ``arith.epstein2``; read at a
+point alone, it sums the chains at q.  This module only applies the
+prefactors, which ``verify.theorems._modular_data`` multiplies out from the
+chains of a theorem record.  Finite differences are deliberately not used
+here (they live in the tests).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ __all__ = ["eichler4", "eichler6"]
 
 
 def _eichler(z, weight: int, order: int, ctx: PrecisionCtx) -> mpc:
-    s = _nome_chains(_as_z(z, ctx), ctx)[weight, order]
+    s = _nome_chains(_as_z(z, ctx), ctx)[1][weight, order]
     with ctx.working():
         # the docstring's c i / pi^(weight-1), times 2 pi i per derivative
         pref = mpc(0, 60 if weight == 4 else 378) * (2j) ** order / mp.pi ** (weight - 1 - order)

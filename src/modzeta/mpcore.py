@@ -105,6 +105,17 @@ def _dust_bits(v: mpc, wp: int) -> int:
     return min(wp, max(0, int(mp.mag(v.real) - mp.mag(v.imag))))
 
 
+def _log2_abs(v) -> float:
+    """log2 |v| of an mpf or mpc v, in floats from the mantissas and exponents
+    of its parts: -inf for 0, inf if a part is infinite or NaN."""
+    logs = [math.log2(man) + exp if man else (math.inf if exp else -math.inf)
+            for _, man, exp, _ in (v._mpc_ if isinstance(v, mpc) else (v._mpf_,))]
+    top = max(logs)
+    if len(logs) == 1 or top in (math.inf, -math.inf):
+        return top
+    return top + math.log2(sum(4.0 ** (v - top) for v in logs)) / 2
+
+
 def _to_fixed(v, wp: int, s: int = 0) -> tuple:
     """(re, im) of the number v as integers scaled by 2**wp and 2**(wp+s), rounded down."""
     v = mpc(v)
@@ -150,19 +161,26 @@ _MEMO_CAP = 4096
 
 
 def _memoized(fn):
-    """Memoize ``fn(*args, ctx)`` on (fn, args, ctx.workdps) in one bounded dict.
+    """Memoize ``fn(*args, ctx, *options)`` on (fn, args, ctx.workdps, options)
+    in one bounded dict.
 
-    Callers pass arguments already taken at working precision (points through
+    Options are the parameters after ``ctx``; one left out takes its default,
+    so a call with or without it shares one entry.  Callers pass arguments
+    already taken at working precision (points through
     ``modular._as_z(z, ctx)``), so a key never holds a value rounded at the
     caller's precision.  The memo is cleared wholesale when it fills.
     """
     sig = signature(fn)
+    at = list(sig.parameters).index("ctx")
+    options = tuple(p.default for p in list(sig.parameters.values())[at + 1:])
 
     @wraps(fn)
     def wrapped(*args, **kwargs):
         if kwargs:
             args = sig.bind(*args, **kwargs).args
-        key = (fn, args[:-1], args[-1].workdps)
+        if options:
+            args += options[len(args) - at - 1:]
+        key = (fn, args[:at], args[at].workdps, args[at + 1:])
         hit = _memo.get(key)
         if hit is None:
             hit = fn(*args)

@@ -79,7 +79,7 @@ from mpmath import mpc, mpf
 
 from .modular import _as_z, _nome_logs, _walk_length
 from .mpcore import (DomainError, PrecisionCtx, _cinv, _cmul, _dust_bits, _from_fixed,
-                     _real_or_complex, _to_fixed, ensure_finite)
+                     _log2_abs, _real_or_complex, _to_fixed, ensure_finite)
 
 __all__ = [
     "HypKernel",
@@ -190,6 +190,8 @@ def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
     scale = 4 ** power
     with ctx.working():
         x = mpc(x)
+        if not mp.isfinite(x):
+            raise DomainError("%s needs a finite rate, got %s" % (name, x))
         requests = list(requests)
         facs = list(dict.fromkeys(f for f, _ in requests))
         specs = list(dict.fromkeys(w for _, w in requests))
@@ -318,17 +320,6 @@ def _binom_ends(x, power: int, gap, facs: list, specs: list, slots: list, wp: in
         lf += step + lxf
     raise DomainError("binom%d series failed to converge within %d terms"
                       % (power, _BINOM_CAP * ctx.workdps))
-
-
-def _log2_abs(v) -> float:
-    """log2 |v| of an mpf or mpc v, in floats from the mantissas and exponents
-    of its parts: -inf for 0, inf if a part is infinite or NaN."""
-    logs = [log2(man) + exp if man else (inf if exp else -inf)
-            for _, man, exp, _ in (v._mpc_ if isinstance(v, mpc) else (v._mpf_,))]
-    top = max(logs)
-    if len(logs) == 1 or top in (inf, -inf):
-        return top
-    return top + log2(sum(4.0 ** (v - top) for v in logs)) / 2
 
 
 def _log2_sum(*logs) -> float:
@@ -460,7 +451,7 @@ def inv_binom2_series(t, ctx: PrecisionCtx) -> mpf:
         def stop(k):  # log2 of term_(k+1) / ((k+1)^2 (1 - t)) below log2 tiny
             m = k + 1
             return m * l16t - 2 * (lgamma(2 * m + 1) - 2 * lgamma(m + 1)) / log(2) - 2 * log2(m) < lim
-        k_end = _walk_length(stop, 1, ctx)
+        k_end = _walk_length("inv_binom2_series", stop, 1, ctx)
         acc = mpf(0)
         term = 16 * t / 4  # k=1: (16t)/C(2,1)^2
         for k in range(1, k_end + 1):
@@ -566,6 +557,8 @@ def ell_k(t, ctx: PrecisionCtx):
     """
     with ctx.working():
         t = _real_or_complex(t)
+        if not mp.isfinite(t):
+            raise DomainError("ell_k needs a finite t, got %s" % (t,))
         if mp.im(t) == 0 and mp.re(t) >= 1:
             raise DomainError("ell_k: t on the branch cut [1, oo)")
         return ensure_finite(_agm_k(1 - t))
@@ -579,6 +572,8 @@ def ell_k_comp(t, ctx: PrecisionCtx):
     """
     with ctx.working():
         t = _real_or_complex(t)
+        if not mp.isfinite(t):
+            raise DomainError("ell_k_comp needs a finite t, got %s" % (t,))
         if mp.im(t) == 0 and mp.re(t) <= 0:
             raise DomainError("ell_k_comp: t on the branch cut (-oo, 0]")
         return ensure_finite(_agm_k(t))
@@ -686,7 +681,7 @@ def hyp_lambert(z, kernel: HypKernel, ctx: PrecisionCtx) -> mpc:
         lt = -ctx.workdps * log2(10)
         lim = min(log2(0.6), lt - log2(13) - ls + l1s)  # stop once log2|x_n| < lim
         n0 = 0 if odd else 1  # u = step^n, v = c^2 u^2, weight index 2n+1 or n
-        n_end = _walk_length(lambda n: lc + n * ls < lim, n0, ctx)
+        n_end = _walk_length("hyp_lambert", lambda n: lc + n * ls < lim, n0, ctx)
         wp = mp.mp.prec + (n_end + 1 - n0).bit_length() + 4 * ceil(-l1s) + 8
         s = _dust_bits(step, wp)
         one = 1 << wp
@@ -767,9 +762,9 @@ def eli(n: int, m: int, x, y, q, ctx: PrecisionCtx) -> mpc:
         lq, ly, lxq, l1x, l1y, l1q = (float(mp.log(v, 2)) for v in
                                       (abs(q), abs(y), xq, 1 - xq, 1 - yq, 1 - abs(q)))
         lim = -ctx.workdps * log2(10) + l1x + l1y - ly  # both rules compare with it
-        j_end = _walk_length(lambda j: (j + 1) * lxq < lim, 1, ctx)
+        j_end = _walk_length("eli", lambda j: (j + 1) * lxq < lim, 1, ctx)
         # the inner length at j, from log2|w| = log2|y q^j|
-        k_ends = [_walk_length(lambda k, lw=ly + j * lq: k * lw < lim, 1, ctx)
+        k_ends = [_walk_length("eli", lambda k, lw=ly + j * lq: k * lw < lim, 1, ctx)
                   for j in range(1, j_end + 1)]
         wp = (mp.mp.prec + sum(k_ends).bit_length() + 2 * ceil(max(ly, 0) + 1)
               + ceil(-(l1x + l1y + l1q)) + 8)

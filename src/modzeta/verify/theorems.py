@@ -9,7 +9,8 @@ closed-form constant.
 Each route of a point is one memoized record per (point, precision):
 ``_series_data`` holds every left-hand side from one binomial walk over the
 requests of ``_series_plan``, and ``_modular_data`` holds every right-hand
-side from one read of each of its four nome records.  The plan, also
+side from one theorem record of the Lambert walk, the chains at q, q^2, q^4
+and -q of one walk over the powers of q.  The plan, also
 memoized, checks the point against the theorem hypothesis and holds alpha4,
 R_{-1/2}, the rate and the nine requests; the registry's table-h2 cells read
 alpha4 and R_{-1/2} from it.  The table ``_IDENTITIES`` names each of the
@@ -126,8 +127,11 @@ def _modular_data(z, ctx: PrecisionCtx) -> dict:
     and "u" that of the plain-H3 linear side, which ``s_r`` and ``u_check``
     combine.
 
-    The record reads the nome records (``modular._nome_chains``) of z + 1/2,
-    2z, 4z and z once each and takes every term from their chains.  The
+    The record reads the theorem record ``modular._nome_chains(z, ctx,
+    (1, 2, 4))`` once, the one walk over the powers of q = exp(2 pi i z), and
+    takes every term from its chains at the nomes -q, q^2, q^4 and q of
+    z + 1/2, 2z, 4z and z.  ``r_half``, and so the series plan, reads the
+    same record.  The
     Lambert terms of E(w,2) come from ``arith._epstein2_lambert``, as
     ``epstein2`` takes them.  An Eichler integral is its chain times
     c i (2i)^order / pi^(weight-1-order) (``eichler``): 60i/pi^3 for (4,0),
@@ -142,7 +146,8 @@ def _modular_data(z, ctx: PrecisionCtx) -> dict:
         pi = +mp.pi
         pi2, piy = pi * pi, pi * y
         z3 = const_zeta(3, ctx)
-        c_zh, c_2z, c_4z, c_z = (_nome_chains(w, ctx) for w in (z + mpf(1) / 2, 2 * z, 4 * z, z))
+        record = _nome_chains(z, ctx, (1, 2, 4))
+        c_zh, c_2z, c_4z, c_z = record["-q"], record[2], record[4], record[1]
         lam_zh, lam_2z, lam_4z, lam_z = (sum(_epstein2_lambert(c, m * y))
                                          for c, m in ((c_zh, 1), (c_2z, 2), (c_4z, 4), (c_z, 1)))
         # Each side as the paper writes it in the Eichler integrals F4 and F6

@@ -51,6 +51,18 @@ def test_list_suites():
     assert "table-h2" in out.stdout and "all" in out.stdout
 
 
+def test_closed_stdout_ends_quietly():
+    # the reader of stdout has gone before the output is flushed, as with
+    # `modzeta verify --list-suites | head -0`: exit 1, and no traceback
+    proc = subprocess.Popen([sys.executable, "-m", "modzeta.cli", "verify", "--list-suites"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=600) == 1
+    assert err == b""
+
+
 def test_eval_l_value():
     out = run_cli("eval", "L", "-7", "2", "--digits", "30")
     assert out.returncode == 0

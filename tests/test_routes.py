@@ -13,8 +13,8 @@ import sys
 import modzeta
 from modzeta import PrecisionCtx, get_records, mpcore
 
-ENGINES = {"_binom_sums", "_cvz_weights", "_nome_chains", "eta", "_agm_k", "tanh_sinh",
-           "hurwitz_zeta_raw", "hyp_lambert", "eli", "inv_binom2_series"}
+ENGINES = {"_binom_sums", "_cvz_weights", "_nome_chains", "eta", "_pentagonal", "_agm_k",
+           "tanh_sinh", "hurwitz_zeta_raw", "hyp_lambert", "eli", "inv_binom2_series"}
 PACKAGE = os.path.dirname(modzeta.__file__) + os.sep
 
 # id prefix -> why both sides may run the same engines

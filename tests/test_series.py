@@ -14,6 +14,8 @@ from mpmath import mpc, mpf
 from modzeta import (DomainError, HypKernel, LinearFactor, PrecisionCtx,
                      WeightSpec, binom2_series, binom3_series, eli, ell_k,
                      ell_k_comp, hyp_lambert, inv_binom2_series, legendre_dnu2)
+from modzeta import alpha4, eichler4, eta, lambda_fn
+from modzeta.modular import _pentagonal
 from modzeta.series import _BASIS, W_ONE, _binom_guard, _binom_steps, binom3_sums
 from oracles import gamma_one_plus, legendre_p_def
 
@@ -373,6 +375,44 @@ def test_inv_binom2_beyond_served_range_raises_before_summing(ctx30, t):
         with pytest.raises(DomainError, match="needs more than 4500 terms"):
             inv_binom2_series(t, ctx30)
     assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ctx: inv_binom2_series(mpf("0.98"), ctx), "inv_binom2_series needs more than 4500 terms"),
+    (lambda ctx: hyp_lambert(mpc(0, "1e-4"), HypKernel("EXPM1"), ctx),
+     "hyp_lambert needs more than 4500 terms"),
+], ids=["inv_binom2_series", "hyp_lambert"])
+def test_walk_cap_error_names_the_walk(ctx30, call, message):
+    with ctx30.working(), pytest.raises(DomainError) as info:
+        call(ctx30)
+    assert str(info.value) == message
+
+
+_INF, _NAN = mpf("inf"), mpf("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: eta(mpc(0, _INF), ctx),
+    lambda ctx: eta(mpc(_NAN, 1), ctx),
+    lambda ctx: alpha4(mpc(_INF, 1), ctx),
+    lambda ctx: lambda_fn(mpc(0, _NAN), ctx),
+    lambda ctx: eichler4(mpc(0, _INF), 0, ctx),
+    lambda ctx: _pentagonal(mpc(_NAN, 0), ctx),
+    lambda ctx: _pentagonal(mpc(0, _INF), ctx),
+    lambda ctx: ell_k(_NAN, ctx),
+    lambda ctx: ell_k(mpc(0, _INF), ctx),
+    lambda ctx: ell_k_comp(_INF, ctx),
+    lambda ctx: ell_k_comp(mpc(_NAN, 1), ctx),
+    lambda ctx: binom2_series(_NAN, W_ONE, ctx),
+    lambda ctx: binom3_series(mpc(0, _INF), LinearFactor(), W_ONE, ctx),
+], ids=["eta-inf", "eta-nan", "alpha4-inf", "lambda-nan", "eichler4-inf",
+        "pentagonal-nan", "pentagonal-inf", "ell_k-nan", "ell_k-inf", "ell_k_comp-inf",
+        "ell_k_comp-nan", "binom2-nan", "binom3-inf"])
+def test_non_finite_input_raises_domain_error(ctx30, call):
+    # a NaN or infinite part is outside every contract: DomainError, before
+    # any float plan could raise a bare ValueError
+    with pytest.raises(DomainError, match="finite"):
+        call(ctx30)
 
 
 # ---------------------------------------------------------------------------

@@ -300,9 +300,9 @@ def test_registry_rows_read_the_evaluators_at_run_time(monkeypatch):
 def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
     # the four evaluators read one memoized nine-sum walk and one modular
     # record per (point, precision), and check the point once, in the walk's
-    # series plan; the record reads each of its four nome records once; s_r,
-    # t_r and u_check then read that record and add no walk, no memo entry
-    # and no check
+    # series plan; the record reads the point's one theorem record of the
+    # Lambert walk once; s_r, t_r and u_check then read that record and add
+    # no walk, no memo entry and no check, and alone make that one walk
     walks, reads, checks = [], [], []
 
     def counting(real, calls):
@@ -320,10 +320,10 @@ def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
     for _ in range(2):
         sides = [f(z, ctx30) for f in (q_ratios, r_linear, h3_ratios, h3_linear)]
         assert len(walks) == 1
-        assert len(reads) == 4
+        assert len(reads) == 1
         assert len(checks) == 1
         assert sum(key[0] is record for key in mpcore._memo) == 1
-    assert len({args[:-1] for args in reads}) == 4
+    assert reads == [(z, ctx30, (1, 2, 4))]
     with ctx30.working():
         for out in sides:
             lhs = [v for k, v in out.items() if "lhs" in k]
@@ -334,35 +334,63 @@ def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
     for f, r in ((s_r, Fraction(1, 16)), (t_r, Fraction(1, 16)), (u_check, Fraction(1, 64))):
         f(z, r, ctx30)
     assert len(mpcore._memo) == entries
-    assert len(walks) == 1 and len(reads) == 4 and len(checks) == 1
+    assert len(walks) == 1 and len(reads) == 1 and len(checks) == 1
     q_ratios(z, PrecisionCtx(35))
     assert len(walks) == 2 and len(checks) == 2
     assert sum(key[0] is record for key in mpcore._memo) == 2
+    # called alone, each of s_r, t_r and u_check makes the point's one walk
+    walk = modular._nome_chains.__wrapped__
+    for f, r in ((s_r, Fraction(1, 16)), (t_r, Fraction(1, 16)), (u_check, Fraction(1, 64))):
+        mpcore._memo.clear()
+        f(z, r, ctx30)
+        assert [key[3] for key in mpcore._memo if key[0] is walk] == [((1, 2, 4),)]
 
 
 def test_table_h2_cells_read_one_series_plan(monkeypatch, ctx30):
     # the rate, lin and rhalf cells of a tabulated point read alpha4 and
-    # R_{-1/2} from the series plan that its q1q2 and tr cells walk, so its
-    # seven cells take the three eta values of one alpha4
-    calls, real = [], modular.eta
+    # R_{-1/2} from the series plan that its q1q2 and tr cells walk, so these
+    # five cells take one alpha4, three pentagonal sums at the powers q, q^2
+    # and q^4 of one nome exponential, and one Lambert walk, which takes the
+    # other; the ezh and e2z cells read the public epstein2 at z + 1/2 and
+    # 2z, one walk each at its own nome
+    nomes, sum_nomes = [], []
+    real_nome, real_sum = modular._nome, modular._pentagonal
 
-    def counting(z, ctx):
-        calls.append(z)
-        return real(z, ctx)
-    monkeypatch.setattr(modular, "eta", counting)
+    def counting_nome(z):
+        nomes.append(z)
+        return real_nome(z)
+
+    def counting_sum(q, ctx):
+        sum_nomes.append(q)
+        return real_sum(q, ctx)
+    monkeypatch.setattr(modular, "_nome", counting_nome)
+    monkeypatch.setattr(modular, "_pentagonal", counting_sum)
     monkeypatch.setattr(mpcore, "_memo", {})
+    walk = modular._nome_chains.__wrapped__
     recs = [r for r in get_records("table-h2") if r.id.startswith("th2.r1.")]
-    assert len(recs) == 7
-    for rec in recs:
+    epstein = [r for r in recs if r.id.endswith(("ezh", "e2z"))]
+    assert len(recs) == 7 and len(epstein) == 2
+    for rec in [r for r in recs if r not in epstein]:
         assert runner._evaluate(rec, ctx30)["pass"], rec.id
-    assert len(calls) == 3
+    assert [key[1:] for key in mpcore._memo if key[0] is walk] == [
+        ((nomes[0],), ctx30.workdps, ((1, 2, 4),))]
+    assert len(nomes) == 2 and nomes[0] == nomes[1]
+    assert len(sum_nomes) == 3
+    with mp.workdps(60):
+        assert abs(sum_nomes[2] - sum_nomes[1] ** 2) < mpf(10) ** -50
+        assert abs(sum_nomes[1] - sum_nomes[0] ** 2) < mpf(10) ** -50
+    for rec in epstein:
+        assert runner._evaluate(rec, ctx30)["pass"], rec.id
+    assert sum(key[0] is walk for key in mpcore._memo) == 3
+    assert len(nomes) == 4 and len(sum_nomes) == 3
 
 
-def test_four_evaluators_make_one_walk_per_nome(monkeypatch, ctx30):
-    # nomes of z+1/2, 2z, z and 4z; the four evaluators read one modular
-    # record, which reads each nome record once, and whose Q and plain-H3
-    # linear sides read only the Lambert terms of their Epstein pairs, never a
-    # whole epstein2; Euler-Maclaurin runs once per (n, workdps)
+def test_four_evaluators_make_one_walk_per_point(monkeypatch, ctx30):
+    # the chains at the nomes of z+1/2, 2z, z and 4z come from one Lambert
+    # walk over the powers of q; the four evaluators read one modular record,
+    # which reads that walk's record once, and whose Q and plain-H3 linear
+    # sides read only the Lambert terms of their Epstein pairs, never a whole
+    # epstein2; Euler-Maclaurin runs once per (n, workdps)
     em_runs, epstein_calls, nome_reads = [], [], []
     real_em, real_epstein = mpcore.hurwitz_zeta_raw, theorems.epstein2
     real_nome = theorems._nome_chains
@@ -375,9 +403,9 @@ def test_four_evaluators_make_one_walk_per_nome(monkeypatch, ctx30):
         epstein_calls.append(z)
         return real_epstein(z, ctx)
 
-    def counting_nome(z, ctx):
+    def counting_nome(z, ctx, powers=(1,)):
         nome_reads.append(z)
-        return real_nome(z, ctx)
+        return real_nome(z, ctx, powers)
     monkeypatch.setattr(mpcore, "hurwitz_zeta_raw", counting_em)
     monkeypatch.setattr(theorems, "epstein2", counting_epstein)
     monkeypatch.setattr(theorems, "_nome_chains", counting_nome)
@@ -387,9 +415,9 @@ def test_four_evaluators_make_one_walk_per_nome(monkeypatch, ctx30):
         before = sum(key[0] is walk for key in mpcore._memo)
         for f in (q_ratios, r_linear, h3_ratios, h3_linear):
             f(mp.mpc("0.5", im), ctx30)
-        assert sum(key[0] is walk for key in mpcore._memo) - before == 4
+        assert sum(key[0] is walk for key in mpcore._memo) - before == 1
     assert len(epstein_calls) == 0
-    assert len(nome_reads) == len(set(nome_reads)) == 8
+    assert len(nome_reads) == len(set(nome_reads)) == 2
     assert len(em_runs) == 1
 
 

@@ -30,8 +30,10 @@ import mpmath as mp
 import pytest
 from mpmath import mpc, mpf
 
-from modzeta import DomainError, HypKernel, PrecisionCtx, eli, eta, hyp_lambert
-from modzeta.modular import _CHAINS, _EIS_POWER, _as_z, _nome, _nome_chains
+from modzeta import (DomainError, HypKernel, PrecisionCtx, alpha4, eisenstein_eta_form, eli,
+                     eta, hyp_lambert, lambda_fn)
+from modzeta.modular import (_CHAINS, _EIS_POWER, _RECORD_CHAINS, _RECORD_EIS, _as_z, _nome,
+                             _nome_chains)
 from modzeta.mpcore import _dust_bits, ensure_finite
 from modzeta import series
 from modzeta.series import (LinearFactor, W_ONE, WeightSpec, _binom_sums, ell_k,
@@ -513,12 +515,43 @@ def test_nome_walk_matches_mpf_oracle(digits):
     for name, point in _nome_points().items():
         with ctx.working():
             z = mpc(point())
-        new = _nome_chains.__wrapped__(z, ctx)
+        new = _nome_chains.__wrapped__(z, ctx)[1]
         ref = _reference_nome_chains(z, ctx)
         assert set(new) == set(ref)
         with ctx.working():
             for key in ref:
                 assert _close(new[key], ref[key], ctx), (name, key)
+
+
+def _record_points():
+    """Points on both theorem lines, near Im z = 0.03 and on neither line."""
+    return [mpc(0, "0.55"), mpc(0, "1.3"), mpc("0.5", "0.75"), mpc("0.5", "1.3"),
+            mpc("0.5", "0.0301"), mpc("0.2", "0.1")]
+
+
+@pytest.mark.parametrize("digits", (15, 100, 250))
+def test_theorem_record_matches_single_walks_at_40_more_digits(digits):
+    # the theorem record of z holds the chains its readers take at q, q^2,
+    # q^4 and -q of one walk over the powers of q, those at -q derived from
+    # the other three; each chain lies within half a unit of 10^-workdps,
+    # relative to max(1, |value|), of the single walk at z, 2z, 4z and
+    # z + 1/2 at 40 more digits, as the walk's docstring states
+    ctx, fine = PrecisionCtx(digits), PrecisionCtx(digits + 40)
+    unit = mpf(10) ** -ctx.workdps
+    for z in _record_points():
+        with ctx.working():
+            z = mpc(z)
+        record = _nome_chains.__wrapped__(z, ctx, (1, 2, 4))
+        assert set(record) == {1, 2, 4, "-q"}
+        with fine.working():
+            points = {1: z, 2: 2 * z, 4: 4 * z, "-q": z + mpf(1) / 2}
+        for m, w in points.items():
+            ref = _nome_chains.__wrapped__(w, fine)[1]
+            assert set(record[m]) == set(_RECORD_CHAINS) | set(() if m == "-q" else _RECORD_EIS)
+            with fine.working():
+                for key, got in record[m].items():
+                    val = ref[key]
+                    assert abs(got - val) <= unit / 2 * max(1, abs(val)), (z, m, key)
 
 
 def test_weight6_sum_rules_keep_their_residuals():
@@ -741,6 +774,31 @@ def test_eta_series_matches_mpc_product(digits):
             assert abs(new - ref) <= mpf(10) ** -(ctx.workdps - mpf("2.5")) * abs(ref), z
 
 
+@pytest.mark.parametrize("digits", (15, 100, 250))
+def test_eta_quotients_agree_with_40_more_digits(digits):
+    # eta, alpha4, lambda_fn and both eta forms are each within half a unit
+    # of 10^-workdps of themselves at 40 more digits, relative to |value|:
+    # each is rounded once, from a nome and pentagonal sums taken beyond the
+    # working precision; alpha4 and eta also near Im z = 0.03, where
+    # lambda_fn and the eta forms, which read the nome of z/2, raise
+    ctx, fine = PrecisionCtx(digits), PrecisionCtx(digits + 40)
+    unit = mpf(10) ** -ctx.workdps
+    fns = {"eta": eta, "alpha4": alpha4, "lambda_fn": lambda_fn,
+           "E4 eta form": lambda z, c: eisenstein_eta_form(z, 4, c),
+           "E6 eta form": lambda z, c: eisenstein_eta_form(z, 6, c)}
+    for z in _record_points() + [mpc("-0.3", "0.07"), mpc(0, 3)]:
+        with ctx.working():
+            z = mpc(z)
+        for name, f in fns.items():
+            if mp.im(z) < mpf("0.06") and name not in ("eta", "alpha4"):
+                with pytest.raises(DomainError, match="Im z < 0.03"):
+                    f(z, ctx)
+                continue
+            new, ref = f(z, ctx), f(z, fine)
+            with fine.working():
+                assert abs(new - ref) <= unit / 2 * abs(ref), (name, z)
+
+
 # every kernel kind x parity; EXPM1_ALT is ODD only
 _HYP_KERNELS = [HypKernel(kind, parity, 3 if kind == "EXPM1" else 2)
                 for kind in ("EXPM1", "EXPM1_ALT", "COSH_SQ", "SINH_SQ", "COSH_1",
@@ -807,6 +865,11 @@ def test_eli_kernel_matches_mpc_oracle(digits):
                 assert new.imag == 0, case
 
 
+def _chains_at_q(z, ctx):
+    """The chains at the nome q of z of one unmemoized walk."""
+    return _nome_chains.__wrapped__(z, ctx)[1]
+
+
 @pytest.mark.parametrize("digits", (15, 100, 250))
 def test_qseries_kernels_stop_within_their_tail_bounds(digits):
     # each value lies within 4 units of 10^-workdps (relative to |eta|, or to
@@ -819,7 +882,7 @@ def test_qseries_kernels_stop_within_their_tail_bounds(digits):
     evals += [(eli, case) for case in _eli_cases(ctx)[::2]]
     evals.append((eli, (2, 3, mpf("1.9"), 1, mpf("0.5"))))
     with ctx.working():
-        evals += [(_nome_chains.__wrapped__, (mpc(point()),)) for point in _nome_points().values()]
+        evals += [(_chains_at_q, (mpc(point()),)) for point in _nome_points().values()]
     for fn, args in evals:
         with ctx.working():
             args = tuple(mpc(a) if isinstance(a, mpc) else a for a in args)
