@@ -3,19 +3,24 @@
 Times ``modzeta.series._binom_sums``, ``modzeta.modular._nome_chains``
 (bypassing its memo) and ``modzeta.series.ell_k`` / ``ell_k_comp`` on fixed
 inputs at 30, 50, 100 and 250 digits, and reports per layer and digit level
-the call count, total seconds and ms per call.  The walk inputs are the nine
+the call count, total seconds and ms per call.  Each layer runs REPEATS
+times in its process, each time from an empty memo with its inputs built
+again untimed, and reads the fastest run: the first run alone pays for
+mpmath's cached constants, and a layer no longer depends on what the
+layers before it left in the memo.  The walk inputs are the nine
 theorem sums at seven admissible points, four more interior rates, the two
 boundary rates -1/64 (four weights under 4k + 1) and -1/16 (binom2), and the
 nomes of z, 2z, 4z and z + 1/2 at the same points.  The AGM inputs are the
-arguments the quadratures pass: the tanh-sinh nodes of levels 0-6 on [0, 1]
-(``ell_k_comp``, as the zeta(5) and zeta(7) integrals) and on [0, 1/2] (both
-functions, as the L_{-4}(4) integral), and the upward ray of
-``h3mix2_tail_integral`` from t = 0.3 + 0.05i over the same nodes.  The
-``quad`` layer runs the three integral identities (zeta(5), zeta(7),
-L_{-4}(4)) and the NU2 and H3INT2 lemma integrals at t = 0.1, with the
-tanh-sinh nodes built beforehand.  The ``hurwitz`` layer calls
-``arith.hurwitz_zeta`` at the (s, a) pairs of the L-values and zeta values
-that a 100-digit pass of every suite but lemma-oracles reads.  The
+tanh-sinh nodes of levels 0-6 on [0, 1] (``ell_k_comp``) and on [0, 1/2]
+(both functions), and the upward ray of ``h3mix2_tail_integral`` from
+t = 0.3 + 0.05i over the same nodes.  The ``quad`` layer runs the three
+integral identities (zeta(5), zeta(7), L_{-4}(4)), which share one memoized
+walk over the nodes, and the NU2 and H3INT2 lemma integrals at t = 0.1,
+with the tanh-sinh nodes built beforehand; the ``sec4_quad`` layer runs the
+three integral identities alone, with zeta(7) built beforehand too.  The
+``hurwitz`` layer calls ``arith.hurwitz_zeta`` at the (s, a) pairs of the
+L-values and zeta values that a 100-digit pass of every suite but
+lemma-oracles reads.  The
 ``eta`` layer calls ``modular.eta`` at z/2, z and 2z of the theorem points;
 the ``hyp_lambert`` and ``eli`` layers call ``series.hyp_lambert`` and
 ``series.eli`` with the arguments of the sec4 records: the four Lambert
@@ -49,9 +54,12 @@ measured with this script.  The walk inputs read the theorem points' rates
 and nine requests from ``verify.theorems._series_plan``, so the measured tree
 must have it.  With ``--baseline`` the script runs ROUNDS
 alternating pairs of fresh processes, one per tree, switching which goes
-first; the report holds every round, the per-tree medians and quartiles, the
-ratio of the baseline's median total seconds to the root tree's and, per
-layer and digit level, in how many pairs the root tree was faster.
+first; the report holds every round, the per-tree medians, quartiles and
+least totals, the ratios of the baseline's median and least total seconds
+to the root tree's and, per layer and digit level, in how many pairs the
+root tree was faster.  The host's speed can shift by 1.5-1.8x for whole
+processes at a time, which the in-process repeats cannot remove; the ratio
+of the least totals compares the fastest process of each tree.
 """
 
 from __future__ import annotations
@@ -69,6 +77,7 @@ DIGITS = (30, 50, 100, 250)
 ROUNDS = 10  # alternating pairs with --baseline
 IMPORT_RUNS = 5  # fresh processes per measurement of the import layer
 RECORD_REPEATS = 10  # timed calls per point of the modular_record layer
+REPEATS = 3  # in-process runs per layer and digit level; a layer reads the fastest
 # admissible theorem points (Re z, Im z)
 POINTS = (("0", "0.55"), ("0", "0.7"), ("0", "1.0"), ("0", "1.5"),
           ("0.5", "0.75"), ("0.5", "1.0"), ("0.5", "1.3"))
@@ -143,6 +152,18 @@ def _quad_calls(ctx):
     return [(zeta5_integral, (ctx,)), (zeta7_integral, (ctx,)),
             (lminus4_4_integral, (ctx,)),
             (lemma_integral, ("NU2", t, ctx)), (lemma_integral, ("H3INT2", t, ctx))]
+
+
+def _sec4_calls(ctx):
+    """The three integral identities alone, as (function, arguments) pairs,
+    with the tanh-sinh nodes and zeta(7) built beforehand."""
+    from modzeta.mpcore import const_zeta
+    from modzeta.quadrature import _nodes, lminus4_4_integral, zeta5_integral, zeta7_integral
+
+    for level in range(9):
+        _nodes(level, ctx)
+    const_zeta(7, ctx)
+    return [(zeta5_integral, (ctx,)), (zeta7_integral, (ctx,)), (lminus4_4_integral, (ctx,))]
 
 
 # (d, s) of the L_d(s) values a 100-digit pass of every suite but
@@ -274,27 +295,40 @@ def measure_import(root: str) -> dict:
             "peak_rss_mb": round(statistics.median(rss), 1)}
 
 
-LAYERS = ("binom_sums", "nome_chains", "agm", "quad", "hurwitz", "eta", "hyp_lambert", "eli",
-          "nodes", "modular_record", "point_q")
+# each layer's call list, built untimed at one precision
+LAYERS = {
+    "binom_sums": lambda ctx: _walk_calls(ctx)[0],
+    "nome_chains": lambda ctx: _walk_calls(ctx)[1],
+    "agm": _agm_calls,
+    "quad": _quad_calls,
+    "sec4_quad": _sec4_calls,
+    "hurwitz": _hurwitz_calls,
+    "eta": lambda ctx: _qseries_calls(ctx)[0],
+    "hyp_lambert": lambda ctx: _qseries_calls(ctx)[1],
+    "eli": lambda ctx: _qseries_calls(ctx)[2],
+    "nodes": _node_calls,
+    "modular_record": _record_calls,
+    "point_q": _point_q_calls,
+}
 
 
 def measure(root: str) -> dict:
-    from modzeta import PrecisionCtx
+    from modzeta import PrecisionCtx, mpcore
     out = {"import": {"import": measure_import(root)}}
     for digits in DIGITS:
         ctx = PrecisionCtx(digits)
-        calls = dict(zip(LAYERS, _walk_calls(ctx) + (_agm_calls(ctx), _quad_calls(ctx),
-                                                     _hurwitz_calls(ctx))
-                         + _qseries_calls(ctx)
-                         + (_node_calls(ctx), _record_calls(ctx), _point_q_calls(ctx))))
         row = {}
-        for name in LAYERS:
-            t0 = time.perf_counter()
-            for fn, args in calls[name]:
-                fn(*args)
-            total = time.perf_counter() - t0
-            row[name] = {"calls": len(calls[name]), "total_s": round(total, 4),
-                         "ms_per_call": round(1000 * total / len(calls[name]), 3)}
+        for name, build in LAYERS.items():
+            best = float("inf")
+            for _ in range(REPEATS):
+                mpcore._memo.clear()
+                calls = build(ctx)
+                t0 = time.perf_counter()
+                for fn, args in calls:
+                    fn(*args)
+                best = min(best, time.perf_counter() - t0)
+            row[name] = {"calls": len(calls), "total_s": round(best, 4),
+                         "ms_per_call": round(1000 * best / len(calls), 3)}
         out[str(digits)] = row
     return out
 
@@ -314,8 +348,9 @@ def _commit(root: str):
 
 
 def _summary(runs: list) -> dict:
-    """Median and quartiles of total seconds, and median ms per call, per
-    layer and digit level, with the median peak RSS where a layer reports it."""
+    """Median, quartiles and least of total seconds, and median ms per call,
+    per layer and digit level, with the median peak RSS where a layer
+    reports it."""
     out = {}
     for digits in runs[0]:
         out[digits] = {}
@@ -324,6 +359,7 @@ def _summary(runs: list) -> dict:
             q1, med, q3 = statistics.quantiles(totals, n=4)
             out[digits][name] = {"calls": first["calls"], "total_s": round(med, 4),
                                  "total_s_q1_q3": [round(q1, 4), round(q3, 4)],
+                                 "total_s_min": round(min(totals), 4),
                                  "ms_per_call": round(1000 * med / first["calls"], 3)}
             if "peak_rss_mb" in first:
                 out[digits][name]["peak_rss_mb"] = round(statistics.median(
@@ -348,10 +384,11 @@ def main(argv=None) -> int:
             for label, tree in (order if i % 2 == 0 else order[::-1]):
                 runs[label].append(_run_tree(tree))
         med = {label: _summary(r) for label, r in runs.items()}
-        ratio = {d: {name: round(med["baseline"][d][name]["total_s"]
-                                 / med["root"][d][name]["total_s"], 2)
-                     for name in med["root"][d]}
-                 for d in med["root"]}
+        ratio, ratio_min = ({d: {name: round(med["baseline"][d][name][key]
+                                             / med["root"][d][name][key], 2)
+                                 for name in med["root"][d]}
+                             for d in med["root"]}
+                            for key in ("total_s", "total_s_min"))
         wins = {d: {name: sum(r[d][name]["total_s"] < b[d][name]["total_s"]
                               for b, r in zip(runs["baseline"], runs["root"]))
                     for name in med["root"][d]}
@@ -360,7 +397,8 @@ def main(argv=None) -> int:
                                "rounds": runs["baseline"]},
                   "root": {"commit": _commit(root), "median": med["root"],
                            "rounds": runs["root"]},
-                  "speedup_total_s": ratio, "root_wins_of_%d" % ROUNDS: wins}
+                  "speedup_total_s": ratio, "speedup_min_total_s": ratio_min,
+                  "root_wins_of_%d" % ROUNDS: wins}
     import mpmath
     report["host"] = {"machine": platform.machine(), "cpus": os.cpu_count(),
                       "python": platform.python_version(),

@@ -17,7 +17,14 @@ Each level halves the step and squares the discretisation error, so the
 difference d_L of two successive sums is about the error of the coarser
 one: the refinement stops at the first level L >= 3 with
 d_L^2 <= 10^-workdps max(1, |S_L|)^2, one level before d_L itself meets the
-target.
+target.  Each level's weighted sum is one ``mp.fdot``: the products are
+summed exactly and rounded once.  A tuple-valued integrand is integrated
+componentwise on one walk over the nodes.
+
+The zeta(5), zeta(7) and L_{-4}(4) integrals are three components of one
+such walk over [0, 1/2] (``_sec4_integrals``): the two over [0, 1] fold
+onto it by t -> 1-t, and each node takes K(sqrt t) and
+K(sqrt(1-t))/K(sqrt t) from one AGM (``series._k_ratio``).
 
 The H3INT2 integrand's K(sqrt s)^2 - (pi/2)^2 cancels about log10(1/|s|)
 digits near s = 0, so it takes K from one ``ell_k`` call raised by that
@@ -31,13 +38,15 @@ from dataclasses import dataclass, replace
 
 import mpmath as mp
 from mpmath import mpc, mpf
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .mpcore import (DomainError, PrecisionCtx, _memoized, _real_or_complex,
                      const_catalan, const_zeta, ensure_finite)
-from .series import ell_k, ell_k_comp
+from .series import _k_ratio, ell_k, ell_k_comp
 
 __all__ = [
     "QuadResult",
+    "QuadResults",
     "h3mix2_tail_integral",
     "lemma_integral",
     "lminus4_4_integral",
@@ -62,6 +71,24 @@ class QuadResult:
             raise DomainError("tanh-sinh did not converge by level %d (error estimate %s)"
                               % (self.levels_used, mp.nstr(self.err_estimate, 3)))
         return self.value
+
+
+class QuadResults(tuple):
+    """One ``QuadResult`` per component of a tuple-valued integrand.
+
+    ``levels_used`` and ``converged`` describe the walk as a whole, its
+    deepest level and whether every component converged, so a caller that
+    reads those fields of whatever ``tanh_sinh`` returns (perfbench's tracer
+    does) reads the walk's.
+    """
+
+    @property
+    def levels_used(self) -> int:
+        return max(r.levels_used for r in self)
+
+    @property
+    def converged(self) -> bool:
+        return all(r.converged for r in self)
 
 
 def _tmax(dps: int) -> mpf:
@@ -100,7 +127,7 @@ def _nodes(level: int, ctx: PrecisionCtx) -> list:
     return out
 
 
-def tanh_sinh(f, a, b, ctx: PrecisionCtx, max_level: int = MAX_LEVEL) -> QuadResult:
+def tanh_sinh(f, a, b, ctx: PrecisionCtx, max_level: int = MAX_LEVEL):
     """Integrate f over the straight segment [a, b] by tanh-sinh doubling.
 
     ``f`` is called with points a + (b-a)*delta/2 and b - (b-a)*delta/2, so
@@ -116,6 +143,13 @@ def tanh_sinh(f, a, b, ctx: PrecisionCtx, max_level: int = MAX_LEVEL) -> QuadRes
     within about 10^-workdps * max(1, |S|) of the integral.  At ``max_level``
     without meeting that, the result has ``converged=False``.  The error
     estimate is d_L times the half-length of the segment.
+
+    An ``f`` that returns a tuple gives ``QuadResults``, one result per
+    component.  Each component stops on its own rule and keeps the sum of
+    its stop level, while the refinement runs on until every component has
+    stopped or ``max_level`` is reached; one walk over the nodes evaluates f
+    once per node for all of them.  A segment of length 0 gives one zero
+    result without calling f.
     """
     with ctx.working():
         a, b = _real_or_complex(a), _real_or_complex(b)
@@ -123,31 +157,43 @@ def tanh_sinh(f, a, b, ctx: PrecisionCtx, max_level: int = MAX_LEVEL) -> QuadRes
         if scale == 0:
             return QuadResult(mpf(0), mpf(0), 0, True)
         target = mpf(10) ** (-ctx.workdps)
+        vector = False
 
         def eval_nodes(nodes):
-            tot = mpf(0)  # an mpc term makes it an mpc
+            """The weighted sums of f over one level's nodes, one per component."""
+            nonlocal vector
+            ws, vals = [], []
             for delta, w in nodes:
-                tot += w * f(a + scale * delta)
-                if delta != 1:  # the t=0 node sits at the midpoint, count once
-                    tot += w * f(b - scale * delta)
-            return tot
+                # the t=0 node sits at the midpoint, count it once
+                for x in (a + scale * delta,) if delta == 1 else (a + scale * delta,
+                                                                   b - scale * delta):
+                    ws.append(w)
+                    vals.append(f(x))
+            vector = isinstance(vals[0], tuple)
+            return [mp.fdot(ws, col) for col in (zip(*vals) if vector else (vals,))]
 
-        prev = eval_nodes(_nodes(0, ctx))  # h = 1 at level 0
-        err = mp.inf
-        level = 0
-        converged = False
+        sums = eval_nodes(_nodes(0, ctx))  # h = 1 at level 0
+        errs = [mp.inf] * len(sums)
+        levels = [0] * len(sums)
+        done = [False] * len(sums)
         for level in range(1, max_level + 1):
             h = mpf(1) / (1 << level)
-            s_new = prev / 2 + h * eval_nodes(_nodes(level, ctx))
-            err = abs(s_new - prev)
-            prev = s_new
-            if level >= 3 and err ** 2 <= target * max(mpf(1), abs(prev)) ** 2:
-                converged = True
+            new = eval_nodes(_nodes(level, ctx))
+            for i, prev in enumerate(sums):
+                if done[i]:
+                    continue
+                sums[i] = prev / 2 + h * new[i]
+                errs[i], levels[i] = abs(sums[i] - prev), level
+                done[i] = level >= 3 and errs[i] ** 2 <= target * max(mpf(1), abs(sums[i])) ** 2
+            if all(done):
                 break
-        val = ensure_finite(prev * scale)
-        if isinstance(val, mpc) and val.imag == 0:
-            val = val.real
-        return QuadResult(val, err * abs(scale), level, converged)
+        out = []
+        for total, err, level, converged in zip(sums, errs, levels, done):
+            val = ensure_finite(total * scale)
+            if isinstance(val, mpc) and val.imag == 0:
+                val = val.real
+            out.append(QuadResult(val, err * abs(scale), level, converged))
+        return QuadResults(out) if vector else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -253,21 +299,75 @@ def h3mix2_tail_integral(t, ctx: PrecisionCtx) -> mpc:
 # Integral identities for zeta(5), zeta(7), L_{-4}(4)
 # ---------------------------------------------------------------------------
 
-def zeta5_integral(ctx: PrecisionCtx) -> QuadResult:
-    """zeta(5) as (8/93) * int_0^1 (1-2t) K(sqrt(1-t))^4 dt."""
+# fixed-point bits of the sec4 integrand above the working precision
+_SEC4_GUARD = 10
+
+
+@_memoized
+def _sec4_integrals(ctx: PrecisionCtx) -> tuple:
+    """The three K integrals of section 4 over [0, 1/2], from one walk over the nodes.
+
+    With K = K(sqrt t), r = K(sqrt(1-t))/K and w = 2 - 17t(1-t), the
+    reflection t -> 1-t (K(sqrt(1-t)) and K(sqrt t) trade places, w stays)
+    folds [1/2, 1] onto [0, 1/2]:
+        int_0^1 (1-2t) K(sqrt(1-t))^4 dt = int_0^(1/2) (1-2t) K^4 (r^4 - 1) dt,
+        int_0^1 w K(sqrt(1-t))^6 dt = int_0^(1/2) w K^6 (r^6 + 1) dt,
+    and the L_{-4}(4) integral int_0^(1/2) w K^6 (r^2 - 1)^3 dt is already
+    there.  Each node takes K and r from one ``_k_ratio`` AGM, and
+    ``tanh_sinh`` stops each integral on its own rule.
+
+    The integrand runs on integers at 2^wp, wp = the working precision plus
+    _SEC4_GUARD bits.  A value takes at most 9 products, each rounded by a
+    unit of 2^-wp, and its large factors are held to 2^-wp too, so its error
+    is a few units of 2^-wp times max(1, |f|).  That |f| is large only near
+    t = 0: K^6 r^6 reaches about 10^14 at 100 digits, since r ~ ln(16/t)/pi
+    and the nodes come within 10^(-1.65 (workdps + 20)) of t = 0.  Each
+    value is rounded once to an mpf, and the weights stay mpf: rounded to
+    2^-wp, the tiny weights of those nodes would carry errors of up to
+    max |f| units of 2^-wp, about 10^14 at 100 digits.
+    """
     with ctx.working():
+        prec = mp.mp.prec
+        wp = prec + _SEC4_GUARD
+        one = 1 << wp
+
         def f(t):
-            return (1 - 2 * t) * ell_k_comp(t, ctx) ** 4
-        res = tanh_sinh(f, mpf(0), mpf(1), ctx)
+            k, r = _k_ratio(t, wp)
+            x = to_fixed(t._mpf_, wp)
+            k2 = k * k >> wp
+            k4 = k2 * k2 >> wp
+            wk6 = ((2 * one - (17 * x * (one - x) >> wp)) * k4 >> wp) * k2 >> wp
+            r2 = r * r >> wp
+            r4 = r2 * r2 >> wp
+            m = r2 - one
+            return tuple(mp.make_mpf(from_man_exp(v, -wp, prec, round_nearest)) for v in (
+                ((one - 2 * x) * k4 >> wp) * (r4 - one) >> wp,
+                wk6 * ((r4 * r2 >> wp) + one) >> wp,
+                wk6 * (m * m * m >> 2 * wp) >> wp))
+        return tanh_sinh(f, mpf(0), mpf(1) / 2, ctx)
+
+
+def zeta5_integral(ctx: PrecisionCtx) -> QuadResult:
+    """zeta(5) as (8/93) * int_0^1 (1-2t) K(sqrt(1-t))^4 dt.
+
+    The integral is taken folded, as int_0^(1/2) (1-2t) K^4 (r^4 - 1) dt
+    with r = K(sqrt(1-t))/K(sqrt t), on the nodes that the zeta(7) and
+    L_{-4}(4) integrals share (``_sec4_integrals``).
+    """
+    res = _sec4_integrals(ctx)[0]
+    with ctx.working():
         return replace(res, value=ensure_finite(mpf(8) / 93 * res.value))
 
 
 def zeta7_integral(ctx: PrecisionCtx) -> QuadResult:
-    """zeta(7) as (32/5715) * int_0^1 [2-17t(1-t)] K(sqrt(1-t))^6 dt."""
+    """zeta(7) as (32/5715) * int_0^1 [2-17t(1-t)] K(sqrt(1-t))^6 dt.
+
+    The integral is taken folded, as int_0^(1/2) [2-17t(1-t)] K^6 (r^6 + 1) dt
+    with r = K(sqrt(1-t))/K(sqrt t), on the nodes that the zeta(5) and
+    L_{-4}(4) integrals share (``_sec4_integrals``).
+    """
+    res = _sec4_integrals(ctx)[1]
     with ctx.working():
-        def f(t):
-            return (2 - 17 * t * (1 - t)) * ell_k_comp(t, ctx) ** 6
-        res = tanh_sinh(f, mpf(0), mpf(1), ctx)
         return replace(res, value=ensure_finite(mpf(32) / 5715 * res.value))
 
 
@@ -278,14 +378,11 @@ def lminus4_4_integral(ctx: PrecisionCtx) -> QuadResult:
         - (70/(136 pi^7)) int_0^{1/2} [2-17t(1-t)] K(sqrt(t))^6
                                        {(K(sqrt(1-t))/K(sqrt(t)))^2 - 1}^3 dt.
     The integrand's bracket vanishes cubically at t = 1/2, so the endpoint is
-    regular; the t -> 0 end has only log^6 growth.
+    regular; the t -> 0 end has only log^6 growth.  It shares its nodes with
+    the zeta(5) and zeta(7) integrals (``_sec4_integrals``).
     """
+    res = _sec4_integrals(ctx)[2]
     with ctx.working():
-        def f(t):
-            kt = ell_k(t, ctx)
-            ratio2 = (ell_k_comp(t, ctx) / kt) ** 2 - 1
-            return (2 - 17 * t * (1 - t)) * kt ** 6 * ratio2 ** 3
-        res = tanh_sinh(f, mpf(0), mpf(1) / 2, ctx)
         z7 = const_zeta(7, ctx)
         rhs = (mpf(200025) * z7 / (2176 * mp.pi ** 7)
                - mpf(70) / (136 * mp.pi ** 7) * res.value)

@@ -65,6 +65,10 @@ own dust scale as in the walks.  A large u is scaled by 4^-k first; a
 small or large u adds |log2 |u|| / 2 guard bits, the relative precision
 its small start value lacks.  The loop stops on a stated
 quadratic-convergence bound and raises DomainError at its step cap.
+For a real 0 < t <= 1/2, ``_k_ratio`` runs one AGM of the same kind and
+reads both K(sqrt t) and K(sqrt(1-t)) / K(sqrt t) from its means, the
+latter through the nome limit; the section-4 integrals take it at every
+node.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ from math import ceil, inf, isqrt, lgamma, log, log2
 
 import mpmath as mp
 from mpmath import mpc, mpf
+from mpmath.libmp import from_man_exp, mpf_div, mpf_log, mpf_pi, round_nearest, to_fixed
 
 from .modular import _as_z, _nome_logs, _walk_length
 from .mpcore import (DomainError, PrecisionCtx, _cinv, _cmul, _dust_bits, _from_fixed,
@@ -547,6 +552,50 @@ def _agm_k(u):
         if ar * br + (ai * bi >> s2) < 0:
             br, bi = -br, -bi
     raise DomainError("AGM did not converge in %d steps" % _AGM_STEP_CAP)
+
+
+def _k_ratio(t, wp: int) -> tuple:
+    """K = K(sqrt t) and r = K(sqrt(1-t)) / K(sqrt t) for an mpf 0 < t <= 1/2,
+    from one AGM, as integers at scale 2^wp.
+
+    The AGM of a_0 = 1, b_0 = sqrt(1-t) runs on integers at 2^w,
+    w = wp + ``_agm_guard(0)``, and keeps its means a_1..a_n; K = pi / (2 a_n).
+    With c_0^2 = t and c_(j+1) = (a_j - b_j)/2 = c_j^2 / (4 a_(j+1)), the
+    nome q = exp(-pi r) of sqrt t is the limit of (c_n / (4 a_n))^(2^(1-n))
+    = t / P_n (Borwein and Borwein, Pi and the AGM, 1987, ch. 2), where
+    P_n = prod_(j<n) (4 a_j)^(2^(1-j)) * (4 a_n)^(2^(2-n)), j from 1; so
+    pi r = ln(P_n / t) - 2^(3-n) q^(2^n) + ..., taken as one mpf log.
+    P_n is built inside out with n - 2 isqrts: y = (4 a_(n-1))(4 a_n), then
+    y = 4 a_j sqrt(y).  The loop stops as ``_agm_k`` does, at
+    (a - b)^2 2^(w-3) <= a^2, where c_n, about 4 a_n q^(2^(n-1)), is only
+    near 2^(-w/2), so q^(2^n) is only near 2^-w; one more step squares it,
+    and the error term falls far below 2^-w.  Every a_j and b_j lies in
+    [sqrt(1/2), 1], so each step and each isqrt rounds by a unit of 2^-w
+    or so, and K and r come out rounded to 2^-wp.  Raises DomainError for
+    any other t.
+    """
+    if not 0 < t <= 0.5:
+        raise DomainError("_k_ratio needs 0 < t <= 1/2, got %s" % (t,))
+    g = _agm_guard(0)
+    w = wp + g
+    a, b = 1 << w, isqrt((1 << 2 * w) - to_fixed(t._mpf_, 2 * w))
+    means = []
+    while True:  # from b_0 >= sqrt(1/2), about log2(wp) steps
+        d = a - b
+        stop = d * d << (w - 3) <= a * a
+        a, b = (a + b) >> 1, isqrt(a * b)
+        means.append(a)
+        if stop:
+            break
+    a = (a + b) >> 1  # one step past the stop
+    means.append(a)
+    y = means[-2] * a << 4 >> w
+    for m in reversed(means[:-2]):
+        y = (m << 2) * isqrt(y << w) >> w
+    log = mpf_log(mpf_div(from_man_exp(y, -w), t._mpf_, w, round_nearest), w, round_nearest)
+    pi = to_fixed(mpf_pi(w), w)
+    half = 1 << (g - 1)
+    return ((pi << (w - 1)) // a + half) >> g, ((to_fixed(log, w) << w) // pi + half) >> g
 
 
 def ell_k(t, ctx: PrecisionCtx):

@@ -4,11 +4,11 @@ import mpmath as mp
 import pytest
 from mpmath import mpc, mpf
 
-from modzeta import (LinearFactor, PrecisionCtx, WeightSpec, binom3_series,
-                     const_zeta, dirichlet_l, lemma_integral,
-                     lminus4_4_integral, tanh_sinh, zeta5_integral,
-                     zeta7_integral)
-from modzeta.series import W_ONE, ell_k, ell_k_comp
+from modzeta import (DomainError, LinearFactor, PrecisionCtx, WeightSpec,
+                     binom3_series, const_zeta, dirichlet_l, lemma_integral,
+                     lminus4_4_integral, mpcore, quadrature, series, tanh_sinh,
+                     zeta5_integral, zeta7_integral)
+from modzeta.series import W_ONE, _k_ratio, ell_k, ell_k_comp
 from modzeta.verify import get_records, runner
 from fractions import Fraction
 
@@ -72,9 +72,75 @@ def test_real_segment_stays_real(ctx30):
     assert isinstance(lemma_integral("NU2", mpf("0.1"), ctx30), mpf)
 
 
+def test_vector_integrand_matches_its_components(ctx30):
+    # a tuple-valued f gives one result per component, each the same as the
+    # component integrated alone: it stops on its own rule (the polynomial
+    # at level 4, the log-weighted root at 5) while the other runs on
+    parts = (lambda t: t * t, lambda t: mp.sqrt(t) * mp.log(t + mpf(1) / 7))
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return tuple(p(t) for p in parts)
+    with ctx30.working():
+        both = tanh_sinh(f, mpf(0), mpf(1), ctx30)
+        alone = [tanh_sinh(p, mpf(0), mpf(1), ctx30) for p in parts]
+    assert both == tuple(alone)
+    assert (both.levels_used, both.converged) == (5, True)
+    assert [r.levels_used for r in alone] == [4, 5]
+    # one call per node through level 5, the midpoint once
+    assert len(calls) == sum(2 * len(quadrature._nodes(lv, ctx30)) for lv in range(6)) - 1
+    capped = tanh_sinh(f, mpf(0), mpf(1), ctx30, max_level=4)
+    assert [r.converged for r in capped] == [True, False]
+    assert [r.levels_used for r in capped] == [4, 4]
+    assert (capped.levels_used, capped.converged) == (4, False)
+
+
+@pytest.mark.parametrize("digits", (15, 100, 250))
+def test_k_ratio_matches_two_agms(digits):
+    # one AGM gives K(sqrt t) and, through the nome limit, K(sqrt(1-t))/K(sqrt t)
+    ctx = PrecisionCtx(digits)
+    with ctx.working():
+        wp = mp.mp.prec
+        for t in (mpf("1e-300"), mpf("1e-40"), mpf("0.01"), mpf("0.3"), mpf("0.5")):
+            k, r = (mpf(v) / 2 ** wp for v in _k_ratio(t, wp))
+            kt = ell_k(t, ctx)
+            for got, want in ((k, kt), (r, ell_k_comp(t, ctx) / kt)):
+                assert abs(got - want) <= 2 * ctx.tiny() * want, (t, got, want)
+        for t in (mpf(0), mpf("-0.1"), mpf("0.5") + ctx.tiny(), mpf(1), mp.inf, mp.nan):
+            with pytest.raises(DomainError, match="0 < t <= 1/2"):
+                _k_ratio(t, wp)
+
+
+def test_sec4_integrals_take_one_agm_per_node(monkeypatch):
+    # from an empty memo the three section-4 records share one walk over the
+    # nodes of [0, 1/2] through level 6: one _k_ratio call per point (741 at
+    # 100 digits) and no ell_k / ell_k_comp AGM
+    counts = {"_k_ratio": 0, "_agm_k": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+    counted(quadrature, "_k_ratio")
+    counted(series, "_agm_k")
+    monkeypatch.setattr(mpcore, "_memo", {})
+    ctx = PrecisionCtx(100)
+    for rec in get_records("sec4"):
+        if rec.id in QUAD_RECORDS:
+            assert runner._evaluate(rec, ctx)["pass"], rec.id
+    assert counts == {"_k_ratio": 741, "_agm_k": 0}
+
+
 # (integral, levels used at 100 digits): one level before the old stop
-# d_L < 10^-(workdps-8) max(1, |S|), which doubled the integrand calls
-STOP_LEVELS_100 = ((zeta5_integral, 5), (zeta7_integral, 5), (lminus4_4_integral, 6))
+# d_L < 10^-(workdps-8) max(1, |S|), which doubled the integrand calls.  The
+# folded zeta(5) and zeta(7) integrands on [0, 1/2] read K(sqrt t), whose
+# branch point t = 1 lies 1/2 past the end, so they take level 6 as L_{-4}(4)
+# does, on the same nodes
+STOP_LEVELS_100 = ((zeta5_integral, 6), (zeta7_integral, 6), (lminus4_4_integral, 6))
 
 
 @pytest.mark.parametrize("integral,levels", STOP_LEVELS_100)

@@ -117,9 +117,11 @@ def test_residual_monotonicity_in_digits():
 def test_unconverged_quadrature_fails_its_record(monkeypatch, ctx30):
     # with refinement capped at level 2 no integral converges: each integral
     # record fails with its error, every other row still passes, and the
-    # suite runs to the end
+    # suite runs to the end; the memo starts empty, so that the memoized
+    # section-4 integrals reach the capped tanh_sinh
     capped = functools.partial(quadrature.tanh_sinh, max_level=2)
     monkeypatch.setattr(quadrature, "tanh_sinh", capped)
+    monkeypatch.setattr(mpcore, "_memo", {})
     for call in (lambda: quadrature.lemma_integral("NU2", mpf("0.3"), ctx30),
                  lambda: quadrature.h3mix2_tail_integral(mpc("0.3", "0.05"), ctx30)):
         with pytest.raises(DomainError, match="did not converge"):
