@@ -39,7 +39,11 @@ zeta(3) in the memo: it times the record's own reads and arithmetic.  The
 ``_modular_data`` at the theorem points, RECORD_REPEATS times each, each
 time from a memo that holds only the zeta constants: it times a fresh
 point's q-expansions, alpha4, R_{-1/2}, the Lambert walks and the record,
-without the binomial walk.  The ``import``
+without the binomial walk.  The ``point_re0`` and ``point_re_half`` layers
+run the theorem points on Re z = 0 and on Re z = 1/2 through the four
+evaluators (``q_ratios``, ``r_linear``, ``h3_ratios``, ``h3_linear``),
+RECORD_REPEATS times each, each time from a memo that holds only the zeta
+constants: a fresh point, both routes.  The ``import``
 layer, reported under the key "import" in place of a digit level, starts
 IMPORT_RUNS fresh processes that each time ``import modzeta`` and
 ``get_records("all")`` and report their peak RSS (``ru_maxrss``); the
@@ -48,6 +52,7 @@ interpreter's own start-up is not counted.
     python3 scripts/bench_walks.py                          # this checkout
     python3 scripts/bench_walks.py --root PATH              # another checkout
     python3 scripts/bench_walks.py --baseline PATH > BENCH_qpoint.json
+    python3 scripts/bench_walks.py --layers point_re0,point_re_half  # some layers
 
 ``--root`` imports modzeta from ``PATH/src``, so a parent tree can be
 measured with this script.  The walk inputs read the theorem points' rates
@@ -236,26 +241,42 @@ def _record_calls(ctx):
     return calls
 
 
-def _point_q(z, ctx):
-    """One fresh theorem point's series plan and modular record."""
+def _zeta_memo_only():
+    """Empty the memo but for the zeta constants."""
     from modzeta import mpcore
-    from modzeta.verify import theorems
 
     zeta = mpcore.const_zeta.__wrapped__
     mpcore._memo = {key: v for key, v in mpcore._memo.items() if key[0] is zeta}
+
+
+def _point_q(z, ctx):
+    """One fresh theorem point's series plan and modular record."""
+    from modzeta.verify import theorems
+
+    _zeta_memo_only()
     theorems._series_plan(z, ctx)
     theorems._modular_data(z, ctx)
 
 
-def _point_q_calls(ctx):
-    """``_point_q`` at each theorem point, as (function, arguments) pairs, with
-    zeta(3) in the memo first."""
+def _point(z, ctx):
+    """One fresh theorem point through the four evaluators."""
+    from modzeta.verify import theorems
+
+    _zeta_memo_only()
+    for evaluate in (theorems.q_ratios, theorems.r_linear, theorems.h3_ratios,
+                     theorems.h3_linear):
+        evaluate(z, ctx)
+
+
+def _fresh_point_calls(ctx, fn, lines=("0", "0.5")):
+    """``fn`` at each theorem point on the lines Re z in ``lines``, as
+    (function, arguments) pairs, with zeta(3) in the memo first."""
     from mpmath import mpc
     from modzeta.mpcore import const_zeta
 
     const_zeta(3, ctx)
     with ctx.working():
-        return [(_point_q, (mpc(re, im), ctx)) for re, im in POINTS] * RECORD_REPEATS
+        return [(fn, (mpc(re, im), ctx)) for re, im in POINTS if re in lines] * RECORD_REPEATS
 
 
 def _node_calls(ctx):
@@ -308,17 +329,23 @@ LAYERS = {
     "eli": lambda ctx: _qseries_calls(ctx)[2],
     "nodes": _node_calls,
     "modular_record": _record_calls,
-    "point_q": _point_q_calls,
+    "point_q": lambda ctx: _fresh_point_calls(ctx, _point_q),
+    "point_re0": lambda ctx: _fresh_point_calls(ctx, _point, ("0",)),
+    "point_re_half": lambda ctx: _fresh_point_calls(ctx, _point, ("0.5",)),
 }
 
 
-def measure(root: str) -> dict:
+def measure(root: str, layers: list) -> dict:
+    """Every layer of ``layers`` ("import" or a name of LAYERS) at each digit level."""
     from modzeta import PrecisionCtx, mpcore
-    out = {"import": {"import": measure_import(root)}}
+    out = {"import": {"import": measure_import(root)}} if "import" in layers else {}
     for digits in DIGITS:
         ctx = PrecisionCtx(digits)
         row = {}
-        for name, build in LAYERS.items():
+        for name in layers:
+            if name == "import":
+                continue
+            build = LAYERS[name]
             best = float("inf")
             for _ in range(REPEATS):
                 mpcore._memo.clear()
@@ -333,8 +360,9 @@ def measure(root: str) -> dict:
     return out
 
 
-def _run_tree(root: str) -> dict:
-    cmd = [sys.executable, os.path.abspath(__file__), "--root", root]
+def _run_tree(root: str, layers: list) -> dict:
+    cmd = [sys.executable, os.path.abspath(__file__), "--root", root,
+           "--layers", ",".join(layers)]
     done = subprocess.run(cmd, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)["results"]
 
@@ -371,18 +399,24 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=".", help="checkout whose src/ is measured")
     ap.add_argument("--baseline", help="checkout to compare against, run alternately")
+    ap.add_argument("--layers", type=lambda v: v.split(","), default=["import", *LAYERS],
+                    help="comma-separated layers to run, \"import\" among them "
+                         "(default: every layer)")
     args = ap.parse_args(argv)
+    unknown = set(args.layers) - {"import", *LAYERS}
+    if unknown:
+        ap.error("unknown layers: %s" % ", ".join(sorted(unknown)))
     root = os.path.abspath(args.root)
     if args.baseline is None:
         sys.path.insert(0, os.path.join(root, "src"))
-        report = {"results": measure(root)}
+        report = {"results": measure(root, args.layers)}
     else:
         base = os.path.abspath(args.baseline)
         runs = {"baseline": [], "root": []}
         for i in range(ROUNDS):
             order = (("baseline", base), ("root", root))
             for label, tree in (order if i % 2 == 0 else order[::-1]):
-                runs[label].append(_run_tree(tree))
+                runs[label].append(_run_tree(tree, args.layers))
         med = {label: _summary(r) for label, r in runs.items()}
         ratio, ratio_min = ({d: {name: round(med["baseline"][d][name][key]
                                              / med["root"][d][name][key], 2)

@@ -74,8 +74,23 @@ def _as_z(z, ctx: PrecisionCtx) -> mpc:
 
 
 def _nome(z: mpc) -> mpc:
-    # q = exp(2*pi*i*z); |q| = exp(-2*pi*Im z) < 1
-    return mp.exp(mpc(0, 2) * mp.pi * z)
+    """q = exp(2 pi i z) at the current precision: the modulus
+    exp(-2 pi Im z) times the phase exp(2 pi i Re z), rounded once.
+
+    mpmath's ``expjpi`` reduces its argument 2 Re z exactly, so the phase is
+    exactly +-1 on Re z in (1/2)Z, the lines of the main theorems, and
+    exactly +-i on Re z in 1/4 + (1/2)Z.  There q is an exact real or an
+    exact imaginary, and every walk at q and its powers keeps its other
+    integers exactly 0 (``mpcore._dust_bits`` is 0); elsewhere the phase is
+    rounded once.  Both factors are taken at 10 + mag(Im z) extra bits, so
+    the rounding of the exponent 2 pi Im z costs q about 2^-7 of a unit,
+    and each part of q is within about half a unit of the current
+    precision, relative to |q|: within half a unit of 10^-dps.
+    """
+    y = mp.im(z)
+    with mp.extraprec(10 + max(0, mp.mag(y))):
+        q = mp.exp(-2 * mp.pi * y) * mp.expjpi(2 * mp.re(z))
+    return +q
 
 
 def _nome_logs(z: mpc) -> tuple:
@@ -308,13 +323,13 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx, powers: tuple = (1,)) -> dict:
     precision.
 
     The rounding of q itself is not in that count.  A single-power walk
-    rounds q at the working precision, as it always has, and its chains
-    carry that rounding times their condition: up to about 6 units of
-    10^-workdps, relative to max(1, |value|), near Im z = 0.03.  The theorem
-    record takes q to a unit of 2^-wp, so each of its chains, at every power
-    and at -q, lies within its last rounding plus 2^-7 units of 10^-workdps
-    of its value at the point as given: within half a unit of 10^-workdps,
-    relative to max(1, |value|).
+    rounds q at the working precision (``_nome``), and its chains carry that
+    rounding times their condition: up to about 1.3 units of 10^-workdps,
+    relative to max(1, |value|), near Im z = 0.03 on Re z = 0 and 1/2.  The
+    theorem record takes q to a unit of 2^-wp, so each of its chains, at
+    every power and at -q, lies within its last rounding plus 2^-7 units of
+    10^-workdps of its value at the point as given: within half a unit of
+    10^-workdps, relative to max(1, |value|).
 
     The walk is out of contract for Im z < 0.03, as ``eta`` is: its length
     grows like 1/Im z.  The terms are summed in fixed point (module

@@ -91,9 +91,12 @@ def _real_or_complex(x):
 # The hot walks hold each complex value as an (re, im) pair of Python
 # integers, as mpmath's own series kernels do: the real part scaled by 2**wp
 # and the imaginary part by 2**(wp+s), where s >= 0 is the gap between the
-# parts of the walk's input.  A value that is real up to rounding dust, such
-# as the nome or the rate at a point on Re z = 1/2, then keeps that dust to
-# full relative precision, as an mpc does.
+# parts of the walk's input.  An input that is real up to a dust of its own,
+# such as the rate 0.3 + 1e-40 i or the nome of a point just off the line
+# Re z = 1/2, then keeps that dust to full relative precision, as an mpc
+# does.  The nome of a point on Re z in (1/2)Z is an exact real
+# (``modular._nome``), and so is everything a theorem point walks on: s is 0
+# and every imaginary part stays 0.
 
 def _dust_bits(v: mpc, wp: int) -> int:
     """The extra scale s of the imaginary parts of a walk at 2**wp whose input is v.
@@ -134,8 +137,12 @@ def _cmul(ar: int, ai: int, br: int, bi: int, wp: int, s: int = 0) -> tuple:
     and imaginary parts at scale 2**(wp+s).
 
     Each part is rounded toward zero, so a repeated product of modulus below
-    1 never grows by rounding and a vanishing one reaches 0.
+    1 never grows by rounding and a vanishing one reaches 0.  Two real pairs
+    take one integer product.
     """
+    if not (ai or bi):
+        re = ar * br
+        return (re >> wp if re >= 0 else -(-re >> wp)), 0
     re, im = ar * br - (ai * bi >> 2 * s), ar * bi + ai * br
     return (re >> wp if re >= 0 else -(-re >> wp),
             im >> wp if im >= 0 else -(-im >> wp))

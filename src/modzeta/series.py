@@ -28,8 +28,10 @@ pair, each step multiplies it by x and by the exact integer factor
 sums gain 2^wp // n^r per index.  Each weight basis is an integer function
 of those sums, read through one table, and each request's sum is an
 integer pair converted to mpf once at the end.  An imaginary part far below
-the real part of x (a rate at a point on Re z = 1/2) gets its own scale, as
-``mpcore._dust_bits`` describes.
+the real part of x (a rate such as 0.3 + 1e-40 i) gets its own scale, as
+``mpcore._dust_bits`` describes.  The rate of a theorem point is an exact
+real, as is its nome (``modular._nome``): then each step is one integer
+product, and no imaginary part is formed.
 
 wp is the working precision plus the guard bits of ``_binom_guard``, which
 depend only on the precision, so an entry equals the same request summed alone.
@@ -82,7 +84,7 @@ import mpmath as mp
 from mpmath import mpc, mpf
 from mpmath.libmp import from_man_exp, mpf_div, mpf_log, mpf_pi, round_nearest, to_fixed
 
-from .modular import _as_z, _nome_logs, _walk_length
+from .modular import _as_z, _nome, _nome_logs, _walk_length
 from .mpcore import (DomainError, PrecisionCtx, _cinv, _cmul, _dust_bits, _from_fixed,
                      _log2_abs, _real_or_complex, _to_fixed, ensure_finite)
 
@@ -221,14 +223,20 @@ def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
             ends = _binom_ends(x, power, gap, facs, specs, slots, wp, ctx)
             coefs, d = repeat(1), 1
         sd = _dust_bits(x, wp)
-        acc = [(0, 0)] * len(slots)
+        sr, si = [0] * len(slots), [0] * len(slots)
+        # the open requests, latest end first: each drops out once its end passes
+        live = sorted(((e, i) + slot for i, (e, slot) in enumerate(zip(ends, slots))),
+                      reverse=True)
         steps = islice(_binom_steps(x, power, facs, specs, wp, sd), max(ends, default=-1) + 1)
         for k, ((wts, lin), c) in enumerate(zip(steps, coefs)):
-            for i, (fi, wi) in enumerate(slots):
-                if k <= ends[i]:
-                    (lr, li), w, (sr, si) = lin[fi], wts[wi], acc[i]
-                    acc[i] = (sr + c * (lr * w >> wp), si + c * (li * w >> wp))
-        return [ensure_finite(_from_fixed(sr // d, si // d, wp, sd)) for sr, si in acc]
+            while live[-1][0] < k:
+                live.pop()
+            for _, i, fi, wi in live:
+                (lr, li), w = lin[fi], wts[wi]
+                sr[i] += c * (lr * w >> wp)
+                if li:
+                    si[i] += c * (li * w >> wp)
+        return [ensure_finite(_from_fixed(r // d, j // d, wp, sd)) for r, j in zip(sr, si)]
 
 
 def _binom_ends(x, power: int, gap, facs: list, specs: list, slots: list, wp: int,
@@ -351,12 +359,14 @@ def _binom_steps(x, power: int, facs: list, specs: list, wp: int, sd: int):
     """The fixed-point walk: for k = 0, 1, ... yield (wts, lin).
 
     ``wts`` is each weight of ``specs`` from the running sums h: each
-    distinct basis is read through ``_BASIS`` once per step, and a spec of one
-    basis with coefficient 1 is that read.  ``lin`` is the term
+    distinct basis is read through ``_BASIS`` once per step, and a term of
+    coefficient 1 adds its read as it is.  ``lin`` is the term
     C(2k,k)^power x^k times each linear factor (a, b) of ``facs`` at k: real
     parts at scale 2^wp and imaginary parts at 2^(wp+sd), weights at 2^wp;
     the factor (0, 1) gives the term itself, the exact product.  Each step
     rounds the term once toward zero; the caller decides where to stop.
+    While the term and x are real, as at every theorem point, a step is one
+    integer product (``mpcore._cmul``) and the imaginary part stays 0.
     """
     one = 1 << wp
     xr, xi = _to_fixed(x, wp, sd)
@@ -364,17 +374,24 @@ def _binom_steps(x, power: int, facs: list, specs: list, wp: int, sd: int):
     facs = [None if f == (0, 0, one, 0) else f for f in facs]
     bases = list(dict.fromkeys(b for w in specs for _, b in w.terms))
     reads = [_BASIS[b][0] for b in bases]
-    # each spec as the index of its one read, or as (n, d, index) triples
-    specs = [bases.index(w.terms[0][1]) if len(w.terms) == 1 and w.terms[0][0] == 1
-             else [(c.numerator, c.denominator, bases.index(b)) for c, b in w.terms]
+    # each spec as the indices of its terms of coefficient 1 and the
+    # (n, d, index) triples of the others
+    specs = [([bases.index(b) for c, b in w.terms if c == 1],
+              [(c.numerator, c.denominator, bases.index(b)) for c, b in w.terms if c != 1])
              for w in specs]
     tr, ti = one, 0
     h = [0] * 7  # k, H_k, H_2k, H2_k, H2_2k, H3_k, H3_2k
     k = 0
     while True:
         vals = [f(h, wp) for f in reads]
-        wts = [vals[w] if isinstance(w, int) else sum(n * vals[j] // d for n, d, j in w)
-               for w in specs]
+        wts = []
+        for units, scaled in specs:
+            v = 0
+            for j in units:
+                v += vals[j]
+            for n, d, j in scaled:
+                v += n * vals[j] // d
+            wts.append(v)
         lin = [_cmul(tr, ti, f[0] * k + f[2], f[1] * k + f[3], wp, sd) if f else (tr, ti)
                for f in facs]
         yield wts, lin
@@ -695,11 +712,13 @@ def hyp_lambert(z, kernel: HypKernel, ctx: PrecisionCtx) -> mpc:
     c = 1 and n >= 1 for parity ALL, c = exp(pi i z) and n >= 0 for ODD.
     Each kernel is c A(u, v) + B(v) in u = step^n and v = x_n^2
     (``_KERNELS``), so the sums of A and B run over powers of step alone and
-    c multiplies once at the end: at a point on Re z = 1/2 step is real up to
-    a dust that keeps its ``_dust_bits`` scale, while c is imaginary.  Each
-    term is fixed-point integer pairs at 2^wp: u and v advance by one product
-    each, 1/d is one integer division (``mpcore._cinv``), and the weight
-    n^-a or (2n+1)^-a is a floor division.
+    c multiplies once at the end.  step is the nome of z and c that of z/2
+    (``modular._nome``), each from an exact phase: on Re z in (1/2)Z, step
+    is an exact real and so are both sums, while c is exactly real or
+    imaginary; elsewhere the imaginary parts keep their ``_dust_bits``
+    scale.  Each term is fixed-point integer pairs at 2^wp: u and v advance
+    by one product each, 1/d is one integer division (``mpcore._cinv``), and
+    the weight n^-a or (2n+1)^-a is a floor division.
 
     Stop rule: for |x| < 0.6 each kernel is at most 13|x|, since
     |1 - x| > 0.4 and |1 +- x^2| > 0.64; the worst, SINH_SQ, is below
@@ -721,8 +740,8 @@ def hyp_lambert(z, kernel: HypKernel, ctx: PrecisionCtx) -> mpc:
         odd = kernel.parity == "ODD"
         if not odd and kernel.kind == "EXPM1_ALT":
             raise DomainError("alternating kernels are supported for ODD parity only")
-        c = mp.exp(1j * mp.pi * z) if odd else mpc(1)
-        step = c * c if odd else mp.exp(2j * mp.pi * z)
+        c = _nome(z / 2) if odd else mpc(1)
+        step = c * c if odd else _nome(z)
         if not abs(step) < 1:
             raise DomainError("hyp_lambert requires Im z > 0")
         ls, l1s = _nome_logs(z)  # |step| = |q|

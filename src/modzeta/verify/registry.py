@@ -46,7 +46,7 @@ from mpmath import mpc, mpf
 from ..arith import dirichlet_l, epstein2, epstein3
 from ..eichler import eichler4, eichler6
 from ..modular import _as_z, alpha4, eisenstein, eisenstein_eta_form, lambda_fn
-from ..mpcore import const_catalan, const_zeta
+from ..mpcore import PrecisionCtx, const_catalan, const_zeta
 from ..quadrature import (h3mix2_tail_integral, lemma_integral,
                           lminus4_4_integral, zeta5_integral, zeta7_integral)
 from ..series import (HypKernel, LinearFactor, W_ONE, WeightSpec, _binom_sums,
@@ -373,6 +373,20 @@ def _eichler(terms, ctx):
                for c, pt, weight, order in terms)
 
 
+def _zeta3_form(a, n, c, ctx):
+    """a sqrt(n) - c zeta(3) / pi^3, the closed form of an es.p33 row.
+
+    Its two terms cancel up to 1.5 digits (259 - 268 = -8.7 for a sqrt(n) =
+    98 sqrt7), so it is formed at 3 more digits, from zeta(3) at those
+    digits, and rounded once: formed at working precision, it would be up
+    to 57 units of 10^-workdps off.
+    """
+    fine = PrecisionCtx(ctx.digits, ctx.guard + 3)
+    with fine.working():
+        v = a * mp.sqrt(n) - c * const_zeta(3, fine) / mp.pi ** 3
+    return +v
+
+
 def _h3_ratio_256(p, ctx):
     """sum C^3 [H3_{2k} - 7 H3_k/64]/256^k over sum C^3/256^k, from one walk."""
     w = WeightSpec.combo({"H3_2K": 1, "H3_K": Fraction(-7, 64)})
@@ -438,24 +452,24 @@ _EICHLER = (
      "i E6int''((1+sqrt3 i)/2) + (sqrt3/2) E6int'''(same) = 3 sqrt3 - 168 zeta(3)/pi^3",
      lambda p, ctx: _eichler([(1j, "(1+sqrt3 i)/2", 6, 2),
                               (lambda: mp.sqrt(3) / 2, "(1+sqrt3 i)/2", 6, 3)], ctx),
-     lambda p, ctx: 3 * mp.sqrt(3) - 168 * const_zeta(3, ctx) / mp.pi ** 3),
+     lambda p, ctx: _zeta3_form(3, 3, 168, ctx)),
     ("es.p33.sqrt7", "eichler-special",
      "2i[39 E6''((1+sqrt7 i)/2) - 4 E6''(sqrt7 i)] + sqrt7[39 E6'''(...) - 8 E6'''(...)] "
      "= 98 sqrt7 - 6912 zeta(3)/pi^3",
      lambda p, ctx: _eichler([(78j, "(1+sqrt7 i)/2", 6, 2), (-8j, "sqrt7 i", 6, 2),
                               (lambda: 39 * mp.sqrt(7), "(1+sqrt7 i)/2", 6, 3),
                               (lambda: -8 * mp.sqrt(7), "sqrt7 i", 6, 3)], ctx),
-     lambda p, ctx: 98 * mp.sqrt(7) - 6912 * const_zeta(3, ctx) / mp.pi ** 3),
+     lambda p, ctx: _zeta3_form(98, 7, 6912, ctx)),
     ("es.p33.sqrt2", "eichler-special",
      "i E6''(i/sqrt2) + i E6''(sqrt2 i) + E6'''(i/sqrt2)/sqrt2 + sqrt2 E6'''(sqrt2 i) "
      "= 18 sqrt2 - 567 zeta(3)/pi^3",
      lambda p, ctx: _eichler([(1j, "i/sqrt2", 6, 2), (1j, "sqrt2 i", 6, 2),
                               (lambda: 1 / mp.sqrt(2), "i/sqrt2", 6, 3),
                               (lambda: mp.sqrt(2), "sqrt2 i", 6, 3)], ctx),
-     lambda p, ctx: 18 * mp.sqrt(2) - 567 * const_zeta(3, ctx) / mp.pi ** 3),
+     lambda p, ctx: _zeta3_form(18, 2, 567, ctx)),
     ("es.p33.i", "eichler-special", "i E6int''(i) + E6int'''(i) = 8 - 189 zeta(3)/pi^3",
      lambda p, ctx: _eichler([(1j, "i", 6, 2), (1, "i", 6, 3)], ctx),
-     lambda p, ctx: 8 - 189 * const_zeta(3, ctx) / mp.pi ** 3),
+     lambda p, ctx: _zeta3_form(8, 1, 189, ctx)),
     # E4int at sqrt3 i/2 and at 2 sqrt3 i (= 4z for the row's z)
     ("es.h3ratio.256", "eichler-special",
      "rate-256 H3 ratio = pi^3/(32 sqrt3) - 7 zeta(3)/16 - pi^3 i[4 E4int(sqrt3 i/2) - E4int(2 sqrt3 i)]/960",

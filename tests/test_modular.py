@@ -1,5 +1,6 @@
 """Dedekind eta, modular lambda, Eisenstein series, Legendre-Ramanujan R."""
 
+import random
 import time
 
 import mpmath as mp
@@ -184,6 +185,39 @@ def test_nome():
     with mp.workdps(30):
         q = _nome(mpc(0, 1))
         assert abs(q - mp.exp(-2 * mp.pi)) < mpf(10) ** -28
+
+
+@pytest.mark.parametrize("digits", (15, 100, 250))
+def test_nome_matches_exp_at_40_more_digits(digits):
+    # q is within half a unit of 10^-workdps, relative to |q|, of
+    # exp(2 pi i z) at 40 more digits, for random z with |Re z| <= 10 and
+    # 0.03 <= Im z <= 6, each part drawn to the full working precision
+    rng = random.Random(digits)
+    ctx = PrecisionCtx(digits)
+    unit = mpf(10) ** -ctx.workdps
+    for _ in range(100):
+        with ctx.working():
+            u, v = (mpf(rng.getrandbits(mp.mp.prec)) / mpf(2) ** mp.mp.prec for _ in range(2))
+            z = mpc(20 * u - 10, mpf("0.03") + mpf("5.97") * v)
+            q = _nome(z)
+        with mp.workdps(ctx.workdps + 40):
+            ref = mp.exp(2j * mp.pi * z)
+            assert abs(q - ref) <= unit / 2 * abs(ref), z
+
+
+@pytest.mark.parametrize("digits", (15, 100))
+def test_nome_phase_is_exact_on_quarter_lines(digits):
+    # the phase exp(2 pi i Re z) is exactly +-1 on Re z in (1/2)Z and
+    # exactly +-i on Re z in 1/4 + (1/2)Z, whatever Im z is
+    ctx = PrecisionCtx(digits)
+    with ctx.working():
+        for im in ("0.03", "0.9", mp.sqrt(2) / 2, "5.5"):
+            for re, sign in (("0", 1), ("0.5", -1), ("-0.5", -1), ("1", 1), ("3.5", -1)):
+                q = _nome(mpc(re, im))
+                assert q.imag == 0 and sign * q.real > 0, (re, im)
+            for re, sign in (("0.25", 1), ("-0.25", -1)):
+                q = _nome(mpc(re, im))
+                assert q.real == 0 and sign * q.imag > 0, (re, im)
 
 
 def test_nome_walk_floor_fails_fast(capsys):

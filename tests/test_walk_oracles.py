@@ -35,13 +35,14 @@ from modzeta import (DomainError, HypKernel, PrecisionCtx, alpha4, eisenstein_et
 from modzeta.modular import (_CHAINS, _EIS_POWER, _RECORD_CHAINS, _RECORD_EIS, _as_z, _nome,
                              _nome_chains)
 from modzeta.mpcore import _dust_bits, ensure_finite
-from modzeta import series
+from modzeta import mpcore, series
 from modzeta.series import (LinearFactor, W_ONE, WeightSpec, _binom_sums, ell_k,
                             ell_k_comp)
 from modzeta.verify import get_records
 from modzeta.verify.registry import _Z
 from modzeta.verify.runner import _evaluate
-from modzeta.verify.theorems import W_H2_DIFF, W_H3_DIFF, _series_plan
+from modzeta.verify.theorems import (W_H2_DIFF, W_H3_DIFF, _series_plan, h3_linear,
+                                     h3_ratios, q_ratios, r_linear)
 from oracles import tail_poly_geom
 
 DIGITS = (15, 30, 100, 250)
@@ -449,6 +450,36 @@ def test_binom_plan_raises_before_summing(monkeypatch):
     x, reqs = _theorem_requests(mpf(1) / 2 + mpc(0, "0.7072"), ctx)
     with pytest.raises(DomainError, match="failed to converge"):
         series.binom3_sums(x, reqs, ctx)
+
+
+@pytest.mark.parametrize("digits", (30, 100))
+@pytest.mark.parametrize("point", ["1/2+0.9i", "0.8i"])
+def test_theorem_point_walks_real_integers(point, digits, monkeypatch):
+    # on both theorem lines the nome is an exact real, so alpha4, the rate
+    # and all 16 evaluator sides have an imaginary part of exactly 0, the
+    # rate takes no dust scale and every term the binomial walk takes is
+    # (t, 0), under each linear factor
+    ctx = PrecisionCtx(digits)
+    with ctx.working():
+        z = {"1/2+0.9i": mpc("0.5", "0.9"), "0.8i": mpc(0, "0.8")}[point]
+    monkeypatch.setattr(mpcore, "_memo", {})  # so the point's walk runs here
+    terms, steps = [], series._binom_steps
+
+    def recorded(*args):
+        for wts, lin in steps(*args):
+            terms.extend(lin)
+            yield wts, lin
+    monkeypatch.setattr(series, "_binom_steps", recorded)
+    sides = {}
+    for evaluate in (q_ratios, r_linear, h3_ratios, h3_linear):
+        sides.update(((evaluate.__name__, key), v) for key, v in evaluate(z, ctx).items())
+    plan = _series_plan(z, ctx)
+    assert len(sides) == 16 and terms
+    assert all(v.imag == 0 for v in sides.values()), sides
+    assert plan["a4"].imag == 0 and plan["x"].imag == 0
+    assert all(ti == 0 for _, ti in terms)
+    with ctx.working():
+        assert _dust_bits(plan["x"], mp.mp.prec + series._binom_guard(ctx)) == 0
 
 
 def _stated_tail(x, power, factor, w, k):
@@ -875,7 +906,9 @@ def test_qseries_kernels_stop_within_their_tail_bounds(digits):
     # each value lies within 4 units of 10^-workdps (relative to |eta|, or to
     # max(1, |value|) for the sums) of itself at 40 more digits; eli with
     # |x| > 1 too, where an inner sum cut at tiny alone would be multiplied
-    # by |x|^j; every chain of the nome walk too
+    # by |x|^j; every chain of the nome walk too, also at 1/2 + 0.0301i,
+    # where q = -0.827 is an exact real rounded once and the alternating E6
+    # chain cancels most
     ctx, ref_ctx = PrecisionCtx(digits), PrecisionCtx(digits + 40)
     evals = [(eta, (z,)) for z in _eta_points()[::2]]
     evals += [(hyp_lambert, (z, k)) for z in _hyp_points()[1:4] for k in _HYP_KERNELS]
@@ -883,6 +916,7 @@ def test_qseries_kernels_stop_within_their_tail_bounds(digits):
     evals.append((eli, (2, 3, mpf("1.9"), 1, mpf("0.5"))))
     with ctx.working():
         evals += [(_chains_at_q, (mpc(point()),)) for point in _nome_points().values()]
+        evals.append((_chains_at_q, (mpc("0.5", "0.0301"),)))
     for fn, args in evals:
         with ctx.working():
             args = tuple(mpc(a) if isinstance(a, mpc) else a for a in args)
