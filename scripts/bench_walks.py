@@ -52,7 +52,6 @@ interpreter's own start-up is not counted.
     python3 scripts/bench_walks.py                          # this checkout
     python3 scripts/bench_walks.py --root PATH              # another checkout
     python3 scripts/bench_walks.py --baseline PATH > BENCH_qpoint.json
-    python3 scripts/bench_walks.py --layers point_re0,point_re_half  # some layers
 
 ``--root`` imports modzeta from ``PATH/src``, so a parent tree can be
 measured with this script.  The walk inputs read the theorem points' rates
@@ -335,17 +334,13 @@ LAYERS = {
 }
 
 
-def measure(root: str, layers: list) -> dict:
-    """Every layer of ``layers`` ("import" or a name of LAYERS) at each digit level."""
+def measure(root: str) -> dict:
     from modzeta import PrecisionCtx, mpcore
-    out = {"import": {"import": measure_import(root)}} if "import" in layers else {}
+    out = {"import": {"import": measure_import(root)}}
     for digits in DIGITS:
         ctx = PrecisionCtx(digits)
         row = {}
-        for name in layers:
-            if name == "import":
-                continue
-            build = LAYERS[name]
+        for name, build in LAYERS.items():
             best = float("inf")
             for _ in range(REPEATS):
                 mpcore._memo.clear()
@@ -360,9 +355,8 @@ def measure(root: str, layers: list) -> dict:
     return out
 
 
-def _run_tree(root: str, layers: list) -> dict:
-    cmd = [sys.executable, os.path.abspath(__file__), "--root", root,
-           "--layers", ",".join(layers)]
+def _run_tree(root: str) -> dict:
+    cmd = [sys.executable, os.path.abspath(__file__), "--root", root]
     done = subprocess.run(cmd, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)["results"]
 
@@ -399,24 +393,18 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=".", help="checkout whose src/ is measured")
     ap.add_argument("--baseline", help="checkout to compare against, run alternately")
-    ap.add_argument("--layers", type=lambda v: v.split(","), default=["import", *LAYERS],
-                    help="comma-separated layers to run, \"import\" among them "
-                         "(default: every layer)")
     args = ap.parse_args(argv)
-    unknown = set(args.layers) - {"import", *LAYERS}
-    if unknown:
-        ap.error("unknown layers: %s" % ", ".join(sorted(unknown)))
     root = os.path.abspath(args.root)
     if args.baseline is None:
         sys.path.insert(0, os.path.join(root, "src"))
-        report = {"results": measure(root, args.layers)}
+        report = {"results": measure(root)}
     else:
         base = os.path.abspath(args.baseline)
         runs = {"baseline": [], "root": []}
         for i in range(ROUNDS):
             order = (("baseline", base), ("root", root))
             for label, tree in (order if i % 2 == 0 else order[::-1]):
-                runs[label].append(_run_tree(tree, args.layers))
+                runs[label].append(_run_tree(tree))
         med = {label: _summary(r) for label, r in runs.items()}
         ratio, ratio_min = ({d: {name: round(med["baseline"][d][name][key]
                                              / med["root"][d][name][key], 2)

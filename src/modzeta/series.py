@@ -359,8 +359,8 @@ def _binom_steps(x, power: int, facs: list, specs: list, wp: int, sd: int):
     """The fixed-point walk: for k = 0, 1, ... yield (wts, lin).
 
     ``wts`` is each weight of ``specs`` from the running sums h: each
-    distinct basis is read through ``_BASIS`` once per step, and a term of
-    coefficient 1 adds its read as it is.  ``lin`` is the term
+    distinct basis is read through ``_BASIS`` once per step, and a spec of one
+    basis with coefficient 1 is that read.  ``lin`` is the term
     C(2k,k)^power x^k times each linear factor (a, b) of ``facs`` at k: real
     parts at scale 2^wp and imaginary parts at 2^(wp+sd), weights at 2^wp;
     the factor (0, 1) gives the term itself, the exact product.  Each step
@@ -374,24 +374,17 @@ def _binom_steps(x, power: int, facs: list, specs: list, wp: int, sd: int):
     facs = [None if f == (0, 0, one, 0) else f for f in facs]
     bases = list(dict.fromkeys(b for w in specs for _, b in w.terms))
     reads = [_BASIS[b][0] for b in bases]
-    # each spec as the indices of its terms of coefficient 1 and the
-    # (n, d, index) triples of the others
-    specs = [([bases.index(b) for c, b in w.terms if c == 1],
-              [(c.numerator, c.denominator, bases.index(b)) for c, b in w.terms if c != 1])
+    # each spec as the index of its one read, or as (n, d, index) triples
+    specs = [bases.index(w.terms[0][1]) if len(w.terms) == 1 and w.terms[0][0] == 1
+             else [(c.numerator, c.denominator, bases.index(b)) for c, b in w.terms]
              for w in specs]
     tr, ti = one, 0
     h = [0] * 7  # k, H_k, H_2k, H2_k, H2_2k, H3_k, H3_2k
     k = 0
     while True:
         vals = [f(h, wp) for f in reads]
-        wts = []
-        for units, scaled in specs:
-            v = 0
-            for j in units:
-                v += vals[j]
-            for n, d, j in scaled:
-                v += n * vals[j] // d
-            wts.append(v)
+        wts = [vals[w] if isinstance(w, int) else sum(n * vals[j] // d for n, d, j in w)
+               for w in specs]
         lin = [_cmul(tr, ti, f[0] * k + f[2], f[1] * k + f[3], wp, sd) if f else (tr, ti)
                for f in facs]
         yield wts, lin
