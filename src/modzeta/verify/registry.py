@@ -373,18 +373,28 @@ def _eichler(terms, ctx):
                for c, pt, weight, order in terms)
 
 
+def _fine_form(form, ctx):
+    """The closed form ``form(fine)``, with its constants and operations at
+    the context ``fine`` of 3 more digits than ctx, rounded once.
+
+    Formed at working precision, each operation rounds, so the form can be
+    more than half a unit of 10^-workdps off its value (105 G / (2 pi^2) by
+    1.24 units at 100 digits), and cancelling terms multiply that.
+    """
+    fine = PrecisionCtx(ctx.digits, ctx.guard + 3)
+    with fine.working():
+        v = form(fine)
+    return +v
+
+
 def _zeta3_form(a, n, c, ctx):
     """a sqrt(n) - c zeta(3) / pi^3, the closed form of an es.p33 row.
 
     Its two terms cancel up to 1.5 digits (259 - 268 = -8.7 for a sqrt(n) =
-    98 sqrt7), so it is formed at 3 more digits, from zeta(3) at those
-    digits, and rounded once: formed at working precision, it would be up
-    to 57 units of 10^-workdps off.
+    98 sqrt7): formed at working precision, it would be up to 57 units of
+    10^-workdps off.
     """
-    fine = PrecisionCtx(ctx.digits, ctx.guard + 3)
-    with fine.working():
-        v = a * mp.sqrt(n) - c * const_zeta(3, fine) / mp.pi ** 3
-    return +v
+    return _fine_form(lambda f: a * mp.sqrt(n) - c * const_zeta(3, f) / mp.pi ** 3, ctx)
 
 
 def _h3_ratio_256(p, ctx):
@@ -639,10 +649,11 @@ _GZ = (
     ("gz.2sqrt7.s3", "epstein-gz", "E(2 sqrt7 i, 3) Glasser-Zucker product",
      lambda p, ctx: epstein3(2 * mp.sqrt(7) * _I(), ctx), lambda p, ctx: _gz_2sqrt7(3, ctx)),
     ("gz.i.s2", "epstein-gz", "E(i,2) = 30 G / pi^2",
-     lambda p, ctx: epstein2(_I(), ctx), lambda p, ctx: 30 * const_catalan(ctx) / mp.pi ** 2),
+     lambda p, ctx: epstein2(_I(), ctx),
+     lambda p, ctx: _fine_form(lambda f: 30 * const_catalan(f) / mp.pi ** 2, ctx)),
     ("gz.ihalf.s2", "epstein-gz", "E(i/2,2) = 105 G / (2 pi^2)",
      lambda p, ctx: epstein2(_I() / 2, ctx),
-     lambda p, ctx: 105 * const_catalan(ctx) / (2 * mp.pi ** 2)),
+     lambda p, ctx: _fine_form(lambda f: 105 * const_catalan(f) / (2 * mp.pi ** 2), ctx)),
     ("gz.2i.s2", "epstein-gz", "E(2i,2) = E(i/2,2)",
      lambda p, ctx: epstein2(2 * _I(), ctx), lambda p, ctx: epstein2(_I() / 2, ctx)),
 )
