@@ -10,7 +10,8 @@ mpmath's cached constants, and a layer no longer depends on what the
 layers before it left in the memo.  The walk inputs are the nine
 theorem sums at seven admissible points, four more interior rates, the two
 boundary rates -1/64 (four weights under 4k + 1) and -1/16 (binom2), and the
-nomes of z, 2z, 4z and z + 1/2 at the same points.  The AGM inputs are the
+nomes of z, 2z, 4z and z + 1/2 at the same points, each walked for every
+chain at q (the request ``modular._AT_Q``).  The AGM inputs are the
 tanh-sinh nodes of levels 0-6 on [0, 1] (``ell_k_comp``) and on [0, 1/2]
 (both functions), and the upward ray of ``h3mix2_tail_integral`` from
 t = 0.3 + 0.05i over the same nodes.  The ``quad`` layer runs the three
@@ -55,8 +56,9 @@ interpreter's own start-up is not counted.
 
 ``--root`` imports modzeta from ``PATH/src``, so a parent tree can be
 measured with this script.  The walk inputs read the theorem points' rates
-and nine requests from ``verify.theorems._series_plan``, so the measured tree
-must have it.  With ``--baseline`` the script runs ROUNDS
+and nine requests from ``verify.theorems._series_plan``, and the nome walk is
+called as ``_nome_chains(z, request, ctx)``, so the measured tree must have
+both.  With ``--baseline`` the script runs ROUNDS
 alternating pairs of fresh processes, one per tree, switching which goes
 first; the report holds every round, the per-tree medians, quartiles and
 least totals, the ratios of the baseline's median and least total seconds
@@ -109,7 +111,8 @@ def _walk_calls(ctx):
             z = mpc(re, im)
             plan = _series_plan(z, ctx)
             binom.append((walk, (plan["x"], 3, plan["requests"], ctx)))
-            nome += [(nome_walk, (w, ctx)) for w in (z, 2 * z, 4 * z, z + mpf(1) / 2)]
+            nome += [(nome_walk, (w, modular._AT_Q, ctx))
+                     for w in (z, 2 * z, 4 * z, z + mpf(1) / 2)]
         sun = [(LinearFactor(42, 5), W_ONE)] + [(LinearFactor(42, 5), w) for w in weights]
         binom.append((walk, (mpf(1) / 4096, 3, sun, ctx)))
         binom.append((walk, (mpf(-1) / 512, 3, sun, ctx)))

@@ -18,7 +18,7 @@ import mpmath as mp
 from mpmath import mpc, mpf
 
 from .eichler import eichler6
-from .modular import _as_z, _nome_chains
+from .modular import _AT_Q, _as_z, _nome_chains
 from .mpcore import (
     DomainError,
     PrecisionCtx,
@@ -131,7 +131,7 @@ def epstein2(z, ctx: PrecisionCtx) -> mpf:
     raises DomainError below Im z = 0.03.
     """
     z = _as_z(z, ctx)
-    chains = _nome_chains(z, ctx)[1]
+    chains = _nome_chains(z, _AT_Q, ctx)[1]
     with ctx.working():
         y = mp.im(z)
         lam3, lam2 = _epstein2_lambert(chains, y)

@@ -10,10 +10,10 @@ turns the rational kernel in q^n into the next one in the chain
 u/(1-u) -> u/(1-u)^2 -> u(1+u)/(1-u)^3 -> u(1+4u+u^2)/(1-u)^4.
 The seven sums (weight 4, orders 0-2; weight 6, orders 0-3) are chains of
 ``modular._nome_chains``, the one memoized walk over the powers of the nome
-that also serves the Eisenstein series and ``arith.epstein2``; read at a
-point alone, it sums the chains at q.  This module only applies the
-prefactors, which ``verify.theorems._modular_data`` multiplies out from the
-chains of a theorem record.  Finite differences are deliberately not used
+that also serves the Eisenstein series and ``arith.epstein2``; all three
+ask it for every chain at q (``modular._AT_Q``).  This module only applies
+the prefactors, which ``verify.theorems._modular_data`` multiplies out from
+the chains of a theorem record.  Finite differences are deliberately not used
 here (they live in the tests).
 """
 
@@ -22,14 +22,14 @@ from __future__ import annotations
 import mpmath as mp
 from mpmath import mpc
 
-from .modular import _as_z, _nome_chains
+from .modular import _AT_Q, _as_z, _nome_chains
 from .mpcore import DomainError, PrecisionCtx, ensure_finite
 
 __all__ = ["eichler4", "eichler6"]
 
 
 def _eichler(z, weight: int, order: int, ctx: PrecisionCtx) -> mpc:
-    s = _nome_chains(_as_z(z, ctx), ctx)[1][weight, order]
+    s = _nome_chains(_as_z(z, ctx), _AT_Q, ctx)[1][weight, order]
     with ctx.working():
         # the docstring's c i / pi^(weight-1), times 2 pi i per derivative
         pref = mpc(0, 60 if weight == 4 else 378) * (2j) ** order / mp.pi ** (weight - 1 - order)

@@ -13,16 +13,17 @@ A point is any complex-like value; every function takes it through
 ``_as_z``, which converts it at working precision and rejects a non-finite
 part and Im z <= 0.
 
-One memoized walk over the powers of q, ``_nome_chains``, sums every Lambert
-series at q and at the powers q^2, q^4 it is asked for: the E2/E4/E6 chains
-that ``eisenstein`` reads and the Eichler chains that ``eichler`` and
-``arith.epstein2`` read.  Those public readers ask for q alone.  A theorem
-point asks for (1, 2, 4), and its record also holds the chains at -q, the
-nome of z + 1/2, derived exactly from the other three: every right-hand
-side of the main theorems (``verify.theorems._modular_data``) and
-R_{-1/2} read that one record.  Eta, lambda and alpha4 take one exponential
-too: alpha4(z) = lambda(2z) is an eta quotient at q, q^2 and q^4, three
-pentagonal sums (``_pentagonal``) at the powers of one nome.
+One memoized walk over the powers of q, ``_nome_chains``, sums the Lambert
+series a request names at the powers of q it names, by one rule for every
+request: q to a unit of the walk's precision, and the chains at -q, the
+nome of z + 1/2, derived exactly whenever the powers cover q, q^2 and q^4.
+``eisenstein``, ``eichler`` and ``arith.epstein2`` ask for every chain at q
+(``_AT_Q``).  A theorem point asks for the chains its readers take at q,
+q^2 and q^4 (``_THEOREM_RECORD``): every right-hand side of the main
+theorems (``verify.theorems._modular_data``) and R_{-1/2} read that one
+record.  Eta, lambda and alpha4 take one exponential too: alpha4(z) =
+lambda(2z) is an eta quotient at q, q^2 and q^4, three pentagonal sums
+(``_pentagonal``) at the powers of one nome.
 
 The walk runs on Python integers scaled by 2^wp: u = q^n is an (re, im)
 integer pair, one integer division per n gives r = 1/(1-u), every kernel is
@@ -266,16 +267,18 @@ _EIS_COEFF = {2: -24, 4: 240, 6: -504}
 _EIS_POWER = {"E2": 1, "E4": 3, "E6": 5}
 # (weight, order) of every Eichler chain the Eichler integrals and epstein2 read
 _CHAINS = ((4, 0), (4, 1), (4, 2), (6, 0), (6, 1), (6, 2), (6, 3))
-# the chains of a theorem record: R_{-1/2} reads E2 and E4 at q and q^4, and
-# the right-hand sides read these Eichler chains at q, q^2, q^4 and -q
-_RECORD_EIS = ("E2", "E4")
-_RECORD_CHAINS = ((4, 0), (4, 1), (4, 2), (6, 2), (6, 3))
+# The two requests (powers of q, chains) of the nome walk.  ``eisenstein``,
+# ``eichler4``/``eichler6`` and ``arith.epstein2`` read every chain at q.  A theorem point
+# reads E2 and E4 at q and q^4 (R_{-1/2}) and these Eichler chains at q,
+# q^2, q^4 and -q (the right-hand sides).
+_AT_Q = ((1,), tuple(_EIS_POWER) + _CHAINS)
+_THEOREM_RECORD = ((1, 2, 4), ("E2", "E4", (4, 0), (4, 1), (4, 2), (6, 2), (6, 3)))
 
 
 @_memoized
-def _nome_chains(z: mpc, ctx: PrecisionCtx, powers: tuple = (1,)) -> dict:
-    """Every Lambert chain at the nomes q^m of z, m in ``powers``, from one
-    walk over the powers q^n of q, as {m: chains}.
+def _nome_chains(z: mpc, request: tuple, ctx: PrecisionCtx) -> dict:
+    """The chains of ``request`` = (powers, chains) at the nomes q^m of z,
+    m in powers, from one walk over the powers q^n of q, as {m: chains}.
 
     Eisenstein chain "E<weight>" is sum_n n^p q^n/(1-q^n) with p = 1, 3, 5
     for weight 2, 4, 6; its tail after term n is at most
@@ -286,8 +289,8 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx, powers: tuple = (1,)) -> dict:
     with K_0(u) = u/(1-u), K_1(u) = u/(1-u)^2, K_2(u) = u(1+u)/(1-u)^3,
     K_3(u) = u(1+4u+u^2)/(1-u)^4.  The n-exponent is <= -1 for every Eichler
     chain, so one tail bound, sum_{m>n} |q|^m * 6/(1-|q|)^4 with the crude
-    kernel bound |K(u)| <= 6|u|/(1-|q|)^4 for |u| <= |q|, gives all seven one
-    length: the first n with
+    kernel bound |K(u)| <= 6|u|/(1-|q|)^4 for |u| <= |q|, gives every
+    Eichler chain one length: the first n with
     log2 6 + (n+1) log2|q| - 5 log2(1-|q|) < log2 tiny.
 
     The chains at q^m take the kernels of the walk at the indices n = m k,
@@ -295,40 +298,34 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx, powers: tuple = (1,)) -> dict:
     plans the lengths above at its own nome q^m (``_walk_length``), in k;
     the walk runs to n = the largest m k, and each chain sums its own terms.
 
+    When the powers include 1, 2 and 4, the walk also holds every chain at
+    -q, the nome of z + 1/2, under the key "-q".  A chain C of terms
+    n^e K_j(q^n) (an Eisenstein chain has e = p and j = 0; an Eichler chain
+    e = order - weight + 1 and j = order) is at -q, since
+    K_j(-u) = 2^(j+1) K_j(u^2) - K_j(u),
+        C(-q) = -C(q) + (2^(e+1) + 2^(j+1)) C(q^2) - 2^(j+e+1) C(q^4),
+    an exact identity, formed in the walk's integers (scaled by 2^t,
+    t = max(0, -e-1), so each coefficient is an integer) before the one
+    rounding.  It multiplies the errors of the three chains by at most
+    1 + 66 + 64 = 131 (the E6 chain, e = 5 and j = 0, has the largest
+    factor), below 2^8, so then every tail is cut 8 bits lower and wp takes
+    8 more bits: the chains at -q keep the tail bound and the rounding of a
+    walk at z + 1/2.
+
     tiny is 2^-9 * 10^-workdps, not 10^-workdps: the readers of the chains
     multiply them by up to 504 (the E6 coefficient) and 3024/pi^2, about 306
     (the Eichler prefactors), both below 2^9, so each tail cut stays below
     10^-workdps in every value read.
 
-    With powers (1, 2, 4) the walk is a theorem point's record.  It sums
-    the chains its readers take, E2, E4 and the Eichler chains (4, 0-2) and
-    (6, 2-3), at each power, and it also holds those Eichler chains at -q,
-    the nome of z + 1/2, under the key "-q".  K_j(u) = sum_d d^j u^d, so
-    K_j(-u) = 2^(j+1) K_j(u^2) - K_j(u), and a chain C of terms n^e K_j(q^n)
-    is at -q
-        C(-q) = -C(q) + (2^(e+1) + 2^(j+1)) C(q^2) - 2^(j+e+1) C(q^4),
-    an exact identity, formed in the walk's integers (scaled by 2^t,
-    t = max(0, -e-1), so each coefficient is an integer) before the one
-    rounding.  For any chain it multiplies the errors of the three chains
-    by at most 1 + 66 + 64 = 131 (the E6 chain, e = 5 and j = 0, has the
-    largest factor), below 2^8, so then every tail is cut at tiny / 2^8 and
-    wp takes 8 more bits: the chains at -q keep the tail bound and the
-    rounding of a walk at z + 1/2.
-
     Guard bits: each kernel value is off by a few units of 2^-wp, times
-    (1-|q|)^-4 for K_3; the Eisenstein chain of the highest power p (E6 in
-    a single-power walk, E4 in a record) multiplies its rounding by n^p and
-    adds up to N terms, N^(p+1) units in all, N the walk's length.  So wp
-    carries (p+1) log2 N + 4 log2(1/(1-|q|)) + 8 bits beyond the working
-    precision.
-
-    The rounding of q itself is not in that count.  A single-power walk
-    rounds q at the working precision (``_nome``), and its chains carry that
-    rounding times their condition: up to about 1.3 units of 10^-workdps,
-    relative to max(1, |value|), near Im z = 0.03 on Re z = 0 and 1/2.  The
-    theorem record takes q to a unit of 2^-wp, so each of its chains, at
-    every power and at -q, lies within its last rounding plus 2^-7 units of
-    10^-workdps of its value at the point as given: within half a unit of
+    (1-|q|)^-4 for K_3; the asked-for Eisenstein chain of the highest power
+    p multiplies its rounding by n^p and adds up to N terms, N^(p+1) units
+    in all, N the walk's length.  An Eichler chain, whose n-exponent is
+    negative, adds up at most N units, so p is 0 when no Eisenstein chain is
+    asked for.  wp carries (p+1) log2 N + 4 log2(1/(1-|q|)) + 8 bits beyond the
+    working precision.  q itself is taken to a unit of 2^-wp, so each chain,
+    at every power and at -q, lies within its last rounding plus 2^-7 units
+    of 10^-workdps of its value at the point as given: within half a unit of
     10^-workdps, relative to max(1, |value|).
 
     The walk is out of contract for Im z < 0.03, as ``eta`` is: its length
@@ -338,13 +335,14 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx, powers: tuple = (1,)) -> dict:
     """
     if mp.im(z) < mpf(_IM_FLOOR):
         raise DomainError("the Lambert nome walk is out of contract for Im z < %s" % _IM_FLOOR)
-    record = powers == (1, 2, 4)
+    powers, chains = request
+    eis = {key: _EIS_POWER[key] for key in chains if key in _EIS_POWER}
+    eichler = [key for key in chains if key not in eis]
+    extra = 8 if {1, 2, 4} <= set(powers) else 0  # bits the chains at -q take
     name = "the Lambert nome walk"
-    eis = {key: _EIS_POWER[key] for key in (_RECORD_EIS if record else _EIS_POWER)}
-    chains = _RECORD_CHAINS if record else _CHAINS
     with ctx.working():
         lq, l1q = _nome_logs(z)
-        lt = -ctx.workdps * log2(10) - (17 if record else 9)
+        lt = -ctx.workdps * log2(10) - (9 + extra)
         plans = []  # (m, {Eisenstein key: last k}, last Eichler k) per power
         for m in powers:
             lqm, l1qm = m * lq, log2(-expm1(m * lq * log(2)))  # log2|q^m|, log2(1-|q^m|)
@@ -354,15 +352,15 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx, powers: tuple = (1,)) -> dict:
             k_eichler = _walk_length(name, lambda k: log2(6) + (k + 1) * lqm - 5 * l1qm < lt,
                                      1, ctx)
             plans.append((m, ends, k_eichler))
-        n_end = max(m * max(k_eichler, *ends.values()) for m, ends, k_eichler in plans)
-        wp = (mp.mp.prec + (max(eis.values()) + 1) * n_end.bit_length() + 4 * ceil(-l1q)
-              + (16 if record else 8))
-        with mp.workprec(wp if record else mp.mp.prec):  # q, see the docstring
+        n_end = max(m * max([k_eichler, *ends.values()]) for m, ends, k_eichler in plans)
+        wp = (mp.mp.prec + (max(eis.values(), default=0) + 1) * n_end.bit_length()
+              + 4 * ceil(-l1q) + 8 + extra)
+        with mp.workprec(wp):  # q to a unit of 2^-wp, see the docstring
             q = _nome(z)
             s = _dust_bits(q, wp)
             qr, qi = _to_fixed(q, wp, s)
         one = 1 << wp
-        acc = {m: dict.fromkeys(chains + tuple(eis), (0, 0)) for m in powers}
+        acc = {m: dict.fromkeys(chains, (0, 0)) for m in powers}
         ur, ui = one, 0
         for n in range(1, n_end + 1):
             ur, ui = _cmul(ur, ui, qr, qi, wp, s)  # u = q^n
@@ -388,15 +386,15 @@ def _nome_chains(z: mpc, ctx: PrecisionCtx, powers: tuple = (1,)) -> dict:
                     ker = ((k0r, k0i), k1,
                            _cmul(*k1r, one + ur, ui, wp, s),
                            _cmul(*_cmul(*k1r, rr, ri, wp, s), one + poly[0], poly[1], wp, s))
-                for weight, order in chains:
+                for weight, order in eichler:
                     c = k ** (weight - 1 - order)
                     kr, ki = ker[order]
                     sr, si = sums[weight, order]
                     sums[weight, order] = (sr + kr // c, si + ki // c)
-        if record:
+        if extra:
             acc["-q"] = {}
             for key in chains:
-                j, e = key[1], key[1] - key[0] + 1
+                j, e = (0, eis[key]) if key in eis else (key[1], key[1] - key[0] + 1)
                 t = max(0, -e - 1)
                 a2, a4 = (1 << e + 1 + t) + (1 << j + 1 + t), 1 << j + e + 1 + t
                 acc["-q"][key] = tuple((a2 * v2 - a4 * v4 - (v1 << t)) >> t
@@ -415,7 +413,7 @@ def eisenstein(z, weight: int, ctx: PrecisionCtx) -> mpc:
     if weight not in _EIS_COEFF:
         raise DomainError("eisenstein weight must be 2, 4 or 6")
     z = _as_z(z, ctx)
-    chains = _nome_chains(z, ctx)[1]
+    chains = _nome_chains(z, _AT_Q, ctx)[1]
     with ctx.working():
         return ensure_finite(_eisenstein_of(chains, weight, mp.im(z)))
 
@@ -465,12 +463,12 @@ def r_half(z, ctx: PrecisionCtx) -> mpc:
         -(16 E2(4z)^2 - 16 E4(4z) - E2(z)^2 + E4(z)) / (2 (4 E2(4z) - E2(z))^2)
     and raises DomainError when the denominator vanishes.  The four values
     are read from the chains at q and q^4 of the theorem record of z,
-    ``_nome_chains(z, ctx, (1, 2, 4))``, which the modular side of the main
-    theorems reads too.
+    ``_nome_chains(z, _THEOREM_RECORD, ctx)``, which the modular side of the
+    main theorems reads too.
     """
     z = _as_z(z, ctx)
     with ctx.working():
-        record = _nome_chains(z, ctx, (1, 2, 4))
+        record = _nome_chains(z, _THEOREM_RECORD, ctx)
         y, c_z, c_4z = mp.im(z), record[1], record[4]
         e2_z, e4_z = _eisenstein_of(c_z, 2, y), _eisenstein_of(c_z, 4, y)
         e2_4z, e4_4z = _eisenstein_of(c_4z, 2, 4 * y), _eisenstein_of(c_4z, 4, 4 * y)

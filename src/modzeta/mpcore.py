@@ -168,26 +168,19 @@ _MEMO_CAP = 4096
 
 
 def _memoized(fn):
-    """Memoize ``fn(*args, ctx, *options)`` on (fn, args, ctx.workdps, options)
-    in one bounded dict.
+    """Memoize ``fn(*args, ctx)`` on (fn, args, ctx.workdps) in one bounded dict.
 
-    Options are the parameters after ``ctx``; one left out takes its default,
-    so a call with or without it shares one entry.  Callers pass arguments
-    already taken at working precision (points through
+    Callers pass arguments already taken at working precision (points through
     ``modular._as_z(z, ctx)``), so a key never holds a value rounded at the
     caller's precision.  The memo is cleared wholesale when it fills.
     """
     sig = signature(fn)
-    at = list(sig.parameters).index("ctx")
-    options = tuple(p.default for p in list(sig.parameters.values())[at + 1:])
 
     @wraps(fn)
     def wrapped(*args, **kwargs):
         if kwargs:
             args = sig.bind(*args, **kwargs).args
-        if options:
-            args += options[len(args) - at - 1:]
-        key = (fn, args[:at], args[at].workdps, args[at + 1:])
+        key = (fn, args[:-1], args[-1].workdps)
         hit = _memo.get(key)
         if hit is None:
             hit = fn(*args)

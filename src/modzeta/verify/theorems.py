@@ -31,7 +31,7 @@ import mpmath as mp
 from mpmath import mpc, mpf
 
 from ..arith import _epstein2_lambert, epstein2
-from ..modular import _as_z, _nome_chains, alpha4, r_half
+from ..modular import _THEOREM_RECORD, _as_z, _nome_chains, alpha4, r_half
 from ..mpcore import DomainError, PrecisionCtx, _memoized, const_zeta
 from ..series import LinearFactor, W_ONE, WeightSpec, binom3_sums
 
@@ -127,11 +127,13 @@ def _modular_data(z, ctx: PrecisionCtx) -> dict:
     and "u" that of the plain-H3 linear side, which ``s_r`` and ``u_check``
     combine.
 
-    The record reads the theorem record ``modular._nome_chains(z, ctx,
-    (1, 2, 4))`` once, the one walk over the powers of q = exp(2 pi i z), and
-    takes every term from its chains at the nomes -q, q^2, q^4 and q of
-    z + 1/2, 2z, 4z and z.  ``r_half``, and so the series plan, reads the
-    same record.  The
+    The record reads the theorem record of the Lambert walk once,
+    ``modular._nome_chains(z, _THEOREM_RECORD, ctx)``: one walk over the
+    powers of q = exp(2 pi i z) that sums the chains asked for at q, q^2 and
+    q^4 and so derives them at -q too.  Every term comes from its chains at
+    the nomes -q, q^2, q^4 and q of z + 1/2, 2z, 4z and z.  ``r_half``, and
+    so the series plan, makes the same request and reads the same memo
+    entry.  The
     Lambert terms of E(w,2) come from ``arith._epstein2_lambert``, as
     ``epstein2`` takes them.  An Eichler integral is its chain times
     c i (2i)^order / pi^(weight-1-order) (``eichler``): 60i/pi^3 for (4,0),
@@ -146,7 +148,7 @@ def _modular_data(z, ctx: PrecisionCtx) -> dict:
         pi = +mp.pi
         pi2, piy = pi * pi, pi * y
         z3 = const_zeta(3, ctx)
-        record = _nome_chains(z, ctx, (1, 2, 4))
+        record = _nome_chains(z, _THEOREM_RECORD, ctx)
         c_zh, c_2z, c_4z, c_z = record["-q"], record[2], record[4], record[1]
         lam_zh, lam_2z, lam_4z, lam_z = (sum(_epstein2_lambert(c, m * y))
                                          for c, m in ((c_zh, 1), (c_2z, 2), (c_4z, 4), (c_z, 1)))

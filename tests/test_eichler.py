@@ -193,7 +193,7 @@ def test_nome_walk_matches_one_loop_per_chain(re_im, digits):
     ctx = PrecisionCtx(digits)
     with ctx.working():
         z = mpc(*re_im)
-        chains = modular._nome_chains(z, ctx)[1]
+        chains = modular._nome_chains(z, modular._AT_Q, ctx)[1]
         q = mp.exp(2j * mp.pi * z)
         eichler_keys = [(4, 0), (4, 1), (4, 2), (6, 0), (6, 1), (6, 2), (6, 3)]
         assert set(chains) == set(eichler_keys) | {"E2", "E4", "E6"}

@@ -325,7 +325,7 @@ def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
         assert len(reads) == 1
         assert len(checks) == 1
         assert sum(key[0] is record for key in mpcore._memo) == 1
-    assert reads == [(z, ctx30, (1, 2, 4))]
+    assert reads == [(z, modular._THEOREM_RECORD, ctx30)]
     with ctx30.working():
         for out in sides:
             lhs = [v for k, v in out.items() if "lhs" in k]
@@ -345,7 +345,7 @@ def test_theorem_evaluators_share_one_walk(monkeypatch, ctx30):
     for f, r in ((s_r, Fraction(1, 16)), (t_r, Fraction(1, 16)), (u_check, Fraction(1, 64))):
         mpcore._memo.clear()
         f(z, r, ctx30)
-        assert [key[3] for key in mpcore._memo if key[0] is walk] == [((1, 2, 4),)]
+        assert [key[1][1] for key in mpcore._memo if key[0] is walk] == [modular._THEOREM_RECORD]
 
 
 def test_table_h2_cells_read_one_series_plan(monkeypatch, ctx30):
@@ -375,7 +375,7 @@ def test_table_h2_cells_read_one_series_plan(monkeypatch, ctx30):
     for rec in [r for r in recs if r not in epstein]:
         assert runner._evaluate(rec, ctx30)["pass"], rec.id
     assert [key[1:] for key in mpcore._memo if key[0] is walk] == [
-        ((nomes[0],), ctx30.workdps, ((1, 2, 4),))]
+        ((nomes[0], modular._THEOREM_RECORD), ctx30.workdps)]
     assert len(nomes) == 2 and nomes[0] == nomes[1]
     assert len(sum_nomes) == 3
     with mp.workdps(60):
@@ -405,9 +405,9 @@ def test_four_evaluators_make_one_walk_per_point(monkeypatch, ctx30):
         epstein_calls.append(z)
         return real_epstein(z, ctx)
 
-    def counting_nome(z, ctx, powers=(1,)):
+    def counting_nome(z, request, ctx):
         nome_reads.append(z)
-        return real_nome(z, ctx, powers)
+        return real_nome(z, request, ctx)
     monkeypatch.setattr(mpcore, "hurwitz_zeta_raw", counting_em)
     monkeypatch.setattr(theorems, "epstein2", counting_epstein)
     monkeypatch.setattr(theorems, "_nome_chains", counting_nome)

@@ -32,7 +32,7 @@ from mpmath import mpc, mpf
 
 from modzeta import (DomainError, HypKernel, PrecisionCtx, alpha4, eisenstein_eta_form, eli,
                      eta, hyp_lambert, lambda_fn)
-from modzeta.modular import (_CHAINS, _EIS_POWER, _RECORD_CHAINS, _RECORD_EIS, _as_z, _nome,
+from modzeta.modular import (_AT_Q, _CHAINS, _EIS_POWER, _THEOREM_RECORD, _as_z, _nome,
                              _nome_chains)
 from modzeta.mpcore import _dust_bits, ensure_finite
 from modzeta import mpcore, series
@@ -546,7 +546,7 @@ def test_nome_walk_matches_mpf_oracle(digits):
     for name, point in _nome_points().items():
         with ctx.working():
             z = mpc(point())
-        new = _nome_chains.__wrapped__(z, ctx)[1]
+        new = _nome_chains.__wrapped__(z, _AT_Q, ctx)[1]
         ref = _reference_nome_chains(z, ctx)
         assert set(new) == set(ref)
         with ctx.working():
@@ -562,27 +562,34 @@ def _record_points():
 
 @pytest.mark.parametrize("digits", (15, 100, 250))
 def test_theorem_record_matches_single_walks_at_40_more_digits(digits):
-    # the theorem record of z holds the chains its readers take at q, q^2,
-    # q^4 and -q of one walk over the powers of q, those at -q derived from
-    # the other three; each chain lies within half a unit of 10^-workdps,
+    # a walk holds the chains it is asked for at each power of q it is asked
+    # for, and, when those cover q, q^2 and q^4, at -q too, derived from the
+    # other three; each chain lies within half a unit of 10^-workdps,
     # relative to max(1, |value|), of the single walk at z, 2z, 4z and
-    # z + 1/2 at 40 more digits, as the walk's docstring states
+    # z + 1/2 at 40 more digits, as the walk's docstring states.  The
+    # requests: the theorem record; the seven Eichler chains at q, q^2 and
+    # q^4, whose chains (6, 0) and (6, 1) at -q take the shifts t = 4 and 3;
+    # and every chain at q alone, where q is taken to a unit of the walk's
+    # precision as in the record (rounded at working precision instead, E6
+    # reads up to 1.85 units off at 0.5 + 0.0301i)
     ctx, fine = PrecisionCtx(digits), PrecisionCtx(digits + 40)
     unit = mpf(10) ** -ctx.workdps
+    requests = (_THEOREM_RECORD, ((1, 2, 4), _CHAINS), _AT_Q)
     for z in _record_points():
         with ctx.working():
             z = mpc(z)
-        record = _nome_chains.__wrapped__(z, ctx, (1, 2, 4))
-        assert set(record) == {1, 2, 4, "-q"}
         with fine.working():
             points = {1: z, 2: 2 * z, 4: 4 * z, "-q": z + mpf(1) / 2}
-        for m, w in points.items():
-            ref = _nome_chains.__wrapped__(w, fine)[1]
-            assert set(record[m]) == set(_RECORD_CHAINS) | set(() if m == "-q" else _RECORD_EIS)
-            with fine.working():
-                for key, got in record[m].items():
-                    val = ref[key]
-                    assert abs(got - val) <= unit / 2 * max(1, abs(val)), (z, m, key)
+            refs = {m: _nome_chains.__wrapped__(w, _AT_Q, fine)[1] for m, w in points.items()}
+        for powers, chains in requests:
+            walk = _nome_chains.__wrapped__(z, (powers, chains), ctx)
+            assert set(walk) == set(powers) | ({"-q"} if {1, 2, 4} <= set(powers) else set())
+            for m, got in walk.items():
+                assert set(got) == set(chains), (powers, m)
+                with fine.working():
+                    for key, v in got.items():
+                        val = refs[m][key]
+                        assert abs(v - val) <= unit / 2 * max(1, abs(val)), (z, powers, m, key)
 
 
 def test_weight6_sum_rules_keep_their_residuals():
@@ -898,7 +905,7 @@ def test_eli_kernel_matches_mpc_oracle(digits):
 
 def _chains_at_q(z, ctx):
     """The chains at the nome q of z of one unmemoized walk."""
-    return _nome_chains.__wrapped__(z, ctx)[1]
+    return _nome_chains.__wrapped__(z, _AT_Q, ctx)[1]
 
 
 @pytest.mark.parametrize("digits", (15, 100, 250))
