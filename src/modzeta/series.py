@@ -15,26 +15,35 @@ Direct partial sums converge only algebraically in k.
 The engine makes one walk per rate: :func:`binom3_sums` returns every
 requested (LinearFactor, WeightSpec) sum from a single pass over the terms,
 each sum stopping on its own tail bound; :func:`binom3_series` and
-:func:`binom2_series` are its one-request cases.  The theorem evaluators
-keep a point's nine requests and its nine sums in per-(point, precision)
-memos, so one point costs one walk.
+:func:`binom2_series` are its one-request cases.  The walk is summed once
+per weight basis, not once per request: the linear factors and the
+rational weights are applied once, at each request's end.  The theorem
+evaluators keep a point's nine requests and its nine sums in
+per-(point, precision) memos, so one point costs one walk.
 
 Fixed point
 -----------
 The interior walk runs on Python integers scaled by 2^wp, the technique of
 mpmath's own series kernels: the term C(2k,k)^p x^k is an (re, im) integer
 pair, each step multiplies it by x and by the exact integer factor
-(2(2k+1))^p / (k+1)^p with one rounding toward zero, and the six harmonic
-sums gain 2^wp // n^r per index.  Each weight basis is an integer function
-of those sums, read through one table, and each request's sum is an
-integer pair converted to mpf once at the end.  An imaginary part far below
+(2(2k+1))^p / (k+1)^p with one rounding toward zero, and the harmonic
+sums that the bases read, and no other, gain 2^wp // n^r per index: H^(r)_2k
+takes its even index's term from H^(r)_k's by an exact shift, and each
+higher order from the lower by an exact division by n.  Each weight basis
+is an integer function of those sums, read through one table, and for each
+distinct basis B the walk keeps S0_B = sum t_k B(k) and S1_B = sum k t_k B(k),
+one full-precision product t_k B(k) per step (none for ONE).  A request
+(a, b, w) is sum over w's (n/m, B) of (n/m) (a S1_B + b S0_B), formed once
+from the sums at its own end, exactly at scale 2^(2 wp), and converted to
+mpf once.  An imaginary part far below
 the real part of x (a rate such as 0.3 + 1e-40 i) gets its own scale, as
 ``mpcore._dust_bits`` describes.  The rate of a theorem point is an exact
 real, as is its nome (``modular._nome``): then each step is one integer
 product, and no imaginary part is formed.
 
 wp is the working precision plus the guard bits of ``_binom_guard``, which
-depend only on the precision, so an entry equals the same request summed alone.
+depend only on the precision, and each basis is summed alike whatever else
+is asked for, so an entry equals the same request summed alone.
 
 Both rates run one loop over the step generator ``_binom_steps``, to a
 length planned before the first term: at an interior rate each request ends
@@ -49,8 +58,7 @@ theirs, and only the gap is taken in mpf; each distinct factor's sizes
 are read once per call and each spec carries its envelope, and the scan
 checks the requests only where one may end.  A request also ends where the
 fixed-point term must already be exactly 0 (the underflow end), which only
-a bound above tiny 2^(wp+sd) reaches first.  Each step reads each distinct
-weight basis once, and the factor (0, 1) takes the term as it is.
+a bound above tiny 2^(wp+sd) reaches first.
 
 The hyperbolic Lambert sums (:func:`hyp_lambert`) and the elliptic
 polylogarithm (:func:`eli`) run on the same integer pairs: one integer
@@ -77,8 +85,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
-from math import ceil, inf, isqrt, lgamma, log, log2
+from itertools import islice
+from math import ceil, inf, isqrt, lcm, lgamma, log, log2
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -113,23 +121,29 @@ _BINOM_CAP = 400
 # Weights and linear factors
 # ---------------------------------------------------------------------------
 
-# each weight basis as an integer function of the walk's running sums
-# h = [k, H_k, H_2k, H2_k, H2_2k, H3_k, H3_2k], each sum at scale 2^wp, and its
-# envelope (s, l), |basis(k)| <= s + l k for k >= 0: H_k <= k, H_2k <= 1 + k,
-# zeta(2) < 33/20, zeta(3) < 121/100, H_2k - H_k < log 2, and for H3MIX, a
-# difference of nonnegative terms, max(zeta(3), 3 zeta(2) log 2) < 693/200
+# each weight basis as (value, s, l, sums): its value at k as an integer
+# function of the running harmonic sums h (a dict, each sum at scale 2^wp, as
+# ``_binom_steps`` keeps it), None for ONE and for a basis that is itself one
+# of the sums; its envelope (s, l), |basis(k)| <= s + l k for k >= 0: H_k <= k,
+# H_2k <= 1 + k, zeta(2) < 33/20, zeta(3) < 121/100, H_2k - H_k < log 2, and
+# for H3MIX, a difference of nonnegative terms, max(zeta(3), 3 zeta(2) log 2)
+# < 693/200; and the sums it reads
+_DH1 = ("H1_2K", "H1_K")
 _BASIS = {
-    "ONE": (lambda h, wp: 1 << wp, 1, 0),
-    "H1_K": (lambda h, wp: h[1], 0, 1),
-    "H1_2K": (lambda h, wp: h[2], 1, 1),
-    "H2_K": (lambda h, wp: h[3], Fraction(33, 20), 0),
-    "H2_2K": (lambda h, wp: h[4], Fraction(33, 20), 0),
-    "H3_K": (lambda h, wp: h[5], Fraction(121, 100), 0),
-    "H3_2K": (lambda h, wp: h[6], Fraction(121, 100), 0),
-    "INVSQ_2K1": (lambda h, wp: (1 << wp) // (2 * h[0] + 1) ** 2, 1, 0),
-    "H2_2K_TIMES_DH1": (lambda h, wp: h[4] * (h[2] - h[1]) >> wp, Fraction(231, 200), 0),
-    "H2_K_TIMES_DH1": (lambda h, wp: h[3] * (h[2] - h[1]) >> wp, Fraction(231, 200), 0),
-    "H3MIX": (lambda h, wp: h[5] - (3 * h[3] * (h[2] - h[1]) >> wp), Fraction(693, 200), 0),
+    "ONE": (None, 1, 0, ()),
+    "H1_K": (None, 0, 1, ("H1_K",)),
+    "H1_2K": (None, 1, 1, ("H1_2K",)),
+    "H2_K": (None, Fraction(33, 20), 0, ("H2_K",)),
+    "H2_2K": (None, Fraction(33, 20), 0, ("H2_2K",)),
+    "H3_K": (None, Fraction(121, 100), 0, ("H3_K",)),
+    "H3_2K": (None, Fraction(121, 100), 0, ("H3_2K",)),
+    "INVSQ_2K1": (lambda h, k, wp: (1 << wp) // (2 * k + 1) ** 2, 1, 0, ()),
+    "H2_2K_TIMES_DH1": (lambda h, k, wp: h["H2_2K"] * (h["H1_2K"] - h["H1_K"]) >> wp,
+                        Fraction(231, 200), 0, ("H2_2K",) + _DH1),
+    "H2_K_TIMES_DH1": (lambda h, k, wp: h["H2_K"] * (h["H1_2K"] - h["H1_K"]) >> wp,
+                       Fraction(231, 200), 0, ("H2_K",) + _DH1),
+    "H3MIX": (lambda h, k, wp: h["H3_K"] - (3 * h["H2_K"] * (h["H1_2K"] - h["H1_K"]) >> wp),
+              Fraction(693, 200), 0, ("H3_K", "H2_K") + _DH1),
 }
 
 
@@ -179,11 +193,17 @@ def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
     """[sum_{k>=0} C(2k,k)^power (a k + b) w(k) x^k for each (LinearFactor, WeightSpec)].
 
     The engine behind :func:`binom3_sums` and :func:`binom2_series`.  It plans
-    every request's last index, then makes one walk for all: the term
-    C(2k,k)^power x^k, the harmonic sums, each distinct weight and each
-    distinct linear factor advance once per k, and each request adds
-    c_k (a k + b) w(k) t_k up to its last index; its sum is floor-divided
-    by d and rounded once.  The rate is decided once, from gap =
+    every request's last index, then makes one walk for all, summed once per
+    weight basis: for each distinct basis B that a spec reads it keeps
+    S0_B = sum c_k t_k B(k) over the terms t_k of ``_binom_steps``, one
+    product t_k B(k) >> wp per step (none for ONE), and the running sum of
+    S0_B, from which S1_B = sum c_k k t_k B(k) = k S0_B(k) - sum_{j<k} S0_B(j)
+    is taken at each distinct planned end, where the sums are kept.  Each
+    request (a, b, w) is formed once, from the sums at its own end: with w's
+    coefficients written n_B / m over their least common denominator m, the
+    integer sum_B n_B (a S1_B + b S0_B), exact at scale 2^(2 wp), is
+    floor-divided by m d and rounded once.  No weight, linear factor or
+    request is touched per step.  The rate is decided once, from gap =
     1 - |4^power x| and slack = 10^-(workdps-6).  gap < -slack diverges
     (DomainError).  gap > slack is interior: c_k = d = 1, and each request
     ends on its own tail bound (``_binom_ends``, given gap as 1 - r), so it
@@ -199,11 +219,10 @@ def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
         x = mpc(x)
         if not mp.isfinite(x):
             raise DomainError("%s needs a finite rate, got %s" % (name, x))
-        requests = list(requests)
-        facs = list(dict.fromkeys(f for f, _ in requests))
-        specs = list(dict.fromkeys(w for _, w in requests))
-        slots = [(facs.index(f), specs.index(w)) for f, w in requests]
-        facs = [(mpc(f.a), mpc(f.b)) for f in facs]
+        facs, specs = {}, {}  # each distinct factor and spec, by first appearance
+        slots = [(facs.setdefault(f, len(facs)), specs.setdefault(w, len(specs)))
+                 for f, w in requests]
+        facs, specs = [(mpc(f.a), mpc(f.b)) for f in facs], list(specs)
         gap, slack = 1 - scale * abs(x), mpf(10) ** (6 - ctx.workdps)
         if gap < -slack:
             raise DomainError("%s diverges: |%dx| > 1" % (name, scale))
@@ -221,22 +240,47 @@ def _binom_sums(x, power: int, requests, ctx: PrecisionCtx) -> list:
             coefs, d = _cvz_weights(n)
         else:
             ends = _binom_ends(x, power, gap, facs, specs, slots, wp, ctx)
-            coefs, d = repeat(1), 1
+            coefs, d = None, 1
         sd = _dust_bits(x, wp)
-        sr, si = [0] * len(slots), [0] * len(slots)
-        # the open requests, latest end first: each drops out once its end passes
-        live = sorted(((e, i) + slot for i, (e, slot) in enumerate(zip(ends, slots))),
-                      reverse=True)
-        steps = islice(_binom_steps(x, power, facs, specs, wp, sd), max(ends, default=-1) + 1)
-        for k, ((wts, lin), c) in enumerate(zip(steps, coefs)):
-            while live[-1][0] < k:
-                live.pop()
-            for _, i, fi, wi in live:
-                (lr, li), w = lin[fi], wts[wi]
-                sr[i] += c * (lr * w >> wp)
-                if li:
-                    si[i] += c * (li * w >> wp)
-        return [ensure_finite(_from_fixed(r // d, j // d, wp, sd)) for r, j in zip(sr, si)]
+        # one column per distinct basis: each but ONE as its key in h, then
+        # ONE, the term itself, as None
+        reads = list(dict.fromkeys(b for w in specs for _, b in w.terms if b != "ONE"))
+        keys = reads + [None] * any(b == "ONE" for w in specs for _, b in w.terms)
+        # S0 and the running sum of S0 over the indices before k, whose
+        # difference gives S1: sum_{j<=k} j u_j = k S0_k - sum_{j<k} S0_j
+        s0r, s0i, ssr, ssi = ([0] * len(keys) for _ in range(4))
+        cplx = mp.im(x) != 0  # else every imaginary part is 0
+        kept, stops = {}, iter(sorted(set(ends)))
+        stop = next(stops, None)
+        steps = islice(_binom_steps(x, power, reads, wp, sd), max(ends, default=-1) + 1)
+        for k, (tr, ti, h) in enumerate(steps):
+            if coefs:
+                tr, ti = coefs[k] * tr, coefs[k] * ti
+            for j, b in enumerate(keys):
+                ssr[j] += s0r[j]
+                s0r[j] += tr if b is None else tr * h[b] >> wp
+                if cplx:
+                    ssi[j] += s0i[j]
+                    s0i[j] += ti if b is None else ti * h[b] >> wp
+            if k == stop:
+                kept[k], stop = (s0r[:], s0i[:], [k * v - w for v, w in zip(s0r, ssr)],
+                                 [k * v - w for v, w in zip(s0i, ssi)]), next(stops, None)
+        # each spec as m and its (n_B, column of B) pairs, its coefficients n_B / m
+        col = {b: j for j, b in enumerate(reads)} | {"ONE": len(reads)}
+        combos = []
+        for w in specs:
+            m = lcm(*(c.denominator for c, _ in w.terms))
+            combos.append((m, [(c.numerator * (m // c.denominator), col[b]) for c, b in w.terms]))
+        facs = [_to_fixed(a, wp, sd) + _to_fixed(b, wp, sd) for a, b in facs]
+        out = []
+        for (fi, wi), e in zip(slots, ends):
+            (m, combo), (ar, ai, br, bi) = combos[wi], facs[fi]
+            t0r, t0i, t1r, t1i = (sum(n * acc[j] for n, j in combo) for acc in kept[e])
+            # a S1 + b S0: real parts at 2^(2 wp), imaginary parts at 2^(2 wp + sd)
+            re = ar * t1r + br * t0r - ((ai * t1i + bi * t0i) >> 2 * sd)
+            im = ar * t1i + br * t0i + ai * t1r + bi * t0r
+            out.append(ensure_finite(_from_fixed(re // (m * d), im // (m * d), 2 * wp, sd)))
+        return out
 
 
 def _binom_ends(x, power: int, gap, facs: list, specs: list, slots: list, wp: int,
@@ -355,53 +399,53 @@ def _binom_guard(ctx: PrecisionCtx) -> int:
     return 3 * (_BINOM_CAP * ctx.workdps).bit_length() + 8
 
 
-def _binom_steps(x, power: int, facs: list, specs: list, wp: int, sd: int):
-    """The fixed-point walk: for k = 0, 1, ... yield (wts, lin).
+def _binom_steps(x, power: int, bases: list, wp: int, sd: int):
+    """The fixed-point walk: for k = 0, 1, ... yield (tr, ti, h).
 
-    ``wts`` is each weight of ``specs`` from the running sums h: each
-    distinct basis is read through ``_BASIS`` once per step, and a spec of one
-    basis with coefficient 1 is that read.  ``lin`` is the term
-    C(2k,k)^power x^k times each linear factor (a, b) of ``facs`` at k: real
-    parts at scale 2^wp and imaginary parts at 2^(wp+sd), weights at 2^wp;
-    the factor (0, 1) gives the term itself, the exact product.  Each step
+    (tr, ti) is the term C(2k,k)^power x^k, its real part at scale 2^wp and
+    its imaginary part at 2^(wp+sd).  h maps each basis of ``bases`` (ONE
+    excepted) and each harmonic sum those read (``_BASIS``) to its value at
+    k at scale 2^wp; it is one dict, updated in place, and holds no other
+    sum, so a walk updates only the sums its bases read.  H^(r)_2k takes its
+    even index's term from that of H^(r)_k by an exact shift: (2^wp // k^r)
+    >> r = 2^wp // (2k)^r, as floor(floor(n/a)/b) = floor(n/(ab)).  Each step
     rounds the term once toward zero; the caller decides where to stop.
     While the term and x are real, as at every theorem point, a step is one
-    integer product (``mpcore._cmul``) and the imaginary part stays 0.
+    integer product (``mpcore._cmul``) and ti stays 0.
     """
     one = 1 << wp
     xr, xi = _to_fixed(x, wp, sd)
-    facs = [_to_fixed(a, wp, sd) + _to_fixed(b, wp, sd) for a, b in facs]
-    facs = [None if f == (0, 0, one, 0) else f for f in facs]
-    bases = list(dict.fromkeys(b for w in specs for _, b in w.terms))
-    reads = [_BASIS[b][0] for b in bases]
-    # each spec as the index of its one read, or as (n, d, index) triples
-    specs = [bases.index(w.terms[0][1]) if len(w.terms) == 1 and w.terms[0][0] == 1
-             else [(c.numerator, c.denominator, bases.index(b)) for c, b in w.terms]
-             for w in specs]
-    tr, ti = one, 0
-    h = [0] * 7  # k, H_k, H_2k, H2_k, H2_2k, H3_k, H3_2k
-    k = 0
+    h = dict.fromkeys((v for b in bases for v in _BASIS[b][3]), 0)
+    values = [(b, _BASIS[b][0]) for b in bases if _BASIS[b][0]]
+    # (r, H^(r)_k or None, H^(r)_2k or None) for each order r from the least
+    # to the greatest that a basis reads
+    read = [r for r in (1, 2, 3) if "H%d_K" % r in h or "H%d_2K" % r in h]
+    orders = [(r, *(v if v in h else None for v in ("H%d_K" % r, "H%d_2K" % r)))
+              for r in range(min(read, default=1), max(read, default=0) + 1)]
+    even = any(o[2] for o in orders)  # whether any H^(r)_2k is read
+    tr, ti, k = one, 0, 0
     while True:
-        vals = [f(h, wp) for f in reads]
-        wts = [vals[w] if isinstance(w, int) else sum(n * vals[j] // d for n, d, j in w)
-               for w in specs]
-        lin = [_cmul(tr, ti, f[0] * k + f[2], f[1] * k + f[3], wp, sd) if f else (tr, ti)
-               for f in facs]
-        yield wts, lin
+        for b, value in values:
+            h[b] = value(h, k, wp)
+        yield tr, ti, h
         # one rounding toward zero per part: t * x * num / den
         num, den = (2 * (2 * k + 1)) ** power, (k + 1) ** power
         tr, ti = _cmul(tr, ti, xr * num, xi * num, wp, sd)
         tr = tr // den if tr >= 0 else -(-tr // den)
         ti = ti // den if ti >= 0 else -(-ti // den)
         k += 1
-        a, b = 2 * k - 1, 2 * k
-        h[0] = k
-        h[1] += one // k
-        h[2] += one // a + one // b
-        h[3] += one // k ** 2
-        h[4] += one // a ** 2 + one // b ** 2
-        h[5] += one // k ** 3
-        h[6] += one // a ** 3 + one // b ** 3
+        # 2^wp // n^r for n = k and n = 2k - 1, the higher orders by exact
+        # floor divisions by n: floor(floor(m / n^r) / n) = floor(m / n^(r+1))
+        a, ik = 2 * k - 1, None
+        for r, hk, h2k in orders:
+            if ik is None:
+                ik, ia = one // k ** r, (one // a ** r if even else 0)
+            else:
+                ik, ia = ik // k, (ia // a if even else 0)
+            if hk:
+                h[hk] += ik
+            if h2k:
+                h[h2k] += ia + (ik >> r)
 
 
 def _cvz_weights(n: int) -> tuple:

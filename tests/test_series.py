@@ -101,10 +101,12 @@ def test_incremental_terms_match_scratch(k, ctx30):
             return mpf(comb(2 * j, j)) ** 3 * (a * j + b) * wt * x ** j
 
         wp = mp.mp.prec + _binom_guard(ctx30)
-        steps = _binom_steps(x, 3, [(a, b)], [w], wp, 0)
-        wts, lin = next(islice(steps, k, None))
-        assert lin[0][1] == 0
-        incremental = mpf(lin[0][0]) * wts[0] / mpf(2) ** (2 * wp)
+        steps = _binom_steps(x, 3, [basis for _, basis in w.terms], wp, 0)
+        tr, ti, h = next(islice(steps, k, None))
+        assert ti == 0
+        wt = sum(c * h[basis] for c, basis in w.terms)
+        incremental = (mpf(tr) * (a * k + b) * wt.numerator / wt.denominator
+                       / mpf(2) ** (2 * wp))
         assert abs(incremental - scratch(k)) < abs(scratch(k)) * ctx30.tiny() * 100
         # and the summed series agrees with a long scratch partial sum
         full = binom3_series(x, LinearFactor(a, b), w, ctx30)
@@ -642,13 +644,13 @@ def test_weight_envelopes_bound_every_basis():
         for basis, limit in (("H2_K", z2), ("H2_2K", z2), ("H3_K", z3), ("H3_2K", z3),
                              ("H2_2K_TIMES_DH1", z2 * log2), ("H2_K_TIMES_DH1", z2 * log2),
                              ("H3MIX", max(z3, 3 * z2 * log2))):
-            _, s, l = _BASIS[basis]
+            _, s, l, _ = _BASIS[basis]
             assert l == 0 and limit < frac(s), basis
         h = {p: [mpf(0)] for p in (1, 2, 3)}
         for m in range(1, 6001):
             for p in (1, 2, 3):
                 h[p].append(h[p][-1] + 1 / mpf(m) ** p)
-        envelopes = {basis: (frac(s), frac(l)) for basis, (_, s, l) in _BASIS.items()}
+        envelopes = {basis: (frac(s), frac(l)) for basis, (_, s, l, _) in _BASIS.items()}
         for k in range(3001):
             for basis, (s, l) in envelopes.items():
                 assert abs(_scratch_basis(basis, k, h)) <= s + l * k, (basis, k)

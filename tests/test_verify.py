@@ -444,6 +444,21 @@ def test_theorem_rhs_agree_with_40_more_digits(digits):
                     assert abs(out[key] - ref[key]) <= unit / 2, (re, im, f.__name__, key)
 
 
+@pytest.mark.parametrize("digits", [15, 100])
+def test_mix1_rhs_agree_with_40_more_digits(digits):
+    # the lem.h3mix1 closed forms, formed at 3 more digits, lie within a
+    # unit of 10^-workdps of themselves at 40 more digits; formed at
+    # working precision they were 8 units off at 15 digits and 20 at 100
+    ctx, fine = PrecisionCtx(digits), PrecisionCtx(digits + 40)
+    recs = [r for r in get_records("lemma-oracles") if r.id.startswith("lem.h3mix1.")]
+    assert len(recs) == 2
+    for rec in recs:
+        with ctx.working():
+            v = rec.rhs(ctx)
+        with fine.working():
+            assert abs(v - rec.rhs(fine)) <= mpf(10) ** -ctx.workdps, rec.id
+
+
 @pytest.mark.parametrize("digits", [30, 100])
 def test_modular_record_matches_its_oracle(digits):
     # the record and s_r, t_r and u_check agree with the same sides

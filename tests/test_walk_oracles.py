@@ -23,7 +23,7 @@ sums relative to max(1, |value|)), and each lies within 4 units of
 """
 
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from math import comb
 
 import mpmath as mp
@@ -36,8 +36,8 @@ from modzeta.modular import (_AT_Q, _CHAINS, _EIS_POWER, _THEOREM_RECORD, _as_z,
                              _nome_chains)
 from modzeta.mpcore import _dust_bits, ensure_finite
 from modzeta import mpcore, series
-from modzeta.series import (LinearFactor, W_ONE, WeightSpec, _binom_sums, ell_k,
-                            ell_k_comp)
+from modzeta.series import (LinearFactor, W_ONE, WeightSpec, _binom_sums, binom3_series,
+                            ell_k, ell_k_comp)
 from modzeta.verify import get_records
 from modzeta.verify.registry import _Z
 from modzeta.verify.runner import _evaluate
@@ -400,9 +400,9 @@ def test_binom_plan_ends_where_the_term_underflows(digits, monkeypatch):
     terms, steps = [], series._binom_steps
 
     def recorded(*args):
-        for wts, lin in steps(*args):
-            terms.append(lin[0])
-            yield wts, lin
+        for tr, ti, h in steps(*args):
+            terms.append((tr, ti))
+            yield tr, ti, h
     monkeypatch.setattr(series, "_binom_steps", recorded)
     planned = _binom_sums(x, 3, reqs, ctx)
     first_zero = terms.index((0, 0))
@@ -457,8 +457,8 @@ def test_binom_plan_raises_before_summing(monkeypatch):
 def test_theorem_point_walks_real_integers(point, digits, monkeypatch):
     # on both theorem lines the nome is an exact real, so alpha4, the rate
     # and all 16 evaluator sides have an imaginary part of exactly 0, the
-    # rate takes no dust scale and every term the binomial walk takes is
-    # (t, 0), under each linear factor
+    # rate takes no dust scale, every term the binomial walk takes is (t, 0)
+    # and so is each linear factor
     ctx = PrecisionCtx(digits)
     with ctx.working():
         z = {"1/2+0.9i": mpc("0.5", "0.9"), "0.8i": mpc(0, "0.8")}[point]
@@ -466,9 +466,9 @@ def test_theorem_point_walks_real_integers(point, digits, monkeypatch):
     terms, steps = [], series._binom_steps
 
     def recorded(*args):
-        for wts, lin in steps(*args):
-            terms.extend(lin)
-            yield wts, lin
+        for tr, ti, h in steps(*args):
+            terms.append((tr, ti))
+            yield tr, ti, h
     monkeypatch.setattr(series, "_binom_steps", recorded)
     sides = {}
     for evaluate in (q_ratios, r_linear, h3_ratios, h3_linear):
@@ -478,8 +478,55 @@ def test_theorem_point_walks_real_integers(point, digits, monkeypatch):
     assert all(v.imag == 0 for v in sides.values()), sides
     assert plan["a4"].imag == 0 and plan["x"].imag == 0
     assert all(ti == 0 for _, ti in terms)
+    assert all(mpc(v).imag == 0 for f, _ in plan["requests"] for v in (f.a, f.b))
     with ctx.working():
         assert _dust_bits(plan["x"], mp.mp.prec + series._binom_guard(ctx)) == 0
+
+
+@pytest.mark.parametrize("digits", (30, 250))
+def test_binom_walk_updates_only_the_sums_its_bases_read(digits, monkeypatch):
+    # a theorem point's walk keeps H2_k, H2_2k, H3_k and H3_2k and no other
+    # sum, and every sum, H^(r)_2k's even terms shifted from H^(r)_k's,
+    # equals the same sum of 2^wp // n^r divided directly; so does a walk
+    # over every basis, which keeps all six sums
+    ctx = PrecisionCtx(digits)
+    with ctx.working():
+        z = mpc("0.5", "0.8")
+    monkeypatch.setattr(mpcore, "_memo", {})  # so the point's walk runs here
+    walks, steps = [], series._binom_steps
+
+    def recorded(x, power, bases, wp, sd):
+        walks.append((wp, []))
+        for tr, ti, h in steps(x, power, bases, wp, sd):
+            walks[-1][1].append(dict(h))
+            yield tr, ti, h
+    monkeypatch.setattr(series, "_binom_steps", recorded)
+    h3_linear(z, ctx)
+    with ctx.working():
+        binom3_series(mpf(1) / 300, LinearFactor(0, 1), WeightSpec.combo(
+            {b: 1 for b in series._BASIS}), ctx)
+    (wp, theorem), (_, every) = walks
+    sums = {"H%d_%s" % (r, n) for r in (1, 2, 3) for n in ("K", "2K")}
+    assert all(set(h) == sums - {"H1_K", "H1_2K"} for h in theorem)
+    assert all(set(h) & sums == sums for h in every)
+    one, n = 1 << wp, 2 * max(len(theorem), len(every))
+    divided = {r: list(accumulate((one // m ** r for m in range(1, n)), initial=0))
+               for r in (1, 2, 3)}  # divided[r][n] = sum of 2^wp // m^r, m <= n
+    for h_steps in (theorem, every):
+        assert len(h_steps) > 30
+        for k, h in enumerate(h_steps):
+            for key in sums & set(h):
+                r, n = int(key[1]), k * (1 + key.endswith("2K"))
+                assert h[key] == divided[r][n], (k, key)
+
+
+def test_shifted_harmonic_term_equals_the_divided_one():
+    # (2^wp // k^r) >> r = 2^wp // (2k)^r: floor(floor(m/a)/b) = floor(m/(ab))
+    for wp in (60, 333, 1000):
+        one = 1 << wp
+        for r in (1, 2, 3):
+            for k in list(range(1, 3000)) + [2 ** 20 - 1, 10 ** 6 + 3]:
+                assert (one // k ** r) >> r == one // (2 * k) ** r, (wp, r, k)
 
 
 def _stated_tail(x, power, factor, w, k):
@@ -518,9 +565,8 @@ def test_binom_plan_stops_where_its_bound_does(power, rate, digits):
         gap = 1 - 4 ** power * abs(x)
         ends = series._binom_ends(x, power, gap, facs, specs, slots, wp, ctx)
         tiny = ctx.tiny()
-        steps = series._binom_steps(x, power, [(mpc(0), mpc(1))], [W_ONE], wp,
-                                    _dust_bits(x, wp))
-        terms = [lin[0] for _, lin in islice(steps, max(ends) + 2)]
+        steps = series._binom_steps(x, power, [], wp, _dust_bits(x, wp))
+        terms = [(tr, ti) for tr, ti, _ in islice(steps, max(ends) + 2)]
     slack = mpf(2) ** -40
     underflow_ends = 0
     with mp.workdps(ctx.workdps + 20):
