@@ -516,8 +516,8 @@ def test_binom_walk_updates_only_the_sums_its_bases_read(digits, monkeypatch):
         assert len(h_steps) > 30
         for k, h in enumerate(h_steps):
             for key in sums & set(h):
-                r, n = int(key[1]), k * (1 + key.endswith("2K"))
-                assert h[key] == divided[r][n], (k, key)
+                r, top = int(key[1]), k * (1 + key.endswith("2K"))
+                assert h[key] == divided[r][top], (k, key)
 
 
 def test_shifted_harmonic_term_equals_the_divided_one():
