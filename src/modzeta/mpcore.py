@@ -214,28 +214,16 @@ def const_zeta(n: int, ctx: PrecisionCtx) -> mpf:
 # Tangent numbers (the exact Bernoulli numbers of the Euler-Maclaurin table)
 # ---------------------------------------------------------------------------
 
-_tangents: list[int] = []  # the longest list of tangent numbers built so far
-
-
 def _tangent_numbers(m: int) -> list[int]:
-    """[T_1, T_3, ..., T_(2m-1)], the first m tangent numbers.
-
-    They come from the Knuth-Buckholtz triangle, O(m^2) big-integer steps,
-    whose first m entries do not depend on its size; so the longest list
-    built so far is kept and sliced, and every s at every precision shares
-    one triangle until a longer one is asked for.
-    """
-    global _tangents
-    if m > len(_tangents):
-        t = [0] * (m + 1)
-        t[1] = 1
-        for k in range(2, m + 1):
-            t[k] = (k - 1) * t[k - 1]
-        for k in range(2, m + 1):
-            for j in range(k, m + 1):
-                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-        _tangents = t[1:]
-    return _tangents[:m]
+    """[T_1, T_3, ..., T_(2m-1)], the first m tangent numbers (Knuth-Buckholtz triangle)."""
+    t = [0] * (m + 1)
+    t[1] = 1
+    for k in range(2, m + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
 
 
 # ---------------------------------------------------------------------------

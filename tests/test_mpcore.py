@@ -193,25 +193,6 @@ def test_hurwitz_engine_meets_working_precision(dps, monkeypatch):
     assert sum(key[0] is table for key in mpcore._memo) == 5
 
 
-def test_large_s_share_one_tangent_triangle(monkeypatch):
-    # at 100 digits s = 500 plans 129 corrections and s = 1000 plans 117:
-    # the second reads a slice of the first one's triangle, builds none, and
-    # gets the same numbers as a triangle of its own size
-    monkeypatch.setattr(mpcore, "_memo", {})
-    monkeypatch.setattr(mpcore, "_tangents", [])
-    ctx = PrecisionCtx(100)
-    table = mpcore._em_coefficients.__wrapped__
-    assert len(table(mpf(500), ctx)[1]) == 129
-    built = mpcore._tangents
-    assert len(built) == 129
-    assert len(table(mpf(1000), ctx)[1]) == 117
-    assert mpcore._tangents is built
-    small = mpcore._tangent_numbers(117)
-    monkeypatch.setattr(mpcore, "_tangents", [])
-    assert mpcore._tangent_numbers(117) == small and len(small) == 117
-    assert mpcore._tangent_numbers(3) == [1, 2, 16]
-
-
 def pi(ctx):
     with ctx.working():
         return +mp.pi

@@ -520,15 +520,6 @@ def test_binom_walk_updates_only_the_sums_its_bases_read(digits, monkeypatch):
                 assert h[key] == divided[r][top], (k, key)
 
 
-def test_shifted_harmonic_term_equals_the_divided_one():
-    # (2^wp // k^r) >> r = 2^wp // (2k)^r: floor(floor(m/a)/b) = floor(m/(ab))
-    for wp in (60, 333, 1000):
-        one = 1 << wp
-        for r in (1, 2, 3):
-            for k in list(range(1, 3000)) + [2 ** 20 - 1, 10 ** 6 + 3]:
-                assert (one // k ** r) >> r == one // (2 * k) ** r, (wp, r, k)
-
-
 def _stated_tail(x, power, factor, w, k):
     """|t_k| (P2 k^2 + P1 k + P0) in mpf from the exact C(2k,k), as ``_binom_ends`` states."""
     r = abs(4 ** power * x)
