@@ -17,8 +17,12 @@ tanh-sinh nodes of levels 0-6 on [0, 1] (``ell_k_comp``) and on [0, 1/2]
 t = 0.3 + 0.05i over the same nodes.  The ``quad`` layer runs the three
 integral identities (zeta(5), zeta(7), L_{-4}(4)), which share one memoized
 walk over the nodes, and the NU2 and H3INT2 lemma integrals at t = 0.1,
-with the tanh-sinh nodes built beforehand; the ``sec4_quad`` layer runs the
-three integral identities alone, with zeta(7) built beforehand too.  The
+with the tanh-sinh nodes built beforehand; those two share one memoized
+walk over [0, t] (``quadrature._lemma_walk``), so the layer's figures
+moved when it came in.  The ``sec4_quad`` layer runs the three integral
+identities alone, with zeta(7) built beforehand too.  The ``lemma`` layer
+runs the eight lemma-oracles integrals, NU2, EPS2, H3INT1 and H3INT2 at
+t = 0.1 and 0.3, with the tanh-sinh nodes built beforehand.  The
 ``hurwitz`` layer calls ``arith.hurwitz_zeta`` at the (s, a) pairs of the
 L-values and zeta values that a 100-digit pass of every suite but
 lemma-oracles reads.  The
@@ -159,6 +163,19 @@ def _quad_calls(ctx):
     return [(zeta5_integral, (ctx,)), (zeta7_integral, (ctx,)),
             (lminus4_4_integral, (ctx,)),
             (lemma_integral, ("NU2", t, ctx)), (lemma_integral, ("H3INT2", t, ctx))]
+
+
+def _lemma_calls(ctx):
+    """The eight lemma-oracles integrals, as (function, arguments) pairs,
+    with the tanh-sinh nodes built beforehand."""
+    from mpmath import mpf
+    from modzeta.quadrature import _nodes, lemma_integral
+
+    for level in range(9):
+        _nodes(level, ctx)
+    with ctx.working():
+        return [(lemma_integral, (which, mpf(t), ctx)) for t in ("0.1", "0.3")
+                for which in ("NU2", "EPS2", "H3INT1", "H3INT2")]
 
 
 def _sec4_calls(ctx):
@@ -325,6 +342,7 @@ LAYERS = {
     "agm": _agm_calls,
     "quad": _quad_calls,
     "sec4_quad": _sec4_calls,
+    "lemma": _lemma_calls,
     "hurwitz": _hurwitz_calls,
     "eta": lambda ctx: _qseries_calls(ctx)[0],
     "hyp_lambert": lambda ctx: _qseries_calls(ctx)[1],

@@ -26,10 +26,15 @@ such walk over [0, 1/2] (``_sec4_integrals``): the two over [0, 1] fold
 onto it by t -> 1-t, and each node takes K(sqrt t) and
 K(sqrt(1-t))/K(sqrt t) from one AGM (``series._k_ratio``).
 
-The H3INT2 integrand's K(sqrt s)^2 - (pi/2)^2 cancels about log10(1/|s|)
-digits near s = 0, so it takes K from one ``ell_k`` call raised by that
-many digits, and the lem.h3mix2 tail runs up or down the vertical ray from
-t, clear of the branch point s = 1.
+The NU2, H3INT1 and H3INT2 lemma integrals at one t are three components
+of one memoized walk over [0, t] (``_lemma_walk``): each node takes
+K(sqrt s) from one ``ell_k`` call and K(sqrt(1-s)) from one ``ell_k_comp``
+call, two AGMs for the three.  The H3INT2 integrand's
+K(sqrt s)^2 - (pi/2)^2 cancels about log10(1/|s|) digits near s = 0, so
+that ``ell_k`` call runs that many digits above the working precision.
+EPS2 walks its own segment [1/2, t]: on [0, t] its integrand grows like
+log(1/s)/s.  The lem.h3mix2 tail runs up or down the vertical ray from t,
+clear of the branch point s = 1.
 """
 
 from __future__ import annotations
@@ -200,7 +205,8 @@ def tanh_sinh(f, a, b, ctx: PrecisionCtx, max_level: int = MAX_LEVEL):
 # Lemma integral representations (quadrature side of the series identities)
 # ---------------------------------------------------------------------------
 
-_LEMMAS = ("NU2", "EPS2", "H3INT1", "H3INT2")
+# the first three are the components of ``_lemma_walk``
+_LEMMAS = ("NU2", "H3INT1", "H3INT2", "EPS2")
 
 
 def _k_and_ksq_excess(s, ctx: PrecisionCtx):
@@ -217,13 +223,37 @@ def _k_and_ksq_excess(s, ctx: PrecisionCtx):
         return k, k * k - mp.pi ** 2 / 4
 
 
+@_memoized
+def _lemma_walk(t, ctx: PrecisionCtx) -> QuadResults:
+    """The NU2, H3INT1 and H3INT2 integrals over [0, t], from one walk over the nodes.
+
+    With K = K(sqrt s), K' = K(sqrt(1-s)) and the bracket
+    B = K' K(sqrt t) - K K(sqrt(1-t)), the components integrate K B,
+    (1-2s) K^2 B^2 and 2(1-2s)/(s(1-s)) (K^2 - (pi/2)^2) B^2.  Each node
+    takes K and K^2 - (pi/2)^2 from one ``_k_and_ksq_excess`` call and K'
+    from one ``ell_k_comp`` call, and ``tanh_sinh`` stops each integral on
+    its own rule.
+    """
+    with ctx.working():
+        kt, k1t = ell_k(t, ctx), ell_k_comp(t, ctx)
+
+        def f(s):
+            ks, excess = _k_and_ksq_excess(s, ctx)
+            bracket = ell_k_comp(s, ctx) * kt - ks * k1t
+            sq = (1 - 2 * s) * bracket ** 2
+            return ks * bracket, ks ** 2 * sq, 2 * excess * sq / (s * (1 - s))
+        return tanh_sinh(f, mpf(0), t, ctx)
+
+
 def lemma_integral(which: str, t, ctx: PrecisionCtx):
     """Full right-hand side of the named integral representation at t.
 
     NU2 / EPS2 are the weight-2 harmonic representations, H3INT1 / H3INT2 the
     weight-3 ones; EPS2 includes its non-integral trailing terms (with
     Catalan's constant).  Paths are straight segments from the stated base
-    point (0 or 1/2) to t.  A real t gives an mpf, a complex one an mpc.
+    point (0 or 1/2) to t: NU2, H3INT1 and H3INT2 read their components of
+    one memoized walk over [0, t] (``_lemma_walk``).  A real t gives an mpf,
+    a complex one an mpc.
     """
     if which not in _LEMMAS:
         raise DomainError("unknown lemma integral %r" % (which,))
@@ -232,38 +262,20 @@ def lemma_integral(which: str, t, ctx: PrecisionCtx):
         if t == 0 and which != "EPS2":
             return 0 * t  # empty range; the harmonic weights vanish at k=0
         kt = ell_k(t, ctx)
+        if which != "EPS2":
+            val = _lemma_walk(t, ctx)[_LEMMAS.index(which)].converged_value()
+            return ensure_finite((2 / mp.pi) ** 3 * kt * val if which == "NU2"
+                                 else (2 / mp.pi) ** 4 * val)
         k1t = ell_k_comp(t, ctx)
 
-        if which == "NU2":
-            def f(s):
-                ks = ell_k(s, ctx)
-                return ks * (ell_k_comp(s, ctx) * kt - ks * k1t)
-            res = tanh_sinh(f, mpf(0), t, ctx)
-            return ensure_finite((2 / mp.pi) ** 3 * kt * res.converged_value())
-
-        if which == "EPS2":
-            def f(s):
-                ks = ell_k(s, ctx)
-                return ks * (ell_k_comp(s, ctx) * kt - ks * k1t) / (s * (1 - s))
-            res = tanh_sinh(f, mpf(1) / 2, t, ctx)
-            g = const_catalan(ctx)
-            return ensure_finite((2 / mp.pi) ** 3 * kt * res.converged_value()
-                                 - kt ** 2 / 3 - k1t ** 2
-                                 + 16 * kt * k1t * g / mp.pi ** 2)
-
-        if which == "H3INT1":
-            def f(s):
-                ks = ell_k(s, ctx)
-                return (1 - 2 * s) * ks ** 2 * (ell_k_comp(s, ctx) * kt - ks * k1t) ** 2
-            res = tanh_sinh(f, mpf(0), t, ctx)
-            return ensure_finite((2 / mp.pi) ** 4 * res.converged_value())
-
         def f(s):
-            ks, excess = _k_and_ksq_excess(s, ctx)
-            bracket = ell_k_comp(s, ctx) * kt - ks * k1t
-            return 2 * (1 - 2 * s) / (s * (1 - s)) * excess * bracket ** 2
-        res = tanh_sinh(f, mpf(0), t, ctx)
-        return ensure_finite((2 / mp.pi) ** 4 * res.converged_value())
+            ks = ell_k(s, ctx)
+            return ks * (ell_k_comp(s, ctx) * kt - ks * k1t) / (s * (1 - s))
+        res = tanh_sinh(f, mpf(1) / 2, t, ctx)
+        g = const_catalan(ctx)
+        return ensure_finite((2 / mp.pi) ** 3 * kt * res.converged_value()
+                             - kt ** 2 / 3 - k1t ** 2
+                             + 16 * kt * k1t * g / mp.pi ** 2)
 
 
 def h3mix2_tail_integral(t, ctx: PrecisionCtx) -> mpc:

@@ -205,12 +205,47 @@ def test_lemma_integrals_match_series(ctx30, which, w, tv):
         t = mp.mpmathify(tv)
         quad = lemma_integral(which, t, ctx30)
         series = binom3_series(t * (1 - t) / 16, LinearFactor(0, 1), w, ctx30)
-        assert abs(quad - series) < mpf(10) ** -25
+        assert abs(quad - series) <= 4 * ctx30.tiny() * max(1, abs(series))
 
 
 def test_nu2_at_zero(ctx30):
+    # the empty range returns before the walk that NU2, H3INT1 and H3INT2 share
     with ctx30.working():
-        assert abs(lemma_integral("NU2", mpf(0), ctx30)) < mpf(10) ** -25
+        for which in ("NU2", "H3INT1", "H3INT2"):
+            assert lemma_integral(which, mpf(0), ctx30) == 0, which
+
+
+def test_lemma_integrals_share_one_walk(monkeypatch, ctx30):
+    # NU2, H3INT1 and H3INT2 at one (t, ctx) read one memoized walk over
+    # [0, t]; EPS2 walks its own segment from 1/2
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return tanh_sinh(*args, **kwargs)
+    monkeypatch.setattr(quadrature, "tanh_sinh", counted)
+    monkeypatch.setattr(mpcore, "_memo", {})
+    with ctx30.working():
+        t = mpf("0.3")
+    for which in ("NU2", "H3INT1", "H3INT2"):
+        lemma_integral(which, t, ctx30)
+    assert calls == [(0, t)]
+    lemma_integral("EPS2", t, ctx30)
+    assert calls == [(0, t), (mpf(1) / 2, t)]
+
+
+@pytest.mark.parametrize("digits", (15, 100))
+@pytest.mark.parametrize("tv", ["0.1", "0.2+0.1j"])
+def test_shared_lemma_walk_against_40_more_digits(digits, tv):
+    # each component of the shared walk, scaled as lemma_integral returns
+    # it, is within a unit of 10^-workdps of itself at 40 more digits
+    ctx, hi = PrecisionCtx(digits), PrecisionCtx(digits + 40)
+    for which in ("NU2", "H3INT1", "H3INT2"):
+        with ctx.working():
+            got = lemma_integral(which, mp.mpmathify(tv), ctx)
+        with hi.working():
+            want = lemma_integral(which, mp.mpmathify(tv), hi)
+            assert abs(got - want) <= ctx.tiny() * max(1, abs(want)), which
 
 
 def test_complex_path(ctx30):
