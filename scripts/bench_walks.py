@@ -18,8 +18,9 @@ t = 0.3 + 0.05i over the same nodes.  The ``quad`` layer runs the three
 integral identities (zeta(5), zeta(7), L_{-4}(4)), which share one memoized
 walk over the nodes, and the NU2 and H3INT2 lemma integrals at t = 0.1,
 with the tanh-sinh nodes built beforehand; those two share one memoized
-walk over [0, t] (``quadrature._lemma_walk``), so the layer's figures
-moved when it came in.  The ``sec4_quad`` layer runs the three integral
+walk over [0, t] (``quadrature._lemma_walk``), so the layer times one
+lemma walk for both, and its figures are not comparable with those of
+``BENCH_quad.json``, recorded when each ran its own walk.  The ``sec4_quad`` layer runs the three integral
 identities alone, with zeta(7) built beforehand too.  The ``lemma`` layer
 runs the eight lemma-oracles integrals, NU2, EPS2, H3INT1 and H3INT2 at
 t = 0.1 and 0.3, with the tanh-sinh nodes built beforehand.  The
