@@ -5,9 +5,11 @@ Times ``modzeta.series._binom_sums``, ``modzeta.modular._nome_chains``
 inputs at 30, 50, 100 and 250 digits, and reports per layer and digit level
 the call count, total seconds and ms per call.  Each layer runs REPEATS
 times in its process, each time from an empty memo with its inputs built
-again untimed, and reads the fastest run: the first run alone pays for
-mpmath's cached constants, and a layer no longer depends on what the
-layers before it left in the memo.  The walk inputs are the nine
+again untimed, and reads the fastest run, so a layer does not depend on
+what the layers before it left in the memo.  The first run alone pays for
+what mpmath caches per process (its constants, its log table), as every
+fresh process of a pass does; each layer reports that run too, as
+``first_s``.  The walk inputs are the nine
 theorem sums at seven admissible points, four more interior rates, the two
 boundary rates -1/64 (four weights under 4k + 1) and -1/16 (binom2), and the
 nomes of z, 2z, 4z and z + 1/2 at the same points, each walked for every
@@ -24,9 +26,9 @@ lemma walk for both, and its figures are not comparable with those of
 identities alone, with zeta(7) built beforehand too.  The ``lemma`` layer
 runs the eight lemma-oracles integrals, NU2, EPS2, H3INT1 and H3INT2 at
 t = 0.1 and 0.3, with the tanh-sinh nodes built beforehand.  The
-``hurwitz`` layer calls ``arith.hurwitz_zeta`` at the (s, a) pairs of the
-L-values and zeta values that a 100-digit pass of every suite but
-lemma-oracles reads.  The
+``hurwitz`` layer calls ``dirichlet_l`` and ``const_zeta`` at the L-values
+and zeta values that a 100-digit pass of every suite but lemma-oracles
+reads, each from an empty memo, as the pass does.  The
 ``eta`` layer calls ``modular.eta`` at z/2, z and 2z of the theorem points;
 the ``hyp_lambert`` and ``eli`` layers call ``series.hyp_lambert`` and
 ``series.eli`` with the arguments of the sec4 records: the four Lambert
@@ -199,20 +201,13 @@ ZETA = (2, 3, 4, 5, 6, 7)
 
 
 def _hurwitz_calls(ctx):
-    """zeta(s, a/m) at the terms of the Hurwitz decompositions of DIRICHLET,
-    as ``dirichlet_l`` takes them, and zeta(s, 1) for ZETA, as (function,
-    arguments) pairs."""
-    from mpmath import mpf
-    from modzeta.arith import hurwitz_zeta, kronecker
+    """``dirichlet_l`` at DIRICHLET and ``const_zeta`` at ZETA, as the pass
+    calls them, as (function, arguments) pairs."""
+    from modzeta.arith import dirichlet_l
+    from modzeta.mpcore import const_zeta
 
-    calls = []
-    with ctx.working():
-        for d, s in DIRICHLET:
-            m = abs(d) if d % 4 in (0, 1) else 4 * abs(d)
-            calls += [(hurwitz_zeta, (s, mpf(a) / m, ctx))
-                      for a in range(1, m + 1) if kronecker(d, a)]
-        calls += [(hurwitz_zeta, (s, 1, ctx)) for s in ZETA]
-    return calls
+    return ([(dirichlet_l, (d, s, ctx)) for d, s in DIRICHLET]
+            + [(const_zeta, (s, ctx)) for s in ZETA])
 
 
 def _qseries_calls(ctx):
@@ -363,16 +358,18 @@ def measure(root: str) -> dict:
         ctx = PrecisionCtx(digits)
         row = {}
         for name, build in LAYERS.items():
-            best = float("inf")
+            times = []
             for _ in range(REPEATS):
                 mpcore._memo.clear()
                 calls = build(ctx)
                 t0 = time.perf_counter()
                 for fn, args in calls:
                     fn(*args)
-                best = min(best, time.perf_counter() - t0)
+                times.append(time.perf_counter() - t0)
+            best = min(times)
             row[name] = {"calls": len(calls), "total_s": round(best, 4),
-                         "ms_per_call": round(1000 * best / len(calls), 3)}
+                         "ms_per_call": round(1000 * best / len(calls), 3),
+                         "first_s": round(times[0], 4)}
         out[str(digits)] = row
     return out
 
@@ -405,6 +402,9 @@ def _summary(runs: list) -> dict:
                                  "total_s_q1_q3": [round(q1, 4), round(q3, 4)],
                                  "total_s_min": round(min(totals), 4),
                                  "ms_per_call": round(1000 * med / first["calls"], 3)}
+            if "first_s" in first:
+                out[digits][name]["first_s"] = round(statistics.median(
+                    r[digits][name]["first_s"] for r in runs), 4)
             if "peak_rss_mb" in first:
                 out[digits][name]["peak_rss_mb"] = round(statistics.median(
                     r[digits][name]["peak_rss_mb"] for r in runs), 1)

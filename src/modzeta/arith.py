@@ -1,11 +1,12 @@
 """Kronecker symbols, Hurwitz zeta, Dirichlet L-values, and Epstein zeta.
 
-L_d(s) goes through the Hurwitz decomposition
-
-    L_d(s) = m^-s * sum_{a=1..m} (d/a) * zeta(s, a/m),
-
-with m = |d| when d = 0, 1 (mod 4) and m = 4|d| otherwise, so the cost is
-uniform in the precision and independent of the sign of d.
+L_d(s) is one sum of chi(n) n^-s with chi = (d/.), periodic mod m, where
+m = |d| when d = 0, 1 (mod 4) and m = 4|d| otherwise: ``mpcore._l_value``
+takes the direct terms n <= N m on integers and adds one Euler-Maclaurin
+tail per residue a mod m, so the cost is uniform in the precision and
+independent of the sign of d.  ``const_zeta`` is the case m = 1.  The mpf
+Hurwitz zeta (``mpcore.hurwitz_zeta_raw``) serves only ``hurwitz_zeta``,
+at a real s and a real a.
 
 E(z,2) and E(z,3) use the rapidly convergent Lambert / Eichler representations
 (real parts taken, see the module notes on epstein3); the brute-force lattice
@@ -22,6 +23,7 @@ from .modular import _AT_Q, _as_z, _nome_chains
 from .mpcore import (
     DomainError,
     PrecisionCtx,
+    _l_value,
     _memoized,
     const_zeta,
     ensure_finite,
@@ -98,21 +100,15 @@ def hurwitz_zeta(s, a, ctx: PrecisionCtx) -> mpf:
 
 @_memoized
 def dirichlet_l(d: int, s: int, ctx: PrecisionCtx) -> mpf:
-    """L_d(s) = sum_n (d/n) n^-s for integer s >= 2, via Hurwitz decomposition."""
+    """L_d(s) = sum_n (d/n) n^-s for integer s >= 2, as one integer
+    Euler-Maclaurin sum over the residues mod m (``mpcore._l_value``)."""
     d = int(d)
     if int(s) != s or s < 2:
         raise DomainError("dirichlet_l requires an integer s >= 2")
     if d == 0:
         raise DomainError("dirichlet_l requires d != 0")
     m = abs(d) if d % 4 in (0, 1) else 4 * abs(d)
-    with ctx.working():
-        s = mpf(int(s))
-        acc = mpf(0)
-        for a in range(1, m + 1):
-            chi = kronecker(d, a)
-            if chi:
-                acc += chi * hurwitz_zeta_raw(s, mpf(a) / m)
-        return ensure_finite(acc / mpf(m) ** s)
+    return _l_value(tuple(kronecker(d, a) for a in range(1, m + 1)), int(s), ctx)
 
 
 # ---------------------------------------------------------------------------

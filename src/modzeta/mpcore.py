@@ -1,5 +1,6 @@
 """Precision contexts, fixed-point helpers, fundamental constants, and the
-Euler-Maclaurin zeta engine.
+Euler-Maclaurin engines: zeta and Dirichlet L-values on integers, Hurwitz
+zeta in mpf.
 
 Every public operation in this package takes a :class:`PrecisionCtx` and
 returns values accurate to at least ``ctx.digits`` decimal digits.  Internally
@@ -18,7 +19,7 @@ from inspect import signature
 
 import mpmath as mp
 from mpmath import mpc, mpf
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest, to_fixed
 
 __all__ = [
     "DomainError",
@@ -203,11 +204,11 @@ def const_catalan(ctx: PrecisionCtx) -> mpf:
 
 @_memoized
 def const_zeta(n: int, ctx: PrecisionCtx) -> mpf:
-    """Riemann zeta at an integer point n >= 2, by Euler-Maclaurin."""
+    """Riemann zeta at an integer point n >= 2: the L-value sum of ``_l_value``
+    with chi = 1."""
     if int(n) != n or n < 2:
         raise DomainError("const_zeta requires an integer n >= 2, got %r" % (n,))
-    with ctx.working():
-        return hurwitz_zeta_raw(mpf(int(n)), mpf(1))
+    return _l_value((1,), int(n), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -227,59 +228,73 @@ def _tangent_numbers(m: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz zeta by Euler-Maclaurin (the engine behind const_zeta and L_d)
+# Euler-Maclaurin: the plan, the coefficient tables, Hurwitz zeta and L-values
 # ---------------------------------------------------------------------------
 
+# an s at or past this many N0 has no plan (``_em_plan``)
+_EM_S_CAP = 50
+# the corrections are capped at N0 + _EM_M_SLACK (and at pi N0)
+_EM_M_SLACK = 40
+
+
 def _em_plan(s, dps: int) -> tuple:
-    """(N, M): the direct terms and corrections of ``hurwitz_zeta_raw`` at s.
+    """(N, M): the direct terms and corrections of an Euler-Maclaurin sum at s.
 
     Johansson's bound over zeta(s, a) >= (a+N)^(1-s)/(s-1), with a + N >= N,
     is 4 (s-1) (s)_2M / ((2 pi N)^2M (s+2M-1)) for every a > 0; its log is
     taken in floats through ``math.lgamma``, with log(s-1) from the mpf s so
     that an s within 1e-308 of 1 keeps it.  N is N0 = max(10, 0.6 dps + 2)
-    and M the least count up to pi N0 that brings that bound below
-    10^-(dps+2).  The bound falls only while s + 2M < 2 pi N, so for s of
-    about N0 or more no such M may exist; then N is doubled, up to 16 N0.
-    Past that the plan raises DomainError, at once for s >= 32 pi N0, where
-    the bound cannot fall.  Every s below 50 N0 (at least 500, about 30 dps)
-    is served, with at most 16 N0 direct terms and pi N0 corrections.
+    and M the least count up to min(pi N0, N0 + 40) that brings that bound
+    below 10^-(dps+2).  The cap is about 0.6 dps past 30 digits, and it
+    bounds the tangent triangle of a table at O(dps^2) steps.  The bound falls
+    only while s + 2M < 2 pi N, so for s of about N0 or more no such M may
+    exist; then N is doubled, up to 128 N0.  Every s below 50 N0 (at least
+    500, about 30 dps) is served so; an s of 50 N0 or more raises DomainError
+    at once.  Every plan at s <= 8 keeps N = N0, at any precision.
     """
     n0 = max(10, int(0.6 * dps) + 2)
-    if s < 32 * math.pi * n0:
+    if s < _EM_S_CAP * n0:
         goal = -(dps + 2) * math.log(10)
         log4s1, s1, s = math.log(4) + float(mp.log(s - 1)), float(s - 1), float(s)
+        cap = min(int(math.pi * n0), n0 + _EM_M_SLACK)
 
         def log_bound(m: int, n: int) -> float:
             return (log4s1 + math.lgamma(s + 2 * m) - math.lgamma(s)
                     - math.log(s1 + 2 * m) - 2 * m * math.log(2 * math.pi * n))
 
-        for n in (n0 << k for k in range(5)):
-            m = next((m for m in range(1, int(math.pi * n0) + 1) if log_bound(m, n) < goal),
-                     None)
+        for n in (n0 << k for k in range(8)):
+            m = next((m for m in range(1, cap + 1) if log_bound(m, n) < goal), None)
             if m is not None:
                 return n, m
     raise DomainError("hurwitz zeta: no Euler-Maclaurin plan for s = %s at %d digits"
                       % (mp.nstr(mpf(s), 5), dps))
 
 
+def _em_terms(s, m: int):
+    """The M corrections' coefficients c_j(s) = B_2j (s)_{2j-1} / (2j)!, as
+    (numerator, denominator) pairs from one pass of tangent numbers:
+
+        c_j(s) = (-1)^(j+1) T_(2j-1) (s)_{2j-1} / (4^j (4^j - 1) (2j-1)!).
+
+    The numerator is an mpf for an mpf s and an exact integer for an int s.
+    """
+    poch, fact = s, 1  # (s)_{2j-1} and (2j-1)!
+    for j, t in enumerate(_tangent_numbers(m), 1):
+        yield (-1) ** (j + 1) * poch * t, 4 ** j * (4 ** j - 1) * fact
+        poch *= (s + 2 * j - 1) * (s + 2 * j)
+        fact *= 2 * j * (2 * j + 1)
+
+
 @_memoized
 def _em_coefficients(s: mpf, ctx: PrecisionCtx) -> tuple:
-    """(N, (c_1(s), ..., c_M(s))) for (N, M) = ``_em_plan(s, ctx.workdps)``, at
-    ctx's precision, from one pass of tangent numbers:
-
-        c_j(s) = B_2j (s)_{2j-1} / (2j)!
-               = (-1)^(j+1) T_(2j-1) (s)_{2j-1} / (4^j (4^j - 1) (2j-1)!).
+    """(c_1(s), ..., c_M(s)) of ``_em_terms`` at ctx's precision, for
+    (N, M) = ``_em_plan(s, ctx.workdps)``.
 
     The coefficients do not depend on a, so one table serves every a.
     """
-    n, m = _em_plan(s, ctx.workdps)
+    m = _em_plan(s, ctx.workdps)[1]
     with ctx.working():
-        coeffs, poch, fact = [], s, 1  # (s)_{2j-1} and (2j-1)!
-        for j, t in enumerate(_tangent_numbers(m), 1):
-            coeffs.append((-1) ** (j + 1) * poch * t / (4 ** j * (4 ** j - 1) * fact))
-            poch *= (s + 2 * j - 1) * (s + 2 * j)
-            fact *= 2 * j * (2 * j + 1)
-        return n, tuple(coeffs)
+        return tuple(num / den for num, den in _em_terms(s, m))
 
 
 def hurwitz_zeta_raw(s: mpf, a: mpf) -> mpf:
@@ -295,24 +310,100 @@ def hurwitz_zeta_raw(s: mpf, a: mpf) -> mpf:
     function and its derivatives", Numer. Algorithms 2015, Theorem 1) bounds
     |R_M| <= 4 (s)_{2M} (a+N)^(1-s-2M) / ((2 pi)^2M (s+2M-1)) for real s > 1.
     N and M are planned before the sum (``_em_plan``) so that this bound is
-    below 10^-(dps+2) relative, whatever a is; ``_em_coefficients`` holds N
-    and c_1..c_M per (s, precision).  The N powers and the corrections (by
-    Horner's rule in x) are summed straight through at N.bit_length() + 4
-    extra bits, and the result is rounded once: the rounding of the sum
-    stays a fraction of the last bit.
+    below 10^-(dps+2) relative, whatever a is; ``_em_coefficients`` holds
+    c_1..c_M per (s, precision).  The powers and the corrections (by
+    Horner's rule in x) are summed at N.bit_length() + 4 extra bits, and the
+    result is rounded once: the rounding of the sum stays a fraction of the
+    last bit.  The terms fall, so those from k on sum to at most
+    (a+k)^-s (1 + (a+k)/(s-1)); once that is below the last of those bits,
+    the sum stops there, with no corrections.  A large s takes that stop
+    after a term or two, since (a+1)^-s / a^-s <= 2^-s for a <= 1, so its
+    table is never built.
     """
     s, a = mpf(s), mpf(a)
     if not s > 1:
         raise DomainError("hurwitz zeta requires s > 1")
     if not a > 0:
         raise DomainError("hurwitz zeta requires a > 0")
-    n, coeffs = _em_coefficients(s, PrecisionCtx(max(10, mp.mp.dps), 0))
+    ctx = PrecisionCtx(max(10, mp.mp.dps), 0)
+    n = _em_plan(s, ctx.workdps)[0]
     with mp.extraprec(n.bit_length() + 4):
-        acc = mp.fsum((a + k) ** -s for k in range(n))
-        big = a + n
-        x = 1 / (big * big)
-        tail = mpf(0)
-        for c in reversed(coeffs):
-            tail = (tail + c) * x
-        acc += big ** (1 - s) * (1 / (s - 1) + 1 / (2 * big) + tail)
+        acc = mpf(0)
+        for k in range(n):
+            term = (a + k) ** -s
+            acc += term
+            if term * (1 + (a + k) / (s - 1)) < mp.ldexp(acc, -mp.mp.prec):
+                break
+        else:
+            big = a + n
+            x = 1 / (big * big)
+            tail = mpf(0)
+            for c in reversed(_em_coefficients(s, ctx)):
+                tail = (tail + c) * x
+            acc += big ** (1 - s) * (1 / (s - 1) + 1 / (2 * big) + tail)
     return ensure_finite(+acc)
+
+
+@_memoized
+def _em_table(s: int, ctx: PrecisionCtx) -> tuple:
+    """(N, M, V, (c_1(s) 2^V, ..., c_M(s) 2^V)) for an integer s >= 2, with
+    (N, M) = ``_em_plan(s, ctx.workdps)``.
+
+    The c_j(s) of ``_em_terms`` are exact rationals at an integer s; each is
+    rounded to the nearest integer at scale 2^V, V = prec + bitlen(N + M) + 8
+    for ctx's precision of prec bits.
+    """
+    n, m = _em_plan(s, ctx.workdps)
+    v = dps_to_prec(ctx.workdps) + (n + m).bit_length() + 8
+    coeffs = []
+    for num, den in _em_terms(s, m):
+        c = ((abs(num) << (v + 1)) // den + 1) >> 1
+        coeffs.append(c if num > 0 else -c)
+    return n, m, v, tuple(coeffs)
+
+
+def _l_value(chi: tuple, s: int, ctx: PrecisionCtx) -> mpf:
+    """sum_{n>=1} chi(n) n^-s for an integer s >= 2 and a character chi of
+    period m = len(chi), given as (chi(1), ..., chi(m)), at ctx's precision.
+
+    One sum on integers at scale 2^W, W = prec + bitlen(N m + M m) + 8, with
+    (N, M, V, c_j 2^V) from ``_em_table``.  The direct terms are 2^W // n^s
+    for n <= N m, by residue a = n mod m; n^s only grows, so a residue's
+    terms stop at the first that is 0.  Each residue a with chi(a) != 0 then
+    adds its Euler-Maclaurin tail sum_{k>=N} (a + k m)^-s
+    = m^-s zeta(s, a/m + N), with B = a + N m:
+
+        (1/(s-1) + m/(2B) + sum_j c_j (m/B)^(2j)) / (m B^(s-1)),
+
+    its bracket taken at 2^V by Horner's rule in x = (m/B)^2.  a/m + N >= N,
+    so ``_em_plan``'s bound holds for every residue.  Each direct term is off
+    by under a unit of 2^-W; a bracket by about M + s units of 2^-V, which
+    the division by m B^(s-1) >= m N shrinks to a few units of 2^-W, since
+    2^(W-V) <= 2m.  That is under (N + M) m units of 2^-W in all, and the
+    sum, |L| >= zeta(2s)/zeta(s) > 1/2 for a real character, is rounded once,
+    within 2^-8 of its last bit plus the rounding.
+    """
+    n, big_m, v, coeffs = _em_table(s, ctx)
+    m = len(chi)
+    prec = dps_to_prec(ctx.workdps)
+    w = prec + (n * m + big_m * m).bit_length() + 8
+    one, nm = 1 << w, n * m
+    inv = (1 << v) // (s - 1)
+    acc = 0
+    for a, c in enumerate(chi, 1):
+        if not c:
+            continue
+        part = 0
+        for k in range(a, nm + 1, m):
+            q = one // k ** s
+            if not q:
+                break
+            part += q
+        big = a + nm
+        x = (m * m << v) // (big * big)
+        tail = 0
+        for cj in reversed(coeffs):
+            tail = (tail + cj) * x >> v
+        bracket = inv + (m << v) // (2 * big) + tail
+        acc += c * (part + (bracket << (w - v)) // (m * big ** (s - 1)))
+    return ensure_finite(mp.make_mpf(from_man_exp(acc, -w, prec, round_nearest)))

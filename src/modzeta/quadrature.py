@@ -8,10 +8,11 @@ endpoint, which double-exponential nodes absorb without splitting.
 
 Nodes are generated as (delta, weight) pairs with delta the distance from the
 interval endpoint (1 - |x| computed stably), so integrands may be evaluated
-accurately arbitrarily close to a singular endpoint.  Straight complex paths
-are supported through the same affine map; a real segment stays in mpf, and
-so do the K integrands on it, since ``ell_k`` and ``ell_k_comp`` keep a real
-argument real.
+accurately arbitrarily close to a singular endpoint; they run on integers,
+with one mpf exp per node.  Straight complex paths are supported through
+the same affine map; a real segment stays in mpf, and so do the K
+integrands on it, since ``ell_k`` and ``ell_k_comp`` keep a real argument
+real.
 
 Each level halves the step and squares the discretisation error, so the
 difference d_L of two successive sums is about the error of the coarser
@@ -24,7 +25,9 @@ componentwise on one walk over the nodes.
 The zeta(5), zeta(7) and L_{-4}(4) integrals are three components of one
 such walk over [0, 1/2] (``_sec4_integrals``): the two over [0, 1] fold
 onto it by t -> 1-t, and each node takes K(sqrt t) and
-K(sqrt(1-t))/K(sqrt t) from one AGM (``series._k_ratio``).
+K(sqrt(1-t))/K(sqrt t) on integers (``series._k_ratio``): within 2^-10 of
+t = 1/2 from the series of K(sqrt(1/2 + u)), elsewhere from one AGM and
+one fixed-point log.
 
 The NU2, H3INT1 and H3INT2 lemma integrals at one t are three components
 of one memoized walk over [0, t] (``_lemma_walk``): each node takes
@@ -43,7 +46,8 @@ from dataclasses import dataclass, replace
 
 import mpmath as mp
 from mpmath import mpc, mpf
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import (dps_to_prec, fone, from_man_exp, ftwo, mpf_add, mpf_div, mpf_exp,
+                          mpf_mul, mpf_pi, mpf_shift, mpf_sub, round_nearest, to_fixed)
 
 from .mpcore import (DomainError, PrecisionCtx, _memoized, _real_or_complex,
                      const_catalan, const_zeta, ensure_finite)
@@ -106,29 +110,37 @@ def _nodes(level: int, ctx: PrecisionCtx) -> list:
 
     Level 0 holds all integer multiples of h=1 (including t=0); level L > 0
     holds the odd multiples of h = 2^-L.  delta = 1 - tanh((pi/2) sinh t).
-    Each node takes one exp: e^t runs by recurrence, times e^(step h), and
-    with E = exp(pi sinh t), delta = 2/(E+1) and the weight
-    (pi/2) cosh t / cosh((pi/2) sinh t)^2 is 2 pi cosh t E / (E+1)^2.  The
-    recurrence adds one rounding per node, and E multiplies the relative
-    error of e^t by about pi sinh t (below 10^3 up to tmax): a few of the
-    10 extra digits.
+    The walk runs on integers at scale 2^p, p the binary precision of 10
+    digits above ctx's working precision: e^t runs by recurrence, times
+    e^(step h), and each node takes one mpf exp, E = exp(pi sinh t) from
+    pi (e^t - e^-t) / 2.  Then delta = 2/(E+1) and the weight
+    (pi/2) cosh t / cosh((pi/2) sinh t)^2 = pi cosh t delta (1 - delta/2)
+    are each a few raw mpf operations, rounded to p bits.  The recurrence
+    adds a unit of 2^-p per node, and E multiplies the relative error of
+    e^t by about pi sinh t (below 10^3 up to tmax): a few of the 10 extra
+    digits.
     """
     dps = ctx.workdps
     with mp.workdps(dps + 10):
         tmax = _tmax(dps)
-        h = mpf(1) / (1 << level)
-        pi = +mp.pi
-        out = []
-        k = 0 if level == 0 else 1
-        step = 1 if level == 0 else 2
-        et, grow = mp.exp(k * h), mp.exp(step * h)  # e^t at the first node, its ratio
-        while k * h <= tmax:
-            inv = 1 / et
-            big = mp.exp(pi * (et - inv) / 2)  # E = exp(pi sinh t)
-            delta = 2 / (big + 1)
-            out.append((delta, pi * (et + inv) * big / (big + 1) ** 2))
-            et *= grow
-            k += step
+    p = dps_to_prec(dps + 10)
+    pi = to_fixed(mpf_pi(p), p)
+    k = 0 if level == 0 else 1
+    step = 1 if level == 0 else 2
+    et, grow = (to_fixed(mpf_exp(from_man_exp(j, -level), p), p) for j in (k, step))
+    end = to_fixed(tmax._mpf_, level)  # the last k with k h <= tmax
+    out = []
+    while k <= end:
+        inv = (1 << 2 * p) // et
+        big = mpf_exp(from_man_exp(pi * (et - inv), -2 * p - 1), p, round_nearest)
+        delta = mpf_div(ftwo, mpf_add(big, fone, p, round_nearest), p, round_nearest)
+        pi_cosh = from_man_exp(pi * (et + inv), -2 * p - 1)
+        weight = mpf_mul(mpf_mul(pi_cosh, delta, p, round_nearest),
+                         mpf_sub(fone, mpf_shift(delta, -1), p, round_nearest),
+                         p, round_nearest)
+        out.append((mp.make_mpf(delta), mp.make_mpf(weight)))
+        et = et * grow >> p
+        k += step
     return out
 
 
@@ -169,9 +181,9 @@ def tanh_sinh(f, a, b, ctx: PrecisionCtx, max_level: int = MAX_LEVEL):
             nonlocal vector
             ws, vals = [], []
             for delta, w in nodes:
+                off = scale * delta
                 # the t=0 node sits at the midpoint, count it once
-                for x in (a + scale * delta,) if delta == 1 else (a + scale * delta,
-                                                                   b - scale * delta):
+                for x in (a + off,) if delta._mpf_ == fone else (a + off, b - off):
                     ws.append(w)
                     vals.append(f(x))
             vector = isinstance(vals[0], tuple)
@@ -325,8 +337,9 @@ def _sec4_integrals(ctx: PrecisionCtx) -> tuple:
         int_0^1 (1-2t) K(sqrt(1-t))^4 dt = int_0^(1/2) (1-2t) K^4 (r^4 - 1) dt,
         int_0^1 w K(sqrt(1-t))^6 dt = int_0^(1/2) w K^6 (r^6 + 1) dt,
     and the L_{-4}(4) integral int_0^(1/2) w K^6 (r^2 - 1)^3 dt is already
-    there.  Each node takes K and r from one ``_k_ratio`` AGM, and
-    ``tanh_sinh`` stops each integral on its own rule.
+    there.  Each node takes K and r from one ``_k_ratio`` call (the series
+    at t = 1/2 within 2^-10 of it, one AGM elsewhere), and ``tanh_sinh``
+    stops each integral on its own rule.
 
     The integrand runs on integers at 2^wp, wp = the working precision plus
     _SEC4_GUARD bits.  A value takes at most 9 products, each rounded by a

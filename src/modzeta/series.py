@@ -77,8 +77,9 @@ its small start value lacks.  The loop stops on a stated
 quadratic-convergence bound and raises DomainError at its step cap.
 For a real 0 < t <= 1/2, ``_k_ratio`` runs one AGM of the same kind and
 reads both K(sqrt t) and K(sqrt(1-t)) / K(sqrt t) from its means, the
-latter through the nome limit; the section-4 integrals take it at every
-node.
+latter through the nome limit and a log on integers; within 2^-10 of
+t = 1/2 it sums the Taylor series of K(sqrt(1/2 + u)) instead, with no AGM
+and no log.  The section-4 integrals take it at every node.
 """
 
 from __future__ import annotations
@@ -90,11 +91,11 @@ from math import ceil, inf, isqrt, lcm, lgamma, log, log2
 
 import mpmath as mp
 from mpmath import mpc, mpf
-from mpmath.libmp import from_man_exp, mpf_div, mpf_log, mpf_pi, round_nearest, to_fixed
+from mpmath.libmp import mpf_ln2, mpf_pi, to_fixed
 
 from .modular import _as_z, _nome, _nome_logs, _walk_length
 from .mpcore import (DomainError, PrecisionCtx, _cinv, _cmul, _dust_bits, _from_fixed,
-                     _log2_abs, _real_or_complex, _to_fixed, ensure_finite)
+                     _log2_abs, _memoized, _real_or_complex, _to_fixed, ensure_finite)
 
 __all__ = [
     "HypKernel",
@@ -608,48 +609,168 @@ def _agm_k(u):
     raise DomainError("AGM did not converge in %d steps" % _AGM_STEP_CAP)
 
 
-def _k_ratio(t, wp: int) -> tuple:
-    """K = K(sqrt t) and r = K(sqrt(1-t)) / K(sqrt t) for an mpf 0 < t <= 1/2,
-    from one AGM, as integers at scale 2^wp.
+# _k_ratio takes the series at t = 1/2 for 1/2 - t below 2^-_K_HALF_BITS
+_K_HALF_BITS = 10
 
-    The AGM of a_0 = 1, b_0 = sqrt(1-t) runs on integers at 2^w,
-    w = wp + ``_agm_guard(0)``, and keeps its means a_1..a_n; K = pi / (2 a_n).
-    With c_0^2 = t and c_(j+1) = (a_j - b_j)/2 = c_j^2 / (4 a_(j+1)), the
-    nome q = exp(-pi r) of sqrt t is the limit of (c_n / (4 a_n))^(2^(1-n))
-    = t / P_n (Borwein and Borwein, Pi and the AGM, 1987, ch. 2), where
-    P_n = prod_(j<n) (4 a_j)^(2^(1-j)) * (4 a_n)^(2^(2-n)), j from 1; so
-    pi r = ln(P_n / t) - 2^(3-n) q^(2^n) + ..., taken as one mpf log.
-    P_n is built inside out with n - 2 isqrts: y = (4 a_(n-1))(4 a_n), then
-    y = 4 a_j sqrt(y).  The loop stops as ``_agm_k`` does, at
-    (a - b)^2 2^(w-3) <= a^2, where c_n, about 4 a_n q^(2^(n-1)), is only
-    near 2^(-w/2), so q^(2^n) is only near 2^-w; one more step squares it,
-    and the error term falls far below 2^-w.  Every a_j and b_j lies in
-    [sqrt(1/2), 1], so each step and each isqrt rounds by a unit of 2^-w
-    or so, and K and r come out rounded to 2^-wp.  Raises DomainError for
-    any other t.
+
+def _agm_means(b: int, w: int) -> list:
+    """The means a_1, ..., a_n, a_(n+1) of AGM(1, b) for b in [sqrt(1/2), 1],
+    on integers at scale 2^w, b given at that scale.
+
+    The loop stops as ``_agm_k`` does, at (a - b)^2 2^(w-3) <= a^2, and takes
+    one step more.  Every a_j and b_j lies in [sqrt(1/2), 1], so each step
+    rounds by a unit of 2^-w or so; from b >= sqrt(1/2) it takes about
+    log2(w) steps.
     """
-    if not 0 < t <= 0.5:
-        raise DomainError("_k_ratio needs 0 < t <= 1/2, got %s" % (t,))
-    g = _agm_guard(0)
-    w = wp + g
-    a, b = 1 << w, isqrt((1 << 2 * w) - to_fixed(t._mpf_, 2 * w))
-    means = []
-    while True:  # from b_0 >= sqrt(1/2), about log2(wp) steps
+    a, means = 1 << w, []
+    while True:
         d = a - b
         stop = d * d << (w - 3) <= a * a
         a, b = (a + b) >> 1, isqrt(a * b)
         means.append(a)
         if stop:
             break
-    a = (a + b) >> 1  # one step past the stop
-    means.append(a)
+    means.append((a + b) >> 1)  # one step past the stop
+    return means
+
+
+@_memoized
+def _k_half_series(w: int, ctx: PrecisionCtx) -> tuple:
+    """(f_0, f_1, ..., f_(n-1)) at scale 2^w: the Taylor coefficients of
+    F(u) = K(sqrt(1/2 + u)) = sum f_n u^n, for n below (w + 2) / 9 + 1.
+
+    K(sqrt m) solves the hypergeometric equation
+    m (1-m) K'' + (1-2m) K' - K/4 = 0; at m = 1/2 + u that is
+    (1/4 - u^2) F'' - 2u F' - F/4 = 0, so
+    f_(n+2) = (2n+1)^2 f_n / ((n+1)(n+2)) exactly.  f_0 = K(1/sqrt 2) comes
+    from the means of ``_agm_means`` at t = 1/2, and Legendre's relation at
+    m = 1/2, 2 E K - K^2 = pi/2, gives f_1 = dK/dm = 2E - K = pi/(2 f_0).
+    Each f_n is off by a few units of 2^-w, times f_n / f_0.  ctx only keys
+    the memo, at the caller's precision.
+    """
+    pi = to_fixed(mpf_pi(w), w)
+    f = [(pi << (w - 1)) // _agm_means(isqrt(1 << (2 * w - 1)), w)[-1]]
+    f.append((pi << (w - 1)) // f[0])
+    for n in range((w + 2) // 9 - 1):
+        f.append((2 * n + 1) ** 2 * f[n] // ((n + 1) * (n + 2)))
+    return tuple(f)
+
+
+# ``_ln_fixed`` reduces its argument by a table of 2^_LN_TABLE_BITS logs
+_LN_TABLE_BITS = 6
+
+
+def _atanh_fixed(v: int, w: int, inv: tuple) -> int:
+    """atanh(v) = v (1 + v^2/3 + v^4/5 + ...) for 0 <= v < 2^-7, at scale 2^w,
+    by Horner's rule in v^2 with inv = (2^w // (2k+1) for k = 0, 1, ...).
+
+    With v < 2^-d, d = w - bitlen(v), the terms from k = n on, n the least
+    with (2n+1) d > w, sum to under a unit of 2^-w; each product is
+    floored, so the sum is about n units low.
+    """
+    v2 = v * v >> w
+    n = (w // (w - v.bit_length())) // 2 + 1
+    total = inv[n - 1]
+    for c in reversed(inv[:n - 1]):
+        total = (total * v2 >> w) + c
+    return total * v >> w
+
+
+@_memoized
+def _ln_table(w: int, ctx: PrecisionCtx) -> tuple:
+    """(ln 2, (ln(j / 2^K) for j = 2^K, ..., 2^(K+1) - 1), inv) at scale
+    2^w, K = ``_LN_TABLE_BITS``, inv the reciprocals of ``_atanh_fixed``,
+    for ``_ln_fixed``.
+
+    From ln 1 = 0 up by ln((j+1)/j) = 2 atanh(1/(2j+1)), v <= 1/129, so
+    the last entry is a few units of 2^-w per entry low.  ctx only keys the
+    memo, at the caller's precision.
+    """
+    one = 1 << w
+    inv = tuple(one // (2 * k + 1) for k in range(w // 14 + 1))
+    logs, acc = [0], 0
+    for j in range(1 << _LN_TABLE_BITS, (2 << _LN_TABLE_BITS) - 1):
+        acc += 2 * _atanh_fixed(one // (2 * j + 1), w, inv)
+        logs.append(acc)
+    return to_fixed(mpf_ln2(w), w), tuple(logs), inv
+
+
+def _ln_fixed(y: int, t: tuple, w: int) -> int:
+    """ln(y 2^-w / t) at scale 2^w, for an integer y >= 2^w and a raw mpf t > 0.
+
+    The quotient q = y 2^bc // man(t), of at least w + 1 bits, is
+    normalized to u in [1, 2); with c the top K + 1 bits of u,
+    ln u = ln c + 2 atanh((u - c)/(u + c)) from the table of
+    ``_ln_table``, where (u - c)/(u + c) < 2^-(K+1).  Each piece is off by
+    a few units of 2^-w.
+    """
+    ln2, logs, inv = _ln_table(w, PrecisionCtx(max(10, mp.mp.dps), 0))
+    _, man, exp, bc = t
+    q = (y << bc) // man  # above y, as man < 2^bc
+    shift = q.bit_length() - 1 - w
+    u = q >> shift  # q = u 2^shift, u in [2^w, 2^(w+1))
+    j = u >> (w - _LN_TABLE_BITS)
+    c = j << (w - _LN_TABLE_BITS)
+    v = ((u - c) << w) // (u + c)
+    return (logs[j - (1 << _LN_TABLE_BITS)] + 2 * _atanh_fixed(v, w, inv)
+            + (shift - bc - exp) * ln2)
+
+
+def _k_ratio(t, wp: int) -> tuple:
+    """K = K(sqrt t) and r = K(sqrt(1-t)) / K(sqrt t) for an mpf 0 < t <= 1/2,
+    as integers at scale 2^wp.  Raises DomainError for any other t: the
+    check reads t's sign, mantissa and exponent.
+
+    Both run on integers at 2^w, w = wp + ``_agm_guard(0)``.  Near t = 1/2,
+    for eps = 1/2 - t below 2^-10 (``_K_HALF_BITS``), K(sqrt t) = F(-eps)
+    and K(sqrt(1-t)) = F(eps) = E + O, where E and O are the even and odd
+    parts of the series F(u) = K(sqrt(1/2 + u)) of ``_k_half_series``, each
+    summed by Horner's rule in eps^2: no AGM and no log.  Its ratio
+    f_(n+2)/f_n = (2n+1)^2 / ((n+1)(n+2)) is below 4, so f_n <= 2^(n+1)
+    (f_0 < 1.86, f_1 < 0.85) and the terms f_n eps^n fall at least
+    geometrically with ratio 2 eps <= 2^-9: once (2 eps)^n <= 2^-(w+2),
+    the terms from n on sum to under a unit of 2^-w.
+
+    Elsewhere the AGM of a_0 = 1, b_0 = sqrt(1-t) runs on the means of
+    ``_agm_means``, a_1..a_n+1; K = pi / (2 a_(n+1)).  With c_0^2 = t and
+    c_(j+1) = (a_j - b_j)/2 = c_j^2 / (4 a_(j+1)), the nome q = exp(-pi r)
+    of sqrt t is the limit of (c_n / (4 a_n))^(2^(1-n)) = t / P_n (Borwein
+    and Borwein, Pi and the AGM, 1987, ch. 2), where
+    P_n = prod_(j<n) (4 a_j)^(2^(1-j)) * (4 a_n)^(2^(2-n)), j from 1; so
+    pi r = ln(P_n / t) - 2^(3-n) q^(2^n) + ..., taken on integers by
+    ``_ln_fixed``.
+    P_n is built inside out with n - 2 isqrts: y = (4 a_(n-1))(4 a_n), then
+    y = 4 a_j sqrt(y).  At the loop's stop c_n, about 4 a_n q^(2^(n-1)), is
+    only near 2^(-w/2), so q^(2^n) is only near 2^-w; the step past it
+    squares that, and the error term falls far below 2^-w.  Each isqrt
+    rounds by a unit of 2^-w or so, and K and r come out rounded to 2^-wp.
+    """
+    sign, man, exp, bc = t._mpf_
+    if sign or not man or exp + bc > 0 or (exp + bc == 0 and man != 1):
+        raise DomainError("_k_ratio needs 0 < t <= 1/2, got %s" % (t,))
+    g = _agm_guard(0)
+    w = wp + g
+    half = 1 << (g - 1)
+    eps = (1 << (w - 1)) - to_fixed(t._mpf_, w)
+    if eps >> (w - _K_HALF_BITS) == 0:
+        f = _k_half_series(w, PrecisionCtx(max(10, mp.mp.dps), 0))
+        n = -(-(w + 2) // (w - eps.bit_length() - 1)) if eps else 1
+        eps2 = eps * eps >> w
+        even = odd = 0
+        for c in reversed(f[:n:2]):
+            even = (even * eps2 >> w) + c
+        for c in reversed(f[1:n:2]):
+            odd = (odd * eps2 >> w) + c
+        odd = odd * eps >> w
+        k = even - odd
+        return (k + half) >> g, (((even + odd) << w) // k + half) >> g
+    means = _agm_means(isqrt((1 << 2 * w) - to_fixed(t._mpf_, 2 * w)), w)
+    a = means[-1]
     y = means[-2] * a << 4 >> w
     for m in reversed(means[:-2]):
         y = (m << 2) * isqrt(y << w) >> w
-    log = mpf_log(mpf_div(from_man_exp(y, -w), t._mpf_, w, round_nearest), w, round_nearest)
     pi = to_fixed(mpf_pi(w), w)
-    half = 1 << (g - 1)
-    return ((pi << (w - 1)) // a + half) >> g, ((to_fixed(log, w) << w) // pi + half) >> g
+    return ((pi << (w - 1)) // a + half) >> g, ((_ln_fixed(y, t._mpf_, w) << w) // pi + half) >> g
 
 
 def ell_k(t, ctx: PrecisionCtx):

@@ -1,5 +1,6 @@
 """Constants, the tangent numbers, and the Euler-Maclaurin engine."""
 
+import functools
 import math
 import time
 from fractions import Fraction
@@ -204,3 +205,84 @@ def test_precision_monotonicity(op):
     lo, hi = PrecisionCtx(20, 5), PrecisionCtx(40, 5)
     with hi.working():
         assert abs(op(lo) - op(hi)) < mpf(10) ** -20
+
+
+# the discriminants of the L-value grid: the pass reads -3, -4, -7, -8 and
+# 28; 1 is zeta itself, and 5, 8 and -20 add even and composite moduli
+L_DISCRIMINANTS = (1, -3, -4, -7, -8, 5, 8, 28, -20)
+
+
+@functools.lru_cache(maxsize=None)
+def _l_reference(d: int, s: int):
+    """L_d(s) by mpmath's Hurwitz decomposition at 305 digits, 40 past the
+    working precision of 250 digits."""
+    from modzeta.arith import kronecker
+    m = abs(d) if d % 4 in (0, 1) else 4 * abs(d)
+    with mp.workdps(305):
+        return mp.fsum(kronecker(d, a) * mp.zeta(s, mpf(a) / m)
+                       for a in range(1, m + 1)) / mpf(m) ** s
+
+
+@pytest.mark.parametrize("digits", (15, 50, 100, 250))
+def test_l_values_meet_working_precision(digits, monkeypatch):
+    # L_d(s) and zeta(s), each one integer Euler-Maclaurin sum, are within
+    # 0.5 units of 10^-workdps, relative, of mpmath's Hurwitz decomposition
+    # at 40 or more further digits; the largest error over this grid is
+    # about 0.12 units
+    monkeypatch.setattr(mpcore, "_memo", {})
+    ctx = PrecisionCtx(digits)
+    unit = mpf("0.5") * mpf(10) ** -ctx.workdps
+    for d in L_DISCRIMINANTS:
+        for s in range(2, 8):
+            got = dirichlet_l(d, s, ctx)
+            with mp.workdps(305):
+                want = _l_reference(d, s)
+                assert abs(got - want) <= unit * abs(want), (d, s)
+    for s in range(2, 8):
+        assert const_zeta(s, ctx) == dirichlet_l(1, s, ctx)
+
+
+def test_l_value_is_one_integer_sum(monkeypatch):
+    # L_d(s) no longer goes through the mpf Hurwitz zeta: one sum over the
+    # residues, one coefficient table per (s, precision) for every d
+    monkeypatch.setattr(mpcore, "_memo", {})
+    monkeypatch.setattr(mpcore, "hurwitz_zeta_raw", None)
+    ctx = PrecisionCtx(30)
+    for d in (-4, -7, 28):
+        dirichlet_l(d, 2, ctx)
+    const_zeta(2, ctx)
+    table = mpcore._em_table.__wrapped__
+    assert [key[1] for key in mpcore._memo if key[0] is table] == [(2,)]
+
+
+def test_em_plan_caps_the_corrections():
+    # M stays within N0 + 40 (and pi N0), and N rises instead: at 1000
+    # digits s = 30099 (N0 = 602) takes N = 64 N0, where the uncapped plan
+    # took 16 N0 and M = 1801; an s of 50 N0 or more is refused at once
+    n0 = int(0.6 * 1000) + 2
+    n, m = _em_plan(30099, 1000)
+    assert m <= n0 + 40 and n % n0 == 0 and n > 16 * n0
+    for dps in (30, 100, 265, 1000):
+        n0 = max(10, int(0.6 * dps) + 2)
+        assert _em_plan(50 * n0 - 1, dps)[1] <= min(math.pi * n0, n0 + 40)
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError):
+            _em_plan(50 * n0, dps)
+        assert time.perf_counter() - t0 < 0.01, dps
+
+
+def test_hurwitz_engine_large_s_at_1000_digits(monkeypatch):
+    # zeta(30099, 1/3) at 1000 digits: the terms past a = 1/3 fall below
+    # 2^-prec of the first after one more, so the sum stops there and
+    # builds no coefficient table; it took 11.4 s before M was capped
+    monkeypatch.setattr(mpcore, "_memo", {})
+    t0 = time.perf_counter()
+    with mp.workdps(1000):
+        a = mpf(1) / 3
+        got = hurwitz_zeta_raw(mpf(30099), a)
+    elapsed = time.perf_counter() - t0
+    with mp.workdps(1020):
+        want = mp.zeta(30099, a)
+        assert abs(got - want) <= mpf("0.2") * mpf(10) ** -1000 * want
+    assert elapsed < 2
+    assert not mpcore._memo

@@ -1,5 +1,8 @@
 """Tanh-sinh quadrature and the K-product integral identities."""
 
+import json
+import os
+
 import mpmath as mp
 import pytest
 from mpmath import mpc, mpf
@@ -133,6 +136,69 @@ def test_sec4_integrals_take_one_agm_per_node(monkeypatch):
         if rec.id in QUAD_RECORDS:
             assert runner._evaluate(rec, ctx)["pass"], rec.id
     assert counts == {"_k_ratio": 741, "_agm_k": 0}
+
+
+@pytest.mark.parametrize("digits", (15, 100, 250))
+def test_k_ratio_near_one_half_matches_two_agms(digits):
+    # within 2^-10 of t = 1/2 the series of K(sqrt(1/2 + u)) takes the
+    # place of the AGM and the log; on both sides of the switch K and r
+    # are within a unit of 2^-wp of two AGMs (ell_k, ell_k_comp) at 10 more
+    # digits
+    ctx, fine = PrecisionCtx(digits), PrecisionCtx(digits + 10)
+    with ctx.working():
+        wp = mp.mp.prec
+        half = mpf(1) / 2
+        points = (half - mpf(2) ** -9, half - mpf(2) ** -11, half - mpf(10) ** -30, half)
+    for t in points:
+        with ctx.working():
+            k, r = _k_ratio(t, wp)
+        with fine.working():
+            kt = ell_k(t, fine)
+            want = (kt, ell_k_comp(t, fine) / kt)
+            for got, v in zip((k, r), want):
+                assert abs(got - v * 2 ** wp) <= 1, (t, got, v)
+
+
+def test_sec4_walk_takes_the_series_near_one_half(monkeypatch):
+    # at 100 digits 279 of the 741 points lie within 2^-10 of t = 1/2 and
+    # take the series; the other 462 run an AGM and the fixed-point log, and
+    # f_0 = K(1/sqrt 2) takes one AGM more.  The walk adds no entry to
+    # mpmath's log cache, which an mpf log per point filled with 219
+    from mpmath.libmp import libelefun
+    counts = {"_agm_means": 0, "_ln_fixed": 0}
+
+    def counted(name):
+        fn = getattr(series, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(series, name, wrapper)
+    for name in counts:
+        counted(name)
+    monkeypatch.setattr(mpcore, "_memo", {})
+    cached = len(libelefun.log_taylor_cache)
+    quadrature._sec4_integrals(PrecisionCtx(100))
+    assert counts == {"_agm_means": 463, "_ln_fixed": 462}
+    assert len(libelefun.log_taylor_cache) == cached
+
+
+SEC4_REF = os.path.join(os.path.dirname(__file__), "data", "sec4_integrals_ref.json")
+
+
+@pytest.mark.parametrize("digits", (15, 50, 100, 250))
+def test_sec4_integrals_match_the_mpf_log_walk(digits):
+    # the three folded integrals of commit 4160d04, which took an mpf log
+    # per point and built the nodes in mpf, at the same levels and within
+    # 0.03 units of 10^-workdps
+    with open(SEC4_REF) as fh:
+        ref = json.load(fh)[str(digits)]
+    ctx = PrecisionCtx(digits)
+    res = quadrature._sec4_integrals(ctx)
+    assert [r.levels_used for r in res] == ref["levels"]
+    with mp.workdps(ctx.workdps + 10):
+        for r, want in zip(res, map(mpf, ref["values"])):
+            assert abs(r.value - want) <= mpf("0.03") * mpf(10) ** -ctx.workdps * abs(want)
 
 
 # (integral, levels used at 100 digits): one level before the old stop

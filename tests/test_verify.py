@@ -396,12 +396,12 @@ def test_four_evaluators_make_one_walk_per_point(monkeypatch, ctx30):
     # sides read only the Lambert terms of their Epstein pairs, never a whole
     # epstein2; Euler-Maclaurin runs once per (n, workdps)
     em_runs, epstein_calls, nome_reads = [], [], []
-    real_em, real_epstein = mpcore.hurwitz_zeta_raw, theorems.epstein2
+    real_em, real_epstein = mpcore._l_value, theorems.epstein2
     real_nome = theorems._nome_chains
 
-    def counting_em(s, a):
-        em_runs.append((s, a, mp.mp.dps))
-        return real_em(s, a)
+    def counting_em(chi, s, ctx):
+        em_runs.append((chi, s, ctx.workdps))
+        return real_em(chi, s, ctx)
 
     def counting_epstein(z, ctx):
         epstein_calls.append(z)
@@ -410,7 +410,7 @@ def test_four_evaluators_make_one_walk_per_point(monkeypatch, ctx30):
     def counting_nome(z, request, ctx):
         nome_reads.append(z)
         return real_nome(z, request, ctx)
-    monkeypatch.setattr(mpcore, "hurwitz_zeta_raw", counting_em)
+    monkeypatch.setattr(mpcore, "_l_value", counting_em)
     monkeypatch.setattr(theorems, "epstein2", counting_epstein)
     monkeypatch.setattr(theorems, "_nome_chains", counting_nome)
     monkeypatch.setattr(mpcore, "_memo", {})
@@ -422,7 +422,7 @@ def test_four_evaluators_make_one_walk_per_point(monkeypatch, ctx30):
         assert sum(key[0] is walk for key in mpcore._memo) - before == 1
     assert len(epstein_calls) == 0
     assert len(nome_reads) == len(set(nome_reads)) == 2
-    assert len(em_runs) == 1
+    assert em_runs == [((1,), 3, ctx30.workdps)]
 
 
 @pytest.mark.parametrize("digits", [30, 100])
