@@ -245,8 +245,8 @@ def _em_plan(s, dps: int) -> tuple:
     taken in floats through ``math.lgamma``, with log(s-1) from the mpf s so
     that an s within 1e-308 of 1 keeps it.  N is N0 = max(10, 0.6 dps + 2)
     and M the least count up to min(pi N0, N0 + 40) that brings that bound
-    below 10^-(dps+2).  The cap is about 0.6 dps past 30 digits, and it
-    bounds the tangent triangle of a table at O(dps^2) steps.  The bound falls
+    below 10^-(dps+2).  The cap, N0 + 40 from 29 digits on, keeps the
+    tangent triangle of a table to O(dps^2) steps.  The bound falls
     only while s + 2M < 2 pi N, so for s of about N0 or more no such M may
     exist; then N is doubled, up to 128 N0.  Every s below 50 N0 (at least
     500, about 30 dps) is served so; an s of 50 N0 or more raises DomainError

@@ -245,8 +245,10 @@ def test_l_values_meet_working_precision(digits, monkeypatch):
 def test_l_value_is_one_integer_sum(monkeypatch):
     # L_d(s) no longer goes through the mpf Hurwitz zeta: one sum over the
     # residues, one coefficient table per (s, precision) for every d
+    from modzeta import arith
     monkeypatch.setattr(mpcore, "_memo", {})
     monkeypatch.setattr(mpcore, "hurwitz_zeta_raw", None)
+    monkeypatch.setattr(arith, "hurwitz_zeta_raw", None)
     ctx = PrecisionCtx(30)
     for d in (-4, -7, 28):
         dirichlet_l(d, 2, ctx)
