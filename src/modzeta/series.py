@@ -656,7 +656,7 @@ def _k_half_series(w: int, ctx: PrecisionCtx) -> tuple:
     return tuple(f)
 
 
-# ``_ln_fixed`` reduces its argument by a table of 2^_LN_TABLE_BITS logs
+# ``_ln_fixed`` reduces its argument by two tables of 2^_LN_TABLE_BITS logs
 _LN_TABLE_BITS = 6
 
 
@@ -678,41 +678,53 @@ def _atanh_fixed(v: int, w: int, inv: tuple) -> int:
 
 @_memoized
 def _ln_table(w: int, ctx: PrecisionCtx) -> tuple:
-    """(ln 2, (ln(j / 2^K) for j = 2^K, ..., 2^(K+1) - 1), inv) at scale
-    2^w, K = ``_LN_TABLE_BITS``, inv the reciprocals of ``_atanh_fixed``,
-    for ``_ln_fixed``.
+    """(ln 2, (ln(j / 2^K) for j = 2^K .. 2^(K+1) - 1),
+    (ln(1 + i / 2^(2K)) for i = 0 .. 2^K - 1), inv) at scale 2^w,
+    K = ``_LN_TABLE_BITS``, inv the reciprocals of ``_atanh_fixed``, for
+    ``_ln_fixed``.
 
-    From ln 1 = 0 up by ln((j+1)/j) = 2 atanh(1/(2j+1)), v <= 1/129, so
-    the last entry is a few units of 2^-w per entry low.  ctx only keys the
-    memo, at the caller's precision.
+    Each table climbs from ln 1 = 0 by ln((a+1)/a) = 2 atanh(1/(2a+1)), a
+    from 2^K and from 2^(2K), so v <= 1/129; each step is a few units of
+    2^-w low, and the last entry of each table some 2^8 units, within the
+    guard bits of ``_k_ratio``.  ctx only keys the memo, at the caller's
+    precision.
     """
     one = 1 << w
     inv = tuple(one // (2 * k + 1) for k in range(w // 14 + 1))
-    logs, acc = [0], 0
-    for j in range(1 << _LN_TABLE_BITS, (2 << _LN_TABLE_BITS) - 1):
-        acc += 2 * _atanh_fixed(one // (2 * j + 1), w, inv)
-        logs.append(acc)
-    return to_fixed(mpf_ln2(w), w), tuple(logs), inv
+
+    def climb(start: int) -> tuple:
+        logs, acc = [0], 0
+        for a in range(start, start + (1 << _LN_TABLE_BITS) - 1):
+            acc += 2 * _atanh_fixed(one // (2 * a + 1), w, inv)
+            logs.append(acc)
+        return tuple(logs)
+    return (to_fixed(mpf_ln2(w), w), climb(1 << _LN_TABLE_BITS),
+            climb(1 << 2 * _LN_TABLE_BITS), inv)
 
 
 def _ln_fixed(y: int, t: tuple, w: int) -> int:
     """ln(y 2^-w / t) at scale 2^w, for an integer y >= 2^w and a raw mpf t > 0.
 
     The quotient q = y 2^bc // man(t), of at least w + 1 bits, is
-    normalized to u in [1, 2); with c the top K + 1 bits of u,
-    ln u = ln c + 2 atanh((u - c)/(u + c)) from the table of
-    ``_ln_table``, where (u - c)/(u + c) < 2^-(K+1).  Each piece is off by
-    a few units of 2^-w.
+    normalized to u in [1, 2).  With j / 2^K the top K + 1 bits of u,
+    u' = u 2^K / j lies in [1, 1 + 2^-K); with c = 1 + i / 2^(2K) its top
+    2K bits, ln u = ln(j / 2^K) + ln c + 2 atanh((u' - c)/(u' + c)) from
+    the tables of ``_ln_table``, where (u' - c)/(u' + c) < 2^-(2K+1), so
+    the series takes about w / (4K + 2) steps.  The sum is off by at most
+    a few hundred units of 2^-w, nearly all from the tables.
     """
-    ln2, logs, inv = _ln_table(w, PrecisionCtx(max(10, mp.mp.dps), 0))
+    ln2, logs1, logs2, inv = _ln_table(w, PrecisionCtx(max(10, mp.mp.dps), 0))
+    k = _LN_TABLE_BITS
     _, man, exp, bc = t
     q = (y << bc) // man  # above y, as man < 2^bc
     shift = q.bit_length() - 1 - w
     u = q >> shift  # q = u 2^shift, u in [2^w, 2^(w+1))
-    j = u >> (w - _LN_TABLE_BITS)
-    c = j << (w - _LN_TABLE_BITS)
+    j = u >> (w - k)
+    u = (u << k) // j
+    i = (u >> (w - 2 * k)) - (1 << 2 * k)
+    c = (u >> (w - 2 * k)) << (w - 2 * k)
     v = ((u - c) << w) // (u + c)
-    return (logs[j - (1 << _LN_TABLE_BITS)] + 2 * _atanh_fixed(v, w, inv)
+    return (logs1[j - (1 << k)] + logs2[i] + 2 * _atanh_fixed(v, w, inv)
             + (shift - bc - exp) * ln2)
 
 
