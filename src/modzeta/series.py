@@ -665,8 +665,9 @@ def _atanh_fixed(v: int, w: int, inv: tuple) -> int:
     by Horner's rule in v^2 with inv = (2^w // (2k+1) for k = 0, 1, ...).
 
     With v < 2^-d, d = w - bitlen(v), the terms from k = n on, n the least
-    with (2n+1) d > w, sum to under a unit of 2^-w; each product is
-    floored, so the sum is about n units low.
+    with (2n+1) d > w, sum to under a unit of 2^-w.  Each step floors,
+    and the later products by v^2 shrink what the earlier steps lost, so
+    the sum is a unit or two low.
     """
     v2 = v * v >> w
     n = (w // (w - v.bit_length())) // 2 + 1
