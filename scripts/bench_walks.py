@@ -1,4 +1,4 @@
-"""Layer benchmark of the hot kernels: the walks, the AGM, tanh-sinh, Hurwitz zeta and the q-series.
+"""Layer benchmark of the hot kernels: the walks, the AGM, tanh-sinh, the L-values and the q-series.
 
 Times ``modzeta.series._binom_sums``, ``modzeta.modular._nome_chains``
 (bypassing its memo) and ``modzeta.series.ell_k`` / ``ell_k_comp`` on fixed

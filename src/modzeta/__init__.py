@@ -7,7 +7,7 @@ Values returned by the operations are mpmath mpf/mpc scalars computed at
 follow-up arithmetic does not truncate to mpmath's default precision.
 """
 
-from .arith import dirichlet_l, epstein2, epstein3, hurwitz_zeta, kronecker
+from .arith import dirichlet_l, epstein2, epstein3, kronecker
 from .eichler import eichler4, eichler6
 from .modular import alpha4, eisenstein, eisenstein_eta_form, eta, lambda_fn, r_half
 from .mpcore import DomainError, PrecisionCtx, const_catalan, const_zeta
@@ -29,7 +29,7 @@ __all__ = [
     "const_catalan", "const_zeta", "dirichlet_l", "eichler4", "eichler6",
     "eisenstein", "eisenstein_eta_form", "ell_k", "ell_k_comp", "eli", "epstein2",
     "epstein3", "eta", "get_records",
-    "h3_linear", "h3_ratios", "h3mix2_tail_integral", "hurwitz_zeta",
+    "h3_linear", "h3_ratios", "h3mix2_tail_integral",
     "hyp_lambert", "inv_binom2_series", "kronecker", "lambda_fn",
     "legendre_dnu2", "lemma_integral", "lminus4_4_integral",
     "q_ratios", "r_half", "r_linear", "run_suite", "s_r", "t_r", "tanh_sinh",

@@ -1,12 +1,12 @@
-"""Kronecker symbols, Hurwitz zeta, Dirichlet L-values, and Epstein zeta.
+"""Kronecker symbols, Dirichlet L-values, and Epstein zeta.
 
 L_d(s) is one sum of chi(n) n^-s with chi = (d/.), periodic mod m, where
-m = |d| when d = 0, 1 (mod 4) and m = 4|d| otherwise: ``mpcore._l_value``
-takes the direct terms n <= N m on integers and adds one Euler-Maclaurin
-tail per residue a mod m, so the cost is uniform in the precision and
-independent of the sign of d.  ``const_zeta`` is the case m = 1.  The mpf
-Hurwitz zeta (``mpcore.hurwitz_zeta_raw``) serves only ``hurwitz_zeta``,
-at a real s and a real a.
+m = |d| when d = 0, 1 (mod 4) and m = 4|d| when d = 2 (mod 4); for
+d = 3 (mod 4), (d/.) has no period and ``dirichlet_l`` refuses it.
+``mpcore._l_value`` takes the direct terms n <= N m on integers and adds
+one Euler-Maclaurin tail per residue a mod m, so the cost is uniform in the
+precision and independent of the sign of d.  ``const_zeta`` is the case
+m = 1.
 
 E(z,2) and E(z,3) use the rapidly convergent Lambert / Eichler representations
 (real parts taken, see the module notes on epstein3); the brute-force lattice
@@ -27,14 +27,12 @@ from .mpcore import (
     _memoized,
     const_zeta,
     ensure_finite,
-    hurwitz_zeta_raw,
 )
 
 __all__ = [
     "dirichlet_l",
     "epstein2",
     "epstein3",
-    "hurwitz_zeta",
     "kronecker",
 ]
 
@@ -83,30 +81,23 @@ def kronecker(d: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz zeta and Dirichlet L
+# Dirichlet L
 # ---------------------------------------------------------------------------
-
-def hurwitz_zeta(s, a, ctx: PrecisionCtx) -> mpf:
-    """zeta(s, a) for real s > 1 and 0 < a <= 1, by Euler-Maclaurin."""
-    with ctx.working():
-        s = mpf(s)
-        a = mpf(a)
-        if not s > 1:
-            raise DomainError("hurwitz_zeta requires s > 1")
-        if not (0 < a <= 1):
-            raise DomainError("hurwitz_zeta requires 0 < a <= 1")
-        return hurwitz_zeta_raw(s, a)
-
 
 @_memoized
 def dirichlet_l(d: int, s: int, ctx: PrecisionCtx) -> mpf:
-    """L_d(s) = sum_n (d/n) n^-s for integer s >= 2, as one integer
-    Euler-Maclaurin sum over the residues mod m (``mpcore._l_value``)."""
+    """L_d(s) = sum_n (d/n) n^-s for a nonzero d = 0, 1 or 2 (mod 4) and an
+    integer s >= 2, as one integer Euler-Maclaurin sum over the residues
+    mod m (``mpcore._l_value``).
+
+    For d = 3 (mod 4), (d/.) is not periodic ((-1/2) = 1 but (-1/6) = -1),
+    so it is no character: such a d raises DomainError.
+    """
     d = int(d)
     if int(s) != s or s < 2:
         raise DomainError("dirichlet_l requires an integer s >= 2")
-    if d == 0:
-        raise DomainError("dirichlet_l requires d != 0")
+    if d == 0 or d % 4 == 3:
+        raise DomainError("dirichlet_l requires a nonzero d = 0, 1 or 2 (mod 4), got %d" % d)
     m = abs(d) if d % 4 in (0, 1) else 4 * abs(d)
     return _l_value(tuple(kronecker(d, a) for a in range(1, m + 1)), int(s), ctx)
 

@@ -1,6 +1,5 @@
 """Precision contexts, fixed-point helpers, fundamental constants, and the
-Euler-Maclaurin engines: zeta and Dirichlet L-values on integers, Hurwitz
-zeta in mpf.
+Euler-Maclaurin sum of zeta and Dirichlet L-values on integers.
 
 Every public operation in this package takes a :class:`PrecisionCtx` and
 returns values accurate to at least ``ctx.digits`` decimal digits.  Internally
@@ -27,7 +26,6 @@ __all__ = [
     "const_catalan",
     "const_zeta",
     "ensure_finite",
-    "hurwitz_zeta_raw",
 ]
 
 
@@ -206,7 +204,7 @@ def const_catalan(ctx: PrecisionCtx) -> mpf:
 def const_zeta(n: int, ctx: PrecisionCtx) -> mpf:
     """Riemann zeta at an integer point n >= 2: the L-value sum of ``_l_value``
     with chi = 1."""
-    if int(n) != n or n < 2:
+    if not 2 <= n < mp.inf or int(n) != n:
         raise DomainError("const_zeta requires an integer n >= 2, got %r" % (n,))
     return _l_value((1,), int(n), ctx)
 
@@ -228,7 +226,7 @@ def _tangent_numbers(m: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin: the plan, the coefficient tables, Hurwitz zeta and L-values
+# Euler-Maclaurin: the plan, the coefficient table and the L-value sum
 # ---------------------------------------------------------------------------
 
 # an s at or past this many N0 has no plan (``_em_plan``)
@@ -237,13 +235,13 @@ _EM_S_CAP = 50
 _EM_M_SLACK = 40
 
 
-def _em_plan(s, dps: int) -> tuple:
-    """(N, M): the direct terms and corrections of an Euler-Maclaurin sum at s.
+def _em_plan(s: int, dps: int) -> tuple:
+    """(N, M): the direct terms and corrections of an Euler-Maclaurin sum at
+    an integer s >= 2.
 
     Johansson's bound over zeta(s, a) >= (a+N)^(1-s)/(s-1), with a + N >= N,
     is 4 (s-1) (s)_2M / ((2 pi N)^2M (s+2M-1)) for every a > 0; its log is
-    taken in floats through ``math.lgamma``, with log(s-1) from the mpf s so
-    that an s within 1e-308 of 1 keeps it.  N is N0 = max(10, 0.6 dps + 2)
+    taken in floats through ``math.lgamma``.  N is N0 = max(10, 0.6 dps + 2)
     and M the least count up to min(pi N0, N0 + 40) that brings that bound
     below 10^-(dps+2).  The cap, N0 + 40 from 29 digits on, keeps the
     tangent triangle of a table to O(dps^2) steps.  The bound falls
@@ -255,7 +253,7 @@ def _em_plan(s, dps: int) -> tuple:
     n0 = max(10, int(0.6 * dps) + 2)
     if s < _EM_S_CAP * n0:
         goal = -(dps + 2) * math.log(10)
-        log4s1, s1, s = math.log(4) + float(mp.log(s - 1)), float(s - 1), float(s)
+        log4s1, s1, s = math.log(4) + math.log(s - 1), float(s - 1), float(s)
         cap = min(int(math.pi * n0), n0 + _EM_M_SLACK)
 
         def log_bound(m: int, n: int) -> float:
@@ -266,17 +264,15 @@ def _em_plan(s, dps: int) -> tuple:
             m = next((m for m in range(1, cap + 1) if log_bound(m, n) < goal), None)
             if m is not None:
                 return n, m
-    raise DomainError("hurwitz zeta: no Euler-Maclaurin plan for s = %s at %d digits"
+    raise DomainError("no Euler-Maclaurin plan for s = %s at %d digits"
                       % (mp.nstr(mpf(s), 5), dps))
 
 
-def _em_terms(s, m: int):
+def _em_terms(s: int, m: int):
     """The M corrections' coefficients c_j(s) = B_2j (s)_{2j-1} / (2j)!, as
     (numerator, denominator) pairs from one pass of tangent numbers:
 
         c_j(s) = (-1)^(j+1) T_(2j-1) (s)_{2j-1} / (4^j (4^j - 1) (2j-1)!).
-
-    The numerator is an mpf for an mpf s and an exact integer for an int s.
     """
     poch, fact = s, 1  # (s)_{2j-1} and (2j-1)!
     for j, t in enumerate(_tangent_numbers(m), 1):
@@ -286,72 +282,13 @@ def _em_terms(s, m: int):
 
 
 @_memoized
-def _em_coefficients(s: mpf, ctx: PrecisionCtx) -> tuple:
-    """(c_1(s), ..., c_M(s)) of ``_em_terms`` at ctx's precision, for
-    (N, M) = ``_em_plan(s, ctx.workdps)``.
-
-    The coefficients do not depend on a, so one table serves every a.
-    """
-    m = _em_plan(s, ctx.workdps)[1]
-    with ctx.working():
-        return tuple(num / den for num, den in _em_terms(s, m))
-
-
-def hurwitz_zeta_raw(s: mpf, a: mpf) -> mpf:
-    """zeta(s, a) for real s > 1, a > 0, at the current mpmath precision.
-
-    Euler-Maclaurin with N direct terms and M corrections, x = (a+N)^-2:
-
-        zeta(s, a) = sum_{k<N} (a+k)^-s
-                     + (a+N)^(1-s) (1/(s-1) + 1/(2(a+N)) + sum_{j=1..M} c_j(s) x^j)
-                     + R_M.
-
-    Johansson ("Rigorous high-precision computation of the Hurwitz zeta
-    function and its derivatives", Numer. Algorithms 2015, Theorem 1) bounds
-    |R_M| <= 4 (s)_{2M} (a+N)^(1-s-2M) / ((2 pi)^2M (s+2M-1)) for real s > 1.
-    N and M are planned before the sum (``_em_plan``) so that this bound is
-    below 10^-(dps+2) relative, whatever a is; ``_em_coefficients`` holds
-    c_1..c_M per (s, precision).  The powers and the corrections (by
-    Horner's rule in x) are summed at N.bit_length() + 4 extra bits, and the
-    result is rounded once: the rounding of the sum stays a fraction of the
-    last bit.  The terms fall, so those from k on sum to at most
-    (a+k)^-s (1 + (a+k)/(s-1)); once that is below the last of those bits,
-    the sum stops there, with no corrections.  A large s takes that stop
-    after a term or two, since (a+1)^-s / a^-s <= 2^-s for a <= 1, so its
-    table is never built.
-    """
-    s, a = mpf(s), mpf(a)
-    if not s > 1:
-        raise DomainError("hurwitz zeta requires s > 1")
-    if not a > 0:
-        raise DomainError("hurwitz zeta requires a > 0")
-    ctx = PrecisionCtx(max(10, mp.mp.dps), 0)
-    n = _em_plan(s, ctx.workdps)[0]
-    with mp.extraprec(n.bit_length() + 4):
-        acc = mpf(0)
-        for k in range(n):
-            term = (a + k) ** -s
-            acc += term
-            if term * (1 + (a + k) / (s - 1)) < mp.ldexp(acc, -mp.mp.prec):
-                break
-        else:
-            big = a + n
-            x = 1 / (big * big)
-            tail = mpf(0)
-            for c in reversed(_em_coefficients(s, ctx)):
-                tail = (tail + c) * x
-            acc += big ** (1 - s) * (1 / (s - 1) + 1 / (2 * big) + tail)
-    return ensure_finite(+acc)
-
-
-@_memoized
 def _em_table(s: int, ctx: PrecisionCtx) -> tuple:
     """(N, M, V, (c_1(s) 2^V, ..., c_M(s) 2^V)) for an integer s >= 2, with
     (N, M) = ``_em_plan(s, ctx.workdps)``.
 
-    The c_j(s) of ``_em_terms`` are exact rationals at an integer s; each is
-    rounded to the nearest integer at scale 2^V, V = prec + bitlen(N + M) + 8
-    for ctx's precision of prec bits.
+    The c_j(s) of ``_em_terms`` are exact rationals; each is rounded to the
+    nearest integer at scale 2^V, V = prec + bitlen(N + M) + 8 for ctx's
+    precision of prec bits.
     """
     n, m = _em_plan(s, ctx.workdps)
     v = dps_to_prec(ctx.workdps) + (n + m).bit_length() + 8

@@ -10,6 +10,7 @@ never binary floats.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -22,19 +23,14 @@ from .registry import DEFAULT_SEED, SUITES, IdentityRecord, build_registry
 
 __all__ = ["Report", "all_suites", "get_records", "run_suite"]
 
-_registry_cache: dict = {}
-
 
 def all_suites() -> list:
     return list(SUITES) + ["all"]
 
 
+@functools.cache
 def _registry(seed: int):
-    recs = _registry_cache.get(seed)
-    if recs is None:
-        recs = build_registry(seed)
-        _registry_cache[seed] = recs
-    return recs
+    return build_registry(seed)
 
 
 def get_records(suite: str, seed: int = DEFAULT_SEED) -> list:

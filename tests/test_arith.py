@@ -1,4 +1,4 @@
-"""Kronecker characters, Hurwitz zeta, Dirichlet L, and Epstein zeta."""
+"""Kronecker characters, Dirichlet L, and Epstein zeta."""
 
 import mpmath as mp
 import pytest
@@ -7,14 +7,10 @@ from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
 from modzeta import (DomainError, PrecisionCtx, const_catalan, dirichlet_l,
-                     epstein2, epstein3, hurwitz_zeta, kronecker)
+                     epstein2, epstein3, kronecker)
 from oracles import epstein_lattice
 
 I = mpc(0, 1)
-
-# zeta(3, 1/4) frozen from direct summation plus integral tail (30 digits),
-# cross-checked against mpmath's independent implementation
-HURWITZ_3_QUARTER = "64.6638699687684601666689835894"
 
 
 def test_kronecker_mod4_character():
@@ -47,24 +43,6 @@ def test_kronecker_periodicity(d):
         assert kronecker(d, n) == kronecker(d, n + m)
 
 
-def test_hurwitz_basic_identities(ctx30):
-    with ctx30.working():
-        pi = +mp.pi
-        assert abs(hurwitz_zeta(2, 1, ctx30) - pi ** 2 / 6) < mpf(10) ** -40
-        assert abs(hurwitz_zeta(2, mpf(1) / 2, ctx30) - pi ** 2 / 2) < mpf(10) ** -40
-        assert abs(hurwitz_zeta(3, mpf("0.25"), ctx30)
-                   - mpf(HURWITZ_3_QUARTER)) < mpf(10) ** -28
-
-
-def test_hurwitz_domain(ctx30):
-    with pytest.raises(DomainError):
-        hurwitz_zeta(1, 1, ctx30)
-    with pytest.raises(DomainError):
-        hurwitz_zeta(2, 0, ctx30)
-    with pytest.raises(DomainError):
-        hurwitz_zeta(2, mpf("1.5"), ctx30)
-
-
 def test_dirichlet_l_catalan(ctx40):
     with ctx40.working():
         assert abs(dirichlet_l(-4, 2, ctx40)
@@ -89,6 +67,10 @@ def test_dirichlet_l_domain(ctx30):
         dirichlet_l(-4, 1, ctx30)
     with pytest.raises(DomainError):
         dirichlet_l(0, 2, ctx30)
+    # (d/.) for d = 3 (mod 4) has no period, so it is no character
+    for d in (-1, 3, -5):
+        with pytest.raises(DomainError):
+            dirichlet_l(d, 4, ctx30)
 
 
 def test_epstein2_inversion(ctx40):

@@ -69,6 +69,13 @@ def test_eval_l_value():
     assert out.stdout.strip().startswith("1.151925470544491")
 
 
+def test_eval_l_value_refuses_d_3_mod_4():
+    # (-1/.) is no character: (-1/2) = 1 but (-1/6) = -1
+    out = run_cli("eval", "L", "-1", "4")
+    assert out.returncode == 2
+    assert "d = 0, 1 or 2 (mod 4)" in out.stderr and out.stdout == ""
+
+
 def test_eval_epstein():
     # E(i,2) = 30 G / pi^2 = 2.78420154533...
     out = run_cli("eval", "E", "i", "2", "--digits", "30")

@@ -1,4 +1,4 @@
-"""Constants, the tangent numbers, and the Euler-Maclaurin engine."""
+"""Constants, the tangent numbers, and the Euler-Maclaurin L-value sum."""
 
 import functools
 import math
@@ -12,7 +12,7 @@ from mpmath import mpf
 from modzeta import (DomainError, PrecisionCtx, const_catalan, const_zeta,
                      dirichlet_l)
 from modzeta import mpcore
-from modzeta.mpcore import _em_plan, hurwitz_zeta_raw
+from modzeta.mpcore import _em_plan
 from oracles import bernoulli
 
 # Catalan reference prefix (20 digits)
@@ -62,7 +62,7 @@ def test_zeta_domain():
     with pytest.raises(DomainError):
         const_zeta(1, ctx)
     with pytest.raises(DomainError):
-        hurwitz_zeta_raw(mp.inf, mpf(1))
+        const_zeta(mp.inf, ctx)
 
 
 def test_catalan():
@@ -93,12 +93,6 @@ def test_bernoulli_recurrence():
         assert acc == 0
 
 
-def test_hurwitz_engine_matches_reference():
-    with mp.workdps(45):
-        for s, a in ((mpf(2), mpf(1)), (mpf(3), mpf("0.25")), (mpf("2.5"), mpf("0.7"))):
-            assert abs(hurwitz_zeta_raw(s, a) - mp.zeta(s, a)) < mpf(10) ** -42
-
-
 def test_em_plan_meets_its_bound():
     # Johansson's remainder bound for the planned (N, M), relative to
     # zeta(s, a) >= (a+N)^(1-s)/(s-1), recomputed at 30 digits from the
@@ -123,75 +117,25 @@ def test_em_plan_raises_n_for_large_s():
     assert n > 20 and n % 20 == 0 and m >= 1
 
 
-def test_em_plan_refuses_s_past_its_cap():
-    # N doubles at most four times and M stays within pi N0: at 30 digits
-    # (N0 = 20) every s below 50 N0 is served and the value holds; past the
-    # cap, and at once for s >= 32 pi N0, hurwitz_zeta_raw raises
-    n, m = _em_plan(999, 30)
-    assert n <= 16 * 20 and m <= math.pi * 20
-    with mp.workdps(30):
-        a = mpf(1) / 3
-        got = hurwitz_zeta_raw(mpf(999), a)
-    with mp.workdps(50):
-        assert abs(got - mp.zeta(999, a)) <= mpf(10) ** -30 * mp.zeta(999, a)
+def test_em_plan_refuses_s_past_its_cap(monkeypatch):
+    # N doubles at most four times and M stays within pi N0: at 30 working
+    # digits (N0 = 20) every s below 50 N0 is served, s = 999 with
+    # N = 16 N0, and zeta(999) is exact to the last unit; past the cap
+    # const_zeta raises at once
+    monkeypatch.setattr(mpcore, "_memo", {})
+    ctx = PrecisionCtx(15)
+    assert _em_plan(999, ctx.workdps) == (16 * 20, 59) and 59 <= math.pi * 20
+    got = const_zeta(999, ctx)
+    with ctx.working():
+        assert got == +mp.zeta(999)
     with pytest.raises(DomainError):
         _em_plan(1100, 30)
-    for dps in (30, 500):
-        for s in (mpf(10) ** 7, mpf(10) ** 9, mpf(10) ** 400, mp.inf):
+    for digits in (30, 500):
+        for s in (10 ** 7, 10 ** 9, 10 ** 400):
             t0 = time.perf_counter()
-            with mp.workdps(dps), pytest.raises(DomainError):
-                hurwitz_zeta_raw(s, mpf(1))
-            assert time.perf_counter() - t0 < 1, (dps, s)
-
-
-def test_hurwitz_engine_just_above_s_1():
-    # s - 1 = 10^-400 is 0 as a float; the plan takes log(s - 1) from the mpf
-    with mp.workdps(500):
-        s = 1 + mpf(10) ** -400
-        got = hurwitz_zeta_raw(s, mpf(1))
-    with mp.workdps(530):
-        want = mp.zeta(s)
-        assert abs(got - want) <= mpf(10) ** -500 * want
-
-
-def test_hurwitz_engine_at_1000_digits():
-    # where the plan takes M above 256
-    with mp.workdps(1000):
-        a = mpf(1) / 28
-        got = hurwitz_zeta_raw(mpf(2), a)
-    with mp.workdps(1020):
-        want = mp.zeta(2, a)
-        assert abs(got - want) <= mpf("0.2") * mpf(10) ** -1000 * want
-
-
-def test_hurwitz_engine_at_1015_digits():
-    # the plan (N, M) = (611, 501)
-    with mp.workdps(1015):
-        a = mpf(3) / 28
-        got = hurwitz_zeta_raw(mpf(2), a)
-    with mp.workdps(1040):
-        want = mp.zeta(2, a)
-        assert abs(got - want) <= mpf("0.2") * mpf(10) ** -1015 * want
-
-
-@pytest.mark.parametrize("dps", (15, 50, 100, 250))
-def test_hurwitz_engine_meets_working_precision(dps, monkeypatch):
-    # 0.2 units of 10^-dps, relative, against mpmath's zeta at 20 more
-    # digits on the same rounded a: the truncation is below 10^-(dps+2), the
-    # sum runs at extra bits and is rounded once (at most 0.11 units at
-    # 15 digits); the largest error measured over this grid is 0.103 units.
-    # One coefficient table per (s, precision) serves every a
-    monkeypatch.setattr(mpcore, "_memo", {})
-    table = mpcore._em_coefficients.__wrapped__
-    for s in (2, 3, 4, 5, 7):
-        for a in (Fraction(1, 7), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
-            with mp.workdps(dps):
-                a = mpf(a.numerator) / a.denominator
-                got = hurwitz_zeta_raw(mpf(s), a)
-            with mp.workdps(dps + 20):
-                want = mp.zeta(s, a)
-                assert abs(got - want) <= mpf("0.2") * mpf(10) ** -dps * abs(want), (s, a)
-    assert sum(key[0] is table for key in mpcore._memo) == 5
+            with pytest.raises(DomainError):
+                const_zeta(s, PrecisionCtx(digits))
+            assert time.perf_counter() - t0 < 1, (digits, s)
 
 
 def pi(ctx):
@@ -208,8 +152,9 @@ def test_precision_monotonicity(op):
 
 
 # the discriminants of the L-value grid: the pass reads -3, -4, -7, -8 and
-# 28; 1 is zeta itself, and 5, 8 and -20 add even and composite moduli
-L_DISCRIMINANTS = (1, -3, -4, -7, -8, 5, 8, 28, -20)
+# 28; 1 is zeta itself, 5, 8 and -20 add even and composite moduli, and
+# 2 and -6 (d = 2 mod 4) the period 4|d|
+L_DISCRIMINANTS = (1, -3, -4, -7, -8, 5, 8, 28, -20, 2, -6)
 
 
 @functools.lru_cache(maxsize=None)
@@ -243,12 +188,9 @@ def test_l_values_meet_working_precision(digits, monkeypatch):
 
 
 def test_l_value_is_one_integer_sum(monkeypatch):
-    # L_d(s) no longer goes through the mpf Hurwitz zeta: one sum over the
-    # residues, one coefficient table per (s, precision) for every d
-    from modzeta import arith
+    # one sum over the residues, one coefficient table per (s, precision)
+    # for every d
     monkeypatch.setattr(mpcore, "_memo", {})
-    monkeypatch.setattr(mpcore, "hurwitz_zeta_raw", None)
-    monkeypatch.setattr(arith, "hurwitz_zeta_raw", None)
     ctx = PrecisionCtx(30)
     for d in (-4, -7, 28):
         dirichlet_l(d, 2, ctx)
@@ -271,20 +213,3 @@ def test_em_plan_caps_the_corrections():
         with pytest.raises(DomainError):
             _em_plan(50 * n0, dps)
         assert time.perf_counter() - t0 < 0.01, dps
-
-
-def test_hurwitz_engine_large_s_at_1000_digits(monkeypatch):
-    # zeta(30099, 1/3) at 1000 digits: the terms past a = 1/3 fall below
-    # 2^-prec of the first after one more, so the sum stops there and
-    # builds no coefficient table; it took 11.4 s before M was capped
-    monkeypatch.setattr(mpcore, "_memo", {})
-    t0 = time.perf_counter()
-    with mp.workdps(1000):
-        a = mpf(1) / 3
-        got = hurwitz_zeta_raw(mpf(30099), a)
-    elapsed = time.perf_counter() - t0
-    with mp.workdps(1020):
-        want = mp.zeta(30099, a)
-        assert abs(got - want) <= mpf("0.2") * mpf(10) ** -1000 * want
-    assert elapsed < 2
-    assert not mpcore._memo
